@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use fault::campaign::{self, VectorBench};
+use fault::campaign::{self, CampaignHooks, VectorBench};
 use fault::model::FaultList;
 use fault::sim::ParallelSim;
 use netlist::synth::{self, TechStyle};
@@ -64,17 +64,15 @@ fn bench_batching(c: &mut Criterion) {
     });
     let vecs = vectors();
 
+    let bench = || VectorBench::new(&nl, &vecs);
+    let hooks = CampaignHooks::none();
     let mut g = c.benchmark_group("ablation_batching");
     g.bench_function("parallel_one_batch_of_63", |b| {
-        b.iter(|| {
-            let mut sim = ParallelSim::new(&nl);
-            let mut tb = VectorBench::new(&nl, &vecs);
-            campaign::run(&mut sim, &first63, &mut tb)
-        })
+        b.iter(|| campaign::run(&ParallelSim::new(&nl), &first63, bench, 1, &hooks))
     });
     g.bench_function("serial_63_batches_of_1", |b| {
         b.iter(|| {
-            let mut sim = ParallelSim::new(&nl);
+            let sim = ParallelSim::new(&nl);
             let mut detected = 0usize;
             for i in 0..first63.len() {
                 let single = first63.filter({
@@ -84,8 +82,7 @@ fn bench_batching(c: &mut Criterion) {
                         k == i + 1
                     }
                 });
-                let mut tb = VectorBench::new(&nl, &vecs);
-                let r = campaign::run(&mut sim, &single, &mut tb);
+                let r = campaign::run(&sim, &single, bench, 1, &hooks);
                 detected += r.detections.iter().filter(|d| d.is_detected()).count();
             }
             detected

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use fault::model::FaultList;
-use fault::sim::ParallelSim;
+use fault::sim::{LaneSim, ParallelSim};
 use fault::wide::WideSim;
 use mips::asm::assemble;
 use mips::iss::{Iss, Memory};
@@ -74,7 +74,7 @@ fn bench_parallel_sim(c: &mut Criterion) {
             },
             |(mut sim, mut tb)| {
                 for cyc in 0..500 {
-                    let _ = tb.step(&mut sim, cyc);
+                    tb.step(&mut sim, cyc, &mut [0]);
                 }
             },
             criterion::BatchSize::SmallInput,
@@ -96,10 +96,9 @@ fn median_ns(n: usize, mut f: impl FnMut()) -> f64 {
     s[s.len() / 2] as f64
 }
 
-/// Interpreted (64-lane) vs compiled (256-lane, gating off so both
-/// engines do identical full-eval work; gating wins are measured at the
-/// campaign level) full-netlist eval on one core. Registers both as
-/// criterion benches and returns the trend-file JSON row.
+/// Interpreted (64-lane) vs compiled (256-lane) full-netlist eval on
+/// one core. Registers both as criterion benches and returns the
+/// trend-file JSON row.
 fn engine_eval_row(
     c: &mut Criterion,
     name: &str,
@@ -110,7 +109,7 @@ fn engine_eval_row(
     let mut interp = ParallelSim::with_segments(nl, segments);
     interp.reset();
     let kernel = fault::kernel::compile_cached(nl, segments);
-    let mut wide = WideSim::new(kernel, 4, false);
+    let mut wide = WideSim::new(kernel, 4);
     wide.reset();
 
     let group = format!("engine_eval/{name}");

@@ -273,6 +273,18 @@ fn submit_campaign(
     0
 }
 
+/// The value following `flag`, parsed as `T`. A missing or malformed
+/// value prints `<flag> needs <what>` and exits 2.
+fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, flag: &str, what: &str) -> T {
+    match it.next().map(|s| s.parse()) {
+        Some(Ok(v)) => v,
+        _ => {
+            eprintln!("{flag} needs {what}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = RunOptions::default();
@@ -303,33 +315,15 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--all" => which = None,
-            "--table" => {
-                which = Some(it.next().expect("--table needs an id").clone());
-            }
+            "--table" => which = Some(value(&mut it, a, "an id")),
             "--full" => opts.sample = None,
-            "--sample" => {
-                opts.sample = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--sample needs a number"),
-                );
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--threads" => {
-                opts.threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads needs a number");
-            }
+            "--sample" => opts.sample = Some(value(&mut it, a, "a number")),
+            "--seed" => opts.seed = value(&mut it, a, "a number"),
+            "--threads" => opts.threads = value(&mut it, a, "a number"),
             "--stats" => stats = true,
             "--engine" => {
-                let spec = it.next().expect("--engine needs interp|compiled");
-                match fault::EngineKind::parse(spec) {
+                let spec: String = value(&mut it, a, "interp|compiled");
+                match fault::EngineKind::parse(&spec) {
                     Ok(kind) => {
                         opts.engine.kind = kind;
                         if kind == fault::EngineKind::Interp {
@@ -343,7 +337,7 @@ fn main() {
                 }
             }
             "--lanes" => {
-                let spec = it.next().expect("--lanes needs a comma-separated list");
+                let spec: String = value(&mut it, a, "a comma-separated list");
                 opts.lanes_sweep.clear();
                 for part in spec.split(',') {
                     match fault::EngineConfig::parse_lanes(part) {
@@ -366,84 +360,30 @@ fn main() {
             "--report" => report = true,
             "--escapes" => escapes = true,
             "--forensics" => forensics = true,
-            "--forensics-fault" => {
-                forensics_fault =
-                    Some(it.next().expect("--forensics-fault needs a fault id").clone());
-            }
+            "--forensics-fault" => forensics_fault = Some(value(&mut it, a, "a fault id")),
             "--progress" => opts.progress = true,
             "--profile" => opts.profile = true,
-            "--trace" => {
-                opts.trace_path = Some(it.next().expect("--trace needs a path").into());
-            }
-            "--stride" => {
-                stride = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--stride needs a cycle count");
-            }
-            "--wave-fault" => {
-                wave.fault = Some(it.next().expect("--wave-fault needs a fault id").clone());
-            }
-            "--wave-escapes" => {
-                wave.escapes = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--wave-escapes needs a count");
-            }
-            "--wave-pre" => {
-                wave.pre = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--wave-pre needs a cycle count");
-            }
-            "--wave-post" => {
-                wave.post = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--wave-post needs a cycle count");
-            }
-            "--wave-depth" => {
-                wave.depth = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--wave-depth needs a cycle count");
-            }
+            "--trace" => opts.trace_path = Some(value(&mut it, a, "a path")),
+            "--stride" => stride = value(&mut it, a, "a cycle count"),
+            "--wave-fault" => wave.fault = Some(value(&mut it, a, "a fault id")),
+            "--wave-escapes" => wave.escapes = value(&mut it, a, "a count"),
+            "--wave-pre" => wave.pre = value(&mut it, a, "a cycle count"),
+            "--wave-post" => wave.post = value(&mut it, a, "a cycle count"),
+            "--wave-depth" => wave.depth = value(&mut it, a, "a cycle count"),
             "--wave-probe" => {
-                let spec = it.next().expect("--wave-probe needs component/port specs");
+                let spec: String = value(&mut it, a, "component/port specs");
                 wave.probe.extend(spec.split(',').map(|s| s.trim().to_string()));
             }
-            "--json" => json_out = Some(it.next().expect("--json needs a path").clone()),
-            "--ledger" => {
-                out.ledger_path = it.next().expect("--ledger needs a path").into();
-            }
+            "--json" => json_out = Some(value(&mut it, a, "a path")),
+            "--ledger" => out.ledger_path = value(&mut it, a, "a path"),
             "--no-ledger" => out.no_ledger = true,
-            "--metrics-out" => {
-                out.metrics_out =
-                    Some(it.next().expect("--metrics-out needs a path").into());
-            }
-            "--serve" => {
-                out.serve_port = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--serve needs a port"),
-                );
-            }
+            "--metrics-out" => out.metrics_out = Some(value(&mut it, a, "a path")),
+            "--serve" => out.serve_port = Some(value(&mut it, a, "a port")),
             "--trace-viz" => out.trace_viz = true,
-            "--submit" => {
-                submit = Some(it.next().expect("--submit needs a server URL").clone());
-            }
-            "--shards" => {
-                submit_shards = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--shards needs a count");
-            }
-            "--phase" => {
-                submit_phase = it.next().expect("--phase needs A|B|C").clone();
-            }
-            "--job-id" => {
-                submit_id = Some(it.next().expect("--job-id needs an id").clone());
-            }
+            "--submit" => submit = Some(value(&mut it, a, "a server URL")),
+            "--shards" => submit_shards = value(&mut it, a, "a count"),
+            "--phase" => submit_phase = value(&mut it, a, "A|B|C"),
+            "--job-id" => submit_id = Some(value(&mut it, a, "an id")),
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(

@@ -415,11 +415,7 @@ impl RunOptions {
         }
         self.lanes_sweep
             .iter()
-            .map(|&lanes| {
-                let mut e = EngineConfig::compiled(lanes);
-                e.gating = self.engine.gating;
-                e
-            })
+            .map(|&lanes| EngineConfig::compiled(lanes))
             .collect()
     }
 }

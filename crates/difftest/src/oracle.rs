@@ -10,8 +10,9 @@
 //! (first divergent cycle per lane).
 
 use fault::model::Fault;
-use fault::sim::{transpose_lanes, ParallelSim};
+use fault::sim::{LaneSim, ParallelSim};
 use fault::wave::WaveCapture;
+use fault::wide::transpose_lanes_wide;
 use mips::disasm::disassemble;
 use mips::gen::{END_MAILBOX, END_MARKER};
 use mips::isa::Reg;
@@ -379,7 +380,7 @@ impl<'a> PlasmaOracle<'a> {
                     };
                 }
             }
-            transpose_lanes(&self.scratch, 32, &mut self.bits);
+            transpose_lanes_wide(&self.scratch, 32, 1, &mut self.bits);
             self.sim.set_port_bits(nl, "mem_rdata", &self.bits);
             self.sim.eval_segment(1);
             let diff = self.sim.diff_vs_lane0(observed);

@@ -7,7 +7,8 @@
 //! already minimal).
 
 use fault::model::Fault;
-use fault::sim::{transpose_lanes, ParallelSim};
+use fault::sim::{LaneSim, ParallelSim};
+use fault::wide::transpose_lanes_wide;
 use mips::gen::Rng;
 use parwan::isa::{Cond, ProgramBuilder};
 use parwan::model::{BusCycle, ParwanModel};
@@ -142,7 +143,7 @@ impl<'a> ParwanOracle<'a> {
                     };
                 }
             }
-            transpose_lanes(&self.scratch, 8, &mut self.bits);
+            transpose_lanes_wide(&self.scratch, 8, 1, &mut self.bits);
             self.sim.set_port_bits(nl, "mem_rdata", &self.bits);
             let diff = self.sim.diff_vs_lane0(observed);
             self.sim.eval_segment(1);

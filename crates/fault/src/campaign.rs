@@ -8,27 +8,27 @@
 //! reference. Batches end early once all their faults are detected
 //! (fault dropping).
 //!
-//! Two engines implement the same contract:
+//! One runner, [`run`], drives either engine through the lane-block
+//! [`LaneSim`] interface — the interpreted 64-lane
+//! [`crate::sim::ParallelSim`] (the differential reference) or the
+//! compiled 64–512-lane [`crate::wide::WideSim`] (the default, selected
+//! via [`crate::engine::EngineConfig`]) — against one [`Testbench`] per
+//! stimulus. Both are generic over the engine, so every engine call is
+//! statically dispatched.
 //!
-//! * the interpreted [`ParallelSim`] (64 lanes, [`Testbench`], runners
-//!   [`run`]/[`run_parallel`]) — the differential reference;
-//! * the compiled [`WideSim`] (64–512 lanes, [`WideTestbench`], runners
-//!   [`run_wide`]/[`run_parallel_wide`]) — the default, selected via
-//!   [`crate::engine::EngineConfig`].
+//! The runner shards the batch sequence over worker threads pulling
+//! batches off a cache-line-padded atomic cursor; a serial run is the
+//! one-worker case on the calling thread. Each worker owns its own
+//! simulator clone (compiled workers share one immutable kernel by
+//! `Arc`) and testbench. Batches are independent — the simulator state
+//! is rebuilt from scratch per batch — so the merged result is
+//! bit-identical at every thread count, and a fault's detection is
+//! independent of engine and lane width.
 //!
-//! Serial and parallel runners share all machinery: the parallel ones
-//! shard the batch sequence over worker threads pulling batches off a
-//! cache-line-padded atomic cursor, each worker owning its own simulator
-//! state (wide workers share one immutable compiled kernel by `Arc`).
-//! Batches are independent — the simulator state is rebuilt from scratch
-//! per batch — so the merged result is bit-identical to the serial one
-//! at every thread count, and a fault's detection is independent of lane
-//! width, so all four runners agree fault for fault.
-//!
-//! Both have `*_with` variants taking [`CampaignHooks`]: an optional
-//! structured [`obs::Tracer`] (JSONL `campaign`/`batch` events with
-//! thread ids and wall-clock deltas) and an optional [`obs::Progress`]
-//! ticker. Every run also folds execution metrics into
+//! [`CampaignHooks`] carry an optional structured [`obs::Tracer`] (JSONL
+//! `campaign`/`batch` events with thread ids and wall-clock deltas), an
+//! optional [`obs::Progress`] ticker, a profiler, a metric registry and
+//! an event bus. Every run also folds execution metrics into
 //! [`CampaignStats`]: cycles vs budget, a detection-latency histogram,
 //! and per-worker batch/cycle/wall throughput. With hooks disabled (the
 //! default) the instrumentation reduces to one branch per *batch*, so
@@ -46,8 +46,8 @@ use obs::{
 use serde_json::Value;
 
 use crate::model::{Fault, FaultList};
-use crate::sim::{ParallelSim, SimStats};
-use crate::wide::WideSim;
+use crate::sim::{LaneSim, ParallelSim, SimStats};
+use crate::wide::MAX_LANE_WORDS;
 
 /// Wraps the shared batch cursor so it owns a full cache line: workers
 /// on different cores hammer `fetch_add` on it, and without padding the
@@ -57,22 +57,25 @@ use crate::wide::WideSim;
 struct CachePadded<T>(T);
 
 /// Stimulus source driven by the campaign runner, one clock cycle at a
-/// time.
+/// time, on any [`LaneSim`] engine.
 ///
 /// Implementations drive primary inputs, call
-/// [`ParallelSim::eval_segment`]/[`ParallelSim::eval_all`] and
-/// [`ParallelSim::clock`], and report which lanes diverged from lane 0 at
-/// the observation points this cycle. The processor testbench in the
-/// `plasma` crate implements this with a per-lane memory model; simple
-/// vector application is provided here by [`VectorBench`].
-pub trait Testbench {
+/// [`LaneSim::eval_segment`]/[`LaneSim::eval_all`] and
+/// [`LaneSim::clock`], and report which lanes diverged from lane 0 at
+/// the observation points this cycle. The processor testbenches in the
+/// `plasma` and `parwan` crates implement this with per-lane memory
+/// overlays; simple vector application is provided here by
+/// [`VectorBench`]. `dyn Testbench<ParallelSim>` is what forensics and
+/// wave capture replay through.
+pub trait Testbench<S: LaneSim> {
     /// Prepare for a fresh batch. Called after faults are injected and the
     /// simulator's flip-flops are reset.
-    fn begin(&mut self, sim: &mut ParallelSim);
+    fn begin(&mut self, sim: &mut S);
 
-    /// Execute one clock cycle and return the mask of lanes whose observed
-    /// outputs diverged from lane 0 during this cycle.
-    fn step(&mut self, sim: &mut ParallelSim, cycle: u64) -> u64;
+    /// Execute one clock cycle, OR-ing the lanes whose observed outputs
+    /// diverged from lane 0 during this cycle into `diff` (length
+    /// `sim.lane_words()`, zeroed by the caller).
+    fn step(&mut self, sim: &mut S, cycle: u64, diff: &mut [u64]);
 
     /// Total number of cycles to run per batch.
     fn cycles(&self) -> u64;
@@ -222,8 +225,7 @@ pub struct CampaignHooks {
 }
 
 impl CampaignHooks {
-    /// Hooks with everything disabled (what [`run`]/[`run_parallel`]
-    /// use).
+    /// Hooks with everything disabled.
     pub fn none() -> CampaignHooks {
         CampaignHooks::default()
     }
@@ -288,15 +290,9 @@ fn publish_run_metrics(registry: &MetricRegistry, stats: &CampaignStats) {
     stats.profile.export(registry);
 }
 
-/// Number of 63-fault batches an interpreted-engine campaign over
-/// `faults` will run — the `total` to size an [`obs::Progress`] ticker
-/// with.
-pub fn batch_count(faults: &FaultList) -> u64 {
-    batch_count_lanes(faults, 64)
-}
-
 /// Number of `lanes - 1`-fault batches a campaign over `faults` will
-/// run at a given lane width.
+/// run at a given lane width — the `total` to size an
+/// [`obs::Progress`] ticker with.
 pub fn batch_count_lanes(faults: &FaultList, lanes: usize) -> u64 {
     faults.len().div_ceil(lanes - 1) as u64
 }
@@ -405,18 +401,18 @@ impl CampaignResult {
     }
 }
 
-/// Simulate one batch of ≤ 63 faults: inject, reset, run until the cycle
-/// budget is spent or every fault is dropped. Writes outcomes into `out`
-/// (parallel to `batch`) and returns the number of cycles simulated.
+/// Simulate one batch of up to `lanes - 1` faults: inject, reset, run
+/// until the cycle budget is spent or every fault is dropped. Writes
+/// outcomes into `out` (parallel to `batch`) and returns the number of
+/// cycles simulated.
 ///
-/// The simulator state is fully rebuilt ([`ParallelSim::reset_state`]),
+/// The simulator state is fully rebuilt ([`LaneSim::reset_state`]),
 /// so the outcome depends only on `batch` and the testbench stimulus —
-/// never on previous batches. This is what lets the parallel runner
-/// schedule batches in any order and still match the serial runner bit
-/// for bit.
-fn run_batch(
-    sim: &mut ParallelSim,
-    tb: &mut dyn Testbench,
+/// never on previous batches. This is what lets the runner schedule
+/// batches on any worker in any order and still produce one result.
+fn run_batch<S: LaneSim, T: Testbench<S>>(
+    sim: &mut S,
+    tb: &mut T,
     batch: &[Fault],
     budget: u64,
     out: &mut [Detection],
@@ -434,26 +430,32 @@ fn run_batch(
         sim.reset_state();
         tb.begin(sim);
     }
-    let active: u64 = if batch.len() == 63 {
-        !1 // lanes 1..=63
-    } else {
-        ((1u64 << batch.len()) - 1) << 1
-    };
-    let mut detected = 0u64;
+    let w = sim.lane_words();
+    let mut active = [0u64; MAX_LANE_WORDS];
+    for lane in 1..=batch.len() {
+        active[lane >> 6] |= 1u64 << (lane & 63);
+    }
+    let mut detected = [0u64; MAX_LANE_WORDS];
+    let mut diff = [0u64; MAX_LANE_WORDS];
     for cycle in 0..budget {
-        let diff = tb.step(sim, cycle);
-        let newly = diff & active & !detected;
-        if newly != 0 {
-            let mut rem = newly;
-            while rem != 0 {
-                let lane = rem.trailing_zeros() as usize;
-                rem &= rem - 1;
-                out[lane - 1] = Detection::DetectedAt(cycle);
+        diff[..w].fill(0);
+        tb.step(sim, cycle, &mut diff[..w]);
+        let mut all_done = true;
+        for t in 0..w {
+            let newly = diff[t] & active[t] & !detected[t];
+            if newly != 0 {
+                let mut rem = newly;
+                while rem != 0 {
+                    let lane = (t << 6) + rem.trailing_zeros() as usize;
+                    rem &= rem - 1;
+                    out[lane - 1] = Detection::DetectedAt(cycle);
+                }
+                detected[t] |= newly;
             }
-            detected |= newly;
-            if detected == active {
-                return cycle + 1; // every fault in the batch dropped
-            }
+            all_done &= detected[t] == active[t];
+        }
+        if all_done {
+            return cycle + 1; // every fault in the batch dropped
         }
     }
     budget
@@ -555,111 +557,6 @@ fn trace_campaign_end(hooks: &CampaignHooks, stats: &CampaignStats) {
     }
 }
 
-/// Run a campaign: simulate every fault in `faults` against the stimulus
-/// of `tb`, in batches of 63 plus the lane-0 reference.
-///
-/// `sim` must have been built over the same netlist the faults refer to;
-/// it is reused across batches (cheaper than reallocating).
-pub fn run(sim: &mut ParallelSim, faults: &FaultList, tb: &mut dyn Testbench) -> CampaignResult {
-    run_with(sim, faults, tb, &CampaignHooks::none())
-}
-
-/// [`run`] with observability hooks: emits `campaign_begin`, one `batch`
-/// event per batch, and `campaign_end` to `hooks.tracer`, and ticks
-/// `hooks.progress` once per batch. Detections are identical to [`run`]
-/// — the hooks never touch simulation state.
-pub fn run_with(
-    sim: &mut ParallelSim,
-    faults: &FaultList,
-    tb: &mut dyn Testbench,
-    hooks: &CampaignHooks,
-) -> CampaignResult {
-    let t0 = Instant::now();
-    let profile_start = hooks.profiler.snapshot();
-    let counters = hooks.metrics.as_ref().map(BatchCounters::of);
-    let mut detections = vec![Detection::Undetected; faults.len()];
-    let budget = tb.cycles();
-    trace_campaign_begin(hooks, "serial", sim.stats(), faults, budget, 1, 64);
-    let timing = batch_events_on(hooks);
-    let mut cycles = 0u64;
-    let mut batches = 0u64;
-    for (b, (batch, out)) in faults
-        .faults
-        .chunks(63)
-        .zip(detections.chunks_mut(63))
-        .enumerate()
-    {
-        let tb0 = timing.then(Instant::now);
-        let c = run_batch(sim, tb, batch, budget, out, &hooks.profiler);
-        cycles += c;
-        batches += 1;
-        trace_batch(hooks, b, 0, out, c, tb0.map(|t| t.elapsed().as_micros() as u64));
-        if let Some(p) = &hooks.progress {
-            p.inc(1);
-        }
-        if let Some(ctr) = &counters {
-            ctr.batches.inc(1);
-            ctr.cycles.inc(c);
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let dropped = detections.iter().filter(|d| d.is_detected()).count() as u64;
-    let stats = CampaignStats {
-        batches,
-        cycles_simulated: cycles,
-        budget_cycles: batches * budget,
-        faults_dropped: dropped,
-        wall_seconds: wall,
-        threads: 1,
-        latency: latency_of(&detections),
-        workers: vec![WorkerStats {
-            worker: 0,
-            batches,
-            cycles,
-            wall_seconds: wall,
-            lanes: 64,
-        }],
-        profile: hooks.profiler.snapshot().since(&profile_start),
-        engine: "interp",
-        lanes: 64,
-    };
-    trace_campaign_end(hooks, &stats);
-    if let Some(p) = &hooks.progress {
-        p.finish();
-    }
-    if let Some(reg) = &hooks.metrics {
-        publish_run_metrics(reg, &stats);
-    }
-    CampaignResult {
-        faults: faults.clone(),
-        detections,
-        stats,
-    }
-}
-
-/// Creates one testbench instance per worker thread of a parallel
-/// campaign. Blanket-implemented for `Fn() -> T` closures, so
-/// `&|| SelfTestBench::new(...)` is a factory.
-///
-/// Every instance must produce the same stimulus (same program, same
-/// cycle budget) — the determinism guarantee of [`run_parallel`] assumes
-/// batches are interchangeable across workers.
-pub trait TestbenchFactory: Sync {
-    /// The testbench type produced.
-    type Bench: Testbench;
-
-    /// Create a fresh testbench (called once per worker thread).
-    fn create(&self) -> Self::Bench;
-}
-
-impl<T: Testbench, F: Fn() -> T + Sync> TestbenchFactory for F {
-    type Bench = T;
-
-    fn create(&self) -> T {
-        self()
-    }
-}
-
 /// Number of worker threads a campaign should use: the `SBST_THREADS`
 /// environment variable if set to a positive integer, otherwise
 /// [`std::thread::available_parallelism`].
@@ -675,121 +572,115 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// Run a campaign across `threads` worker threads (0 = use
-/// [`default_threads`]). Each worker owns a clone of `proto` and its own
-/// testbench from `factory`, and pulls 63-fault batches off a shared
-/// atomic cursor — dynamic load balancing, because fault dropping makes
-/// batch runtimes uneven. Detections are written into disjoint per-batch
-/// slices of one result vector, so the merged [`CampaignResult`] is
-/// bit-identical to [`run`] regardless of thread count or scheduling.
-pub fn run_parallel<F: TestbenchFactory>(
-    proto: &ParallelSim,
+/// Run a campaign: simulate every fault in `faults` against the stimulus
+/// of the testbenches `factory` makes, `proto.lanes() - 1` faults per
+/// batch plus the lane-0 reference.
+///
+/// Runs on `threads` worker threads (0 = use [`default_threads`]); one
+/// worker runs on the calling thread (mode `serial` in the trace). Each
+/// worker clones `proto` — built over the netlist the faults refer to —
+/// and makes its own testbench, then pulls batches off a shared atomic
+/// cursor: dynamic load balancing, because fault dropping makes batch
+/// runtimes uneven. Detections are written into disjoint per-batch
+/// slices of one result vector, so the [`CampaignResult`] is
+/// bit-identical at every thread count. Every testbench must produce
+/// the same stimulus (same program, same cycle budget).
+///
+/// `hooks` emit `campaign_begin`, one `batch` event per batch (with the
+/// worker's thread id) and `campaign_end`, tick the progress ticker once
+/// per batch, and feed the registry and profiler. They never touch
+/// simulation state, so detections are identical with hooks on or off.
+pub fn run<S, T, F>(
+    proto: &S,
     faults: &FaultList,
-    factory: &F,
-    threads: usize,
-) -> CampaignResult {
-    run_parallel_with(proto, faults, factory, threads, &CampaignHooks::none())
-}
-
-/// [`run_parallel`] with observability hooks. Trace events carry the
-/// emitting worker's thread id; `hooks.progress` is ticked once per
-/// completed batch across all workers. The hooks never touch simulation
-/// state, so detections remain bit-identical to the serial runner.
-pub fn run_parallel_with<F: TestbenchFactory>(
-    proto: &ParallelSim,
-    faults: &FaultList,
-    factory: &F,
+    factory: F,
     threads: usize,
     hooks: &CampaignHooks,
-) -> CampaignResult {
+) -> CampaignResult
+where
+    S: LaneSim,
+    T: Testbench<S>,
+    F: Fn() -> T + Sync,
+{
     let threads = if threads == 0 {
         default_threads()
     } else {
         threads
     };
-    let batches: Vec<&[Fault]> = faults.faults.chunks(63).collect();
+    let lanes = proto.lanes();
+    let chunk = lanes - 1;
+    let batches: Vec<&[Fault]> = faults.faults.chunks(chunk).collect();
     let workers = threads.min(batches.len()).max(1);
-    if workers == 1 {
-        let mut sim = proto.clone();
-        let mut tb = factory.create();
-        return run_with(&mut sim, faults, &mut tb, hooks);
-    }
 
     let t0 = Instant::now();
     let profile_start = hooks.profiler.snapshot();
-    let budget = factory.create().cycles();
-    trace_campaign_begin(hooks, "parallel", proto.stats(), faults, budget, workers, 64);
+    let budget = factory().cycles();
+    let mode = if workers == 1 { "serial" } else { "parallel" };
+    trace_campaign_begin(hooks, mode, proto.stats(), faults, budget, workers, lanes);
     let timing = batch_events_on(hooks);
     let mut detections = vec![Detection::Undetected; faults.len()];
     // One uncontended Mutex per batch slice: a worker locks only the
     // batches the cursor hands it, so slices stay disjoint and safe.
     let slots: Vec<Mutex<&mut [Detection]>> =
-        detections.chunks_mut(63).map(Mutex::new).collect();
+        detections.chunks_mut(chunk).map(Mutex::new).collect();
     let cursor = CachePadded(AtomicUsize::new(0));
-    let (batches_ref, slots_ref, cursor_ref) = (&batches, &slots, &cursor);
-    let mut worker_stats = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (batches, slots, cursor) = (batches_ref, slots_ref, cursor_ref);
-                s.spawn(move || {
-                    let tw = Instant::now();
-                    let mut sim = proto.clone();
-                    let mut tb = factory.create();
-                    // Per-worker handle clones share the same atomic
-                    // accumulators, so updates merge for free.
-                    let counters = hooks.metrics.as_ref().map(BatchCounters::of);
-                    let mut cycles = 0u64;
-                    let mut done = 0u64;
-                    loop {
-                        let b = cursor.0.fetch_add(1, Ordering::Relaxed);
-                        if b >= batches.len() {
-                            break;
-                        }
-                        let mut out = slots[b].lock().expect("batch slot poisoned");
-                        let tb0 = timing.then(Instant::now);
-                        let c = run_batch(
-                            &mut sim,
-                            &mut tb,
-                            batches[b],
-                            budget,
-                            &mut out,
-                            &hooks.profiler,
-                        );
-                        cycles += c;
-                        done += 1;
-                        trace_batch(
-                            hooks,
-                            b,
-                            w,
-                            &out,
-                            c,
-                            tb0.map(|t| t.elapsed().as_micros() as u64),
-                        );
-                        if let Some(p) = &hooks.progress {
-                            p.inc(1);
-                        }
-                        if let Some(ctr) = &counters {
-                            ctr.batches.inc(1);
-                            ctr.cycles.inc(c);
-                        }
-                    }
-                    WorkerStats {
-                        worker: w,
-                        batches: done,
-                        cycles,
-                        wall_seconds: tw.elapsed().as_secs_f64(),
-                        lanes: 64,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect::<Vec<_>>()
-    });
+    let work = |w: usize| {
+        let tw = Instant::now();
+        let mut sim = proto.clone();
+        let mut tb = factory();
+        // Per-worker handle clones share the same atomic accumulators,
+        // so updates merge for free.
+        let counters = hooks.metrics.as_ref().map(BatchCounters::of);
+        let mut cycles = 0u64;
+        let mut done = 0u64;
+        loop {
+            let b = cursor.0.fetch_add(1, Ordering::Relaxed);
+            if b >= batches.len() {
+                break;
+            }
+            let mut out = slots[b].lock().expect("batch slot poisoned");
+            let tb0 = timing.then(Instant::now);
+            let c = run_batch(
+                &mut sim,
+                &mut tb,
+                batches[b],
+                budget,
+                &mut out,
+                &hooks.profiler,
+            );
+            cycles += c;
+            done += 1;
+            let dur_us = tb0.map(|t| t.elapsed().as_micros() as u64);
+            trace_batch(hooks, b, w, &out, c, dur_us);
+            if let Some(p) = &hooks.progress {
+                p.inc(1);
+            }
+            if let Some(ctr) = &counters {
+                ctr.batches.inc(1);
+                ctr.cycles.inc(c);
+            }
+        }
+        WorkerStats {
+            worker: w,
+            batches: done,
+            cycles,
+            wall_seconds: tw.elapsed().as_secs_f64(),
+            lanes: lanes as u64,
+        }
+    };
+    let worker_stats = if workers == 1 {
+        vec![work(0)]
+    } else {
+        let work = &work;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("campaign worker panicked"))
+                .collect::<Vec<_>>()
+        })
+    };
     drop(slots);
-    worker_stats.sort_by_key(|w| w.worker);
     let cycles_total: u64 = worker_stats.iter().map(|w| w.cycles).sum();
     let dropped = detections.iter().filter(|d| d.is_detected()).count() as u64;
     let stats = CampaignStats {
@@ -802,8 +693,8 @@ pub fn run_parallel_with<F: TestbenchFactory>(
         latency: latency_of(&detections),
         workers: worker_stats,
         profile: hooks.profiler.snapshot().since(&profile_start),
-        engine: "interp",
-        lanes: 64,
+        engine: proto.engine(),
+        lanes: lanes as u64,
     };
     trace_campaign_end(hooks, &stats);
     if let Some(p) = &hooks.progress {
@@ -822,7 +713,7 @@ pub fn run_parallel_with<F: TestbenchFactory>(
 /// A [`Testbench`] that applies a fixed sequence of input vectors
 /// (broadcast to all lanes) and observes every primary output each cycle.
 /// Suitable for grading component-level test sets, combinational or
-/// sequential.
+/// sequential, on either engine.
 pub struct VectorBench<'a> {
     netlist: &'a Netlist,
     /// Each vector is a list of `(port, value)` pairs applied before the
@@ -847,374 +738,10 @@ impl<'a> VectorBench<'a> {
     }
 }
 
-impl Testbench for VectorBench<'_> {
-    fn begin(&mut self, _sim: &mut ParallelSim) {}
+impl<S: LaneSim> Testbench<S> for VectorBench<'_> {
+    fn begin(&mut self, _sim: &mut S) {}
 
-    fn step(&mut self, sim: &mut ParallelSim, cycle: u64) -> u64 {
-        for &(port, value) in &self.vectors[cycle as usize] {
-            sim.set_port(self.netlist, port, value);
-        }
-        sim.eval_all();
-        let diff = sim.diff_vs_lane0(&self.output_nets);
-        sim.clock();
-        diff
-    }
-
-    fn cycles(&self) -> u64 {
-        self.vectors.len() as u64
-    }
-}
-
-/// Convenience wrapper: extract-or-take faults, run `vectors` through a
-/// fresh simulator, return the result.
-pub fn run_vectors(
-    netlist: &Netlist,
-    faults: &FaultList,
-    vectors: &[Vec<(&str, u64)>],
-) -> CampaignResult {
-    let mut sim = ParallelSim::new(netlist);
-    let mut tb = VectorBench::new(netlist, vectors);
-    run(&mut sim, faults, &mut tb)
-}
-
-/// Stimulus source for the compiled multi-word engine — the
-/// [`Testbench`] contract widened to lane blocks: `step` fills `diff`
-/// (one word per 64 lanes) with the lanes that diverged from lane 0
-/// this cycle.
-pub trait WideTestbench {
-    /// Prepare for a fresh batch (after injection and reset).
-    fn begin(&mut self, sim: &mut WideSim);
-
-    /// Execute one clock cycle, OR-ing diverged lanes into `diff`
-    /// (length `sim.lane_words()`, zeroed by the caller).
-    fn step(&mut self, sim: &mut WideSim, cycle: u64, diff: &mut [u64]);
-
-    /// Total number of cycles to run per batch.
-    fn cycles(&self) -> u64;
-}
-
-/// Creates one [`WideTestbench`] per worker thread.
-/// Blanket-implemented for `Fn() -> T` closures.
-pub trait WideTestbenchFactory: Sync {
-    /// The testbench type produced.
-    type Bench: WideTestbench;
-
-    /// Create a fresh testbench (called once per worker thread).
-    fn create(&self) -> Self::Bench;
-}
-
-impl<T: WideTestbench, F: Fn() -> T + Sync> WideTestbenchFactory for F {
-    type Bench = T;
-
-    fn create(&self) -> T {
-        self()
-    }
-}
-
-/// [`run_batch`] for the compiled engine: one batch of up to
-/// `lanes - 1` faults, detection bookkeeping per lane word.
-fn run_batch_wide(
-    sim: &mut WideSim,
-    tb: &mut dyn WideTestbench,
-    batch: &[Fault],
-    budget: u64,
-    out: &mut [Detection],
-    profiler: &Profiler,
-) -> u64 {
-    {
-        let _patch = profiler.scope(ProfilePhase::Patch);
-        sim.clear_faults();
-        for (k, &f) in batch.iter().enumerate() {
-            sim.inject(f, k + 1);
-        }
-    }
-    {
-        let _reset = profiler.scope(ProfilePhase::Reset);
-        sim.reset_state();
-        tb.begin(sim);
-    }
-    let w = sim.lane_words();
-    let mut active = [0u64; crate::wide::MAX_LANE_WORDS];
-    for k in 0..batch.len() {
-        let lane = k + 1;
-        active[lane >> 6] |= 1u64 << (lane & 63);
-    }
-    let mut detected = [0u64; crate::wide::MAX_LANE_WORDS];
-    let mut diff = [0u64; crate::wide::MAX_LANE_WORDS];
-    for cycle in 0..budget {
-        diff[..w].fill(0);
-        tb.step(sim, cycle, &mut diff[..w]);
-        let mut all_done = true;
-        for t in 0..w {
-            let newly = diff[t] & active[t] & !detected[t];
-            if newly != 0 {
-                let mut rem = newly;
-                while rem != 0 {
-                    let lane = (t << 6) + rem.trailing_zeros() as usize;
-                    rem &= rem - 1;
-                    out[lane - 1] = Detection::DetectedAt(cycle);
-                }
-                detected[t] |= newly;
-            }
-            all_done &= detected[t] == active[t];
-        }
-        if all_done {
-            return cycle + 1; // every fault in the batch dropped
-        }
-    }
-    budget
-}
-
-/// Serial campaign on the compiled engine: [`run`]'s contract at
-/// `sim.lanes()` faults-plus-reference per batch. Detections are
-/// bit-identical to the interpreted runner for every fault.
-pub fn run_wide(
-    sim: &mut WideSim,
-    faults: &FaultList,
-    tb: &mut dyn WideTestbench,
-) -> CampaignResult {
-    run_wide_with(sim, faults, tb, &CampaignHooks::none())
-}
-
-/// [`run_wide`] with observability hooks (same semantics as
-/// [`run_with`]).
-pub fn run_wide_with(
-    sim: &mut WideSim,
-    faults: &FaultList,
-    tb: &mut dyn WideTestbench,
-    hooks: &CampaignHooks,
-) -> CampaignResult {
-    let t0 = Instant::now();
-    let profile_start = hooks.profiler.snapshot();
-    let counters = hooks.metrics.as_ref().map(BatchCounters::of);
-    let lanes = sim.lanes();
-    let chunk = lanes - 1;
-    let mut detections = vec![Detection::Undetected; faults.len()];
-    let budget = tb.cycles();
-    trace_campaign_begin(hooks, "serial", sim.stats(), faults, budget, 1, lanes);
-    let timing = batch_events_on(hooks);
-    let mut cycles = 0u64;
-    let mut batches = 0u64;
-    for (b, (batch, out)) in faults
-        .faults
-        .chunks(chunk)
-        .zip(detections.chunks_mut(chunk))
-        .enumerate()
-    {
-        let tb0 = timing.then(Instant::now);
-        let c = run_batch_wide(sim, tb, batch, budget, out, &hooks.profiler);
-        cycles += c;
-        batches += 1;
-        trace_batch(hooks, b, 0, out, c, tb0.map(|t| t.elapsed().as_micros() as u64));
-        if let Some(p) = &hooks.progress {
-            p.inc(1);
-        }
-        if let Some(ctr) = &counters {
-            ctr.batches.inc(1);
-            ctr.cycles.inc(c);
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let dropped = detections.iter().filter(|d| d.is_detected()).count() as u64;
-    let stats = CampaignStats {
-        batches,
-        cycles_simulated: cycles,
-        budget_cycles: batches * budget,
-        faults_dropped: dropped,
-        wall_seconds: wall,
-        threads: 1,
-        latency: latency_of(&detections),
-        workers: vec![WorkerStats {
-            worker: 0,
-            batches,
-            cycles,
-            wall_seconds: wall,
-            lanes: lanes as u64,
-        }],
-        profile: hooks.profiler.snapshot().since(&profile_start),
-        engine: "compiled",
-        lanes: lanes as u64,
-    };
-    trace_campaign_end(hooks, &stats);
-    if let Some(p) = &hooks.progress {
-        p.finish();
-    }
-    if let Some(reg) = &hooks.metrics {
-        publish_run_metrics(reg, &stats);
-    }
-    CampaignResult {
-        faults: faults.clone(),
-        detections,
-        stats,
-    }
-}
-
-/// Parallel campaign on the compiled engine. Each worker clones `proto`
-/// — per-worker lane state with a shared, immutable compiled kernel
-/// (`Arc`), i.e. kernel affinity without duplicating the lowered
-/// program — and pulls `lanes - 1`-fault batches off a cache-padded
-/// atomic cursor. Bit-identical to [`run_wide`] at any thread count.
-pub fn run_parallel_wide<F: WideTestbenchFactory>(
-    proto: &WideSim,
-    faults: &FaultList,
-    factory: &F,
-    threads: usize,
-) -> CampaignResult {
-    run_parallel_wide_with(proto, faults, factory, threads, &CampaignHooks::none())
-}
-
-/// [`run_parallel_wide`] with observability hooks (same semantics as
-/// [`run_parallel_with`]).
-pub fn run_parallel_wide_with<F: WideTestbenchFactory>(
-    proto: &WideSim,
-    faults: &FaultList,
-    factory: &F,
-    threads: usize,
-    hooks: &CampaignHooks,
-) -> CampaignResult {
-    let threads = if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    };
-    let lanes = proto.lanes();
-    let chunk = lanes - 1;
-    let batches: Vec<&[Fault]> = faults.faults.chunks(chunk).collect();
-    let workers = threads.min(batches.len()).max(1);
-    if workers == 1 {
-        let mut sim = proto.clone();
-        let mut tb = factory.create();
-        return run_wide_with(&mut sim, faults, &mut tb, hooks);
-    }
-
-    let t0 = Instant::now();
-    let profile_start = hooks.profiler.snapshot();
-    let budget = factory.create().cycles();
-    trace_campaign_begin(hooks, "parallel", proto.stats(), faults, budget, workers, lanes);
-    let timing = batch_events_on(hooks);
-    let mut detections = vec![Detection::Undetected; faults.len()];
-    let slots: Vec<Mutex<&mut [Detection]>> =
-        detections.chunks_mut(chunk).map(Mutex::new).collect();
-    let cursor = CachePadded(AtomicUsize::new(0));
-    let (batches_ref, slots_ref, cursor_ref) = (&batches, &slots, &cursor);
-    let mut worker_stats = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (batches, slots, cursor) = (batches_ref, slots_ref, cursor_ref);
-                s.spawn(move || {
-                    let tw = Instant::now();
-                    let mut sim = proto.clone();
-                    let mut tb = factory.create();
-                    let counters = hooks.metrics.as_ref().map(BatchCounters::of);
-                    let mut cycles = 0u64;
-                    let mut done = 0u64;
-                    loop {
-                        let b = cursor.0.fetch_add(1, Ordering::Relaxed);
-                        if b >= batches.len() {
-                            break;
-                        }
-                        let mut out = slots[b].lock().expect("batch slot poisoned");
-                        let tb0 = timing.then(Instant::now);
-                        let c = run_batch_wide(
-                            &mut sim,
-                            &mut tb,
-                            batches[b],
-                            budget,
-                            &mut out,
-                            &hooks.profiler,
-                        );
-                        cycles += c;
-                        done += 1;
-                        trace_batch(
-                            hooks,
-                            b,
-                            w,
-                            &out,
-                            c,
-                            tb0.map(|t| t.elapsed().as_micros() as u64),
-                        );
-                        if let Some(p) = &hooks.progress {
-                            p.inc(1);
-                        }
-                        if let Some(ctr) = &counters {
-                            ctr.batches.inc(1);
-                            ctr.cycles.inc(c);
-                        }
-                    }
-                    WorkerStats {
-                        worker: w,
-                        batches: done,
-                        cycles,
-                        wall_seconds: tw.elapsed().as_secs_f64(),
-                        lanes: lanes as u64,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    drop(slots);
-    worker_stats.sort_by_key(|w| w.worker);
-    let cycles_total: u64 = worker_stats.iter().map(|w| w.cycles).sum();
-    let dropped = detections.iter().filter(|d| d.is_detected()).count() as u64;
-    let stats = CampaignStats {
-        batches: batches.len() as u64,
-        cycles_simulated: cycles_total,
-        budget_cycles: batches.len() as u64 * budget,
-        faults_dropped: dropped,
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        threads: workers,
-        latency: latency_of(&detections),
-        workers: worker_stats,
-        profile: hooks.profiler.snapshot().since(&profile_start),
-        engine: "compiled",
-        lanes: lanes as u64,
-    };
-    trace_campaign_end(hooks, &stats);
-    if let Some(p) = &hooks.progress {
-        p.finish();
-    }
-    if let Some(reg) = &hooks.metrics {
-        publish_run_metrics(reg, &stats);
-    }
-    CampaignResult {
-        faults: faults.clone(),
-        detections,
-        stats,
-    }
-}
-
-/// [`VectorBench`] for the compiled engine: fixed vectors broadcast to
-/// all lanes, every primary output observed each cycle.
-pub struct WideVectorBench<'a> {
-    netlist: &'a Netlist,
-    vectors: &'a [Vec<(&'a str, u64)>],
-    output_nets: Vec<netlist::Net>,
-}
-
-impl<'a> WideVectorBench<'a> {
-    /// Create a bench over all output ports of `netlist`.
-    pub fn new(netlist: &'a Netlist, vectors: &'a [Vec<(&'a str, u64)>]) -> Self {
-        let output_nets = netlist
-            .ports()
-            .filter(|(_, d, _)| matches!(d, netlist::PortDir::Output))
-            .flat_map(|(_, _, nets)| nets.iter().copied())
-            .collect();
-        WideVectorBench {
-            netlist,
-            vectors,
-            output_nets,
-        }
-    }
-}
-
-impl WideTestbench for WideVectorBench<'_> {
-    fn begin(&mut self, _sim: &mut WideSim) {}
-
-    fn step(&mut self, sim: &mut WideSim, cycle: u64, diff: &mut [u64]) {
+    fn step(&mut self, sim: &mut S, cycle: u64, diff: &mut [u64]) {
         for &(port, value) in &self.vectors[cycle as usize] {
             sim.set_port(self.netlist, port, value);
         }
@@ -1228,25 +755,28 @@ impl WideTestbench for WideVectorBench<'_> {
     }
 }
 
-/// [`run_vectors`] on the compiled engine at a chosen lane width.
-pub fn run_vectors_wide(
+/// Convenience wrapper: grade `vectors` serially on a fresh interpreted
+/// simulator — the differential reference the compiled engine is
+/// checked against.
+pub fn run_vectors(
     netlist: &Netlist,
     faults: &FaultList,
     vectors: &[Vec<(&str, u64)>],
-    lane_words: usize,
-    gating: bool,
 ) -> CampaignResult {
-    let segments = vec![netlist.topo_order().to_vec()];
-    let kernel = crate::kernel::compile_cached(netlist, &segments);
-    let mut sim = WideSim::new(kernel, lane_words, gating);
-    let mut tb = WideVectorBench::new(netlist, vectors);
-    run_wide(&mut sim, faults, &mut tb)
+    run(
+        &ParallelSim::new(netlist),
+        faults,
+        || VectorBench::new(netlist, vectors),
+        1,
+        &CampaignHooks::none(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::FaultList;
+    use crate::wide::WideSim;
     use netlist::{synth, NetlistBuilder};
 
     /// Exhaustive patterns on a 4-bit adder must detect all detectable
@@ -1371,7 +901,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let proto = ParallelSim::new(&nl);
             let factory = || VectorBench::new(&nl, &vectors);
-            let par = run_parallel(&proto, &faults, &factory, threads);
+            let par = run(&proto, &faults, factory, threads, &CampaignHooks::none());
             assert_eq!(
                 par.detections, serial.detections,
                 "thread count {threads} changed the result"
@@ -1409,11 +939,10 @@ mod tests {
     }
 
     /// The compiled engine must agree with the interpreted reference
-    /// fault for fault at every lane width, gated or not, serial or
-    /// parallel — the bit-identical acceptance criterion at the
-    /// vector-bench level.
+    /// fault for fault at every lane width, serial or parallel — the
+    /// bit-identical acceptance criterion at the vector-bench level.
     #[test]
-    fn wide_runners_match_interpreted_detections() {
+    fn compiled_engine_matches_interpreted_detections() {
         let mut b = NetlistBuilder::new("wide");
         let a = b.inputs("a", 24);
         let c = b.inputs("b", 24);
@@ -1430,12 +959,17 @@ mod tests {
             vec![("a", 0x123456), ("b", 0x654321)],
         ];
         let reference = run_vectors(&nl, &faults, &vectors);
+        assert_eq!(reference.stats.engine, "interp");
+        let kernel = crate::kernel::compile_cached(&nl, &[nl.topo_order().to_vec()]);
         for lane_words in [1usize, 2, 4, 8] {
-            for gating in [false, true] {
-                let wide = run_vectors_wide(&nl, &faults, &vectors, lane_words, gating);
+            let proto = WideSim::new(kernel.clone(), lane_words);
+            for threads in [1usize, 3] {
+                let factory = || VectorBench::new(&nl, &vectors);
+                let wide = run(&proto, &faults, factory, threads, &CampaignHooks::none());
                 assert_eq!(
-                    wide.detections, reference.detections,
-                    "compiled({} lanes, gating={gating}) diverged from interp",
+                    wide.detections,
+                    reference.detections,
+                    "compiled({} lanes) at {threads} threads diverged from interp",
                     64 * lane_words
                 );
                 assert_eq!(wide.stats.engine, "compiled");
@@ -1445,18 +979,6 @@ mod tests {
                     batch_count_lanes(&faults, 64 * lane_words)
                 );
             }
-        }
-        // Parallel wide matches serial wide and the interp reference.
-        let segments = vec![nl.topo_order().to_vec()];
-        let kernel = crate::kernel::compile_cached(&nl, &segments);
-        for threads in [2usize, 4] {
-            let proto = WideSim::new(kernel.clone(), 2, true);
-            let factory = || WideVectorBench::new(&nl, &vectors);
-            let par = run_parallel_wide(&proto, &faults, &factory, threads);
-            assert_eq!(
-                par.detections, reference.detections,
-                "parallel wide at {threads} threads diverged"
-            );
         }
     }
 
@@ -1487,7 +1009,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let proto = ParallelSim::new(&nl);
             let factory = || VectorBench::new(&nl, &vectors);
-            let par = run_parallel_with(&proto, &faults, &factory, threads, &hooks);
+            let par = run(&proto, &faults, factory, threads, &hooks);
             assert_eq!(
                 par.detections, plain.detections,
                 "hooks changed detections at {threads} threads"

@@ -371,7 +371,7 @@ mod tests {
     /// multi-threaded runs.
     #[test]
     fn merge_report_round_trip_serial_vs_parallel() {
-        use crate::campaign::{run_parallel, VectorBench};
+        use crate::campaign::{run, CampaignHooks, VectorBench};
         use crate::sim::ParallelSim;
         let nl = staged_netlist();
         let faults = FaultList::extract(&nl).collapsed(&nl);
@@ -386,8 +386,9 @@ mod tests {
         let serial_2 = run_vectors(&nl, &faults, &v2);
         let serial_merged = serial_1.merge(&serial_2);
         let proto = ParallelSim::new(&nl);
-        let par_1 = run_parallel(&proto, &faults, &|| VectorBench::new(&nl, &v1), 3);
-        let par_2 = run_parallel(&proto, &faults, &|| VectorBench::new(&nl, &v2), 2);
+        let hooks = CampaignHooks::none();
+        let par_1 = run(&proto, &faults, || VectorBench::new(&nl, &v1), 3, &hooks);
+        let par_2 = run(&proto, &faults, || VectorBench::new(&nl, &v2), 2, &hooks);
         let par_merged = par_1.merge(&par_2);
         assert_eq!(par_merged.detections, serial_merged.detections);
         assert_eq!(par_merged.stats.latency, serial_merged.stats.latency);

@@ -8,12 +8,13 @@
 //!   differential reference.
 //! * **Compiled** — the lowered straight-line kernel
 //!   ([`crate::kernel::CompiledKernel`] + [`crate::wide::WideSim`]),
-//!   64–512 lanes with optional activity gating. The default.
+//!   64–512 lanes. The default.
 //!
-//! Configuration resolves from the environment (`SBST_ENGINE`,
-//! `SBST_LANES`, `SBST_GATING`) so every binary and test can flip
-//! engines without plumbing flags, and from CLI parse helpers used by
-//! `bench --bin tables`.
+//! Both implement [`crate::sim::LaneSim`], so one campaign runner and
+//! one testbench per core drive either. Configuration resolves from the
+//! environment (`SBST_ENGINE`, `SBST_LANES`) so every binary and test
+//! can flip engines without plumbing flags, and from CLI parse helpers
+//! used by `bench --bin tables`.
 
 /// Which simulation back-end to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,24 +52,12 @@ pub struct EngineConfig {
     /// u64 words per net for the compiled engine (1, 2, 4 or 8 —
     /// 64–512 lanes). Ignored by the interpreted engine (always 1).
     pub lane_words: usize,
-    /// Whether the compiled engine skips quiescent levels.
-    pub gating: bool,
 }
 
 impl Default for EngineConfig {
-    /// Compiled, 256 lanes, gating off.
-    ///
-    /// Gating is opt-in (`SBST_GATING=1`) because a self-test campaign
-    /// toggles nearly every level of a CPU core every cycle: measured
-    /// on the Plasma campaign, the change-tracking and consumer-mask
-    /// traffic costs ~25% with no levels to skip. It pays only on
-    /// workloads with genuinely quiescent cones.
+    /// Compiled, 256 lanes.
     fn default() -> Self {
-        EngineConfig {
-            kind: EngineKind::Compiled,
-            lane_words: 4,
-            gating: false,
-        }
+        EngineConfig::compiled(256)
     }
 }
 
@@ -78,12 +67,10 @@ impl EngineConfig {
         EngineConfig {
             kind: EngineKind::Interp,
             lane_words: 1,
-            gating: false,
         }
     }
 
-    /// Compiled engine at a given lane count (64/128/256/512), gating
-    /// off (see [`EngineConfig::default`]).
+    /// Compiled engine at a given lane count (64/128/256/512).
     ///
     /// # Panics
     ///
@@ -92,7 +79,6 @@ impl EngineConfig {
         EngineConfig {
             kind: EngineKind::Compiled,
             lane_words: Self::words_for_lanes(lanes).expect("unsupported lane count"),
-            gating: false,
         }
     }
 
@@ -132,8 +118,8 @@ impl EngineConfig {
     }
 
     /// Resolve from the environment: `SBST_ENGINE=interp|compiled`,
-    /// `SBST_LANES=64|128|256|512`, `SBST_GATING=0|1`. Unset or
-    /// malformed variables fall back to the defaults.
+    /// `SBST_LANES=64|128|256|512`. Unset or malformed variables fall
+    /// back to the defaults.
     pub fn from_env() -> EngineConfig {
         let mut cfg = EngineConfig::default();
         if let Ok(v) = std::env::var("SBST_ENGINE") {
@@ -150,13 +136,6 @@ impl EngineConfig {
                     cfg.lane_words = lanes / 64;
                 }
             }
-            if let Ok(v) = std::env::var("SBST_GATING") {
-                match v.trim() {
-                    "0" | "off" | "false" => cfg.gating = false,
-                    "1" | "on" | "true" => cfg.gating = true,
-                    _ => {}
-                }
-            }
         }
         cfg
     }
@@ -167,11 +146,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_compiled_256_ungated() {
+    fn default_is_compiled_256() {
         let c = EngineConfig::default();
         assert_eq!(c.kind, EngineKind::Compiled);
         assert_eq!(c.lanes(), 256);
-        assert!(!c.gating, "gating is opt-in (workload-dependent)");
         assert_eq!(c.name(), "compiled");
     }
 

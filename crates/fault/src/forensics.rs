@@ -30,7 +30,7 @@
 use crate::campaign::{latency_of, CampaignResult, Testbench};
 use crate::model::{Fault, FaultSite, Polarity};
 use crate::scoap::{self, INF};
-use crate::sim::ParallelSim;
+use crate::sim::{LaneSim, ParallelSim};
 use netlist::cone::fanout_cone;
 use netlist::{Net, Netlist};
 use obs::LatencyHistogram;
@@ -238,7 +238,7 @@ pub fn analyze(
     result: &CampaignResult,
     observed: &[Net],
     sim: &mut ParallelSim,
-    tb: &mut dyn Testbench,
+    tb: &mut dyn Testbench<ParallelSim>,
 ) -> ForensicsReport {
     let sc = scoap::analyze(nl);
     let names = nl.component_names();
@@ -307,7 +307,7 @@ pub fn analyze(
         tb.begin(sim);
         let mut unresolved = batch.len();
         for cycle in 0..tb.cycles() {
-            tb.step(sim, cycle);
+            tb.step(sim, cycle, &mut [0]);
             if unresolved == 0 {
                 break;
             }

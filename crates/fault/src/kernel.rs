@@ -10,23 +10,13 @@
 //!   offset; `NO_NET` is resolved to a trailing dummy slot that is
 //!   always 0, so the hot loop has no sentinel branches.
 //! * **Levelization** — gates are stably re-sorted by logic level
-//!   within each segment (a level-sorted order is still topological),
-//!   producing contiguous per-level instruction ranges. Levels past 62
-//!   within a segment are clamped into one tail range so a segment's
-//!   dirty state fits a single `u64`.
-//! * **Activity-gating tables** — for every net, a per-segment bitmask
-//!   of the levels that *read* it. When a store changes a net's lanes,
-//!   OR-ing its consumer mask into the dirty words schedules exactly
-//!   the fanout levels that can be affected; quiescent cones are
-//!   skipped. Soundness argument: within a cycle a consumer always
-//!   evaluates at a strictly later (segment, level) than its producer
-//!   (segments are topologically split, levels strictly increase along
-//!   in-segment edges), so marking forward is sufficient; a level
-//!   whose inputs did not change would recompute exactly the values it
-//!   already holds.
+//!   within each segment (a level-sorted order is still topological;
+//!   levels past 62 share one clamped tail). The order is part of the
+//!   kernel's identity: slots follow it, so evaluation stores walk
+//!   memory sequentially.
 //! * **Fault-patch pre-indexing** — the compiled position of every
-//!   gate and the (segment, level-bit) of every position, so pin-patch
-//!   injection can both find its gate and mark its level dirty in O(1).
+//!   gate, the driving position or flip-flop of every slot, so fault
+//!   injection finds its patch site in O(1).
 //!
 //! Kernels are immutable and shared: [`compile_cached`] keys a global
 //! cache by a structural fingerprint of (netlist, segments), so
@@ -42,18 +32,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use netlist::{GateKind, Net, Netlist, NO_NET};
 
 use crate::sim::SimStats;
-
-/// The per-level instruction ranges of one compiled segment.
-#[derive(Debug, Clone)]
-pub struct SegmentPlan {
-    /// `ranges[bit]` is the `[start, end)` compiled-position range
-    /// evaluated when dirty bit `bit` of this segment is set. At most
-    /// 64 entries; the last entry of a deep segment covers every level
-    /// ≥ 63 (clamped tail — coarser gating, same results).
-    pub ranges: Vec<(u32, u32)>,
-    /// `[start, end)` of the whole segment in the compiled arrays.
-    pub bounds: (usize, usize),
-}
 
 /// An immutable compiled evaluation kernel. Build with
 /// [`CompiledKernel::compile`] or (preferably) [`compile_cached`].
@@ -83,16 +61,11 @@ pub struct CompiledKernel {
     pub in2: Vec<u32>,
     /// Output slot per compiled position.
     pub outs: Vec<u32>,
-    /// Per-segment level plans, in evaluation order.
-    pub segments: Vec<SegmentPlan>,
+    /// `[start, end)` of each segment in the compiled arrays, in
+    /// evaluation order.
+    pub segments: Vec<(usize, usize)>,
     /// Compiled position of each original gate index.
     pub pos_of_gate: Vec<u32>,
-    /// `(segment, dirty bit)` of each compiled position — the level a
-    /// pin-patch injection must mark dirty.
-    pub pos_level: Vec<(u32, u8)>,
-    /// Per-slot, per-segment consumer level masks:
-    /// `consumers[slot * segments.len() + seg]`.
-    pub consumers: Vec<u64>,
     /// Compiled position of the gate driving each slot (`u32::MAX` for
     /// ports, flip-flop outputs, constants and the dummy) — where a
     /// stem fault on a gate-driven net patches in.
@@ -128,18 +101,16 @@ impl CompiledKernel {
         let total: usize = segments.iter().map(|s| s.len()).sum();
         assert_eq!(total, n_gates, "segments must cover every gate");
         let n_nets = netlist.num_nets();
-        let n_segs = segments.len().max(1);
 
         // Pass 1: levelize each segment and fix the compiled order.
         let mut compiled_gates: Vec<u32> = Vec::with_capacity(n_gates);
         let mut pos_of_gate = vec![u32::MAX; n_gates];
-        let mut pos_level = Vec::with_capacity(n_gates);
-        let mut plans = Vec::with_capacity(segments.len());
-        for (si, seg) in segments.iter().enumerate() {
+        let mut bounds = Vec::with_capacity(segments.len());
+        for seg in segments {
             // Levelize within this segment: nets produced outside it
             // (ports, flip-flops, earlier segments) are level 0 inputs.
             let mut net_level = vec![0u32; n_nets + 1];
-            let mut gate_bit: Vec<u8> = Vec::with_capacity(seg.len());
+            let mut gate_level: Vec<u8> = Vec::with_capacity(seg.len());
             for &gi in seg {
                 let g = &netlist.gates()[gi as usize];
                 let mut lvl = 0u32;
@@ -149,17 +120,16 @@ impl CompiledKernel {
                     }
                 }
                 net_level[g.output.index()] = lvl + 1;
-                gate_bit.push(lvl.min(63) as u8);
+                gate_level.push(lvl.min(63) as u8);
             }
-            // Stable sort by level bit: levels strictly increase along
+            // Stable sort by level: levels strictly increase along
             // in-segment edges, so the sorted order is still
             // topological; ties (including the clamped ≥63 tail) keep
             // the original — topological — relative order.
             let mut order: Vec<usize> = (0..seg.len()).collect();
-            order.sort_by_key(|&k| gate_bit[k]);
+            order.sort_by_key(|&k| gate_level[k]);
 
             let start = compiled_gates.len();
-            let mut ranges: Vec<(u32, u32)> = Vec::new();
             for &k in &order {
                 let gi = seg[k];
                 assert_eq!(
@@ -167,26 +137,10 @@ impl CompiledKernel {
                     u32::MAX,
                     "gate {gi} appears in two segments"
                 );
-                let bit = gate_bit[k];
-                let pos = compiled_gates.len() as u32;
-                pos_of_gate[gi as usize] = pos;
-                pos_level.push((si as u32, bit));
-                if ranges.len() == bit as usize + 1 {
-                    ranges.last_mut().expect("nonempty").1 = pos + 1;
-                } else {
-                    // Levels with no gates still get (empty) ranges so
-                    // `ranges[bit]` indexing holds.
-                    while ranges.len() < bit as usize {
-                        ranges.push((pos, pos));
-                    }
-                    ranges.push((pos, pos + 1));
-                }
+                pos_of_gate[gi as usize] = compiled_gates.len() as u32;
                 compiled_gates.push(gi);
             }
-            plans.push(SegmentPlan {
-                ranges,
-                bounds: (start, compiled_gates.len()),
-            });
+            bounds.push((start, compiled_gates.len()));
         }
 
         // Kernel flip-flop order: sort by the compiled position of the
@@ -250,24 +204,14 @@ impl CompiledKernel {
             }
         };
 
-        // Pass 2: emit the instruction stream and gating tables in
-        // slot space.
+        // Pass 2: emit the instruction stream in slot space.
         let mut kinds = Vec::with_capacity(n_gates);
         let mut in0 = Vec::with_capacity(n_gates);
         let mut in1 = Vec::with_capacity(n_gates);
         let mut in2 = Vec::with_capacity(n_gates);
         let mut outs = Vec::with_capacity(n_gates);
-        let mut consumers = vec![0u64; (n_nets + 1) * n_segs];
         for (pos, &gi) in compiled_gates.iter().enumerate() {
             let g = &netlist.gates()[gi as usize];
-            let (si, bit) = pos_level[pos];
-            // Consumer masks: each live input slot is read at this
-            // (segment, level).
-            for &inp in &g.inputs {
-                if inp != NO_NET {
-                    consumers[remap(inp) as usize * n_segs + si as usize] |= 1u64 << bit;
-                }
-            }
             kinds.push(g.kind);
             in0.push(remap(g.inputs[0]));
             in1.push(remap(g.inputs[1]));
@@ -299,10 +243,8 @@ impl CompiledKernel {
             in1,
             in2,
             outs,
-            segments: plans,
+            segments: bounds,
             pos_of_gate,
-            pos_level,
-            consumers,
             driver_pos,
             dff_of_q,
             kdff_of_dff,
@@ -467,7 +409,7 @@ mod tests {
         let k = CompiledKernel::compile(&nl, &[nl.topo_order().to_vec()]);
         assert_eq!(k.kinds.len(), nl.gates().len());
         assert_eq!(k.segments.len(), 1);
-        assert_eq!(k.segments[0].bounds, (0, nl.gates().len()));
+        assert_eq!(k.segments, vec![(0, nl.gates().len())]);
         // Every gate has a compiled position, and positions are a
         // permutation.
         let mut seen = vec![false; nl.gates().len()];
@@ -487,32 +429,7 @@ mod tests {
                 assert!(p == usize::MAX || p < i, "operand after use at {i}");
             }
         }
-        // Level ranges tile the segment.
-        let mut cur = 0;
-        for &(s, e) in &k.segments[0].ranges {
-            assert_eq!(s as usize, cur);
-            assert!(e >= s);
-            cur = e as usize;
-        }
-        assert_eq!(cur, nl.gates().len());
-    }
-
-    #[test]
-    fn consumer_masks_point_at_reader_levels() {
-        let nl = sample();
-        let k = CompiledKernel::compile(&nl, &[nl.topo_order().to_vec()]);
-        let ns = k.num_segments();
-        for i in 0..k.kinds.len() {
-            let (seg, bit) = k.pos_level[i];
-            for &inp in [k.in0[i], k.in1[i], k.in2[i]].iter() {
-                if (inp as usize) < k.n_slots - 1 {
-                    let m = k.consumers[inp as usize * ns + seg as usize];
-                    assert!(m & (1u64 << bit) != 0, "consumer mask misses a reader");
-                }
-            }
-        }
-        // The dummy slot is never a consumer key worth following, and
-        // never an output.
+        // The dummy slot is never an output.
         assert!(k.outs.iter().all(|&o| (o as usize) < k.n_slots - 1));
     }
 

@@ -7,19 +7,21 @@
 //!   sites on net stems, gate input pins (fanout branches) and flip-flop
 //!   data pins ([`model`]),
 //! * structural **equivalence collapsing** ([`collapse`]),
-//! * a **64-lane bit-parallel sequential fault simulator** with fault
-//!   dropping ([`sim::ParallelSim`], [`campaign`]): each bit of a machine
-//!   word carries an independent faulty machine, lane 0 is the fault-free
-//!   reference,
+//! * a **64-lane bit-parallel sequential fault simulator**
+//!   ([`sim::ParallelSim`]): each bit of a machine word carries an
+//!   independent faulty machine, lane 0 is the fault-free reference —
+//!   the interpreted differential reference,
 //! * a **compiled multi-word engine** ([`kernel`], [`wide::WideSim`],
 //!   [`engine`]): the netlist lowered once into a dense straight-line
 //!   instruction stream evaluated over 1–8 u64 words per net (64–512
-//!   lanes), with a fingerprint-keyed kernel cache and optional
-//!   activity gating — bit-identical detections to the interpreted
-//!   engine at every width (the campaign default),
-//! * **campaign drivers** for both plain vector tests
-//!   ([`campaign::run_vectors`]) and full-processor self-test execution via
-//!   the [`campaign::Testbench`] trait,
+//!   lanes), with a fingerprint-keyed kernel cache — bit-identical
+//!   detections to the interpreted engine at every width (the campaign
+//!   default),
+//! * one lane-block interface over both engines ([`sim::LaneSim`]) and
+//!   one **campaign runner** with fault dropping ([`campaign::run`],
+//!   serial or multi-threaded) driving any [`campaign::Testbench`] —
+//!   plain vector tests ([`campaign::run_vectors`]) or full-processor
+//!   self-test execution,
 //! * per-component **coverage reporting** ([`coverage`]) used to regenerate
 //!   the paper's Table 5.
 //!
@@ -70,3 +72,4 @@ pub mod wide;
 
 pub use engine::{EngineConfig, EngineKind};
 pub use model::{Fault, FaultList, FaultSite, Polarity};
+pub use sim::LaneSim;

@@ -16,19 +16,25 @@
 //! hash map or a per-gate flag.
 //!
 //! Injection also records which nets carry stem masks, so
-//! [`ParallelSim::clear_faults`] resets only the handful of mask words the
+//! [`LaneSim::clear_faults`] resets only the handful of mask words the
 //! previous batch touched instead of sweeping every net.
+//!
+//! [`LaneSim`] is the lane-block interface both engines implement — this
+//! one-word interpreted simulator and the compiled multi-word
+//! [`crate::wide::WideSim`] — and the only surface the campaign runner
+//! and the testbenches drive.
 
 use netlist::{GateKind, Net, Netlist, NO_NET};
 
 use crate::model::{Fault, FaultSite, Polarity};
+use crate::wide::transpose64;
 
 /// Lanes-word with all 64 bits set.
 pub const ALL_LANES: u64 = !0;
 
 /// Geometry of a compiled simulator — the per-cycle work a campaign
-/// sweeps: every gate is evaluated for 64 lanes on each simulated cycle.
-/// Reported by [`ParallelSim::stats`] and recorded in campaign trace
+/// sweeps: every gate is evaluated for every lane on each simulated
+/// cycle. Reported by [`LaneSim::stats`] and recorded in campaign trace
 /// headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimStats {
@@ -40,6 +46,96 @@ pub struct SimStats {
     pub dffs: usize,
     /// Evaluation segments.
     pub segments: usize,
+}
+
+/// A bit-parallel fault simulator over lane blocks: every net holds
+/// [`LaneSim::lane_words`] u64 words, bit *L* of word *t* being the net's
+/// value in lane `64 * t + L`. Lane 0 (bit 0 of word 0) is the
+/// fault-free reference; the other lanes carry injected faults.
+///
+/// Implemented by the interpreted [`ParallelSim`] (one word) and the
+/// compiled [`crate::wide::WideSim`] (1–8 words). The campaign runner
+/// and every testbench are generic over this trait, so engine calls are
+/// statically dispatched, and a fault's verdict depends only on its lane
+/// versus lane 0 — never on the engine or the width.
+pub trait LaneSim: Clone + Send + Sync {
+    /// Engine name as recorded in campaign stats (`"interp"` or
+    /// `"compiled"`).
+    fn engine(&self) -> &'static str;
+
+    /// u64 words per net.
+    fn lane_words(&self) -> usize;
+
+    /// Lanes per pass (64 × lane words).
+    fn lanes(&self) -> usize {
+        64 * self.lane_words()
+    }
+
+    /// Geometry of the simulated model.
+    fn stats(&self) -> SimStats;
+
+    /// Remove all injected faults, in O(faults).
+    fn clear_faults(&mut self);
+
+    /// Inject `fault` into lane `lane` (`0..lanes()`). Injecting into
+    /// lane 0 is allowed but forfeits the fault-free reference.
+    fn inject(&mut self, fault: Fault, lane: usize);
+
+    /// Zero every net value (through the injected stem masks), then
+    /// apply flip-flop resets. Afterwards the state depends only on the
+    /// injected faults — never on what a previous batch left behind —
+    /// which is what makes campaign batches order-independent.
+    fn reset_state(&mut self);
+
+    /// Evaluate one segment (in construction order).
+    fn eval_segment(&mut self, segment: usize);
+
+    /// Evaluate all segments in order.
+    fn eval_all(&mut self) {
+        for s in 0..self.stats().segments {
+            self.eval_segment(s);
+        }
+    }
+
+    /// Clock every flip-flop (`q <= d`), honouring D-pin patches and Q
+    /// stem injection.
+    fn clock(&mut self);
+
+    /// Drive a named input port with the same integer value on all
+    /// lanes.
+    fn set_port(&mut self, netlist: &Netlist, port: &str, value: u64);
+
+    /// Drive a named input port with per-bit lane blocks: entry
+    /// `i * lane_words + t` holds word `t` of bit `i` (the layout
+    /// [`crate::wide::transpose_lanes_wide`] produces).
+    fn set_port_bits(&mut self, netlist: &Netlist, port: &str, bits: &[u64]);
+
+    /// Raw lane word `word` of a single net.
+    fn net_lanes_word(&self, net: Net, word: usize) -> u64;
+
+    /// Gather a whole lane word of a bus at once: `out[b]` becomes the
+    /// bus value (LSB-first) in lane `64 * word + b`. One load per net
+    /// plus a 64×64 bit-matrix transpose instead of `nets.len() × 64`
+    /// single-bit probes — the read path memory-overlay testbenches are
+    /// built on.
+    fn lane_block(&self, nets: &[Net], word: usize, out: &mut [u64; 64]);
+
+    /// OR into `acc` (length `lane_words`) the lanes whose value on any
+    /// of `nets` differs from lane 0.
+    fn diff_vs_lane0(&self, nets: &[Net], acc: &mut [u64]);
+
+    /// The value of a bus in one lane as an integer (LSB first).
+    fn lane_word(&self, nets: &[Net], lane: usize) -> u64 {
+        let (t, b) = (lane >> 6, lane & 63);
+        nets.iter().enumerate().fold(0, |v, (i, &n)| {
+            v | ((self.net_lanes_word(n, t) >> b) & 1) << i
+        })
+    }
+
+    /// Value of a named port in one lane, as an integer.
+    fn port_lane_word(&self, netlist: &Netlist, port: &str, lane: usize) -> u64 {
+        self.lane_word(netlist.port(port), lane)
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -170,14 +266,73 @@ impl ParallelSim {
         }
     }
 
-    /// Number of evaluation segments.
-    pub fn num_segments(&self) -> usize {
-        self.segment_bounds.len()
+    #[inline(always)]
+    fn store(&mut self, net: usize, v: u64) {
+        self.vals[net] = (v | self.set1[net]) & self.keep0[net];
     }
 
-    /// Compiled-model geometry, for trace headers and capacity planning
-    /// (what a campaign actually sweeps per simulated cycle).
-    pub fn stats(&self) -> SimStats {
+    /// Apply reset values to every flip-flop output (external synchronous
+    /// reset, all lanes).
+    pub fn reset(&mut self) {
+        for i in 0..self.dff_q.len() {
+            let q = self.dff_q[i] as usize;
+            let rv = self.dff_reset[i];
+            self.store(q, rv);
+        }
+    }
+
+    /// Evaluate a run of compiled gates with no pin patches — the hot
+    /// loop of the whole fault simulator.
+    #[inline]
+    fn eval_range(&mut self, start: usize, end: usize) {
+        for i in start..end {
+            let a = self.vals[self.in0[i] as usize];
+            let b = self.vals[self.in1[i] as usize];
+            let c = self.vals[self.in2[i] as usize];
+            let v = self.kinds[i].eval_u64(a, b, c);
+            let o = self.outs[i] as usize;
+            self.vals[o] = (v | self.set1[o]) & self.keep0[o];
+        }
+    }
+
+    /// Evaluate a single gate with its input pins patched.
+    fn eval_gate_patched(&mut self, i: usize, p: PinPatch) {
+        let a = (self.vals[self.in0[i] as usize] | p.set1[0]) & p.keep0[0];
+        let b = (self.vals[self.in1[i] as usize] | p.set1[1]) & p.keep0[1];
+        let c = (self.vals[self.in2[i] as usize] | p.set1[2]) & p.keep0[2];
+        let v = self.kinds[i].eval_u64(a, b, c);
+        let o = self.outs[i] as usize;
+        self.vals[o] = (v | self.set1[o]) & self.keep0[o];
+    }
+
+    /// Raw lane word of a single net.
+    #[inline]
+    pub fn net_lanes(&self, net: Net) -> u64 {
+        self.vals[net.index()]
+    }
+
+    /// Mask of lanes whose value on any of `nets` differs from lane 0 —
+    /// the one-word form of [`LaneSim::diff_vs_lane0`].
+    pub fn diff_vs_lane0(&self, nets: &[Net]) -> u64 {
+        let mut acc = 0u64;
+        for &n in nets {
+            let v = self.vals[n.index()];
+            acc |= v ^ 0u64.wrapping_sub(v & 1);
+        }
+        acc
+    }
+}
+
+impl LaneSim for ParallelSim {
+    fn engine(&self) -> &'static str {
+        "interp"
+    }
+
+    fn lane_words(&self) -> usize {
+        1
+    }
+
+    fn stats(&self) -> SimStats {
         SimStats {
             nets: self.vals.len() - 1,
             gates: self.kinds.len(),
@@ -186,10 +341,8 @@ impl ParallelSim {
         }
     }
 
-    /// Remove all injected faults (lane masks return to identity). Only
-    /// the nets the previous batch actually touched are reset, so this is
-    /// O(faults), not O(nets).
-    pub fn clear_faults(&mut self) {
+    /// Only the nets the previous batch actually touched are reset.
+    fn clear_faults(&mut self) {
         for &n in &self.touched_nets {
             self.set1[n as usize] = 0;
             self.keep0[n as usize] = ALL_LANES;
@@ -199,9 +352,7 @@ impl ParallelSim {
         self.dff_patches.clear();
     }
 
-    /// Inject `fault` into lane `lane` (0..64). Injecting into lane 0
-    /// is allowed but forfeits the fault-free reference.
-    pub fn inject(&mut self, fault: Fault, lane: usize) {
+    fn inject(&mut self, fault: Fault, lane: usize) {
         assert!(lane < 64, "lane out of range");
         let bit = 1u64 << lane;
         match fault.site {
@@ -250,27 +401,7 @@ impl ParallelSim {
         }
     }
 
-    #[inline(always)]
-    fn store(&mut self, net: usize, v: u64) {
-        self.vals[net] = (v | self.set1[net]) & self.keep0[net];
-    }
-
-    /// Apply reset values to every flip-flop output (external synchronous
-    /// reset, all lanes).
-    pub fn reset(&mut self) {
-        for i in 0..self.dff_q.len() {
-            let q = self.dff_q[i] as usize;
-            let rv = self.dff_reset[i];
-            self.store(q, rv);
-        }
-    }
-
-    /// Zero every net value (through the injected stem masks), then apply
-    /// flip-flop resets. After this, the simulator's state depends only on
-    /// the currently injected faults — never on what a previous batch left
-    /// behind — which is what makes campaign batches order-independent and
-    /// the parallel campaign runner bit-identical to the serial one.
-    pub fn reset_state(&mut self) {
+    fn reset_state(&mut self) {
         for v in &mut self.vals {
             *v = 0;
         }
@@ -281,32 +412,11 @@ impl ParallelSim {
         self.reset();
     }
 
-    /// Drive a named input port with the same integer value on all lanes.
-    pub fn set_port(&mut self, netlist: &Netlist, port: &str, value: u64) {
-        for (i, &net) in netlist.port(port).iter().enumerate() {
-            let bit = (value >> i) & 1;
-            self.store(net.index(), 0u64.wrapping_sub(bit));
-        }
-    }
-
-    /// Drive a named input port with per-bit lane words: `bits[i]` holds
-    /// bit *i* of the port for all 64 lanes.
-    pub fn set_port_bits(&mut self, netlist: &Netlist, port: &str, bits: &[u64]) {
-        let nets = netlist.port(port);
-        assert_eq!(nets.len(), bits.len(), "port width mismatch");
-        for (&net, &w) in nets.iter().zip(bits) {
-            self.store(net.index(), w);
-        }
-    }
-
-    /// Evaluate one segment (in order). Segment indices follow the
-    /// construction order in [`Self::with_segments`].
-    ///
     /// The pin-patch side table is sorted by compiled position, so the
     /// segment is evaluated as unpatched runs between patched gates: the
     /// runs take the branch-free fast path, each patched gate is handled
     /// individually.
-    pub fn eval_segment(&mut self, segment: usize) {
+    fn eval_segment(&mut self, segment: usize) {
         let (start, end) = self.segment_bounds[segment];
         let lo = self.pin_patches.partition_point(|e| (e.0 as usize) < start);
         let hi = self.pin_patches.partition_point(|e| (e.0 as usize) < end);
@@ -321,40 +431,7 @@ impl ParallelSim {
         self.eval_range(cur, end);
     }
 
-    /// Evaluate a run of compiled gates with no pin patches — the hot
-    /// loop of the whole fault simulator.
-    #[inline]
-    fn eval_range(&mut self, start: usize, end: usize) {
-        for i in start..end {
-            let a = self.vals[self.in0[i] as usize];
-            let b = self.vals[self.in1[i] as usize];
-            let c = self.vals[self.in2[i] as usize];
-            let v = self.kinds[i].eval_u64(a, b, c);
-            let o = self.outs[i] as usize;
-            self.vals[o] = (v | self.set1[o]) & self.keep0[o];
-        }
-    }
-
-    /// Evaluate a single gate with its input pins patched.
-    fn eval_gate_patched(&mut self, i: usize, p: PinPatch) {
-        let a = (self.vals[self.in0[i] as usize] | p.set1[0]) & p.keep0[0];
-        let b = (self.vals[self.in1[i] as usize] | p.set1[1]) & p.keep0[1];
-        let c = (self.vals[self.in2[i] as usize] | p.set1[2]) & p.keep0[2];
-        let v = self.kinds[i].eval_u64(a, b, c);
-        let o = self.outs[i] as usize;
-        self.vals[o] = (v | self.set1[o]) & self.keep0[o];
-    }
-
-    /// Evaluate all segments in order.
-    pub fn eval_all(&mut self) {
-        for s in 0..self.segment_bounds.len() {
-            self.eval_segment(s);
-        }
-    }
-
-    /// Clock every flip-flop (`q <= d`), honouring D-pin patches and Q
-    /// stem injection.
-    pub fn clock(&mut self) {
+    fn clock(&mut self) {
         for i in 0..self.dff_d.len() {
             self.next[i] = self.vals[self.dff_d[i] as usize];
         }
@@ -369,58 +446,39 @@ impl ParallelSim {
         }
     }
 
-    /// Raw lane word of a single net.
+    fn set_port(&mut self, netlist: &Netlist, port: &str, value: u64) {
+        for (i, &net) in netlist.port(port).iter().enumerate() {
+            let bit = (value >> i) & 1;
+            self.store(net.index(), 0u64.wrapping_sub(bit));
+        }
+    }
+
+    fn set_port_bits(&mut self, netlist: &Netlist, port: &str, bits: &[u64]) {
+        let nets = netlist.port(port);
+        assert_eq!(nets.len(), bits.len(), "port width mismatch");
+        for (&net, &w) in nets.iter().zip(bits) {
+            self.store(net.index(), w);
+        }
+    }
+
     #[inline]
-    pub fn net_lanes(&self, net: Net) -> u64 {
+    fn net_lanes_word(&self, net: Net, word: usize) -> u64 {
+        debug_assert_eq!(word, 0, "the interpreted engine has one lane word");
         self.vals[net.index()]
     }
 
-    /// Gather the value of a bus in one lane as an integer (LSB first).
-    pub fn lane_word(&self, nets: &[Net], lane: usize) -> u64 {
-        let mut v = 0u64;
+    fn lane_block(&self, nets: &[Net], word: usize, out: &mut [u64; 64]) {
+        debug_assert_eq!(word, 0, "the interpreted engine has one lane word");
+        assert!(nets.len() <= 64, "bus wider than 64 bits");
+        out.fill(0);
         for (i, &n) in nets.iter().enumerate() {
-            v |= ((self.vals[n.index()] >> lane) & 1) << i;
+            out[i] = self.vals[n.index()];
         }
-        v
+        transpose64(out);
     }
 
-    /// Mask of lanes whose value on any of `nets` differs from lane 0.
-    pub fn diff_vs_lane0(&self, nets: &[Net]) -> u64 {
-        let mut acc = 0u64;
-        for &n in nets {
-            let v = self.vals[n.index()];
-            acc |= v ^ 0u64.wrapping_sub(v & 1);
-        }
-        acc
-    }
-
-    /// Lane word of a named port in one lane, as an integer.
-    pub fn port_lane_word(&self, netlist: &Netlist, port: &str, lane: usize) -> u64 {
-        self.lane_word(netlist.port(port), lane)
-    }
-}
-
-/// Transpose per-lane integer values into per-bit lane words:
-/// `out[i]` bit *L* = bit *i* of `values[L]`. `values.len()` must be 64.
-pub fn transpose_lanes(values: &[u64], width: usize, out: &mut Vec<u64>) {
-    assert_eq!(values.len(), 64);
-    out.clear();
-    out.resize(width, 0);
-    for (lane, &v) in values.iter().enumerate() {
-        let mut rem = v & mask_width(width);
-        while rem != 0 {
-            let i = rem.trailing_zeros() as usize;
-            out[i] |= 1u64 << lane;
-            rem &= rem - 1;
-        }
-    }
-}
-
-fn mask_width(width: usize) -> u64 {
-    if width >= 64 {
-        !0
-    } else {
-        (1u64 << width) - 1
+    fn diff_vs_lane0(&self, nets: &[Net], acc: &mut [u64]) {
+        acc[0] |= ParallelSim::diff_vs_lane0(self, nets);
     }
 }
 
@@ -576,23 +634,6 @@ mod tests {
         ps.clock();
         // q: lane 2 stuck at 1 after the clock, others 0.
         assert_eq!(ps.net_lanes(nl.port("q")[0]), 1 << 2);
-    }
-
-    #[test]
-    fn transpose_round_trips() {
-        let mut values = [0u64; 64];
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        let mut bits = Vec::new();
-        transpose_lanes(&values, 32, &mut bits);
-        for lane in 0..64 {
-            let mut got = 0u64;
-            for (i, &w) in bits.iter().enumerate() {
-                got |= ((w >> lane) & 1) << i;
-            }
-            assert_eq!(got, values[lane] & 0xFFFF_FFFF);
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The campaign runners only record *that* a fault was detected (and
 //! when); this module records *what the machine did*. It reuses the
 //! deterministic replay machinery from [`crate::campaign`]: a replay
-//! rebuilds the exact batch state ([`ParallelSim::reset_state`] plus
+//! rebuilds the exact batch state ([`LaneSim::reset_state`] plus
 //! re-injection), so re-running one fault alone in lane 1 — with lane 0
 //! as the fault-free reference — reproduces the campaign's detection
 //! verdict bit for bit, at any thread count, while a [`WaveCapture`]
@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use crate::campaign::{Detection, Testbench};
 use crate::model::{Fault, FaultList};
-use crate::sim::ParallelSim;
+use crate::sim::{LaneSim, ParallelSim};
 use netlist::wave::{write_diff_vcd, DiffRow, Probe};
 
 /// Knobs for triggered waveform capture, shared by the flow layer and
@@ -194,14 +194,19 @@ impl CapturedWave {
 /// Replay a single fault in lane 1 (lane 0 fault-free) against `tb`,
 /// without recording. Same state rebuild as a campaign batch, so the
 /// verdict matches the campaign's for that fault, bit for bit.
-pub fn replay_fault(sim: &mut ParallelSim, tb: &mut dyn Testbench, fault: Fault) -> Detection {
+pub fn replay_fault(
+    sim: &mut ParallelSim,
+    tb: &mut dyn Testbench<ParallelSim>,
+    fault: Fault,
+) -> Detection {
     sim.clear_faults();
     sim.inject(fault, 1);
     sim.reset_state();
     tb.begin(sim);
     for cycle in 0..tb.cycles() {
-        let diff = tb.step(sim, cycle);
-        if (diff >> 1) & 1 == 1 {
+        let mut diff = [0];
+        tb.step(sim, cycle, &mut diff);
+        if (diff[0] >> 1) & 1 == 1 {
             return Detection::DetectedAt(cycle);
         }
     }
@@ -215,7 +220,7 @@ pub fn replay_fault(sim: &mut ParallelSim, tb: &mut dyn Testbench, fault: Fault)
 /// campaign threading.
 pub fn capture_fault(
     sim: &mut ParallelSim,
-    tb: &mut dyn Testbench,
+    tb: &mut dyn Testbench<ParallelSim>,
     probe: Probe,
     fault: Fault,
     opts: &WaveOptions,
@@ -226,9 +231,10 @@ pub fn capture_fault(
     sim.reset_state();
     tb.begin(sim);
     for cycle in 0..tb.cycles() {
-        let diff = tb.step(sim, cycle);
+        let mut diff = [0];
+        tb.step(sim, cycle, &mut diff);
         cap.record(sim, cycle, 1);
-        if (diff >> 1) & 1 == 1 {
+        if (diff[0] >> 1) & 1 == 1 {
             cap.mark_trigger(cycle);
         }
         if cap.done(cycle) {

@@ -1,12 +1,12 @@
 //! The multi-word bit-parallel simulation engine: evaluation of a
 //! [`CompiledKernel`] over lane *blocks* of W×u64 (W = 1, 2, 4 or 8,
-//! i.e. 64–512 independent faulty machines per pass), with optional
-//! event-driven activity gating.
+//! i.e. 64–512 independent faulty machines per pass), behind the same
+//! [`LaneSim`] interface as the interpreted [`crate::sim::ParallelSim`].
 //!
-//! The semantics are exactly those of [`crate::sim::ParallelSim`] —
-//! stem masks applied on every store, a sorted pin-patch side table,
-//! D-pin patches at the clock edge, order-independent
-//! [`WideSim::reset_state`] — widened from one lane word per net to W.
+//! The semantics are exactly those of the interpreted engine — stem
+//! masks applied on every store, a sorted pin-patch side table, D-pin
+//! patches at the clock edge, order-independent
+//! [`LaneSim::reset_state`] — widened from one lane word per net to W.
 //! Unlike the interpreted engine, stem masks on gate-driven and
 //! state nets live in the *patch side tables* (at the driving gate's
 //! compiled position, or folded into the flip-flop's clock transfer),
@@ -14,20 +14,11 @@
 //! and pays for faults only at the patched positions, which is most
 //! of the compiled engine's throughput win. The per-net `set1`/`keep0`
 //! arrays remain the source of truth for cold-path stores (ports,
-//! reset) and for [`WideSim::reset_state`] seeding.
+//! reset) and for [`LaneSim::reset_state`] seeding.
 //! Lane 0 (bit 0 of word 0) is the fault-free reference machine; a
 //! fault's detection depends only on its own lane versus lane 0 under
 //! shared stimulus, so per-fault results are bit-identical to the
 //! interpreted 64-lane engine at every width (enforced by tests).
-//!
-//! Activity gating keeps a per-segment `u64` of dirty levels. Stores
-//! that change a net's lanes OR the net's pre-computed consumer mask
-//! (see [`crate::kernel`]) into the dirty words; evaluation processes
-//! only dirty levels, clearing each level's bit before running it so
-//! in-pass changes can re-schedule deeper levels. External writes
-//! (ports, memory overlay, injection, reset, clocking) mark through the
-//! same path, so a skipped level always already holds the values it
-//! would recompute. Gating is optional and bit-exact either way.
 
 use std::sync::Arc;
 
@@ -35,7 +26,7 @@ use netlist::{Net, Netlist};
 
 use crate::kernel::CompiledKernel;
 use crate::model::{Fault, FaultSite, Polarity};
-use crate::sim::SimStats;
+use crate::sim::{LaneSim, SimStats};
 
 /// Maximum supported lane words per net (512 lanes).
 pub const MAX_LANE_WORDS: usize = 8;
@@ -83,13 +74,12 @@ pub struct WideSim {
     kernel: Arc<CompiledKernel>,
     /// Lane words per net (1, 2, 4 or 8).
     w: usize,
-    gating: bool,
     /// Per-net lane values, `n_slots * w`, net-major (slot i occupies
     /// `[i*w, i*w + w)`); the trailing dummy slot stays all-zero.
     vals: Vec<u64>,
     /// Per-net stem masks — read only on cold-path stores (ports,
-    /// reset) and by [`Self::reset_state`]; the evaluation and clock
-    /// hot loops get their stem masks from the patch tables below.
+    /// reset) and by `reset_state`; the evaluation and clock hot loops
+    /// get their stem masks from the patch tables below.
     set1: Vec<u64>,
     keep0: Vec<u64>,
     pin_patches: Vec<(u32, WidePatch)>,
@@ -99,29 +89,24 @@ pub struct WideSim {
     q_stem_patches: Vec<(u32, DffPatch)>,
     touched_nets: Vec<u32>,
     next: Vec<u64>,
-    /// Per-segment dirty-level words (always all-ones when gating is
-    /// off — evaluation then ignores them entirely).
-    dirty: Vec<u64>,
 }
 
 impl WideSim {
     /// Build a simulator over `kernel` with `lane_words` u64 words per
-    /// net (64 × `lane_words` lanes) and optional activity gating.
+    /// net (64 × `lane_words` lanes).
     ///
     /// # Panics
     ///
     /// Panics unless `lane_words` is 1, 2, 4 or 8.
-    pub fn new(kernel: Arc<CompiledKernel>, lane_words: usize, gating: bool) -> WideSim {
+    pub fn new(kernel: Arc<CompiledKernel>, lane_words: usize) -> WideSim {
         assert!(
             matches!(lane_words, 1 | 2 | 4 | 8),
             "lane_words must be 1, 2, 4 or 8 (got {lane_words})"
         );
         let n = kernel.n_slots * lane_words;
         let ndff = kernel.dff_d.len();
-        let nseg = kernel.num_segments();
         WideSim {
             w: lane_words,
-            gating,
             vals: vec![0; n],
             set1: vec![0; n],
             keep0: vec![!0; n],
@@ -130,7 +115,6 @@ impl WideSim {
             q_stem_patches: Vec::new(),
             touched_nets: Vec::new(),
             next: vec![0; ndff * lane_words],
-            dirty: vec![!0; nseg],
             kernel,
         }
     }
@@ -140,33 +124,6 @@ impl WideSim {
         &self.kernel
     }
 
-    /// Lane words per net.
-    #[inline]
-    pub fn lane_words(&self) -> usize {
-        self.w
-    }
-
-    /// Total lanes (64 × lane words).
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        64 * self.w
-    }
-
-    /// Whether activity gating is enabled.
-    pub fn gating(&self) -> bool {
-        self.gating
-    }
-
-    /// Number of evaluation segments.
-    pub fn num_segments(&self) -> usize {
-        self.kernel.num_segments()
-    }
-
-    /// Compiled-model geometry.
-    pub fn stats(&self) -> SimStats {
-        self.kernel.stats()
-    }
-
     /// The value slot of `net` (the kernel's cache-conscious
     /// renumbering — see [`CompiledKernel::slot_of_net`]).
     #[inline]
@@ -174,63 +131,13 @@ impl WideSim {
         self.kernel.slot_of_net[net.index()] as usize
     }
 
-    /// Mark every level of every segment dirty.
-    #[inline]
-    fn mark_all(&mut self) {
-        for d in &mut self.dirty {
-            *d = !0;
-        }
-    }
-
-    /// Mark the consumer levels of `slot` dirty. A no-op when gating
-    /// is off — evaluation ignores the dirty words entirely, so the
-    /// consumer-table walk would be pure overhead on every external
-    /// store and clock edge.
-    #[inline]
-    fn mark_net(&mut self, slot: usize) {
-        if !self.gating {
-            return;
-        }
-        let ns = self.dirty.len();
-        let base = slot * ns;
-        for s in 0..ns {
-            self.dirty[s] |= self.kernel.consumers[base + s];
-        }
-    }
-
-    /// Store `v` (length `w`) into `slot` through the stem masks,
-    /// marking consumers on change.
+    /// Store `v` (length `w`) into `slot` through the stem masks.
     #[inline]
     fn store_slot(&mut self, slot: usize, v: &[u64]) {
         let base = slot * self.w;
-        let mut changed = 0u64;
         for t in 0..self.w {
-            let nv = (v[t] | self.set1[base + t]) & self.keep0[base + t];
-            changed |= nv ^ self.vals[base + t];
-            self.vals[base + t] = nv;
+            self.vals[base + t] = (v[t] | self.set1[base + t]) & self.keep0[base + t];
         }
-        if changed != 0 {
-            self.mark_net(slot);
-        }
-    }
-
-    /// Remove all injected faults. O(faults), like the interpreted
-    /// engine; conservatively marks everything dirty (the next
-    /// [`Self::reset_state`] would anyway).
-    pub fn clear_faults(&mut self) {
-        let w = self.w;
-        for &n in &self.touched_nets {
-            let base = n as usize * w;
-            for t in 0..w {
-                self.set1[base + t] = 0;
-                self.keep0[base + t] = !0;
-            }
-        }
-        self.touched_nets.clear();
-        self.pin_patches.clear();
-        self.dff_patches.clear();
-        self.q_stem_patches.clear();
-        self.mark_all();
     }
 
     /// The (possibly fresh) patch entry at compiled position `pos`.
@@ -257,9 +164,115 @@ impl WideSim {
         &mut self.q_stem_patches[k].1
     }
 
-    /// Inject `fault` into lane `lane` (0 .. 64×W). Injecting into
-    /// lane 0 is allowed but forfeits the fault-free reference.
-    pub fn inject(&mut self, fault: Fault, lane: usize) {
+    /// Apply reset values to every flip-flop output (all lanes).
+    pub fn reset(&mut self) {
+        let mut rv = [0u64; MAX_LANE_WORDS];
+        for i in 0..self.kernel.dff_q.len() {
+            let q = self.kernel.dff_q[i] as usize;
+            rv[..self.w].fill(self.kernel.dff_reset[i]);
+            self.store_slot(q, &rv[..self.w]);
+        }
+    }
+
+    fn eval_seg<const W: usize>(&mut self, k: &CompiledKernel, seg: usize) {
+        debug_assert_eq!(W, self.w);
+        let (start, end) = k.segments[seg];
+        let lo = self.pin_patches.partition_point(|e| (e.0 as usize) < start);
+        let hi = self.pin_patches.partition_point(|e| (e.0 as usize) < end);
+        let mut cur = start;
+        for pi in lo..hi {
+            let pos = self.pin_patches[pi].0 as usize;
+            self.eval_run::<W>(k, cur, pos);
+            self.eval_patched::<W>(k, pi);
+            cur = pos + 1;
+        }
+        self.eval_run::<W>(k, cur, end);
+    }
+
+    /// The hot loop: a straight-line run of compiled instructions with
+    /// no patches — bare loads, opcode, bare store. Monomorphized per
+    /// lane width so the per-word loops unroll; operand blocks are
+    /// copied through fixed-size arrays so each block costs one bounds
+    /// check instead of one per word.
+    #[inline]
+    fn eval_run<const W: usize>(&mut self, k: &CompiledKernel, start: usize, end: usize) {
+        let kinds = &k.kinds[start..end];
+        let in0 = &k.in0[start..end];
+        let in1 = &k.in1[start..end];
+        let in2 = &k.in2[start..end];
+        let outs = &k.outs[start..end];
+        let it = kinds
+            .iter()
+            .zip(in0)
+            .zip(in1)
+            .zip(in2)
+            .zip(outs);
+        for ((((&kind, &i0), &i1), &i2), &o) in it {
+            let ia = i0 as usize * W;
+            let ib = i1 as usize * W;
+            let ic = i2 as usize * W;
+            let ob = o as usize * W;
+            let va: [u64; W] = self.vals[ia..ia + W].try_into().expect("stride");
+            let vb: [u64; W] = self.vals[ib..ib + W].try_into().expect("stride");
+            let vc: [u64; W] = self.vals[ic..ic + W].try_into().expect("stride");
+            let out: &mut [u64; W] =
+                (&mut self.vals[ob..ob + W]).try_into().expect("stride");
+            for t in 0..W {
+                out[t] = kind.eval_u64(va[t], vb[t], vc[t]);
+            }
+        }
+    }
+
+    /// Evaluate one gate with its pins patched: stuck-at masks on the
+    /// three inputs (slots 0–2) and on the output stem (slot 3).
+    fn eval_patched<const W: usize>(&mut self, k: &CompiledKernel, pi: usize) {
+        let (pos, p) = self.pin_patches[pi];
+        let i = pos as usize;
+        let ia = k.in0[i] as usize * W;
+        let ib = k.in1[i] as usize * W;
+        let ic = k.in2[i] as usize * W;
+        let kind = k.kinds[i];
+        let ob = k.outs[i] as usize * W;
+        for t in 0..W {
+            let a = (self.vals[ia + t] | p.set1[t]) & p.keep0[t];
+            let b = (self.vals[ib + t] | p.set1[W + t]) & p.keep0[W + t];
+            let c = (self.vals[ic + t] | p.set1[2 * W + t]) & p.keep0[2 * W + t];
+            let v = kind.eval_u64(a, b, c);
+            self.vals[ob + t] = (v | p.set1[3 * W + t]) & p.keep0[3 * W + t];
+        }
+    }
+}
+
+impl LaneSim for WideSim {
+    fn engine(&self) -> &'static str {
+        "compiled"
+    }
+
+    #[inline]
+    fn lane_words(&self) -> usize {
+        self.w
+    }
+
+    fn stats(&self) -> SimStats {
+        self.kernel.stats()
+    }
+
+    fn clear_faults(&mut self) {
+        let w = self.w;
+        for &n in &self.touched_nets {
+            let base = n as usize * w;
+            for t in 0..w {
+                self.set1[base + t] = 0;
+                self.keep0[base + t] = !0;
+            }
+        }
+        self.touched_nets.clear();
+        self.pin_patches.clear();
+        self.dff_patches.clear();
+        self.q_stem_patches.clear();
+    }
+
+    fn inject(&mut self, fault: Fault, lane: usize) {
         assert!(lane < self.lanes(), "lane out of range");
         let t = lane >> 6;
         let bit = 1u64 << (lane & 63);
@@ -297,9 +310,8 @@ impl WideSim {
                     }
                 }
                 // Stems are applied on store; make the current value
-                // consistent immediately, and wake the fanout.
+                // consistent immediately.
                 self.vals[k] = (self.vals[k] | self.set1[k]) & self.keep0[k];
-                self.mark_net(i);
             }
             FaultSite::Pin { gate, pin } => {
                 let pos = self.kernel.pos_of_gate[gate as usize];
@@ -309,9 +321,6 @@ impl WideSim {
                     Polarity::StuckAt1 => patch.set1[idx] |= bit,
                     Polarity::StuckAt0 => patch.keep0[idx] &= !bit,
                 }
-                // The gate's function changed: its level must re-run.
-                let (seg, lbit) = self.kernel.pos_level[pos as usize];
-                self.dirty[seg as usize] |= 1u64 << lbit;
             }
             FaultSite::DffD(ff) => {
                 // Fault sites carry netlist flip-flop indices; the
@@ -333,20 +342,7 @@ impl WideSim {
         }
     }
 
-    /// Apply reset values to every flip-flop output (all lanes).
-    pub fn reset(&mut self) {
-        let mut rv = [0u64; MAX_LANE_WORDS];
-        for i in 0..self.kernel.dff_q.len() {
-            let q = self.kernel.dff_q[i] as usize;
-            rv[..self.w].fill(self.kernel.dff_reset[i]);
-            self.store_slot(q, &rv[..self.w]);
-        }
-    }
-
-    /// Zero every net (through the injected stem masks), then apply
-    /// flip-flop resets — the state afterwards depends only on the
-    /// injected faults, which is what makes batches order-independent.
-    pub fn reset_state(&mut self) {
+    fn reset_state(&mut self) {
         for v in &mut self.vals {
             *v = 0;
         }
@@ -357,188 +353,22 @@ impl WideSim {
                 self.vals[base + t] = self.set1[base + t] & self.keep0[base + t];
             }
         }
-        self.mark_all();
         self.reset();
     }
 
-    /// Drive a named input port with the same integer value on all
-    /// lanes.
-    pub fn set_port(&mut self, netlist: &Netlist, port: &str, value: u64) {
-        let mut word = [0u64; MAX_LANE_WORDS];
-        for (i, &net) in netlist.port(port).iter().enumerate() {
-            let m = 0u64.wrapping_sub((value >> i) & 1);
-            word[..self.w].fill(m);
-            let s = self.slot(net);
-            self.store_slot(s, &word[..self.w]);
-        }
-    }
-
-    /// Drive a named input port with per-bit lane blocks: entry
-    /// `i * lane_words + t` holds word `t` of bit `i` (the layout
-    /// [`transpose_lanes_wide`] produces).
-    pub fn set_port_bits(&mut self, netlist: &Netlist, port: &str, bits: &[u64]) {
-        let nets = netlist.port(port);
-        let w = self.w;
-        assert_eq!(nets.len() * w, bits.len(), "port width mismatch");
-        for (i, &net) in nets.iter().enumerate() {
-            let s = self.slot(net);
-            self.store_slot(s, &bits[i * w..(i + 1) * w]);
-        }
-    }
-
-    /// Evaluate one segment through the compiled kernel, skipping
-    /// quiescent levels when gating is on.
-    pub fn eval_segment(&mut self, segment: usize) {
+    /// Dispatches once per segment to the width-monomorphized kernel.
+    fn eval_segment(&mut self, segment: usize) {
         let kernel = Arc::clone(&self.kernel);
-        match (self.w, self.gating) {
-            (1, false) => self.eval_seg::<1, false>(&kernel, segment),
-            (1, true) => self.eval_seg::<1, true>(&kernel, segment),
-            (2, false) => self.eval_seg::<2, false>(&kernel, segment),
-            (2, true) => self.eval_seg::<2, true>(&kernel, segment),
-            (4, false) => self.eval_seg::<4, false>(&kernel, segment),
-            (4, true) => self.eval_seg::<4, true>(&kernel, segment),
-            (8, false) => self.eval_seg::<8, false>(&kernel, segment),
-            (8, true) => self.eval_seg::<8, true>(&kernel, segment),
+        match self.w {
+            1 => self.eval_seg::<1>(&kernel, segment),
+            2 => self.eval_seg::<2>(&kernel, segment),
+            4 => self.eval_seg::<4>(&kernel, segment),
+            8 => self.eval_seg::<8>(&kernel, segment),
             _ => unreachable!("lane_words validated at construction"),
         }
     }
 
-    /// Evaluate all segments in order.
-    pub fn eval_all(&mut self) {
-        for s in 0..self.kernel.num_segments() {
-            self.eval_segment(s);
-        }
-    }
-
-    fn eval_seg<const W: usize, const GATED: bool>(&mut self, k: &CompiledKernel, seg: usize) {
-        debug_assert_eq!(W, self.w);
-        if GATED {
-            let nbits = k.segments[seg].ranges.len();
-            for bit in 0..nbits {
-                let m = 1u64 << bit;
-                if self.dirty[seg] & m == 0 {
-                    continue;
-                }
-                // Clear before evaluating: a change inside this level
-                // only ever re-marks *later* levels (or other
-                // segments), never its own producers.
-                self.dirty[seg] &= !m;
-                let (s, e) = k.segments[seg].ranges[bit];
-                self.eval_span::<W, true>(k, s as usize, e as usize);
-            }
-        } else {
-            let (s, e) = k.segments[seg].bounds;
-            self.eval_span::<W, false>(k, s, e);
-        }
-    }
-
-    /// Evaluate `[start, end)` as unpatched runs split around pin
-    /// patches (the side table is sorted by compiled position).
-    fn eval_span<const W: usize, const GATED: bool>(
-        &mut self,
-        k: &CompiledKernel,
-        start: usize,
-        end: usize,
-    ) {
-        let lo = self.pin_patches.partition_point(|e| (e.0 as usize) < start);
-        let hi = self.pin_patches.partition_point(|e| (e.0 as usize) < end);
-        let mut cur = start;
-        for pi in lo..hi {
-            let pos = self.pin_patches[pi].0 as usize;
-            self.eval_run::<W, GATED>(k, cur, pos);
-            self.eval_patched::<W, GATED>(k, pi);
-            cur = pos + 1;
-        }
-        self.eval_run::<W, GATED>(k, cur, end);
-    }
-
-    /// The hot loop: a straight-line run of compiled instructions with
-    /// no patches — bare loads, opcode, bare store. Monomorphized per
-    /// lane width so the per-word loops unroll; operand blocks are
-    /// copied through fixed-size arrays so each block costs one bounds
-    /// check instead of one per word.
-    #[inline]
-    fn eval_run<const W: usize, const GATED: bool>(
-        &mut self,
-        k: &CompiledKernel,
-        start: usize,
-        end: usize,
-    ) {
-        let ns = self.dirty.len();
-        let kinds = &k.kinds[start..end];
-        let in0 = &k.in0[start..end];
-        let in1 = &k.in1[start..end];
-        let in2 = &k.in2[start..end];
-        let outs = &k.outs[start..end];
-        let it = kinds
-            .iter()
-            .zip(in0)
-            .zip(in1)
-            .zip(in2)
-            .zip(outs);
-        for ((((&kind, &i0), &i1), &i2), &o) in it {
-            let ia = i0 as usize * W;
-            let ib = i1 as usize * W;
-            let ic = i2 as usize * W;
-            let o = o as usize;
-            let ob = o * W;
-            let va: [u64; W] = self.vals[ia..ia + W].try_into().expect("stride");
-            let vb: [u64; W] = self.vals[ib..ib + W].try_into().expect("stride");
-            let vc: [u64; W] = self.vals[ic..ic + W].try_into().expect("stride");
-            let out: &mut [u64; W] =
-                (&mut self.vals[ob..ob + W]).try_into().expect("stride");
-            let mut changed = 0u64;
-            for t in 0..W {
-                let v = kind.eval_u64(va[t], vb[t], vc[t]);
-                if GATED {
-                    changed |= v ^ out[t];
-                }
-                out[t] = v;
-            }
-            if GATED && changed != 0 {
-                let cb = o * ns;
-                for s in 0..ns {
-                    self.dirty[s] |= k.consumers[cb + s];
-                }
-            }
-        }
-    }
-
-    /// Evaluate one gate with its pins patched: stuck-at masks on the
-    /// three inputs (slots 0–2) and on the output stem (slot 3).
-    fn eval_patched<const W: usize, const GATED: bool>(&mut self, k: &CompiledKernel, pi: usize) {
-        let (pos, p) = self.pin_patches[pi];
-        let i = pos as usize;
-        let ia = k.in0[i] as usize * W;
-        let ib = k.in1[i] as usize * W;
-        let ic = k.in2[i] as usize * W;
-        let kind = k.kinds[i];
-        let o = k.outs[i] as usize;
-        let ob = o * W;
-        let mut changed = 0u64;
-        for t in 0..W {
-            let a = (self.vals[ia + t] | p.set1[t]) & p.keep0[t];
-            let b = (self.vals[ib + t] | p.set1[W + t]) & p.keep0[W + t];
-            let c = (self.vals[ic + t] | p.set1[2 * W + t]) & p.keep0[2 * W + t];
-            let v = kind.eval_u64(a, b, c);
-            let nv = (v | p.set1[3 * W + t]) & p.keep0[3 * W + t];
-            if GATED {
-                changed |= nv ^ self.vals[ob + t];
-            }
-            self.vals[ob + t] = nv;
-        }
-        if GATED && changed != 0 {
-            let ns = self.dirty.len();
-            let cb = o * ns;
-            for s in 0..ns {
-                self.dirty[s] |= k.consumers[cb + s];
-            }
-        }
-    }
-
-    /// Clock every flip-flop (`q <= d`), honouring D-pin patches and Q
-    /// stem injection, marking changed Q fanout dirty.
-    pub fn clock(&mut self) {
+    fn clock(&mut self) {
         let w = self.w;
         let kernel = Arc::clone(&self.kernel);
         for i in 0..kernel.dff_d.len() {
@@ -565,41 +395,46 @@ impl WideSim {
             }
         }
         for i in 0..kernel.dff_q.len() {
-            let q = kernel.dff_q[i] as usize;
-            let base = q * w;
-            let mut changed = 0u64;
-            for t in 0..w {
-                let nv = self.next[i * w + t];
-                changed |= nv ^ self.vals[base + t];
-                self.vals[base + t] = nv;
-            }
-            if changed != 0 {
-                self.mark_net(q);
-            }
+            let base = kernel.dff_q[i] as usize * w;
+            self.vals[base..base + w].copy_from_slice(&self.next[i * w..i * w + w]);
         }
     }
 
-    /// Raw lane word `word` of a single net.
+    fn set_port(&mut self, netlist: &Netlist, port: &str, value: u64) {
+        let mut word = [0u64; MAX_LANE_WORDS];
+        for (i, &net) in netlist.port(port).iter().enumerate() {
+            let m = 0u64.wrapping_sub((value >> i) & 1);
+            word[..self.w].fill(m);
+            let s = self.slot(net);
+            self.store_slot(s, &word[..self.w]);
+        }
+    }
+
+    fn set_port_bits(&mut self, netlist: &Netlist, port: &str, bits: &[u64]) {
+        let nets = netlist.port(port);
+        let w = self.w;
+        assert_eq!(nets.len() * w, bits.len(), "port width mismatch");
+        for (i, &net) in nets.iter().enumerate() {
+            let s = self.slot(net);
+            self.store_slot(s, &bits[i * w..(i + 1) * w]);
+        }
+    }
+
     #[inline]
-    pub fn net_lanes_word(&self, net: Net, word: usize) -> u64 {
+    fn net_lanes_word(&self, net: Net, word: usize) -> u64 {
         self.vals[self.slot(net) * self.w + word]
     }
 
-    /// Gather the value of a bus in one (global) lane as an integer
-    /// (LSB first).
-    pub fn lane_word(&self, nets: &[Net], lane: usize) -> u64 {
-        let t = lane >> 6;
-        let b = lane & 63;
-        let mut v = 0u64;
+    fn lane_block(&self, nets: &[Net], word: usize, out: &mut [u64; 64]) {
+        assert!(nets.len() <= 64, "bus wider than 64 bits");
+        out.fill(0);
         for (i, &n) in nets.iter().enumerate() {
-            v |= ((self.vals[self.slot(n) * self.w + t] >> b) & 1) << i;
+            out[i] = self.vals[self.slot(n) * self.w + word];
         }
-        v
+        transpose64(out);
     }
 
-    /// OR into `acc` (length `lane_words`) the lanes whose value on any
-    /// of `nets` differs from lane 0 (bit 0 of word 0).
-    pub fn diff_vs_lane0(&self, nets: &[Net], acc: &mut [u64]) {
+    fn diff_vs_lane0(&self, nets: &[Net], acc: &mut [u64]) {
         let w = self.w;
         debug_assert_eq!(acc.len(), w);
         for &n in nets {
@@ -609,26 +444,6 @@ impl WideSim {
                 *a |= self.vals[base + t] ^ r;
             }
         }
-    }
-
-    /// Lane word of a named port in one lane, as an integer.
-    pub fn port_lane_word(&self, netlist: &Netlist, port: &str, lane: usize) -> u64 {
-        self.lane_word(netlist.port(port), lane)
-    }
-
-    /// Gather a whole lane word of a bus at once: `out[b]` becomes the
-    /// bus value (LSB-first) in lane `64 * word + b`. One slot load per
-    /// net plus a 64×64 bit-matrix transpose — O(64 log 64) word ops —
-    /// instead of the `nets.len() × 64` single-bit probes that calling
-    /// [`Self::lane_word`] per lane would cost. This is the read path
-    /// memory-overlay testbenches are built on.
-    pub fn lane_block(&self, nets: &[Net], word: usize, out: &mut [u64; 64]) {
-        assert!(nets.len() <= 64, "bus wider than 64 bits");
-        out.fill(0);
-        for (i, &n) in nets.iter().enumerate() {
-            out[i] = self.vals[self.slot(n) * self.w + word];
-        }
-        transpose64(out);
     }
 }
 
@@ -654,7 +469,6 @@ pub fn transpose64(a: &mut [u64; 64]) {
 /// Transpose per-lane integer values into per-bit lane blocks:
 /// `out[i * lane_words + t]` bit *L* = bit *i* of
 /// `values[t * 64 + L]`. `values.len()` must be `64 * lane_words`.
-/// The width-64, one-word case matches [`crate::sim::transpose_lanes`].
 pub fn transpose_lanes_wide(values: &[u64], width: usize, lane_words: usize, out: &mut Vec<u64>) {
     assert_eq!(values.len(), 64 * lane_words);
     out.clear();
@@ -694,10 +508,10 @@ mod tests {
 
     /// Drive both engines with the same stimulus + faults (lanes < 64)
     /// and compare every observable the testbenches use.
-    fn assert_matches_interp(nl: &Netlist, lane_words: usize, gating: bool, faults: &[Fault]) {
+    fn assert_matches_interp(nl: &Netlist, lane_words: usize, faults: &[Fault]) {
         let segs = vec![nl.topo_order().to_vec()];
         let mut ps = ParallelSim::with_segments(nl, &segs);
-        let mut ws = WideSim::new(compile_cached(nl, &segs), lane_words, gating);
+        let mut ws = WideSim::new(compile_cached(nl, &segs), lane_words);
         for (k, &f) in faults.iter().enumerate() {
             ps.inject(f, k + 1);
             ws.inject(f, k + 1);
@@ -736,14 +550,12 @@ mod tests {
     }
 
     #[test]
-    fn matches_interpreted_engine_across_widths_and_gating() {
+    fn matches_interpreted_engine_across_widths() {
         let nl = sample_netlist();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         let head: Vec<Fault> = faults.faults.iter().copied().take(20).collect();
         for lane_words in [1usize, 2, 4, 8] {
-            for gating in [false, true] {
-                assert_matches_interp(&nl, lane_words, gating, &head);
-            }
+            assert_matches_interp(&nl, lane_words, &head);
         }
     }
 
@@ -753,7 +565,7 @@ mod tests {
         let faults = FaultList::extract(&nl).collapsed(&nl);
         let f = faults.faults[0];
         let segs = vec![nl.topo_order().to_vec()];
-        let mut ws = WideSim::new(compile_cached(&nl, &segs), 4, true);
+        let mut ws = WideSim::new(compile_cached(&nl, &segs), 4);
         // The same fault in lane 1 (word 0) and lane 130 (word 2) must
         // diverge identically, word-shifted.
         ws.inject(f, 1);
@@ -783,75 +595,25 @@ mod tests {
         }
     }
 
+    /// Per-lane values round-trip through the per-bit lane-block layout
+    /// at one and two lane words.
     #[test]
-    fn gating_skips_work_but_not_results() {
-        // A two-segment CPU-shaped split: gated and ungated must agree
-        // net for net after every cycle.
-        let mut b = NetlistBuilder::new("two");
-        let a = b.inputs("a", 8);
-        let late_in = b.inputs("late", 8);
-        let na = b.not_word(&a);
-        let q = b.dff_word(&late_in, 0);
-        let mix = b.xor_word(&na, &q);
-        b.outputs("na", &na);
-        let qq = b.dff_word(&mix, 0);
-        b.outputs("qq", &qq);
-        let nl = b.finish().unwrap();
-        let (early, late) = nl.split_on_inputs(nl.port("late"));
-        let segs = vec![early, late];
-        let kernel = compile_cached(&nl, &segs);
-        let mut gated = WideSim::new(Arc::clone(&kernel), 2, true);
-        let mut plain = WideSim::new(kernel, 2, false);
-        gated.reset_state();
-        plain.reset_state();
-        let qq = nl.port("qq");
-        for step in 0..30u64 {
-            let av = step.wrapping_mul(37) & 0xFF;
-            let lv = step.wrapping_mul(91) & 0xFF;
-            for s in [&mut gated, &mut plain] {
-                s.set_port(&nl, "a", av);
-                s.eval_segment(0);
-                s.set_port(&nl, "late", lv);
-                s.eval_segment(1);
+    fn transpose_round_trips_at_one_and_two_words() {
+        for lane_words in [1usize, 2] {
+            let vals: Vec<u64> = (0..64 * lane_words as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            let mut out = Vec::new();
+            transpose_lanes_wide(&vals, 32, lane_words, &mut out);
+            assert_eq!(out.len(), 32 * lane_words);
+            for (lane, &v) in vals.iter().enumerate() {
+                let (t, b) = (lane >> 6, lane & 63);
+                let mut got = 0u64;
+                for i in 0..32 {
+                    got |= ((out[i * lane_words + t] >> b) & 1) << i;
+                }
+                assert_eq!(got, v & 0xFFFF_FFFF, "lane {lane} at {lane_words} words");
             }
-            for lane in [0usize, 63, 64, 127] {
-                assert_eq!(
-                    gated.lane_word(qq, lane),
-                    plain.lane_word(qq, lane),
-                    "gated/ungated diverged at step {step}"
-                );
-            }
-            gated.clock();
-            plain.clock();
-        }
-    }
-
-    #[test]
-    fn wide_transpose_matches_narrow_at_one_word() {
-        let mut vals = [0u64; 64];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = (i as u64).wrapping_mul(0x1234_5678_9ABC_DEF1);
-        }
-        let mut narrow = Vec::new();
-        crate::sim::transpose_lanes(&vals, 32, &mut narrow);
-        let mut wide = Vec::new();
-        transpose_lanes_wide(&vals, 32, 1, &mut wide);
-        assert_eq!(narrow, wide);
-        // Two words round-trip through lane_word-style reads.
-        let mut vals2 = vec![0u64; 128];
-        for (i, v) in vals2.iter_mut().enumerate() {
-            *v = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & 0xFFFF_FFFF;
-        }
-        let mut out = Vec::new();
-        transpose_lanes_wide(&vals2, 32, 2, &mut out);
-        for lane in 0..128 {
-            let t = lane >> 6;
-            let b = lane & 63;
-            let mut got = 0u64;
-            for i in 0..32 {
-                got |= ((out[i * 2 + t] >> b) & 1) << i;
-            }
-            assert_eq!(got, vals2[t * 64 + (lane & 63)], "lane {lane}");
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use fault::collapse::class_representatives;
 use fault::model::{Fault, FaultList};
-use fault::sim::ParallelSim;
+use fault::sim::{LaneSim, ParallelSim};
 use netlist::{Netlist, NetlistBuilder};
 use proptest::prelude::*;
 

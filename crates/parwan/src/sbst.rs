@@ -11,7 +11,7 @@ use fault::wide::WideSim;
 use crate::core::ParwanCore;
 use crate::isa::{Cond, ProgramBuilder};
 use crate::model::ParwanModel;
-use crate::testbench::{ParwanSelfTestBench, ParwanWideSelfTestBench};
+use crate::testbench::ParwanSelfTestBench;
 
 /// Response region base.
 pub const RESP: u16 = 0x200;
@@ -293,26 +293,21 @@ pub fn grade_hooks(
     let budget = golden_cycles(test) + 32;
     let [early, late] = core.segments();
     let segments = [early.to_vec(), late.to_vec()];
+    let factory = || {
+        ParwanSelfTestBench::new(core, &test.image, budget).with_profiler(hooks.profiler.clone())
+    };
     match engine.kind {
         EngineKind::Interp => {
             let sim = ParallelSim::with_segments(core.netlist(), &segments);
-            let factory = || {
-                ParwanSelfTestBench::new(core, &test.image, budget)
-                    .with_profiler(hooks.profiler.clone())
-            };
-            campaign::run_parallel_with(&sim, faults, &factory, threads, hooks)
+            campaign::run(&sim, faults, factory, threads, hooks)
         }
         EngineKind::Compiled => {
             let kernel = {
                 let _compile = hooks.profiler.scope(obs::ProfilePhase::Compile);
                 fault::kernel::compile_cached(core.netlist(), &segments)
             };
-            let proto = WideSim::new(kernel, engine.lane_words, engine.gating);
-            let factory = || {
-                ParwanWideSelfTestBench::new(core, &test.image, budget, engine.lane_words)
-                    .with_profiler(hooks.profiler.clone())
-            };
-            campaign::run_parallel_wide_with(&proto, faults, &factory, threads, hooks)
+            let proto = WideSim::new(kernel, engine.lane_words);
+            campaign::run(&proto, faults, factory, threads, hooks)
         }
     }
 }

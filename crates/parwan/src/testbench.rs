@@ -1,14 +1,13 @@
-//! Scalar, 64-lane and multi-word testbenches for the Parwan-class
+//! Scalar and lane-parallel self-test testbenches for the Parwan-class
 //! core.
 
 use std::time::Instant;
 
-use fault::campaign::{Testbench, WideTestbench};
-use fault::sim::ParallelSim;
-use fault::wide::{transpose_lanes_wide, WideSim};
+use fault::campaign::Testbench;
+use fault::sim::LaneSim;
+use fault::wide::transpose_lanes_wide;
 use netlist::sim::{CompiledOrder, Simulator};
-use obs::{ProfilePhase, Profiler, Tracer};
-use serde_json::Value;
+use obs::{ProfilePhase, Profiler};
 
 use crate::core::ParwanCore;
 use crate::model::BusCycle;
@@ -73,25 +72,24 @@ impl<'a> GateParwan<'a> {
     }
 }
 
-/// 64-lane self-test bench: shared base image plus per-lane overlays,
-/// divergence from lane 0 on the observed bus is the detection.
+/// Lane-parallel self-test bench: shared base image plus per-lane
+/// overlays, divergence from lane 0 on the observed bus is the
+/// detection. Drives any [`LaneSim`] engine; the overlays are sized from
+/// the simulator's lane count at [`Testbench::begin`].
 pub struct ParwanSelfTestBench<'a> {
     core: &'a ParwanCore,
     base: Vec<u8>,
+    lanes: usize,
     // Flat per-lane overlays with generation tags (see
-    // `plasma::SelfTestBench`): entry `lane * 4096 + addr` is live iff
-    // its tag equals the current epoch, making `begin` O(1).
+    // `plasma::SelfTestBench`): entry `addr * lanes + lane` is live iff
+    // its tag equals the current epoch, making `begin` O(1). Word-major,
+    // so one cycle's clustered accesses share cache lines.
     ovl_vals: Vec<u8>,
     ovl_gens: Vec<u32>,
     gen: u32,
     budget: u64,
-    scratch: [u64; 64],
+    scratch: Vec<u64>,
     bits: Vec<u64>,
-    // Optional cycle-window divergence tracing (see `with_trace`).
-    tracer: Tracer,
-    trace_window: u64,
-    win_diff: u64,
-    batch_idx: u64,
     // Optional hot-loop self-profiler (see `with_profiler`).
     profiler: Profiler,
 }
@@ -104,211 +102,27 @@ impl<'a> ParwanSelfTestBench<'a> {
         ParwanSelfTestBench {
             core,
             base,
-            ovl_vals: vec![0; 64 * 4096],
-            ovl_gens: vec![0; 64 * 4096],
-            gen: 1,
+            lanes: 0,
+            ovl_vals: Vec::new(),
+            ovl_gens: Vec::new(),
+            gen: 0,
             budget,
-            scratch: [0; 64],
+            scratch: Vec::new(),
             bits: Vec::new(),
-            tracer: Tracer::disabled(),
-            trace_window: 0,
-            win_diff: 0,
-            batch_idx: 0,
             profiler: Profiler::disabled(),
         }
     }
 
     /// Attach a hot-loop self-profiler: each cycle's wall-time is split
     /// across the eval/overlay/detect/clock phases (see
-    /// [`obs::ProfilePhase`]), matching the plasma benches'
-    /// attribution. A disabled profiler (the default) keeps the untimed
-    /// step path; detections are identical either way.
+    /// [`obs::ProfilePhase`]), matching the plasma bench's attribution.
+    /// A disabled profiler (the default) keeps the untimed step path;
+    /// detections are identical either way.
     pub fn with_profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = profiler;
         self
     }
 
-    /// Attach a cycle-window divergence trace: every `window` cycles the
-    /// bench emits a `tb_window` event with the number of lanes that
-    /// diverged from the reference inside the window. A disabled tracer
-    /// leaves the step loop at one branch per cycle.
-    pub fn with_trace(mut self, tracer: Tracer, window: u64) -> Self {
-        self.trace_window = if tracer.enabled() { window.max(1) } else { 0 };
-        self.tracer = tracer;
-        self
-    }
-
-    fn read(&self, lane: usize, addr: u16) -> u8 {
-        let i = (addr & 0xFFF) as usize;
-        let idx = lane * 4096 + i;
-        if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[i]
-        }
-    }
-
-    fn write(&mut self, lane: usize, addr: u16, wdata: u8) {
-        let idx = lane * 4096 + (addr & 0xFFF) as usize;
-        self.ovl_vals[idx] = wdata;
-        self.ovl_gens[idx] = self.gen;
-    }
-
-    /// The per-lane memory transaction: read/overlay each lane's byte
-    /// and feed the transposed read data back in.
-    fn mem_phase(&mut self, sim: &mut ParallelSim) {
-        let nl = self.core.netlist();
-        let addr_nets = nl.port("mem_addr");
-        let wdata_nets = nl.port("mem_wdata");
-        let we_lanes = sim.net_lanes(nl.port("mem_we")[0]);
-        for lane in 0..64 {
-            let addr = (sim.lane_word(addr_nets, lane) & 0xFFF) as u16;
-            self.scratch[lane] = self.read(lane, addr) as u64;
-            if (we_lanes >> lane) & 1 == 1 {
-                let wdata = sim.lane_word(wdata_nets, lane) as u8;
-                self.write(lane, addr, wdata);
-            }
-        }
-        fault::sim::transpose_lanes(&self.scratch, 8, &mut self.bits);
-        sim.set_port_bits(nl, "mem_rdata", &self.bits);
-    }
-
-    /// One cycle, untimed — the hot path when profiling is off.
-    #[inline]
-    fn step_plain(&mut self, sim: &mut ParallelSim) -> u64 {
-        sim.eval_segment(0);
-        self.mem_phase(sim);
-        let diff = sim.diff_vs_lane0(self.core.observed_outputs());
-        sim.eval_segment(1);
-        sim.clock();
-        diff
-    }
-
-    /// One cycle with manual `Instant` checkpoints between phases (one
-    /// clock read per phase boundary, not a guard per phase).
-    fn step_timed(&mut self, sim: &mut ParallelSim) -> u64 {
-        let t0 = Instant::now();
-        sim.eval_segment(0);
-        let t1 = Instant::now();
-        self.mem_phase(sim);
-        let t2 = Instant::now();
-        let diff = sim.diff_vs_lane0(self.core.observed_outputs());
-        let t3 = Instant::now();
-        sim.eval_segment(1);
-        let t4 = Instant::now();
-        sim.clock();
-        let t5 = Instant::now();
-        let p = &self.profiler;
-        p.add_ns(ProfilePhase::EvalEarly, (t1 - t0).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Overlay, (t2 - t1).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Detect, (t3 - t2).as_nanos() as u64);
-        p.add_ns(ProfilePhase::EvalLate, (t4 - t3).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Clock, (t5 - t4).as_nanos() as u64);
-        diff
-    }
-}
-
-impl Testbench for ParwanSelfTestBench<'_> {
-    fn begin(&mut self, _sim: &mut ParallelSim) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Tag wrap-around: stale tags could alias the new epoch, so
-            // reset them all and restart at 1.
-            self.ovl_gens.fill(0);
-            self.gen = 1;
-        }
-        if self.trace_window != 0 {
-            self.batch_idx += 1;
-            self.win_diff = 0;
-        }
-    }
-
-    fn step(&mut self, sim: &mut ParallelSim, cycle: u64) -> u64 {
-        // One branch per cycle: the timed variant differs only in the
-        // Instant checkpoints between phases, never in what it computes.
-        let diff = if self.profiler.enabled() {
-            self.step_timed(sim)
-        } else {
-            self.step_plain(sim)
-        };
-        if self.trace_window != 0 {
-            self.win_diff |= diff;
-            if (cycle + 1) % self.trace_window == 0 {
-                self.tracer.event(
-                    "tb_window",
-                    &[
-                        ("batch", Value::U64(self.batch_idx)),
-                        ("cycle", Value::U64(cycle + 1)),
-                        ("diverged", Value::U64(u64::from(self.win_diff.count_ones()))),
-                    ],
-                );
-                self.win_diff = 0;
-            }
-        }
-        diff
-    }
-
-    fn cycles(&self) -> u64 {
-        self.budget
-    }
-}
-
-/// The compiled-engine sibling of [`ParwanSelfTestBench`]: same base
-/// image + generation-tagged overlays, widened to 64 × W lanes. Step
-/// order matches the interpreted bench exactly (eval early → memory →
-/// observe → eval late → clock), so detections are identical at every
-/// lane width.
-pub struct ParwanWideSelfTestBench<'a> {
-    core: &'a ParwanCore,
-    base: Vec<u8>,
-    lanes: usize,
-    ovl_vals: Vec<u8>,
-    ovl_gens: Vec<u32>,
-    gen: u32,
-    budget: u64,
-    scratch: Vec<u64>,
-    bits: Vec<u64>,
-    // Optional hot-loop self-profiler (see `with_profiler`).
-    profiler: Profiler,
-}
-
-impl<'a> ParwanWideSelfTestBench<'a> {
-    /// Create the bench for simulators with `lane_words` u64 words per
-    /// net (must match the [`WideSim`] it will drive).
-    pub fn new(
-        core: &'a ParwanCore,
-        image: &[u8],
-        budget: u64,
-        lane_words: usize,
-    ) -> ParwanWideSelfTestBench<'a> {
-        let mut base = vec![0u8; 4096];
-        base[..image.len()].copy_from_slice(image);
-        let lanes = 64 * lane_words;
-        ParwanWideSelfTestBench {
-            core,
-            base,
-            lanes,
-            ovl_vals: vec![0; lanes * 4096],
-            ovl_gens: vec![0; lanes * 4096],
-            gen: 1,
-            budget,
-            scratch: vec![0; lanes],
-            bits: Vec::new(),
-            profiler: Profiler::disabled(),
-        }
-    }
-
-    /// Attach a hot-loop self-profiler (see
-    /// [`ParwanSelfTestBench::with_profiler`]).
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
-    // Overlay entries are word-major (`i * lanes + lane`), unlike the
-    // interpreted bench: lanes mostly follow the golden instruction
-    // stream, so one cycle's accesses cluster on a few addresses whose
-    // entries then share cache lines.
     fn read(&self, lane: usize, addr: u16) -> u8 {
         let i = (addr & 0xFFF) as usize;
         let idx = i * self.lanes + lane;
@@ -325,8 +139,10 @@ impl<'a> ParwanWideSelfTestBench<'a> {
         self.ovl_gens[idx] = self.gen;
     }
 
-    /// The per-lane memory transaction, word-block at a time.
-    fn mem_phase(&mut self, sim: &mut WideSim) {
+    /// The per-lane memory transaction, one lane word at a time: read
+    /// each lane's byte, then apply its store, and feed the transposed
+    /// read data back in.
+    fn mem_phase<S: LaneSim>(&mut self, sim: &mut S) {
         let nl = self.core.netlist();
         let addr_nets = nl.port("mem_addr");
         let wdata_nets = nl.port("mem_wdata");
@@ -343,6 +159,8 @@ impl<'a> ParwanWideSelfTestBench<'a> {
             for b in 0..64 {
                 let lane = (t << 6) + b;
                 let a = (addr[b] & 0xFFF) as u16;
+                // The read precedes the write, so a store cycle returns
+                // the old byte on the bus (detections depend on this).
                 self.scratch[lane] = self.read(lane, a) as u64;
                 if (we_lanes >> b) & 1 == 1 {
                     self.write(lane, a, wdata[b] as u8);
@@ -355,7 +173,7 @@ impl<'a> ParwanWideSelfTestBench<'a> {
 
     /// One cycle, untimed — the hot path when profiling is off.
     #[inline]
-    fn step_plain(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
+    fn step_plain<S: LaneSim>(&mut self, sim: &mut S, diff: &mut [u64]) {
         sim.eval_segment(0);
         self.mem_phase(sim);
         sim.diff_vs_lane0(self.core.observed_outputs(), diff);
@@ -363,8 +181,9 @@ impl<'a> ParwanWideSelfTestBench<'a> {
         sim.clock();
     }
 
-    /// One cycle with manual `Instant` checkpoints between phases.
-    fn step_timed(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
+    /// One cycle with manual `Instant` checkpoints between phases (one
+    /// clock read per phase boundary, not a guard per phase).
+    fn step_timed<S: LaneSim>(&mut self, sim: &mut S, diff: &mut [u64]) {
         let t0 = Instant::now();
         sim.eval_segment(0);
         let t1 = Instant::now();
@@ -385,24 +204,27 @@ impl<'a> ParwanWideSelfTestBench<'a> {
     }
 }
 
-impl WideTestbench for ParwanWideSelfTestBench<'_> {
-    fn begin(&mut self, sim: &mut WideSim) {
-        assert_eq!(
-            sim.lanes(),
-            self.lanes,
-            "bench built for {} lanes, sim has {}",
-            self.lanes,
-            sim.lanes()
-        );
+impl<S: LaneSim> Testbench<S> for ParwanSelfTestBench<'_> {
+    fn begin(&mut self, sim: &mut S) {
+        let lanes = sim.lanes();
+        if lanes != self.lanes {
+            self.lanes = lanes;
+            self.ovl_vals = vec![0; lanes * 4096];
+            self.ovl_gens = vec![0; lanes * 4096];
+            self.scratch = vec![0; lanes];
+        }
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
+            // Tag wrap-around: stale tags could alias the new epoch, so
+            // reset them all and restart at 1.
             self.ovl_gens.fill(0);
             self.gen = 1;
         }
     }
 
-    fn step(&mut self, sim: &mut WideSim, _cycle: u64, diff: &mut [u64]) {
-        // One branch per cycle, same computation either way.
+    fn step(&mut self, sim: &mut S, _cycle: u64, diff: &mut [u64]) {
+        // One branch per cycle: the timed variant differs only in the
+        // Instant checkpoints between phases, never in what it computes.
         if self.profiler.enabled() {
             self.step_timed(sim, diff);
         } else {

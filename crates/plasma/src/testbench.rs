@@ -1,17 +1,16 @@
 //! Testbenches around the gate-level core: a scalar one for functional
-//! runs and co-simulation, a 64-lane interpreted one, and a multi-word
-//! compiled-engine one for fault-simulation campaigns.
+//! runs and co-simulation, and one lane-parallel self-test bench that
+//! drives either fault-simulation engine.
 
 use std::time::Instant;
 
-use fault::campaign::{Testbench, WideTestbench};
-use fault::sim::ParallelSim;
-use fault::wide::{transpose_lanes_wide, WideSim};
+use fault::campaign::Testbench;
+use fault::sim::{LaneSim, ParallelSim};
+use fault::wide::transpose_lanes_wide;
 use mips::iss::{Bus, BusCycle, Memory};
 use mips::Program;
 use netlist::sim::{CompiledOrder, Simulator};
-use obs::{ProfilePhase, Profiler, Tracer};
-use serde_json::Value;
+use obs::{ProfilePhase, Profiler};
 
 use crate::PlasmaCore;
 
@@ -108,30 +107,29 @@ impl<'a> GateCpu<'a> {
     }
 }
 
-/// The 64-lane fault-simulation testbench: every lane is an independent
-/// faulty processor with its own memory image (shared base + per-lane
-/// write overlay). Divergence of the observed bus outputs from lane 0 is
-/// the detection criterion — exactly what an external tester on the CPU
-/// bus sees (paper, Figure 1).
+/// The fault-simulation testbench: every lane is an independent faulty
+/// processor with its own memory image (shared base + per-lane write
+/// overlay). Divergence of the observed bus outputs from lane 0 is the
+/// detection criterion — exactly what an external tester on the CPU bus
+/// sees (paper, Figure 1). Drives any [`LaneSim`] engine; the overlays
+/// are sized from the simulator's lane count at [`Testbench::begin`].
 pub struct SelfTestBench<'a> {
     core: &'a PlasmaCore,
     base: Vec<u32>,
     mask: usize,
+    lanes: usize,
     // Flat per-lane write overlays with generation tags: the entry at
-    // `lane * words + i` is live iff its tag equals the current epoch,
-    // so `begin` is an O(1) epoch bump instead of 64 map clears and the
-    // read path is a branch on an array load instead of a hash probe.
+    // `i * lanes + lane` is live iff its tag equals the current epoch,
+    // so `begin` is an O(1) epoch bump instead of per-lane map clears.
+    // Word-major, because lanes mostly follow the golden instruction
+    // stream: one cycle's accesses cluster on a few addresses, whose
+    // entries then share cache lines.
     ovl_vals: Vec<u32>,
     ovl_gens: Vec<u32>,
     gen: u32,
     budget: u64,
-    rdata_scratch: [u64; 64],
+    rdata_scratch: Vec<u64>,
     bits_scratch: Vec<u64>,
-    // Optional cycle-window divergence tracing (see `with_trace`).
-    tracer: Tracer,
-    trace_window: u64,
-    win_diff: u64,
-    batch_idx: u64,
     // Optional hot-loop self-profiler (see `with_profiler`).
     profiler: Profiler,
 }
@@ -155,28 +153,15 @@ impl<'a> SelfTestBench<'a> {
             core,
             base,
             mask: words - 1,
-            ovl_vals: vec![0; 64 * words],
-            ovl_gens: vec![0; 64 * words],
-            gen: 1,
+            lanes: 0,
+            ovl_vals: Vec::new(),
+            ovl_gens: Vec::new(),
+            gen: 0,
             budget,
-            rdata_scratch: [0; 64],
+            rdata_scratch: Vec::new(),
             bits_scratch: Vec::new(),
-            tracer: Tracer::disabled(),
-            trace_window: 0,
-            win_diff: 0,
-            batch_idx: 0,
             profiler: Profiler::disabled(),
         }
-    }
-
-    /// Attach a cycle-window divergence trace: every `window` cycles the
-    /// bench emits a `tb_window` event with the number of lanes that
-    /// diverged from the reference inside the window. A disabled tracer
-    /// leaves the step loop at one branch per cycle.
-    pub fn with_trace(mut self, tracer: Tracer, window: u64) -> Self {
-        self.trace_window = if tracer.enabled() { window.max(1) } else { 0 };
-        self.tracer = tracer;
-        self
     }
 
     /// Attach a hot-loop self-profiler: each cycle's wall-time is split
@@ -194,7 +179,7 @@ impl<'a> SelfTestBench<'a> {
 
     fn read(&self, lane: usize, addr: u32) -> u32 {
         let i = (addr as usize >> 2) & self.mask;
-        let idx = lane * (self.mask + 1) + i;
+        let idx = i * self.lanes + lane;
         if self.ovl_gens[idx] == self.gen {
             self.ovl_vals[idx]
         } else {
@@ -204,7 +189,7 @@ impl<'a> SelfTestBench<'a> {
 
     fn write(&mut self, lane: usize, addr: u32, wdata: u32, be: u8) {
         let i = (addr as usize >> 2) & self.mask;
-        let idx = lane * (self.mask + 1) + i;
+        let idx = i * self.lanes + lane;
         let old = if self.ovl_gens[idx] == self.gen {
             self.ovl_vals[idx]
         } else {
@@ -222,225 +207,12 @@ impl<'a> SelfTestBench<'a> {
 
     /// The memory phase of one cycle: per-lane overlay access for the
     /// address each lane drove, then transpose the read words back into
-    /// bit-sliced form on the `mem_rdata` port.
+    /// bit-sliced form on the `mem_rdata` port. Bus values are gathered
+    /// one lane word at a time through [`LaneSim::lane_block`] (a
+    /// bit-matrix transpose), not one lane at a time; the write-data
+    /// buses are only gathered for words with at least one store.
     #[inline]
-    fn overlay_phase(&mut self, sim: &mut ParallelSim) {
-        let nl = self.core.netlist();
-        let addr_nets = nl.port("mem_addr");
-        let wdata_nets = nl.port("mem_wdata");
-        let we_net = nl.port("mem_we")[0];
-        let be_nets = nl.port("mem_be");
-        let we_lanes = sim.net_lanes(we_net);
-        for lane in 0..64 {
-            let addr = sim.lane_word(addr_nets, lane) as u32;
-            if (we_lanes >> lane) & 1 == 1 {
-                let wdata = sim.lane_word(wdata_nets, lane) as u32;
-                let be = sim.lane_word(be_nets, lane) as u8;
-                self.write(lane, addr, wdata, be);
-                // A store cycle still returns the (old) word on the bus.
-                self.rdata_scratch[lane] = self.read(lane, addr) as u64;
-            } else {
-                self.rdata_scratch[lane] = self.read(lane, addr) as u64;
-            }
-        }
-        fault::sim::transpose_lanes(&self.rdata_scratch, 32, &mut self.bits_scratch);
-        sim.set_port_bits(nl, "mem_rdata", &self.bits_scratch);
-    }
-
-    /// One cycle, untimed — the hot path when profiling is off.
-    #[inline]
-    fn step_plain(&mut self, sim: &mut ParallelSim) -> u64 {
-        sim.eval_segment(0);
-        self.overlay_phase(sim);
-        sim.eval_segment(1);
-        let diff = sim.diff_vs_lane0(self.core.observed_outputs());
-        sim.clock();
-        diff
-    }
-
-    /// One cycle with manual `Instant` checkpoints between phases (one
-    /// clock read per phase boundary, not a guard per phase).
-    fn step_timed(&mut self, sim: &mut ParallelSim) -> u64 {
-        let t0 = Instant::now();
-        sim.eval_segment(0);
-        let t1 = Instant::now();
-        self.overlay_phase(sim);
-        let t2 = Instant::now();
-        sim.eval_segment(1);
-        let t3 = Instant::now();
-        let diff = sim.diff_vs_lane0(self.core.observed_outputs());
-        let t4 = Instant::now();
-        sim.clock();
-        let t5 = Instant::now();
-        let p = &self.profiler;
-        p.add_ns(ProfilePhase::EvalEarly, (t1 - t0).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Overlay, (t2 - t1).as_nanos() as u64);
-        p.add_ns(ProfilePhase::EvalLate, (t3 - t2).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Detect, (t4 - t3).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Clock, (t5 - t4).as_nanos() as u64);
-        diff
-    }
-}
-
-impl Testbench for SelfTestBench<'_> {
-    fn begin(&mut self, _sim: &mut ParallelSim) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Tag wrap-around (once per 2^32 batches): stale tags could
-            // alias the new epoch, so reset them all and restart at 1.
-            self.ovl_gens.fill(0);
-            self.gen = 1;
-        }
-        if self.trace_window != 0 {
-            self.batch_idx += 1;
-            self.win_diff = 0;
-        }
-    }
-
-    fn step(&mut self, sim: &mut ParallelSim, cycle: u64) -> u64 {
-        // One branch per cycle: the timed variant differs only in the
-        // Instant checkpoints between phases, never in what it computes.
-        let diff = if self.profiler.enabled() {
-            self.step_timed(sim)
-        } else {
-            self.step_plain(sim)
-        };
-        if self.trace_window != 0 {
-            self.win_diff |= diff;
-            if (cycle + 1) % self.trace_window == 0 {
-                self.tracer.event(
-                    "tb_window",
-                    &[
-                        ("batch", Value::U64(self.batch_idx)),
-                        ("cycle", Value::U64(cycle + 1)),
-                        ("diverged", Value::U64(u64::from(self.win_diff.count_ones()))),
-                    ],
-                );
-                self.win_diff = 0;
-            }
-        }
-        diff
-    }
-
-    fn cycles(&self) -> u64 {
-        self.budget
-    }
-}
-
-/// The compiled-engine sibling of [`SelfTestBench`]: the same shared
-/// base image + generation-tagged per-lane write overlay, widened to
-/// 64 × W lanes for [`WideSim`]. Detection semantics are identical —
-/// a fault's verdict depends only on its lane versus lane 0, so
-/// campaigns over this bench match the interpreted bench fault for
-/// fault at every lane width.
-pub struct WideSelfTestBench<'a> {
-    core: &'a PlasmaCore,
-    base: Vec<u32>,
-    mask: usize,
-    lanes: usize,
-    ovl_vals: Vec<u32>,
-    ovl_gens: Vec<u32>,
-    gen: u32,
-    budget: u64,
-    rdata_scratch: Vec<u64>,
-    bits_scratch: Vec<u64>,
-    tracer: Tracer,
-    trace_window: u64,
-    win_diff: [u64; 8],
-    batch_idx: u64,
-    profiler: Profiler,
-}
-
-impl<'a> WideSelfTestBench<'a> {
-    /// Create the bench for simulators with `lane_words` u64 words per
-    /// net (must match the [`WideSim`] it will drive).
-    pub fn new(
-        core: &'a PlasmaCore,
-        program: &Program,
-        mem_bytes: usize,
-        budget: u64,
-        lane_words: usize,
-    ) -> WideSelfTestBench<'a> {
-        let words = (mem_bytes.max(16) / 4).next_power_of_two();
-        let mut base = vec![0u32; words];
-        for (k, &w) in program.words.iter().enumerate() {
-            base[((program.base as usize >> 2) + k) & (words - 1)] = w;
-        }
-        let lanes = 64 * lane_words;
-        WideSelfTestBench {
-            core,
-            base,
-            mask: words - 1,
-            lanes,
-            ovl_vals: vec![0; lanes * words],
-            ovl_gens: vec![0; lanes * words],
-            gen: 1,
-            budget,
-            rdata_scratch: vec![0; lanes],
-            bits_scratch: Vec::new(),
-            tracer: Tracer::disabled(),
-            trace_window: 0,
-            win_diff: [0; 8],
-            batch_idx: 0,
-            profiler: Profiler::disabled(),
-        }
-    }
-
-    /// Attach a cycle-window divergence trace (see
-    /// [`SelfTestBench::with_trace`]).
-    pub fn with_trace(mut self, tracer: Tracer, window: u64) -> Self {
-        self.trace_window = if tracer.enabled() { window.max(1) } else { 0 };
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attach a hot-loop self-profiler (see
-    /// [`SelfTestBench::with_profiler`]).
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
-    // Overlay entries are word-major (`i * lanes + lane`), unlike the
-    // interpreted bench's lane-major layout: lanes mostly follow the
-    // golden instruction stream, so one cycle's accesses cluster on a
-    // few addresses and their entries share cache lines instead of
-    // landing `words` apart per lane.
-    fn read(&self, lane: usize, addr: u32) -> u32 {
-        let i = (addr as usize >> 2) & self.mask;
-        let idx = i * self.lanes + lane;
-        if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[i]
-        }
-    }
-
-    fn write(&mut self, lane: usize, addr: u32, wdata: u32, be: u8) {
-        let i = (addr as usize >> 2) & self.mask;
-        let idx = i * self.lanes + lane;
-        let old = if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[i]
-        };
-        let mut m = 0u32;
-        for b in 0..4 {
-            if be & (1 << b) != 0 {
-                m |= 0xFF << (8 * b);
-            }
-        }
-        self.ovl_vals[idx] = (old & !m) | (wdata & m);
-        self.ovl_gens[idx] = self.gen;
-    }
-
-    /// Per-lane overlay access and rdata transpose, over all 64 × W
-    /// lanes. Bus values are gathered one lane word at a time through
-    /// [`WideSim::lane_block`] (a bit-matrix transpose), not one lane
-    /// at a time; the write-data buses are only gathered for words
-    /// with at least one store.
-    #[inline]
-    fn overlay_phase(&mut self, sim: &mut WideSim) {
+    fn overlay_phase<S: LaneSim>(&mut self, sim: &mut S) {
         let nl = self.core.netlist();
         let addr_nets = nl.port("mem_addr");
         let wdata_nets = nl.port("mem_wdata");
@@ -463,6 +235,10 @@ impl<'a> WideSelfTestBench<'a> {
                 if (we_lanes >> b) & 1 == 1 {
                     self.write(lane, a, wdata[b] as u32, be[b] as u8);
                 }
+                // The read follows the write, so a store cycle returns
+                // the updated word on the bus. Detections depend on this
+                // order (`GateCpu` and the difftest oracle return the
+                // old word instead).
                 self.rdata_scratch[lane] = self.read(lane, a) as u64;
             }
         }
@@ -470,8 +246,9 @@ impl<'a> WideSelfTestBench<'a> {
         sim.set_port_bits(nl, "mem_rdata", &self.bits_scratch);
     }
 
+    /// One cycle, untimed — the hot path when profiling is off.
     #[inline]
-    fn step_plain(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
+    fn step_plain<S: LaneSim>(&mut self, sim: &mut S, diff: &mut [u64]) {
         sim.eval_segment(0);
         self.overlay_phase(sim);
         sim.eval_segment(1);
@@ -479,7 +256,9 @@ impl<'a> WideSelfTestBench<'a> {
         sim.clock();
     }
 
-    fn step_timed(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
+    /// One cycle with manual `Instant` checkpoints between phases (one
+    /// clock read per phase boundary, not a guard per phase).
+    fn step_timed<S: LaneSim>(&mut self, sim: &mut S, diff: &mut [u64]) {
         let t0 = Instant::now();
         sim.eval_segment(0);
         let t1 = Instant::now();
@@ -500,48 +279,32 @@ impl<'a> WideSelfTestBench<'a> {
     }
 }
 
-impl WideTestbench for WideSelfTestBench<'_> {
-    fn begin(&mut self, sim: &mut WideSim) {
-        assert_eq!(
-            sim.lanes(),
-            self.lanes,
-            "bench built for {} lanes, sim has {}",
-            self.lanes,
-            sim.lanes()
-        );
+impl<S: LaneSim> Testbench<S> for SelfTestBench<'_> {
+    fn begin(&mut self, sim: &mut S) {
+        let lanes = sim.lanes();
+        if lanes != self.lanes {
+            let n = lanes * (self.mask + 1);
+            self.lanes = lanes;
+            self.ovl_vals = vec![0; n];
+            self.ovl_gens = vec![0; n];
+            self.rdata_scratch = vec![0; lanes];
+        }
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
+            // Tag wrap-around (once per 2^32 batches): stale tags could
+            // alias the new epoch, so reset them all and restart at 1.
             self.ovl_gens.fill(0);
             self.gen = 1;
         }
-        if self.trace_window != 0 {
-            self.batch_idx += 1;
-            self.win_diff = [0; 8];
-        }
     }
 
-    fn step(&mut self, sim: &mut WideSim, cycle: u64, diff: &mut [u64]) {
+    fn step(&mut self, sim: &mut S, _cycle: u64, diff: &mut [u64]) {
+        // One branch per cycle: the timed variant differs only in the
+        // Instant checkpoints between phases, never in what it computes.
         if self.profiler.enabled() {
             self.step_timed(sim, diff);
         } else {
             self.step_plain(sim, diff);
-        }
-        if self.trace_window != 0 {
-            for (t, &d) in diff.iter().enumerate() {
-                self.win_diff[t] |= d;
-            }
-            if (cycle + 1) % self.trace_window == 0 {
-                let diverged: u32 = self.win_diff.iter().map(|d| d.count_ones()).sum();
-                self.tracer.event(
-                    "tb_window",
-                    &[
-                        ("batch", Value::U64(self.batch_idx)),
-                        ("cycle", Value::U64(cycle + 1)),
-                        ("diverged", Value::U64(u64::from(diverged))),
-                    ],
-                );
-                self.win_diff = [0; 8];
-            }
         }
     }
 

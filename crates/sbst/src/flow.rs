@@ -12,7 +12,7 @@ use fault::sim::ParallelSim;
 use fault::wide::WideSim;
 use mips::iss::{Iss, Memory};
 use obs::{MetricRegistry, ProfilePhase, Profiler, Progress, Tracer};
-use plasma::testbench::{SelfTestBench, WideSelfTestBench};
+use plasma::testbench::SelfTestBench;
 use plasma::PlasmaCore;
 
 use crate::cost::{CostModel, TestCost};
@@ -68,8 +68,7 @@ pub struct FlowOptions {
     /// zero work — campaigns never record.
     pub wave: Option<fault::wave::WaveOptions>,
     /// Simulation engine + lane width. Defaults to the environment
-    /// (`SBST_ENGINE`/`SBST_LANES`/`SBST_GATING`), which itself
-    /// defaults to the compiled engine at 256 lanes. Detections are
+    /// (`SBST_ENGINE`/`SBST_LANES`), which itself defaults to the compiled engine at 256 lanes. Detections are
     /// bit-identical across engines; only throughput differs.
     pub engine: EngineConfig,
     /// Run fault forensics after the campaign (`--forensics`): triage
@@ -107,7 +106,7 @@ impl Default for FlowOptions {
 impl FlowOptions {
     /// Build the campaign hooks these options describe. `label` names
     /// the progress ticker; `total_batches` sizes it (see
-    /// [`campaign::batch_count`]). A trace path that cannot be opened
+    /// [`campaign::batch_count_lanes`]). A trace path that cannot be opened
     /// degrades to disabled tracing with a warning rather than failing
     /// the run.
     pub fn hooks(&self, label: &str, total_batches: u64) -> CampaignHooks {
@@ -301,18 +300,16 @@ pub fn run_campaign_of_engine(
 ) -> CampaignResult {
     let [early, late] = core.segments();
     let segments = [early.to_vec(), late.to_vec()];
+    // Each worker's bench shares the hooks' profiler handle, so the
+    // per-cycle phases land in the same profile as the runner's
+    // patch/reset (a disabled handle keeps the plain step path).
+    let factory = || {
+        SelfTestBench::new(core, program, MEM_BYTES, budget).with_profiler(hooks.profiler.clone())
+    };
     match engine.kind {
         EngineKind::Interp => {
             let sim = ParallelSim::with_segments(core.netlist(), &segments);
-            // Each worker's bench shares the hooks' profiler handle, so
-            // the per-cycle phases land in the same profile as the
-            // runner's patch/reset (a disabled handle keeps the plain
-            // step path).
-            let factory = || {
-                SelfTestBench::new(core, program, MEM_BYTES, budget)
-                    .with_profiler(hooks.profiler.clone())
-            };
-            campaign::run_parallel_with(&sim, faults, &factory, threads, hooks)
+            campaign::run(&sim, faults, factory, threads, hooks)
         }
         EngineKind::Compiled => {
             let before_compile = hooks.profiler.snapshot();
@@ -335,13 +332,8 @@ pub fn run_campaign_of_engine(
             // The runner's profile window starts after this point, so
             // fold the lowering cost back into the reported profile.
             let compile_delta = hooks.profiler.snapshot().since(&before_compile);
-            let proto = WideSim::new(kernel, engine.lane_words, engine.gating);
-            let factory = || {
-                WideSelfTestBench::new(core, program, MEM_BYTES, budget, engine.lane_words)
-                    .with_profiler(hooks.profiler.clone())
-            };
-            let mut result =
-                campaign::run_parallel_wide_with(&proto, faults, &factory, threads, hooks);
+            let proto = WideSim::new(kernel, engine.lane_words);
+            let mut result = campaign::run(&proto, faults, factory, threads, hooks);
             result.stats.profile.absorb(&compile_delta);
             result
         }

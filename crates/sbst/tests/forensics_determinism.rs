@@ -4,8 +4,9 @@
 //! evidence on the interpreted engine regardless of what engine graded
 //! the campaign, and its JSON carries no timing/engine/thread fields.
 //! So `FORENSICS.json` must be **byte-identical** across thread counts
-//! {1, 4} × engines {interp, compiled-256} — and turning forensics on
-//! must leave the campaign's detection vector untouched.
+//! {1, 4} × engines {interp, compiled-256}, and at one lane word on both
+//! engines (compiled-64 against interp) — and turning forensics on must
+//! leave the campaign's detection vector untouched.
 
 use fault::EngineConfig;
 use plasma::{PlasmaConfig, PlasmaCore};
@@ -36,6 +37,7 @@ fn forensics_json_is_byte_identical_across_engines_and_threads() {
         (EngineConfig::interp(), 4),
         (EngineConfig::compiled(256), 1),
         (EngineConfig::compiled(256), 4),
+        (EngineConfig::compiled(64), 2),
     ];
     let mut reference: Option<(String, Vec<fault::campaign::Detection>)> = None;
     for (engine, threads) in configs {

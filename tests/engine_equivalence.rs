@@ -1,20 +1,21 @@
 //! Cross-engine equivalence properties: the compiled multi-word engine
 //! must be bit-identical to the interpreted 64-lane reference on random
-//! structural netlists — the same per-fault `Detection` set at every
-//! lane width (64/128/256/512), gating mode and thread count (1/4), and
-//! the same lane-level observation reads (`diff_vs_lane0`, `lane_word`,
-//! `net_lanes_word`) the testbenches are built on.
+//! structural netlists — the same per-fault `Detection` set from the one
+//! campaign runner at every lane width (64/128/256/512) and thread count
+//! (1/4), and the same lane-level observation reads (`diff_vs_lane0`,
+//! `lane_word`, `net_lanes_word`, `lane_block`) the testbenches are
+//! built on.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use fault::campaign::{self, VectorBench, WideVectorBench};
+use fault::campaign::{self, CampaignHooks, VectorBench};
 use fault::model::FaultList;
-use fault::sim::ParallelSim;
+use fault::sim::{LaneSim, ParallelSim};
 use fault::wide::WideSim;
 use netlist::synth::{self, TechStyle};
-use netlist::{Netlist, NetlistBuilder};
+use netlist::{Net, Netlist, NetlistBuilder};
 
 /// Small random sequential netlist (same shape as `tests/properties.rs`):
 /// a couple of registers, an adder, assorted gates.
@@ -84,11 +85,26 @@ fn random_vectors(seed: u64, cycles: usize) -> Vec<Vec<(&'static str, u64)>> {
         .collect()
 }
 
+/// `lane_block` of every lane word must gather exactly what per-lane
+/// `lane_word` probes read — the overlay testbenches' read path against
+/// the bit-probe reference, on any engine.
+fn assert_blocks_match_probes<S: LaneSim>(sim: &S, nets: &[Net]) {
+    let mut block = [0u64; 64];
+    for t in 0..sim.lane_words() {
+        sim.lane_block(nets, t, &mut block);
+        for (b, &v) in block.iter().enumerate() {
+            let lane = 64 * t + b;
+            assert_eq!(v, sim.lane_word(nets, lane), "{} lane {lane}", sim.engine());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Every engine/width/gating/thread-count combination produces the
-    /// interpreted reference's exact per-fault `Detection` vector.
+    /// The one runner produces the interpreted reference's exact
+    /// per-fault `Detection` vector on both engines, at every compiled
+    /// width, serial and on 4 worker threads.
     #[test]
     fn detections_identical_across_engines_widths_and_threads(seed in any::<u64>()) {
         let nl = random_netlist(seed);
@@ -97,57 +113,38 @@ proptest! {
         let reference = campaign::run_vectors(&nl, &faults, &vectors);
         prop_assert_eq!(reference.stats.engine, "interp");
 
-        // Interpreted engine, 4 worker threads.
-        let proto = ParallelSim::new(&nl);
-        let par = campaign::run_parallel(
-            &proto,
-            &faults,
-            &|| VectorBench::new(&nl, &vectors),
-            4,
-        );
-        prop_assert_eq!(&par.detections, &reference.detections);
-
-        // Compiled engine: all widths × gating modes, serial.
-        for lane_words in [1usize, 2, 4, 8] {
-            for gating in [false, true] {
-                let wide =
-                    campaign::run_vectors_wide(&nl, &faults, &vectors, lane_words, gating);
+        let bench = || VectorBench::new(&nl, &vectors);
+        let hooks = CampaignHooks::none();
+        let segments = vec![nl.topo_order().to_vec()];
+        let kernel = fault::kernel::compile_cached(&nl, &segments);
+        for threads in [1usize, 4] {
+            let interp = campaign::run(&ParallelSim::new(&nl), &faults, bench, threads, &hooks);
+            prop_assert_eq!(&interp.detections, &reference.detections, "interp threads {}", threads);
+            for lane_words in [1usize, 2, 4, 8] {
+                let proto = WideSim::new(Arc::clone(&kernel), lane_words);
+                let wide = campaign::run(&proto, &faults, bench, threads, &hooks);
                 prop_assert_eq!(&wide.detections, &reference.detections,
-                    "lane_words {} gating {}", lane_words, gating);
+                    "lane_words {} threads {}", lane_words, threads);
                 prop_assert_eq!(wide.stats.engine, "compiled");
                 prop_assert_eq!(wide.stats.lanes, 64 * lane_words as u64);
             }
         }
-
-        // Compiled engine, 4 worker threads sharing one kernel.
-        let segments = vec![nl.topo_order().to_vec()];
-        let kernel = fault::kernel::compile_cached(&nl, &segments);
-        for lane_words in [1usize, 4, 8] {
-            let proto = WideSim::new(Arc::clone(&kernel), lane_words, true);
-            let par = campaign::run_parallel_wide(
-                &proto,
-                &faults,
-                &|| WideVectorBench::new(&nl, &vectors),
-                4,
-            );
-            prop_assert_eq!(&par.detections, &reference.detections,
-                "parallel lane_words {}", lane_words);
-        }
     }
 
     /// The wide simulator's observation surface reads exactly like the
-    /// interpreted one: word 0 mirrors the 64-lane sim bit for bit, and
-    /// a fault parked in the top lane of the last word never leaks into
-    /// other words.
+    /// interpreted one: word 0 mirrors the 64-lane sim bit for bit, a
+    /// fault parked in the top lane of the last word never leaks into
+    /// other words, and on both engines every lane word's `lane_block`
+    /// matches the per-lane `lane_word` probes.
     #[test]
     fn wide_lane_reads_match_interpreted_reference(seed in any::<u64>()) {
         let nl = random_netlist(seed);
         let faults = FaultList::extract(&nl).collapsed(&nl);
-        let outs: Vec<netlist::Net> = nl.port("out").to_vec();
+        let outs: Vec<Net> = nl.port("out").to_vec();
         let segments = vec![nl.topo_order().to_vec()];
         let kernel = fault::kernel::compile_cached(&nl, &segments);
         for lane_words in [2usize, 8] {
-            let mut wide = WideSim::new(Arc::clone(&kernel), lane_words, true);
+            let mut wide = WideSim::new(Arc::clone(&kernel), lane_words);
             let mut interp = ParallelSim::new(&nl);
             for (k, &f) in faults.faults.iter().take(63).enumerate() {
                 interp.inject(f, k + 1);
@@ -179,6 +176,8 @@ proptest! {
                         interp.port_lane_word(&nl, "out", lane)
                     );
                 }
+                assert_blocks_match_probes(&interp, &outs);
+                assert_blocks_match_probes(&wide, &outs);
                 diff.iter_mut().for_each(|w| *w = 0);
                 wide.diff_vs_lane0(&outs, &mut diff);
                 prop_assert_eq!(diff[0], interp.diff_vs_lane0(&outs));

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use fault::model::FaultList;
-use fault::sim::ParallelSim;
+use fault::sim::{LaneSim, ParallelSim};
 use mips::isa::{Instr, Op, Reg};
 use netlist::sim::Simulator;
 use netlist::synth::{self, TechStyle};
