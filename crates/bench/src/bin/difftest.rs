@@ -38,6 +38,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use bench::value;
 use difftest::corpus::{self, CorpusCase, CorpusFault, NetlistSig, ReplayOutcome};
 use difftest::oracle::{OracleConfig, PlasmaOracle};
 use difftest::parwan_oracle::{random_parwan_image, ParwanOracle};
@@ -123,84 +124,30 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seeds" => {
-                cfg.seeds = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seeds needs a number");
-            }
-            "--instrs" => {
-                cfg.body_len = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--instrs needs a number");
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--seed-start" => {
-                cfg.seed_start = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed-start needs a number");
-            }
-            "--sched-wave" => {
-                cfg.wave = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--sched-wave needs a number");
-            }
+            "--seeds" => cfg.seeds = value(&mut it, a, "a number"),
+            "--instrs" => cfg.body_len = value(&mut it, a, "a number"),
+            "--threads" => cfg.threads = value(&mut it, a, "a number"),
+            "--seed-start" => cfg.seed_start = value(&mut it, a, "a number"),
+            "--sched-wave" => cfg.wave = value(&mut it, a, "a number"),
             "--wave" => wave_dump = true,
-            "--wave-pre" => {
-                wave.pre = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--wave-pre needs a cycle count");
-            }
-            "--wave-post" => {
-                wave.post = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--wave-post needs a cycle count");
-            }
+            "--wave-pre" => wave.pre = value(&mut it, a, "a cycle count"),
+            "--wave-post" => wave.post = value(&mut it, a, "a cycle count"),
             "--wave-probe" => {
-                let spec = it.next().expect("--wave-probe needs component/port specs");
+                let spec: String = value(&mut it, a, "component/port specs");
                 wave.probe.extend(spec.split(',').map(|s| s.trim().to_string()));
             }
-            "--max-cycles" => {
-                cfg.oracle.max_cycles = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-cycles needs a number");
-            }
+            "--max-cycles" => cfg.oracle.max_cycles = value(&mut it, a, "a number"),
             "--no-feedback" => cfg.feedback = false,
             "--inject" => inject = true,
             "--replay" => replay = true,
             "--parwan" => parwan_too = true,
             "--progress" => progress = true,
-            "--corpus" => {
-                corpus_dir = it.next().expect("--corpus needs a directory").into();
-            }
-            "--trace" => {
-                trace_path = Some(it.next().expect("--trace needs a path").into());
-            }
-            "--ledger" => {
-                ledger_path = it.next().expect("--ledger needs a path").into();
-            }
+            "--corpus" => corpus_dir = value(&mut it, a, "a directory"),
+            "--trace" => trace_path = Some(value(&mut it, a, "a path")),
+            "--ledger" => ledger_path = value(&mut it, a, "a path"),
             "--no-ledger" => no_ledger = true,
-            "--metrics-out" => {
-                metrics_out = Some(it.next().expect("--metrics-out needs a path").into());
-            }
-            "--serve" => {
-                serve_port = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--serve needs a port"),
-                );
-            }
+            "--metrics-out" => metrics_out = Some(value(&mut it, a, "a path")),
+            "--serve" => serve_port = Some(value(&mut it, a, "a port")),
             other => {
                 eprintln!("unknown argument `{other}` (see source header for usage)");
                 return ExitCode::from(2);

@@ -21,6 +21,7 @@
 
 use std::process::ExitCode;
 
+use bench::value;
 use obs::ledger::{self, Baseline, GateConfig};
 use obs::MetricRegistry;
 
@@ -35,15 +36,11 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--ledger" => {
-                ledger_path = it.next().expect("--ledger needs a path").into();
-            }
-            "--json" => {
-                json_out = it.next().expect("--json needs a path").into();
-            }
+            "--ledger" => ledger_path = value(&mut it, a, "a path"),
+            "--json" => json_out = value(&mut it, a, "a path"),
             "--check" => check = true,
             "--baseline" => {
-                cfg.baseline = match it.next().expect("--baseline needs best|last").as_str() {
+                cfg.baseline = match value::<String>(&mut it, a, "best|last").as_str() {
                     "best" => Baseline::Best,
                     "last" => Baseline::Last,
                     other => {
@@ -52,32 +49,10 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--max-drop" => {
-                cfg.max_throughput_drop_pct = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-drop needs a percentage");
-            }
-            "--max-cov-drop" => {
-                cfg.max_coverage_drop_pct = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-cov-drop needs percentage points");
-            }
-            "--append-degraded" => {
-                degrade = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--append-degraded needs a factor"),
-                );
-            }
-            "--serve" => {
-                serve_port = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--serve needs a port"),
-                );
-            }
+            "--max-drop" => cfg.max_throughput_drop_pct = value(&mut it, a, "a percentage"),
+            "--max-cov-drop" => cfg.max_coverage_drop_pct = value(&mut it, a, "percentage points"),
+            "--append-degraded" => degrade = Some(value(&mut it, a, "a factor")),
+            "--serve" => serve_port = Some(value(&mut it, a, "a port")),
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(

@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bench::{client, server::JobServer};
+use bench::{client, server::JobServer, value};
 use fault::campaign::CampaignHooks;
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::jobs::{self, CampaignJobSpec, PreparedJob};
@@ -62,35 +62,15 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--port" => {
-                port = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--port needs a port number");
-            }
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--workers needs a count");
-            }
-            "--ledger" => ledger = Some(it.next().expect("--ledger needs a path").clone()),
-            "--lease-ms" => {
-                lease_ms = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--lease-ms needs milliseconds");
-            }
+            "--port" => port = value(&mut it, a, "a port number"),
+            "--workers" => workers = value(&mut it, a, "a count"),
+            "--ledger" => ledger = Some(value(&mut it, a, "a path")),
+            "--lease-ms" => lease_ms = value(&mut it, a, "milliseconds"),
             "--worker" => worker_mode = true,
-            "--connect" => connect = Some(it.next().expect("--connect needs a URL").clone()),
-            "--name" => name = it.next().expect("--name needs a string").clone(),
+            "--connect" => connect = Some(value(&mut it, a, "a URL")),
+            "--name" => name = value(&mut it, a, "a string"),
             "--oneshot" => oneshot = true,
-            "--poll-ms" => {
-                poll_ms = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--poll-ms needs milliseconds");
-            }
+            "--poll-ms" => poll_ms = value(&mut it, a, "milliseconds"),
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(

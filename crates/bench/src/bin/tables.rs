@@ -66,7 +66,7 @@
 
 use std::io::Write as _;
 
-use bench::RunOptions;
+use bench::{value, RunOptions};
 use obs::{LedgerRecord, MetricRegistry};
 
 /// Where the run record and metric dumps of this invocation go.
@@ -271,18 +271,6 @@ fn submit_campaign(
         eprintln!("[merged fleet trace: {base}/trace — open in ui.perfetto.dev]");
     }
     0
-}
-
-/// The value following `flag`, parsed as `T`. A missing or malformed
-/// value prints `<flag> needs <what>` and exits 2.
-fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, flag: &str, what: &str) -> T {
-    match it.next().map(|s| s.parse()) {
-        Some(Ok(v)) => v,
-        _ => {
-            eprintln!("{flag} needs {what}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn main() {

@@ -68,6 +68,19 @@ fn experiment(id: &str, title: &str, text: String, data: serde_json::Value) -> E
     }
 }
 
+/// The command-line value following `flag`, parsed as `T` — the one
+/// value parser of every binary here. A missing or malformed value
+/// prints `<flag> needs <what>` and exits 2.
+pub fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, flag: &str, what: &str) -> T {
+    match it.next().map(|s| s.parse()) {
+        Some(Ok(v)) => v,
+        _ => {
+            eprintln!("{flag} needs {what}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Stable netlist fingerprint for ledger comparability keys.
 pub fn netlist_fingerprint(core: &PlasmaCore) -> String {
     let nl = core.netlist();
@@ -95,6 +108,7 @@ pub fn campaign_ledger_record(
     rec.cycles = s.cycles_simulated;
     rec.wall_seconds = s.wall_seconds;
     rec.mlane_cps = s.mlane_cycles_per_sec();
+    rec.lane_utilization = Some(s.lane_utilization());
     rec.engine = s.engine.to_string();
     rec.lanes = s.lanes;
     rec.coverage_pct = coverage_pct;
@@ -962,6 +976,8 @@ fn stats_json(r: &CampaignResult) -> serde_json::Value {
         "budget_cycles": s.budget_cycles,
         "wall_seconds": s.wall_seconds,
         "mlane_cycles_per_sec": s.mlane_cycles_per_sec(),
+        "faults_per_sec": s.faults_per_sec(),
+        "lane_utilization": s.lane_utilization(),
         "latency": s.latency.to_json(),
         "workers": workers_json(s),
     })
@@ -970,7 +986,7 @@ fn stats_json(r: &CampaignResult) -> serde_json::Value {
 fn stats_line(label: &str, r: &CampaignResult) -> String {
     let s = &r.stats;
     format!(
-        "{:<10} {:>9} {:>6} {:>7} {:>8} {:>12} {:>10.3} {:>14.2}\n",
+        "{:<10} {:>9} {:>6} {:>7} {:>8} {:>12} {:>10.3} {:>10.1} {:>6.3} {:>14.2}\n",
         label,
         s.engine,
         s.lanes,
@@ -978,6 +994,8 @@ fn stats_line(label: &str, r: &CampaignResult) -> String {
         s.batches,
         s.cycles_simulated,
         s.wall_seconds,
+        s.faults_per_sec(),
+        s.lane_utilization(),
         s.mlane_cycles_per_sec()
     )
 }
@@ -1036,8 +1054,17 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
         budget
     );
     text.push_str(&format!(
-        "{:<10} {:>9} {:>6} {:>7} {:>8} {:>12} {:>10} {:>14}\n",
-        "run", "engine", "lanes", "threads", "batches", "cycles", "wall (s)", "Mlane-cyc/s"
+        "{:<10} {:>9} {:>6} {:>7} {:>8} {:>12} {:>10} {:>10} {:>6} {:>14}\n",
+        "run",
+        "engine",
+        "lanes",
+        "threads",
+        "batches",
+        "cycles",
+        "wall (s)",
+        "faults/s",
+        "util",
+        "Mlane-cyc/s"
     ));
     let mut runs = Vec::new();
     let mut speedup = 1.0;

@@ -563,6 +563,7 @@ impl JobServer {
                 "batches": merged.stats.batches,
                 "cycles_simulated": merged.stats.cycles_simulated,
                 "faults_dropped": merged.stats.faults_dropped,
+                "lane_utilization": merged.stats.lane_utilization(),
                 "wall_seconds": job.submitted.elapsed().as_secs_f64(),
                 "threads": merged.stats.threads as u64,
                 "engine": merged.stats.engine,
@@ -978,7 +979,12 @@ impl JobServer {
                 batches: num("batches"),
                 cycles_simulated: num("cycles_simulated"),
                 budget_cycles: num("budget_cycles"),
+                faults: detections.len() as u64,
                 faults_dropped: detections.iter().filter(|d| d.is_detected()).count() as u64,
+                lane_cycles_useful: fault::campaign::useful_lane_cycles(
+                    &detections,
+                    job.prepared.budget,
+                ),
                 wall_seconds: stats["wall_seconds"].as_f64().unwrap_or(0.0),
                 threads: num("threads").max(1) as usize,
                 engine: match stats["engine"].as_str() {
@@ -1431,6 +1437,39 @@ mod tests {
                 "missing phase `{phase}` in:\n{prom}"
             );
         }
+    }
+
+    /// Shards completed over `/complete` (the worker-process path) merge
+    /// to the same statistics as shards recorded in process: faults and
+    /// useful lane-cycles are re-derived from the shipped detections.
+    #[test]
+    fn remote_completions_merge_to_in_process_stats() {
+        let srv = server();
+        let local = srv.submit(&spec_doc(&srv, "local", 2)).unwrap();
+        let remote = srv.submit(&spec_doc(&srv, "remote", 2)).unwrap();
+        while let Some((job, shard)) = srv.claim_shard("t") {
+            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &CampaignHooks::none());
+            if job.id == "local" {
+                assert!(srv.record_shard(&job, shard, res, "t"));
+            } else {
+                let body = serde_json::to_string(&completion_json(&job.id, shard, "t", &res)).unwrap();
+                let req = ApiRequest {
+                    method: "POST".into(),
+                    path: "/complete".into(),
+                    query: String::new(),
+                    body: body.into_bytes(),
+                    peer: String::new(),
+                };
+                assert_eq!(srv.handle(&req).unwrap().status, "200 OK");
+            }
+        }
+        let stats = |job: &Job| {
+            let doc: Value = serde_json::from_str(job.result_json().unwrap()).unwrap();
+            doc["stats"].clone()
+        };
+        let (a, b) = (stats(&local), stats(&remote));
+        assert!(a["lane_utilization"].as_f64().unwrap() > 0.0);
+        assert_eq!(a["lane_utilization"], b["lane_utilization"]);
     }
 
     #[test]

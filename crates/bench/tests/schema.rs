@@ -24,8 +24,9 @@ fn assert_num(v: &Value, what: &str) -> f64 {
     v.as_f64().unwrap_or_else(|| panic!("{what} not a number: {v:?}"))
 }
 
-/// The schema of one entry in `runs`.
-fn check_run(run: &Value) {
+/// The schema of one entry in `runs`, graded under a per-fault cycle
+/// budget of `budget_per_batch`.
+fn check_run(run: &Value, budget_per_batch: u64) {
     let threads = assert_uint(field(run, "threads"), "threads");
     assert!(threads >= 1);
     let engine = field(run, "engine")
@@ -43,20 +44,29 @@ fn check_run(run: &Value) {
     if engine == "interp" {
         assert_eq!(lanes, 64, "interpreted engine is pinned at 64 lanes");
     }
+    // Batch runs: the first epoch covers the faults in full batches,
+    // and every later epoch adds the runs of its regrouped survivors.
     let batches = assert_uint(field(run, "batches"), "batches");
     let faults = assert_uint(field(run, "faults"), "faults");
-    assert_eq!(
-        batches,
-        faults.div_ceil(lanes - 1),
-        "batches must cover faults at {lanes} lanes"
+    let first = faults.div_ceil(lanes - 1);
+    assert!(
+        batches >= first,
+        "{batches} batch runs cannot cover {faults} faults at {lanes} lanes"
     );
     let dropped = assert_uint(field(run, "faults_dropped"), "faults_dropped");
     assert!(dropped <= faults);
     let cycles = assert_uint(field(run, "cycles_simulated"), "cycles_simulated");
     let budget = assert_uint(field(run, "budget_cycles"), "budget_cycles");
+    assert_eq!(budget, first * budget_per_batch, "drop-free budget");
     assert!(cycles <= budget, "fault dropping can only shorten runs");
     assert!(assert_num(field(run, "wall_seconds"), "wall_seconds") > 0.0);
     assert!(assert_num(field(run, "mlane_cycles_per_sec"), "mlane_cycles_per_sec") > 0.0);
+    assert!(assert_num(field(run, "faults_per_sec"), "faults_per_sec") > 0.0);
+    let utilization = assert_num(field(run, "lane_utilization"), "lane_utilization");
+    assert!(
+        utilization > 0.0 && utilization < 1.0,
+        "lane utilization {utilization} outside (0, 1)"
+    );
 
     // Latency histogram: array of {lo, hi, count} buckets whose counts
     // sum to the dropped (= detected) faults.
@@ -93,7 +103,7 @@ fn check_run(run: &Value) {
 
 fn check_benchmark(doc: &Value) {
     assert_uint(field(doc, "faults"), "faults");
-    assert_uint(
+    let budget = assert_uint(
         field(doc, "budget_cycles_per_batch"),
         "budget_cycles_per_batch",
     );
@@ -101,7 +111,20 @@ fn check_benchmark(doc: &Value) {
     let runs = field(doc, "runs").as_array().expect("runs is an array");
     assert!(!runs.is_empty());
     for run in runs {
-        check_run(run);
+        check_run(run, budget);
+    }
+    // The schedule depends only on the detections: runs of one engine
+    // and width count the same batches and cycles at every thread count.
+    let same = |a: &Value, b: &Value, key: &str| field(a, key) == field(b, key);
+    for a in runs {
+        for b in runs
+            .iter()
+            .filter(|b| same(a, b, "engine") && same(a, b, "lanes"))
+        {
+            for key in ["batches", "cycles_simulated"] {
+                assert!(same(a, b, key), "{key} differs across thread counts");
+            }
+        }
     }
 }
 

@@ -6,7 +6,10 @@
 //! reference), and records when each fault is first *detected* — i.e.
 //! when the faulty machine's primary-output behaviour diverges from the
 //! reference. Batches end early once all their faults are detected
-//! (fault dropping).
+//! (fault dropping), and at every doubling cycle boundary (128, 256,
+//! 512, …) the undetected faults of all batches are regrouped into
+//! fewer, full batches, each carrying its lane state along (survivor
+//! compaction) — so no lane keeps simulating a dropped fault.
 //!
 //! One runner, [`run`], drives either engine through the lane-block
 //! [`LaneSim`] interface — the interpreted 64-lane
@@ -16,14 +19,14 @@
 //! stimulus. Both are generic over the engine, so every engine call is
 //! statically dispatched.
 //!
-//! The runner shards the batch sequence over worker threads pulling
+//! The runner shards each epoch's batches over worker threads pulling
 //! batches off a cache-line-padded atomic cursor; a serial run is the
 //! one-worker case on the calling thread. Each worker owns its own
 //! simulator clone (compiled workers share one immutable kernel by
 //! `Arc`) and testbench. Batches are independent — the simulator state
-//! is rebuilt from scratch per batch — so the merged result is
-//! bit-identical at every thread count, and a fault's detection is
-//! independent of engine and lane width.
+//! is rebuilt from reset per batch run, plus the lanes it resumes — so
+//! the merged result is bit-identical at every thread count, and a
+//! fault's detection is independent of engine and lane width.
 //!
 //! [`CampaignHooks`] carry an optional structured [`obs::Tracer`] (JSONL
 //! `campaign`/`batch` events with thread ids and wall-clock deltas), an
@@ -34,9 +37,10 @@
 //! default) the instrumentation reduces to one branch per *batch*, so
 //! the simulation hot loop is untouched.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use netlist::Netlist;
 use obs::{
@@ -79,6 +83,20 @@ pub trait Testbench<S: LaneSim> {
 
     /// Total number of cycles to run per batch.
     fn cycles(&self) -> u64;
+
+    /// Append lane `lane`'s bench-side state to `out` — for a bench
+    /// with memory overlays, the words that lane has written since
+    /// [`Testbench::begin`]. The runner parks it with the lane's
+    /// flip-flops at an epoch boundary, and stores one copy for lanes
+    /// whose state comes out equal to lane 0's, so lanes with equal
+    /// state should save equal words. Stateless benches keep the default
+    /// (nothing).
+    fn save_lane(&self, _lane: usize, _out: &mut Vec<u64>) {}
+
+    /// Restore into lane `lane` the state [`Testbench::save_lane`]
+    /// appended (called after [`Testbench::begin`], before the batch
+    /// resumes mid-run).
+    fn load_lane(&mut self, _lane: usize, _state: &[u64]) {}
 }
 
 /// Per-fault outcome of a campaign.
@@ -104,11 +122,12 @@ impl Detection {
 pub struct WorkerStats {
     /// Worker index (spawn order; 0 for the serial runner).
     pub worker: usize,
-    /// Batches this worker pulled off the cursor.
+    /// Batch runs this worker pulled off the cursor.
     pub batches: u64,
     /// Cycles this worker simulated.
     pub cycles: u64,
-    /// Wall-clock seconds this worker spent in its batch loop.
+    /// Wall-clock seconds this worker spent running batches (waits at
+    /// epoch boundaries excluded).
     pub wall_seconds: f64,
     /// Lanes per simulated cycle on this worker's engine.
     pub lanes: u64,
@@ -128,16 +147,22 @@ impl WorkerStats {
 /// layer that turns "it feels faster" into numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignStats {
-    /// Number of `lanes - 1`-fault batches simulated.
+    /// Batch runs simulated: one per batch per epoch (see [`run`]).
     pub batches: u64,
-    /// Clock cycles actually simulated, summed over batches (fault
-    /// dropping ends batches early, so this is ≤ `budget_cycles`).
+    /// Clock cycles actually simulated, summed over batch runs (fault
+    /// dropping and regrouping make this ≤ `budget_cycles`).
     pub cycles_simulated: u64,
-    /// Cycles a drop-free run would have cost (batches × budget).
+    /// Cycles a drop-free run would have cost: ⌈faults / (lanes − 1)⌉
+    /// batches × budget.
     pub budget_cycles: u64,
+    /// Faults graded.
+    pub faults: u64,
     /// Faults detected before the cycle budget ran out (each detection
     /// drops that fault from further observation).
     pub faults_dropped: u64,
+    /// Lane-cycles no scheduler could avoid: per fault its detection
+    /// cycle + 1, or the whole budget for an escape.
+    pub lane_cycles_useful: u64,
     /// Wall-clock time of the campaign.
     pub wall_seconds: f64,
     /// Worker threads used (1 = serial).
@@ -164,7 +189,9 @@ impl Default for CampaignStats {
             batches: 0,
             cycles_simulated: 0,
             budget_cycles: 0,
+            faults: 0,
             faults_dropped: 0,
+            lane_cycles_useful: 0,
             wall_seconds: 0.0,
             threads: 1,
             latency: LatencyHistogram::new(),
@@ -185,6 +212,36 @@ impl CampaignStats {
         }
         (self.cycles_simulated as f64 * self.lanes as f64) / self.wall_seconds / 1e6
     }
+
+    /// Useful ÷ spent lane-cycles (`cycles_simulated × lanes`): the
+    /// share of simulated lane-cycles that carried a live fault.
+    pub fn lane_utilization(&self) -> f64 {
+        let spent = self.cycles_simulated * self.lanes;
+        if spent == 0 {
+            return 0.0;
+        }
+        self.lane_cycles_useful as f64 / spent as f64
+    }
+
+    /// Faults graded per wall-clock second — the end-to-end throughput.
+    pub fn faults_per_sec(&self) -> f64 {
+        if self.wall_seconds <= 0.0 {
+            return 0.0;
+        }
+        self.faults as f64 / self.wall_seconds
+    }
+}
+
+/// [`CampaignStats::lane_cycles_useful`] of a detection vector under a
+/// per-fault cycle budget.
+pub fn useful_lane_cycles(detections: &[Detection], budget: u64) -> u64 {
+    detections
+        .iter()
+        .map(|d| match d {
+            Detection::DetectedAt(c) => c + 1,
+            Detection::Undetected => budget,
+        })
+        .sum()
 }
 
 /// Latency histogram over a detection vector (cycle of first
@@ -251,7 +308,7 @@ impl BatchCounters {
         BatchCounters {
             batches: registry.counter(
                 "sbst_batches_total",
-                "63-fault simulation batches completed",
+                "simulation batch runs completed (one per batch per epoch)",
                 &[],
             ),
             cycles: registry.counter(
@@ -290,9 +347,8 @@ fn publish_run_metrics(registry: &MetricRegistry, stats: &CampaignStats) {
     stats.profile.export(registry);
 }
 
-/// Number of `lanes - 1`-fault batches a campaign over `faults` will
-/// run at a given lane width — the `total` to size an
-/// [`obs::Progress`] ticker with.
+/// Number of `lanes - 1`-fault batches a campaign over `faults` starts
+/// with at a given lane width (its first epoch).
 pub fn batch_count_lanes(faults: &FaultList, lanes: usize) -> u64 {
     faults.len().div_ceil(lanes - 1) as u64
 }
@@ -384,7 +440,9 @@ impl CampaignResult {
                 batches: self.stats.batches + other.stats.batches,
                 cycles_simulated: self.stats.cycles_simulated + other.stats.cycles_simulated,
                 budget_cycles: self.stats.budget_cycles + other.stats.budget_cycles,
+                faults: self.stats.faults + other.stats.faults,
                 faults_dropped: self.stats.faults_dropped + other.stats.faults_dropped,
+                lane_cycles_useful: self.stats.lane_cycles_useful + other.stats.lane_cycles_useful,
                 wall_seconds: self.stats.wall_seconds + other.stats.wall_seconds,
                 threads: self.stats.threads.max(other.stats.threads),
                 latency,
@@ -401,43 +459,231 @@ impl CampaignResult {
     }
 }
 
-/// Simulate one batch of up to `lanes - 1` faults: inject, reset, run
-/// until the cycle budget is spent or every fault is dropped. Writes
-/// outcomes into `out` (parallel to `batch`) and returns the number of
-/// cycles simulated.
+/// Cycle of the first epoch boundary; each later boundary doubles it.
+/// Most detections land early (on the Plasma Phase A+B campaign, 83%
+/// by cycle 1,024), so short early epochs shed dead lanes soon and long
+/// late ones keep the number of regroupings logarithmic in the budget.
+const FIRST_BOUNDARY: u64 = 128;
+
+/// End of the epoch starting at `start`: the first boundary of 128,
+/// 256, 512, … past `start`, capped at `budget`.
+fn epoch_end(start: u64, budget: u64) -> u64 {
+    let mut end = FIRST_BOUNDARY;
+    while end <= start {
+        end *= 2;
+    }
+    end.min(budget)
+}
+
+/// One lane parked at an epoch boundary: its packed flip-flops
+/// ([`LaneSim::save_lane`]) and its bench state
+/// ([`Testbench::save_lane`]).
+#[derive(Debug)]
+struct LaneState {
+    flops: Vec<u64>,
+    /// Shared with lane 0's when equal: where a bench observes every
+    /// memory write, an undetected lane wrote exactly what lane 0 wrote,
+    /// so survivors park no overlay of their own.
+    bench: Arc<Vec<u64>>,
+}
+
+impl LaneState {
+    /// Park lane `lane`, sharing `lane0`'s bench state when equal.
+    fn save<S: LaneSim, T: Testbench<S>>(
+        sim: &S,
+        tb: &T,
+        lane: usize,
+        lane0: Option<&LaneState>,
+    ) -> LaneState {
+        let mut flops = vec![0; sim.state_words()];
+        sim.save_lane(lane, &mut flops);
+        let mut bench = Vec::new();
+        tb.save_lane(lane, &mut bench);
+        let bench = match lane0 {
+            Some(l0) if *l0.bench == bench => Arc::clone(&l0.bench),
+            _ => Arc::new(bench),
+        };
+        LaneState { flops, bench }
+    }
+
+    fn load<S: LaneSim, T: Testbench<S>>(&self, sim: &mut S, tb: &mut T, lane: usize) {
+        sim.load_lane(lane, &self.flops);
+        tb.load_lane(lane, &self.bench);
+    }
+
+    /// Whether two parked lanes hold the same machine state, with bench
+    /// words in any order.
+    fn same_machine(&self, other: &LaneState) -> bool {
+        let sorted = |v: &[u64]| {
+            let mut v = v.to_vec();
+            v.sort_unstable();
+            v
+        };
+        self.flops == other.flops && sorted(&self.bench) == sorted(&other.bench)
+    }
+}
+
+/// One batch of an epoch: fault indices in lane order (lane `k + 1`
+/// carries `faults[k]`) and, after the first epoch, their parked lanes.
+struct Batch {
+    faults: Vec<usize>,
+    parked: Vec<LaneState>,
+}
+
+/// What one batch run leaves behind.
+#[derive(Default)]
+struct BatchOut {
+    /// Outcome per fault, parallel to [`Batch::faults`].
+    detections: Vec<Detection>,
+    /// The undetected faults' lanes, in lane order, when another epoch
+    /// follows (empty otherwise).
+    parked: Vec<LaneState>,
+    /// Lane 0 at the boundary, when any lane was parked.
+    lane0: Option<LaneState>,
+}
+
+/// The batches that advance together over cycles `start..end`. Every
+/// batch of an epoch starts from the same cycle, where lane 0 — the
+/// fault-free machine — is in the same state in every batch, so
+/// survivors of different batches can share one.
+struct Epoch {
+    start: u64,
+    end: u64,
+    /// Lane 0's state at `start` (`None` at cycle 0: reset).
+    lane0: Option<LaneState>,
+    batches: Vec<Batch>,
+    /// Trace id of the first batch (ids run on across epochs).
+    first_id: usize,
+    cursor: CachePadded<AtomicUsize>,
+    outs: Vec<Mutex<BatchOut>>,
+}
+
+impl Epoch {
+    /// Group `faults` (fault indices in increasing order, with their
+    /// parked lanes after cycle 0) into `chunk`-fault batches starting
+    /// at cycle `start`. A single batch runs straight to the budget;
+    /// several run to the next boundary.
+    fn new(
+        start: u64,
+        lane0: Option<LaneState>,
+        faults: Vec<usize>,
+        parked: Vec<LaneState>,
+        chunk: usize,
+        budget: u64,
+        first_id: usize,
+    ) -> Epoch {
+        let mut parked = parked.into_iter();
+        let batches: Vec<Batch> = faults
+            .chunks(chunk)
+            .map(|f| Batch {
+                faults: f.to_vec(),
+                parked: parked.by_ref().take(f.len()).collect(),
+            })
+            .collect();
+        let end = if batches.len() > 1 {
+            epoch_end(start, budget)
+        } else {
+            budget
+        };
+        Epoch {
+            start,
+            end,
+            lane0,
+            outs: batches.iter().map(|_| Mutex::default()).collect(),
+            batches,
+            first_id,
+            cursor: CachePadded(AtomicUsize::new(0)),
+        }
+    }
+
+    /// Record this epoch's outcomes into `detections` and regroup its
+    /// survivors, in fault-index order, into the next epoch — `None`
+    /// once nothing survives or the budget is spent.
+    fn next(&self, detections: &mut [Detection], chunk: usize, budget: u64) -> Option<Epoch> {
+        let mut lane0: Option<LaneState> = None;
+        let (mut survivors, mut parked) = (Vec::new(), Vec::new());
+        for (batch, out) in self.batches.iter().zip(&self.outs) {
+            let out = std::mem::take(&mut *out.lock().expect("batch output poisoned"));
+            for (&f, &d) in batch.faults.iter().zip(&out.detections) {
+                detections[f] = d;
+                if !d.is_detected() && self.end < budget {
+                    survivors.push(f);
+                }
+            }
+            parked.extend(out.parked);
+            if let Some(l0) = out.lane0 {
+                // Lanes are independent and lane 0 carries no fault, so
+                // every batch must have parked the same machine (bench
+                // state in any order: each batch lists its rows its way).
+                debug_assert!(
+                    lane0.as_ref().is_none_or(|prev| prev.same_machine(&l0)),
+                    "lane 0 differs across batches at cycle {}",
+                    self.end
+                );
+                lane0.get_or_insert(l0);
+            }
+        }
+        if survivors.is_empty() {
+            return None;
+        }
+        debug_assert_eq!(survivors.len(), parked.len(), "every survivor parked");
+        let first_id = self.first_id + self.batches.len();
+        Some(Epoch::new(
+            self.end, lane0, survivors, parked, chunk, budget, first_id,
+        ))
+    }
+}
+
+/// Run batch `b` of `epoch`: inject its faults, reset, restore its
+/// parked lanes (lane 0 included), and simulate until the epoch ends or
+/// every fault is dropped. When another epoch follows, park lane 0 and
+/// every undetected lane. Returns the outcome and the cycles simulated.
 ///
-/// The simulator state is fully rebuilt ([`LaneSim::reset_state`]),
-/// so the outcome depends only on `batch` and the testbench stimulus —
-/// never on previous batches. This is what lets the runner schedule
-/// batches on any worker in any order and still produce one result.
+/// The simulator is fully rebuilt ([`LaneSim::reset_state`]) before
+/// the parked flip-flops are loaded, so the outcome depends only on the
+/// batch's faults, their parked lanes and the stimulus — never on what
+/// the worker ran before. This is what lets the runner schedule batches
+/// on any worker in any order and still produce one result.
 fn run_batch<S: LaneSim, T: Testbench<S>>(
     sim: &mut S,
     tb: &mut T,
-    batch: &[Fault],
+    faults: &[Fault],
+    epoch: &Epoch,
+    b: usize,
     budget: u64,
-    out: &mut [Detection],
     profiler: &Profiler,
-) -> u64 {
+) -> (BatchOut, u64) {
+    let batch = &epoch.batches[b];
     {
         let _patch = profiler.scope(ProfilePhase::Patch);
         sim.clear_faults();
-        for (k, &f) in batch.iter().enumerate() {
-            sim.inject(f, k + 1);
+        for (k, &f) in batch.faults.iter().enumerate() {
+            sim.inject(faults[f], k + 1);
         }
     }
     {
         let _reset = profiler.scope(ProfilePhase::Reset);
         sim.reset_state();
         tb.begin(sim);
+        if let Some(lane0) = &epoch.lane0 {
+            lane0.load(sim, tb, 0);
+            for (k, lane) in batch.parked.iter().enumerate() {
+                lane.load(sim, tb, k + 1);
+            }
+        }
     }
     let w = sim.lane_words();
     let mut active = [0u64; MAX_LANE_WORDS];
-    for lane in 1..=batch.len() {
+    for lane in 1..=batch.faults.len() {
         active[lane >> 6] |= 1u64 << (lane & 63);
     }
     let mut detected = [0u64; MAX_LANE_WORDS];
     let mut diff = [0u64; MAX_LANE_WORDS];
-    for cycle in 0..budget {
+    let mut out = BatchOut {
+        detections: vec![Detection::Undetected; batch.faults.len()],
+        ..BatchOut::default()
+    };
+    for cycle in epoch.start..epoch.end {
         diff[..w].fill(0);
         tb.step(sim, cycle, &mut diff[..w]);
         let mut all_done = true;
@@ -448,17 +694,29 @@ fn run_batch<S: LaneSim, T: Testbench<S>>(
                 while rem != 0 {
                     let lane = (t << 6) + rem.trailing_zeros() as usize;
                     rem &= rem - 1;
-                    out[lane - 1] = Detection::DetectedAt(cycle);
+                    out.detections[lane - 1] = Detection::DetectedAt(cycle);
                 }
                 detected[t] |= newly;
             }
             all_done &= detected[t] == active[t];
         }
         if all_done {
-            return cycle + 1; // every fault in the batch dropped
+            // Every fault in the batch dropped.
+            return (out, cycle + 1 - epoch.start);
         }
     }
-    budget
+    if epoch.end < budget {
+        let _reset = profiler.scope(ProfilePhase::Reset);
+        let lane0 = LaneState::save(sim, tb, 0, None);
+        for (k, d) in out.detections.iter().enumerate() {
+            if !d.is_detected() {
+                out.parked
+                    .push(LaneState::save(sim, tb, k + 1, Some(&lane0)));
+            }
+        }
+        out.lane0 = Some(lane0);
+    }
+    (out, epoch.end - epoch.start)
 }
 
 /// Whether per-batch observability events (and therefore batch wall
@@ -547,6 +805,8 @@ fn trace_campaign_end(hooks: &CampaignHooks, stats: &CampaignStats) {
         ("budget_cycles", Value::U64(stats.budget_cycles)),
         ("dropped", Value::U64(stats.faults_dropped)),
         ("wall_us", Value::U64((stats.wall_seconds * 1e6) as u64)),
+        ("lane_utilization", Value::F64(stats.lane_utilization())),
+        ("faults_per_sec", Value::F64(stats.faults_per_sec())),
     ];
     if hooks.tracer.enabled() {
         hooks.tracer.event("campaign_end", &fields);
@@ -576,19 +836,31 @@ pub fn default_threads() -> usize {
 /// of the testbenches `factory` makes, `proto.lanes() - 1` faults per
 /// batch plus the lane-0 reference.
 ///
+/// Batches advance in lockstep *epochs* that end at fixed cycle
+/// boundaries — 128, 256, 512, … doubling, capped at the budget. At each
+/// boundary the faults still undetected in every batch are regrouped,
+/// in fault-index order, into ⌈survivors / (lanes − 1)⌉ fresh batches,
+/// and each survivor's lane state — its flip-flops from the simulator
+/// and its memory overlay from the bench — moves to its new lane, so
+/// no batch keeps simulating lanes whose faults were dropped and no
+/// cycle is simulated twice. Once the live faults fit in one batch, that
+/// batch runs straight to the budget: a list of at most `lanes - 1`
+/// faults runs as one batch with no save or restore at all.
+///
 /// Runs on `threads` worker threads (0 = use [`default_threads`]); one
 /// worker runs on the calling thread (mode `serial` in the trace). Each
 /// worker clones `proto` — built over the netlist the faults refer to —
-/// and makes its own testbench, then pulls batches off a shared atomic
-/// cursor: dynamic load balancing, because fault dropping makes batch
-/// runtimes uneven. Detections are written into disjoint per-batch
-/// slices of one result vector, so the [`CampaignResult`] is
-/// bit-identical at every thread count. Every testbench must produce
-/// the same stimulus (same program, same cycle budget).
+/// and makes one testbench, then pulls the epoch's batches off a shared
+/// atomic cursor; workers meet at a barrier at each boundary. The
+/// schedule depends only on the detections, so batches, cycles and the
+/// [`CampaignResult`] are identical at every thread count. Every
+/// testbench must produce the same stimulus (same program, same cycle
+/// budget).
 ///
-/// `hooks` emit `campaign_begin`, one `batch` event per batch (with the
-/// worker's thread id) and `campaign_end`, tick the progress ticker once
-/// per batch, and feed the registry and profiler. They never touch
+/// `hooks` emit `campaign_begin`, one `batch` event per batch run (with
+/// the worker's thread id) and `campaign_end`, count resolved faults on
+/// the progress ticker, and feed the registry and profiler (parking and
+/// restoring lanes counts as the `reset` phase). They never touch
 /// simulation state, so detections are identical with hooks on or off.
 pub fn run<S, T, F>(
     proto: &S,
@@ -609,8 +881,8 @@ where
     };
     let lanes = proto.lanes();
     let chunk = lanes - 1;
-    let batches: Vec<&[Fault]> = faults.faults.chunks(chunk).collect();
-    let workers = threads.min(batches.len()).max(1);
+    let first_batches = batch_count_lanes(faults, lanes);
+    let workers = threads.min(first_batches as usize).max(1);
 
     let t0 = Instant::now();
     let profile_start = hooks.profiler.snapshot();
@@ -618,14 +890,29 @@ where
     let mode = if workers == 1 { "serial" } else { "parallel" };
     trace_campaign_begin(hooks, mode, proto.stats(), faults, budget, workers, lanes);
     let timing = batch_events_on(hooks);
-    let mut detections = vec![Detection::Undetected; faults.len()];
-    // One uncontended Mutex per batch slice: a worker locks only the
-    // batches the cursor hands it, so slices stay disjoint and safe.
-    let slots: Vec<Mutex<&mut [Detection]>> =
-        detections.chunks_mut(chunk).map(Mutex::new).collect();
-    let cursor = CachePadded(AtomicUsize::new(0));
+    let first = Epoch::new(
+        0,
+        None,
+        (0..faults.len()).collect(),
+        Vec::new(),
+        chunk,
+        budget,
+        0,
+    );
+    let plan = Mutex::new(Some(Arc::new(first)));
+    let detections = Mutex::new(vec![Detection::Undetected; faults.len()]);
+    let barrier = Barrier::new(workers);
+    // The first panic of any worker. Workers keep meeting at the barrier
+    // after one, so none waits forever; the leader then ends the run and
+    // the panic resumes on the calling thread.
+    let failed = Mutex::new(None);
+    let guarded = |f: &mut dyn FnMut()| {
+        if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(f)) {
+            let mut first = failed.lock().unwrap_or_else(PoisonError::into_inner);
+            first.get_or_insert(p);
+        }
+    };
     let work = |w: usize| {
-        let tw = Instant::now();
         let mut sim = proto.clone();
         let mut tb = factory();
         // Per-worker handle clones share the same atomic accumulators,
@@ -633,38 +920,68 @@ where
         let counters = hooks.metrics.as_ref().map(BatchCounters::of);
         let mut cycles = 0u64;
         let mut done = 0u64;
+        let mut busy = Duration::ZERO;
         loop {
-            let b = cursor.0.fetch_add(1, Ordering::Relaxed);
-            if b >= batches.len() {
+            let Some(epoch) = plan.lock().expect("plan poisoned").clone() else {
                 break;
+            };
+            guarded(&mut || loop {
+                let b = epoch.cursor.0.fetch_add(1, Ordering::Relaxed);
+                if b >= epoch.batches.len() {
+                    break;
+                }
+                let tb0 = Instant::now();
+                let (out, c) = run_batch(
+                    &mut sim,
+                    &mut tb,
+                    &faults.faults,
+                    &epoch,
+                    b,
+                    budget,
+                    &hooks.profiler,
+                );
+                let dur = tb0.elapsed();
+                busy += dur;
+                cycles += c;
+                done += 1;
+                let dur_us = timing.then_some(dur.as_micros() as u64);
+                trace_batch(hooks, epoch.first_id + b, w, &out.detections, c, dur_us);
+                if let Some(p) = &hooks.progress {
+                    // Resolved: detected now, or escaped at the budget.
+                    let resolved = if epoch.end == budget {
+                        out.detections.len()
+                    } else {
+                        out.detections.iter().filter(|d| d.is_detected()).count()
+                    };
+                    p.inc(resolved as u64);
+                }
+                if let Some(ctr) = &counters {
+                    ctr.batches.inc(1);
+                    ctr.cycles.inc(c);
+                }
+                *epoch.outs[b].lock().expect("batch output poisoned") = out;
+            });
+            if barrier.wait().is_leader() {
+                let mut next = None;
+                if failed
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .is_none()
+                {
+                    guarded(&mut || {
+                        let mut det = detections.lock().expect("detections poisoned");
+                        next = epoch.next(&mut det, chunk, budget).map(Arc::new);
+                    });
+                }
+                *plan.lock().expect("plan poisoned") = next;
             }
-            let mut out = slots[b].lock().expect("batch slot poisoned");
-            let tb0 = timing.then(Instant::now);
-            let c = run_batch(
-                &mut sim,
-                &mut tb,
-                batches[b],
-                budget,
-                &mut out,
-                &hooks.profiler,
-            );
-            cycles += c;
-            done += 1;
-            let dur_us = tb0.map(|t| t.elapsed().as_micros() as u64);
-            trace_batch(hooks, b, w, &out, c, dur_us);
-            if let Some(p) = &hooks.progress {
-                p.inc(1);
-            }
-            if let Some(ctr) = &counters {
-                ctr.batches.inc(1);
-                ctr.cycles.inc(c);
-            }
+            barrier.wait();
         }
         WorkerStats {
             worker: w,
             batches: done,
             cycles,
-            wall_seconds: tw.elapsed().as_secs_f64(),
+            wall_seconds: busy.as_secs_f64(),
             lanes: lanes as u64,
         }
     };
@@ -680,14 +997,18 @@ where
                 .collect::<Vec<_>>()
         })
     };
-    drop(slots);
-    let cycles_total: u64 = worker_stats.iter().map(|w| w.cycles).sum();
+    if let Some(p) = failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        std::panic::resume_unwind(p);
+    }
+    let detections = detections.into_inner().expect("detections poisoned");
     let dropped = detections.iter().filter(|d| d.is_detected()).count() as u64;
     let stats = CampaignStats {
-        batches: batches.len() as u64,
-        cycles_simulated: cycles_total,
-        budget_cycles: batches.len() as u64 * budget,
+        batches: worker_stats.iter().map(|w| w.batches).sum(),
+        cycles_simulated: worker_stats.iter().map(|w| w.cycles).sum(),
+        budget_cycles: first_batches * budget,
+        faults: faults.len() as u64,
         faults_dropped: dropped,
+        lane_cycles_useful: useful_lane_cycles(&detections, budget),
         wall_seconds: t0.elapsed().as_secs_f64(),
         threads: workers,
         latency: latency_of(&detections),
@@ -717,9 +1038,11 @@ where
 pub struct VectorBench<'a> {
     netlist: &'a Netlist,
     /// Each vector is a list of `(port, value)` pairs applied before the
-    /// cycle's evaluation.
+    /// cycle's evaluation; a port a vector leaves out keeps its value.
     vectors: &'a [Vec<(&'a str, u64)>],
     output_nets: Vec<netlist::Net>,
+    /// The cycle a straight continuation steps next (0 after `begin`).
+    next: u64,
 }
 
 impl<'a> VectorBench<'a> {
@@ -734,14 +1057,27 @@ impl<'a> VectorBench<'a> {
             netlist,
             vectors,
             output_nets,
+            next: 0,
         }
     }
 }
 
 impl<S: LaneSim> Testbench<S> for VectorBench<'_> {
-    fn begin(&mut self, _sim: &mut S) {}
+    fn begin(&mut self, _sim: &mut S) {
+        self.next = 0;
+    }
 
     fn step(&mut self, sim: &mut S, cycle: u64, diff: &mut [u64]) {
+        if cycle != self.next {
+            // Resumed mid-run from parked flip-flops: the ports hold
+            // what the earlier vectors last drove, so drive that again.
+            for v in &self.vectors[..cycle as usize] {
+                for &(port, value) in v {
+                    sim.set_port(self.netlist, port, value);
+                }
+            }
+        }
+        self.next = cycle + 1;
         for &(port, value) in &self.vectors[cycle as usize] {
             sim.set_port(self.netlist, port, value);
         }
@@ -936,6 +1272,20 @@ mod tests {
         };
         assert_eq!(w.mlane_cycles_per_sec(), 0.0);
         assert!(w.mlane_cycles_per_sec().is_finite());
+        assert_eq!(stats.faults_per_sec(), 0.0);
+        assert_eq!(CampaignStats::default().lane_utilization(), 0.0);
+    }
+
+    /// Epochs end at 128, 256, 512, … and never past the budget.
+    #[test]
+    fn epoch_boundaries_double_up_to_the_budget() {
+        let ends: Vec<u64> =
+            std::iter::successors(Some(0), |&s| (s < 7142).then(|| epoch_end(s, 7142)))
+                .skip(1)
+                .collect();
+        assert_eq!(ends, [128, 256, 512, 1024, 2048, 4096, 7142]);
+        assert_eq!(epoch_end(0, 100), 100);
+        assert_eq!(epoch_end(300, 10_000), 512);
     }
 
     /// The compiled engine must agree with the interpreted reference
@@ -1025,6 +1375,67 @@ mod tests {
         assert!(text.contains("sbst_batches_total"), "{text}");
         assert!(text.contains("sbst_cycles_total"), "{text}");
         assert!(text.contains("sbst_faults_detected_total"), "{text}");
+    }
+
+    /// A bench that panics once, at cycle 5 of whichever batch reaches
+    /// it first.
+    struct PanicOnce<'a> {
+        inner: VectorBench<'a>,
+        armed: &'a std::sync::atomic::AtomicBool,
+    }
+
+    impl<S: LaneSim> Testbench<S> for PanicOnce<'_> {
+        fn begin(&mut self, sim: &mut S) {
+            self.inner.begin(sim);
+        }
+
+        fn step(&mut self, sim: &mut S, cycle: u64, diff: &mut [u64]) {
+            if cycle == 5 && self.armed.swap(false, Ordering::Relaxed) {
+                panic!("bench failure");
+            }
+            self.inner.step(sim, cycle, diff);
+        }
+
+        fn cycles(&self) -> u64 {
+            Testbench::<S>::cycles(&self.inner)
+        }
+    }
+
+    /// A worker's panic must surface as a panic of [`run`], not leave
+    /// the other workers waiting at an epoch boundary.
+    #[test]
+    fn worker_panic_propagates_instead_of_hanging() {
+        let mut b = NetlistBuilder::new("wide");
+        let a = b.inputs("a", 24);
+        let c = b.inputs("b", 24);
+        let y = b.xor_word(&a, &c);
+        let q = b.dff_word(&y, 0);
+        let z = b.and_word(&q, &a);
+        b.outputs("z", &z);
+        let nl = b.finish().unwrap();
+        let faults = FaultList::extract(&nl).collapsed(&nl);
+        assert!(faults.len() > 126, "need 3+ batches");
+        let vectors: Vec<Vec<(&str, u64)>> = (0..300u64)
+            .map(|v| {
+                vec![
+                    ("a", (v * 0x9E37) & 0xFF_FFFF),
+                    ("b", (v * 0x7F4A) & 0xFF_FFFF),
+                ]
+            })
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let armed = std::sync::atomic::AtomicBool::new(true);
+            let factory = || PanicOnce {
+                inner: VectorBench::new(&nl, &vectors),
+                armed: &armed,
+            };
+            let proto = ParallelSim::new(&nl);
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run(&proto, &faults, factory, threads, &CampaignHooks::none())
+            }));
+            let payload = res.expect_err("the bench panic was swallowed");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"bench failure"));
+        }
     }
 
     /// More than 63 faults exercises multi-batch bookkeeping.

@@ -90,6 +90,19 @@ impl EngineConfig {
         }
     }
 
+    /// This configuration fitted to a list of `faults` faults: the
+    /// smallest of 64/128/256/512 lanes that holds them plus the lane-0
+    /// reference, never wider than configured. A short list then runs as
+    /// one batch without simulating lanes that never carry a fault.
+    /// Detections do not depend on the width.
+    pub fn fit(self, faults: usize) -> EngineConfig {
+        let mut lane_words = 1;
+        while lane_words < self.lane_words && 64 * lane_words < faults + 1 {
+            lane_words *= 2;
+        }
+        EngineConfig { lane_words, ..self }
+    }
+
     /// Engine name as recorded in stats/ledger.
     pub fn name(&self) -> &'static str {
         self.kind.name()
@@ -167,6 +180,20 @@ mod tests {
         assert!(EngineConfig::parse_lanes("zero").is_err());
         assert_eq!(EngineConfig::words_for_lanes(512), Some(8));
         assert_eq!(EngineConfig::words_for_lanes(96), None);
+    }
+
+    #[test]
+    fn fit_picks_the_smallest_width_that_holds_the_list() {
+        let c = EngineConfig::compiled(256);
+        assert_eq!(c.fit(0).lanes(), 64);
+        assert_eq!(c.fit(63).lanes(), 64);
+        assert_eq!(c.fit(64).lanes(), 128);
+        assert_eq!(c.fit(126).lanes(), 128);
+        assert_eq!(c.fit(127).lanes(), 128);
+        assert_eq!(c.fit(128).lanes(), 256);
+        assert_eq!(c.fit(10_000).lanes(), 256, "capped at the configured width");
+        assert_eq!(EngineConfig::compiled(512).fit(300).lanes(), 512);
+        assert_eq!(EngineConfig::interp().fit(1000), EngineConfig::interp());
     }
 
     #[test]

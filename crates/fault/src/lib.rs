@@ -18,8 +18,9 @@
 //!   detections to the interpreted engine at every width (the campaign
 //!   default),
 //! * one lane-block interface over both engines ([`sim::LaneSim`]) and
-//!   one **campaign runner** with fault dropping ([`campaign::run`],
-//!   serial or multi-threaded) driving any [`campaign::Testbench`] —
+//!   one **campaign runner** with fault dropping and survivor
+//!   compaction ([`campaign::run`], serial or multi-threaded) driving
+//!   any [`campaign::Testbench`] —
 //!   plain vector tests ([`campaign::run_vectors`]) or full-processor
 //!   self-test execution,
 //! * per-component **coverage reporting** ([`coverage`]) used to regenerate

@@ -279,7 +279,9 @@ pub fn merge_results(
         stats.batches += res.stats.batches;
         stats.cycles_simulated += res.stats.cycles_simulated;
         stats.budget_cycles += res.stats.budget_cycles;
+        stats.faults += res.stats.faults;
         stats.faults_dropped += res.stats.faults_dropped;
+        stats.lane_cycles_useful += res.stats.lane_cycles_useful;
         stats.wall_seconds = stats.wall_seconds.max(res.stats.wall_seconds);
         stats.threads = stats.threads.max(res.stats.threads);
         stats.lanes = stats.lanes.max(res.stats.lanes);

@@ -87,6 +87,25 @@ pub trait LaneSim: Clone + Send + Sync {
     /// which is what makes campaign batches order-independent.
     fn reset_state(&mut self);
 
+    /// Words one lane's flip-flop state packs into (one bit per
+    /// flip-flop) — the length [`LaneSim::save_lane`] fills.
+    fn state_words(&self) -> usize {
+        self.stats().dffs.div_ceil(64)
+    }
+
+    /// Pack lane `lane`'s flip-flop state into `out` (length
+    /// [`LaneSim::state_words`]): bit `i % 64` of word `i / 64` is the
+    /// value of flip-flop `i`, in the engine's own flip-flop order.
+    /// Flip-flops are all the state a lane carries from one cycle into
+    /// the next — every gate output is recomputed each cycle — so a lane
+    /// saved here and restored with [`LaneSim::load_lane`] into a lane
+    /// carrying the same fault continues exactly where it stopped.
+    fn save_lane(&self, lane: usize, out: &mut [u64]);
+
+    /// Overwrite lane `lane`'s flip-flop state with `state`, as packed
+    /// by [`LaneSim::save_lane`] on the same engine.
+    fn load_lane(&mut self, lane: usize, state: &[u64]);
+
     /// Evaluate one segment (in construction order).
     fn eval_segment(&mut self, segment: usize);
 
@@ -410,6 +429,22 @@ impl LaneSim for ParallelSim {
             self.vals[i] = self.set1[i] & self.keep0[i];
         }
         self.reset();
+    }
+
+    fn save_lane(&self, lane: usize, out: &mut [u64]) {
+        debug_assert!(lane < 64, "lane out of range");
+        out.fill(0);
+        for (i, &q) in self.dff_q.iter().enumerate() {
+            out[i >> 6] |= ((self.vals[q as usize] >> lane) & 1) << (i & 63);
+        }
+    }
+
+    fn load_lane(&mut self, lane: usize, state: &[u64]) {
+        debug_assert!(lane < 64, "lane out of range");
+        for (i, &q) in self.dff_q.iter().enumerate() {
+            let v = &mut self.vals[q as usize];
+            *v = (*v & !(1u64 << lane)) | (((state[i >> 6] >> (i & 63)) & 1) << lane);
+        }
     }
 
     /// The pin-patch side table is sorted by compiled position, so the

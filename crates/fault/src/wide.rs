@@ -356,6 +356,22 @@ impl LaneSim for WideSim {
         self.reset();
     }
 
+    fn save_lane(&self, lane: usize, out: &mut [u64]) {
+        let (t, b) = (lane >> 6, lane & 63);
+        out.fill(0);
+        for (i, &q) in self.kernel.dff_q.iter().enumerate() {
+            out[i >> 6] |= ((self.vals[q as usize * self.w + t] >> b) & 1) << (i & 63);
+        }
+    }
+
+    fn load_lane(&mut self, lane: usize, state: &[u64]) {
+        let (t, b) = (lane >> 6, lane & 63);
+        for (i, &q) in self.kernel.dff_q.iter().enumerate() {
+            let v = &mut self.vals[q as usize * self.w + t];
+            *v = (*v & !(1u64 << b)) | (((state[i >> 6] >> (i & 63)) & 1) << b);
+        }
+    }
+
     /// Dispatches once per segment to the width-monomorphized kernel.
     fn eval_segment(&mut self, segment: usize) {
         let kernel = Arc::clone(&self.kernel);

@@ -34,6 +34,9 @@ use serde_json::{Map, Value};
 ///   faults found by forensics) and `testable_coverage` (percent,
 ///   `detected / (total − untestable)`); both optional, so version-1
 ///   rows keep loading with `0` / absent.
+///
+/// Optional fields added since (`lane_utilization`) need no bump: rows
+/// without them load as absent.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// One run's ledger entry.
@@ -77,6 +80,10 @@ pub struct LedgerRecord {
     pub wall_seconds: f64,
     /// Throughput in millions of lane-cycles per second.
     pub mlane_cps: f64,
+    /// Useful ÷ spent lane-cycles of a fault campaign (the share of
+    /// simulated lanes that carried a live fault); `None` for other runs
+    /// and for records written before the field existed.
+    pub lane_utilization: Option<f64>,
     /// Weighted fault coverage percent, when the run graded coverage.
     pub coverage_pct: Option<f64>,
     /// Weighted faults forensics classified as structurally untestable
@@ -112,6 +119,7 @@ impl LedgerRecord {
             cycles: 0,
             wall_seconds: 0.0,
             mlane_cps: 0.0,
+            lane_utilization: None,
             coverage_pct: None,
             untestable_faults: 0,
             testable_coverage: None,
@@ -137,6 +145,9 @@ impl LedgerRecord {
         m.insert("cycles".into(), Value::U64(self.cycles));
         m.insert("wall_seconds".into(), Value::F64(self.wall_seconds));
         m.insert("mlane_cps".into(), Value::F64(self.mlane_cps));
+        if let Some(u) = self.lane_utilization {
+            m.insert("lane_utilization".into(), Value::F64(u));
+        }
         m.insert(
             "coverage_pct".into(),
             match self.coverage_pct {
@@ -198,6 +209,7 @@ impl LedgerRecord {
                 .and_then(|t| t.as_f64())
                 .unwrap_or(0.0),
             mlane_cps: o.get("mlane_cps").and_then(|t| t.as_f64()).unwrap_or(0.0),
+            lane_utilization: o.get("lane_utilization").and_then(|t| t.as_f64()),
             coverage_pct: o.get("coverage_pct").and_then(|t| t.as_f64()),
             untestable_faults: o
                 .get("untestable_faults")
@@ -647,6 +659,7 @@ mod tests {
             cycles: 1_000_000,
             wall_seconds: 1.0,
             mlane_cps: cps,
+            lane_utilization: None,
             coverage_pct: cov,
             untestable_faults: 0,
             testable_coverage: None,
@@ -661,6 +674,7 @@ mod tests {
         r.engine = "compiled".into();
         r.lanes = 256;
         r.shards = 4;
+        r.lane_utilization = Some(0.649);
         r.extra.insert("speedup".into(), Value::F64(3.5));
         r.latency = serde_json::json!([{ "lo": 0u64, "hi": 1u64, "count": 5u64 }]);
         let line = serde_json::to_string(&r.to_json()).unwrap();
@@ -681,6 +695,7 @@ mod tests {
         assert_eq!(r.engine, "interp");
         assert_eq!(r.lanes, 64);
         assert_eq!(r.shards, 1, "pre-daemon records are single-shot");
+        assert_eq!(r.lane_utilization, None, "older rows carry no utilization");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Live progress reporting: shared atomic counters with a rate-limited
 //! stderr ticker.
 //!
-//! Worker threads call [`Progress::inc`] once per completed unit (a
-//! campaign batch); the call is two relaxed atomic ops unless the
-//! ticker's minimum interval has elapsed, in which case the winning
-//! thread prints a single `\r`-rewritten status line. Nothing here
-//! touches the simulation hot loop — increments happen at batch
-//! granularity, thousands of cycles apart.
+//! Worker threads call [`Progress::inc`] as units complete (a campaign
+//! counts the faults each batch run resolves); the call is two relaxed
+//! atomic ops unless the ticker's minimum interval has elapsed, in
+//! which case the winning thread prints a single `\r`-rewritten status
+//! line. Nothing here touches the simulation hot loop — increments
+//! happen at batch granularity, thousands of cycles apart.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

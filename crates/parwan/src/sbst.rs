@@ -264,8 +264,9 @@ pub fn golden_cycles(test: &ParwanSelfTest) -> u64 {
     panic!("parwan self-test never reached its end marker");
 }
 
-/// Fault-simulate a self-test on an explicit engine configuration,
-/// sharded over `threads` worker threads (0 = auto, see
+/// Fault-simulate a self-test on an explicit engine configuration
+/// (fitted to the list, see [`EngineConfig::fit`]), sharded over
+/// `threads` worker threads (0 = auto, see
 /// [`campaign::default_threads`]). Results are bit-identical across
 /// engines, lane widths, and thread counts.
 pub fn grade_engine(
@@ -290,6 +291,7 @@ pub fn grade_hooks(
     engine: EngineConfig,
     hooks: &CampaignHooks,
 ) -> CampaignResult {
+    let engine = engine.fit(faults.len());
     let budget = golden_cycles(test) + 32;
     let [early, late] = core.segments();
     let segments = [early.to_vec(), late.to_vec()];

@@ -87,6 +87,10 @@ pub struct ParwanSelfTestBench<'a> {
     ovl_vals: Vec<u8>,
     ovl_gens: Vec<u32>,
     gen: u32,
+    // Addresses any lane wrote since `begin`, each listed once (see
+    // `plasma::SelfTestBench`).
+    rows: Vec<u16>,
+    row_gens: Vec<u32>,
     budget: u64,
     scratch: Vec<u64>,
     bits: Vec<u64>,
@@ -106,6 +110,8 @@ impl<'a> ParwanSelfTestBench<'a> {
             ovl_vals: Vec::new(),
             ovl_gens: Vec::new(),
             gen: 0,
+            rows: Vec::new(),
+            row_gens: vec![0; 4096],
             budget,
             scratch: Vec::new(),
             bits: Vec::new(),
@@ -134,9 +140,14 @@ impl<'a> ParwanSelfTestBench<'a> {
     }
 
     fn write(&mut self, lane: usize, addr: u16, wdata: u8) {
-        let idx = (addr & 0xFFF) as usize * self.lanes + lane;
+        let i = (addr & 0xFFF) as usize;
+        let idx = i * self.lanes + lane;
         self.ovl_vals[idx] = wdata;
         self.ovl_gens[idx] = self.gen;
+        if self.row_gens[i] != self.gen {
+            self.row_gens[i] = self.gen;
+            self.rows.push(i as u16);
+        }
     }
 
     /// The per-lane memory transaction, one lane word at a time: read
@@ -218,8 +229,10 @@ impl<S: LaneSim> Testbench<S> for ParwanSelfTestBench<'_> {
             // Tag wrap-around: stale tags could alias the new epoch, so
             // reset them all and restart at 1.
             self.ovl_gens.fill(0);
+            self.row_gens.fill(0);
             self.gen = 1;
         }
+        self.rows.clear();
     }
 
     fn step(&mut self, sim: &mut S, _cycle: u64, diff: &mut [u64]) {
@@ -234,6 +247,24 @@ impl<S: LaneSim> Testbench<S> for ParwanSelfTestBench<'_> {
 
     fn cycles(&self) -> u64 {
         self.budget
+    }
+
+    /// The lane's written bytes, each packed as `addr << 8 | value`, in
+    /// the order addresses were first written since `begin` (see
+    /// `plasma::SelfTestBench`).
+    fn save_lane(&self, lane: usize, out: &mut Vec<u64>) {
+        for &i in &self.rows {
+            let idx = i as usize * self.lanes + lane;
+            if self.ovl_gens[idx] == self.gen {
+                out.push((i as u64) << 8 | self.ovl_vals[idx] as u64);
+            }
+        }
+    }
+
+    fn load_lane(&mut self, lane: usize, state: &[u64]) {
+        for &p in state {
+            self.write(lane, (p >> 8) as u16, p as u8);
+        }
     }
 }
 

@@ -107,26 +107,37 @@ impl<'a> GateCpu<'a> {
     }
 }
 
+/// Row-block marker: no lane has written the row since `begin`.
+const NO_BLOCK: u32 = u32::MAX;
+/// Overlay entry flag: the lane wrote the row (the low 32 bits hold the
+/// word).
+const WRITTEN: u64 = 1 << 32;
+
 /// The fault-simulation testbench: every lane is an independent faulty
 /// processor with its own memory image (shared base + per-lane write
 /// overlay). Divergence of the observed bus outputs from lane 0 is the
 /// detection criterion — exactly what an external tester on the CPU bus
-/// sees (paper, Figure 1). Drives any [`LaneSim`] engine; the overlays
-/// are sized from the simulator's lane count at [`Testbench::begin`].
+/// sees (paper, Figure 1). Drives any [`LaneSim`] engine; the overlay
+/// blocks are sized from the simulator's lane count at
+/// [`Testbench::begin`].
 pub struct SelfTestBench<'a> {
     core: &'a PlasmaCore,
     base: Vec<u32>,
     mask: usize,
     lanes: usize,
-    // Flat per-lane write overlays with generation tags: the entry at
-    // `i * lanes + lane` is live iff its tag equals the current epoch,
-    // so `begin` is an O(1) epoch bump instead of per-lane map clears.
-    // Word-major, because lanes mostly follow the golden instruction
-    // stream: one cycle's accesses cluster on a few addresses, whose
-    // entries then share cache lines.
-    ovl_vals: Vec<u32>,
-    ovl_gens: Vec<u32>,
-    gen: u32,
+    // Per-lane write overlays, one block of `lanes` entries per row that
+    // some lane wrote since `begin`: `blocks[i]` is row i's block (or
+    // NO_BLOCK), `rows[b]` is block b's row, in first-write order, and
+    // entry `b * lanes + lane` is `WRITTEN | word` once that lane wrote
+    // the row. Lanes mostly follow the golden instruction stream, so a
+    // cycle's accesses cluster on a few rows whose entries share cache
+    // lines. Memory grows with the rows written, not with lanes × the
+    // address space, so the resident set stays small and steady however
+    // the allocator serves it; `begin` and saving a lane cost O(rows
+    // written).
+    blocks: Vec<u32>,
+    rows: Vec<u32>,
+    ovl: Vec<u64>,
     budget: u64,
     rdata_scratch: Vec<u64>,
     bits_scratch: Vec<u64>,
@@ -154,9 +165,9 @@ impl<'a> SelfTestBench<'a> {
             base,
             mask: words - 1,
             lanes: 0,
-            ovl_vals: Vec::new(),
-            ovl_gens: Vec::new(),
-            gen: 0,
+            blocks: vec![NO_BLOCK; words],
+            rows: Vec::new(),
+            ovl: Vec::new(),
             budget,
             rdata_scratch: Vec::new(),
             bits_scratch: Vec::new(),
@@ -179,30 +190,39 @@ impl<'a> SelfTestBench<'a> {
 
     fn read(&self, lane: usize, addr: u32) -> u32 {
         let i = (addr as usize >> 2) & self.mask;
-        let idx = i * self.lanes + lane;
-        if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[i]
+        let b = self.blocks[i];
+        if b != NO_BLOCK {
+            let e = self.ovl[b as usize * self.lanes + lane];
+            if e & WRITTEN != 0 {
+                return e as u32;
+            }
         }
+        self.base[i]
     }
 
     fn write(&mut self, lane: usize, addr: u32, wdata: u32, be: u8) {
         let i = (addr as usize >> 2) & self.mask;
-        let idx = i * self.lanes + lane;
-        let old = if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[i]
-        };
+        let old = self.read(lane, addr);
         let mut m = 0u32;
         for b in 0..4 {
             if be & (1 << b) != 0 {
                 m |= 0xFF << (8 * b);
             }
         }
-        self.ovl_vals[idx] = (old & !m) | (wdata & m);
-        self.ovl_gens[idx] = self.gen;
+        self.put(i, lane, (old & !m) | (wdata & m));
+    }
+
+    /// Store `value` into row `i` of lane `lane`'s overlay, giving the
+    /// row its block on its first write since `begin`.
+    fn put(&mut self, i: usize, lane: usize, value: u32) {
+        let mut b = self.blocks[i];
+        if b == NO_BLOCK {
+            b = self.rows.len() as u32;
+            self.blocks[i] = b;
+            self.rows.push(i as u32);
+            self.ovl.resize(self.ovl.len() + self.lanes, 0);
+        }
+        self.ovl[b as usize * self.lanes + lane] = WRITTEN | value as u64;
     }
 
     /// The memory phase of one cycle: per-lane overlay access for the
@@ -283,19 +303,14 @@ impl<S: LaneSim> Testbench<S> for SelfTestBench<'_> {
     fn begin(&mut self, sim: &mut S) {
         let lanes = sim.lanes();
         if lanes != self.lanes {
-            let n = lanes * (self.mask + 1);
             self.lanes = lanes;
-            self.ovl_vals = vec![0; n];
-            self.ovl_gens = vec![0; n];
             self.rdata_scratch = vec![0; lanes];
         }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Tag wrap-around (once per 2^32 batches): stale tags could
-            // alias the new epoch, so reset them all and restart at 1.
-            self.ovl_gens.fill(0);
-            self.gen = 1;
+        for &i in &self.rows {
+            self.blocks[i as usize] = NO_BLOCK;
         }
+        self.rows.clear();
+        self.ovl.clear();
     }
 
     fn step(&mut self, sim: &mut S, _cycle: u64, diff: &mut [u64]) {
@@ -310,6 +325,24 @@ impl<S: LaneSim> Testbench<S> for SelfTestBench<'_> {
 
     fn cycles(&self) -> u64 {
         self.budget
+    }
+
+    /// The lane's written words, each packed as `row << 32 | value`, in
+    /// the order rows were first written since `begin` — the same for
+    /// every lane, so lanes with equal overlays save equal states.
+    fn save_lane(&self, lane: usize, out: &mut Vec<u64>) {
+        for (b, &i) in self.rows.iter().enumerate() {
+            let e = self.ovl[b * self.lanes + lane];
+            if e & WRITTEN != 0 {
+                out.push((i as u64) << 32 | (e as u32) as u64);
+            }
+        }
+    }
+
+    fn load_lane(&mut self, lane: usize, state: &[u64]) {
+        for &p in state {
+            self.put((p >> 32) as usize, lane, p as u32);
+        }
     }
 }
 

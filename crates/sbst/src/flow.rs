@@ -41,7 +41,7 @@ pub struct FlowOptions {
     /// variable, else available parallelism). Results are bit-identical
     /// at every thread count.
     pub threads: usize,
-    /// Live batch-progress ticker on stderr (`--progress`).
+    /// Live progress ticker on stderr (`--progress`), in faults resolved.
     pub progress: bool,
     /// Write structured JSONL trace events here (`None` = tracing off,
     /// the default — disabled tracing is one branch per batch).
@@ -105,11 +105,10 @@ impl Default for FlowOptions {
 
 impl FlowOptions {
     /// Build the campaign hooks these options describe. `label` names
-    /// the progress ticker; `total_batches` sizes it (see
-    /// [`campaign::batch_count_lanes`]). A trace path that cannot be opened
-    /// degrades to disabled tracing with a warning rather than failing
-    /// the run.
-    pub fn hooks(&self, label: &str, total_batches: u64) -> CampaignHooks {
+    /// the progress ticker; `faults` sizes it (the runner counts faults
+    /// resolved). A trace path that cannot be opened degrades to
+    /// disabled tracing with a warning rather than failing the run.
+    pub fn hooks(&self, label: &str, faults: u64) -> CampaignHooks {
         let tracer = match &self.trace_path {
             Some(p) => Tracer::to_path(p).unwrap_or_else(|e| {
                 eprintln!("warning: cannot open trace file {}: {e}", p.display());
@@ -119,7 +118,7 @@ impl FlowOptions {
         };
         CampaignHooks {
             tracer,
-            progress: self.progress.then(|| Progress::new(label, total_batches)),
+            progress: self.progress.then(|| Progress::new(label, faults)),
             profiler: if self.profile {
                 Profiler::new()
             } else {
@@ -285,9 +284,13 @@ pub fn run_campaign_of_hooks(
 }
 
 /// The engine-dispatching campaign entry: interpreted 64-lane reference
-/// or compiled multi-word kernel, per `engine`. Detections are
-/// bit-identical across engines, lane widths, and thread counts — only
-/// throughput (and batch geometry in the stats) differs.
+/// or compiled multi-word kernel, per `engine`, at its configured width.
+/// It is not [`EngineConfig::fit`]ted: a ~126-fault job shard grades
+/// faster in 128 lanes than in a half-empty 256, but its speed varies
+/// about twice as much with the load on a shared host, which made job
+/// server throughput unsteady (EXPERIMENTS.md, "Engine benchmarks").
+/// Detections are bit-identical across engines, lane widths, and thread
+/// counts — only throughput (and batch geometry in the stats) differs.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_of_engine(
     core: &PlasmaCore,
@@ -450,10 +453,7 @@ pub fn run_flow(core: &PlasmaCore, phase: Phase, opts: &FlowOptions) -> FlowRepo
     let selftest = build_program(phase).expect("phase program must assemble");
     let golden = golden_cycles(&selftest);
     let faults = fault_list(core, opts);
-    let hooks = opts.hooks(
-        phase.name(),
-        campaign::batch_count_lanes(&faults, opts.engine.lanes()),
-    );
+    let hooks = opts.hooks(phase.name(), faults.len() as u64);
     let campaign = run_campaign_of_engine(
         core,
         &selftest.program,

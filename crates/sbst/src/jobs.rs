@@ -197,6 +197,10 @@ mod tests {
         assert_eq!(merged.detections, single.detections);
         assert_eq!(merged.coverage(), single.coverage());
         assert!(merged.detections.iter().any(|d| matches!(d, Detection::DetectedAt(_))));
+        // Faults graded and useful lane-cycles depend only on the
+        // detections, so the merge sums them to the single-shot values.
+        assert_eq!(merged.stats.faults, single.stats.faults);
+        assert_eq!(merged.stats.lane_cycles_useful, single.stats.lane_cycles_useful);
 
         // Shard progress tallies sum to the merged totals.
         let (graded, detected): (u64, u64) = parts

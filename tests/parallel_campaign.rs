@@ -3,9 +3,10 @@
 //! serial runner at every thread count, on both processor cores.
 //!
 //! The guarantee rests on batch independence — `run_batch` rebuilds the
-//! simulator state from scratch, so an outcome depends only on the
-//! injected faults and the testbench stimulus, never on which worker ran
-//! the batch or in what order.
+//! simulator state from scratch (plus the lanes parked at the last
+//! epoch boundary), so an outcome depends only on the injected faults
+//! and the testbench stimulus, never on which worker ran the batch or in
+//! what order — and on a schedule that depends only on the detections.
 
 use fault::campaign;
 use fault::model::FaultList;
@@ -19,12 +20,13 @@ fn parwan_campaign_identical_across_thread_counts() {
     let test = parwan::sbst::deterministic_selftest();
     let serial = parwan::sbst::grade_threads(&core, &test, &faults, 1);
     assert_eq!(serial.stats.threads, 1);
-    // Batch count follows the engine's lane width (the default engine is
-    // resolved from `SBST_ENGINE`/`SBST_LANES`, so derive, don't assume).
-    assert_eq!(
-        serial.stats.batches,
-        campaign::batch_count_lanes(&faults, serial.stats.lanes as usize)
-    );
+    // The first epoch's batch count follows the engine's lane width (the
+    // default engine is resolved from `SBST_ENGINE`/`SBST_LANES`, so
+    // derive, don't assume); regrouped survivors add batch runs.
+    let first = campaign::batch_count_lanes(&faults, serial.stats.lanes as usize);
+    let budget = parwan::sbst::golden_cycles(&test) + 32;
+    assert_eq!(serial.stats.budget_cycles, first * budget);
+    assert!(serial.stats.batches >= first);
     for threads in [2, 5, campaign::default_threads()] {
         let par = parwan::sbst::grade_threads(&core, &test, &faults, threads);
         assert_eq!(
