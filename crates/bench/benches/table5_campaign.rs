@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use fault::campaign::CampaignHooks;
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::flow::{self, FlowOptions};
 use sbst::phases::{build_program, Phase};
@@ -16,19 +17,20 @@ fn bench_table5(c: &mut Criterion) {
     };
     let faults = flow::fault_list(&core, &opts);
     let st = build_program(Phase::A).unwrap();
-    let golden = flow::golden_cycles(&st);
+    let (budget, hooks) = (flow::golden_cycles(&st) + 64, CampaignHooks::none());
+    let grade = || {
+        flow::run_campaign_of_engine(&core, &st.program, &faults, budget, 0, &hooks, opts.engine)
+    };
 
     // Print the sampled headline once.
-    let res = flow::run_campaign(&core, &st, &faults, golden + 64);
+    let res = grade();
     println!(
         "[table5] Phase A, {} sampled faults: {:.2}% coverage",
         faults.len(),
         100.0 * res.coverage()
     );
 
-    c.bench_function("table5_phase_a_800_faults", |b| {
-        b.iter(|| flow::run_campaign(&core, &st, &faults, golden + 64))
-    });
+    c.bench_function("table5_phase_a_800_faults", |b| b.iter(grade));
 }
 
 criterion_group! {

@@ -44,6 +44,7 @@ use difftest::oracle::{OracleConfig, PlasmaOracle};
 use difftest::parwan_oracle::{random_parwan_image, ParwanOracle};
 use difftest::{fuzz_plasma, shrink, FuzzConfig, FuzzHooks};
 use fault::model::{Fault, FaultList};
+use fault::LaneSim;
 use mips::gen::{random_parts, GenConfig};
 use obs::{LedgerRecord, MetricRegistry, Progress, Tracer};
 use plasma::{PlasmaConfig, PlasmaCore};
@@ -195,9 +196,11 @@ fn main() -> ExitCode {
     let fingerprint = format!("n{}/g{}/d{}", sig.nets, sig.gates, sig.dffs);
 
     if replay {
-        let (code, cases, failed) = replay_corpus(&core, &corpus_dir);
+        let mut oracle = PlasmaOracle::new(&core, OracleConfig::default());
+        let (code, cases, failed) = replay_corpus(&core, &mut oracle, &corpus_dir);
         let mut rec = LedgerRecord::now("difftest-replay", &cmd);
         rec.netlist = fingerprint;
+        (rec.engine, rec.lanes) = (oracle.sim().engine().to_string(), oracle.sim().lanes() as u64);
         rec.extra.insert("cases".to_string(), Value::U64(cases));
         rec.extra.insert("failed".to_string(), Value::U64(failed));
         finish(
@@ -332,6 +335,7 @@ fn main() -> ExitCode {
     let divergences = report.divergent_seeds().len() as u64;
     let mut rec = LedgerRecord::now("difftest", &cmd);
     rec.netlist = fingerprint;
+    (rec.engine, rec.lanes) = (report.engine.0.to_string(), report.engine.1 as u64);
     rec.threads = if cfg.threads == 0 {
         fault::campaign::default_threads() as u64
     } else {
@@ -497,7 +501,11 @@ fn run_injection_demo(
     }
 }
 
-fn replay_corpus(core: &PlasmaCore, dir: &std::path::Path) -> (ExitCode, u64, u64) {
+fn replay_corpus(
+    core: &PlasmaCore,
+    oracle: &mut PlasmaOracle,
+    dir: &std::path::Path,
+) -> (ExitCode, u64, u64) {
     let cases = match corpus::load_dir(dir) {
         Ok(c) => c,
         Err(e) => {
@@ -506,10 +514,9 @@ fn replay_corpus(core: &PlasmaCore, dir: &std::path::Path) -> (ExitCode, u64, u6
         }
     };
     println!("replaying {} corpus case(s) from {}...", cases.len(), dir.display());
-    let mut oracle = PlasmaOracle::new(core, OracleConfig::default());
     let mut failed = 0u64;
     for (path, case) in &cases {
-        match corpus::replay(case, core, &mut oracle) {
+        match corpus::replay(case, core, oracle) {
             ReplayOutcome::Pass => println!("  pass  {}", path.display()),
             ReplayOutcome::Skipped(why) => println!("  skip  {} ({why})", path.display()),
             ReplayOutcome::Fail(why) => {

@@ -25,11 +25,12 @@
 //!                              #   escapes -> results/WAVE_escape_*.vcd
 //! ```
 //!
-//! `--engine {interp,compiled}` selects the simulation back-end and
-//! `--lanes N[,N..]` the compiled lane width(s): under `--stats` a
-//! comma list sweeps every width, elsewhere a single width pins the
-//! engine. `--verify-interp` makes `--stats` cross-check compiled
-//! detections against the interpreted reference engine.
+//! Every campaign runs on the compiled engine. `--lanes N[,N..]` sets
+//! its lane width(s): under `--stats` a comma list sweeps every width,
+//! elsewhere a single width pins it. `--verify-interp` makes `--stats`
+//! also grade serially on the interpreted reference (`ParallelSim`),
+//! report that run as its own row, and cross-check every width's
+//! detections against it.
 //!
 //! `--progress` adds a live batch ticker on stderr; `--trace FILE`
 //! writes structured campaign events as JSONL; `--stride N` sets the
@@ -145,7 +146,7 @@ fn finish(opts: &RunOptions, out: &ObsOut, record: Option<LedgerRecord>) {
 
 /// `--submit URL`: run this invocation's campaign on a live job server
 /// instead of in-process. The spec mirrors the local options (`--sample`,
-/// `--seed`, `--engine`, `--lanes`, `--threads`) plus `--shards`; the
+/// `--seed`, `--lanes`, `--threads`) plus `--shards`; the
 /// server's netlist fingerprint is discovered from `GET /jobs`. Returns
 /// the process exit code.
 fn submit_campaign(
@@ -184,7 +185,6 @@ fn submit_campaign(
             None => serde_json::Value::Null,
         },
         "seed": opts.seed,
-        "engine": opts.engine.name(),
         "lanes": opts.engine.lanes() as u64,
         "threads": opts.threads.max(1) as u64,
         "shards": shards,
@@ -309,21 +309,6 @@ fn main() {
             "--seed" => opts.seed = value(&mut it, a, "a number"),
             "--threads" => opts.threads = value(&mut it, a, "a number"),
             "--stats" => stats = true,
-            "--engine" => {
-                let spec: String = value(&mut it, a, "interp|compiled");
-                match fault::EngineKind::parse(&spec) {
-                    Ok(kind) => {
-                        opts.engine.kind = kind;
-                        if kind == fault::EngineKind::Interp {
-                            opts.engine.lane_words = 1;
-                        }
-                    }
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--lanes" => {
                 let spec: String = value(&mut it, a, "a comma-separated list");
                 opts.lanes_sweep.clear();
@@ -336,12 +321,10 @@ fn main() {
                         }
                     }
                 }
-                // A single width also pins the configured engine, so
+                // A single width also pins the configured one, so
                 // non-`--stats` campaigns honor `--lanes N`.
                 if let [lanes] = opts.lanes_sweep[..] {
-                    if opts.engine.kind == fault::EngineKind::Compiled {
-                        opts.engine.lane_words = lanes / 64;
-                    }
+                    opts.engine = fault::EngineConfig::compiled(lanes);
                 }
             }
             "--verify-interp" => opts.verify_interp = true,
@@ -376,7 +359,7 @@ fn main() {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: tables [--all | --table <id>] [--full | --sample N] [--seed N] \
-                     [--threads N] [--engine interp|compiled] [--lanes N[,N..]] \
+                     [--threads N] [--lanes N[,N..]] \
                      [--verify-interp] [--stats | --report | --escapes | --forensics | \
                      --forensics-fault id] [--progress] \
                      [--profile] [--trace file] [--stride N] [--json file] [--ledger file] \

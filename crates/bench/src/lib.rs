@@ -20,9 +20,11 @@ pub mod server;
 use fault::campaign::{self, CampaignHooks, CampaignResult};
 use fault::coverage::CoverageReport;
 use fault::model::FaultList;
-use fault::{EngineConfig, EngineKind};
+use fault::sim::ParallelSim;
+use fault::EngineConfig;
 use netlist::synth::TechStyle;
 use obs::{LedgerRecord, MetricRegistry};
+use plasma::testbench::SelfTestBench;
 use plasma::{PlasmaConfig, PlasmaCore, COMPONENT_NAMES};
 use sbst::classify::{self, ComponentClass};
 use sbst::cost::CostModel;
@@ -375,15 +377,15 @@ pub struct RunOptions {
     /// Live event bus for the observatory's `/events` SSE route
     /// (`--serve`); campaign begin/batch/end events land here.
     pub events: Option<obs::EventBus>,
-    /// Simulation engine for campaign-bearing experiments (`--engine`,
-    /// `SBST_ENGINE`/`SBST_LANES`).
+    /// Lane width of the compiled engine for campaign-bearing
+    /// experiments (`--lanes N`, `SBST_LANES`).
     pub engine: EngineConfig,
     /// Lane widths swept by `--stats` (`--lanes 64,256`); empty sweeps
-    /// only the configured engine width. Ignored by the interpreted
-    /// engine (pinned at 64 lanes).
+    /// only the configured width.
     pub lanes_sweep: Vec<usize>,
-    /// Cross-check the compiled engine's detections against the
-    /// interpreted reference during `--stats` (`--verify-interp`).
+    /// Cross-check the compiled engine's detections against a serial
+    /// run of the interpreted reference (`ParallelSim`) during `--stats`,
+    /// reported as its own row (`--verify-interp`).
     pub verify_interp: bool,
 }
 
@@ -421,17 +423,27 @@ impl RunOptions {
         }
     }
 
-    /// The engine configurations `--stats` sweeps: the configured engine,
-    /// widened across `--lanes` when given (compiled only).
+    /// The widths `--stats` sweeps: the configured one, or every
+    /// `--lanes` width when given.
     pub fn engine_sweep(&self) -> Vec<EngineConfig> {
-        if self.engine.kind == EngineKind::Interp || self.lanes_sweep.is_empty() {
+        if self.lanes_sweep.is_empty() {
             return vec![self.engine];
         }
-        self.lanes_sweep
-            .iter()
-            .map(|&lanes| EngineConfig::compiled(lanes))
-            .collect()
+        self.lanes_sweep.iter().map(|&n| EngineConfig::compiled(n)).collect()
     }
+}
+
+/// Grade `program` over `faults` on the width and threads `fo`
+/// configures, without hooks.
+fn grade_program(
+    core: &PlasmaCore,
+    program: &mips::Program,
+    faults: &FaultList,
+    budget: u64,
+    fo: &FlowOptions,
+) -> CampaignResult {
+    let hooks = CampaignHooks::none();
+    flow::run_campaign_of_engine(core, program, faults, budget, fo.threads, &hooks, fo.engine)
 }
 
 /// Append the self-profiler table to an experiment text when the run
@@ -608,7 +620,7 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
         };
         let pr = baselines::lfsr::build_program(&cfg).expect("assembles");
         let cycles = flow::golden_cycles_of(&pr.program);
-        let res = flow::run_campaign_of(core, &pr.program, &faults, cycles + 64);
+        let res = grade_program(core, &pr.program, &faults, cycles + 64, &fo);
         let report = CoverageReport::from_campaign(core.netlist(), &res);
         push(
             &mut text,
@@ -634,7 +646,7 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
             2_000_000,
         );
         let cycles = trace.len() as u64;
-        let res = flow::run_campaign_of(core, &p, &faults, cycles + 64);
+        let res = grade_program(core, &p, &faults, cycles + 64, &fo);
         let report = CoverageReport::from_campaign(core.netlist(), &res);
         push(
             &mut text,
@@ -672,11 +684,11 @@ pub fn table_parwan(opts: &RunOptions) -> Experiment {
     let det = parwan::sbst::deterministic_selftest();
     let det_cycles = parwan::sbst::golden_cycles(&det);
     let det_res =
-        parwan::sbst::grade_hooks(&core, &det, &faults, opts.threads, opts.engine, &hooks);
+        parwan::sbst::grade(&core, &det, &faults, opts.threads, opts.engine, &hooks);
     let pr = parwan::sbst::lfsr_selftest(48);
     let pr_cycles = parwan::sbst::golden_cycles(&pr);
     let pr_res =
-        parwan::sbst::grade_hooks(&core, &pr, &faults, opts.threads, opts.engine, &hooks);
+        parwan::sbst::grade(&core, &pr, &faults, opts.threads, opts.engine, &hooks);
 
     let mut text = format!(
         "Parwan-class core: {:.0} NAND2, {} collapsed faults\n\n",
@@ -850,15 +862,16 @@ pub fn table_misr(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
     let faults = all.filter(|_, c| c == alu || c == bsh);
 
     let store_all = flow::run_flow(core, Phase::A, &fo);
-    let store_res = flow::run_campaign(
+    let store_res = grade_program(
         core,
-        &store_all.selftest,
+        &store_all.selftest.program,
         &faults,
         store_all.golden_cycles + 64,
+        &fo,
     );
     let misr = sbst::signature::misr_program().expect("assembles");
     let misr_cycles = flow::golden_cycles(&misr);
-    let misr_res = flow::run_campaign(core, &misr, &faults, misr_cycles + 64);
+    let misr_res = grade_program(core, &misr.program, &faults, misr_cycles + 64, &fo);
 
     let mut text = format!(
         "{:<30} {:>8} {:>9} {:>14}
@@ -1002,11 +1015,11 @@ fn stats_line(label: &str, r: &CampaignResult) -> String {
 
 /// The campaign throughput benchmark behind `tables --stats`: grade the
 /// Phase A+B self-test over the sampled fault list serially and at the
-/// requested (or auto) thread count for every engine/lane-width combo in
-/// the sweep, verify the detections are bit-identical across threads,
-/// lane widths and (under `--verify-interp`) engines, and report wall
-/// time / Mlane-cycles/s / speedup. The driver writes the JSON payload
-/// to `results/BENCH_campaign.json`.
+/// requested (or auto) thread count for every lane width in the sweep,
+/// verify the detections are bit-identical across threads, lane widths
+/// and (under `--verify-interp`, whose serial interpreted run is the
+/// first row) engines, and report wall time / Mlane-cycles/s / speedup.
+/// The `tables` binary writes the payload to `results/BENCH_campaign.json`.
 pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     let core = PlasmaCore::build(PlasmaConfig::default());
     let fo = opts.flow_options();
@@ -1032,20 +1045,16 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     };
     let combos = opts.engine_sweep();
 
-    // Interpreted reference detections, run once when cross-engine
-    // verification is requested and the sweep itself is compiled.
-    let interp_ref = (opts.verify_interp
-        && combos.iter().any(|e| e.kind != EngineKind::Interp))
-    .then(|| {
-        flow::run_campaign_of_engine(
-            &core,
-            &selftest.program,
-            &faults,
-            budget,
-            1,
-            &hooks,
-            EngineConfig::interp(),
-        )
+    // The interpreted reference, run once serially on `ParallelSim`
+    // when cross-engine verification is requested.
+    let interp_ref = opts.verify_interp.then(|| {
+        let segments = core.segments().map(<[u32]>::to_vec);
+        let sim = ParallelSim::with_segments(core.netlist(), &segments);
+        let factory = || {
+            SelfTestBench::new(&core, &selftest.program, flow::MEM_BYTES, budget)
+                .with_profiler(hooks.profiler.clone())
+        };
+        campaign::run(&sim, &faults, factory, 1, &hooks)
     });
 
     let mut text = format!(
@@ -1073,6 +1082,10 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     // with a reference run means every combo matched it.
     let cross_engine_match = interp_ref.is_some();
     let mut last_profiled: Option<campaign::CampaignStats> = None;
+    if let Some(reference) = &interp_ref {
+        text.push_str(&stats_line("reference", reference));
+        runs.push(stats_json(reference));
+    }
     for engine in &combos {
         let serial = flow::run_campaign_of_engine(
             &core,
@@ -1087,8 +1100,7 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
         if let Some(reference) = &interp_ref {
             assert_eq!(
                 serial.detections, reference.detections,
-                "{} engine at {} lanes diverged from the interpreted reference",
-                engine.name(),
+                "compiled engine at {} lanes diverged from the interpreted reference",
                 engine.lanes()
             );
         }

@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use fault::campaign::{CampaignHooks, CampaignResult, CampaignStats, Detection};
 use fault::coverage::CoverageReport;
-use fault::engine::{EngineConfig, EngineKind};
+use fault::engine::EngineConfig;
 use fault::shard::{ShardBoard, ShardState};
 use obs::serve::{ApiHandler, ApiRequest, ApiResponse};
 use obs::traceviz::{self, ProcessStream};
@@ -971,6 +971,8 @@ impl JobServer {
                 _ => return err_json("400 Bad Request", "detections must be -1 or a cycle number"),
             }
         }
+        // Counts come from the worker; the engine and width are the
+        // job's own, so a worker cannot skew the merged lane figures.
         let stats = &doc["stats"];
         let num = |k: &str| stats[k].as_u64().unwrap_or(0);
         let result = CampaignResult {
@@ -987,11 +989,8 @@ impl JobServer {
                 ),
                 wall_seconds: stats["wall_seconds"].as_f64().unwrap_or(0.0),
                 threads: num("threads").max(1) as usize,
-                engine: match stats["engine"].as_str() {
-                    Some("compiled") => "compiled",
-                    _ => "interp",
-                },
-                lanes: num("lanes").max(64),
+                engine: "compiled",
+                lanes: job.spec.engine.lanes() as u64,
                 ..CampaignStats::default()
             },
             detections,
@@ -1146,15 +1145,9 @@ pub fn parse_spec(doc: &Value) -> Result<(String, String, CampaignJobSpec), Stri
         None => 256,
         Some(v) => v.as_u64().ok_or("`lanes` must be an integer")? as usize,
     };
-    let engine = match o.get("engine").and_then(|v| v.as_str()).unwrap_or("compiled") {
-        "interp" => EngineConfig::interp(),
-        "compiled" => {
-            if ![64, 128, 256, 512].contains(&lanes) {
-                return Err(format!("unsupported lane count {lanes} (want 64/128/256/512)"));
-            }
-            EngineConfig::compiled(lanes)
-        }
-        other => return Err(format!("unknown engine `{other}` (want interp or compiled)")),
+    let engine = match EngineConfig::words_for_lanes(lanes) {
+        Some(_) => EngineConfig::compiled(lanes),
+        None => return Err(format!("unsupported lane count {lanes} (want 64/128/256/512)")),
     };
     let threads = match o.get("threads") {
         None => 1,
@@ -1197,10 +1190,6 @@ pub fn spec_json(fingerprint: &str, spec: &CampaignJobSpec) -> Value {
         },
         "seed": spec.seed,
         "cycle_margin": spec.cycle_margin,
-        "engine": match spec.engine.kind {
-            EngineKind::Interp => "interp",
-            EngineKind::Compiled => "compiled",
-        },
         "lanes": spec.engine.lanes() as u64,
         "threads": spec.threads as u64,
         "shards": spec.shards as u64,
@@ -1232,7 +1221,7 @@ pub fn detections_json(detections: &[Detection]) -> Value {
 
 /// The **conformance payload**: everything a campaign's outcome
 /// determines and nothing an execution strategy does. Two runs of the
-/// same spec — single-shot or any shards × threads × engine combination
+/// same spec — single-shot or any shards × threads × lane-width combination
 /// — must serialize this to identical bytes; the e2e suite holds the
 /// daemon to exactly that.
 pub fn conformance_json(
@@ -1319,7 +1308,6 @@ mod tests {
             "netlist": srv.fingerprint().to_string(),
             "sample": 120u64,
             "shards": shards,
-            "engine": "interp",
         })
     }
 
@@ -1452,7 +1440,16 @@ mod tests {
             if job.id == "local" {
                 assert!(srv.record_shard(&job, shard, res, "t"));
             } else {
-                let body = serde_json::to_string(&completion_json(&job.id, shard, "t", &res)).unwrap();
+                let mut body = completion_json(&job.id, shard, "t", &res);
+                if let (0, Value::Object(o)) = (shard, &mut body) {
+                    // A worker that misreports its engine and width
+                    // must not skew the merged lane figures.
+                    let mut stats = o.get("stats").and_then(Value::as_object).unwrap().clone();
+                    stats.insert("lanes".into(), Value::U64(100_000));
+                    stats.insert("engine".into(), Value::String("interp".into()));
+                    o.insert("stats".into(), Value::Object(stats));
+                }
+                let body = serde_json::to_string(&body).unwrap();
                 let req = ApiRequest {
                     method: "POST".into(),
                     path: "/complete".into(),
@@ -1469,7 +1466,9 @@ mod tests {
         };
         let (a, b) = (stats(&local), stats(&remote));
         assert!(a["lane_utilization"].as_f64().unwrap() > 0.0);
-        assert_eq!(a["lane_utilization"], b["lane_utilization"]);
+        for key in ["lane_utilization", "lanes", "engine", "batches", "cycles_simulated"] {
+            assert_eq!(a[key], b[key], "merged `{key}` differs");
+        }
     }
 
     #[test]

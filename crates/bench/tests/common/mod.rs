@@ -76,7 +76,6 @@ pub fn spec(server: &ServerProc, id: &str) -> Value {
         "id": id.to_string(),
         "netlist": server.fingerprint.clone(),
         "sample": 200u64,
-        "engine": "interp",
         "shards": 2u64,
     })
 }

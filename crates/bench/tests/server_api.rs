@@ -190,7 +190,6 @@ fn expired_lease_emits_steal_events_on_the_bus() {
         "id": "steal",
         "netlist": srv.fingerprint.clone(),
         "sample": 60u64,
-        "engine": "interp",
         "shards": 1u64,
     });
     let (status, _) = bench::client::post(

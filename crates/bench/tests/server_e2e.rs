@@ -2,8 +2,9 @@
 //! real `server` daemon via `CARGO_BIN_EXE`, submit campaign jobs over
 //! real sockets, and hold the daemon to the merge guarantee — the
 //! coverage/detection payload of every sharded run is **byte-identical**
-//! to an in-process single-shot run of the same spec, across shard
-//! counts × per-shard thread counts × both simulation engines.
+//! to an in-process single-shot run of the same spec on the interpreted
+//! reference engine, across shard counts × per-shard thread counts ×
+//! lane widths.
 //!
 //! Also covered here: per-job progress streamed over the existing SSE
 //! `/events` bus, compiled-kernel reuse across jobs (a second job on the
@@ -18,8 +19,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use common::{metric_value, metrics, run_job, spawn_server, ServerProc};
-use fault::campaign::CampaignHooks;
+use fault::campaign::{self, CampaignHooks};
 use fault::coverage::CoverageReport;
+use fault::sim::ParallelSim;
+use plasma::testbench::SelfTestBench;
 use plasma::{PlasmaConfig, PlasmaCore};
 use serde_json::Value;
 
@@ -27,21 +30,22 @@ use serde_json::Value;
 /// every component contributes detections.
 const SAMPLE: u64 = 300;
 
-/// The in-process single-shot reference: prepare and run the spec in
-/// this test process (one shard, one thread) and render the canonical
-/// conformance payload the daemon must reproduce byte-for-byte.
+/// The in-process single-shot reference: prepare the spec in this test
+/// process, grade it serially on the interpreted engine (`ParallelSim`),
+/// and render the canonical conformance payload the daemon must
+/// reproduce byte-for-byte.
 fn reference_conformance(doc: &Value) -> String {
     let core = PlasmaCore::build(PlasmaConfig::default());
     let (_, netlist, spec) = bench::server::parse_spec(doc).expect("reference spec parses");
     let job = sbst::jobs::prepare(&core, &spec);
-    let result = sbst::flow::run_campaign_of_engine(
-        &core,
-        &job.selftest.program,
+    let sim = ParallelSim::with_segments(core.netlist(), &core.segments().map(<[u32]>::to_vec));
+    let program = &job.selftest.program;
+    let result = campaign::run(
+        &sim,
         &job.faults,
-        job.budget,
+        || SelfTestBench::new(&core, program, sbst::flow::MEM_BYTES, job.budget),
         1,
         &CampaignHooks::none(),
-        spec.engine,
     );
     let coverage = CoverageReport::from_campaign(core.netlist(), &result);
     serde_json::to_string(&bench::server::conformance_json(
@@ -54,33 +58,31 @@ fn reference_conformance(doc: &Value) -> String {
     .expect("serialize reference conformance")
 }
 
-fn matrix_spec(srv: &ServerProc, id: &str, engine: &str, shards: u64, threads: u64) -> Value {
+fn matrix_spec(srv: &ServerProc, id: &str, lanes: u64, shards: u64, threads: u64) -> Value {
     serde_json::json!({
         "id": id.to_string(),
         "netlist": srv.fingerprint.clone(),
         "sample": SAMPLE,
-        "engine": engine.to_string(),
-        "lanes": 128u64,
+        "lanes": lanes,
         "threads": threads,
         "shards": shards,
     })
 }
 
-/// The tentpole: every point of the shards × threads × engine matrix,
-/// graded by the daemon's work-stealing workers, serializes the same
-/// conformance bytes as the single-shot in-process reference. The
-/// reference is computed once with the interpreted engine, so this also
-/// pins compiled-engine daemon runs to the interpreted single-shot.
+/// The tentpole: every point of the shards × threads × lanes matrix,
+/// graded by the daemon's work-stealing workers on the compiled engine,
+/// serializes the same conformance bytes as the single-shot in-process
+/// reference graded on the interpreted engine.
 #[test]
 fn daemon_sharded_matrix_is_byte_identical_to_single_shot() {
     let srv = spawn_server(&["--workers", "2"]);
-    let reference = reference_conformance(&matrix_spec(&srv, "ref", "interp", 1, 1));
+    let reference = reference_conformance(&matrix_spec(&srv, "ref", 64, 1, 1));
 
-    for engine in ["interp", "compiled"] {
+    for lanes in [64u64, 128] {
         for shards in [2u64, 5] {
             for threads in [1u64, 2] {
-                let id = format!("m-{engine}-s{shards}-t{threads}");
-                let result = run_job(&srv, &matrix_spec(&srv, &id, engine, shards, threads));
+                let id = format!("m-l{lanes}-s{shards}-t{threads}");
+                let result = run_job(&srv, &matrix_spec(&srv, &id, lanes, shards, threads));
                 let got = serde_json::to_string(&result["conformance"])
                     .expect("serialize daemon conformance");
                 assert_eq!(
@@ -154,7 +156,7 @@ fn job_progress_streams_over_sse() {
 #[test]
 fn second_job_on_same_fingerprint_reuses_the_compiled_kernel() {
     let srv = spawn_server(&["--workers", "1"]);
-    let first = run_job(&srv, &matrix_spec(&srv, "warm", "compiled", 2, 1));
+    let first = run_job(&srv, &matrix_spec(&srv, "warm", 128, 2, 1));
     let snap1 = metrics(&srv);
     let lowering1 =
         metric_value(&snap1, "sbst_kernel_lowering_ns_total").expect("lowering metric");
@@ -168,7 +170,7 @@ fn second_job_on_same_fingerprint_reuses_the_compiled_kernel() {
         "first job owns every compile miss"
     );
 
-    let second = run_job(&srv, &matrix_spec(&srv, "reuse", "compiled", 2, 1));
+    let second = run_job(&srv, &matrix_spec(&srv, "reuse", 128, 2, 1));
     let snap2 = metrics(&srv);
     assert_eq!(
         metric_value(&snap2, "sbst_kernel_lowering_ns_total"),
@@ -202,8 +204,8 @@ fn second_job_on_same_fingerprint_reuses_the_compiled_kernel() {
 #[test]
 fn external_worker_processes_grade_shards_over_http() {
     let srv = spawn_server(&["--workers", "0"]);
-    let doc = matrix_spec(&srv, "ext", "interp", 4, 1);
-    let reference = reference_conformance(&matrix_spec(&srv, "ref", "interp", 1, 1));
+    let doc = matrix_spec(&srv, "ext", 64, 4, 1);
+    let reference = reference_conformance(&matrix_spec(&srv, "ref", 64, 1, 1));
     bench::client::submit_job(&srv.base, &doc)
         .unwrap_or_else(|(s, e)| panic!("submit rejected ({s}): {e}"));
 

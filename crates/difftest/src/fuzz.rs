@@ -11,6 +11,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use fault::LaneSim;
 use mips::gen::{random_parts, GenConfig};
 use obs::{MetricRegistry, Progress, Tracer};
 use plasma::PlasmaCore;
@@ -112,6 +113,8 @@ pub struct FuzzReport {
     pub outcomes: Vec<SeedOutcome>,
     /// Accumulated component-exercise counts across all seeds.
     pub exercise: ComponentExercise,
+    /// Engine and lanes of the oracles' simulators ([`LaneSim::engine`]).
+    pub engine: (&'static str, usize),
 }
 
 impl FuzzReport {
@@ -288,5 +291,9 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
         });
     }
 
-    FuzzReport { outcomes, exercise }
+    FuzzReport {
+        outcomes,
+        exercise,
+        engine: (oracles[0].sim().engine(), oracles[0].sim().lanes()),
+    }
 }

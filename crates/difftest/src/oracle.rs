@@ -3,16 +3,18 @@
 //! [`PlasmaOracle::run`] executes one program on both models in lockstep.
 //! Every clock cycle the ISS's bus transaction (address, write data,
 //! write enable, byte enables) is compared against lane 0 of the
-//! bit-parallel netlist simulator; lanes 1–63 may carry injected stuck-at
+//! bit-parallel netlist simulator — the compiled engine the campaigns
+//! grade on, at 64 lanes; lanes 1–63 may carry injected stuck-at
 //! faults and are compared against lane 0 the same way a fault-simulation
 //! campaign does, so one run yields both a functional verdict (does the
 //! netlist implement the ISA?) and per-fault detection localization
 //! (first divergent cycle per lane).
 
+use fault::engine::EngineConfig;
 use fault::model::Fault;
-use fault::sim::{LaneSim, ParallelSim};
+use fault::sim::LaneSim;
 use fault::wave::WaveCapture;
-use fault::wide::transpose_lanes_wide;
+use fault::wide::{transpose_lanes_wide, WideSim};
 use mips::disasm::disassemble;
 use mips::gen::{END_MAILBOX, END_MARKER};
 use mips::isa::Reg;
@@ -205,12 +207,12 @@ impl LockstepReport {
     }
 }
 
-/// The reusable lockstep engine. Owns one compiled [`ParallelSim`] of the
-/// core (the expensive part) plus 64 per-lane memory overlays, so a fuzz
-/// or shrink loop pays the compile cost once.
+/// The reusable lockstep engine. Owns one 64-lane compiled simulator of
+/// the core (the expensive part) plus 64 per-lane memory overlays, so a
+/// fuzz or shrink loop pays the compile cost once.
 pub struct PlasmaOracle<'a> {
     core: &'a PlasmaCore,
-    sim: ParallelSim,
+    sim: WideSim,
     cfg: OracleConfig,
     mask: usize,
     base: Vec<u32>,
@@ -229,8 +231,8 @@ pub struct PlasmaOracle<'a> {
 impl<'a> PlasmaOracle<'a> {
     /// Compile the oracle for a core.
     pub fn new(core: &'a PlasmaCore, cfg: OracleConfig) -> PlasmaOracle<'a> {
-        let [early, late] = core.segments();
-        let sim = ParallelSim::with_segments(core.netlist(), &[early.to_vec(), late.to_vec()]);
+        let segments = core.segments().map(<[u32]>::to_vec);
+        let sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
         let words = (cfg.mem_bytes.max(16) / 4).next_power_of_two();
         PlasmaOracle {
             core,
@@ -250,6 +252,12 @@ impl<'a> PlasmaOracle<'a> {
     /// The oracle's configuration.
     pub fn config(&self) -> &OracleConfig {
         &self.cfg
+    }
+
+    /// The gate-level simulator the oracle runs (its engine and width
+    /// are what run records name).
+    pub fn sim(&self) -> &WideSim {
+        &self.sim
     }
 
     fn read(&self, lane: usize, addr: u32) -> u32 {
@@ -354,7 +362,7 @@ impl<'a> PlasmaOracle<'a> {
 
         while cycle < stop_at {
             self.sim.eval_segment(0);
-            let we_lanes = self.sim.net_lanes(we_net);
+            let we_lanes = self.sim.net_lanes_word(we_net, 0);
             let mut gate = GateBus {
                 addr: 0,
                 wdata: 0,
@@ -383,7 +391,9 @@ impl<'a> PlasmaOracle<'a> {
             transpose_lanes_wide(&self.scratch, 32, 1, &mut self.bits);
             self.sim.set_port_bits(nl, "mem_rdata", &self.bits);
             self.sim.eval_segment(1);
-            let diff = self.sim.diff_vs_lane0(observed);
+            let mut diff = [0u64];
+            self.sim.diff_vs_lane0(observed, &mut diff);
+            let diff = diff[0];
             self.sim.clock();
 
             let mut d = diff & !1;

@@ -1,14 +1,16 @@
 //! Lockstep oracle for the Parwan-class core: behavioural
-//! [`parwan::model::ParwanModel`] vs the 64-lane gate-level netlist.
+//! [`parwan::model::ParwanModel`] vs the gate-level netlist on the
+//! compiled engine at 64 lanes.
 //!
 //! Smaller sibling of [`crate::oracle`]: the same per-cycle bus
 //! comparison and per-lane fault grading, minus shrinking and corpus
 //! persistence (Parwan programs are a few dozen bytes — reproducers are
 //! already minimal).
 
+use fault::engine::EngineConfig;
 use fault::model::Fault;
-use fault::sim::{LaneSim, ParallelSim};
-use fault::wide::transpose_lanes_wide;
+use fault::sim::LaneSim;
+use fault::wide::{transpose_lanes_wide, WideSim};
 use mips::gen::Rng;
 use parwan::isa::{Cond, ProgramBuilder};
 use parwan::model::{BusCycle, ParwanModel};
@@ -46,7 +48,7 @@ impl ParwanReport {
 /// The reusable Parwan lockstep engine (4 KB address space).
 pub struct ParwanOracle<'a> {
     core: &'a ParwanCore,
-    sim: ParallelSim,
+    sim: WideSim,
     base: Vec<u8>,
     ovl_vals: Vec<u8>,
     ovl_gens: Vec<u32>,
@@ -58,8 +60,8 @@ pub struct ParwanOracle<'a> {
 impl<'a> ParwanOracle<'a> {
     /// Compile the oracle for a core.
     pub fn new(core: &'a ParwanCore) -> ParwanOracle<'a> {
-        let [early, late] = core.segments();
-        let sim = ParallelSim::with_segments(core.netlist(), &[early.to_vec(), late.to_vec()]);
+        let segments = core.segments().map(<[u32]>::to_vec);
+        let sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
         ParwanOracle {
             core,
             sim,
@@ -118,7 +120,7 @@ impl<'a> ParwanOracle<'a> {
         let mut cycle = 0u64;
         while cycle < max_cycles {
             self.sim.eval_segment(0);
-            let we_lanes = self.sim.net_lanes(we_net);
+            let we_lanes = self.sim.net_lanes_word(we_net, 0);
             let mut gate = BusCycle {
                 addr: 0,
                 wdata: 0,
@@ -145,7 +147,9 @@ impl<'a> ParwanOracle<'a> {
             }
             transpose_lanes_wide(&self.scratch, 8, 1, &mut self.bits);
             self.sim.set_port_bits(nl, "mem_rdata", &self.bits);
-            let diff = self.sim.diff_vs_lane0(observed);
+            let mut diff = [0u64];
+            self.sim.diff_vs_lane0(observed, &mut diff);
+            let diff = diff[0];
             self.sim.eval_segment(1);
             self.sim.clock();
 

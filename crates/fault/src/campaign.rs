@@ -14,8 +14,8 @@
 //! One runner, [`run`], drives either engine through the lane-block
 //! [`LaneSim`] interface — the interpreted 64-lane
 //! [`crate::sim::ParallelSim`] (the differential reference) or the
-//! compiled 64–512-lane [`crate::wide::WideSim`] (the default, selected
-//! via [`crate::engine::EngineConfig`]) — against one [`Testbench`] per
+//! compiled 64–512-lane [`crate::wide::WideSim`] (the production engine,
+//! built by [`crate::engine::EngineConfig`]) — against one [`Testbench`] per
 //! stimulus. Both are generic over the engine, so every engine call is
 //! statically dispatched.
 //!
@@ -69,8 +69,8 @@ struct CachePadded<T>(T);
 /// the observation points this cycle. The processor testbenches in the
 /// `plasma` and `parwan` crates implement this with per-lane memory
 /// overlays; simple vector application is provided here by
-/// [`VectorBench`]. `dyn Testbench<ParallelSim>` is what forensics and
-/// wave capture replay through.
+/// [`VectorBench`]. Forensics and wave capture replay through the
+/// same benches.
 pub trait Testbench<S: LaneSim> {
     /// Prepare for a fresh batch. Called after faults are injected and the
     /// simulator's flip-flops are reset.

@@ -1,93 +1,60 @@
-//! Engine selection: which simulation back-end a campaign runs on and
-//! at what lane width.
+//! The production engine: how wide it runs, and the one place that
+//! builds it.
 //!
-//! Two engines produce bit-identical per-fault `Detection` results:
+//! Every production simulator is the compiled engine — the netlist
+//! lowered once into a straight-line kernel ([`crate::kernel`]) and
+//! evaluated over 1–8 u64 words per net ([`crate::wide::WideSim`],
+//! 64–512 lanes). [`EngineConfig`] carries the lane width;
+//! [`EngineConfig::sim`] turns it into a simulator (cached kernel
+//! lowering), and [`EngineConfig::grade`] is the campaign entry both
+//! cores grade through: it times the lowering under the
+//! [`ProfilePhase::Compile`] phase, exports the kernel metrics, and runs
+//! [`campaign::run`].
 //!
-//! * **Interp** — the original interpreted levelized walk
-//!   ([`crate::sim::ParallelSim`]), fixed at 64 lanes. Retained as the
-//!   differential reference.
-//! * **Compiled** — the lowered straight-line kernel
-//!   ([`crate::kernel::CompiledKernel`] + [`crate::wide::WideSim`]),
-//!   64–512 lanes. The default.
-//!
-//! Both implement [`crate::sim::LaneSim`], so one campaign runner and
-//! one testbench per core drive either. Configuration resolves from the
-//! environment (`SBST_ENGINE`, `SBST_LANES`) so every binary and test
-//! can flip engines without plumbing flags, and from CLI parse helpers
-//! used by `bench --bin tables`.
+//! The interpreted [`crate::sim::ParallelSim`] is not selectable: it
+//! stays the differential reference that tests,
+//! [`campaign::run_vectors`] and `tables --verify-interp` build
+//! directly. The width resolves from `SBST_LANES` or from CLI parse
+//! helpers used by `bench --bin tables`.
 
-/// Which simulation back-end to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// Interpreted 64-lane reference engine.
-    Interp,
-    /// Compiled multi-word bit-parallel engine.
-    Compiled,
-}
+use std::time::Instant;
 
-impl EngineKind {
-    /// Stable lowercase name, as recorded in stats and ledger entries.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Interp => "interp",
-            EngineKind::Compiled => "compiled",
-        }
-    }
+use netlist::Netlist;
+use obs::ProfilePhase;
 
-    /// Parse a CLI/env spelling (`interp` | `compiled`).
-    pub fn parse(s: &str) -> Result<EngineKind, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "interp" | "interpreted" => Ok(EngineKind::Interp),
-            "compiled" | "compile" | "kernel" => Ok(EngineKind::Compiled),
-            other => Err(format!("unknown engine '{other}' (expected interp|compiled)")),
-        }
-    }
-}
+use crate::campaign::{self, CampaignHooks, CampaignResult, Testbench};
+use crate::model::FaultList;
+use crate::wide::WideSim;
 
-/// Resolved engine configuration for a campaign run.
+/// Lane width of the production engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Back-end to use.
-    pub kind: EngineKind,
-    /// u64 words per net for the compiled engine (1, 2, 4 or 8 —
-    /// 64–512 lanes). Ignored by the interpreted engine (always 1).
+    /// u64 words per net (1, 2, 4 or 8 — 64–512 lanes).
     pub lane_words: usize,
 }
 
 impl Default for EngineConfig {
-    /// Compiled, 256 lanes.
+    /// 256 lanes.
     fn default() -> Self {
         EngineConfig::compiled(256)
     }
 }
 
 impl EngineConfig {
-    /// The interpreted reference engine (64 lanes).
-    pub fn interp() -> EngineConfig {
-        EngineConfig {
-            kind: EngineKind::Interp,
-            lane_words: 1,
-        }
-    }
-
-    /// Compiled engine at a given lane count (64/128/256/512).
+    /// The compiled engine at a given lane count (64/128/256/512).
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is not a supported width.
     pub fn compiled(lanes: usize) -> EngineConfig {
         EngineConfig {
-            kind: EngineKind::Compiled,
             lane_words: Self::words_for_lanes(lanes).expect("unsupported lane count"),
         }
     }
 
     /// Effective lanes per batch.
     pub fn lanes(&self) -> usize {
-        match self.kind {
-            EngineKind::Interp => 64,
-            EngineKind::Compiled => 64 * self.lane_words,
-        }
+        64 * self.lane_words
     }
 
     /// This configuration fitted to a list of `faults` faults: the
@@ -100,12 +67,7 @@ impl EngineConfig {
         while lane_words < self.lane_words && 64 * lane_words < faults + 1 {
             lane_words *= 2;
         }
-        EngineConfig { lane_words, ..self }
-    }
-
-    /// Engine name as recorded in stats/ledger.
-    pub fn name(&self) -> &'static str {
-        self.kind.name()
+        EngineConfig { lane_words }
     }
 
     /// Map a lane count to words, if supported.
@@ -130,47 +92,76 @@ impl EngineConfig {
             .ok_or_else(|| format!("unsupported lane count {n} (expected 64|128|256|512)"))
     }
 
-    /// Resolve from the environment: `SBST_ENGINE=interp|compiled`,
-    /// `SBST_LANES=64|128|256|512`. Unset or malformed variables fall
-    /// back to the defaults.
+    /// Resolve from the environment: `SBST_LANES=64|128|256|512`. An
+    /// unset or malformed variable falls back to the default.
     pub fn from_env() -> EngineConfig {
-        let mut cfg = EngineConfig::default();
-        if let Ok(v) = std::env::var("SBST_ENGINE") {
-            if let Ok(kind) = EngineKind::parse(&v) {
-                cfg.kind = kind;
-                if kind == EngineKind::Interp {
-                    cfg.lane_words = 1;
-                }
-            }
+        std::env::var("SBST_LANES")
+            .ok()
+            .and_then(|v| Self::parse_lanes(&v).ok())
+            .map_or_else(EngineConfig::default, EngineConfig::compiled)
+    }
+
+    /// The production simulator of `netlist`, evaluated in `segments`
+    /// (see [`crate::kernel::CompiledKernel::compile`]), at this width.
+    /// The kernel comes from the fingerprint-keyed cache, so only the
+    /// first simulator of a netlist pays the lowering.
+    pub fn sim(self, netlist: &Netlist, segments: &[Vec<u32>]) -> WideSim {
+        WideSim::new(crate::kernel::compile_cached(netlist, segments), self.lane_words)
+    }
+
+    /// Grade `faults` on the production engine at this width: build the
+    /// simulator ([`EngineConfig::sim`]) and run [`campaign::run`] over
+    /// the benches `factory` makes, on `threads` workers. The lowering
+    /// (or cache probe) is timed under [`ProfilePhase::Compile`] and
+    /// folded into the result's profile, and a `hooks` registry receives
+    /// `sbst_kernel_compile_ns_total` plus the kernel-cache metrics.
+    /// Detections are bit-identical at every width and thread count.
+    pub fn grade<T, F>(
+        self,
+        netlist: &Netlist,
+        segments: &[Vec<u32>],
+        faults: &FaultList,
+        factory: F,
+        threads: usize,
+        hooks: &CampaignHooks,
+    ) -> CampaignResult
+    where
+        T: Testbench<WideSim>,
+        F: Fn() -> T + Sync,
+    {
+        let before_compile = hooks.profiler.snapshot();
+        let compile_t0 = Instant::now();
+        let proto = {
+            let _compile = hooks.profiler.scope(ProfilePhase::Compile);
+            self.sim(netlist, segments)
+        };
+        if let Some(reg) = &hooks.metrics {
+            reg.counter(
+                "sbst_kernel_compile_ns_total",
+                "Wall time spent in compile_cached (lowering or cache probe)",
+                &[],
+            )
+            .inc(compile_t0.elapsed().as_nanos() as u64);
+            crate::kernel::export_cache_metrics(reg);
         }
-        if cfg.kind == EngineKind::Compiled {
-            if let Ok(v) = std::env::var("SBST_LANES") {
-                if let Ok(lanes) = Self::parse_lanes(&v) {
-                    cfg.lane_words = lanes / 64;
-                }
-            }
-        }
-        cfg
+        // The runner's profile window starts after this point, so fold
+        // the lowering cost back into the reported profile.
+        let compile_delta = hooks.profiler.snapshot().since(&before_compile);
+        let mut result = campaign::run(&proto, faults, factory, threads, hooks);
+        result.stats.profile.absorb(&compile_delta);
+        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::VectorBench;
+    use crate::sim::LaneSim;
 
     #[test]
-    fn default_is_compiled_256() {
-        let c = EngineConfig::default();
-        assert_eq!(c.kind, EngineKind::Compiled);
-        assert_eq!(c.lanes(), 256);
-        assert_eq!(c.name(), "compiled");
-    }
-
-    #[test]
-    fn interp_is_pinned_to_64_lanes() {
-        let c = EngineConfig::interp();
-        assert_eq!(c.lanes(), 64);
-        assert_eq!(c.name(), "interp");
+    fn default_is_256_lanes() {
+        assert_eq!(EngineConfig::default().lanes(), 256);
     }
 
     #[test]
@@ -193,14 +184,41 @@ mod tests {
         assert_eq!(c.fit(128).lanes(), 256);
         assert_eq!(c.fit(10_000).lanes(), 256, "capped at the configured width");
         assert_eq!(EngineConfig::compiled(512).fit(300).lanes(), 512);
-        assert_eq!(EngineConfig::interp().fit(1000), EngineConfig::interp());
+        assert_eq!(EngineConfig::compiled(64).fit(1000).lanes(), 64);
     }
 
     #[test]
-    fn engine_names_round_trip() {
-        for k in [EngineKind::Interp, EngineKind::Compiled] {
-            assert_eq!(EngineKind::parse(k.name()), Ok(k));
-        }
-        assert!(EngineKind::parse("verilator").is_err());
+    fn grade_runs_at_the_configured_width_and_profiles_the_lowering() {
+        let mut b = netlist::NetlistBuilder::new("and");
+        let a = b.input("a");
+        let c = b.input("c");
+        let y = b.and2(a, c);
+        b.output("y", y);
+        let nl = b.finish().unwrap();
+        let faults = FaultList::extract(&nl).collapsed(&nl);
+        let vectors: Vec<Vec<(&str, u64)>> =
+            (0..4).map(|v| vec![("a", v & 1), ("c", v >> 1)]).collect();
+        let segments = [nl.topo_order().to_vec()];
+        let sim = EngineConfig::compiled(128).sim(&nl, &segments);
+        assert_eq!((sim.engine(), sim.lanes()), ("compiled", 128));
+
+        let registry = obs::MetricRegistry::new();
+        let hooks = CampaignHooks {
+            profiler: obs::Profiler::new(),
+            metrics: Some(registry.clone()),
+            ..CampaignHooks::none()
+        };
+        let res = EngineConfig::compiled(128).grade(
+            &nl,
+            &segments,
+            &faults,
+            || VectorBench::new(&nl, &vectors),
+            2,
+            &hooks,
+        );
+        assert_eq!(res.detections, campaign::run_vectors(&nl, &faults, &vectors).detections);
+        assert_eq!((res.stats.engine, res.stats.lanes), ("compiled", 128));
+        assert!(res.stats.profile.count(ProfilePhase::Compile) > 0);
+        assert!(registry.to_prometheus().contains("sbst_kernel_compile_ns_total"));
     }
 }

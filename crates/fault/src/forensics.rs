@@ -21,16 +21,17 @@
 //! coverage the paper quotes, so "undetected" is honestly split from
 //! "undetectable".
 //!
-//! The replay is pure post-processing on the interpreted engine: it
-//! never alters campaign detection results (verified by the
-//! cross-engine determinism tests in `sbst`), and the report
-//! deliberately contains no wall-clock, engine, or lane-count fields
-//! so its JSON is byte-identical across engines and thread counts.
+//! The replay is pure post-processing on any [`LaneSim`] — the flow
+//! replays on the compiled engine, fitted to the escape count: it never
+//! alters campaign detection results, and the report deliberately
+//! contains no wall-clock, engine, or lane-count fields, so its JSON is
+//! byte-identical to a replay on the interpreted reference at every
+//! width and thread count (pinned by the determinism tests in `sbst`).
 
 use crate::campaign::{latency_of, CampaignResult, Testbench};
 use crate::model::{Fault, FaultSite, Polarity};
 use crate::scoap::{self, INF};
-use crate::sim::{LaneSim, ParallelSim};
+use crate::sim::LaneSim;
 use netlist::cone::fanout_cone;
 use netlist::{Net, Netlist};
 use obs::LatencyHistogram;
@@ -228,17 +229,17 @@ struct PendingEscape {
 /// Build the forensics report for a finished campaign.
 ///
 /// `observed` is the set of output nets the campaign's detection
-/// criterion monitored. `sim`/`tb` replay the same self-test on the
-/// interpreted engine to gather activation evidence; the replay
-/// batches up to 63 escapes per pass (lanes 1..64, lane 0 stays the
-/// fault-free reference) and is pure post-processing — campaign
-/// results are never modified.
-pub fn analyze(
+/// criterion monitored. `sim`/`tb` replay the same self-test to gather
+/// activation evidence; the replay batches up to `sim.lanes() - 1`
+/// escapes per pass (lane 0 stays the fault-free reference) and is pure
+/// post-processing — campaign results are never modified, and the
+/// report does not depend on the engine or its width.
+pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
     nl: &Netlist,
     result: &CampaignResult,
     observed: &[Net],
-    sim: &mut ParallelSim,
-    tb: &mut dyn Testbench<ParallelSim>,
+    sim: &mut S,
+    tb: &mut T,
 ) -> ForensicsReport {
     let sc = scoap::analyze(nl);
     let names = nl.component_names();
@@ -298,7 +299,8 @@ pub fn analyze(
     // testable escapes injected, watching the fault-free site value
     // (excitation) and the per-lane divergence on the effect-origin
     // nets (propagation). Early-exits once every lane has both.
-    for batch in pending.chunks(63) {
+    let (mut step_diff, mut diff) = (vec![0; sim.lane_words()], vec![0; sim.lane_words()]);
+    for batch in pending.chunks(sim.lanes() - 1) {
         sim.clear_faults();
         for (k, p) in batch.iter().enumerate() {
             sim.inject(escapes[p.idx].fault, k + 1);
@@ -307,7 +309,8 @@ pub fn analyze(
         tb.begin(sim);
         let mut unresolved = batch.len();
         for cycle in 0..tb.cycles() {
-            tb.step(sim, cycle, &mut [0]);
+            step_diff.fill(0);
+            tb.step(sim, cycle, &mut step_diff);
             if unresolved == 0 {
                 break;
             }
@@ -317,14 +320,16 @@ pub fn analyze(
                     continue;
                 }
                 if e.first_excited.is_none() {
-                    let good_high = sim.net_lanes(p.site) & 1 == 1;
+                    let good_high = sim.net_lanes_word(p.site, 0) & 1 == 1;
                     if good_high == p.excite_high {
                         e.first_excited = Some(cycle);
                     }
                 }
                 if e.first_propagated.is_none() && !p.origin.is_empty() {
-                    let diff = sim.diff_vs_lane0(&p.origin);
-                    if (diff >> (k + 1)) & 1 == 1 {
+                    diff.fill(0);
+                    sim.diff_vs_lane0(&p.origin, &mut diff);
+                    let lane = k + 1;
+                    if (diff[lane / 64] >> (lane % 64)) & 1 == 1 {
                         e.first_propagated = Some(cycle);
                     }
                 }
@@ -646,7 +651,9 @@ impl ForensicsReport {
 mod tests {
     use super::*;
     use crate::campaign::{self, VectorBench};
+    use crate::engine::EngineConfig;
     use crate::model::FaultList;
+    use crate::sim::ParallelSim;
     use netlist::{NetlistBuilder, PortDir};
 
     /// A circuit engineered so one fault lands in each bucket:
@@ -770,15 +777,19 @@ mod tests {
         let vecs = vectors();
         let result = campaign::run_vectors(&nl, &faults, &vecs);
         let obs_nets = observed(&nl);
-        let render = || {
-            let mut sim = ParallelSim::new(&nl);
+        let render = |sim: &mut ParallelSim| {
             let mut tb = VectorBench::new(&nl, &vecs);
-            let report = analyze(&nl, &result, &obs_nets, &mut sim, &mut tb);
+            let report = analyze(&nl, &result, &obs_nets, sim, &mut tb);
             serde_json::to_string_pretty(&report.to_json()).unwrap()
         };
-        let j1 = render();
-        let j2 = render();
+        let j1 = render(&mut ParallelSim::new(&nl));
+        let j2 = render(&mut ParallelSim::new(&nl));
         assert_eq!(j1, j2, "forensics JSON must be reproducible");
+        // The compiled engine replays to the same bytes at any width.
+        let mut wide = EngineConfig::compiled(128).sim(&nl, &[nl.topo_order().to_vec()]);
+        let mut tb = VectorBench::new(&nl, &vecs);
+        let report = analyze(&nl, &result, &obs_nets, &mut wide, &mut tb);
+        assert_eq!(serde_json::to_string_pretty(&report.to_json()).unwrap(), j1);
         let v = serde_json::from_str(&j1).unwrap();
         let o = v.as_object().unwrap();
         assert_eq!(o.get("schema").unwrap().as_u64(), Some(1));

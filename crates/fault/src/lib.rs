@@ -7,16 +7,16 @@
 //!   sites on net stems, gate input pins (fanout branches) and flip-flop
 //!   data pins ([`model`]),
 //! * structural **equivalence collapsing** ([`collapse`]),
-//! * a **64-lane bit-parallel sequential fault simulator**
-//!   ([`sim::ParallelSim`]): each bit of a machine word carries an
-//!   independent faulty machine, lane 0 is the fault-free reference —
-//!   the interpreted differential reference,
-//! * a **compiled multi-word engine** ([`kernel`], [`wide::WideSim`],
-//!   [`engine`]): the netlist lowered once into a dense straight-line
-//!   instruction stream evaluated over 1–8 u64 words per net (64–512
-//!   lanes), with a fingerprint-keyed kernel cache — bit-identical
-//!   detections to the interpreted engine at every width (the campaign
-//!   default),
+//! * the **compiled multi-word engine** ([`kernel`], [`wide::WideSim`]):
+//!   the netlist lowered once into a dense straight-line instruction
+//!   stream evaluated over 1–8 u64 words per net (64–512 lanes), with a
+//!   fingerprint-keyed kernel cache — the one production engine, built
+//!   only by [`engine`] (campaigns, forensics replay, wave capture and
+//!   the lockstep oracles all get their simulator there),
+//! * a **64-lane interpreted reference** ([`sim::ParallelSim`]): each
+//!   bit of a machine word carries an independent faulty machine, lane
+//!   0 is the fault-free reference — what tests and
+//!   [`campaign::run_vectors`] check the compiled engine against,
 //! * one lane-block interface over both engines ([`sim::LaneSim`]) and
 //!   one **campaign runner** with fault dropping and survivor
 //!   compaction ([`campaign::run`], serial or multi-threaded) driving
@@ -71,6 +71,6 @@ pub mod sim;
 pub mod wave;
 pub mod wide;
 
-pub use engine::{EngineConfig, EngineKind};
+pub use engine::EngineConfig;
 pub use model::{Fault, FaultList, FaultSite, Polarity};
 pub use sim::LaneSim;

@@ -6,8 +6,10 @@
 //! rebuilds the exact batch state ([`LaneSim::reset_state`] plus
 //! re-injection), so re-running one fault alone in lane 1 — with lane 0
 //! as the fault-free reference — reproduces the campaign's detection
-//! verdict bit for bit, at any thread count, while a [`WaveCapture`]
-//! samples both lanes through a [`Probe`] every cycle.
+//! verdict bit for bit, at any thread count and on either engine, while
+//! a [`WaveCapture`] samples both lanes through a [`Probe`] every cycle.
+//! The cores' capture helpers replay on the compiled engine at 64 lanes
+//! (one fault needs no more).
 //!
 //! Trigger semantics (see DESIGN.md §4h):
 //!
@@ -24,9 +26,9 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::campaign::{Detection, Testbench};
+use crate::campaign::Testbench;
 use crate::model::{Fault, FaultList};
-use crate::sim::{LaneSim, ParallelSim};
+use crate::sim::LaneSim;
 use netlist::wave::{write_diff_vcd, DiffRow, Probe};
 
 /// Knobs for triggered waveform capture, shared by the flow layer and
@@ -101,7 +103,7 @@ impl WaveCapture {
     /// Sample lanes `0` (good) and `faulty_lane` of `sim` at `cycle`.
     /// Before a trigger the ring retains `max(pre + 1, depth)` rows;
     /// after it, rows accumulate freely until [`WaveCapture::done`].
-    pub fn record(&mut self, sim: &ParallelSim, cycle: u64, faulty_lane: usize) {
+    pub fn record<S: LaneSim>(&mut self, sim: &S, cycle: u64, faulty_lane: usize) {
         if self.trigger.is_none() {
             let cap = (self.pre as usize + 1).max(self.depth as usize);
             if self.rows.len() >= cap {
@@ -191,47 +193,28 @@ impl CapturedWave {
     }
 }
 
-/// Replay a single fault in lane 1 (lane 0 fault-free) against `tb`,
-/// without recording. Same state rebuild as a campaign batch, so the
-/// verdict matches the campaign's for that fault, bit for bit.
-pub fn replay_fault(
-    sim: &mut ParallelSim,
-    tb: &mut dyn Testbench<ParallelSim>,
-    fault: Fault,
-) -> Detection {
-    sim.clear_faults();
-    sim.inject(fault, 1);
-    sim.reset_state();
-    tb.begin(sim);
-    for cycle in 0..tb.cycles() {
-        let mut diff = [0];
-        tb.step(sim, cycle, &mut diff);
-        if (diff[0] >> 1) & 1 == 1 {
-            return Detection::DetectedAt(cycle);
-        }
-    }
-    Detection::Undetected
-}
-
 /// Replay a single fault with waveform capture: lane 0 is the good
 /// machine, lane 1 the faulty one, sampled through `probe` each cycle.
-/// Triggers on first detection; an escape keeps the final horizon
-/// window. Fully deterministic — a serial replay independent of any
-/// campaign threading.
-pub fn capture_fault(
-    sim: &mut ParallelSim,
-    tb: &mut dyn Testbench<ParallelSim>,
+/// Triggers on first detection — the campaign's detection cycle for
+/// that fault, since the state rebuild is a campaign batch's; an escape
+/// keeps the final horizon window. Fully deterministic — a serial
+/// replay independent of any campaign threading, with the same bytes
+/// on either engine.
+pub fn capture_fault<S: LaneSim, T: Testbench<S> + ?Sized>(
+    sim: &mut S,
+    tb: &mut T,
     probe: Probe,
     fault: Fault,
     opts: &WaveOptions,
 ) -> CapturedWave {
     let mut cap = WaveCapture::new(probe, opts);
+    let mut diff = vec![0u64; sim.lane_words()];
     sim.clear_faults();
     sim.inject(fault, 1);
     sim.reset_state();
     tb.begin(sim);
     for cycle in 0..tb.cycles() {
-        let mut diff = [0];
+        diff.fill(0);
         tb.step(sim, cycle, &mut diff);
         cap.record(sim, cycle, 1);
         if (diff[0] >> 1) & 1 == 1 {
@@ -268,9 +251,11 @@ pub fn wave_file_name(tag: &str, desc: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::VectorBench;
+    use crate::campaign::{self, CampaignHooks, Detection, VectorBench};
+    use crate::engine::EngineConfig;
     use crate::model::{FaultSite, Polarity};
-    use netlist::NetlistBuilder;
+    use crate::sim::ParallelSim;
+    use netlist::{Netlist, NetlistBuilder};
 
     /// A tiny sequential circuit: q <= a ^ q, y = q. A stuck-at on `a`'s
     /// cone corrupts state one cycle before it reaches the output.
@@ -297,22 +282,28 @@ mod tests {
     }
 
     #[test]
-    fn capture_matches_plain_replay_and_flags_corruption() {
+    fn capture_matches_campaign_detection_and_flags_corruption() {
         let nl = build();
         let vecs = vectors();
         let fault = sa1_on_input(&nl);
         let mut sim = ParallelSim::new(&nl);
 
-        let mut tb = VectorBench::new(&nl, &vecs);
-        let det = replay_fault(&mut sim, &mut tb, fault);
-        let Detection::DetectedAt(t) = det else {
-            panic!("sa1 on `a` must be detected");
+        let one = FaultList::extract(&nl).filter(|f, _| f == fault);
+        let res = campaign::run(
+            &sim,
+            &one,
+            || VectorBench::new(&nl, &vecs),
+            1,
+            &CampaignHooks::none(),
+        );
+        let [Detection::DetectedAt(t)] = res.detections[..] else {
+            panic!("sa1 on `a` must be detected: {:?}", res.detections);
         };
 
         let probe = Probe::full(&nl);
         let mut tb = VectorBench::new(&nl, &vecs);
         let wave = capture_fault(&mut sim, &mut tb, probe, fault, &WaveOptions::default());
-        assert_eq!(wave.trigger, Some(t), "capture trigger != replay detection");
+        assert_eq!(wave.trigger, Some(t), "capture trigger != campaign detection");
         let corrupt = wave.corrupt_cycles();
         assert!(!corrupt.is_empty(), "no corruption recorded");
         // Corruption must start at or before the detection cycle (the
@@ -358,20 +349,32 @@ mod tests {
     }
 
     #[test]
-    fn capture_is_byte_deterministic() {
+    fn capture_is_byte_deterministic_on_both_engines() {
         let nl = build();
         let vecs = vectors();
         let fault = sa1_on_input(&nl);
-        let render = || {
-            let mut sim = ParallelSim::new(&nl);
-            let mut tb = VectorBench::new(&nl, &vecs);
+        fn render<S: LaneSim>(sim: &mut S, nl: &Netlist, vecs: &[Vec<(&str, u64)>]) -> Vec<u8> {
+            let fault = sa1_on_input(nl);
+            let mut tb = VectorBench::new(nl, vecs);
             let wave =
-                capture_fault(&mut sim, &mut tb, Probe::full(&nl), fault, &WaveOptions::default());
+                capture_fault(sim, &mut tb, Probe::full(nl), fault, &WaveOptions::default());
             let mut buf = Vec::new();
             wave.write_vcd(&mut buf, &fault.describe()).unwrap();
             buf
-        };
-        assert_eq!(render(), render(), "two captures of the same fault differ");
+        }
+        let reference = render(&mut ParallelSim::new(&nl), &nl, &vecs);
+        assert_eq!(
+            render(&mut ParallelSim::new(&nl), &nl, &vecs),
+            reference,
+            "two captures of the same fault differ"
+        );
+        let segments = [nl.topo_order().to_vec()];
+        assert_eq!(
+            render(&mut EngineConfig::compiled(64).sim(&nl, &segments), &nl, &vecs),
+            reference,
+            "compiled capture of {} differs from the interpreted one",
+            fault.describe()
+        );
     }
 
     #[test]

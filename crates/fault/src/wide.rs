@@ -119,11 +119,6 @@ impl WideSim {
         }
     }
 
-    /// The shared compiled kernel.
-    pub fn kernel(&self) -> &Arc<CompiledKernel> {
-        &self.kernel
-    }
-
     /// The value slot of `net` (the kernel's cache-conscious
     /// renumbering — see [`CompiledKernel::slot_of_net`]).
     #[inline]

@@ -2,11 +2,9 @@
 //! core, plus the grading flow — the substrate for the paper's Section 1
 //! cost-ratio comparison (deterministic \[7\]\[8\] vs LFSR-based \[6\]).
 
-use fault::campaign::{self, CampaignHooks, CampaignResult};
-use fault::engine::{EngineConfig, EngineKind};
+use fault::campaign::{CampaignHooks, CampaignResult};
+use fault::engine::EngineConfig;
 use fault::model::FaultList;
-use fault::sim::ParallelSim;
-use fault::wide::WideSim;
 
 use crate::core::ParwanCore;
 use crate::isa::{Cond, ProgramBuilder};
@@ -264,26 +262,13 @@ pub fn golden_cycles(test: &ParwanSelfTest) -> u64 {
     panic!("parwan self-test never reached its end marker");
 }
 
-/// Fault-simulate a self-test on an explicit engine configuration
-/// (fitted to the list, see [`EngineConfig::fit`]), sharded over
-/// `threads` worker threads (0 = auto, see
-/// [`campaign::default_threads`]). Results are bit-identical across
-/// engines, lane widths, and thread counts.
-pub fn grade_engine(
-    core: &ParwanCore,
-    test: &ParwanSelfTest,
-    faults: &FaultList,
-    threads: usize,
-    engine: EngineConfig,
-) -> CampaignResult {
-    grade_hooks(core, test, faults, threads, engine, &CampaignHooks::none())
-}
-
-/// [`grade_engine`] with observability hooks: the tracer/progress/event
-/// plumbing of [`fault::campaign::CampaignHooks`], and each worker's
-/// bench shares the hooks' profiler so per-cycle phase times land in the
-/// campaign profile. Detections are bit-identical with hooks on or off.
-pub fn grade_hooks(
+/// Fault-simulate a self-test over `faults` — the Parwan grading entry
+/// ([`EngineConfig::grade`]) at `engine`'s width fitted to the list
+/// ([`EngineConfig::fit`]), on `threads` workers (0 = auto). Each
+/// bench shares the hooks' profiler, so per-cycle phases land in the
+/// campaign profile. Detections are bit-identical across widths,
+/// thread counts and hooks.
+pub fn grade(
     core: &ParwanCore,
     test: &ParwanSelfTest,
     faults: &FaultList,
@@ -291,50 +276,25 @@ pub fn grade_hooks(
     engine: EngineConfig,
     hooks: &CampaignHooks,
 ) -> CampaignResult {
-    let engine = engine.fit(faults.len());
     let budget = golden_cycles(test) + 32;
-    let [early, late] = core.segments();
-    let segments = [early.to_vec(), late.to_vec()];
     let factory = || {
         ParwanSelfTestBench::new(core, &test.image, budget).with_profiler(hooks.profiler.clone())
     };
-    match engine.kind {
-        EngineKind::Interp => {
-            let sim = ParallelSim::with_segments(core.netlist(), &segments);
-            campaign::run(&sim, faults, factory, threads, hooks)
-        }
-        EngineKind::Compiled => {
-            let kernel = {
-                let _compile = hooks.profiler.scope(obs::ProfilePhase::Compile);
-                fault::kernel::compile_cached(core.netlist(), &segments)
-            };
-            let proto = WideSim::new(kernel, engine.lane_words);
-            campaign::run(&proto, faults, factory, threads, hooks)
-        }
-    }
-}
-
-/// Fault-simulate a self-test over the (collapsed) fault list on the
-/// environment-selected engine (`SBST_ENGINE`/`SBST_LANES`; default
-/// compiled, 256 lanes), sharded over `threads` worker threads.
-pub fn grade_threads(
-    core: &ParwanCore,
-    test: &ParwanSelfTest,
-    faults: &FaultList,
-    threads: usize,
-) -> CampaignResult {
-    grade_engine(core, test, faults, threads, EngineConfig::from_env())
-}
-
-/// [`grade_threads`] with auto thread count.
-pub fn grade(core: &ParwanCore, test: &ParwanSelfTest, faults: &FaultList) -> CampaignResult {
-    grade_threads(core, test, faults, 0)
+    engine.fit(faults.len()).grade(
+        core.netlist(),
+        &core.segments().map(<[u32]>::to_vec),
+        faults,
+        factory,
+        threads,
+        hooks,
+    )
 }
 
 /// Replay one fault of a Parwan self-test with waveform capture: lane 0
-/// is the fault-free core, lane 1 the faulty one, through the same
-/// [`ParwanSelfTestBench`] [`grade_threads`] uses, so the verdict (and
-/// detection cycle) matches the campaign bit for bit. Probe specs follow
+/// is the fault-free core, lane 1 the faulty one, on the compiled engine
+/// at 64 lanes through the same [`ParwanSelfTestBench`] [`grade`] uses,
+/// so the verdict (and detection cycle) matches the campaign bit for
+/// bit. Probe specs follow
 /// [`netlist::wave::Probe::from_spec`] (component names or port globs;
 /// empty = full probe).
 pub fn capture_fault_wave(
@@ -345,9 +305,8 @@ pub fn capture_fault_wave(
 ) -> Result<fault::wave::CapturedWave, String> {
     let probe = netlist::wave::Probe::from_spec(core.netlist(), &opts.probe)?;
     let budget = golden_cycles(test) + 32;
-    let [early, late] = core.segments();
-    let mut sim =
-        ParallelSim::with_segments(core.netlist(), &[early.to_vec(), late.to_vec()]);
+    let segments = core.segments().map(<[u32]>::to_vec);
+    let mut sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
     let mut tb = ParwanSelfTestBench::new(core, &test.image, budget);
     Ok(fault::wave::capture_fault(&mut sim, &mut tb, probe, f, opts))
 }
@@ -392,7 +351,7 @@ mod tests {
             weight: faults.weight[..63].to_vec(),
             total_uncollapsed: 63,
         };
-        let res = grade(&core, &test, &head);
+        let res = grade(&core, &test, &head, 0, EngineConfig::default(), &CampaignHooks::none());
         let (idx, det_cycle) = res
             .detections
             .iter()
@@ -435,23 +394,35 @@ mod tests {
         .is_err());
     }
 
-    /// The full self-test grading flow must produce identical detection
-    /// sets on both engines (interp 64 lanes vs compiled 128 lanes,
-    /// serial and 4 threads) — the processor-level bit-identical check.
+    /// The full self-test grading flow must produce the detections of
+    /// the interpreted reference (`campaign::run` on `ParallelSim`) at
+    /// 64 and 128 lanes, serial and at 4 threads — the processor-level
+    /// bit-identical check.
     #[test]
-    fn grade_engine_matches_across_engines_and_threads() {
+    fn grade_matches_the_interpreted_reference_across_widths_and_threads() {
         let core = ParwanCore::build();
         let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
         let test = deterministic_selftest();
-        let reference = grade_engine(&core, &test, &faults, 1, EngineConfig::interp());
+        let budget = golden_cycles(&test) + 32;
+        let reference = fault::campaign::run(
+            &fault::sim::ParallelSim::with_segments(
+                core.netlist(),
+                &core.segments().map(<[u32]>::to_vec),
+            ),
+            &faults,
+            || ParwanSelfTestBench::new(&core, &test.image, budget),
+            1,
+            &CampaignHooks::none(),
+        );
         for threads in [1usize, 4] {
             for lanes in [64usize, 128] {
-                let res = grade_engine(
+                let res = grade(
                     &core,
                     &test,
                     &faults,
                     threads,
                     EngineConfig::compiled(lanes),
+                    &CampaignHooks::none(),
                 );
                 assert_eq!(
                     res.detections, reference.detections,
@@ -466,11 +437,12 @@ mod tests {
         let core = ParwanCore::build();
         let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
         let det = deterministic_selftest();
-        let det_res = grade(&core, &det, &faults);
+        let hooks = CampaignHooks::none();
+        let det_res = grade(&core, &det, &faults, 0, EngineConfig::default(), &hooks);
         let det_cov = det_res.coverage();
         assert!(det_cov > 0.80, "deterministic coverage {det_cov}");
         let pr = lfsr_selftest(40);
-        let pr_res = grade(&core, &pr, &faults);
+        let pr_res = grade(&core, &pr, &faults, 0, EngineConfig::default(), &hooks);
         // The pseudorandom test must not dominate: comparable-or-lower
         // coverage at far higher cycle cost (the paper's claim).
         assert!(

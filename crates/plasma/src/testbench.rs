@@ -5,7 +5,8 @@
 use std::time::Instant;
 
 use fault::campaign::Testbench;
-use fault::sim::{LaneSim, ParallelSim};
+use fault::engine::EngineConfig;
+use fault::sim::LaneSim;
 use fault::wide::transpose_lanes_wide;
 use mips::iss::{Bus, BusCycle, Memory};
 use mips::Program;
@@ -346,17 +347,11 @@ impl<S: LaneSim> Testbench<S> for SelfTestBench<'_> {
     }
 }
 
-/// The default waveform probe for a Plasma core: every bus port (the
-/// memory interface) plus per-component flip-flop state.
-pub fn default_probe(core: &PlasmaCore) -> netlist::wave::Probe {
-    netlist::wave::Probe::full(core.netlist())
-}
-
 /// Replay one fault of `program` with waveform capture: lane 0 runs the
-/// fault-free core, lane 1 the faulty one, through the same
-/// [`SelfTestBench`] the campaigns use — so the detection verdict (and
-/// cycle) matches the campaign bit for bit while every probed net is
-/// recorded. Probe specs follow [`netlist::wave::Probe::from_spec`]
+/// fault-free core, lane 1 the faulty one, on the compiled engine at 64
+/// lanes through the same [`SelfTestBench`] the campaigns use — so the
+/// detection verdict (and cycle) matches the campaign bit for bit while
+/// every probed net is recorded. Probe specs follow [`netlist::wave::Probe::from_spec`]
 /// (component names or port globs; empty = full probe).
 pub fn capture_fault_wave(
     core: &PlasmaCore,
@@ -367,9 +362,8 @@ pub fn capture_fault_wave(
     opts: &fault::wave::WaveOptions,
 ) -> Result<fault::wave::CapturedWave, String> {
     let probe = netlist::wave::Probe::from_spec(core.netlist(), &opts.probe)?;
-    let [early, late] = core.segments();
-    let mut sim =
-        ParallelSim::with_segments(core.netlist(), &[early.to_vec(), late.to_vec()]);
+    let segments = core.segments().map(<[u32]>::to_vec);
+    let mut sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
     let mut tb = SelfTestBench::new(core, program, mem_bytes, budget);
     Ok(fault::wave::capture_fault(&mut sim, &mut tb, probe, f, opts))
 }

@@ -4,14 +4,12 @@
 
 use std::path::PathBuf;
 
-use fault::campaign::{self, CampaignHooks, CampaignResult};
+use fault::campaign::{CampaignHooks, CampaignResult};
 use fault::coverage::{CoverageReport, CoverageTimeline};
-use fault::engine::{EngineConfig, EngineKind};
+use fault::engine::EngineConfig;
 use fault::model::FaultList;
-use fault::sim::ParallelSim;
-use fault::wide::WideSim;
 use mips::iss::{Iss, Memory};
-use obs::{MetricRegistry, ProfilePhase, Profiler, Progress, Tracer};
+use obs::{MetricRegistry, Profiler, Progress, Tracer};
 use plasma::testbench::SelfTestBench;
 use plasma::PlasmaCore;
 
@@ -37,7 +35,7 @@ pub struct FlowOptions {
     /// Tester/CPU clock assumptions.
     pub cost_model: CostModel,
     /// Campaign worker threads; 0 resolves via
-    /// [`campaign::default_threads`] (the `SBST_THREADS` environment
+    /// [`fault::campaign::default_threads`] (the `SBST_THREADS` environment
     /// variable, else available parallelism). Results are bit-identical
     /// at every thread count.
     pub threads: usize,
@@ -67,18 +65,17 @@ pub struct FlowOptions {
     /// [`fault::wave::WaveOptions::out_dir`]. `None` (the default) adds
     /// zero work — campaigns never record.
     pub wave: Option<fault::wave::WaveOptions>,
-    /// Simulation engine + lane width. Defaults to the environment
-    /// (`SBST_ENGINE`/`SBST_LANES`), which itself defaults to the compiled engine at 256 lanes. Detections are
-    /// bit-identical across engines; only throughput differs.
+    /// Lane width of the compiled engine (`SBST_LANES`, else 256).
+    /// Detections are bit-identical at every width.
     pub engine: EngineConfig,
     /// Run fault forensics after the campaign (`--forensics`): triage
     /// every escape into a detectability bucket via structural cones +
     /// SCOAP + an activation-evidence replay, and join the escapes
-    /// against the routine map. Pure post-processing on the interpreted
-    /// engine — campaign detections are untouched, and the forensics
-    /// JSON is byte-identical whatever engine/thread count ran the
-    /// campaign. Off by default (the replay costs roughly one extra
-    /// interpreted batch per 63 testable escapes).
+    /// against the routine map. The replay runs on the compiled engine
+    /// fitted to the escape count and is pure post-processing: the
+    /// JSON is byte-identical at every width and thread count, and to
+    /// a replay on the interpreted reference. Off by default (it costs
+    /// about one batch run per `lanes - 1` testable escapes).
     pub forensics: bool,
 }
 
@@ -247,50 +244,18 @@ pub fn fault_list(core: &PlasmaCore, opts: &FlowOptions) -> FaultList {
     }
 }
 
-/// Run a fault campaign of an arbitrary program over `faults` on `core`,
-/// sharded over `threads` worker threads (0 = auto, see
-/// [`campaign::default_threads`]). Every worker gets its own simulator
-/// clone and testbench; the result is bit-identical to a serial run.
-pub fn run_campaign_of_threads(
-    core: &PlasmaCore,
-    program: &mips::Program,
-    faults: &FaultList,
-    budget: u64,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_of_hooks(core, program, faults, budget, threads, &CampaignHooks::none())
+/// The evaluation segments of `core`, as the engine takes them.
+fn segments(core: &PlasmaCore) -> [Vec<u32>; 2] {
+    core.segments().map(<[u32]>::to_vec)
 }
 
-/// [`run_campaign_of_threads`] with observability hooks (trace events +
-/// live progress), on the environment-selected engine. Detections are
-/// bit-identical with or without hooks.
-pub fn run_campaign_of_hooks(
-    core: &PlasmaCore,
-    program: &mips::Program,
-    faults: &FaultList,
-    budget: u64,
-    threads: usize,
-    hooks: &CampaignHooks,
-) -> CampaignResult {
-    run_campaign_of_engine(
-        core,
-        program,
-        faults,
-        budget,
-        threads,
-        hooks,
-        EngineConfig::from_env(),
-    )
-}
-
-/// The engine-dispatching campaign entry: interpreted 64-lane reference
-/// or compiled multi-word kernel, per `engine`, at its configured width.
-/// It is not [`EngineConfig::fit`]ted: a ~126-fault job shard grades
+/// Grade `program` over `faults` on `core` — the Plasma campaign entry
+/// ([`EngineConfig::grade`]) on `threads` workers (0 = auto). The width
+/// is not [`EngineConfig::fit`]ted: a ~126-fault job shard grades
 /// faster in 128 lanes than in a half-empty 256, but its speed varies
 /// about twice as much with the load on a shared host, which made job
 /// server throughput unsteady (EXPERIMENTS.md, "Engine benchmarks").
-/// Detections are bit-identical across engines, lane widths, and thread
-/// counts — only throughput (and batch geometry in the stats) differs.
+/// Detections are bit-identical across widths, thread counts and hooks.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_of_engine(
     core: &PlasmaCore,
@@ -301,77 +266,13 @@ pub fn run_campaign_of_engine(
     hooks: &CampaignHooks,
     engine: EngineConfig,
 ) -> CampaignResult {
-    let [early, late] = core.segments();
-    let segments = [early.to_vec(), late.to_vec()];
     // Each worker's bench shares the hooks' profiler handle, so the
     // per-cycle phases land in the same profile as the runner's
     // patch/reset (a disabled handle keeps the plain step path).
     let factory = || {
         SelfTestBench::new(core, program, MEM_BYTES, budget).with_profiler(hooks.profiler.clone())
     };
-    match engine.kind {
-        EngineKind::Interp => {
-            let sim = ParallelSim::with_segments(core.netlist(), &segments);
-            campaign::run(&sim, faults, factory, threads, hooks)
-        }
-        EngineKind::Compiled => {
-            let before_compile = hooks.profiler.snapshot();
-            let compile_t0 = std::time::Instant::now();
-            let kernel = {
-                // Cache hits cost a fingerprint walk + map probe; misses
-                // the full lowering pass. Either way it's this phase.
-                let _compile = hooks.profiler.scope(ProfilePhase::Compile);
-                fault::kernel::compile_cached(core.netlist(), &segments)
-            };
-            if let Some(reg) = &hooks.metrics {
-                reg.counter(
-                    "sbst_kernel_compile_ns_total",
-                    "Wall time spent in compile_cached (lowering or cache probe)",
-                    &[],
-                )
-                .inc(compile_t0.elapsed().as_nanos() as u64);
-                fault::kernel::export_cache_metrics(reg);
-            }
-            // The runner's profile window starts after this point, so
-            // fold the lowering cost back into the reported profile.
-            let compile_delta = hooks.profiler.snapshot().since(&before_compile);
-            let proto = WideSim::new(kernel, engine.lane_words);
-            let mut result = campaign::run(&proto, faults, factory, threads, hooks);
-            result.stats.profile.absorb(&compile_delta);
-            result
-        }
-    }
-}
-
-/// [`run_campaign_of_threads`] with auto thread count.
-pub fn run_campaign_of(
-    core: &PlasmaCore,
-    program: &mips::Program,
-    faults: &FaultList,
-    budget: u64,
-) -> CampaignResult {
-    run_campaign_of_threads(core, program, faults, budget, 0)
-}
-
-/// [`run_campaign_of_threads`] for a generated phase program.
-pub fn run_campaign_threads(
-    core: &PlasmaCore,
-    selftest: &SelfTestProgram,
-    faults: &FaultList,
-    budget: u64,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_of_threads(core, &selftest.program, faults, budget, threads)
-}
-
-/// [`run_campaign_of`] for a generated phase program.
-pub fn run_campaign(
-    core: &PlasmaCore,
-    selftest: &SelfTestProgram,
-    faults: &FaultList,
-    budget: u64,
-) -> CampaignResult {
-    run_campaign_of(core, &selftest.program, faults, budget)
+    engine.grade(core.netlist(), &segments(core), faults, factory, threads, hooks)
 }
 
 /// Replay one fault of a program with waveform capture (lane 0 good,
@@ -484,12 +385,11 @@ pub fn run_flow(core: &PlasmaCore, phase: Phase, opts: &FlowOptions) -> FlowRepo
         ),
         None => Vec::new(),
     };
-    // Forensics always replays on the interpreted engine so the report
-    // is engine-independent; the campaign result is read, never written.
+    // The replay reads the campaign result, never writes it, and the
+    // report does not depend on the width it replays at.
     let forensics = opts.forensics.then(|| {
-        let [early, late] = core.segments();
-        let segments = [early.to_vec(), late.to_vec()];
-        let mut sim = ParallelSim::with_segments(core.netlist(), &segments);
+        let escapes = campaign.detections.iter().filter(|d| !d.is_detected()).count();
+        let mut sim = opts.engine.fit(escapes).sim(core.netlist(), &segments(core));
         let mut tb = SelfTestBench::new(core, &selftest.program, MEM_BYTES, golden + opts.cycle_margin);
         fault::forensics::analyze(
             core.netlist(),
@@ -533,8 +433,8 @@ mod tests {
             timeline_stride: 500,
             profile: true,
             metrics: Some(MetricRegistry::new()),
-            // Pin the engine so the Compile-phase assertion below holds
-            // regardless of SBST_ENGINE in the environment.
+            // Pin the width so the lanes assertion below holds
+            // regardless of SBST_LANES in the environment.
             engine: EngineConfig::compiled(256),
             ..Default::default()
         };

@@ -3,7 +3,7 @@
 //! server schedules over worker threads and processes.
 //!
 //! A job is described by a [`CampaignJobSpec`] — phase, fault sampling,
-//! budget margin, engine, and shard count. [`prepare`] turns the spec
+//! budget margin, lane width, and shard count. [`prepare`] turns the spec
 //! into a [`PreparedJob`] **deterministically**: the phase program, its
 //! golden run length, the (seeded) sampled fault list, and the canonical
 //! shard tiling. Determinism is what makes the distributed story work:
@@ -38,7 +38,7 @@ pub struct CampaignJobSpec {
     pub seed: u64,
     /// Extra cycles granted to faulty machines beyond the golden run.
     pub cycle_margin: u64,
-    /// Simulation engine + lane width.
+    /// Lane width of the compiled engine.
     pub engine: EngineConfig,
     /// Worker threads *inside* one shard run (0 = auto).
     pub threads: usize,

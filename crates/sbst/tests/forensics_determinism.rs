@@ -1,16 +1,19 @@
-//! Forensics determinism across engines and thread counts.
+//! Forensics determinism across lane widths, thread counts and engines.
 //!
-//! The forensics report is pure post-processing: it replays activation
-//! evidence on the interpreted engine regardless of what engine graded
-//! the campaign, and its JSON carries no timing/engine/thread fields.
-//! So `FORENSICS.json` must be **byte-identical** across thread counts
-//! {1, 4} × engines {interp, compiled-256}, and at one lane word on both
-//! engines (compiled-64 against interp) — and turning forensics on must
-//! leave the campaign's detection vector untouched.
+//! The forensics report is pure post-processing: the flow replays
+//! activation evidence on the compiled engine, fitted to the escape
+//! count, and the report's JSON carries no timing/engine/width/thread
+//! fields. So `FORENSICS.json` must be **byte-identical** to a replay of
+//! the same campaign result on the interpreted reference (`ParallelSim`)
+//! at 64 and 256 configured lanes × {1, 4} threads — and turning
+//! forensics on must leave the campaign's detection vector untouched.
 
+use fault::campaign::Detection;
+use fault::sim::ParallelSim;
 use fault::EngineConfig;
+use plasma::testbench::SelfTestBench;
 use plasma::{PlasmaConfig, PlasmaCore};
-use sbst::flow::{run_flow, FlowOptions, FlowReport};
+use sbst::flow::{run_flow, FlowOptions, FlowReport, MEM_BYTES};
 use sbst::phases::Phase;
 
 fn run(core: &PlasmaCore, engine: EngineConfig, threads: usize, forensics: bool) -> FlowReport {
@@ -24,44 +27,47 @@ fn run(core: &PlasmaCore, engine: EngineConfig, threads: usize, forensics: bool)
     run_flow(core, Phase::A, &opts)
 }
 
-fn forensics_json(report: &FlowReport) -> String {
-    let f = report.forensics.as_ref().expect("forensics requested");
-    serde_json::to_string_pretty(&f.to_json()).unwrap()
+fn to_json(report: &fault::forensics::ForensicsReport) -> String {
+    serde_json::to_string_pretty(&report.to_json()).unwrap()
+}
+
+/// The reference: `forensics::analyze` replaying `report`'s campaign
+/// result on the interpreted engine.
+fn interp_forensics_json(core: &PlasmaCore, report: &FlowReport) -> String {
+    let mut sim = ParallelSim::with_segments(core.netlist(), &core.segments().map(<[u32]>::to_vec));
+    let budget = report.golden_cycles + FlowOptions::default().cycle_margin;
+    let mut tb = SelfTestBench::new(core, &report.selftest.program, MEM_BYTES, budget);
+    to_json(&fault::forensics::analyze(
+        core.netlist(),
+        &report.campaign,
+        core.observed_outputs(),
+        &mut sim,
+        &mut tb,
+    ))
 }
 
 #[test]
-fn forensics_json_is_byte_identical_across_engines_and_threads() {
+fn forensics_json_matches_the_interpreted_replay_at_every_width_and_thread_count() {
     let core = PlasmaCore::build(PlasmaConfig::default());
-    let configs = [
-        (EngineConfig::interp(), 1usize),
-        (EngineConfig::interp(), 4),
-        (EngineConfig::compiled(256), 1),
-        (EngineConfig::compiled(256), 4),
-        (EngineConfig::compiled(64), 2),
-    ];
-    let mut reference: Option<(String, Vec<fault::campaign::Detection>)> = None;
-    for (engine, threads) in configs {
-        let report = run(&core, engine, threads, true);
-        let json = forensics_json(&report);
+    let mut reference: Option<(Vec<Detection>, String)> = None;
+    for (lanes, threads) in [(64usize, 1usize), (64, 4), (256, 1), (256, 4)] {
+        let report = run(&core, EngineConfig::compiled(lanes), threads, true);
+        let f = report.forensics.as_ref().expect("forensics requested");
         // Sanity: the report triaged real escapes and split coverage.
-        let f = report.forensics.as_ref().unwrap();
         assert!(!f.escapes.is_empty(), "sampled campaign should have escapes");
         assert!(f.testable_coverage() >= f.raw_coverage());
-        match &reference {
-            None => reference = Some((json, report.campaign.detections.clone())),
-            Some((ref_json, ref_det)) => {
-                assert_eq!(
-                    ref_det, &report.campaign.detections,
-                    "detections differ at engine={} threads={threads}",
-                    report.campaign.stats.engine
-                );
-                assert_eq!(
-                    ref_json, &json,
-                    "FORENSICS.json differs at engine={} threads={threads}",
-                    report.campaign.stats.engine
-                );
-            }
-        }
+        let (ref_det, ref_json) = reference.get_or_insert_with(|| {
+            (report.campaign.detections.clone(), interp_forensics_json(&core, &report))
+        });
+        assert_eq!(
+            ref_det, &report.campaign.detections,
+            "detections differ at {lanes} lanes, {threads} threads"
+        );
+        assert_eq!(
+            *ref_json,
+            to_json(f),
+            "FORENSICS.json differs from the interpreted replay at {lanes} lanes, {threads} threads"
+        );
     }
 }
 

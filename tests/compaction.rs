@@ -371,7 +371,15 @@ fn parwan_regroups_without_changing_detections() {
         "reads back past 1,024"
     );
     let grade = |list: &FaultList, threads| {
-        parwan::sbst::grade_engine(&core, &test, list, threads, EngineConfig::compiled(64))
+        let hooks = CampaignHooks::none();
+        parwan::sbst::grade(
+            &core,
+            &test,
+            list,
+            threads,
+            EngineConfig::compiled(64),
+            &hooks,
+        )
     };
     let reference = per_slice(&faults, 63, |s| grade(s, 1));
     assert!(

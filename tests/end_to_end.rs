@@ -94,7 +94,12 @@ fn self_test_detects_nothing_on_a_healthy_core() {
     let none = full.filter(|_, _| false);
     let st = sbst::phases::build_program(Phase::A).unwrap();
     let golden = flow::golden_cycles(&st);
-    let res = flow::run_campaign(&core, &st, &none, golden + 64);
+    let (hooks, engine) = (
+        fault::campaign::CampaignHooks::none(),
+        FlowOptions::default().engine,
+    );
+    let budget = golden + 64;
+    let res = flow::run_campaign_of_engine(&core, &st.program, &none, budget, 0, &hooks, engine);
     assert_eq!(res.detections.len(), 0);
 }
 

@@ -3,12 +3,19 @@
 //! program region that targets that component. This is the methodology's
 //! promise at the single-fault granularity.
 
-use fault::campaign::Detection;
+use fault::campaign::{CampaignHooks, CampaignResult, Detection};
 use fault::model::{Fault, FaultList, FaultSite, Polarity};
 use netlist::GateKind;
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::flow;
-use sbst::phases::{build_program, Phase};
+use sbst::phases::{build_program, Phase, SelfTestProgram};
+
+/// Grade `st` over `faults` on the default width and thread count.
+fn grade(core: &PlasmaCore, st: &SelfTestProgram, faults: &FaultList) -> CampaignResult {
+    let budget = flow::golden_cycles(st) + 64;
+    let (hooks, engine) = (CampaignHooks::none(), flow::FlowOptions::default().engine);
+    flow::run_campaign_of_engine(core, &st.program, faults, budget, 0, &hooks, engine)
+}
 
 /// Run the Phase B program against exactly one fault; return its
 /// detection cycle (None = escaped).
@@ -18,8 +25,7 @@ fn detect_one(core: &PlasmaCore, fault: Fault, comp: &str) -> Option<u64> {
     let single = full.filter(|f, c| f == fault && c == cid);
     assert_eq!(single.len(), 1, "fault must exist in {comp}");
     let st = build_program(Phase::B).unwrap();
-    let golden = flow::golden_cycles(&st);
-    let res = flow::run_campaign(core, &st, &single, golden + 64);
+    let res = grade(core, &st, &single);
     match res.detections[0] {
         Detection::DetectedAt(c) => Some(c),
         Detection::Undetected => None,
@@ -105,8 +111,6 @@ fn broken_load_aligner_is_caught_by_phase_b_only() {
     let full = FaultList::extract(nl);
     let st_a = build_program(Phase::A).unwrap();
     let st_b = build_program(Phase::B).unwrap();
-    let ga = flow::golden_cycles(&st_a);
-    let gb = flow::golden_cycles(&st_b);
     // Gather MCTRL mux stem faults; batch them through both phases in one
     // campaign each (63 at a time is plenty here).
     let driver = nl.driver_gate();
@@ -117,8 +121,8 @@ fn broken_load_aligner_is_caught_by_phase_b_only() {
                     && nl.gates()[driver[n.index()] as usize].kind == GateKind::Mux2)
     });
     assert!(muxes.len() > 10, "MCTRL must contain mux faults");
-    let ra = flow::run_campaign(&core, &st_a, &muxes, ga + 64);
-    let rb = flow::run_campaign(&core, &st_b, &muxes, gb + 64);
+    let ra = grade(&core, &st_a, &muxes);
+    let rb = grade(&core, &st_b, &muxes);
     let found = (0..muxes.len())
         .any(|i| !ra.detections[i].is_detected() && rb.detections[i].is_detected());
     assert!(

@@ -8,8 +8,9 @@
 //! and the testbench stimulus, never on which worker ran the batch or in
 //! what order — and on a schedule that depends only on the detections.
 
-use fault::campaign;
+use fault::campaign::{self, CampaignHooks};
 use fault::model::FaultList;
+use fault::EngineConfig;
 use sbst::flow::{self, FlowOptions};
 use sbst::phases::{build_program, Phase};
 
@@ -18,17 +19,19 @@ fn parwan_campaign_identical_across_thread_counts() {
     let core = parwan::ParwanCore::build();
     let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
     let test = parwan::sbst::deterministic_selftest();
-    let serial = parwan::sbst::grade_threads(&core, &test, &faults, 1);
+    let (engine, hooks) = (EngineConfig::from_env(), CampaignHooks::none());
+    let grade = |threads| parwan::sbst::grade(&core, &test, &faults, threads, engine, &hooks);
+    let serial = grade(1);
     assert_eq!(serial.stats.threads, 1);
     // The first epoch's batch count follows the engine's lane width (the
-    // default engine is resolved from `SBST_ENGINE`/`SBST_LANES`, so
-    // derive, don't assume); regrouped survivors add batch runs.
+    // width is resolved from `SBST_LANES`, so derive, don't assume);
+    // regrouped survivors add batch runs.
     let first = campaign::batch_count_lanes(&faults, serial.stats.lanes as usize);
     let budget = parwan::sbst::golden_cycles(&test) + 32;
     assert_eq!(serial.stats.budget_cycles, first * budget);
     assert!(serial.stats.batches >= first);
     for threads in [2, 5, campaign::default_threads()] {
-        let par = parwan::sbst::grade_threads(&core, &test, &faults, threads);
+        let par = grade(threads);
         assert_eq!(
             par.detections, serial.detections,
             "{threads} threads changed the detections"
@@ -58,8 +61,12 @@ fn plasma_campaign_identical_serial_vs_parallel() {
         "need 3+ batches"
     );
     let budget = golden + opts.cycle_margin;
-    let serial = flow::run_campaign_threads(&core, &selftest, &faults, budget, 1);
-    let par = flow::run_campaign_threads(&core, &selftest, &faults, budget, 3);
+    let grade = |threads, hooks: &CampaignHooks| {
+        let program = &selftest.program;
+        flow::run_campaign_of_engine(&core, program, &faults, budget, threads, hooks, opts.engine)
+    };
+    let serial = grade(1, &CampaignHooks::none());
+    let par = grade(3, &CampaignHooks::none());
     assert_eq!(par.detections, serial.detections);
     assert_eq!(par.stats.batches, serial.stats.batches);
     assert_eq!(par.stats.cycles_simulated, serial.stats.cycles_simulated);
@@ -69,8 +76,8 @@ fn plasma_campaign_identical_serial_vs_parallel() {
     // runner must still be bit-identical — the hooks never touch
     // simulation state.
     let path = std::env::temp_dir().join("sbst_parallel_campaign_trace.jsonl");
-    let hooks = campaign::CampaignHooks::with_tracer(obs::Tracer::to_path(&path).unwrap());
-    let traced = flow::run_campaign_of_hooks(&core, &selftest.program, &faults, budget, 3, &hooks);
+    let hooks = CampaignHooks::with_tracer(obs::Tracer::to_path(&path).unwrap());
+    let traced = grade(3, &hooks);
     assert_eq!(traced.detections, serial.detections);
     assert_eq!(traced.stats.latency, serial.stats.latency);
     // The trace is valid JSONL: campaign_begin, one event per batch,
