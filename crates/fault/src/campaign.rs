@@ -466,8 +466,9 @@ impl CampaignResult {
 const FIRST_BOUNDARY: u64 = 128;
 
 /// End of the epoch starting at `start`: the first boundary of 128,
-/// 256, 512, … past `start`, capped at `budget`.
-fn epoch_end(start: u64, budget: u64) -> u64 {
+/// 256, 512, … past `start`, capped at `budget`. The forensics replay
+/// regroups its unresolved escapes at the same boundaries.
+pub(crate) fn epoch_end(start: u64, budget: u64) -> u64 {
     let mut end = FIRST_BOUNDARY;
     while end <= start {
         end *= 2;
@@ -479,7 +480,7 @@ fn epoch_end(start: u64, budget: u64) -> u64 {
 /// ([`LaneSim::save_lane`]) and its bench state
 /// ([`Testbench::save_lane`]).
 #[derive(Debug)]
-struct LaneState {
+pub(crate) struct LaneState {
     flops: Vec<u64>,
     /// Shared with lane 0's when equal: where a bench observes every
     /// memory write, an undetected lane wrote exactly what lane 0 wrote,
@@ -489,7 +490,7 @@ struct LaneState {
 
 impl LaneState {
     /// Park lane `lane`, sharing `lane0`'s bench state when equal.
-    fn save<S: LaneSim, T: Testbench<S>>(
+    pub(crate) fn save<S: LaneSim, T: Testbench<S> + ?Sized>(
         sim: &S,
         tb: &T,
         lane: usize,
@@ -506,7 +507,14 @@ impl LaneState {
         LaneState { flops, bench }
     }
 
-    fn load<S: LaneSim, T: Testbench<S>>(&self, sim: &mut S, tb: &mut T, lane: usize) {
+    /// Restore this parked state into lane `lane` (after
+    /// [`Testbench::begin`]).
+    pub(crate) fn load<S: LaneSim, T: Testbench<S> + ?Sized>(
+        &self,
+        sim: &mut S,
+        tb: &mut T,
+        lane: usize,
+    ) {
         sim.load_lane(lane, &self.flops);
         tb.load_lane(lane, &self.bench);
     }

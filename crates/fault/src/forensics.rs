@@ -21,18 +21,26 @@
 //! coverage the paper quotes, so "undetected" is honestly split from
 //! "undetectable".
 //!
+//! The structural pass indexes the netlist's net readers once
+//! ([`Fanout`]) and walks every escape's cone on that index.
+//!
 //! The replay is pure post-processing on any [`LaneSim`] — the flow
 //! replays on the compiled engine, fitted to the escape count: it never
 //! alters campaign detection results, and the report deliberately
 //! contains no wall-clock, engine, or lane-count fields, so its JSON is
 //! byte-identical to a replay on the interpreted reference at every
 //! width and thread count (pinned by the determinism tests in `sbst`).
+//! Like a campaign, it compacts survivors: batches advance in epochs
+//! ending at the campaign's cycle boundaries (128, 256, 512, …), and at
+//! each boundary the escapes still lacking evidence are regrouped into
+//! full batches, each lane carrying its flip-flops and bench state, so
+//! no lane keeps replaying an escape whose evidence is complete.
 
-use crate::campaign::{latency_of, CampaignResult, Testbench};
+use crate::campaign::{epoch_end, latency_of, CampaignResult, LaneState, Testbench};
 use crate::model::{Fault, FaultSite, Polarity};
 use crate::scoap::{self, INF};
 use crate::sim::LaneSim;
-use netlist::cone::fanout_cone;
+use netlist::cone::Fanout;
 use netlist::{Net, Netlist};
 use obs::LatencyHistogram;
 use serde_json::{Map, Value};
@@ -230,10 +238,13 @@ struct PendingEscape {
 ///
 /// `observed` is the set of output nets the campaign's detection
 /// criterion monitored. `sim`/`tb` replay the same self-test to gather
-/// activation evidence; the replay batches up to `sim.lanes() - 1`
-/// escapes per pass (lane 0 stays the fault-free reference) and is pure
-/// post-processing — campaign results are never modified, and the
-/// report does not depend on the engine or its width.
+/// activation evidence, `sim.lanes() - 1` escapes per batch (lane 0
+/// stays the fault-free reference); an escape's lane retires once its
+/// first-excited and first-propagated cycles are both known, and the
+/// unresolved escapes regroup into full batches, each lane carrying its
+/// flip-flops and bench state, at the campaign's epoch boundaries. The
+/// replay is pure post-processing — campaign results are never
+/// modified, and the report does not depend on the engine or its width.
 pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
     nl: &Netlist,
     result: &CampaignResult,
@@ -247,6 +258,7 @@ pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
 
     // Structural pass: SCOAP + cone for every escape; untestable ones
     // are classified here and skip the replay.
+    let fanout = Fanout::new(nl);
     let mut escapes: Vec<EscapeForensics> = Vec::new();
     let mut pending: Vec<PendingEscape> = Vec::new();
     for (i, det) in result.detections.iter().enumerate() {
@@ -262,7 +274,7 @@ pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
         if matches!(fault.site, FaultSite::Stem(_)) {
             seeds.push(site);
         }
-        let cone = fanout_cone(nl, &seeds, true);
+        let cone = fanout.cone(nl, &seeds, true);
         let reaches = observed.iter().any(|&o| cone.contains_net(o));
         let cc_excite = match fault.polarity {
             Polarity::StuckAt0 => sc.cc1[site.index()],
@@ -295,50 +307,7 @@ pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
         }
     }
 
-    // Activation-evidence replay: re-run the self-test with the
-    // testable escapes injected, watching the fault-free site value
-    // (excitation) and the per-lane divergence on the effect-origin
-    // nets (propagation). Early-exits once every lane has both.
-    let (mut step_diff, mut diff) = (vec![0; sim.lane_words()], vec![0; sim.lane_words()]);
-    for batch in pending.chunks(sim.lanes() - 1) {
-        sim.clear_faults();
-        for (k, p) in batch.iter().enumerate() {
-            sim.inject(escapes[p.idx].fault, k + 1);
-        }
-        sim.reset_state();
-        tb.begin(sim);
-        let mut unresolved = batch.len();
-        for cycle in 0..tb.cycles() {
-            step_diff.fill(0);
-            tb.step(sim, cycle, &mut step_diff);
-            if unresolved == 0 {
-                break;
-            }
-            for (k, p) in batch.iter().enumerate() {
-                let e = &mut escapes[p.idx];
-                if e.first_excited.is_some() && e.first_propagated.is_some() {
-                    continue;
-                }
-                if e.first_excited.is_none() {
-                    let good_high = sim.net_lanes_word(p.site, 0) & 1 == 1;
-                    if good_high == p.excite_high {
-                        e.first_excited = Some(cycle);
-                    }
-                }
-                if e.first_propagated.is_none() && !p.origin.is_empty() {
-                    diff.fill(0);
-                    sim.diff_vs_lane0(&p.origin, &mut diff);
-                    let lane = k + 1;
-                    if (diff[lane / 64] >> (lane % 64)) & 1 == 1 {
-                        e.first_propagated = Some(cycle);
-                    }
-                }
-                if e.first_excited.is_some() && e.first_propagated.is_some() {
-                    unresolved -= 1;
-                }
-            }
-        }
-    }
+    replay(sim, tb, &pending, &mut escapes);
 
     // Classification: an if/else chain, so every escape lands in
     // exactly one bucket. Propagation evidence outranks excitation
@@ -406,6 +375,109 @@ pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
         latency: latency_of(&result.detections),
         components: comp_rows,
         escapes,
+    }
+}
+
+/// Whether an escape's replay evidence is complete: both its
+/// first-excited and first-propagated cycles are known.
+fn resolved(e: &EscapeForensics) -> bool {
+    e.first_excited.is_some() && e.first_propagated.is_some()
+}
+
+/// Activation-evidence replay: re-run the self-test with the `pending`
+/// escapes injected, `sim.lanes() - 1` per batch, watching the
+/// fault-free site value (excitation, read from lane 0) and each lane's
+/// divergence from lane 0 on its effect-origin nets (propagation), and
+/// record both first cycles in `escapes`. A batch stops once every lane
+/// in it is [`resolved`].
+///
+/// Batches advance in epochs ending at the campaign's boundaries (128,
+/// 256, 512, …, capped at the budget; a lone batch runs straight to the
+/// budget). At each boundary the unresolved escapes are regrouped, in
+/// pending order, into full batches: each lane's flip-flops and bench
+/// words move with it, and lane 0 — fault-free, so the same machine in
+/// every batch — is restored from the boundary state. A lane's future
+/// depends only on its fault, its flip-flops and its bench words, so the
+/// evidence is exactly that of an unbroken replay.
+fn replay<S: LaneSim, T: Testbench<S> + ?Sized>(
+    sim: &mut S,
+    tb: &mut T,
+    pending: &[PendingEscape],
+    escapes: &mut [EscapeForensics],
+) {
+    let budget = tb.cycles();
+    let chunk = sim.lanes() - 1;
+    let (mut step_diff, mut diff) = (vec![0; sim.lane_words()], vec![0; sim.lane_words()]);
+    // The epoch's unresolved escapes (in pending order), their parked
+    // lanes and lane 0's (none at cycle 0: reset).
+    let mut live: Vec<&PendingEscape> = pending.iter().collect();
+    let mut parked: Vec<LaneState> = Vec::new();
+    let mut lane0: Option<LaneState> = None;
+    let mut start = 0;
+    while !live.is_empty() {
+        let end = if live.len() > chunk {
+            epoch_end(start, budget)
+        } else {
+            budget
+        };
+        let mut parked_in = parked.into_iter();
+        let (mut next_live, mut next_parked, mut next_lane0) = (Vec::new(), Vec::new(), None);
+        for batch in live.chunks(chunk) {
+            sim.clear_faults();
+            for (k, p) in batch.iter().enumerate() {
+                sim.inject(escapes[p.idx].fault, k + 1);
+            }
+            sim.reset_state();
+            tb.begin(sim);
+            if let Some(l0) = &lane0 {
+                l0.load(sim, tb, 0);
+                for (k, lane) in parked_in.by_ref().take(batch.len()).enumerate() {
+                    lane.load(sim, tb, k + 1);
+                }
+            }
+            let mut unresolved = batch.len();
+            for cycle in start..end {
+                step_diff.fill(0);
+                tb.step(sim, cycle, &mut step_diff);
+                if unresolved == 0 {
+                    break;
+                }
+                for (k, p) in batch.iter().enumerate() {
+                    let e = &mut escapes[p.idx];
+                    if resolved(e) {
+                        continue;
+                    }
+                    if e.first_excited.is_none() {
+                        let good_high = sim.net_lanes_word(p.site, 0) & 1 == 1;
+                        if good_high == p.excite_high {
+                            e.first_excited = Some(cycle);
+                        }
+                    }
+                    if e.first_propagated.is_none() && !p.origin.is_empty() {
+                        diff.fill(0);
+                        sim.diff_vs_lane0(&p.origin, &mut diff);
+                        let lane = k + 1;
+                        if (diff[lane / 64] >> (lane % 64)) & 1 == 1 {
+                            e.first_propagated = Some(cycle);
+                        }
+                    }
+                    if resolved(e) {
+                        unresolved -= 1;
+                    }
+                }
+            }
+            if unresolved > 0 && end < budget {
+                let l0 = LaneState::save(sim, tb, 0, None);
+                for (k, &p) in batch.iter().enumerate() {
+                    if !resolved(&escapes[p.idx]) {
+                        next_live.push(p);
+                        next_parked.push(LaneState::save(sim, tb, k + 1, Some(&l0)));
+                    }
+                }
+                next_lane0.get_or_insert(l0);
+            }
+        }
+        (live, parked, lane0, start) = (next_live, next_parked, next_lane0, end);
     }
 }
 

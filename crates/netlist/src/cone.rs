@@ -10,9 +10,16 @@
 //! multiple cycles).
 //!
 //! The fault-forensics layer uses both: the sequential fanout cone of a
-//! fault site decides whether the fault can structurally reach an
-//! observed output at all, and bounds the net set its divergence replay
-//! has to watch; the fanin cone lists what controls the site.
+//! fault's effect decides whether it can structurally reach an observed
+//! output at all and names the components it touches (a probe spec for
+//! wave capture); the fanin cone lists what controls the site. The
+//! forensics replay itself watches only the effect-origin nets, not the
+//! cone.
+//!
+//! A fanout walk needs each net's readers. [`Fanout`] indexes them once
+//! per netlist, so a caller walking many cones — forensics walks one
+//! per escape — pays for the index once; [`fanout_cone`] is the one-shot
+//! form.
 //!
 //! Cones are deterministic (sorted index order) and closed:
 //! `cone(cone(x).nets) == cone(x)` — see `tests/cone_props.rs`.
@@ -150,38 +157,63 @@ pub fn fanin_cone(nl: &Netlist, seeds: &[Net], through_dffs: bool) -> Cone {
     w.finish()
 }
 
-/// The transitive fanout cone of `seeds`: every net, gate and flip-flop
-/// a seed can structurally influence. `through_dffs` crosses the
-/// sequential boundary (a D input on to its Q output); otherwise
-/// flip-flops are recorded as the boundary and the walk stops at their D.
-pub fn fanout_cone(nl: &Netlist, seeds: &[Net], through_dffs: bool) -> Cone {
-    // Per-net reader lists (gates reading the net, DFFs clocking it in).
-    let mut gate_readers: Vec<Vec<u32>> = vec![Vec::new(); nl.num_nets()];
-    for (i, g) in nl.gates().iter().enumerate() {
-        for input in g.used_inputs() {
-            gate_readers[input.index()].push(i as u32);
-        }
-    }
-    let mut dff_readers: Vec<Vec<u32>> = vec![Vec::new(); nl.num_nets()];
-    for (i, d) in nl.dffs().iter().enumerate() {
-        dff_readers[d.d.index()].push(i as u32);
-    }
-    let mut w = Walk::new(nl, seeds);
-    while let Some(n) = w.work.pop() {
-        for &g in &gate_readers[n.index()] {
-            w.gate_in[g as usize] = true;
-            let out = nl.gates()[g as usize].output;
-            w.push(out);
-        }
-        for &f in &dff_readers[n.index()] {
-            w.dff_in[f as usize] = true;
-            if through_dffs {
-                let q = nl.dffs()[f as usize].q;
-                w.push(q);
+/// Per-net reader index of a netlist: the gates reading each net and the
+/// flip-flops clocking it in. Build it once with [`Fanout::new`] and walk
+/// any number of fanout cones of the same netlist with [`Fanout::cone`].
+#[derive(Debug, Clone)]
+pub struct Fanout {
+    gate_readers: Vec<Vec<u32>>,
+    dff_readers: Vec<Vec<u32>>,
+}
+
+impl Fanout {
+    /// Index the readers of every net of `nl`.
+    pub fn new(nl: &Netlist) -> Fanout {
+        let mut gate_readers: Vec<Vec<u32>> = vec![Vec::new(); nl.num_nets()];
+        for (i, g) in nl.gates().iter().enumerate() {
+            for input in g.used_inputs() {
+                gate_readers[input.index()].push(i as u32);
             }
         }
+        let mut dff_readers: Vec<Vec<u32>> = vec![Vec::new(); nl.num_nets()];
+        for (i, d) in nl.dffs().iter().enumerate() {
+            dff_readers[d.d.index()].push(i as u32);
+        }
+        Fanout {
+            gate_readers,
+            dff_readers,
+        }
     }
-    w.finish()
+
+    /// The transitive fanout cone of `seeds` in `nl`, the netlist this
+    /// index was built from: every net, gate and flip-flop a seed can
+    /// structurally influence. `through_dffs` crosses the sequential
+    /// boundary (a D input on to its Q output); otherwise flip-flops are
+    /// recorded as the boundary and the walk stops at their D.
+    pub fn cone(&self, nl: &Netlist, seeds: &[Net], through_dffs: bool) -> Cone {
+        let mut w = Walk::new(nl, seeds);
+        while let Some(n) = w.work.pop() {
+            for &g in &self.gate_readers[n.index()] {
+                w.gate_in[g as usize] = true;
+                let out = nl.gates()[g as usize].output;
+                w.push(out);
+            }
+            for &f in &self.dff_readers[n.index()] {
+                w.dff_in[f as usize] = true;
+                if through_dffs {
+                    let q = nl.dffs()[f as usize].q;
+                    w.push(q);
+                }
+            }
+        }
+        w.finish()
+    }
+}
+
+/// The transitive fanout cone of `seeds`: [`Fanout::cone`] on an index
+/// built for this one query.
+pub fn fanout_cone(nl: &Netlist, seeds: &[Net], through_dffs: bool) -> Cone {
+    Fanout::new(nl).cone(nl, seeds, through_dffs)
 }
 
 #[cfg(test)]

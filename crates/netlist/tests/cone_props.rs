@@ -2,9 +2,10 @@
 //! (`netlist::cone`) on randomly sized/styled synthesized circuits:
 //! closure (every in-cone gate's nets are in-cone), sequential-boundary
 //! handling, subset ordering between stop-at-DFF and through-DFF modes,
-//! and idempotence (`cone(cone(x).nets) == cone(x)`).
+//! idempotence (`cone(cone(x).nets) == cone(x)`), and one reused reader
+//! index answering every fanout query as a fresh one would.
 
-use netlist::cone::{fanin_cone, fanout_cone, Cone};
+use netlist::cone::{fanin_cone, fanout_cone, Cone, Fanout};
 use netlist::synth::{self, TechStyle};
 use netlist::{Net, Netlist, NetlistBuilder};
 use proptest::prelude::*;
@@ -141,5 +142,33 @@ proptest! {
             outs.iter().any(|&o| cone.contains_net(o)),
             "input bit influences no output"
         );
+    }
+
+    /// One reader index serves many queries: walked back to back from
+    /// every single net in both sequential modes, it returns the one-shot
+    /// cone each time, so no visited mark leaks from one query into the
+    /// next.
+    #[test]
+    fn reused_index_matches_one_shot_cones(
+        width in 1usize..16,
+        style_b in any::<bool>(),
+    ) {
+        let style = if style_b { TechStyle::ClaAoi } else { TechStyle::RippleMux };
+        let nl = registered_adder(style, width);
+        let index = Fanout::new(&nl);
+        let queries: Vec<(Net, bool)> = (0..nl.num_nets())
+            .flat_map(|i| [(Net::from_index(i), false), (Net::from_index(i), true)])
+            .collect();
+        let reused: Vec<Cone> = queries
+            .iter()
+            .map(|&(seed, thru)| index.cone(&nl, &[seed], thru))
+            .collect();
+        for (&(seed, thru), cone) in queries.iter().zip(&reused) {
+            prop_assert_eq!(
+                cone,
+                &fanout_cone(&nl, &[seed], thru),
+                "net {} through_dffs={}", seed.index(), thru
+            );
+        }
     }
 }

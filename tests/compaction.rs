@@ -9,18 +9,25 @@
 //! never regroups. Detections must match the merged slices exactly, on
 //! both engines, at every width and thread count, and the schedule
 //! (batch runs, simulated cycles) must not depend on the thread count.
+//!
+//! The forensics replay regroups its unresolved escapes at the same
+//! boundaries; its reference analyzes each 63-escape slice as a campaign
+//! of its own, and every escape's bucket and evidence cycles must match.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use fault::campaign::{self, CampaignHooks, CampaignResult, Detection, VectorBench};
-use fault::model::FaultList;
+use fault::campaign::{self, CampaignHooks, CampaignResult, CampaignStats, Detection, VectorBench};
+use fault::forensics::{self, Bucket, ForensicsReport};
+use fault::model::{Fault, FaultList, FaultSite, Polarity};
 use fault::sim::{LaneSim, ParallelSim};
 use fault::wide::WideSim;
 use fault::EngineConfig;
 use netlist::{Net, Netlist, NetlistBuilder};
-use sbst::flow::{self, FlowOptions};
+use plasma::testbench::SelfTestBench;
+use plasma::PlasmaCore;
+use sbst::flow::{self, FlowOptions, MEM_BYTES};
 
 /// A random sequential netlist with registered feedback: a state
 /// register rotates through XORs with random logic of itself and the
@@ -240,6 +247,140 @@ proptest! {
     }
 }
 
+/// `faults` as a finished campaign in which every fault escaped.
+fn all_escaped(faults: &FaultList) -> CampaignResult {
+    CampaignResult {
+        faults: faults.clone(),
+        detections: vec![Detection::Undetected; faults.len()],
+        stats: CampaignStats::default(),
+    }
+}
+
+/// One escape's replay verdict: fault, bucket, first-excited and
+/// first-propagated cycles.
+type Evidence = (Fault, Bucket, Option<u64>, Option<u64>);
+
+/// Every escape's verdict in `report`, sorted.
+fn evidence(report: &ForensicsReport) -> Vec<Evidence> {
+    let mut v: Vec<Evidence> = report
+        .escapes
+        .iter()
+        .map(|e| (e.fault, e.bucket, e.first_excited, e.first_propagated))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+/// The replay reference: every `chunk`-escape slice of `escapes`
+/// analyzed as a campaign of its own (one replay batch, no regrouping),
+/// verdicts merged and sorted.
+fn per_slice_evidence(
+    escapes: &FaultList,
+    chunk: usize,
+    analyze: impl Fn(&CampaignResult) -> ForensicsReport,
+) -> Vec<Evidence> {
+    let mut out = Vec::with_capacity(escapes.len());
+    for lo in (0..escapes.len()).step_by(chunk) {
+        let slice = escapes.slice(lo, (lo + chunk).min(escapes.len()));
+        out.extend(evidence(&analyze(&all_escaped(&slice))));
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Testable escapes still lacking a first-excited or first-propagated
+/// cycle after `cycle` cycles: the lanes a replay regroups there.
+fn unresolved_at(evidence: &[Evidence], cycle: u64) -> usize {
+    let before = |c: &Option<u64>| c.is_some_and(|c| c < cycle);
+    evidence
+        .iter()
+        .filter(|(_, b, fe, fp)| *b != Bucket::Untestable && !(before(fe) && before(fp)))
+        .count()
+}
+
+/// Every output net of `nl`: what a [`VectorBench`] observes.
+fn output_nets(nl: &Netlist) -> Vec<Net> {
+    nl.ports()
+        .filter(|(_, d, _)| matches!(d, netlist::PortDir::Output))
+        .flat_map(|(_, _, nets)| nets.iter().copied())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// On random feedback circuits under 640 random vectors, with more
+    /// than three batches of escapes unresolved past cycle 512, the
+    /// regrouping replay gives every escape the bucket and evidence
+    /// cycles of the merged per-slice replays, on both engines at 64
+    /// lanes. Every collapsed fault is replayed as an escape, so faults
+    /// whose effect surfaces late land evidence after a regroup.
+    #[test]
+    fn regrouped_replay_matches_per_slice_evidence(seed in any::<u64>()) {
+        let nl = feedback_netlist(seed);
+        let vectors = random_vectors(seed ^ 0x5EED, 640);
+        let escapes = FaultList::extract(&nl).collapsed(&nl);
+        let observed = output_nets(&nl);
+        let interp = |result: &CampaignResult| {
+            let mut tb = VectorBench::new(&nl, &vectors);
+            forensics::analyze(&nl, result, &observed, &mut ParallelSim::new(&nl), &mut tb)
+        };
+        let probe = per_slice_evidence(&escapes, 63, interp);
+        let late = unresolved_at(&probe, 512);
+        if late == 0 {
+            // Every escape resolves by cycle 512: nothing regroups late.
+            return Ok(());
+        }
+        let list = repeated(&escapes, (3 * 63 + 1usize).div_ceil(late));
+        let reference = per_slice_evidence(&list, 63, interp);
+        prop_assert!(unresolved_at(&reference, 512) > 3 * 63);
+
+        let escaped = all_escaped(&list);
+        prop_assert_eq!(evidence(&interp(&escaped)), reference.clone(), "interp, 64 lanes");
+        let kernel = fault::kernel::compile_cached(&nl, &[nl.topo_order().to_vec()]);
+        let mut wide = WideSim::new(kernel, 1);
+        let mut tb = VectorBench::new(&nl, &vectors);
+        let report = forensics::analyze(&nl, &escaped, &observed, &mut wide, &mut tb);
+        prop_assert_eq!(evidence(&report), reference, "compiled, 64 lanes");
+    }
+}
+
+/// A lane whose escape propagated but is not yet excited keeps replaying
+/// across a regroup. The register resets to 1, the vectors clear it at
+/// once and set it again only at cycle 300, and its readers are an AND
+/// masked by a 0 and an OR into a dangling net: its Q stuck-at-0
+/// diverges on the OR from cycle 0 (the reset value) but reads as
+/// excited only at cycle 300, after its lane has moved twice.
+#[test]
+fn propagated_but_unexcited_lanes_keep_replaying() {
+    let mut b = NetlistBuilder::new("late_excite");
+    let a = b.input("a");
+    let hide = b.input("hide");
+    let m = b.input("m");
+    let q = b.dff(a, true);
+    let y = b.and2(q, hide);
+    let _dangling = b.or2(q, m);
+    b.output("y", y);
+    let nl = b.finish().unwrap();
+    let vectors: Vec<Vec<(&str, u64)>> = (0..400u64)
+        .map(|c| vec![("a", (c == 300) as u64), ("hide", 0), ("m", 0)])
+        .collect();
+    let stuck = Fault {
+        site: FaultSite::Stem(q),
+        polarity: Polarity::StuckAt0,
+    };
+    let list = repeated(&FaultList::extract(&nl).filter(|f, _| f == stuck), 130);
+    let observed = output_nets(&nl);
+    let interp = |result: &CampaignResult| {
+        let mut tb = VectorBench::new(&nl, &vectors);
+        forensics::analyze(&nl, result, &observed, &mut ParallelSim::new(&nl), &mut tb)
+    };
+    let reference = per_slice_evidence(&list, 63, interp);
+    let (_, _, excited, propagated) = reference[0];
+    assert_eq!((excited, propagated), (Some(300), Some(0)));
+    assert_eq!(evidence(&interp(&all_escaped(&list))), reference);
+}
+
 /// A vector bench that leaves a port out of later vectors must resume
 /// a regrouped batch with that port at its last driven value.
 #[test]
@@ -321,6 +462,70 @@ fn plasma_sample_regroups_without_changing_detections() {
     assert_eq!(res.detections, reference);
     assert!(res.stats.batches > campaign::batch_count_lanes(&faults, 64));
     assert_schedule_invariants(&res, budget);
+}
+
+/// Replay `result`'s escapes of [`PLASMA_READBACK`] on `sim`.
+fn plasma_replay<S: LaneSim>(
+    core: &PlasmaCore,
+    program: &mips::Program,
+    result: &CampaignResult,
+    budget: u64,
+    sim: &mut S,
+) -> ForensicsReport {
+    let mut tb = SelfTestBench::new(core, program, MEM_BYTES, budget);
+    forensics::analyze(
+        core.netlist(),
+        result,
+        core.observed_outputs(),
+        sim,
+        &mut tb,
+    )
+}
+
+/// The forensics replay of a sampled Plasma campaign at 64 lanes
+/// regroups its unresolved escapes, each carrying its memory overlay,
+/// and must write the report a one-batch replay at 512 lanes writes.
+#[test]
+fn plasma_replay_regroups_without_changing_the_report() {
+    let core = PlasmaCore::build(plasma::PlasmaConfig::default());
+    let opts = FlowOptions {
+        fault_sample: Some(400),
+        ..Default::default()
+    };
+    let program = mips::asm::assemble(PLASMA_READBACK).expect("assembles");
+    let budget = 2000;
+    let faults = flow::fault_list(&core, &opts);
+    let result = flow::run_campaign_of_engine(
+        &core,
+        &program,
+        &faults,
+        budget,
+        2,
+        &CampaignHooks::none(),
+        EngineConfig::compiled(256),
+    );
+    let segments = core.segments().map(<[u32]>::to_vec);
+    let narrow = plasma_replay(
+        &core,
+        &program,
+        &result,
+        budget,
+        &mut ParallelSim::with_segments(core.netlist(), &segments),
+    );
+    let late = unresolved_at(&evidence(&narrow), 128);
+    assert!(
+        late > 63,
+        "{late} escapes unresolved at 128: need 2+ batches"
+    );
+    let wide = plasma_replay(
+        &core,
+        &program,
+        &result,
+        budget,
+        &mut EngineConfig::compiled(512).sim(core.netlist(), &segments),
+    );
+    let json = |r: &ForensicsReport| serde_json::to_string_pretty(&r.to_json()).unwrap();
+    assert_eq!(json(&narrow), json(&wide));
 }
 
 /// The Parwan counterpart of [`PLASMA_READBACK`]: bytes stored at the
