@@ -9,11 +9,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use fault::campaign::{self, CampaignHooks, VectorBench};
+use fault::campaign::{self, VectorBench};
 use fault::model::FaultList;
 use fault::sim::ParallelSim;
 use netlist::synth::{self, TechStyle};
 use netlist::{Netlist, NetlistBuilder};
+use obs::Telemetry;
 
 fn block() -> Netlist {
     // A 16-bit ALU-ish block: adder + logic + select, sequential output
@@ -65,7 +66,7 @@ fn bench_batching(c: &mut Criterion) {
     let vecs = vectors();
 
     let bench = || VectorBench::new(&nl, &vecs);
-    let hooks = CampaignHooks::none();
+    let hooks = Telemetry::none();
     let mut g = c.benchmark_group("ablation_batching");
     g.bench_function("parallel_one_batch_of_63", |b| {
         b.iter(|| campaign::run(&ParallelSim::new(&nl), &first63, bench, 1, &hooks))

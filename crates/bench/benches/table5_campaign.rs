@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use fault::campaign::CampaignHooks;
+use obs::Telemetry;
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::flow::{self, FlowOptions};
 use sbst::phases::{build_program, Phase};
@@ -17,7 +17,7 @@ fn bench_table5(c: &mut Criterion) {
     };
     let faults = flow::fault_list(&core, &opts);
     let st = build_program(Phase::A).unwrap();
-    let (budget, hooks) = (flow::golden_cycles(&st) + 64, CampaignHooks::none());
+    let (budget, hooks) = (flow::golden_cycles(&st) + 64, Telemetry::none());
     let grade = || {
         flow::run_campaign_of_engine(&core, &st.program, &faults, budget, 0, &hooks, opts.engine)
     };

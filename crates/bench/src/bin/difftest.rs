@@ -38,15 +38,15 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bench::value;
+use bench::{value, ObsArgs};
 use difftest::corpus::{self, CorpusCase, CorpusFault, NetlistSig, ReplayOutcome};
 use difftest::oracle::{OracleConfig, PlasmaOracle};
 use difftest::parwan_oracle::{random_parwan_image, ParwanOracle};
-use difftest::{fuzz_plasma, shrink, FuzzConfig, FuzzHooks};
+use difftest::{fuzz_plasma, shrink, FuzzConfig};
 use fault::model::{Fault, FaultList};
 use fault::LaneSim;
 use mips::gen::{random_parts, GenConfig};
-use obs::{LedgerRecord, MetricRegistry, Progress, Tracer};
+use obs::{LedgerRecord, MetricRegistry};
 use plasma::{PlasmaConfig, PlasmaCore};
 use serde_json::Value;
 
@@ -62,47 +62,6 @@ fn count_shrink_steps(metrics: Option<&MetricRegistry>, runs: u64) {
     }
 }
 
-/// Epilogue shared by every mode: append exactly one ledger record,
-/// dump the metric registry when asked. Blocks forever when the
-/// observatory is serving (it went live before the run).
-fn finish(
-    metrics: Option<&MetricRegistry>,
-    ledger_path: &std::path::Path,
-    no_ledger: bool,
-    record: LedgerRecord,
-    metrics_out: Option<&std::path::Path>,
-    serving: bool,
-) {
-    if !no_ledger {
-        obs::ledger::append(ledger_path, &record).expect("append run ledger");
-        eprintln!(
-            "[run record ({}) appended to {}]",
-            record.kind,
-            ledger_path.display()
-        );
-    }
-    if let Some(reg) = metrics {
-        if let Some(path) = metrics_out {
-            let body = if path.extension().is_some_and(|e| e == "json") {
-                serde_json::to_string_pretty(&reg.snapshot()).expect("serialize")
-            } else {
-                reg.to_prometheus()
-            };
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).expect("create metrics dir");
-            }
-            std::fs::write(path, body).expect("write metrics");
-            eprintln!("[metrics written to {}]", path.display());
-        }
-    }
-    if serving {
-        eprintln!("[observatory still serving — ctrl-C to exit]");
-        loop {
-            std::thread::park();
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = FuzzConfig {
@@ -115,13 +74,7 @@ fn main() -> ExitCode {
     let mut wave_dump = false;
     let mut wave = fault::wave::WaveOptions::default();
     let mut parwan_too = false;
-    let mut progress = false;
-    let mut trace_path: Option<PathBuf> = None;
-    let cmd = args.join(" ");
-    let mut ledger_path = PathBuf::from("results/LEDGER.jsonl");
-    let mut no_ledger = false;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut serve_port: Option<u16> = None;
+    let mut obs = ObsArgs::new(&args);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -142,13 +95,8 @@ fn main() -> ExitCode {
             "--inject" => inject = true,
             "--replay" => replay = true,
             "--parwan" => parwan_too = true,
-            "--progress" => progress = true,
             "--corpus" => corpus_dir = value(&mut it, a, "a directory"),
-            "--trace" => trace_path = Some(value(&mut it, a, "a path")),
-            "--ledger" => ledger_path = value(&mut it, a, "a path"),
-            "--no-ledger" => no_ledger = true,
-            "--metrics-out" => metrics_out = Some(value(&mut it, a, "a path")),
-            "--serve" => serve_port = Some(value(&mut it, a, "a port")),
+            other if obs.parse(other, &mut it) => {}
             other => {
                 eprintln!("unknown argument `{other}` (see source header for usage)");
                 return ExitCode::from(2);
@@ -156,40 +104,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let tracer = match &trace_path {
-        Some(p) => Tracer::to_path(p).expect("open trace file"),
-        None => Tracer::disabled(),
-    };
-    let metrics = (metrics_out.is_some() || serve_port.is_some()).then(MetricRegistry::new);
-    let mut events: Option<obs::EventBus> = None;
-    let mut serving = false;
-    if let Some(port) = serve_port {
-        // The observatory goes live *before* the fuzzing run so the
-        // dashboard, SSE stream, and timeline watch it as it happens.
-        let reg = metrics.clone().expect("serve registry");
-        let bus = obs::EventBus::new(1024);
-        events = Some(bus.clone());
-        let timeline =
-            obs::Timeline::start(reg.clone(), std::time::Duration::from_millis(250), 2400);
-        let tp = trace_path.clone();
-        let observatory = obs::Observatory::new(reg)
-            .with_timeline(timeline)
-            .with_events(bus)
-            .with_trace_provider(move || {
-                let jsonl = tp
-                    .as_ref()
-                    .and_then(|p| std::fs::read_to_string(p).ok())
-                    .unwrap_or_default();
-                serde_json::to_string(&obs::traceviz::render(&jsonl, None))
-                    .expect("serialize trace")
-            });
-        let srv = obs::serve::serve_observatory(observatory, port).expect("bind observatory");
-        eprintln!(
-            "[observatory live at http://{}/ — /metrics /json /timeline /events /trace]",
-            srv.addr()
-        );
-        serving = true;
-    }
+    let mut run = obs.start(|reg| difftest::fuzz::progress(reg, cfg.seeds), |o| o);
+    let metrics = run.telemetry.metrics.clone();
     eprintln!("building gate-level core...");
     let core = PlasmaCore::build(PlasmaConfig::default());
     let sig = NetlistSig::of(&core);
@@ -198,28 +114,14 @@ fn main() -> ExitCode {
     if replay {
         let mut oracle = PlasmaOracle::new(&core, OracleConfig::default());
         let (code, cases, failed) = replay_corpus(&core, &mut oracle, &corpus_dir);
-        let mut rec = LedgerRecord::now("difftest-replay", &cmd);
+        let mut rec = LedgerRecord::now("difftest-replay", "");
         rec.netlist = fingerprint;
         (rec.engine, rec.lanes) = (oracle.sim().engine().to_string(), oracle.sim().lanes() as u64);
         rec.extra.insert("cases".to_string(), Value::U64(cases));
         rec.extra.insert("failed".to_string(), Value::U64(failed));
-        finish(
-            metrics.as_ref(),
-            &ledger_path,
-            no_ledger,
-            rec,
-            metrics_out.as_deref(),
-            serving,
-        );
+        run.finish(rec);
         return code;
     }
-
-    let hooks = FuzzHooks {
-        tracer,
-        progress: progress.then(|| Progress::new("difftest", cfg.seeds)),
-        metrics: metrics.clone(),
-        events,
-    };
 
     let mut status = ExitCode::SUCCESS;
     println!(
@@ -227,11 +129,9 @@ fn main() -> ExitCode {
         cfg.seeds, cfg.body_len, if cfg.feedback { "on" } else { "off" }
     );
     let t0 = std::time::Instant::now();
-    let report = fuzz_plasma(&core, &cfg, &hooks);
+    let report = fuzz_plasma(&core, &cfg, &run.telemetry);
     let wall = t0.elapsed().as_secs_f64();
-    if let Some(p) = &hooks.progress {
-        p.finish();
-    }
+    run.end_progress();
     let finished = report.outcomes.iter().filter(|o| o.finished).count();
     println!(
         "  {} seeds run, {} terminated, {} divergence(s)",
@@ -333,7 +233,7 @@ fn main() -> ExitCode {
 
     let total_cycles: u64 = report.outcomes.iter().map(|o| o.cycles).sum();
     let divergences = report.divergent_seeds().len() as u64;
-    let mut rec = LedgerRecord::now("difftest", &cmd);
+    let mut rec = LedgerRecord::now("difftest", "");
     rec.netlist = fingerprint;
     (rec.engine, rec.lanes) = (report.engine.0.to_string(), report.engine.1 as u64);
     rec.threads = if cfg.threads == 0 {
@@ -360,14 +260,7 @@ fn main() -> ExitCode {
             0.0
         }),
     );
-    finish(
-        metrics.as_ref(),
-        &ledger_path,
-        no_ledger,
-        rec,
-        metrics_out.as_deref(),
-        serving,
-    );
+    run.finish(rec);
 
     status
 }

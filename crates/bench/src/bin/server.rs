@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bench::{client, server::JobServer, value};
-use fault::campaign::CampaignHooks;
+use obs::Telemetry;
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::jobs::{self, CampaignJobSpec, PreparedJob};
 use serde_json::Value;
@@ -271,11 +271,11 @@ fn run_worker(base: &str, name: &str, oneshot: bool, poll_ms: u64) -> i32 {
                 ("shard", Value::U64(shard as u64)),
             ],
         );
-        let hooks = CampaignHooks {
+        let telemetry = Telemetry {
             tracer: scoped.clone(),
-            ..CampaignHooks::none()
+            ..Telemetry::none()
         };
-        let result = jobs::run_shard(&core, job, spec, shard, &hooks);
+        let result = jobs::run_shard(&core, job, spec, shard, &telemetry);
         let (shard_graded, shard_detected) = jobs::shard_progress(&result);
         span.end_with(&[
             ("graded", Value::U64(shard_graded)),

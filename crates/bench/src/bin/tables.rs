@@ -32,9 +32,10 @@
 //! report that run as its own row, and cross-check every width's
 //! detections against it.
 //!
-//! `--progress` adds a live batch ticker on stderr; `--trace FILE`
-//! writes structured campaign events as JSONL; `--stride N` sets the
-//! coverage-over-time sample stride of `--report` (default 500 cycles).
+//! `--progress` adds a live ticker on stderr over every campaign of the
+//! invocation; `--trace FILE` writes the structured events of every
+//! campaign as JSONL; `--stride N` sets the coverage-over-time sample
+//! stride of `--report` (default 500 cycles).
 //!
 //! Waveform dumps: `--wave-fault <id>` (a `Fault::describe` string such
 //! as `"n42 sa1"` / `"g17/pin0 sa0"` from ESCAPES.txt, or a decimal
@@ -67,81 +68,13 @@
 
 use std::io::Write as _;
 
-use bench::{value, RunOptions};
-use obs::{LedgerRecord, MetricRegistry};
+use bench::{value, ObsArgs, ObsRun, RunOptions};
+use obs::LedgerRecord;
 
-/// Where the run record and metric dumps of this invocation go.
-struct ObsOut {
-    /// `argv[1..]` joined — recorded as the ledger `cmd`.
-    cmd: String,
-    ledger_path: std::path::PathBuf,
-    no_ledger: bool,
-    metrics_out: Option<std::path::PathBuf>,
-    serve_port: Option<u16>,
-    /// Write a Perfetto-compatible trace-event JSON at exit
-    /// (`--trace-viz`).
-    trace_viz: bool,
-    /// Mode tag naming the trace artifact (`TRACE_<tag>.trace.json`).
-    tag: &'static str,
-    /// Set once the observatory is live (serve starts *before* the run).
-    serving: bool,
-}
-
-/// Render the tracer's JSONL (if any) plus the registry-exported phase
-/// profile as Chrome trace-event JSON.
-fn render_trace(opts: &RunOptions) -> serde_json::Value {
-    let jsonl = opts
-        .trace_path
-        .as_ref()
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .unwrap_or_default();
-    let profile = opts.metrics.as_ref().map(obs::PhaseProfile::from_registry);
-    obs::traceviz::render(&jsonl, profile.as_ref())
-}
-
-/// Epilogue shared by every mode: append exactly one ledger record,
-/// dump the metric registry and trace-event JSON when asked. Blocks
-/// forever under `--serve` (the observatory is already live).
-fn finish(opts: &RunOptions, out: &ObsOut, record: Option<LedgerRecord>) {
-    if !out.no_ledger {
-        let mut rec =
-            record.unwrap_or_else(|| LedgerRecord::now("tables-static", ""));
-        rec.cmd = out.cmd.clone();
-        obs::ledger::append(&out.ledger_path, &rec).expect("append run ledger");
-        eprintln!(
-            "[run record ({}) appended to {}]",
-            rec.kind,
-            out.ledger_path.display()
-        );
-    }
-    if let Some(reg) = &opts.metrics {
-        if let Some(path) = &out.metrics_out {
-            let body = if path.extension().is_some_and(|e| e == "json") {
-                serde_json::to_string_pretty(&reg.snapshot()).expect("serialize")
-            } else {
-                reg.to_prometheus()
-            };
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).expect("create metrics dir");
-            }
-            std::fs::write(path, body).expect("write metrics");
-            eprintln!("[metrics written to {}]", path.display());
-        }
-    }
-    if out.trace_viz {
-        let path = obs::traceviz::trace_json_path(out.tag);
-        obs::traceviz::write_trace(&path, &render_trace(opts)).expect("write trace json");
-        eprintln!(
-            "[perfetto trace written to {} — load in ui.perfetto.dev]",
-            path.display()
-        );
-    }
-    if out.serving {
-        eprintln!("[observatory still serving — ctrl-C to exit]");
-        loop {
-            std::thread::park();
-        }
-    }
+/// The shared epilogue, with the static stub record for experiments
+/// that ran no campaign.
+fn finish(run: ObsRun, record: Option<LedgerRecord>) {
+    run.finish(record.unwrap_or_else(|| LedgerRecord::now("tables-static", "")));
 }
 
 /// `--submit URL`: run this invocation's campaign on a live job server
@@ -289,16 +222,7 @@ fn main() {
     let mut submit_phase = "A".to_string();
     let mut submit_id: Option<String> = None;
     let mut wave = fault::wave::WaveOptions::default();
-    let mut out = ObsOut {
-        cmd: args.join(" "),
-        ledger_path: "results/LEDGER.jsonl".into(),
-        no_ledger: false,
-        metrics_out: None,
-        serve_port: None,
-        trace_viz: false,
-        tag: "run",
-        serving: false,
-    };
+    let mut obs = ObsArgs::new(&args);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -332,9 +256,7 @@ fn main() {
             "--escapes" => escapes = true,
             "--forensics" => forensics = true,
             "--forensics-fault" => forensics_fault = Some(value(&mut it, a, "a fault id")),
-            "--progress" => opts.progress = true,
-            "--profile" => opts.profile = true,
-            "--trace" => opts.trace_path = Some(value(&mut it, a, "a path")),
+            "--profile" => obs.profile = true,
             "--stride" => stride = value(&mut it, a, "a cycle count"),
             "--wave-fault" => wave.fault = Some(value(&mut it, a, "a fault id")),
             "--wave-escapes" => wave.escapes = value(&mut it, a, "a count"),
@@ -346,15 +268,12 @@ fn main() {
                 wave.probe.extend(spec.split(',').map(|s| s.trim().to_string()));
             }
             "--json" => json_out = Some(value(&mut it, a, "a path")),
-            "--ledger" => out.ledger_path = value(&mut it, a, "a path"),
-            "--no-ledger" => out.no_ledger = true,
-            "--metrics-out" => out.metrics_out = Some(value(&mut it, a, "a path")),
-            "--serve" => out.serve_port = Some(value(&mut it, a, "a port")),
-            "--trace-viz" => out.trace_viz = true,
+            "--trace-viz" => obs.trace_viz = true,
             "--submit" => submit = Some(value(&mut it, a, "a server URL")),
             "--shards" => submit_shards = value(&mut it, a, "a count"),
             "--phase" => submit_phase = value(&mut it, a, "A|B|C"),
             "--job-id" => submit_id = Some(value(&mut it, a, "an id")),
+            other if obs.parse(other, &mut it) => {}
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
@@ -381,7 +300,7 @@ fn main() {
             submit_id,
         ));
     }
-    out.tag = if wave.fault.is_some() || wave.escapes > 0 {
+    obs.tag = if wave.fault.is_some() || wave.escapes > 0 {
         "wave"
     } else if stats {
         "stats"
@@ -394,60 +313,37 @@ fn main() {
     } else {
         "run"
     };
-    if out.metrics_out.is_some() || out.serve_port.is_some() || out.trace_viz {
-        opts.metrics = Some(MetricRegistry::new());
-    }
-    if out.trace_viz {
-        // The trace-event export draws batch slices and the phase track,
-        // so the tracer and profiler both need to be on.
-        opts.profile = true;
-        if opts.trace_path.is_none() {
-            std::fs::create_dir_all("results").expect("create results dir");
-            opts.trace_path = Some(format!("results/TRACE_{}.jsonl", out.tag).into());
-        }
-    }
+    let report_trace = (obs.tag == "report").then(|| {
+        let path = obs
+            .trace
+            .get_or_insert_with(|| "results/TRACE_report.jsonl".into());
+        path.display().to_string()
+    });
     // Filled by a `--forensics` run; `/forensics` serves the placeholder
     // until the campaign finishes.
     let forensics_store: std::sync::Arc<std::sync::Mutex<Option<String>>> =
         std::sync::Arc::default();
-    if let Some(port) = out.serve_port {
-        // The observatory goes live *before* the run so the dashboard,
-        // SSE stream, and timeline watch the campaign as it happens.
-        let reg = opts.metrics.clone().expect("serve registry");
-        let bus = obs::EventBus::new(1024);
-        opts.events = Some(bus.clone());
-        let timeline =
-            obs::Timeline::start(reg.clone(), std::time::Duration::from_millis(250), 2400);
-        let trace_opts = opts.clone();
-        let store = forensics_store.clone();
-        let observatory = obs::Observatory::new(reg)
-            .with_timeline(timeline)
-            .with_events(bus)
-            .with_trace_provider(move || {
-                serde_json::to_string(&render_trace(&trace_opts)).expect("serialize trace")
-            })
-            .with_forensics_provider(move || {
-                store
-                    .lock()
-                    .unwrap()
-                    .clone()
-                    .unwrap_or_else(|| "{\"pending\": true}".to_string())
-            });
-        let srv = obs::serve::serve_observatory(observatory, port).expect("bind observatory");
-        eprintln!(
-            "[observatory live at http://{}/ — /metrics /json /timeline /events /trace]",
-            srv.addr()
-        );
-        out.serving = true;
-    }
+    let store = forensics_store.clone();
+    let mut run = obs.start(fault::campaign::progress, |observatory| {
+        observatory.with_forensics_provider(move || {
+            store
+                .lock()
+                .unwrap()
+                .clone()
+                .unwrap_or_else(|| "{\"pending\": true}".to_string())
+        })
+    });
+    opts.telemetry = run.telemetry.clone();
 
     if wave.fault.is_some() || wave.escapes > 0 {
         std::fs::create_dir_all(&wave.out_dir).expect("create wave output dir");
-        match bench::wave_report(&opts, &wave) {
+        let captured = bench::wave_report(&opts, &wave);
+        run.end_progress();
+        match captured {
             Ok(e) => {
                 println!("==== {} — {} ====", e.id, e.title);
                 println!("{}", e.text);
-                finish(&opts, &out, e.ledger);
+                finish(run, e.ledger);
             }
             Err(msg) => {
                 eprintln!("wave error: {msg}");
@@ -459,6 +355,7 @@ fn main() {
 
     if stats {
         let e = bench::campaign_benchmark(&opts);
+        run.end_progress();
         println!("==== {} — {} ====", e.id, e.title);
         println!("{}", e.text);
         let path = "results/BENCH_campaign.json";
@@ -466,36 +363,32 @@ fn main() {
         let s = serde_json::to_string_pretty(&e.data).expect("serialize");
         std::fs::write(path, s).expect("write campaign stats");
         eprintln!("[campaign stats written to {path}]");
-        finish(&opts, &out, e.ledger);
+        finish(run, e.ledger);
         return;
     }
 
-    if report {
+    if let Some(trace) = report_trace {
         std::fs::create_dir_all("results").expect("create results dir");
-        if opts.trace_path.is_none() {
-            opts.trace_path = Some("results/TRACE_report.jsonl".into());
-        }
         let e = bench::observability_report(&opts, stride);
+        run.end_progress();
         println!("{}", e.text);
         std::fs::write("results/REPORT.md", &e.text).expect("write REPORT.md");
         let s = serde_json::to_string_pretty(&e.data).expect("serialize");
         std::fs::write("results/REPORT.json", s).expect("write REPORT.json");
-        eprintln!(
-            "[report written to results/REPORT.md + REPORT.json; trace in {}]",
-            opts.trace_path.as_ref().unwrap().display()
-        );
-        finish(&opts, &out, e.ledger);
+        eprintln!("[report written to results/REPORT.md + REPORT.json; trace in {trace}]");
+        finish(run, e.ledger);
         return;
     }
 
     if escapes {
         let e = bench::escapes_report(&opts);
+        run.end_progress();
         println!("==== {} — {} ====", e.id, e.title);
         println!("{}", e.text);
         std::fs::create_dir_all("results").expect("create results dir");
         std::fs::write("results/ESCAPES.txt", &e.text).expect("write ESCAPES.txt");
         eprintln!("[escape dump written to results/ESCAPES.txt]");
-        finish(&opts, &out, e.ledger);
+        finish(run, e.ledger);
         return;
     }
 
@@ -506,7 +399,7 @@ fn main() {
             Ok(e) => {
                 println!("==== {} — {} ====", e.id, e.title);
                 println!("{}", e.text);
-                finish(&opts, &out, e.ledger);
+                finish(run, e.ledger);
             }
             Err(msg) => {
                 eprintln!("forensics error: {msg}");
@@ -518,6 +411,7 @@ fn main() {
 
     if forensics {
         let e = bench::forensics_report(&opts);
+        run.end_progress();
         println!("{}", e.text);
         std::fs::create_dir_all("results").expect("create results dir");
         std::fs::write("results/FORENSICS.md", &e.text).expect("write FORENSICS.md");
@@ -525,7 +419,7 @@ fn main() {
         std::fs::write("results/FORENSICS.json", &s).expect("write FORENSICS.json");
         *forensics_store.lock().unwrap() = Some(s);
         eprintln!("[forensics written to results/FORENSICS.md + FORENSICS.json]");
-        finish(&opts, &out, e.ledger);
+        finish(run, e.ledger);
         return;
     }
 
@@ -545,6 +439,7 @@ fn main() {
         }
     };
     let mut selected = bench::run_selected(&opts, matches);
+    run.end_progress();
     if selected.is_empty() {
         eprintln!(
             "no experiment matches; ids: {}",
@@ -569,5 +464,5 @@ fn main() {
     // One record per invocation: the first campaign-bearing experiment
     // (table 5's Phase A+B run when present), else a static stub.
     let record = selected.iter_mut().find_map(|e| e.ledger.take());
-    finish(&opts, &out, record);
+    finish(run, record);
 }

@@ -17,13 +17,16 @@
 pub mod client;
 pub mod server;
 
-use fault::campaign::{self, CampaignHooks, CampaignResult};
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+use fault::campaign::{self, CampaignResult};
 use fault::coverage::CoverageReport;
 use fault::model::FaultList;
 use fault::sim::ParallelSim;
 use fault::EngineConfig;
 use netlist::synth::TechStyle;
-use obs::{LedgerRecord, MetricRegistry};
+use obs::{LedgerRecord, MetricRegistry, Observatory, Profiler, Progress, Telemetry, Tracer};
 use plasma::testbench::SelfTestBench;
 use plasma::{PlasmaConfig, PlasmaCore, COMPONENT_NAMES};
 use sbst::classify::{self, ComponentClass};
@@ -81,6 +84,214 @@ pub fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, flag: &str
             std::process::exit(2);
         }
     }
+}
+
+/// The telemetry flags of the `tables` and `difftest` binaries, as
+/// parsed. [`ObsArgs::start`] builds the run's one [`Telemetry`] from
+/// them and [`ObsRun::finish`] is the run's epilogue, so which sinks a
+/// run has, and how they are wired, is decided here alone.
+#[derive(Debug)]
+pub struct ObsArgs {
+    /// `argv[1..]` joined — recorded as the ledger `cmd`.
+    pub cmd: String,
+    /// `--progress`: a stderr ticker over the registry.
+    pub progress: bool,
+    /// `--trace FILE`: the JSONL event stream.
+    pub trace: Option<PathBuf>,
+    /// `--profile` (`tables`): the hot-loop self-profiler.
+    pub profile: bool,
+    /// `--metrics-out FILE`: dump the registry at exit — Prometheus
+    /// text, or a JSON snapshot when FILE ends in `.json`.
+    pub metrics_out: Option<PathBuf>,
+    /// `--serve PORT`: the live observatory, up before the run (port 0
+    /// picks a free one); the process parks after the run.
+    pub serve: Option<u16>,
+    /// `--trace-viz` (`tables`): write `results/TRACE_<tag>.trace.json`
+    /// at exit. Implies `--profile` and a trace, by default
+    /// `results/TRACE_<tag>.jsonl`.
+    pub trace_viz: bool,
+    /// Mode tag naming the trace artifacts.
+    pub tag: &'static str,
+    /// `--ledger FILE`: the run ledger (default `results/LEDGER.jsonl`).
+    pub ledger: PathBuf,
+    /// `--no-ledger`.
+    pub no_ledger: bool,
+}
+
+impl ObsArgs {
+    /// The defaults of a binary invoked with `args`.
+    pub fn new(args: &[String]) -> ObsArgs {
+        ObsArgs {
+            cmd: args.join(" "),
+            progress: false,
+            trace: None,
+            profile: false,
+            metrics_out: None,
+            serve: None,
+            trace_viz: false,
+            tag: "run",
+            ledger: "results/LEDGER.jsonl".into(),
+            no_ledger: false,
+        }
+    }
+
+    /// Take `flag` (and its value from `it`) if both binaries share it:
+    /// `--progress`, `--trace`, `--metrics-out`, `--serve`, `--ledger`
+    /// or `--no-ledger`. Returns whether it did.
+    pub fn parse(&mut self, flag: &str, it: &mut std::slice::Iter<String>) -> bool {
+        match flag {
+            "--progress" => self.progress = true,
+            "--trace" => self.trace = Some(value(it, flag, "a path")),
+            "--metrics-out" => self.metrics_out = Some(value(it, flag, "a path")),
+            "--serve" => self.serve = Some(value(it, flag, "a port")),
+            "--ledger" => self.ledger = value(it, flag, "a path"),
+            "--no-ledger" => self.no_ledger = true,
+            _ => return false,
+        }
+        true
+    }
+
+    /// Build the run's telemetry: the trace file (truncated once, so
+    /// every experiment of the run lands in it), a registry when
+    /// anything reads one, the profiler, and under `--serve` the
+    /// observatory — bus with its drop counter as a second tracer sink,
+    /// timeline, `/trace`, plus the binary's own `routes` — live before
+    /// the run. `progress` makes the `--progress` ticker.
+    pub fn start(
+        self,
+        progress: impl FnOnce(&MetricRegistry) -> Progress,
+        routes: impl FnOnce(Observatory) -> Observatory,
+    ) -> ObsRun {
+        let trace_path = self.trace.clone().or_else(|| {
+            self.trace_viz
+                .then(|| format!("results/TRACE_{}.jsonl", self.tag).into())
+        });
+        let mut tracer = match &trace_path {
+            Some(p) => Tracer::to_path(p).unwrap_or_else(|e| {
+                eprintln!("warning: cannot open trace file {}: {e}", p.display());
+                Tracer::disabled()
+            }),
+            None => Tracer::disabled(),
+        };
+        let metrics =
+            (self.progress || self.metrics_out.is_some() || self.serve.is_some() || self.trace_viz)
+                .then(MetricRegistry::new);
+        let profiler = if self.profile || self.trace_viz {
+            Profiler::new()
+        } else {
+            Profiler::disabled()
+        };
+        if let (Some(port), Some(reg)) = (self.serve, &metrics) {
+            let bus = obs::EventBus::new(1024);
+            bus.attach_dropped_counter(reg.counter(
+                "obs_events_dropped_total",
+                "events discarded by the drop-oldest policy",
+                &[],
+            ));
+            tracer = tracer.with_bus(bus.clone());
+            let timeline = obs::Timeline::start(reg.clone(), Duration::from_millis(250), 2400);
+            let (t, path, p) = (tracer.clone(), trace_path.clone(), profiler.clone());
+            let observatory = Observatory::new(reg.clone())
+                .with_timeline(timeline)
+                .with_events(bus)
+                .with_trace_provider(move || {
+                    let trace = render_trace(&t, path.as_deref(), &p);
+                    serde_json::to_string(&trace).expect("serialize trace")
+                });
+            let srv =
+                obs::serve::serve_observatory(routes(observatory), port).expect("bind observatory");
+            eprintln!(
+                "[observatory live at http://{}/ — /metrics /json /timeline /events /trace]",
+                srv.addr()
+            );
+        }
+        let progress = metrics.as_ref().filter(|_| self.progress).map(progress);
+        ObsRun {
+            telemetry: Telemetry {
+                tracer,
+                profiler,
+                metrics,
+            },
+            args: self,
+            trace_path,
+            progress,
+        }
+    }
+}
+
+/// A binary's running telemetry, from [`ObsArgs::start`].
+pub struct ObsRun {
+    /// The handle every experiment of the run reports through.
+    pub telemetry: Telemetry,
+    args: ObsArgs,
+    trace_path: Option<PathBuf>,
+    progress: Option<Progress>,
+}
+
+impl ObsRun {
+    /// End the progress line now, before the binary prints what its run
+    /// found; the epilogue ends it otherwise.
+    pub fn end_progress(&mut self) {
+        if let Some(p) = self.progress.take() {
+            p.finish();
+        }
+    }
+
+    /// The run's epilogue: end the progress line, append `record` (with
+    /// this run's command line) to the ledger, dump the registry and the
+    /// trace-event JSON when asked, and park forever while the
+    /// observatory serves.
+    pub fn finish(mut self, mut record: LedgerRecord) {
+        self.end_progress();
+        let args = &self.args;
+        if !args.no_ledger {
+            record.cmd = args.cmd.clone();
+            obs::ledger::append(&args.ledger, &record).expect("append run ledger");
+            eprintln!(
+                "[run record ({}) appended to {}]",
+                record.kind,
+                args.ledger.display()
+            );
+        }
+        let t = &self.telemetry;
+        if let (Some(reg), Some(path)) = (&t.metrics, &args.metrics_out) {
+            let body = if path.extension().is_some_and(|e| e == "json") {
+                serde_json::to_string_pretty(&reg.snapshot()).expect("serialize")
+            } else {
+                reg.to_prometheus()
+            };
+            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                std::fs::create_dir_all(dir).expect("create metrics dir");
+            }
+            std::fs::write(path, body).expect("write metrics");
+            eprintln!("[metrics written to {}]", path.display());
+        }
+        if args.trace_viz {
+            let path = obs::traceviz::trace_json_path(args.tag);
+            let trace = render_trace(&t.tracer, self.trace_path.as_deref(), &t.profiler);
+            obs::traceviz::write_trace(&path, &trace).expect("write trace json");
+            eprintln!(
+                "[perfetto trace written to {} — load in ui.perfetto.dev]",
+                path.display()
+            );
+        }
+        if args.serve.is_some() {
+            eprintln!("[observatory still serving — ctrl-C to exit]");
+            loop {
+                std::thread::park();
+            }
+        }
+    }
+}
+
+/// The run's trace as Chrome trace-event JSON: the JSONL written so far
+/// plus the phase profile so far.
+fn render_trace(tracer: &Tracer, path: Option<&Path>, profiler: &Profiler) -> serde_json::Value {
+    tracer.flush();
+    let jsonl = path
+        .and_then(|p| std::fs::read_to_string(p).ok())
+        .unwrap_or_default();
+    obs::traceviz::render(&jsonl, Some(&profiler.snapshot()))
 }
 
 /// Stable netlist fingerprint for ledger comparability keys.
@@ -364,19 +575,10 @@ pub struct RunOptions {
     /// available parallelism). Coverage numbers are identical at every
     /// thread count.
     pub threads: usize,
-    /// Live batch-progress ticker on stderr (`--progress`).
-    pub progress: bool,
-    /// JSONL trace sink for campaign events (`--trace`).
-    pub trace_path: Option<std::path::PathBuf>,
-    /// Hot-loop self-profiler (`--profile`); phase wall-times are
-    /// appended to the experiment text and published as metrics.
-    pub profile: bool,
-    /// Registry receiving campaign/flow metrics (`--metrics-out`,
-    /// `--serve`); cloning shares the underlying store.
-    pub metrics: Option<MetricRegistry>,
-    /// Live event bus for the observatory's `/events` SSE route
-    /// (`--serve`); campaign begin/batch/end events land here.
-    pub events: Option<obs::EventBus>,
+    /// What every campaign of the run reports through ([`ObsArgs::start`]
+    /// builds it from the binary's flags). An enabled profiler also
+    /// appends phase wall-times to the experiment text.
+    pub telemetry: Telemetry,
     /// Lane width of the compiled engine for campaign-bearing
     /// experiments (`--lanes N`, `SBST_LANES`).
     pub engine: EngineConfig,
@@ -395,11 +597,7 @@ impl Default for RunOptions {
             sample: Some(8000),
             seed: 0xC0FFEE,
             threads: 0,
-            progress: false,
-            trace_path: None,
-            profile: false,
-            metrics: None,
-            events: None,
+            telemetry: Telemetry::none(),
             engine: EngineConfig::from_env(),
             lanes_sweep: Vec::new(),
             verify_interp: false,
@@ -413,11 +611,7 @@ impl RunOptions {
             fault_sample: self.sample,
             seed: self.seed,
             threads: self.threads,
-            progress: self.progress,
-            trace_path: self.trace_path.clone(),
-            profile: self.profile,
-            metrics: self.metrics.clone(),
-            events: self.events.clone(),
+            telemetry: self.telemetry.clone(),
             engine: self.engine,
             ..Default::default()
         }
@@ -433,8 +627,8 @@ impl RunOptions {
     }
 }
 
-/// Grade `program` over `faults` on the width and threads `fo`
-/// configures, without hooks.
+/// Grade `program` over `faults` on the width, threads and telemetry
+/// `fo` configures.
 fn grade_program(
     core: &PlasmaCore,
     program: &mips::Program,
@@ -442,8 +636,8 @@ fn grade_program(
     budget: u64,
     fo: &FlowOptions,
 ) -> CampaignResult {
-    let hooks = CampaignHooks::none();
-    flow::run_campaign_of_engine(core, program, faults, budget, fo.threads, &hooks, fo.engine)
+    let (threads, telemetry, engine) = (fo.threads, &fo.telemetry, fo.engine);
+    flow::run_campaign_of_engine(core, program, faults, budget, threads, telemetry, engine)
 }
 
 /// Append the self-profiler table to an experiment text when the run
@@ -671,24 +865,15 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
 pub fn table_parwan(opts: &RunOptions) -> Experiment {
     let core = parwan::ParwanCore::build();
     let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
-    let hooks = CampaignHooks {
-        profiler: if opts.profile {
-            obs::Profiler::new()
-        } else {
-            obs::Profiler::disabled()
-        },
-        metrics: opts.metrics.clone(),
-        events: opts.events.clone(),
-        ..Default::default()
+    let grade = |test| {
+        parwan::sbst::grade(&core, test, &faults, opts.threads, opts.engine, &opts.telemetry)
     };
     let det = parwan::sbst::deterministic_selftest();
     let det_cycles = parwan::sbst::golden_cycles(&det);
-    let det_res =
-        parwan::sbst::grade(&core, &det, &faults, opts.threads, opts.engine, &hooks);
+    let det_res = grade(&det);
     let pr = parwan::sbst::lfsr_selftest(48);
     let pr_cycles = parwan::sbst::golden_cycles(&pr);
-    let pr_res =
-        parwan::sbst::grade(&core, &pr, &faults, opts.threads, opts.engine, &hooks);
+    let pr_res = grade(&pr);
 
     let mut text = format!(
         "Parwan-class core: {:.0} NAND2, {} collapsed faults\n\n",
@@ -1033,16 +1218,7 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
         opts.threads
     };
 
-    let hooks = campaign::CampaignHooks {
-        profiler: if opts.profile {
-            obs::Profiler::new()
-        } else {
-            obs::Profiler::disabled()
-        },
-        metrics: opts.metrics.clone(),
-        events: opts.events.clone(),
-        ..Default::default()
-    };
+    let telemetry = &opts.telemetry;
     let combos = opts.engine_sweep();
 
     // The interpreted reference, run once serially on `ParallelSim`
@@ -1052,9 +1228,9 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
         let sim = ParallelSim::with_segments(core.netlist(), &segments);
         let factory = || {
             SelfTestBench::new(&core, &selftest.program, flow::MEM_BYTES, budget)
-                .with_profiler(hooks.profiler.clone())
+                .with_profiler(telemetry.profiler.clone())
         };
-        campaign::run(&sim, &faults, factory, 1, &hooks)
+        campaign::run(&sim, &faults, factory, 1, telemetry)
     });
 
     let mut text = format!(
@@ -1093,7 +1269,7 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
             &faults,
             budget,
             1,
-            &hooks,
+            telemetry,
             *engine,
         );
         let coverage_pct = 100.0 * serial.coverage();
@@ -1117,7 +1293,7 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
                 &faults,
                 budget,
                 threads,
-                &hooks,
+                telemetry,
                 *engine,
             );
             assert_eq!(

@@ -48,13 +48,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use fault::campaign::{CampaignHooks, CampaignResult, CampaignStats, Detection};
+use fault::campaign::{CampaignResult, CampaignStats, Detection};
 use fault::coverage::CoverageReport;
 use fault::engine::EngineConfig;
 use fault::shard::{ShardBoard, ShardState};
 use obs::serve::{ApiHandler, ApiRequest, ApiResponse};
 use obs::traceviz::{self, ProcessStream};
-use obs::{EventBus, MetricRegistry, TraceBuffer, TraceContext, Tracer};
+use obs::{EventBus, MetricRegistry, Telemetry, TraceBuffer, TraceContext, Tracer};
 use plasma::PlasmaCore;
 use sbst::jobs::{self, CampaignJobSpec, PreparedJob};
 use sbst::phases::Phase;
@@ -228,7 +228,9 @@ impl JobServer {
     /// Attach the coordinator tracer (typically
     /// [`Tracer::to_shared_buffer`]): job lifecycle spans are recorded
     /// here, and [`JobServer::fleet_trace_json`] merges the buffer with
-    /// every worker stream shipped to `POST /spans`.
+    /// every worker stream shipped to `POST /spans`. Give it no bus
+    /// sink: in-process shards grade under it, and their batch events
+    /// would flood the job lifecycle stream on `/events`.
     pub fn with_tracer(mut self, tracer: Tracer, buffer: TraceBuffer) -> JobServer {
         self.tracer = tracer;
         self.trace_buffer = Some(buffer);
@@ -272,13 +274,18 @@ impl JobServer {
                                     ("shard", Value::U64(shard as u64)),
                                 ],
                             );
-                            let hooks = CampaignHooks {
+                            let telemetry = Telemetry {
                                 metrics: Some(srv.registry.clone()),
                                 tracer: scoped.clone(),
-                                ..CampaignHooks::none()
+                                ..Telemetry::none()
                             };
-                            let result =
-                                jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &hooks);
+                            let result = jobs::run_shard(
+                                &srv.core,
+                                &job.prepared,
+                                &job.spec,
+                                shard,
+                                &telemetry,
+                            );
                             let (graded, detected) = jobs::shard_progress(&result);
                             span.end_with(&[
                                 ("graded", Value::U64(graded)),
@@ -1318,7 +1325,7 @@ mod tests {
         assert_eq!(job.state(), JobState::Running);
         // Grade both shards through the claim path, like a worker would.
         while let Some((job, shard)) = srv.claim_shard("t") {
-            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &CampaignHooks::none());
+            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &Telemetry::none());
             assert!(srv.record_shard(&job, shard, res, "t"));
         }
         assert_eq!(job.state(), JobState::Done);
@@ -1360,7 +1367,7 @@ mod tests {
         );
         let job = srv.submit(&spec_doc(&srv, "jt", 2)).unwrap();
         while let Some((job, shard)) = srv.claim_shard("t0") {
-            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &CampaignHooks::none());
+            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &Telemetry::none());
             assert!(srv.record_shard(&job, shard, res, "t0"));
         }
         assert_eq!(job.state(), JobState::Done);
@@ -1436,7 +1443,7 @@ mod tests {
         let local = srv.submit(&spec_doc(&srv, "local", 2)).unwrap();
         let remote = srv.submit(&spec_doc(&srv, "remote", 2)).unwrap();
         while let Some((job, shard)) = srv.claim_shard("t") {
-            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &CampaignHooks::none());
+            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &Telemetry::none());
             if job.id == "local" {
                 assert!(srv.record_shard(&job, shard, res, "t"));
             } else {

@@ -19,9 +19,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use common::{metric_value, metrics, run_job, spawn_server, ServerProc};
-use fault::campaign::{self, CampaignHooks};
+use fault::campaign;
 use fault::coverage::CoverageReport;
 use fault::sim::ParallelSim;
+use obs::Telemetry;
 use plasma::testbench::SelfTestBench;
 use plasma::{PlasmaConfig, PlasmaCore};
 use serde_json::Value;
@@ -45,7 +46,7 @@ fn reference_conformance(doc: &Value) -> String {
         &job.faults,
         || SelfTestBench::new(&core, program, sbst::flow::MEM_BYTES, job.budget),
         1,
-        &CampaignHooks::none(),
+        &Telemetry::none(),
     );
     let coverage = CoverageReport::from_campaign(core.netlist(), &result);
     serde_json::to_string(&bench::server::conformance_json(

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use fault::LaneSim;
 use mips::gen::{random_parts, GenConfig};
-use obs::{MetricRegistry, Progress, Tracer};
+use obs::{MetricRegistry, Progress, Telemetry};
 use plasma::PlasmaCore;
 use serde_json::Value;
 
@@ -53,42 +53,14 @@ impl Default for FuzzConfig {
     }
 }
 
-/// Observability hooks for a fuzzing run.
-pub struct FuzzHooks {
-    /// Structured JSONL tracer (disabled by default).
-    pub tracer: Tracer,
-    /// Progress ticker over seeds.
-    pub progress: Option<Progress>,
-    /// Registry receiving `difftest_seeds_total`,
-    /// `difftest_divergences_total`, `difftest_cycles_total`, and a
-    /// `difftest_seeds_per_sec` gauge. Updates happen at wave
-    /// granularity, never inside the lockstep loop.
-    pub metrics: Option<MetricRegistry>,
-    /// Live event bus receiving the same `difftest_begin`/`divergence`/
-    /// `wave`/`end` events the tracer logs, for SSE subscribers.
-    /// Bounded drop-oldest: publishing never blocks the wave loop.
-    pub events: Option<obs::EventBus>,
+/// The `--progress` ticker of a `seeds`-seed run reporting into
+/// `registry`: seeds merged against seeds asked for.
+pub fn progress(registry: &MetricRegistry, seeds: u64) -> Progress {
+    Progress::start("difftest", seeds_counter(registry), move || seeds)
 }
 
-impl Default for FuzzHooks {
-    fn default() -> FuzzHooks {
-        FuzzHooks {
-            tracer: Tracer::disabled(),
-            progress: None,
-            metrics: None,
-            events: None,
-        }
-    }
-}
-
-impl FuzzHooks {
-    /// Send one event to the tracer and the live bus (whichever are on).
-    fn emit(&self, kind: &str, fields: &[(&str, Value)]) {
-        self.tracer.event(kind, fields);
-        if let Some(bus) = &self.events {
-            bus.publish(kind, fields);
-        }
-    }
+fn seeds_counter(registry: &MetricRegistry) -> obs::Counter {
+    registry.counter("difftest_seeds_total", "lockstep seeds executed", &[])
 }
 
 /// Per-seed outcome, in seed order.
@@ -128,14 +100,20 @@ impl FuzzReport {
     }
 }
 
-/// Run the lockstep fuzzer on the Plasma core.
-pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> FuzzReport {
+/// Run the lockstep fuzzer on the Plasma core. `telemetry` traces
+/// `difftest_begin`, one `difftest_divergence` per divergent seed, one
+/// `difftest_wave` per feedback wave and `difftest_end`; its registry
+/// receives `difftest_seeds_total`, `difftest_divergences_total`,
+/// `difftest_cycles_total` and a `difftest_seeds_per_sec` gauge, at
+/// wave granularity — never inside the lockstep loop.
+pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, telemetry: &Telemetry) -> FuzzReport {
     let t0 = std::time::Instant::now();
+    let tracer = &telemetry.tracer;
     // Pre-registered counter handles: the wave merge loop pays one
     // atomic add per counter, never a registry lock.
-    let counters = hooks.metrics.as_ref().map(|reg| {
+    let counters = telemetry.metrics.as_ref().map(|reg| {
         (
-            reg.counter("difftest_seeds_total", "lockstep seeds executed", &[]),
+            seeds_counter(reg),
             reg.counter(
                 "difftest_divergences_total",
                 "ISS-vs-netlist divergences found",
@@ -158,7 +136,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
         body_len: cfg.body_len,
         ..GenConfig::default()
     };
-    hooks.emit(
+    tracer.event(
         "difftest_begin",
         &[
             ("seeds", Value::U64(cfg.seeds)),
@@ -193,7 +171,6 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
         let seeds_ref = &wave_seeds;
         let slots_ref = &slots;
         let cursor_ref = &cursor;
-        let progress = hooks.progress.as_ref();
 
         std::thread::scope(|s| {
             for oracle in oracles.iter_mut() {
@@ -214,9 +191,6 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
                         divergence: report.divergence,
                     };
                     *slots_ref[i].lock().unwrap() = Some((outcome, ex));
-                    if let Some(p) = progress {
-                        p.inc(1);
-                    }
                 });
             }
         });
@@ -229,7 +203,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
                 .unwrap()
                 .expect("every wave slot is filled");
             if let Some(d) = &outcome.divergence {
-                hooks.emit(
+                tracer.event(
                     "difftest_divergence",
                     &[
                         ("seed", Value::U64(outcome.seed)),
@@ -252,7 +226,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
         wave_idx += 1;
         if cfg.feedback {
             gen_cfg = exercise.reweight(&gen_cfg);
-            hooks.emit(
+            tracer.event(
                 "difftest_wave",
                 &[
                     ("wave", Value::U64(wave_idx)),
@@ -264,7 +238,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
         }
     }
 
-    hooks.emit(
+    tracer.event(
         "difftest_end",
         &[
             ("seeds", Value::U64(outcomes.len() as u64)),
@@ -275,9 +249,9 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
             ("instrs_attributed", Value::U64(exercise.total())),
         ],
     );
-    hooks.tracer.flush();
+    tracer.flush();
 
-    if let Some(reg) = &hooks.metrics {
+    if let Some(reg) = &telemetry.metrics {
         let wall = t0.elapsed().as_secs_f64();
         reg.gauge(
             "difftest_seeds_per_sec",

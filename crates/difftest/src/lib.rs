@@ -35,6 +35,6 @@ pub mod sched;
 pub mod shrink;
 
 pub use corpus::{CorpusCase, ReplayOutcome};
-pub use fuzz::{fuzz_plasma, FuzzConfig, FuzzHooks, FuzzReport, SeedOutcome};
+pub use fuzz::{fuzz_plasma, FuzzConfig, FuzzReport, SeedOutcome};
 pub use oracle::{Divergence, LockstepReport, OracleConfig, PlasmaOracle};
 pub use shrink::{shrink, ShrinkOutcome};

@@ -8,9 +8,10 @@ use std::sync::OnceLock;
 use difftest::corpus::{self, CorpusCase, CorpusFault, NetlistSig, ReplayOutcome};
 use difftest::oracle::{OracleConfig, PlasmaOracle};
 use difftest::parwan_oracle::{random_parwan_image, ParwanOracle};
-use difftest::{fuzz_plasma, shrink, FuzzConfig, FuzzHooks};
+use difftest::{fuzz_plasma, shrink, FuzzConfig};
 use fault::model::{Fault, FaultList};
 use mips::gen::{random_parts, GenConfig};
+use obs::Telemetry;
 use plasma::{PlasmaConfig, PlasmaCore};
 
 fn core() -> &'static PlasmaCore {
@@ -56,7 +57,7 @@ fn fuzz_runs_clean_with_coverage_feedback() {
         feedback: true,
         oracle: OracleConfig::default(),
     };
-    let report = fuzz_plasma(core(), &cfg, &FuzzHooks::default());
+    let report = fuzz_plasma(core(), &cfg, &Telemetry::none());
     assert_eq!(report.outcomes.len(), 6);
     for o in &report.outcomes {
         assert!(o.finished, "seed {} did not reach the end marker", o.seed);
@@ -84,8 +85,8 @@ fn fuzz_is_bit_identical_across_thread_counts() {
         feedback: true,
         oracle: OracleConfig::default(),
     };
-    let one = fuzz_plasma(core(), &mk(1), &FuzzHooks::default());
-    let many = fuzz_plasma(core(), &mk(3), &FuzzHooks::default());
+    let one = fuzz_plasma(core(), &mk(1), &Telemetry::none());
+    let many = fuzz_plasma(core(), &mk(3), &Telemetry::none());
     assert_eq!(one, many, "fuzz results must not depend on thread count");
 }
 

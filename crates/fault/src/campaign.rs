@@ -28,14 +28,17 @@
 //! the merged result is bit-identical at every thread count, and a
 //! fault's detection is independent of engine and lane width.
 //!
-//! [`CampaignHooks`] carry an optional structured [`obs::Tracer`] (JSONL
-//! `campaign`/`batch` events with thread ids and wall-clock deltas), an
-//! optional [`obs::Progress`] ticker, a profiler, a metric registry and
-//! an event bus. Every run also folds execution metrics into
-//! [`CampaignStats`]: cycles vs budget, a detection-latency histogram,
-//! and per-worker batch/cycle/wall throughput. With hooks disabled (the
-//! default) the instrumentation reduces to one branch per *batch*, so
-//! the simulation hot loop is untouched.
+//! A run reports through one [`obs::Telemetry`] handle: its tracer
+//! receives `campaign_begin`, one `batch` event per batch run (with the
+//! worker's thread id and wall time) and `campaign_end`, and passes each
+//! to its JSONL file and/or live bus; its registry counts batches,
+//! cycles and faults taken on and resolved (the `--progress` ticker
+//! renders the last two); its profiler times patch and reset. Every run
+//! also folds execution metrics into [`CampaignStats`]: cycles vs
+//! budget, a detection-latency histogram, and per-worker
+//! batch/cycle/wall throughput. With telemetry disabled (the default)
+//! the instrumentation reduces to one branch per *batch*, so the
+//! simulation hot loop is untouched.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use netlist::Netlist;
 use obs::{
-    EventBus, LatencyHistogram, MetricRegistry, PhaseProfile, ProfilePhase, Profiler, Progress,
+    LatencyHistogram, MetricRegistry, PhaseProfile, ProfilePhase, Profiler, Progress, Telemetry,
     Tracer,
 };
 use serde_json::Value;
@@ -173,7 +176,7 @@ pub struct CampaignStats {
     /// Per-worker batch/cycle/wall metrics (one entry when serial).
     pub workers: Vec<WorkerStats>,
     /// Hot-loop phase profile accumulated by this run (empty unless the
-    /// hooks carried an enabled [`Profiler`]).
+    /// telemetry carried an enabled [`Profiler`]).
     pub profile: PhaseProfile,
     /// Simulation engine that produced this run (`"interp"` or
     /// `"compiled"`).
@@ -253,54 +256,18 @@ pub(crate) fn latency_of(detections: &[Detection]) -> LatencyHistogram {
     }))
 }
 
-/// Observability hooks a campaign runner threads through its batch loop:
-/// a structured tracer for `campaign`/`batch` events, an optional
-/// live-progress ticker, a hot-loop [`Profiler`], and an optional
-/// [`MetricRegistry`] receiving batch/cycle/detection counters. All are
-/// cheap clonable handles; the default is fully disabled and adds one
-/// branch per batch. None of them touch simulation state, so results
-/// stay bit-identical with hooks on or off.
-#[derive(Debug, Clone, Default)]
-pub struct CampaignHooks {
-    /// Structured event sink (disabled by default).
-    pub tracer: Tracer,
-    /// Live batch-progress counters + stderr ticker.
-    pub progress: Option<Progress>,
-    /// Self-profiler attributing wall-time to hot-loop phases (disabled
-    /// by default). Share the same handle with the testbench (e.g.
-    /// `SelfTestBench::with_profiler`) to capture the per-cycle phases
-    /// too; the runner itself only times batch patch/reset.
-    pub profiler: Profiler,
-    /// Registry receiving `sbst_batches_total`, `sbst_cycles_total`,
-    /// `sbst_faults_detected_total`, a detection-latency histogram, and
-    /// a throughput gauge. Updates happen at batch granularity.
-    pub metrics: Option<MetricRegistry>,
-    /// Live event bus receiving the same `campaign_begin`/`batch`/
-    /// `campaign_end` events the tracer logs, for SSE subscribers.
-    /// Bounded and drop-oldest: publishing never blocks the batch loop.
-    pub events: Option<EventBus>,
-}
+/// [`obs::Telemetry`] under the name the benchmark package imports it by.
+pub use obs::Telemetry as CampaignHooks;
 
-impl CampaignHooks {
-    /// Hooks with everything disabled.
-    pub fn none() -> CampaignHooks {
-        CampaignHooks::default()
-    }
-
-    /// Hooks writing trace events to `tracer`.
-    pub fn with_tracer(tracer: Tracer) -> CampaignHooks {
-        CampaignHooks {
-            tracer,
-            ..CampaignHooks::default()
-        }
-    }
-}
-
-/// Pre-registered per-batch counter handles (so the batch loop pays one
+/// Pre-registered campaign counter handles (so the batch loop pays one
 /// atomic add per counter, never a registry lock).
 struct BatchCounters {
     batches: obs::Counter,
     cycles: obs::Counter,
+    /// Faults the campaigns took on.
+    faults: obs::Counter,
+    /// Faults resolved: detected, or escaped at the budget.
+    resolved: obs::Counter,
 }
 
 impl BatchCounters {
@@ -316,8 +283,21 @@ impl BatchCounters {
                 "clock cycles simulated across all batches",
                 &[],
             ),
+            faults: registry.counter("sbst_faults_total", "faults campaigns took on", &[]),
+            resolved: registry.counter(
+                "sbst_faults_resolved_total",
+                "faults resolved: detected, or escaped at the budget",
+                &[],
+            ),
         }
     }
+}
+
+/// The `--progress` ticker over every campaign reporting into
+/// `registry`: faults resolved against faults taken on.
+pub fn progress(registry: &MetricRegistry) -> Progress {
+    let c = BatchCounters::of(registry);
+    Progress::start("campaigns", c.resolved, move || c.faults.get())
 }
 
 /// Fold a finished run's summary metrics into the registry: detections,
@@ -727,18 +707,10 @@ fn run_batch<S: LaneSim, T: Testbench<S>>(
     (out, epoch.end - epoch.start)
 }
 
-/// Whether per-batch observability events (and therefore batch wall
-/// timing) are wanted: either sink active. Results stay bit-identical
-/// regardless — the timing never feeds back into simulation.
-fn batch_events_on(hooks: &CampaignHooks) -> bool {
-    hooks.tracer.enabled() || hooks.events.is_some()
-}
-
-/// Emit the `campaign_begin` event shared by all runners to the tracer
-/// and the live event bus.
+/// Emit the `campaign_begin` event.
 #[allow(clippy::too_many_arguments)]
 fn trace_campaign_begin(
-    hooks: &CampaignHooks,
+    tracer: &Tracer,
     mode: &str,
     g: SimStats,
     faults: &FaultList,
@@ -746,42 +718,36 @@ fn trace_campaign_begin(
     threads: usize,
     lanes: usize,
 ) {
-    if !batch_events_on(hooks) {
-        return;
-    }
-    let fields = [
-        ("mode", Value::String(mode.to_string())),
-        ("faults", Value::U64(faults.len() as u64)),
-        ("batches", Value::U64(batch_count_lanes(faults, lanes))),
-        ("lanes", Value::U64(lanes as u64)),
-        ("budget", Value::U64(budget)),
-        ("threads", Value::U64(threads as u64)),
-        ("nets", Value::U64(g.nets as u64)),
-        ("gates", Value::U64(g.gates as u64)),
-        ("dffs", Value::U64(g.dffs as u64)),
-        ("segments", Value::U64(g.segments as u64)),
-    ];
-    if hooks.tracer.enabled() {
-        hooks.tracer.event("campaign_begin", &fields);
-    }
-    if let Some(bus) = &hooks.events {
-        bus.publish("campaign_begin", &fields);
-    }
+    tracer.event(
+        "campaign_begin",
+        &[
+            ("mode", Value::String(mode.to_string())),
+            ("faults", Value::U64(faults.len() as u64)),
+            ("batches", Value::U64(batch_count_lanes(faults, lanes))),
+            ("lanes", Value::U64(lanes as u64)),
+            ("budget", Value::U64(budget)),
+            ("threads", Value::U64(threads as u64)),
+            ("nets", Value::U64(g.nets as u64)),
+            ("gates", Value::U64(g.gates as u64)),
+            ("dffs", Value::U64(g.dffs as u64)),
+            ("segments", Value::U64(g.segments as u64)),
+        ],
+    );
 }
 
-/// Emit the per-batch event (all runners; the tracer also stamps the
-/// emitting thread's id). `dur_us` is the batch's wall time, measured
-/// only when some sink is listening — it lets the trace exporter draw
-/// batches as slices instead of instants.
+/// Emit the per-batch event (the JSONL sink also stamps the emitting
+/// thread's id). `dur_us` is the batch's wall time, measured only when
+/// the tracer has a sink — it lets the trace exporter draw batches as
+/// slices instead of instants.
 fn trace_batch(
-    hooks: &CampaignHooks,
+    tracer: &Tracer,
     batch: usize,
     worker: usize,
     out: &[Detection],
     cycles: u64,
     dur_us: Option<u64>,
 ) {
-    if !batch_events_on(hooks) {
+    if !tracer.enabled() {
         return;
     }
     let detected = out.iter().filter(|d| d.is_detected()).count();
@@ -795,34 +761,23 @@ fn trace_batch(
     if let Some(d) = dur_us {
         fields.push(("dur_us", Value::U64(d)));
     }
-    if hooks.tracer.enabled() {
-        hooks.tracer.event("batch", &fields);
-    }
-    if let Some(bus) = &hooks.events {
-        bus.publish("batch", &fields);
-    }
+    tracer.event("batch", &fields);
 }
 
-/// Emit the `campaign_end` event and flush the tracer sink.
-fn trace_campaign_end(hooks: &CampaignHooks, stats: &CampaignStats) {
-    if !batch_events_on(hooks) {
-        return;
-    }
-    let fields = [
-        ("cycles", Value::U64(stats.cycles_simulated)),
-        ("budget_cycles", Value::U64(stats.budget_cycles)),
-        ("dropped", Value::U64(stats.faults_dropped)),
-        ("wall_us", Value::U64((stats.wall_seconds * 1e6) as u64)),
-        ("lane_utilization", Value::F64(stats.lane_utilization())),
-        ("faults_per_sec", Value::F64(stats.faults_per_sec())),
-    ];
-    if hooks.tracer.enabled() {
-        hooks.tracer.event("campaign_end", &fields);
-        hooks.tracer.flush();
-    }
-    if let Some(bus) = &hooks.events {
-        bus.publish("campaign_end", &fields);
-    }
+/// Emit the `campaign_end` event and flush the JSONL sink.
+fn trace_campaign_end(tracer: &Tracer, stats: &CampaignStats) {
+    tracer.event(
+        "campaign_end",
+        &[
+            ("cycles", Value::U64(stats.cycles_simulated)),
+            ("budget_cycles", Value::U64(stats.budget_cycles)),
+            ("dropped", Value::U64(stats.faults_dropped)),
+            ("wall_us", Value::U64((stats.wall_seconds * 1e6) as u64)),
+            ("lane_utilization", Value::F64(stats.lane_utilization())),
+            ("faults_per_sec", Value::F64(stats.faults_per_sec())),
+        ],
+    );
+    tracer.flush();
 }
 
 /// Number of worker threads a campaign should use: the `SBST_THREADS`
@@ -865,17 +820,17 @@ pub fn default_threads() -> usize {
 /// testbench must produce the same stimulus (same program, same cycle
 /// budget).
 ///
-/// `hooks` emit `campaign_begin`, one `batch` event per batch run (with
-/// the worker's thread id) and `campaign_end`, count resolved faults on
-/// the progress ticker, and feed the registry and profiler (parking and
-/// restoring lanes counts as the `reset` phase). They never touch
-/// simulation state, so detections are identical with hooks on or off.
+/// `telemetry` traces `campaign_begin`, one `batch` event per batch run
+/// (with the worker's thread id) and `campaign_end`, counts faults taken
+/// on and resolved in the registry, and feeds the profiler (parking and
+/// restoring lanes counts as the `reset` phase). It never touches
+/// simulation state, so detections are identical with it on or off.
 pub fn run<S, T, F>(
     proto: &S,
     faults: &FaultList,
     factory: F,
     threads: usize,
-    hooks: &CampaignHooks,
+    telemetry: &Telemetry,
 ) -> CampaignResult
 where
     S: LaneSim,
@@ -893,11 +848,15 @@ where
     let workers = threads.min(first_batches as usize).max(1);
 
     let t0 = Instant::now();
-    let profile_start = hooks.profiler.snapshot();
+    let tracer = &telemetry.tracer;
+    let profile_start = telemetry.profiler.snapshot();
     let budget = factory().cycles();
     let mode = if workers == 1 { "serial" } else { "parallel" };
-    trace_campaign_begin(hooks, mode, proto.stats(), faults, budget, workers, lanes);
-    let timing = batch_events_on(hooks);
+    trace_campaign_begin(tracer, mode, proto.stats(), faults, budget, workers, lanes);
+    let counters = telemetry.metrics.as_ref().map(BatchCounters::of);
+    if let Some(c) = &counters {
+        c.faults.inc(faults.len() as u64);
+    }
     let first = Epoch::new(
         0,
         None,
@@ -923,9 +882,6 @@ where
     let work = |w: usize| {
         let mut sim = proto.clone();
         let mut tb = factory();
-        // Per-worker handle clones share the same atomic accumulators,
-        // so updates merge for free.
-        let counters = hooks.metrics.as_ref().map(BatchCounters::of);
         let mut cycles = 0u64;
         let mut done = 0u64;
         let mut busy = Duration::ZERO;
@@ -946,26 +902,24 @@ where
                     &epoch,
                     b,
                     budget,
-                    &hooks.profiler,
+                    &telemetry.profiler,
                 );
                 let dur = tb0.elapsed();
                 busy += dur;
                 cycles += c;
                 done += 1;
-                let dur_us = timing.then_some(dur.as_micros() as u64);
-                trace_batch(hooks, epoch.first_id + b, w, &out.detections, c, dur_us);
-                if let Some(p) = &hooks.progress {
+                let dur_us = tracer.enabled().then_some(dur.as_micros() as u64);
+                trace_batch(tracer, epoch.first_id + b, w, &out.detections, c, dur_us);
+                if let Some(ctr) = &counters {
+                    ctr.batches.inc(1);
+                    ctr.cycles.inc(c);
                     // Resolved: detected now, or escaped at the budget.
                     let resolved = if epoch.end == budget {
                         out.detections.len()
                     } else {
                         out.detections.iter().filter(|d| d.is_detected()).count()
                     };
-                    p.inc(resolved as u64);
-                }
-                if let Some(ctr) = &counters {
-                    ctr.batches.inc(1);
-                    ctr.cycles.inc(c);
+                    ctr.resolved.inc(resolved as u64);
                 }
                 *epoch.outs[b].lock().expect("batch output poisoned") = out;
             });
@@ -1021,15 +975,12 @@ where
         threads: workers,
         latency: latency_of(&detections),
         workers: worker_stats,
-        profile: hooks.profiler.snapshot().since(&profile_start),
+        profile: telemetry.profiler.snapshot().since(&profile_start),
         engine: proto.engine(),
         lanes: lanes as u64,
     };
-    trace_campaign_end(hooks, &stats);
-    if let Some(p) = &hooks.progress {
-        p.finish();
-    }
-    if let Some(reg) = &hooks.metrics {
+    trace_campaign_end(tracer, &stats);
+    if let Some(reg) = &telemetry.metrics {
         publish_run_metrics(reg, &stats);
     }
     CampaignResult {
@@ -1112,7 +1063,7 @@ pub fn run_vectors(
         faults,
         || VectorBench::new(netlist, vectors),
         1,
-        &CampaignHooks::none(),
+        &Telemetry::none(),
     )
 }
 
@@ -1245,7 +1196,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let proto = ParallelSim::new(&nl);
             let factory = || VectorBench::new(&nl, &vectors);
-            let par = run(&proto, &faults, factory, threads, &CampaignHooks::none());
+            let par = run(&proto, &faults, factory, threads, &Telemetry::none());
             assert_eq!(
                 par.detections, serial.detections,
                 "thread count {threads} changed the result"
@@ -1323,7 +1274,7 @@ mod tests {
             let proto = WideSim::new(kernel.clone(), lane_words);
             for threads in [1usize, 3] {
                 let factory = || VectorBench::new(&nl, &vectors);
-                let wide = run(&proto, &faults, factory, threads, &CampaignHooks::none());
+                let wide = run(&proto, &faults, factory, threads, &Telemetry::none());
                 assert_eq!(
                     wide.detections,
                     reference.detections,
@@ -1359,10 +1310,10 @@ mod tests {
             vec![("a", 0x123456), ("b", 0x654321)],
         ];
         let plain = run_vectors(&nl, &faults, &vectors);
-        let hooks = CampaignHooks {
+        let hooks = Telemetry {
             profiler: Profiler::new(),
             metrics: Some(MetricRegistry::new()),
-            ..CampaignHooks::default()
+            ..Telemetry::default()
         };
         for threads in [1usize, 2, 4] {
             let proto = ParallelSim::new(&nl);
@@ -1439,7 +1390,7 @@ mod tests {
             };
             let proto = ParallelSim::new(&nl);
             let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run(&proto, &faults, factory, threads, &CampaignHooks::none())
+                run(&proto, &faults, factory, threads, &Telemetry::none())
             }));
             let payload = res.expect_err("the bench panic was swallowed");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"bench failure"));

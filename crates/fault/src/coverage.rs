@@ -371,8 +371,9 @@ mod tests {
     /// multi-threaded runs.
     #[test]
     fn merge_report_round_trip_serial_vs_parallel() {
-        use crate::campaign::{run, CampaignHooks, VectorBench};
+        use crate::campaign::{run, VectorBench};
         use crate::sim::ParallelSim;
+        use obs::Telemetry;
         let nl = staged_netlist();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         let v1 = staged_vectors();
@@ -386,7 +387,7 @@ mod tests {
         let serial_2 = run_vectors(&nl, &faults, &v2);
         let serial_merged = serial_1.merge(&serial_2);
         let proto = ParallelSim::new(&nl);
-        let hooks = CampaignHooks::none();
+        let hooks = Telemetry::none();
         let par_1 = run(&proto, &faults, || VectorBench::new(&nl, &v1), 3, &hooks);
         let par_2 = run(&proto, &faults, || VectorBench::new(&nl, &v2), 2, &hooks);
         let par_merged = par_1.merge(&par_2);

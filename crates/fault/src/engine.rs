@@ -20,9 +20,9 @@
 use std::time::Instant;
 
 use netlist::Netlist;
-use obs::ProfilePhase;
+use obs::{ProfilePhase, Telemetry};
 
-use crate::campaign::{self, CampaignHooks, CampaignResult, Testbench};
+use crate::campaign::{self, CampaignResult, Testbench};
 use crate::model::FaultList;
 use crate::wide::WideSim;
 
@@ -113,8 +113,9 @@ impl EngineConfig {
     /// simulator ([`EngineConfig::sim`]) and run [`campaign::run`] over
     /// the benches `factory` makes, on `threads` workers. The lowering
     /// (or cache probe) is timed under [`ProfilePhase::Compile`] and
-    /// folded into the result's profile, and a `hooks` registry receives
-    /// `sbst_kernel_compile_ns_total` plus the kernel-cache metrics.
+    /// folded into the result's profile, and a `telemetry` registry
+    /// receives `sbst_kernel_compile_ns_total` plus the kernel-cache
+    /// metrics.
     /// Detections are bit-identical at every width and thread count.
     pub fn grade<T, F>(
         self,
@@ -123,19 +124,19 @@ impl EngineConfig {
         faults: &FaultList,
         factory: F,
         threads: usize,
-        hooks: &CampaignHooks,
+        telemetry: &Telemetry,
     ) -> CampaignResult
     where
         T: Testbench<WideSim>,
         F: Fn() -> T + Sync,
     {
-        let before_compile = hooks.profiler.snapshot();
+        let before_compile = telemetry.profiler.snapshot();
         let compile_t0 = Instant::now();
         let proto = {
-            let _compile = hooks.profiler.scope(ProfilePhase::Compile);
+            let _compile = telemetry.profiler.scope(ProfilePhase::Compile);
             self.sim(netlist, segments)
         };
-        if let Some(reg) = &hooks.metrics {
+        if let Some(reg) = &telemetry.metrics {
             reg.counter(
                 "sbst_kernel_compile_ns_total",
                 "Wall time spent in compile_cached (lowering or cache probe)",
@@ -146,8 +147,8 @@ impl EngineConfig {
         }
         // The runner's profile window starts after this point, so fold
         // the lowering cost back into the reported profile.
-        let compile_delta = hooks.profiler.snapshot().since(&before_compile);
-        let mut result = campaign::run(&proto, faults, factory, threads, hooks);
+        let compile_delta = telemetry.profiler.snapshot().since(&before_compile);
+        let mut result = campaign::run(&proto, faults, factory, threads, telemetry);
         result.stats.profile.absorb(&compile_delta);
         result
     }
@@ -203,10 +204,10 @@ mod tests {
         assert_eq!((sim.engine(), sim.lanes()), ("compiled", 128));
 
         let registry = obs::MetricRegistry::new();
-        let hooks = CampaignHooks {
+        let hooks = Telemetry {
             profiler: obs::Profiler::new(),
             metrics: Some(registry.clone()),
-            ..CampaignHooks::none()
+            ..Telemetry::none()
         };
         let res = EngineConfig::compiled(128).grade(
             &nl,

@@ -251,11 +251,12 @@ pub fn wave_file_name(tag: &str, desc: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{self, CampaignHooks, Detection, VectorBench};
+    use crate::campaign::{self, Detection, VectorBench};
     use crate::engine::EngineConfig;
     use crate::model::{FaultSite, Polarity};
     use crate::sim::ParallelSim;
     use netlist::{Netlist, NetlistBuilder};
+    use obs::Telemetry;
 
     /// A tiny sequential circuit: q <= a ^ q, y = q. A stuck-at on `a`'s
     /// cone corrupts state one cycle before it reaches the output.
@@ -294,7 +295,7 @@ mod tests {
             &one,
             || VectorBench::new(&nl, &vecs),
             1,
-            &CampaignHooks::none(),
+            &Telemetry::none(),
         );
         let [Detection::DetectedAt(t)] = res.detections[..] else {
             panic!("sa1 on `a` must be detected: {:?}", res.detections);

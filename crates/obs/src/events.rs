@@ -1,7 +1,8 @@
 //! Bounded broadcast event bus for live campaign observability.
 //!
-//! Publishers (campaign runners, the difftest merge loop) push small JSON
-//! events at *batch/wave granularity* — never per cycle — and the bus
+//! Publishers (a tracer the bus is attached to as a sink — see
+//! `Tracer::with_bus` — and the job server) push small JSON events at
+//! *batch/wave granularity* — never per cycle — and the bus
 //! guarantees they can never block: the queue is bounded and drops its
 //! oldest entries when full. Consumers (the `/events` Server-Sent-Events
 //! route) poll with a sequence cursor and a condvar timeout, so a slow or
@@ -146,44 +147,22 @@ impl EventBus {
                 .filter(|(seq, _)| *seq > after)
                 .cloned()
                 .collect();
-            if !fresh.is_empty() {
+            let now = Instant::now();
+            if !fresh.is_empty() || now >= deadline {
                 return fresh;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Vec::new();
-            }
-            let (s, timed_out) = self
+            state = self
                 .inner
                 .cond
                 .wait_timeout(state, deadline - now)
-                .unwrap();
-            state = s;
-            if timed_out.timed_out() {
-                // One last scan under the reacquired lock, then give up.
-                return state
-                    .queue
-                    .iter()
-                    .filter(|(seq, _)| *seq > after)
-                    .cloned()
-                    .collect();
-            }
+                .unwrap()
+                .0;
         }
     }
 
     /// Count of events discarded so far by the drop-oldest policy.
     pub fn dropped(&self) -> u64 {
         self.inner.state.lock().unwrap().dropped
-    }
-
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.inner.state.lock().unwrap().queue.len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -1,46 +1,34 @@
-//! Structured tracing, metrics, and progress reporting for the
-//! fault-simulation stack.
+//! Structured tracing, metrics, and self-profiling for the
+//! fault-simulation stack — std-only and offline, like the workspace's
+//! `proptest`/`criterion`/`serde_json` shims: no subscriber registries,
+//! no async, no global state.
 //!
-//! Like the workspace's `proptest`/`criterion`/`serde_json` shims, this
-//! crate is std-only and offline: no subscriber registries, no async, no
-//! global state. The pieces:
+//! A run reports through one clonable handle, [`Telemetry`], with three
+//! parts:
 //!
-//! * [`trace::Tracer`] — a clonable handle to a JSONL event sink. A
-//!   disabled tracer is a `None` behind the handle, so instrumented code
-//!   costs one pointer test when tracing is off (the default). Events
-//!   carry a microsecond timestamp relative to tracer creation and the
-//!   emitting thread's id; [`trace::Span`] guards add wall-clock
-//!   durations.
-//! * [`metrics::LatencyHistogram`] — power-of-two bucketed histogram of
-//!   detection latencies (cycles from test start to first divergence).
-//! * [`registry::MetricRegistry`] — named counters, gauges, and
-//!   histograms behind lock-free atomic handles, exported as Prometheus
-//!   text exposition or a JSON snapshot.
+//! * [`trace::Tracer`] — the event stream. Each event is emitted once
+//!   and goes to the tracer's sinks: a JSONL writer (`us`/`tid`/`ev`
+//!   lines) and/or an [`events::EventBus`], the bounded drop-oldest
+//!   queue behind the live SSE route (`seq`/`ms`/`ev` frames). Disabled
+//!   (the default), it costs one pointer test per event.
+//! * [`registry::MetricRegistry`] — the numbers, behind lock-free atomic
+//!   handles, exported as Prometheus text or a JSON snapshot. Two views
+//!   read it: [`progress::Progress`], a stderr ticker over one counter,
+//!   and [`timeline::Timeline`], bounded series for `/timeline`.
 //! * [`profile::Profiler`] — scoped-timer self-profiler attributing
 //!   wall-time to the fault-sim hot-loop phases ([`ProfilePhase`]).
-//! * [`ledger`] — the append-only schema-versioned run ledger
-//!   (`results/LEDGER.jsonl`) plus trend tables and the perf-regression
-//!   gate that `bench --bin ledger` exposes.
-//! * [`events::EventBus`] — a bounded drop-oldest broadcast queue for
-//!   live campaign events (batch ticks, detections, divergences);
-//!   publishers never block, lagging subscribers skip ahead.
-//! * [`timeline::Timeline`] — a periodic sampler snapshotting a registry
-//!   into bounded ring-buffered time series for the `/timeline` route.
-//! * [`traceviz`] — Chrome trace-event JSON export (Perfetto-compatible)
-//!   of tracer streams and hot-loop phase profiles.
-//! * [`serve`] — the observatory's std-`TcpListener` HTTP plane: a live
-//!   dashboard at `/`, `/metrics` (Prometheus), `/json`, `/timeline`,
-//!   `/events` (SSE) and `/trace` during long runs.
-//! * [`progress::Progress`] — shared atomic counters plus a rate-limited
-//!   stderr ticker, for watching long campaigns without touching their
-//!   hot loops.
-//! * [`wave`] — a byte-deterministic VCD (IEEE 1364 §18) writer with
-//!   hierarchical scopes, vector vars, and change-only emission; the
-//!   serialization layer under the netlist-level probe/recorder stack.
 //!
-//! The `fault::campaign` runners accept these via `CampaignHooks`; the
-//! `tables` and `difftest` binaries wire them to `--progress`,
-//! `--report`, `--profile`, `--metrics-out`, `--serve`, and `--ledger`.
+//! Around them: [`metrics::LatencyHistogram`] (power-of-two detection
+//! latency buckets), [`ledger`] (the schema-versioned run ledger, trend
+//! tables and the perf-regression gate), [`traceviz`] (Chrome
+//! trace-event export of tracer streams and phase profiles), [`serve`]
+//! (the observatory's `TcpListener` HTTP plane: dashboard, `/metrics`,
+//! `/json`, `/timeline`, `/events`, `/trace`) and [`wave`] (a
+//! byte-deterministic VCD writer under the netlist probe stack).
+//!
+//! Campaign runners, `sbst::flow`, the fuzzer and the job server's shard
+//! workers take a `&Telemetry`; the `tables` and `difftest` binaries
+//! build theirs once from their flags (`bench::ObsArgs`).
 
 #![warn(missing_docs)]
 
@@ -66,3 +54,27 @@ pub use serve::Observatory;
 pub use timeline::Timeline;
 pub use trace::{Span, TraceBuffer, TraceContext, Tracer};
 pub use wave::{VcdSpec, VcdVar, VcdWriter};
+
+/// Everything a run reports through. Each field is a clonable handle
+/// whose clones share their sinks, so a binary builds one `Telemetry`
+/// and hands it to every experiment it runs. The default is disabled
+/// and costs one branch per batch; results are bit-identical with any
+/// part of it on or off.
+#[derive(Debug, Clone, Default)]
+pub struct Telemetry {
+    /// Event stream to a JSONL file and/or the live bus.
+    pub tracer: Tracer,
+    /// Hot-loop phase profiler; testbenches share it to time per-cycle
+    /// phases.
+    pub profiler: Profiler,
+    /// Counters, gauges and histograms, updated at batch or wave
+    /// granularity; the `--progress` ticker renders from it.
+    pub metrics: Option<MetricRegistry>,
+}
+
+impl Telemetry {
+    /// Telemetry with everything disabled.
+    pub fn none() -> Telemetry {
+        Telemetry::default()
+    }
+}

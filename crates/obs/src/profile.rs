@@ -299,40 +299,6 @@ impl PhaseProfile {
                 .inc(self.count(phase));
         }
     }
-
-    /// Recover a profile from the counters a previous [`export`] call
-    /// published into `registry` — the inverse mapping, used by the
-    /// observatory to render the phase track of an already-finished (or
-    /// still-running) campaign without registering anything new. Returns
-    /// an empty profile when the registry holds no profile counters.
-    ///
-    /// [`export`]: PhaseProfile::export
-    pub fn from_registry(registry: &crate::registry::MetricRegistry) -> PhaseProfile {
-        let snap = registry.snapshot();
-        let mut p = PhaseProfile::default();
-        let Some(metrics) = snap["metrics"].as_array() else {
-            return p;
-        };
-        for m in metrics {
-            let name = m["name"].as_str().unwrap_or("");
-            if name != "sbst_profile_ns_total" && name != "sbst_profile_calls_total" {
-                continue;
-            }
-            let Some(phase) = m["labels"]["phase"]
-                .as_str()
-                .and_then(|l| ProfilePhase::ALL.iter().copied().find(|p| p.name() == l))
-            else {
-                continue;
-            };
-            let v = m["value"].as_u64().unwrap_or(0);
-            if name == "sbst_profile_ns_total" {
-                p.ns[phase.index()] = v;
-            } else {
-                p.count[phase.index()] = v;
-            }
-        }
-        p
-    }
 }
 
 #[cfg(test)]

@@ -1,165 +1,138 @@
-//! Live progress reporting: shared atomic counters with a rate-limited
-//! stderr ticker.
+//! Live progress reporting: a rate-limited stderr ticker over a
+//! registry counter.
 //!
-//! Worker threads call [`Progress::inc`] as units complete (a campaign
-//! counts the faults each batch run resolves); the call is two relaxed
-//! atomic ops unless the ticker's minimum interval has elapsed, in
-//! which case the winning thread prints a single `\r`-rewritten status
-//! line. Nothing here touches the simulation hot loop — increments
-//! happen at batch granularity, thousands of cycles apart.
+//! A [`Progress`] keeps no count of its own. It reads a [`Counter`] the
+//! run already updates — faults resolved for campaigns, seeds run for
+//! the fuzzer — against a total, from its own thread every 200 ms, and
+//! rewrites one `\r` status line whenever the count moved, ending it
+//! with a newline whenever the count reaches the total. The hot loop
+//! never sees it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// Minimum interval between ticker lines, in microseconds.
-const TICK_US: u64 = 200_000;
+use crate::registry::Counter;
+
+/// Interval between ticker polls.
+const TICK: Duration = Duration::from_millis(200);
 
 struct Inner {
     label: String,
-    total: u64,
-    done: AtomicU64,
+    done: Counter,
+    total: Box<dyn Fn() -> u64 + Send + Sync>,
     started: Instant,
-    /// Elapsed-us timestamp of the last printed line (0 = never).
-    last_print_us: AtomicU64,
-    /// Whether a `\r` status line is pending a terminating newline.
-    quiet: bool,
+    /// The (done, total) last printed, and whether the ticker finished.
+    state: Mutex<(Option<(u64, u64)>, bool)>,
+    /// Wakes the ticker early when it finishes.
+    wake: Condvar,
 }
 
-/// A clonable handle to shared progress state. All clones update the
-/// same counters; `quiet` handles count without printing (used by
-/// tests and library callers that only want the counters).
-#[derive(Clone)]
-pub struct Progress {
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for Progress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Progress")
-            .field("label", &self.inner.label)
-            .field("done", &self.done())
-            .field("total", &self.inner.total)
-            .finish()
-    }
-}
-
-impl Progress {
-    /// Progress over `total` units, printing status lines to stderr.
-    pub fn new(label: &str, total: u64) -> Progress {
-        Progress::build(label, total, false)
-    }
-
-    /// Progress that counts but never prints.
-    pub fn quiet(label: &str, total: u64) -> Progress {
-        Progress::build(label, total, true)
-    }
-
-    fn build(label: &str, total: u64, quiet: bool) -> Progress {
-        Progress {
-            inner: Arc::new(Inner {
-                label: label.to_string(),
-                total,
-                done: AtomicU64::new(0),
-                started: Instant::now(),
-                last_print_us: AtomicU64::new(0),
-                quiet,
-            }),
-        }
-    }
-
-    /// Units completed so far.
-    pub fn done(&self) -> u64 {
-        self.inner.done.load(Ordering::Relaxed)
-    }
-
-    /// Total units expected.
-    pub fn total(&self) -> u64 {
-        self.inner.total
-    }
-
-    /// Completion rate in units/second since creation.
-    pub fn rate(&self) -> f64 {
-        let secs = self.inner.started.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.done() as f64 / secs
-        }
-    }
-
-    /// Record `n` completed units, printing a status line if the tick
-    /// interval elapsed. Safe and cheap to call from many threads.
-    pub fn inc(&self, n: u64) {
-        let done = self.inner.done.fetch_add(n, Ordering::Relaxed) + n;
-        if self.inner.quiet {
-            return;
-        }
-        let now_us = self.inner.started.elapsed().as_micros() as u64;
-        let last = self.inner.last_print_us.load(Ordering::Relaxed);
-        if now_us.saturating_sub(last) < TICK_US && done < self.inner.total {
-            return;
-        }
-        // One thread wins the right to print this tick.
-        if self
-            .inner
-            .last_print_us
-            .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        self.print_line(done);
-    }
-
-    fn print_line(&self, done: u64) {
-        let total = self.inner.total;
+impl Inner {
+    /// The status line: `[label] done/total (pct) rate/s`.
+    fn line(&self) -> String {
+        let done = self.done.get();
+        let total = (self.total)();
         let pct = if total == 0 {
             100.0
         } else {
             100.0 * done as f64 / total as f64
         };
-        eprint!(
-            "\r[{}] {}/{} ({:.0}%) {:.1}/s   ",
-            self.inner.label,
-            done,
-            total,
-            pct,
-            self.rate()
-        );
+        let secs = self.started.elapsed().as_secs_f64();
+        let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
+        format!("[{}] {done}/{total} ({pct:.0}%) {rate:.1}/s", self.label)
     }
 
-    /// Print the final status line and a terminating newline. Idempotent
-    /// enough for normal use (an extra call prints an extra line).
-    pub fn finish(&self) {
-        if self.inner.quiet {
+    /// Print the line if the count moved since `shown` (at the `end`,
+    /// also if the last print left the line open). Nothing is printed
+    /// before the first unit is done.
+    fn show(&self, shown: &mut Option<(u64, u64)>, end: bool) {
+        let now = (self.done.get(), (self.total)());
+        let complete = now.0 >= now.1;
+        if now.0 == 0 || (*shown == Some(now) && (complete || !end)) {
             return;
         }
-        self.print_line(self.done());
-        eprintln!();
+        if complete || end {
+            eprintln!("\r{}   ", self.line());
+        } else {
+            eprint!("\r{}   ", self.line());
+        }
+        *shown = Some(now);
+    }
+}
+
+/// A running stderr ticker; [`Progress::finish`] stops it.
+pub struct Progress {
+    inner: Arc<Inner>,
+    ticker: JoinHandle<()>,
+}
+
+impl Progress {
+    /// Start a ticker showing `done` against `total()`, read at every
+    /// tick, so a total that grows as campaigns begin is fine.
+    pub fn start(
+        label: &str,
+        done: Counter,
+        total: impl Fn() -> u64 + Send + Sync + 'static,
+    ) -> Progress {
+        let inner = Arc::new(Inner {
+            label: label.to_string(),
+            done,
+            total: Box::new(total),
+            started: Instant::now(),
+            state: Mutex::new((None, false)),
+            wake: Condvar::new(),
+        });
+        let shared = Arc::clone(&inner);
+        let ticker = std::thread::Builder::new()
+            .name("obs-progress".into())
+            .spawn(move || {
+                let mut state = shared.state.lock().expect("progress state poisoned");
+                while !state.1 {
+                    state = shared
+                        .wake
+                        .wait_timeout(state, TICK)
+                        .expect("progress state poisoned")
+                        .0;
+                    if !state.1 {
+                        shared.show(&mut state.0, false);
+                    }
+                }
+            })
+            .expect("spawn progress ticker");
+        Progress { inner, ticker }
+    }
+
+    /// Stop the ticker and end its line.
+    pub fn finish(self) {
+        {
+            let mut state = self.inner.state.lock().expect("progress state poisoned");
+            state.1 = true;
+            self.inner.show(&mut state.0, true);
+        }
+        self.inner.wake.notify_one();
+        self.ticker.join().expect("progress ticker panicked");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricRegistry;
 
     #[test]
-    fn counters_accumulate_across_clones_and_threads() {
-        let p = Progress::quiet("test", 400);
+    fn renders_the_counter_it_views() {
+        let registry = MetricRegistry::new();
+        let done = registry.counter("units_total", "units done", &[]);
+        let p = Progress::start("test", done.clone(), || 400);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let p = p.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        p.inc(1);
-                    }
-                });
+                let done = done.clone();
+                s.spawn(move || (0..100).for_each(|_| done.inc(1)));
             }
         });
-        assert_eq!(p.done(), 400);
-        assert_eq!(p.total(), 400);
-        assert!(p.rate() > 0.0);
-        p.finish(); // quiet: no output, no panic
+        let line = p.inner.line();
+        assert!(line.starts_with("[test] 400/400 (100%) "), "{line}");
+        p.finish();
     }
 }

@@ -209,12 +209,6 @@ impl Observatory {
     }
 }
 
-/// Serve only `registry` on `127.0.0.1:port` — the pre-observatory
-/// interface, kept for scrape-only callers.
-pub fn serve(registry: MetricRegistry, port: u16) -> std::io::Result<MetricServer> {
-    serve_observatory(Observatory::new(registry), port)
-}
-
 /// Serve `obs` on `127.0.0.1:port` from a detached daemon accept thread
 /// (one handler thread per connection). Pass port 0 to let the OS pick;
 /// read it back from [`MetricServer::addr`]. Threads live until process
@@ -509,7 +503,7 @@ mod tests {
     fn serves_prometheus_and_json() {
         let reg = MetricRegistry::new();
         reg.counter("requests_total", "requests seen", &[]).inc(7);
-        let srv = serve(reg, 0).unwrap();
+        let srv = serve_observatory(Observatory::new(reg), 0).unwrap();
         let text = get(srv.addr(), "/metrics");
         assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
         assert!(text.contains("requests_total 7"), "{text}");
@@ -542,7 +536,7 @@ mod tests {
 
     #[test]
     fn serves_forensics_when_attached() {
-        let srv = serve(MetricRegistry::new(), 0).unwrap();
+        let srv = serve_observatory(Observatory::new(MetricRegistry::new()), 0).unwrap();
         let missing = get(srv.addr(), "/forensics");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
 
@@ -566,7 +560,7 @@ mod tests {
 
     #[test]
     fn malformed_and_oversized_requests_get_http_errors() {
-        let srv = serve(MetricRegistry::new(), 0).unwrap();
+        let srv = serve_observatory(Observatory::new(MetricRegistry::new()), 0).unwrap();
         let bad = raw(srv.addr(), b"NONSENSE\r\n\r\n");
         assert!(bad.starts_with("HTTP/1.0 400"), "{bad}");
         let post = raw(srv.addr(), b"POST /metrics HTTP/1.0\r\n\r\n");

@@ -11,6 +11,9 @@
 //! remaining fields are event-specific. Span guards emit `<kind>_begin` /
 //! `<kind>_end` pairs, the end event carrying `dur_us`.
 //!
+//! Each event is emitted once; the tracer writes it to its JSONL sink
+//! and, when built [`Tracer::with_bus`], frames it for the live bus too.
+//!
 //! For distributed runs a [`TraceContext`] names the trace a process is
 //! contributing to (trace id = job id, plus a span id / parent pair);
 //! [`Tracer::scoped`] returns a handle that stamps those fields on every
@@ -24,16 +27,23 @@ use std::time::Instant;
 
 use serde_json::{Map, Value};
 
+use crate::events::EventBus;
+
+type Sink = Arc<Mutex<Box<dyn Write + Send>>>;
+
 struct Inner {
     t0: Instant,
-    sink: Mutex<Box<dyn Write + Send>>,
+    /// The JSONL writer, if any.
+    sink: Option<Sink>,
+    /// The live bus, if any.
+    bus: Option<EventBus>,
 }
 
-/// A clonable handle to a trace sink. Cloning shares the sink; all
+/// A clonable handle to a trace's sinks. Cloning shares them; all
 /// clones append to the same stream (writes are line-atomic behind a
 /// mutex). A disabled tracer carries no sink and makes every operation
 /// a cheap no-op, so instrumented code can hold one unconditionally.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
     /// Fields stamped on every event after the `us`/`tid`/`ev` triple
@@ -145,12 +155,6 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::disabled()
-    }
-}
-
 /// A small integer id for the calling thread, stable for the thread's
 /// lifetime (extracted from [`std::thread::ThreadId`]'s debug form).
 pub fn thread_ordinal() -> u64 {
@@ -165,10 +169,7 @@ pub fn thread_ordinal() -> u64 {
 impl Tracer {
     /// A tracer that drops everything. All operations are no-ops.
     pub fn disabled() -> Tracer {
-        Tracer {
-            inner: None,
-            extra: Arc::new(Vec::new()),
-        }
+        Tracer::default()
     }
 
     /// A tracer appending JSON lines to an arbitrary writer (used by
@@ -177,9 +178,28 @@ impl Tracer {
         Tracer {
             inner: Some(Arc::new(Inner {
                 t0: Instant::now(),
-                sink: Mutex::new(w),
+                sink: Some(Arc::new(Mutex::new(w))),
+                bus: None,
             })),
             extra: Arc::new(Vec::new()),
+        }
+    }
+
+    /// A handle to this tracer's JSONL sink (none for a disabled
+    /// tracer) that also publishes every event onto `bus`. Handles
+    /// cloned from `self` keep writing the JSONL alone.
+    pub fn with_bus(&self, bus: EventBus) -> Tracer {
+        let (t0, sink) = match &self.inner {
+            Some(i) => (i.t0, i.sink.clone()),
+            None => (Instant::now(), None),
+        };
+        Tracer {
+            inner: Some(Arc::new(Inner {
+                t0,
+                sink,
+                bus: Some(bus),
+            })),
+            extra: Arc::clone(&self.extra),
         }
     }
 
@@ -238,10 +258,22 @@ impl Tracer {
         self.scoped(&ctx.fields())
     }
 
-    /// Emit one event. `fields` are appended after the standard
-    /// `us`/`tid`/`ev` triple (and any scoped fields), in order.
+    /// Emit one event to every sink. In the JSONL, `fields` follow the
+    /// standard `us`/`tid`/`ev` triple (and any scoped fields), in
+    /// order; the bus frames the scoped fields and `fields` with its own
+    /// `seq`/`ms`/`ev`.
     pub fn event(&self, kind: &str, fields: &[(&str, Value)]) {
         let Some(inner) = &self.inner else { return };
+        if let Some(bus) = &inner.bus {
+            let mut all: Vec<(&str, Value)> = self
+                .extra
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.clone()))
+                .collect();
+            all.extend(fields.iter().cloned());
+            bus.publish(kind, &all);
+        }
+        let Some(sink) = &inner.sink else { return };
         let mut obj = Map::new();
         obj.insert(
             "us".into(),
@@ -256,8 +288,7 @@ impl Tracer {
             obj.insert((*k).to_string(), v.clone());
         }
         let line = serde_json::to_string(&Value::Object(obj)).unwrap_or_default();
-        let mut sink = inner.sink.lock().expect("trace sink poisoned");
-        let _ = writeln!(sink, "{line}");
+        let _ = writeln!(sink.lock().expect("trace sink poisoned"), "{line}");
     }
 
     /// Open a span: emits `<kind>_begin` now and `<kind>_end` (with
@@ -271,10 +302,10 @@ impl Tracer {
         }
     }
 
-    /// Flush the underlying writer (files are buffered).
+    /// Flush the JSONL writer (files are buffered).
     pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            let _ = inner.sink.lock().expect("trace sink poisoned").flush();
+        if let Some(sink) = self.inner.as_ref().and_then(|i| i.sink.as_ref()) {
+            let _ = sink.lock().expect("trace sink poisoned").flush();
         }
     }
 }
@@ -405,6 +436,23 @@ mod tests {
         }
         let plain: Value = serde_json::from_str(lines[3]).unwrap();
         assert!(plain.as_object().unwrap().get("trace_id").is_none());
+    }
+
+    #[test]
+    fn attached_bus_frames_the_same_events() {
+        let (t, buf) = Tracer::to_shared_buffer();
+        let bus = EventBus::new(8);
+        let both = t.with_bus(bus.clone());
+        both.event("batch", &[("faults", Value::U64(63))]);
+        t.event("jsonl_only", &[]);
+        let frames = bus.poll_after(0, std::time::Duration::ZERO);
+        assert_eq!(frames.len(), 1);
+        let frame: Value = serde_json::from_str(&frames[0].1).unwrap();
+        assert_eq!(frame["ev"].as_str(), Some("batch"));
+        assert_eq!(frame["faults"].as_u64(), Some(63));
+        assert_eq!(buf.contents().lines().count(), 2);
+        // A bus alone still enables the tracer.
+        assert!(Tracer::disabled().with_bus(bus).enabled());
     }
 
     #[test]

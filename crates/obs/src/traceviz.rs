@@ -11,9 +11,12 @@
 //!   without a duration they degrade to instants. Each batch also feeds
 //!   the `coverage_pct` and `mlane_cycles_per_sec` counter tracks
 //!   (`ph:"C"`), computed cumulatively against the fault total and lane
-//!   width announced by `campaign_begin`.
-//! - `campaign_begin`/`campaign_end` are synthesized into one top-level
-//!   `campaign` slice spanning the whole run.
+//!   width announced by its campaign's `campaign_begin`.
+//! - each `campaign_begin`/`campaign_end` pair is synthesized into one
+//!   top-level `campaign` slice. Events pair up, and batches join their
+//!   campaign, by `trace_id` and `span` when they carry them, so the
+//!   interleaved shard campaigns of one job stay apart; every campaign's
+//!   counters start at zero.
 //! - any other event carrying `dur_us` becomes a complete slice ending
 //!   at its timestamp; the rest become thread-scoped instants (`ph:"i"`).
 //! - an optional [`PhaseProfile`] is appended as a synthetic
@@ -86,26 +89,15 @@ fn counter(name: &str, pid: u64, ts_us: u64, series: &str, value: f64) -> Value 
     Value::Object(m)
 }
 
-fn thread_name(pid: u64, tid: u64, label: &str) -> Value {
+/// A `ph:"M"` metadata record: `thread_name` or `process_name`.
+fn metadata(kind: &str, pid: u64, tid: u64, label: &str) -> Value {
     let mut args = Map::new();
     push_key(&mut args, "name", Value::String(label.to_string()));
     let mut m = Map::new();
-    push_key(&mut m, "name", Value::String("thread_name".to_string()));
+    push_key(&mut m, "name", Value::String(kind.to_string()));
     push_key(&mut m, "ph", Value::String("M".to_string()));
     push_key(&mut m, "pid", Value::U64(pid));
     push_key(&mut m, "tid", Value::U64(tid));
-    push_key(&mut m, "args", Value::Object(args));
-    Value::Object(m)
-}
-
-fn process_name(pid: u64, label: &str) -> Value {
-    let mut args = Map::new();
-    push_key(&mut args, "name", Value::String(label.to_string()));
-    let mut m = Map::new();
-    push_key(&mut m, "name", Value::String("process_name".to_string()));
-    push_key(&mut m, "ph", Value::String("M".to_string()));
-    push_key(&mut m, "pid", Value::U64(pid));
-    push_key(&mut m, "tid", Value::U64(0));
     push_key(&mut m, "args", Value::Object(args));
     Value::Object(m)
 }
@@ -143,18 +135,32 @@ struct StreamRender {
     counters: Vec<Value>,
 }
 
+/// A campaign whose `campaign_begin` has been read, with the running
+/// totals its counter tracks plot.
+struct OpenCampaign {
+    /// `trace_id` and `span` of its events (none in a plain run).
+    key: (Option<String>, Option<u64>),
+    begin: Value,
+    detected: u64,
+    cycles: u64,
+}
+
+/// Which campaign an event belongs to: in-process job shards interleave
+/// their campaigns on one stream, each under its own span.
+fn campaign_key(v: &Value) -> (Option<String>, Option<u64>) {
+    (
+        v["trace_id"].as_str().map(str::to_string),
+        v["span"].as_u64(),
+    )
+}
+
 fn render_stream(pid: u64, jsonl: &str) -> StreamRender {
     let mut slices: Vec<Value> = Vec::new();
     let mut counters: Vec<Value> = Vec::new();
     let mut tids: Vec<u64> = Vec::new();
     // Open begin-events per (tid, kind), LIFO per key.
     let mut open: Vec<(u64, String, u64, Value)> = Vec::new();
-    // Campaign context for the counter tracks.
-    let mut campaign: Option<(u64, u64, Value)> = None; // (begin_us, tid, begin line)
-    let mut faults_total = 0u64;
-    let mut lanes = 1u64;
-    let mut cum_detected = 0u64;
-    let mut cum_cycles = 0u64;
+    let mut campaigns: Vec<OpenCampaign> = Vec::new();
 
     for line in jsonl.lines() {
         let line = line.trim();
@@ -173,13 +179,23 @@ fn render_stream(pid: u64, jsonl: &str) -> StreamRender {
             tids.push(tid);
         }
         if ev == "campaign_begin" {
-            faults_total = v["faults"].as_u64().unwrap_or(0);
-            lanes = v["lanes"].as_u64().unwrap_or(1).max(1);
-            campaign = Some((us, tid, v));
+            // A begin whose end never came (a truncated stream) is dropped.
+            let key = campaign_key(&v);
+            campaigns.retain(|c| c.key != key);
+            campaigns.push(OpenCampaign {
+                key,
+                begin: v,
+                detected: 0,
+                cycles: 0,
+            });
             continue;
         }
         if ev == "campaign_end" {
-            if let Some((begin_us, begin_tid, begin)) = campaign.take() {
+            let key = campaign_key(&v);
+            if let Some(pos) = campaigns.iter().position(|c| c.key == key) {
+                let begin = campaigns.remove(pos).begin;
+                let begin_us = begin["us"].as_u64().unwrap_or(0);
+                let begin_tid = begin["tid"].as_u64().unwrap_or(0);
                 let mut args = Map::new();
                 copy_args(&mut args, &begin, &[]);
                 copy_args(&mut args, &v, &[]);
@@ -195,8 +211,6 @@ fn render_stream(pid: u64, jsonl: &str) -> StreamRender {
             continue;
         }
         if ev == "batch" {
-            cum_detected += v["detected"].as_u64().unwrap_or(0);
-            cum_cycles += v["cycles"].as_u64().unwrap_or(0);
             let mut args = Map::new();
             copy_args(&mut args, &v, &["dur_us"]);
             match v["dur_us"].as_u64() {
@@ -210,26 +224,32 @@ fn render_stream(pid: u64, jsonl: &str) -> StreamRender {
                 )),
                 None => slices.push(instant("batch", pid, tid, us, args)),
             }
-            if faults_total > 0 {
+            let key = campaign_key(&v);
+            let Some(c) = campaigns.iter_mut().find(|c| c.key == key) else {
+                continue;
+            };
+            c.detected += v["detected"].as_u64().unwrap_or(0);
+            c.cycles += v["cycles"].as_u64().unwrap_or(0);
+            let faults = c.begin["faults"].as_u64().unwrap_or(0);
+            if faults > 0 {
                 counters.push(counter(
                     "coverage_pct",
                     pid,
                     us,
                     "pct",
-                    100.0 * cum_detected as f64 / faults_total as f64,
+                    100.0 * c.detected as f64 / faults as f64,
                 ));
             }
-            if let Some((begin_us, _, _)) = &campaign {
-                let elapsed_us = us.saturating_sub(*begin_us);
-                if elapsed_us > 0 {
-                    counters.push(counter(
-                        "mlane_cycles_per_sec",
-                        pid,
-                        us,
-                        "mlcps",
-                        (cum_cycles as f64 * lanes as f64) / elapsed_us as f64,
-                    ));
-                }
+            let elapsed_us = us.saturating_sub(c.begin["us"].as_u64().unwrap_or(0));
+            if elapsed_us > 0 {
+                let lanes = c.begin["lanes"].as_u64().unwrap_or(1).max(1);
+                counters.push(counter(
+                    "mlane_cycles_per_sec",
+                    pid,
+                    us,
+                    "mlcps",
+                    (c.cycles as f64 * lanes as f64) / elapsed_us as f64,
+                ));
             }
             continue;
         }
@@ -264,8 +284,8 @@ fn render_stream(pid: u64, jsonl: &str) -> StreamRender {
         }
     }
 
-    // A live file may end mid-campaign: still give the counters context
-    // by closing nothing, and leave open spans unpaired (Perfetto copes).
+    // A live file may end mid-campaign: open campaigns and spans stay
+    // unpaired (Perfetto copes).
     tids.sort_unstable();
     StreamRender {
         tids,
@@ -278,7 +298,7 @@ fn render_stream(pid: u64, jsonl: &str) -> StreamRender {
 fn push_phase_track(events: &mut Vec<Value>, profile: Option<&PhaseProfile>) {
     if let Some(p) = profile {
         if !p.is_empty() {
-            events.push(thread_name(PID_PHASES, 1, "hot-loop phases"));
+            events.push(metadata("thread_name", PID_PHASES, 1, "hot-loop phases"));
             let total = p.total_ns().max(1);
             let mut cursor_us = 0u64;
             for phase in ProfilePhase::ALL {
@@ -327,7 +347,8 @@ pub fn render(jsonl: &str, profile: Option<&PhaseProfile>) -> Value {
     let s = render_stream(PID_TRACE, jsonl);
     let mut events: Vec<Value> = Vec::new();
     for &tid in &s.tids {
-        events.push(thread_name(PID_TRACE, tid, &format!("worker {tid}")));
+        let label = format!("worker {tid}");
+        events.push(metadata("thread_name", PID_TRACE, tid, &label));
     }
     events.extend(s.slices);
     events.extend(s.counters);
@@ -346,9 +367,10 @@ pub fn render_fleet(streams: &[ProcessStream], profile: Option<&PhaseProfile>) -
     let mut rendered: Vec<StreamRender> = Vec::new();
     for st in streams {
         let s = render_stream(st.pid, &st.jsonl);
-        events.push(process_name(st.pid, &st.name));
+        events.push(metadata("process_name", st.pid, 0, &st.name));
         for &tid in &s.tids {
-            events.push(thread_name(st.pid, tid, &format!("worker {tid}")));
+            let label = format!("worker {tid}");
+            events.push(metadata("thread_name", st.pid, tid, &label));
         }
         rendered.push(s);
     }
@@ -418,6 +440,57 @@ mod tests {
             .map(|e| e["args"]["pct"].as_f64().unwrap())
             .collect();
         assert_eq!(cov, vec![40.0, 70.0]);
+    }
+
+    /// Coverage and the `campaign` slices of two sequential plain
+    /// campaigns, then of two job shards interleaved on one stream.
+    fn campaigns_of(jsonl: &str) -> (usize, Vec<f64>) {
+        let trace = render(jsonl, None);
+        let events = trace["traceEvents"].as_array().unwrap();
+        let slices = events
+            .iter()
+            .filter(|e| e["name"].as_str() == Some("campaign"))
+            .count();
+        let cov = events
+            .iter()
+            .filter(|e| e["name"].as_str() == Some("coverage_pct"))
+            .map(|e| e["args"]["pct"].as_f64().unwrap())
+            .collect();
+        (slices, cov)
+    }
+
+    #[test]
+    fn every_campaign_counts_from_zero() {
+        let mut seq = String::new();
+        for t in [0, 1000] {
+            seq += &line(&format!(
+                r#"{{"us":{t},"tid":1,"ev":"campaign_begin","faults":100,"lanes":64}}"#
+            ));
+            seq += &line(&format!(
+                r#"{{"us":{},"tid":1,"ev":"batch","cycles":50,"detected":70,"dur_us":10}}"#,
+                t + 100
+            ));
+            seq += &line(&format!(
+                r#"{{"us":{},"tid":1,"ev":"campaign_end"}}"#,
+                t + 200
+            ));
+        }
+        assert_eq!(campaigns_of(&seq), (2, vec![70.0, 70.0]));
+
+        let shard = |ev: &str, span: u64, us: u64, rest: &str| {
+            line(&format!(
+                r#"{{"us":{us},"tid":{span},"ev":"{ev}","trace_id":"j","span":{span},"parent":1{rest}}}"#
+            ))
+        };
+        let mut mixed = String::new();
+        mixed += &shard("campaign_begin", 2, 0, r#","faults":10,"lanes":64"#);
+        mixed += &shard("campaign_begin", 3, 5, r#","faults":20,"lanes":64"#);
+        mixed += &shard("batch", 2, 10, r#","cycles":9,"detected":10,"dur_us":5"#);
+        mixed += &shard("batch", 3, 20, r#","cycles":9,"detected":15,"dur_us":5"#);
+        mixed += &shard("campaign_end", 2, 30, "");
+        mixed += &shard("batch", 3, 40, r#","cycles":9,"detected":5,"dur_us":5"#);
+        mixed += &shard("campaign_end", 3, 50, "");
+        assert_eq!(campaigns_of(&mixed), (2, vec![100.0, 75.0, 100.0]));
     }
 
     #[test]

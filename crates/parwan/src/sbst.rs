@@ -2,9 +2,10 @@
 //! core, plus the grading flow — the substrate for the paper's Section 1
 //! cost-ratio comparison (deterministic \[7\]\[8\] vs LFSR-based \[6\]).
 
-use fault::campaign::{CampaignHooks, CampaignResult};
+use fault::campaign::CampaignResult;
 use fault::engine::EngineConfig;
 use fault::model::FaultList;
+use obs::Telemetry;
 
 use crate::core::ParwanCore;
 use crate::isa::{Cond, ProgramBuilder};
@@ -265,20 +266,21 @@ pub fn golden_cycles(test: &ParwanSelfTest) -> u64 {
 /// Fault-simulate a self-test over `faults` — the Parwan grading entry
 /// ([`EngineConfig::grade`]) at `engine`'s width fitted to the list
 /// ([`EngineConfig::fit`]), on `threads` workers (0 = auto). Each
-/// bench shares the hooks' profiler, so per-cycle phases land in the
-/// campaign profile. Detections are bit-identical across widths,
-/// thread counts and hooks.
+/// bench shares the telemetry's profiler, so per-cycle phases land in
+/// the campaign profile. Detections are bit-identical across widths,
+/// thread counts and telemetry.
 pub fn grade(
     core: &ParwanCore,
     test: &ParwanSelfTest,
     faults: &FaultList,
     threads: usize,
     engine: EngineConfig,
-    hooks: &CampaignHooks,
+    telemetry: &Telemetry,
 ) -> CampaignResult {
     let budget = golden_cycles(test) + 32;
     let factory = || {
-        ParwanSelfTestBench::new(core, &test.image, budget).with_profiler(hooks.profiler.clone())
+        ParwanSelfTestBench::new(core, &test.image, budget)
+            .with_profiler(telemetry.profiler.clone())
     };
     engine.fit(faults.len()).grade(
         core.netlist(),
@@ -286,7 +288,7 @@ pub fn grade(
         faults,
         factory,
         threads,
-        hooks,
+        telemetry,
     )
 }
 
@@ -351,7 +353,7 @@ mod tests {
             weight: faults.weight[..63].to_vec(),
             total_uncollapsed: 63,
         };
-        let res = grade(&core, &test, &head, 0, EngineConfig::default(), &CampaignHooks::none());
+        let res = grade(&core, &test, &head, 0, EngineConfig::default(), &Telemetry::none());
         let (idx, det_cycle) = res
             .detections
             .iter()
@@ -412,7 +414,7 @@ mod tests {
             &faults,
             || ParwanSelfTestBench::new(&core, &test.image, budget),
             1,
-            &CampaignHooks::none(),
+            &Telemetry::none(),
         );
         for threads in [1usize, 4] {
             for lanes in [64usize, 128] {
@@ -422,7 +424,7 @@ mod tests {
                     &faults,
                     threads,
                     EngineConfig::compiled(lanes),
-                    &CampaignHooks::none(),
+                    &Telemetry::none(),
                 );
                 assert_eq!(
                     res.detections, reference.detections,
@@ -437,7 +439,7 @@ mod tests {
         let core = ParwanCore::build();
         let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
         let det = deterministic_selftest();
-        let hooks = CampaignHooks::none();
+        let hooks = Telemetry::none();
         let det_res = grade(&core, &det, &faults, 0, EngineConfig::default(), &hooks);
         let det_cov = det_res.coverage();
         assert!(det_cov > 0.80, "deterministic coverage {det_cov}");

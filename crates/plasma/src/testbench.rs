@@ -179,7 +179,7 @@ impl<'a> SelfTestBench<'a> {
     /// Attach a hot-loop self-profiler: each cycle's wall-time is split
     /// across the `eval_early`/`overlay`/`eval_late`/`detect`/`clock`
     /// phases (see [`obs::ProfilePhase`]). Share the same handle with
-    /// `CampaignHooks.profiler` so the runner's `patch`/`reset` phases
+    /// `Telemetry.profiler` so the runner's `patch`/`reset` phases
     /// land in the same profile. A disabled profiler (the default)
     /// leaves the step loop at one extra branch per cycle — and the
     /// profiler never touches simulation state, so detections are

@@ -4,12 +4,12 @@
 
 use std::path::PathBuf;
 
-use fault::campaign::{CampaignHooks, CampaignResult};
+use fault::campaign::CampaignResult;
 use fault::coverage::{CoverageReport, CoverageTimeline};
 use fault::engine::EngineConfig;
 use fault::model::FaultList;
 use mips::iss::{Iss, Memory};
-use obs::{MetricRegistry, Profiler, Progress, Tracer};
+use obs::{MetricRegistry, Telemetry};
 use plasma::testbench::SelfTestBench;
 use plasma::PlasmaCore;
 
@@ -39,25 +39,15 @@ pub struct FlowOptions {
     /// variable, else available parallelism). Results are bit-identical
     /// at every thread count.
     pub threads: usize,
-    /// Live progress ticker on stderr (`--progress`), in faults resolved.
-    pub progress: bool,
-    /// Write structured JSONL trace events here (`None` = tracing off,
-    /// the default — disabled tracing is one branch per batch).
-    pub trace_path: Option<PathBuf>,
+    /// What the campaign reports through (disabled by default). Its
+    /// registry also receives per-component gate-eval counts and
+    /// coverage gauges; an enabled profiler lands phase wall-times in
+    /// `CampaignStats::profile` (the timed step variant reads the clock
+    /// six times per cycle).
+    pub telemetry: Telemetry,
     /// Coverage-over-time sample stride in cycles; `0` disables the
     /// timeline (the default).
     pub timeline_stride: u64,
-    /// Enable the hot-loop self-profiler (`--profile`): phase wall-times
-    /// land in `CampaignStats::profile`. Off by default — the timed step
-    /// variant reads the clock six times per cycle.
-    pub profile: bool,
-    /// Publish campaign counters, per-component gate-eval counts, and
-    /// coverage gauges into this registry (`--metrics-out`/`--serve`).
-    pub metrics: Option<MetricRegistry>,
-    /// Publish live `campaign_begin`/`batch`/`campaign_end` events onto
-    /// this bus for SSE subscribers (`--serve`). Bounded drop-oldest:
-    /// publishing never blocks the batch loop.
-    pub events: Option<obs::EventBus>,
     /// Waveform capture (`--wave-fault`/`--wave-escapes`): after the
     /// campaign, replay the selected fault and/or the first `escapes`
     /// undetected faults with a wave probe attached and write
@@ -87,42 +77,11 @@ impl Default for FlowOptions {
             cycle_margin: 64,
             cost_model: CostModel::default(),
             threads: 0,
-            progress: false,
-            trace_path: None,
+            telemetry: Telemetry::none(),
             timeline_stride: 0,
-            profile: false,
-            metrics: None,
-            events: None,
             wave: None,
             engine: EngineConfig::from_env(),
             forensics: false,
-        }
-    }
-}
-
-impl FlowOptions {
-    /// Build the campaign hooks these options describe. `label` names
-    /// the progress ticker; `faults` sizes it (the runner counts faults
-    /// resolved). A trace path that cannot be opened degrades to
-    /// disabled tracing with a warning rather than failing the run.
-    pub fn hooks(&self, label: &str, faults: u64) -> CampaignHooks {
-        let tracer = match &self.trace_path {
-            Some(p) => Tracer::to_path(p).unwrap_or_else(|e| {
-                eprintln!("warning: cannot open trace file {}: {e}", p.display());
-                Tracer::disabled()
-            }),
-            None => Tracer::disabled(),
-        };
-        CampaignHooks {
-            tracer,
-            progress: self.progress.then(|| Progress::new(label, faults)),
-            profiler: if self.profile {
-                Profiler::new()
-            } else {
-                Profiler::disabled()
-            },
-            metrics: self.metrics.clone(),
-            events: self.events.clone(),
         }
     }
 }
@@ -255,7 +214,8 @@ fn segments(core: &PlasmaCore) -> [Vec<u32>; 2] {
 /// faster in 128 lanes than in a half-empty 256, but its speed varies
 /// about twice as much with the load on a shared host, which made job
 /// server throughput unsteady (EXPERIMENTS.md, "Engine benchmarks").
-/// Detections are bit-identical across widths, thread counts and hooks.
+/// Detections are bit-identical across widths, thread counts and
+/// telemetry.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_of_engine(
     core: &PlasmaCore,
@@ -263,16 +223,24 @@ pub fn run_campaign_of_engine(
     faults: &FaultList,
     budget: u64,
     threads: usize,
-    hooks: &CampaignHooks,
+    telemetry: &Telemetry,
     engine: EngineConfig,
 ) -> CampaignResult {
-    // Each worker's bench shares the hooks' profiler handle, so the
+    // Each worker's bench shares the telemetry's profiler handle, so the
     // per-cycle phases land in the same profile as the runner's
     // patch/reset (a disabled handle keeps the plain step path).
     let factory = || {
-        SelfTestBench::new(core, program, MEM_BYTES, budget).with_profiler(hooks.profiler.clone())
+        SelfTestBench::new(core, program, MEM_BYTES, budget)
+            .with_profiler(telemetry.profiler.clone())
     };
-    engine.grade(core.netlist(), &segments(core), faults, factory, threads, hooks)
+    engine.grade(
+        core.netlist(),
+        &segments(core),
+        faults,
+        factory,
+        threads,
+        telemetry,
+    )
 }
 
 /// Replay one fault of a program with waveform capture (lane 0 good,
@@ -354,18 +322,17 @@ pub fn run_flow(core: &PlasmaCore, phase: Phase, opts: &FlowOptions) -> FlowRepo
     let selftest = build_program(phase).expect("phase program must assemble");
     let golden = golden_cycles(&selftest);
     let faults = fault_list(core, opts);
-    let hooks = opts.hooks(phase.name(), faults.len() as u64);
     let campaign = run_campaign_of_engine(
         core,
         &selftest.program,
         &faults,
         golden + opts.cycle_margin,
         opts.threads,
-        &hooks,
+        &opts.telemetry,
         opts.engine,
     );
     let coverage = CoverageReport::from_campaign(core.netlist(), &campaign);
-    if let Some(reg) = &opts.metrics {
+    if let Some(reg) = &opts.telemetry.metrics {
         publish_flow_metrics(reg, core, &campaign, &coverage);
     }
     let cost = opts.cost_model.cost(selftest.size_words(), golden);
@@ -431,8 +398,11 @@ mod tests {
         let opts = FlowOptions {
             fault_sample: Some(700),
             timeline_stride: 500,
-            profile: true,
-            metrics: Some(MetricRegistry::new()),
+            telemetry: Telemetry {
+                profiler: obs::Profiler::new(),
+                metrics: Some(MetricRegistry::new()),
+                ..Telemetry::none()
+            },
             // Pin the width so the lanes assertion below holds
             // regardless of SBST_LANES in the environment.
             engine: EngineConfig::compiled(256),
@@ -449,7 +419,7 @@ mod tests {
         assert_eq!(report.campaign.stats.engine, "compiled");
         assert_eq!(report.campaign.stats.lanes, 256);
         // ...and the registry carries campaign + flow metrics.
-        let text = opts.metrics.as_ref().unwrap().to_prometheus();
+        let text = opts.telemetry.metrics.as_ref().unwrap().to_prometheus();
         assert!(text.contains("sbst_batches_total"), "{text}");
         assert!(text.contains("sbst_gate_evals_total{component="), "{text}");
         assert!(text.contains("sbst_coverage_pct"), "{text}");
@@ -497,8 +467,11 @@ mod tests {
             let opts = FlowOptions {
                 fault_sample: Some(400),
                 threads,
-                metrics: Some(reg),
-                events: Some(obs::EventBus::new(64)),
+                telemetry: Telemetry {
+                    tracer: obs::Tracer::disabled().with_bus(obs::EventBus::new(64)),
+                    metrics: Some(reg),
+                    ..Telemetry::none()
+                },
                 engine: EngineConfig::compiled(256),
                 ..Default::default()
             };

@@ -16,10 +16,11 @@
 //! full-list [`CampaignResult`] through [`fault::shard::merge_results`],
 //! bit-identical to a single-shot run of the same spec.
 
-use fault::campaign::{CampaignHooks, CampaignResult};
+use fault::campaign::CampaignResult;
 use fault::engine::EngineConfig;
 use fault::model::FaultList;
 use fault::shard::{merge_results, shard_bounds};
+use obs::Telemetry;
 use plasma::PlasmaCore;
 
 use crate::flow::{self, FlowOptions};
@@ -108,7 +109,7 @@ pub fn run_shard(
     job: &PreparedJob,
     spec: &CampaignJobSpec,
     shard: usize,
-    hooks: &CampaignHooks,
+    telemetry: &Telemetry,
 ) -> CampaignResult {
     let (lo, hi) = job.bounds[shard];
     let slice = job.faults.slice(lo, hi);
@@ -118,7 +119,7 @@ pub fn run_shard(
         &slice,
         job.budget,
         spec.threads,
-        hooks,
+        telemetry,
         spec.engine,
     )
 }
@@ -183,14 +184,14 @@ mod tests {
             &job.faults,
             job.budget,
             spec.threads,
-            &CampaignHooks::none(),
+            &Telemetry::none(),
             spec.engine,
         );
 
         // Run the shards in reverse order and merge.
         let parts: Vec<(usize, CampaignResult)> = (0..3)
             .rev()
-            .map(|s| (s, run_shard(&core, &job, &spec, s, &CampaignHooks::none())))
+            .map(|s| (s, run_shard(&core, &job, &spec, s, &Telemetry::none())))
             .collect();
         let merged = merge(&job, &parts).unwrap();
 

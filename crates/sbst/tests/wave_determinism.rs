@@ -7,11 +7,12 @@
 //! or 4 — and to a capture of the same fault on the interpreted
 //! reference (`ParallelSim`).
 
-use fault::campaign::{CampaignHooks, Detection};
+use fault::campaign::Detection;
 use fault::sim::ParallelSim;
 use fault::wave::{capture_fault, CapturedWave, WaveOptions};
 use fault::EngineConfig;
 use netlist::wave::Probe;
+use obs::Telemetry;
 use plasma::testbench::{capture_fault_wave, SelfTestBench};
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::flow::{self, run_flow, FlowOptions, MEM_BYTES};
@@ -96,7 +97,7 @@ fn compiled_captures_match_the_interpreted_engine() {
         &faults,
         budget,
         2,
-        &CampaignHooks::none(),
+        &Telemetry::none(),
         EngineConfig::default(),
     );
     let detected = result.detections.iter().position(|d| d.is_detected());

@@ -18,13 +18,14 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use fault::campaign::{self, CampaignHooks, CampaignResult, CampaignStats, Detection, VectorBench};
+use fault::campaign::{self, CampaignResult, CampaignStats, Detection, VectorBench};
 use fault::forensics::{self, Bucket, ForensicsReport};
 use fault::model::{Fault, FaultList, FaultSite, Polarity};
 use fault::sim::{LaneSim, ParallelSim};
 use fault::wide::WideSim;
 use fault::EngineConfig;
 use netlist::{Net, Netlist, NetlistBuilder};
+use obs::Telemetry;
 use plasma::testbench::SelfTestBench;
 use plasma::PlasmaCore;
 use sbst::flow::{self, FlowOptions, MEM_BYTES};
@@ -175,15 +176,19 @@ fn assert_compacts_exactly<S: LaneSim>(
 ) {
     let bench = || VectorBench::new(nl, vectors);
     let lanes = proto.lanes();
-    // The progress ticker counts faults resolved: it ends at 100%.
-    let progress = obs::Progress::quiet("compaction", faults.len() as u64);
-    let hooks = CampaignHooks {
-        progress: Some(progress.clone()),
-        ..CampaignHooks::none()
+    // The progress ticker's counters — faults resolved against faults
+    // taken on — end at 100%.
+    let registry = obs::MetricRegistry::new();
+    let hooks = Telemetry {
+        metrics: Some(registry.clone()),
+        ..Telemetry::none()
     };
     let serial = campaign::run(proto, faults, bench, 1, &hooks);
-    assert_eq!(progress.done(), progress.total());
-    let hooks = CampaignHooks::none();
+    let count = |name| registry.counter(name, "", &[]).get();
+    let total = faults.len() as u64;
+    assert_eq!(count("sbst_faults_resolved_total"), total);
+    assert_eq!(count("sbst_faults_total"), total);
+    let hooks = Telemetry::none();
     assert_eq!(
         serial.detections,
         reference,
@@ -222,7 +227,7 @@ proptest! {
         let vectors = random_vectors(seed ^ 0x5EED, 640);
         let base = FaultList::extract(&nl).collapsed(&nl);
         let bench = || VectorBench::new(&nl, &vectors);
-        let hooks = CampaignHooks::none();
+        let hooks = Telemetry::none();
         let interp = |list: &FaultList| {
             campaign::run(&ParallelSim::new(&nl), list, bench, 1, &hooks)
         };
@@ -392,7 +397,7 @@ fn resumed_vector_bench_keeps_undriven_ports() {
     }
     let faults = repeated(&FaultList::extract(&nl).collapsed(&nl), 4);
     let bench = || VectorBench::new(&nl, &vectors);
-    let hooks = CampaignHooks::none();
+    let hooks = Telemetry::none();
     let reference = per_slice(&faults, 63, |s| {
         campaign::run(&ParallelSim::new(&nl), s, bench, 1, &hooks)
     });
@@ -449,7 +454,7 @@ fn plasma_sample_regroups_without_changing_detections() {
             list,
             budget,
             threads,
-            &CampaignHooks::none(),
+            &Telemetry::none(),
             EngineConfig::compiled(64),
         )
     };
@@ -501,7 +506,7 @@ fn plasma_replay_regroups_without_changing_the_report() {
         &faults,
         budget,
         2,
-        &CampaignHooks::none(),
+        &Telemetry::none(),
         EngineConfig::compiled(256),
     );
     let segments = core.segments().map(<[u32]>::to_vec);
@@ -576,7 +581,7 @@ fn parwan_regroups_without_changing_detections() {
         "reads back past 1,024"
     );
     let grade = |list: &FaultList, threads| {
-        let hooks = CampaignHooks::none();
+        let hooks = Telemetry::none();
         parwan::sbst::grade(
             &core,
             &test,

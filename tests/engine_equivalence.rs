@@ -10,12 +10,13 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use fault::campaign::{self, CampaignHooks, VectorBench};
+use fault::campaign::{self, VectorBench};
 use fault::model::FaultList;
 use fault::sim::{LaneSim, ParallelSim};
 use fault::wide::WideSim;
 use netlist::synth::{self, TechStyle};
 use netlist::{Net, Netlist, NetlistBuilder};
+use obs::Telemetry;
 
 /// Small random sequential netlist (same shape as `tests/properties.rs`):
 /// a couple of registers, an adder, assorted gates.
@@ -114,7 +115,7 @@ proptest! {
         prop_assert_eq!(reference.stats.engine, "interp");
 
         let bench = || VectorBench::new(&nl, &vectors);
-        let hooks = CampaignHooks::none();
+        let hooks = Telemetry::none();
         let segments = vec![nl.topo_order().to_vec()];
         let kernel = fault::kernel::compile_cached(&nl, &segments);
         for threads in [1usize, 4] {

@@ -3,9 +3,10 @@
 //! program region that targets that component. This is the methodology's
 //! promise at the single-fault granularity.
 
-use fault::campaign::{CampaignHooks, CampaignResult, Detection};
+use fault::campaign::{CampaignResult, Detection};
 use fault::model::{Fault, FaultList, FaultSite, Polarity};
 use netlist::GateKind;
+use obs::Telemetry;
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::flow;
 use sbst::phases::{build_program, Phase, SelfTestProgram};
@@ -13,7 +14,7 @@ use sbst::phases::{build_program, Phase, SelfTestProgram};
 /// Grade `st` over `faults` on the default width and thread count.
 fn grade(core: &PlasmaCore, st: &SelfTestProgram, faults: &FaultList) -> CampaignResult {
     let budget = flow::golden_cycles(st) + 64;
-    let (hooks, engine) = (CampaignHooks::none(), flow::FlowOptions::default().engine);
+    let (hooks, engine) = (Telemetry::none(), flow::FlowOptions::default().engine);
     flow::run_campaign_of_engine(core, &st.program, faults, budget, 0, &hooks, engine)
 }
 

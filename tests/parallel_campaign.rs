@@ -8,9 +8,10 @@
 //! and the testbench stimulus, never on which worker ran the batch or in
 //! what order — and on a schedule that depends only on the detections.
 
-use fault::campaign::{self, CampaignHooks};
+use fault::campaign;
 use fault::model::FaultList;
 use fault::EngineConfig;
+use obs::Telemetry;
 use sbst::flow::{self, FlowOptions};
 use sbst::phases::{build_program, Phase};
 
@@ -19,7 +20,7 @@ fn parwan_campaign_identical_across_thread_counts() {
     let core = parwan::ParwanCore::build();
     let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
     let test = parwan::sbst::deterministic_selftest();
-    let (engine, hooks) = (EngineConfig::from_env(), CampaignHooks::none());
+    let (engine, hooks) = (EngineConfig::from_env(), Telemetry::none());
     let grade = |threads| parwan::sbst::grade(&core, &test, &faults, threads, engine, &hooks);
     let serial = grade(1);
     assert_eq!(serial.stats.threads, 1);
@@ -61,22 +62,26 @@ fn plasma_campaign_identical_serial_vs_parallel() {
         "need 3+ batches"
     );
     let budget = golden + opts.cycle_margin;
-    let grade = |threads, hooks: &CampaignHooks| {
+    let grade = |threads, hooks: &Telemetry| {
         let program = &selftest.program;
         flow::run_campaign_of_engine(&core, program, &faults, budget, threads, hooks, opts.engine)
     };
-    let serial = grade(1, &CampaignHooks::none());
-    let par = grade(3, &CampaignHooks::none());
+    let serial = grade(1, &Telemetry::none());
+    let par = grade(3, &Telemetry::none());
     assert_eq!(par.detections, serial.detections);
     assert_eq!(par.stats.batches, serial.stats.batches);
     assert_eq!(par.stats.cycles_simulated, serial.stats.cycles_simulated);
     assert_eq!(par.stats.threads, 3);
 
-    // With observability hooks attached (JSONL tracing), the parallel
-    // runner must still be bit-identical — the hooks never touch
-    // simulation state.
+    // With observability hooks attached (JSONL tracing, plus the live
+    // bus as a second sink), the parallel runner must still be
+    // bit-identical — the hooks never touch simulation state.
     let path = std::env::temp_dir().join("sbst_parallel_campaign_trace.jsonl");
-    let hooks = CampaignHooks::with_tracer(obs::Tracer::to_path(&path).unwrap());
+    let bus = obs::EventBus::new(4096);
+    let hooks = Telemetry {
+        tracer: obs::Tracer::to_path(&path).unwrap().with_bus(bus.clone()),
+        ..Telemetry::none()
+    };
     let traced = grade(3, &hooks);
     assert_eq!(traced.detections, serial.detections);
     assert_eq!(traced.stats.latency, serial.stats.latency);
@@ -90,6 +95,29 @@ fn plasma_campaign_identical_serial_vs_parallel() {
     }
     assert!(lines[0].contains("\"ev\":\"campaign_begin\""));
     assert!(lines.last().unwrap().contains("\"ev\":\"campaign_end\""));
+    // The bus carried the same events: kinds and fields as multisets,
+    // without either sink's envelope (`us`/`tid`, `seq`/`ms`) and the
+    // wall-clock `dur_us`.
+    let fields = |line: &str| {
+        let v: serde_json::Value = serde_json::from_str(line).unwrap();
+        let kept: Vec<String> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .filter(|(k, _)| !matches!(k.as_str(), "us" | "tid" | "seq" | "ms" | "dur_us"))
+            .map(|(k, v)| format!("{k}={}", serde_json::to_string(v).unwrap()))
+            .collect();
+        kept.join(",")
+    };
+    let mut jsonl: Vec<String> = lines.iter().map(|l| fields(l)).collect();
+    let mut frames: Vec<String> = bus
+        .poll_after(0, std::time::Duration::ZERO)
+        .iter()
+        .map(|(_, f)| fields(f))
+        .collect();
+    jsonl.sort();
+    frames.sort();
+    assert_eq!(frames, jsonl, "the bus and the JSONL saw different events");
     std::fs::remove_file(&path).ok();
 }
 

@@ -13,11 +13,12 @@
 
 use proptest::prelude::*;
 
-use fault::campaign::{self, CampaignHooks, Detection, VectorBench};
+use fault::campaign::{self, Detection, VectorBench};
 use fault::model::{Fault, FaultList, FaultSite, Polarity};
 use fault::sim::ParallelSim;
 use fault::EngineConfig;
 use netlist::{GateKind, Net, Netlist, NetlistBuilder, PortDir};
+use obs::Telemetry;
 
 /// Each gate kind's truth function on its `(a, b, c)` input pins.
 fn gate_fn(kind: GateKind, a: bool, b: bool, c: bool) -> bool {
@@ -249,7 +250,7 @@ proptest! {
         let oracle: Vec<Detection> =
             faults.faults.iter().map(|&f| first_detection(&nl, f, &vectors)).collect();
         let bench = || VectorBench::new(&nl, &vectors);
-        let hooks = CampaignHooks::none();
+        let hooks = Telemetry::none();
         let interp = campaign::run(&ParallelSim::new(&nl), &faults, bench, 1, &hooks);
         prop_assert_eq!(&interp.detections, &oracle, "ParallelSim vs the scalar oracle");
         let segments = [nl.topo_order().to_vec()];
