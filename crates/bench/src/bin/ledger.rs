@@ -15,9 +15,11 @@
 //!
 //! The gate compares the *latest* record against earlier comparable ones
 //! (same kind + netlist fingerprint + fault count; throughput additionally
-//! requires the same thread count). Defaults: fail on a >10% throughput
-//! drop versus the best comparable run, or on any coverage drop. A ledger
-//! with no comparable baseline passes — a first run cannot regress.
+//! requires the same thread count, engine, lanes and shards). Throughput
+//! is graded faults per wall second, or Mlane-cyc/s for a record without
+//! faults (difftest). Defaults: fail on a >10% throughput drop versus the
+//! best comparable run, or on any coverage drop. A ledger with no
+//! comparable baseline passes — a first run cannot regress.
 
 use std::process::ExitCode;
 
@@ -71,15 +73,18 @@ fn main() -> ExitCode {
             eprintln!("--append-degraded: ledger at {} is empty", ledger_path.display());
             return ExitCode::from(2);
         };
+        // The same run `factor` times as fast, whichever rate it gates.
         let mut rec = last.clone();
         rec.cmd = format!("ledger --append-degraded {factor}");
+        rec.wall_seconds /= factor;
         rec.mlane_cps *= factor;
         ledger::append(&ledger_path, &rec).expect("append degraded record");
         eprintln!(
-            "[degraded clone of the last `{}` record appended: {:.2} -> {:.2} Mlane-cyc/s]",
+            "[degraded clone of the last `{}` record appended: {:.2} -> {:.2} {}]",
             rec.kind,
-            last.mlane_cps,
-            rec.mlane_cps
+            last.gated_rate(),
+            rec.gated_rate(),
+            rec.gated_unit()
         );
     }
 

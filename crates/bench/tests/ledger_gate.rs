@@ -22,15 +22,17 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn record(ts: u64, mlane_cps: f64, coverage: f64) -> LedgerRecord {
+/// A 400-fault campaign record graded at `faults_per_s`; its
+/// Mlane-cyc/s stays fixed, so only faults/s can move the gate.
+fn record(ts: u64, faults_per_s: f64, coverage: f64) -> LedgerRecord {
     let mut r = LedgerRecord::now("tables-stats", "test");
     r.ts = ts;
     r.netlist = "n10/g20/d3".into();
     r.threads = 2;
     r.faults = 400;
     r.cycles = 50_000;
-    r.wall_seconds = 1.0;
-    r.mlane_cps = mlane_cps;
+    r.wall_seconds = 400.0 / faults_per_s;
+    r.mlane_cps = 2.5;
     r.coverage_pct = Some(coverage);
     r
 }
@@ -40,8 +42,8 @@ fn gate_passes_on_steady_ledger_and_writes_trend_json() {
     let dir = scratch("pass");
     let ledger_path = dir.join("LEDGER.jsonl");
     let trend_path = dir.join("BENCH_trend.json");
-    ledger::append(&ledger_path, &record(1000, 2.50, 93.3)).unwrap();
-    ledger::append(&ledger_path, &record(2000, 2.45, 93.3)).unwrap();
+    ledger::append(&ledger_path, &record(1000, 250.0, 93.3)).unwrap();
+    ledger::append(&ledger_path, &record(2000, 245.0, 93.3)).unwrap();
 
     let out = Command::new(bin())
         .args(["--ledger"])
@@ -67,8 +69,8 @@ fn gate_passes_on_steady_ledger_and_writes_trend_json() {
 fn gate_fails_on_throughput_regression() {
     let dir = scratch("fail");
     let ledger_path = dir.join("LEDGER.jsonl");
-    ledger::append(&ledger_path, &record(1000, 2.50, 93.3)).unwrap();
-    ledger::append(&ledger_path, &record(2000, 2.00, 93.3)).unwrap(); // -20%
+    ledger::append(&ledger_path, &record(1000, 250.0, 93.3)).unwrap();
+    ledger::append(&ledger_path, &record(2000, 200.0, 93.3)).unwrap(); // -20%
 
     let out = Command::new(bin())
         .args(["--ledger"])
@@ -99,8 +101,8 @@ fn gate_fails_on_throughput_regression() {
 fn gate_fails_on_any_coverage_drop() {
     let dir = scratch("cov");
     let ledger_path = dir.join("LEDGER.jsonl");
-    ledger::append(&ledger_path, &record(1000, 2.50, 93.3)).unwrap();
-    ledger::append(&ledger_path, &record(2000, 2.50, 92.8)).unwrap();
+    ledger::append(&ledger_path, &record(1000, 250.0, 93.3)).unwrap();
+    ledger::append(&ledger_path, &record(2000, 250.0, 92.8)).unwrap();
 
     let out = Command::new(bin())
         .args(["--ledger"])
@@ -118,7 +120,7 @@ fn gate_fails_on_any_coverage_drop() {
 fn append_degraded_forces_a_gate_failure() {
     let dir = scratch("degraded");
     let ledger_path = dir.join("LEDGER.jsonl");
-    ledger::append(&ledger_path, &record(1000, 2.50, 93.3)).unwrap();
+    ledger::append(&ledger_path, &record(1000, 250.0, 93.3)).unwrap();
 
     // One record alone passes (a first run cannot regress)...
     let out = Command::new(bin())
@@ -146,7 +148,8 @@ fn append_degraded_forces_a_gate_failure() {
     let (records, skipped) = ledger::load(&ledger_path).unwrap();
     assert_eq!(records.len(), 2, "degraded clone was appended");
     assert_eq!(skipped, 0);
-    assert!((records[1].mlane_cps - 1.25).abs() < 1e-9);
+    assert!((records[1].gated_rate() - 125.0).abs() < 1e-9);
+    assert_eq!(records[1].gated_unit(), "faults/s");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -161,12 +164,12 @@ fn gate_never_compares_across_shard_counts() {
     let dir = scratch("shards");
     let ledger_path = dir.join("LEDGER.jsonl");
     // Single-shot lineage: steady.
-    ledger::append(&ledger_path, &record(1000, 2.50, 93.3)).unwrap();
-    ledger::append(&ledger_path, &record(2000, 2.50, 93.3)).unwrap();
+    ledger::append(&ledger_path, &record(1000, 250.0, 93.3)).unwrap();
+    ledger::append(&ledger_path, &record(2000, 250.0, 93.3)).unwrap();
     // A 4-shard run of the same netlist/faults/threads at a fraction of
     // the single-shot throughput (per-shard wall clock differs): must
     // start its own lineage, not regress the 1-shard baseline.
-    let mut sharded = record(3000, 0.80, 93.3);
+    let mut sharded = record(3000, 80.0, 93.3);
     sharded.shards = 4;
     ledger::append(&ledger_path, &sharded).unwrap();
 
@@ -187,7 +190,7 @@ fn gate_never_compares_across_shard_counts() {
     // Within the 4-shard lineage the gate still bites: a big drop
     // against the 4-shard baseline fails even though the 1-shard
     // lineage is steady.
-    let mut slower = record(4000, 0.40, 93.3); // -50% vs the 4-shard run
+    let mut slower = record(4000, 40.0, 93.3); // -50% vs the 4-shard run
     slower.shards = 4;
     ledger::append(&ledger_path, &slower).unwrap();
     let out = Command::new(bin())

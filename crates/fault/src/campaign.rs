@@ -72,8 +72,8 @@ struct CachePadded<T>(T);
 /// the observation points this cycle. The processor testbenches in the
 /// `plasma` and `parwan` crates implement this with per-lane memory
 /// overlays; simple vector application is provided here by
-/// [`VectorBench`]. Forensics and wave capture replay through the
-/// same benches.
+/// [`VectorBench`]. The forensics evidence pass and wave capture run
+/// the same benches.
 pub trait Testbench<S: LaneSim> {
     /// Prepare for a fresh batch. Called after faults are injected and the
     /// simulator's flip-flops are reset.
@@ -446,9 +446,8 @@ impl CampaignResult {
 const FIRST_BOUNDARY: u64 = 128;
 
 /// End of the epoch starting at `start`: the first boundary of 128,
-/// 256, 512, … past `start`, capped at `budget`. The forensics replay
-/// regroups its unresolved escapes at the same boundaries.
-pub(crate) fn epoch_end(start: u64, budget: u64) -> u64 {
+/// 256, 512, … past `start`, capped at `budget`.
+fn epoch_end(start: u64, budget: u64) -> u64 {
     let mut end = FIRST_BOUNDARY;
     while end <= start {
         end *= 2;
@@ -460,7 +459,7 @@ pub(crate) fn epoch_end(start: u64, budget: u64) -> u64 {
 /// ([`LaneSim::save_lane`]) and its bench state
 /// ([`Testbench::save_lane`]).
 #[derive(Debug)]
-pub(crate) struct LaneState {
+struct LaneState {
     flops: Vec<u64>,
     /// Shared with lane 0's when equal: where a bench observes every
     /// memory write, an undetected lane wrote exactly what lane 0 wrote,
@@ -470,7 +469,7 @@ pub(crate) struct LaneState {
 
 impl LaneState {
     /// Park lane `lane`, sharing `lane0`'s bench state when equal.
-    pub(crate) fn save<S: LaneSim, T: Testbench<S> + ?Sized>(
+    fn save<S: LaneSim, T: Testbench<S> + ?Sized>(
         sim: &S,
         tb: &T,
         lane: usize,
@@ -489,7 +488,7 @@ impl LaneState {
 
     /// Restore this parked state into lane `lane` (after
     /// [`Testbench::begin`]).
-    pub(crate) fn load<S: LaneSim, T: Testbench<S> + ?Sized>(
+    fn load<S: LaneSim, T: Testbench<S> + ?Sized>(
         &self,
         sim: &mut S,
         tb: &mut T,

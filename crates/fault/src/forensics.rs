@@ -10,10 +10,9 @@
 //! 2. **testability**: SCOAP controllability/observability
 //!    ([`crate::scoap`]) — is the exciting value structurally
 //!    producible, is the site structurally observable?
-//! 3. **activation**: an evidence replay of the self-test with the
-//!    escaped faults re-injected — was the site ever driven to the
-//!    fault-exciting value by the fault-free machine, and did the
-//!    faulty machine ever diverge past the site's reading gates?
+//! 3. **activation**: one fault-free run of the self-test — was the
+//!    site ever driven to the fault-exciting value, and did forcing it
+//!    to the stuck value ever change a reader of the site?
 //!
 //! — and classifies it into **exactly one** detectability bucket
 //! ([`Bucket`]). The headline figure is *testable coverage*:
@@ -24,24 +23,23 @@
 //! The structural pass indexes the netlist's net readers once
 //! ([`Fanout`]) and walks every escape's cone on that index.
 //!
-//! The replay is pure post-processing on any [`LaneSim`] — the flow
-//! replays on the compiled engine, fitted to the escape count: it never
-//! alters campaign detection results, and the report deliberately
-//! contains no wall-clock, engine, or lane-count fields, so its JSON is
-//! byte-identical to a replay on the interpreted reference at every
-//! width and thread count (pinned by the determinism tests in `sbst`).
-//! Like a campaign, it compacts survivors: batches advance in epochs
-//! ending at the campaign's cycle boundaries (128, 256, 512, …), and at
-//! each boundary the escapes still lacking evidence are regrouped into
-//! full batches, each lane carrying its flip-flops and bench state, so
-//! no lane keeps replaying an escape whose evidence is complete.
+//! The evidence pass simulates no faulty machine. Until a fault first
+//! propagates, its machine *is* the fault-free machine on every net but
+//! the site, so both evidence cycles can be read off lane 0 and the
+//! site's readers (see [`analyze`] for why this is exact and the bench
+//! contract it needs). It costs one fault-free run of the budget, at
+//! most, however many escapes there are; it never alters campaign
+//! detection results, and the report deliberately contains no
+//! wall-clock, engine, or lane-count fields, so its JSON is
+//! byte-identical on every engine, width and thread count (pinned by
+//! the determinism tests in `sbst`).
 
-use crate::campaign::{epoch_end, latency_of, CampaignResult, LaneState, Testbench};
+use crate::campaign::{latency_of, CampaignResult, Testbench};
 use crate::model::{Fault, FaultSite, Polarity};
 use crate::scoap::{self, INF};
 use crate::sim::LaneSim;
 use netlist::cone::Fanout;
-use netlist::{Net, Netlist};
+use netlist::{Gate, Net, Netlist};
 use obs::LatencyHistogram;
 use serde_json::{Map, Value};
 
@@ -157,10 +155,10 @@ pub struct EscapeForensics {
     /// Whether the fanout cone contains at least one observed output.
     pub reaches_observed: bool,
     /// First cycle the fault-free machine drove the site to the
-    /// exciting value, if ever (replay evidence).
+    /// exciting value, sampled after the clock edge, if ever.
     pub first_excited: Option<u64>,
     /// First cycle the faulty machine diverged on an effect-origin net
-    /// (past the site's readers), if ever (replay evidence).
+    /// (past the site's readers), sampled after the clock edge, if ever.
     pub first_propagated: Option<u64>,
 }
 
@@ -226,25 +224,49 @@ pub struct ForensicsReport {
     pub escapes: Vec<EscapeForensics>,
 }
 
-/// Replay bookkeeping for one escape awaiting activation evidence.
-struct PendingEscape {
-    idx: usize,
-    site: Net,
-    excite_high: bool,
-    origin: Vec<Net>,
-}
-
 /// Build the forensics report for a finished campaign.
 ///
 /// `observed` is the set of output nets the campaign's detection
-/// criterion monitored. `sim`/`tb` replay the same self-test to gather
-/// activation evidence, `sim.lanes() - 1` escapes per batch (lane 0
-/// stays the fault-free reference); an escape's lane retires once its
-/// first-excited and first-propagated cycles are both known, and the
-/// unresolved escapes regroup into full batches, each lane carrying its
-/// flip-flops and bench state, at the campaign's epoch boundaries. The
-/// replay is pure post-processing — campaign results are never
-/// modified, and the report does not depend on the engine or its width.
+/// criterion monitored. `sim`/`tb` run the same self-test once, fault
+/// free, to gather activation evidence for every testable escape; only
+/// lane 0 is read, so the width does not matter. After each
+/// [`Testbench::step`]:
+///
+/// * `first_excited` is the first cycle lane 0 holds the site at the
+///   exciting value;
+/// * `first_propagated` is the first cycle at which one of the site's
+///   readers changes its output when the site is forced to the stuck
+///   value, evaluated on the values that reader saw in that cycle — gate
+///   outputs and ports as they stand after the step, flip-flop outputs
+///   as they stood before it (their reset values in cycle 0) — or at
+///   which a flip-flop latches the site while it differs from the stuck
+///   value.
+///
+/// The pass stops once every testable escape has both cycles, and does
+/// not run when no escape is testable.
+///
+/// **Why this is exact.** Until its first propagation, a faulty machine
+/// equals the fault-free machine on every net but the site. Any other
+/// net can first differ only through a gate that reads a differing net,
+/// a flip-flop that latches one, or a port the bench drives
+/// differently; so the first gate or flip-flop to differ reads the site
+/// itself, and in that cycle every input it reads but the site holds
+/// lane 0's value. A flip-flop's effect shows after the clock edge, and
+/// the pass samples after the step, so a latching flip-flop counts in
+/// the cycle of that edge. Debug builds check the model of what a
+/// reader sees: each reader's fault-free output, recomputed from the
+/// values it saw, must equal the simulator's.
+///
+/// **Bench contract.** A bench may feed a lane only from outputs it
+/// observes. An escape's observed outputs never differed (the campaign
+/// would have detected it), so neither did any port the bench drove.
+/// The Plasma bench's `mem_rdata`, for instance, comes from
+/// `mem_addr`, `mem_wdata`, `mem_we` and `mem_be`, all four observed;
+/// the Parwan bench likewise. A bench that feeds nothing back, such as
+/// [`crate::campaign::VectorBench`], meets it for any fault list.
+///
+/// The report is pure post-processing — campaign results are never
+/// modified, and it does not depend on the engine or its width.
 pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
     nl: &Netlist,
     result: &CampaignResult,
@@ -257,20 +279,19 @@ pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
     let faults = &result.faults;
 
     // Structural pass: SCOAP + cone for every escape; untestable ones
-    // are classified here and skip the replay.
+    // are classified here and gather no evidence.
     let fanout = Fanout::new(nl);
     let mut escapes: Vec<EscapeForensics> = Vec::new();
-    let mut pending: Vec<PendingEscape> = Vec::new();
+    let mut open: Vec<Open> = Vec::new();
     for (i, det) in result.detections.iter().enumerate() {
         if det.is_detected() {
             continue;
         }
         let fault = faults.faults[i];
         let site = site_net(nl, fault.site);
-        let origin = effect_origin(nl, fault.site);
         // The effect cone grows from the origin nets; a stem fault also
         // forces the net itself (it may be a monitored output).
-        let mut seeds = origin.clone();
+        let mut seeds = effect_origin(nl, fault.site);
         if matches!(fault.site, FaultSite::Stem(_)) {
             seeds.push(site);
         }
@@ -298,16 +319,11 @@ pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
             first_propagated: None,
         });
         if cc_excite < INF && co < INF && reaches {
-            pending.push(PendingEscape {
-                idx,
-                site,
-                excite_high: matches!(fault.polarity, Polarity::StuckAt0),
-                origin,
-            });
+            open.push(Open::new(nl, &fanout, idx, fault, site));
         }
     }
 
-    replay(sim, tb, &pending, &mut escapes);
+    gather_evidence(nl, sim, tb, open, &mut escapes);
 
     // Classification: an if/else chain, so every escape lands in
     // exactly one bucket. Propagation evidence outranks excitation
@@ -378,106 +394,188 @@ pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
     }
 }
 
-/// Whether an escape's replay evidence is complete: both its
-/// first-excited and first-propagated cycles are known.
-fn resolved(e: &EscapeForensics) -> bool {
-    e.first_excited.is_some() && e.first_propagated.is_some()
+/// A testable escape the evidence pass still lacks a cycle for, with
+/// the readers its stuck value reaches.
+struct Open {
+    /// Index into the report's escapes.
+    idx: usize,
+    /// The net the fault sits on ([`site_net`]).
+    site: Net,
+    /// The fault-exciting value: the opposite of the stuck value.
+    excite: bool,
+    /// Gates the stuck value reaches, each with the mask of input pins
+    /// it reaches: every pin reading the site for a stem fault, the
+    /// faulted pin alone for a pin fault.
+    gates: Vec<(u32, u8)>,
+    /// Flip-flops that latch the stuck value: every one clocking the
+    /// site in for a stem fault, the faulted one for a D-pin fault.
+    flops: Vec<u32>,
 }
 
-/// Activation-evidence replay: re-run the self-test with the `pending`
-/// escapes injected, `sim.lanes() - 1` per batch, watching the
-/// fault-free site value (excitation, read from lane 0) and each lane's
-/// divergence from lane 0 on its effect-origin nets (propagation), and
-/// record both first cycles in `escapes`. A batch stops once every lane
-/// in it is [`resolved`].
-///
-/// Batches advance in epochs ending at the campaign's boundaries (128,
-/// 256, 512, …, capped at the budget; a lone batch runs straight to the
-/// budget). At each boundary the unresolved escapes are regrouped, in
-/// pending order, into full batches: each lane's flip-flops and bench
-/// words move with it, and lane 0 — fault-free, so the same machine in
-/// every batch — is restored from the boundary state. A lane's future
-/// depends only on its fault, its flip-flops and its bench words, so the
-/// evidence is exactly that of an unbroken replay.
-fn replay<S: LaneSim, T: Testbench<S> + ?Sized>(
-    sim: &mut S,
-    tb: &mut T,
-    pending: &[PendingEscape],
-    escapes: &mut [EscapeForensics],
-) {
-    let budget = tb.cycles();
-    let chunk = sim.lanes() - 1;
-    let (mut step_diff, mut diff) = (vec![0; sim.lane_words()], vec![0; sim.lane_words()]);
-    // The epoch's unresolved escapes (in pending order), their parked
-    // lanes and lane 0's (none at cycle 0: reset).
-    let mut live: Vec<&PendingEscape> = pending.iter().collect();
-    let mut parked: Vec<LaneState> = Vec::new();
-    let mut lane0: Option<LaneState> = None;
-    let mut start = 0;
-    while !live.is_empty() {
-        let end = if live.len() > chunk {
-            epoch_end(start, budget)
-        } else {
-            budget
-        };
-        let mut parked_in = parked.into_iter();
-        let (mut next_live, mut next_parked, mut next_lane0) = (Vec::new(), Vec::new(), None);
-        for batch in live.chunks(chunk) {
-            sim.clear_faults();
-            for (k, p) in batch.iter().enumerate() {
-                sim.inject(escapes[p.idx].fault, k + 1);
-            }
-            sim.reset_state();
-            tb.begin(sim);
-            if let Some(l0) = &lane0 {
-                l0.load(sim, tb, 0);
-                for (k, lane) in parked_in.by_ref().take(batch.len()).enumerate() {
-                    lane.load(sim, tb, k + 1);
-                }
-            }
-            let mut unresolved = batch.len();
-            for cycle in start..end {
-                step_diff.fill(0);
-                tb.step(sim, cycle, &mut step_diff);
-                if unresolved == 0 {
-                    break;
-                }
-                for (k, p) in batch.iter().enumerate() {
-                    let e = &mut escapes[p.idx];
-                    if resolved(e) {
+impl Open {
+    fn new(nl: &Netlist, fanout: &Fanout, idx: usize, fault: Fault, site: Net) -> Open {
+        let (gates, flops) = match fault.site {
+            FaultSite::Stem(n) => {
+                let (gate_readers, dff_readers) = fanout.readers(n);
+                let mut gates: Vec<(u32, u8)> = Vec::new();
+                for &g in gate_readers {
+                    // A gate reading the net on several pins is listed
+                    // once per pin, adjacently.
+                    if gates.last().is_some_and(|&(last, _)| last == g) {
                         continue;
                     }
-                    if e.first_excited.is_none() {
-                        let good_high = sim.net_lanes_word(p.site, 0) & 1 == 1;
-                        if good_high == p.excite_high {
-                            e.first_excited = Some(cycle);
-                        }
-                    }
-                    if e.first_propagated.is_none() && !p.origin.is_empty() {
-                        diff.fill(0);
-                        sim.diff_vs_lane0(&p.origin, &mut diff);
-                        let lane = k + 1;
-                        if (diff[lane / 64] >> (lane % 64)) & 1 == 1 {
-                            e.first_propagated = Some(cycle);
-                        }
-                    }
-                    if resolved(e) {
-                        unresolved -= 1;
-                    }
+                    let pins = nl.gates()[g as usize]
+                        .used_inputs()
+                        .enumerate()
+                        .filter(|&(_, input)| input == n)
+                        .fold(0, |mask, (pin, _)| mask | 1 << pin);
+                    gates.push((g, pins));
                 }
+                (gates, dff_readers.to_vec())
             }
-            if unresolved > 0 && end < budget {
-                let l0 = LaneState::save(sim, tb, 0, None);
-                for (k, &p) in batch.iter().enumerate() {
-                    if !resolved(&escapes[p.idx]) {
-                        next_live.push(p);
-                        next_parked.push(LaneState::save(sim, tb, k + 1, Some(&l0)));
-                    }
+            FaultSite::Pin { gate, pin } => (vec![(gate, 1 << pin)], Vec::new()),
+            FaultSite::DffD(ff) => (Vec::new(), vec![ff]),
+        };
+        Open {
+            idx,
+            site,
+            excite: fault.polarity == Polarity::StuckAt0,
+            gates,
+            flops,
+        }
+    }
+
+    /// Whether forcing the site to the stuck value changes what one of
+    /// its readers produces in a cycle whose reader inputs are `seen`.
+    fn propagates(&self, nl: &Netlist, seen: &[bool]) -> bool {
+        // Forcing the site to the value it holds changes nothing.
+        if seen[self.site.index()] != self.excite {
+            return false;
+        }
+        !self.flops.is_empty()
+            || self.gates.iter().any(|&(g, pins)| {
+                let gate = &nl.gates()[g as usize];
+                output(gate, seen, pins, !self.excite) != output(gate, seen, 0, false)
+            })
+    }
+
+    /// The self-check of what a reader sees: each reader's fault-free
+    /// output, recomputed from `seen`, must be the simulator's lane 0
+    /// after the step.
+    fn check_readers<S: LaneSim>(&self, nl: &Netlist, seen: &[bool], sim: &S, cycle: u64) {
+        for &(g, _) in &self.gates {
+            let gate = &nl.gates()[g as usize];
+            assert_eq!(
+                output(gate, seen, 0, false),
+                lane0(sim, gate.output),
+                "gate {g} at cycle {cycle}: recomputed output differs from the simulator's"
+            );
+        }
+        for &f in &self.flops {
+            assert_eq!(
+                seen[self.site.index()],
+                lane0(sim, nl.dffs()[f as usize].q),
+                "flip-flop {f} at cycle {cycle}: latched value differs from the simulator's"
+            );
+        }
+    }
+}
+
+/// `gate`'s output on the input values in `seen`, with the pins in the
+/// `forced` mask reading `stuck` instead.
+fn output(gate: &Gate, seen: &[bool], forced: u8, stuck: bool) -> bool {
+    let pin = |p: usize| {
+        if p >= gate.kind.arity() {
+            false
+        } else if forced >> p & 1 == 1 {
+            stuck
+        } else {
+            seen[gate.inputs[p].index()]
+        }
+    };
+    gate.kind.eval(pin(0), pin(1), pin(2))
+}
+
+/// Lane 0's value of `net`.
+fn lane0<S: LaneSim>(sim: &S, net: Net) -> bool {
+    sim.net_lanes_word(net, 0) & 1 == 1
+}
+
+/// The nets `open` reads — every site and every input of the gates its
+/// stuck values reach — split into flip-flop outputs and the rest.
+fn watched(nl: &Netlist, open: &[Open], is_flop: &[bool]) -> (Vec<Net>, Vec<Net>) {
+    let mut marked = vec![false; nl.num_nets()];
+    let (mut flops, mut rest) = (Vec::new(), Vec::new());
+    for o in open {
+        let inputs = o.gates.iter().flat_map(|&(g, _)| nl.gates()[g as usize].used_inputs());
+        for n in std::iter::once(o.site).chain(inputs) {
+            if !std::mem::replace(&mut marked[n.index()], true) {
+                if is_flop[n.index()] {
+                    flops.push(n);
+                } else {
+                    rest.push(n);
                 }
-                next_lane0.get_or_insert(l0);
             }
         }
-        (live, parked, lane0, start) = (next_live, next_parked, next_lane0, end);
+    }
+    (flops, rest)
+}
+
+/// The evidence pass (see [`analyze`]): run `tb` once on a fault-free
+/// `sim` and record each open escape's first-excited and
+/// first-propagated cycles in `escapes`, reading only the nets the
+/// escapes still open need.
+fn gather_evidence<S: LaneSim, T: Testbench<S> + ?Sized>(
+    nl: &Netlist,
+    sim: &mut S,
+    tb: &mut T,
+    mut open: Vec<Open>,
+    escapes: &mut [EscapeForensics],
+) {
+    if open.is_empty() {
+        return;
+    }
+    let mut is_flop = vec![false; nl.num_nets()];
+    for d in nl.dffs() {
+        is_flop[d.q.index()] = true;
+    }
+    let (mut flops, mut rest) = watched(nl, &open, &is_flop);
+    // What the readers see this cycle: flip-flop outputs as they stood
+    // before the clock edge, every other net as it stands after it.
+    let mut seen = vec![false; nl.num_nets()];
+    let mut diff = vec![0; sim.lane_words()];
+    sim.clear_faults();
+    sim.reset_state();
+    tb.begin(sim);
+    for cycle in 0..tb.cycles() {
+        for &n in &flops {
+            seen[n.index()] = lane0(sim, n);
+        }
+        diff.fill(0);
+        tb.step(sim, cycle, &mut diff);
+        for &n in &rest {
+            seen[n.index()] = lane0(sim, n);
+        }
+        let before = open.len();
+        open.retain(|o| {
+            if cfg!(debug_assertions) {
+                o.check_readers(nl, &seen, sim, cycle);
+            }
+            let e = &mut escapes[o.idx];
+            if e.first_excited.is_none() && lane0(sim, o.site) == o.excite {
+                e.first_excited = Some(cycle);
+            }
+            if e.first_propagated.is_none() && o.propagates(nl, &seen) {
+                e.first_propagated = Some(cycle);
+            }
+            e.first_excited.is_none() || e.first_propagated.is_none()
+        });
+        if open.is_empty() {
+            break;
+        }
+        if open.len() < before {
+            (flops, rest) = watched(nl, &open, &is_flop);
+        }
     }
 }
 

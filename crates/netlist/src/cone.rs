@@ -13,8 +13,8 @@
 //! fault's effect decides whether it can structurally reach an observed
 //! output at all and names the components it touches (a probe spec for
 //! wave capture); the fanin cone lists what controls the site. The
-//! forensics replay itself watches only the effect-origin nets, not the
-//! cone.
+//! forensics evidence pass reads only the site's readers
+//! ([`Fanout::readers`]), not the cone.
 //!
 //! A fanout walk needs each net's readers. [`Fanout`] indexes them once
 //! per netlist, so a caller walking many cones — forensics walks one
@@ -183,6 +183,14 @@ impl Fanout {
             gate_readers,
             dff_readers,
         }
+    }
+
+    /// The readers of `net`: the gates reading it (indices into
+    /// [`Netlist::gates`], ascending, one entry per input pin that reads
+    /// it) and the flip-flops clocking it in (indices into
+    /// [`Netlist::dffs`], ascending).
+    pub fn readers(&self, net: Net) -> (&[u32], &[u32]) {
+        (&self.gate_readers[net.index()], &self.dff_readers[net.index()])
     }
 
     /// The transitive fanout cone of `seeds` in `nl`, the netlist this

@@ -16,6 +16,13 @@
 //! same thread count, engine, and lane width — a 1-thread run is not
 //! slower than an 8-thread one, and an interpreted 64-lane run is not
 //! slower than a compiled 256-lane one; they are different experiments).
+//! The throughput the gate compares is [`LedgerRecord::gated_rate`]:
+//! graded faults per wall second for a record that graded faults — the
+//! goal of a campaign — rather than `mlane_cps`, which counts every
+//! simulated lane-cycle as work and so moves opposite to faults/s when
+//! survivor compaction stops simulating dead lanes. A record without
+//! faults (`difftest`) keeps gating on `mlane_cps`. The trend table
+//! shows both rates.
 //! Coverage, by contrast, is engine- and lane-invariant (the engines are
 //! bit-identical by construction), so the coverage gate deliberately
 //! compares across engines. Records whose schema version is
@@ -78,7 +85,9 @@ pub struct LedgerRecord {
     pub cycles: u64,
     /// Wall-clock seconds of the measured section.
     pub wall_seconds: f64,
-    /// Throughput in millions of lane-cycles per second.
+    /// Throughput in millions of lane-cycles per second: simulation
+    /// effort, gated only for records without faults (see
+    /// [`LedgerRecord::gated_rate`]).
     pub mlane_cps: f64,
     /// Useful ÷ spent lane-cycles of a fault campaign (the share of
     /// simulated lanes that carried a live fault); `None` for other runs
@@ -125,6 +134,26 @@ impl LedgerRecord {
             testable_coverage: None,
             latency: Value::Null,
             extra: Map::new(),
+        }
+    }
+
+    /// Graded faults per wall second, for a record that graded faults.
+    pub fn faults_per_sec(&self) -> Option<f64> {
+        (self.faults > 0 && self.wall_seconds > 0.0).then(|| self.faults as f64 / self.wall_seconds)
+    }
+
+    /// The throughput the regression gate compares:
+    /// [`LedgerRecord::faults_per_sec`] where the record has it, else
+    /// `mlane_cps`.
+    pub fn gated_rate(&self) -> f64 {
+        self.faults_per_sec().unwrap_or(self.mlane_cps)
+    }
+
+    /// Unit of [`LedgerRecord::gated_rate`].
+    pub fn gated_unit(&self) -> &'static str {
+        match self.faults_per_sec() {
+            Some(_) => "faults/s",
+            None => "Mlane-cyc/s",
         }
     }
 
@@ -338,8 +367,9 @@ pub struct GateConfig {
     /// Baseline selection policy.
     pub baseline: Baseline,
     /// Maximum tolerated throughput drop, percent of baseline (default
-    /// 10.0). Throughput is compared only between records with equal
-    /// kind, netlist, faults, and threads.
+    /// 10.0). Throughput ([`LedgerRecord::gated_rate`]) is compared only
+    /// between records with equal kind, netlist, faults, threads,
+    /// engine, lanes and shards.
     pub max_throughput_drop_pct: f64,
     /// Maximum tolerated coverage drop, in percentage points (default
     /// 0.0 — any drop fails). Compared between records with equal kind,
@@ -421,28 +451,30 @@ pub fn check(records: &[LedgerRecord], cfg: &GateConfig) -> GateReport {
     // Throughput.
     let tp_candidates: Vec<&LedgerRecord> = prior
         .iter()
-        .filter(|r| comparable_throughput(r, latest) && r.mlane_cps > 0.0)
+        .filter(|r| comparable_throughput(r, latest) && r.gated_rate() > 0.0)
         .collect();
     let tp_base = match cfg.baseline {
         Baseline::Best => tp_candidates
             .iter()
             .copied()
-            .max_by(|a, b| a.mlane_cps.total_cmp(&b.mlane_cps)),
+            .max_by(|a, b| a.gated_rate().total_cmp(&b.gated_rate())),
         Baseline::Last => tp_candidates.last().copied(),
     };
     match tp_base {
-        Some(base) if latest.mlane_cps > 0.0 => {
-            let drop = 100.0 * (base.mlane_cps - latest.mlane_cps) / base.mlane_cps;
+        Some(base) if latest.gated_rate() > 0.0 => {
+            let (now, then) = (latest.gated_rate(), base.gated_rate());
+            let drop = 100.0 * (then - now) / then;
             findings.push(GateFinding {
                 metric: "throughput".into(),
-                current: latest.mlane_cps,
-                baseline: base.mlane_cps,
+                current: now,
+                baseline: then,
                 drop,
                 regressed: drop > cfg.max_throughput_drop_pct,
             });
             notes.push(format!(
-                "throughput baseline: {} Mlane-cyc/s from {} ({})",
-                fmt2(base.mlane_cps),
+                "throughput baseline: {} {} from {} ({})",
+                fmt2(then),
+                base.gated_unit(),
                 base.git,
                 format_utc(base.ts)
             ));
@@ -535,8 +567,9 @@ fn fmt2(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Render the ledger as per-kind trend tables with deltas against the
-/// best and the previous comparable run.
+/// Render the ledger as per-kind trend tables: faults/s and Mlane-cyc/s
+/// per run, the gated rate's delta against the best comparable earlier
+/// run, and coverage with its delta against the previous one.
 pub fn trend_table(records: &[LedgerRecord]) -> String {
     if records.is_empty() {
         return "(ledger is empty)\n".to_string();
@@ -552,21 +585,24 @@ pub fn trend_table(records: &[LedgerRecord]) -> String {
         let rows: Vec<&LedgerRecord> = records.iter().filter(|r| r.kind == kind).collect();
         out.push_str(&format!("== {kind} ({} run(s)) ==\n", rows.len()));
         out.push_str(&format!(
-            "{:<20} {:<18} {:>3} {:>8} {:>5} {:>3} {:>8} {:>12} {:>9} {:>8} {:>8}\n",
-            "when (UTC)", "git", "thr", "engine", "lanes", "sh", "faults", "Mlane-cyc/s", "Δbest%", "cov%", "Δcov"
+            "{:<20} {:<18} {:>3} {:>8} {:>5} {:>3} {:>8} {:>10} {:>12} {:>9} {:>8} {:>8}\n",
+            "when (UTC)", "git", "thr", "engine", "lanes", "sh", "faults", "faults/s", "Mlane-cyc/s", "Δbest%", "cov%", "Δcov"
         ));
         for (i, r) in rows.iter().enumerate() {
-            // Best comparable throughput among earlier rows of this kind.
+            // Gated rate against the best comparable earlier row.
             let best = rows[..i]
                 .iter()
-                .filter(|p| comparable_throughput(p, r) && p.mlane_cps > 0.0)
-                .map(|p| p.mlane_cps)
+                .filter(|p| comparable_throughput(p, r) && p.gated_rate() > 0.0)
+                .map(|p| p.gated_rate())
                 .fold(f64::NAN, f64::max);
-            let dbest = if best.is_nan() || r.mlane_cps <= 0.0 {
+            let dbest = if best.is_nan() || r.gated_rate() <= 0.0 {
                 "-".to_string()
             } else {
-                format!("{:+.1}", 100.0 * (r.mlane_cps - best) / best)
+                format!("{:+.1}", 100.0 * (r.gated_rate() - best) / best)
             };
+            let faults_per_s = r
+                .faults_per_sec()
+                .map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
             let prev_cov = rows[..i]
                 .iter()
                 .rev()
@@ -577,7 +613,7 @@ pub fn trend_table(records: &[LedgerRecord]) -> String {
                 _ => "-".to_string(),
             };
             out.push_str(&format!(
-                "{:<20} {:<18} {:>3} {:>8} {:>5} {:>3} {:>8} {:>12.2} {:>9} {:>8} {:>8}\n",
+                "{:<20} {:<18} {:>3} {:>8} {:>5} {:>3} {:>8} {:>10} {:>12.2} {:>9} {:>8} {:>8}\n",
                 format_utc(r.ts),
                 truncate(&r.git, 18),
                 r.threads,
@@ -585,6 +621,7 @@ pub fn trend_table(records: &[LedgerRecord]) -> String {
                 r.lanes,
                 r.shards,
                 r.faults,
+                faults_per_s,
                 r.mlane_cps,
                 dbest,
                 r.coverage_pct
@@ -643,7 +680,8 @@ pub fn trend_json(records: &[LedgerRecord], gate: Option<&GateReport>) -> Value 
 mod tests {
     use super::*;
 
-    fn rec(kind: &str, threads: u64, cps: f64, cov: Option<f64>) -> LedgerRecord {
+    /// A record graded at `rate` faults/s, which is also its Mlane-cyc/s.
+    fn rec(kind: &str, threads: u64, rate: f64, cov: Option<f64>) -> LedgerRecord {
         LedgerRecord {
             schema: SCHEMA_VERSION,
             ts: 1_754_550_000,
@@ -657,8 +695,8 @@ mod tests {
             shards: 1,
             faults: 8000,
             cycles: 1_000_000,
-            wall_seconds: 1.0,
-            mlane_cps: cps,
+            wall_seconds: 8000.0 / rate,
+            mlane_cps: rate,
             lane_utilization: None,
             coverage_pct: cov,
             untestable_faults: 0,
@@ -764,8 +802,8 @@ mod tests {
             "single-shot lineage still gates itself: {rep:?}"
         );
         // Sharded runs gate against their own lineage.
-        let mut slower = sharded.clone();
-        slower.mlane_cps = 20.0;
+        let mut slower = rec("tables-stats", 8, 20.0, Some(80.0));
+        slower.shards = 4;
         slower.coverage_pct = Some(79.0);
         let rep = check(&[sharded, slower].to_vec(), &cfg);
         assert!(!rep.pass, "{rep:?}");
@@ -789,9 +827,9 @@ mod tests {
         // detections make it comparable).
         assert!(rep.findings.iter().any(|f| f.metric == "coverage"));
         // Same engine, different lane width: also incomparable.
-        let mut wide = compiled.clone();
+        let mut wide = rec("tables-stats", 8, 10.0, Some(92.0));
+        wide.engine = "compiled".into();
         wide.lanes = 512;
-        wide.mlane_cps = 10.0;
         let rep = check(&[compiled, wide].to_vec(), &cfg);
         assert!(rep.findings.iter().all(|f| f.metric != "throughput"));
     }
@@ -858,6 +896,46 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.metric == "throughput" && f.regressed));
+    }
+
+    #[test]
+    fn gate_follows_faults_per_second_not_lane_cycles() {
+        let cfg = GateConfig::default();
+        // Compaction: half the wall time for the same faults, on fewer
+        // simulated lane-cycles per second. Faults/s doubled — a pass,
+        // though Mlane-cyc/s fell 40%.
+        let base = rec("tables-stats", 2, 100.0, None);
+        let mut compacted = base.clone();
+        compacted.wall_seconds = base.wall_seconds / 2.0;
+        compacted.mlane_cps = 60.0;
+        let rep = check(&[base.clone(), compacted.clone()], &cfg);
+        assert!(rep.pass, "{rep:?}");
+        let tp = rep.findings.iter().find(|f| f.metric == "throughput").unwrap();
+        assert_eq!((tp.current, tp.baseline), (200.0, 100.0));
+        // The reverse — more lane-cycles per second, fewer faults per
+        // second — is a regression.
+        let mut busier = base.clone();
+        busier.wall_seconds = base.wall_seconds * 2.0;
+        busier.mlane_cps = 150.0;
+        let rep = check(&[base, busier], &cfg);
+        assert!(!rep.pass, "{rep:?}");
+        assert!(rep.notes.iter().any(|n| n.contains("faults/s")), "{rep:?}");
+    }
+
+    #[test]
+    fn records_without_faults_gate_on_lane_cycles() {
+        let cfg = GateConfig::default();
+        let mut base = rec("difftest", 2, 100.0, None);
+        base.faults = 0;
+        let mut slower = base.clone();
+        slower.mlane_cps = 80.0;
+        let rep = check(&[base.clone(), slower], &cfg);
+        assert!(!rep.pass, "{rep:?}");
+        assert!(rep.notes.iter().any(|n| n.contains("Mlane-cyc/s")), "{rep:?}");
+        // Wall time alone does not move it.
+        let mut longer = base.clone();
+        longer.wall_seconds *= 2.0;
+        assert!(check(&[base, longer], &cfg).pass);
     }
 
     #[test]

@@ -60,12 +60,13 @@ pub struct FlowOptions {
     pub engine: EngineConfig,
     /// Run fault forensics after the campaign (`--forensics`): triage
     /// every escape into a detectability bucket via structural cones +
-    /// SCOAP + an activation-evidence replay, and join the escapes
-    /// against the routine map. The replay runs on the compiled engine
-    /// fitted to the escape count and is pure post-processing: the
-    /// JSON is byte-identical at every width and thread count, and to
-    /// a replay on the interpreted reference. Off by default (it costs
-    /// about one batch run per `lanes - 1` testable escapes).
+    /// SCOAP + one fault-free evidence run of the self-test, and join
+    /// the escapes against the routine map. The evidence run reads lane
+    /// 0 only, so it runs on the compiled engine at 64 lanes, and it is
+    /// pure post-processing: the JSON is byte-identical at every width
+    /// and thread count, and on the interpreted reference. Off by
+    /// default (it costs about one fault-free run of the budget, however
+    /// many escapes there are).
     pub forensics: bool,
 }
 
@@ -352,11 +353,10 @@ pub fn run_flow(core: &PlasmaCore, phase: Phase, opts: &FlowOptions) -> FlowRepo
         ),
         None => Vec::new(),
     };
-    // The replay reads the campaign result, never writes it, and the
-    // report does not depend on the width it replays at.
+    // The evidence run reads the campaign result, never writes it, and
+    // reads only lane 0, so the narrowest width serves.
     let forensics = opts.forensics.then(|| {
-        let escapes = campaign.detections.iter().filter(|d| !d.is_detected()).count();
-        let mut sim = opts.engine.fit(escapes).sim(core.netlist(), &segments(core));
+        let mut sim = EngineConfig::compiled(64).sim(core.netlist(), &segments(core));
         let mut tb = SelfTestBench::new(core, &selftest.program, MEM_BYTES, golden + opts.cycle_margin);
         fault::forensics::analyze(
             core.netlist(),

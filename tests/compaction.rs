@@ -10,15 +10,18 @@
 //! both engines, at every width and thread count, and the schedule
 //! (batch runs, simulated cycles) must not depend on the thread count.
 //!
-//! The forensics replay regroups its unresolved escapes at the same
-//! boundaries; its reference analyzes each 63-escape slice as a campaign
-//! of its own, and every escape's bucket and evidence cycles must match.
+//! The forensics evidence pass simulates no faulty machine: it reads
+//! both evidence cycles off one fault-free run. Its reference here does
+//! simulate them, through the public `LaneSim` and `Testbench` calls
+//! alone: each slice of at most 63 testable escapes runs in lanes 1..63
+//! of one batch to the budget, never regrouped, and every escape's
+//! first-excited and first-propagated cycles must match.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use fault::campaign::{self, CampaignResult, CampaignStats, Detection, VectorBench};
+use fault::campaign::{self, CampaignResult, CampaignStats, Detection, Testbench, VectorBench};
 use fault::forensics::{self, Bucket, ForensicsReport};
 use fault::model::{Fault, FaultList, FaultSite, Polarity};
 use fault::sim::{LaneSim, ParallelSim};
@@ -261,46 +264,75 @@ fn all_escaped(faults: &FaultList) -> CampaignResult {
     }
 }
 
-/// One escape's replay verdict: fault, bucket, first-excited and
-/// first-propagated cycles.
-type Evidence = (Fault, Bucket, Option<u64>, Option<u64>);
+/// One escape's evidence: its first-excited and first-propagated
+/// cycles.
+type Evidence = (Option<u64>, Option<u64>);
 
-/// Every escape's verdict in `report`, sorted.
-fn evidence(report: &ForensicsReport) -> Vec<Evidence> {
-    let mut v: Vec<Evidence> = report
-        .escapes
-        .iter()
-        .map(|e| (e.fault, e.bucket, e.first_excited, e.first_propagated))
-        .collect();
-    v.sort_unstable();
-    v
-}
-
-/// The replay reference: every `chunk`-escape slice of `escapes`
-/// analyzed as a campaign of its own (one replay batch, no regrouping),
-/// verdicts merged and sorted.
-fn per_slice_evidence(
-    escapes: &FaultList,
-    chunk: usize,
-    analyze: impl Fn(&CampaignResult) -> ForensicsReport,
+/// The faulty-lane reference: each slice of at most 63 `faults` runs in
+/// lanes 1..63 of `sim` through `tb` to the budget, lane 0 fault free,
+/// never regrouped. A fault's first-excited cycle is the first at which
+/// lane 0 holds its site at the exciting value, its first-propagated
+/// cycle the first at which its lane differs from lane 0 on an
+/// effect-origin net, both sampled after the step.
+fn faulty_lane_evidence<S: LaneSim, T: Testbench<S>>(
+    nl: &Netlist,
+    sim: &mut S,
+    tb: &mut T,
+    faults: &[Fault],
 ) -> Vec<Evidence> {
-    let mut out = Vec::with_capacity(escapes.len());
-    for lo in (0..escapes.len()).step_by(chunk) {
-        let slice = escapes.slice(lo, (lo + chunk).min(escapes.len()));
-        out.extend(evidence(&analyze(&all_escaped(&slice))));
+    let mut out = Vec::with_capacity(faults.len());
+    let (mut step_diff, mut diff) = (vec![0; sim.lane_words()], vec![0; sim.lane_words()]);
+    for slice in faults.chunks(63) {
+        sim.clear_faults();
+        for (k, &f) in slice.iter().enumerate() {
+            sim.inject(f, k + 1);
+        }
+        sim.reset_state();
+        tb.begin(sim);
+        let sites: Vec<Net> = slice.iter().map(|f| forensics::site_net(nl, f.site)).collect();
+        let origins: Vec<Vec<Net>> = slice
+            .iter()
+            .map(|f| forensics::effect_origin(nl, f.site))
+            .collect();
+        let mut evidence: Vec<Evidence> = vec![(None, None); slice.len()];
+        for cycle in 0..tb.cycles() {
+            step_diff.fill(0);
+            tb.step(sim, cycle, &mut step_diff);
+            for (k, f) in slice.iter().enumerate() {
+                let (excited, propagated) = &mut evidence[k];
+                let excite = f.polarity == Polarity::StuckAt0;
+                if excited.is_none() && (sim.net_lanes_word(sites[k], 0) & 1 == 1) == excite {
+                    *excited = Some(cycle);
+                }
+                if propagated.is_none() {
+                    diff.fill(0);
+                    sim.diff_vs_lane0(&origins[k], &mut diff);
+                    if (diff[0] >> (k + 1)) & 1 == 1 {
+                        *propagated = Some(cycle);
+                    }
+                }
+            }
+        }
+        out.extend(evidence);
     }
-    out.sort_unstable();
     out
 }
 
-/// Testable escapes still lacking a first-excited or first-propagated
-/// cycle after `cycle` cycles: the lanes a replay regroups there.
-fn unresolved_at(evidence: &[Evidence], cycle: u64) -> usize {
-    let before = |c: &Option<u64>| c.is_some_and(|c| c < cycle);
-    evidence
+/// `report`'s testable escapes and their evidence, in report order.
+fn testable_evidence(report: &ForensicsReport) -> (Vec<Fault>, Vec<Evidence>) {
+    report
+        .escapes
         .iter()
-        .filter(|(_, b, fe, fp)| *b != Bucket::Untestable && !(before(fe) && before(fp)))
-        .count()
+        .filter(|e| e.bucket != Bucket::Untestable)
+        .map(|e| (e.fault, (e.first_excited, e.first_propagated)))
+        .unzip()
+}
+
+/// Whether every untestable escape of `report` carries no evidence.
+fn untestable_carry_none(report: &ForensicsReport) -> bool {
+    report
+        .in_bucket(Bucket::Untestable)
+        .all(|e| e.first_excited.is_none() && e.first_propagated.is_none())
 }
 
 /// Every output net of `nl`: what a [`VectorBench`] observes.
@@ -314,50 +346,38 @@ fn output_nets(nl: &Netlist) -> Vec<Net> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// On random feedback circuits under 640 random vectors, with more
-    /// than three batches of escapes unresolved past cycle 512, the
-    /// regrouping replay gives every escape the bucket and evidence
-    /// cycles of the merged per-slice replays, on both engines at 64
-    /// lanes. Every collapsed fault is replayed as an escape, so faults
-    /// whose effect surfaces late land evidence after a regroup.
+    /// On random feedback circuits under 640 random vectors, with every
+    /// collapsed fault graded as an escape, the evidence pass gives each
+    /// testable escape the first-excited and first-propagated cycles of
+    /// the faulty-lane reference, on both engines at 64 lanes; a state
+    /// bit a fault corrupts can circulate for hundreds of cycles before
+    /// its effect shows.
     #[test]
-    fn regrouped_replay_matches_per_slice_evidence(seed in any::<u64>()) {
+    fn evidence_matches_faulty_lanes_on_feedback_circuits(seed in any::<u64>()) {
         let nl = feedback_netlist(seed);
         let vectors = random_vectors(seed ^ 0x5EED, 640);
-        let escapes = FaultList::extract(&nl).collapsed(&nl);
+        let escaped = all_escaped(&FaultList::extract(&nl).collapsed(&nl));
         let observed = output_nets(&nl);
-        let interp = |result: &CampaignResult| {
-            let mut tb = VectorBench::new(&nl, &vectors);
-            forensics::analyze(&nl, result, &observed, &mut ParallelSim::new(&nl), &mut tb)
-        };
-        let probe = per_slice_evidence(&escapes, 63, interp);
-        let late = unresolved_at(&probe, 512);
-        if late == 0 {
-            // Every escape resolves by cycle 512: nothing regroups late.
-            return Ok(());
-        }
-        let list = repeated(&escapes, (3 * 63 + 1usize).div_ceil(late));
-        let reference = per_slice_evidence(&list, 63, interp);
-        prop_assert!(unresolved_at(&reference, 512) > 3 * 63);
-
-        let escaped = all_escaped(&list);
-        prop_assert_eq!(evidence(&interp(&escaped)), reference.clone(), "interp, 64 lanes");
         let kernel = fault::kernel::compile_cached(&nl, &[nl.topo_order().to_vec()]);
-        let mut wide = WideSim::new(kernel, 1);
         let mut tb = VectorBench::new(&nl, &vectors);
-        let report = forensics::analyze(&nl, &escaped, &observed, &mut wide, &mut tb);
-        prop_assert_eq!(evidence(&report), reference, "compiled, 64 lanes");
+        let interp = forensics::analyze(&nl, &escaped, &observed, &mut ParallelSim::new(&nl), &mut tb);
+        let (faults, evidence) = testable_evidence(&interp);
+        let reference =
+            faulty_lane_evidence(&nl, &mut WideSim::new(Arc::clone(&kernel), 1), &mut tb, &faults);
+        prop_assert_eq!(&evidence, &reference, "interp, 64 lanes");
+        prop_assert!(untestable_carry_none(&interp));
+        let wide = forensics::analyze(&nl, &escaped, &observed, &mut WideSim::new(kernel, 1), &mut tb);
+        prop_assert_eq!(testable_evidence(&wide), (faults, reference), "compiled, 64 lanes");
     }
 }
 
-/// A lane whose escape propagated but is not yet excited keeps replaying
-/// across a regroup. The register resets to 1, the vectors clear it at
-/// once and set it again only at cycle 300, and its readers are an AND
-/// masked by a 0 and an OR into a dangling net: its Q stuck-at-0
-/// diverges on the OR from cycle 0 (the reset value) but reads as
-/// excited only at cycle 300, after its lane has moved twice.
+/// Propagation can precede excitation, and the evidence keeps both. The
+/// register resets to 1, the vectors clear it at once and set it again
+/// only at cycle 300, and its readers are an AND masked by a 0 and an
+/// OR into a dangling net: its Q stuck-at-0 diverges on the OR from
+/// cycle 0 (the reset value) but reads as excited only at cycle 300.
 #[test]
-fn propagated_but_unexcited_lanes_keep_replaying() {
+fn propagation_before_excitation_matches_faulty_lanes() {
     let mut b = NetlistBuilder::new("late_excite");
     let a = b.input("a");
     let hide = b.input("hide");
@@ -374,16 +394,20 @@ fn propagated_but_unexcited_lanes_keep_replaying() {
         site: FaultSite::Stem(q),
         polarity: Polarity::StuckAt0,
     };
-    let list = repeated(&FaultList::extract(&nl).filter(|f, _| f == stuck), 130);
-    let observed = output_nets(&nl);
-    let interp = |result: &CampaignResult| {
-        let mut tb = VectorBench::new(&nl, &vectors);
-        forensics::analyze(&nl, result, &observed, &mut ParallelSim::new(&nl), &mut tb)
-    };
-    let reference = per_slice_evidence(&list, 63, interp);
-    let (_, _, excited, propagated) = reference[0];
-    assert_eq!((excited, propagated), (Some(300), Some(0)));
-    assert_eq!(evidence(&interp(&all_escaped(&list))), reference);
+    let escaped = all_escaped(&FaultList::extract(&nl).filter(|f, _| f == stuck));
+    let mut tb = VectorBench::new(&nl, &vectors);
+    let report = forensics::analyze(
+        &nl,
+        &escaped,
+        &output_nets(&nl),
+        &mut ParallelSim::new(&nl),
+        &mut tb,
+    );
+    let (faults, evidence) = testable_evidence(&report);
+    assert_eq!(faults, vec![stuck]);
+    assert_eq!(evidence, vec![(Some(300), Some(0))]);
+    let reference = faulty_lane_evidence(&nl, &mut ParallelSim::new(&nl), &mut tb, &faults);
+    assert_eq!(evidence, reference);
 }
 
 /// A vector bench that leaves a port out of later vectors must resume
@@ -469,29 +493,12 @@ fn plasma_sample_regroups_without_changing_detections() {
     assert_schedule_invariants(&res, budget);
 }
 
-/// Replay `result`'s escapes of [`PLASMA_READBACK`] on `sim`.
-fn plasma_replay<S: LaneSim>(
-    core: &PlasmaCore,
-    program: &mips::Program,
-    result: &CampaignResult,
-    budget: u64,
-    sim: &mut S,
-) -> ForensicsReport {
-    let mut tb = SelfTestBench::new(core, program, MEM_BYTES, budget);
-    forensics::analyze(
-        core.netlist(),
-        result,
-        core.observed_outputs(),
-        sim,
-        &mut tb,
-    )
-}
-
-/// The forensics replay of a sampled Plasma campaign at 64 lanes
-/// regroups its unresolved escapes, each carrying its memory overlay,
-/// and must write the report a one-batch replay at 512 lanes writes.
+/// The evidence pass on a sampled Plasma campaign of
+/// [`PLASMA_READBACK`], whose bench carries memory, gives every testable
+/// escape the faulty-lane reference's cycles, and writes the same report
+/// on the interpreted engine at 64 lanes and the compiled one at 512.
 #[test]
-fn plasma_replay_regroups_without_changing_the_report() {
+fn plasma_evidence_matches_faulty_lanes() {
     let core = PlasmaCore::build(plasma::PlasmaConfig::default());
     let opts = FlowOptions {
         fault_sample: Some(400),
@@ -509,26 +516,37 @@ fn plasma_replay_regroups_without_changing_the_report() {
         &Telemetry::none(),
         EngineConfig::compiled(256),
     );
+    let nl = core.netlist();
     let segments = core.segments().map(<[u32]>::to_vec);
-    let narrow = plasma_replay(
-        &core,
-        &program,
+    let mut tb = SelfTestBench::new(&core, &program, MEM_BYTES, budget);
+    let narrow = forensics::analyze(
+        nl,
         &result,
-        budget,
-        &mut ParallelSim::with_segments(core.netlist(), &segments),
+        core.observed_outputs(),
+        &mut ParallelSim::with_segments(nl, &segments),
+        &mut tb,
     );
-    let late = unresolved_at(&evidence(&narrow), 128);
+    let wide = forensics::analyze(
+        nl,
+        &result,
+        core.observed_outputs(),
+        &mut EngineConfig::compiled(512).sim(nl, &segments),
+        &mut tb,
+    );
+    let (escapes, evidence) = testable_evidence(&narrow);
+    assert!(escapes.len() > 63, "{} testable escapes: need 2+ slices", escapes.len());
     assert!(
-        late > 63,
-        "{late} escapes unresolved at 128: need 2+ batches"
+        evidence.iter().any(|&(e, p)| e.is_some() && p.is_some_and(|p| p >= 128)),
+        "no escape propagates late"
     );
-    let wide = plasma_replay(
-        &core,
-        &program,
-        &result,
-        budget,
-        &mut EngineConfig::compiled(512).sim(core.netlist(), &segments),
+    let reference = faulty_lane_evidence(
+        nl,
+        &mut EngineConfig::compiled(64).sim(nl, &segments),
+        &mut tb,
+        &escapes,
     );
+    assert_eq!(evidence, reference);
+    assert!(untestable_carry_none(&narrow));
     let json = |r: &ForensicsReport| serde_json::to_string_pretty(&r.to_json()).unwrap();
     assert_eq!(json(&narrow), json(&wide));
 }

@@ -10,10 +10,16 @@
 //! circuits with registered feedback, the first-detection cycle of
 //! every collapsed fault must equal `campaign::run`'s on the interpreted
 //! `ParallelSim` and on the compiled `WideSim` at 64 and 256 lanes.
+//!
+//! The same side-by-side machines are the reference for the forensics
+//! evidence, which `forensics::analyze` reads off one fault-free run:
+//! graded as an escape, every testable fault's first-excited and
+//! first-propagated cycles must equal the oracle's.
 
 use proptest::prelude::*;
 
-use fault::campaign::{self, Detection, VectorBench};
+use fault::campaign::{self, CampaignResult, CampaignStats, Detection, VectorBench};
+use fault::forensics::{self, Bucket};
 use fault::model::{Fault, FaultList, FaultSite, Polarity};
 use fault::sim::ParallelSim;
 use fault::EngineConfig;
@@ -156,6 +162,63 @@ fn first_detection(nl: &Netlist, fault: Fault, vectors: &[Vec<(&str, u64)>]) -> 
     Detection::Undetected
 }
 
+/// The net `site` sits on: the stem itself, the net its gate pin reads,
+/// or its flip-flop's D net.
+fn site_net(nl: &Netlist, site: FaultSite) -> Net {
+    match site {
+        FaultSite::Stem(n) => n,
+        FaultSite::Pin { gate, pin } => nl.gates()[gate as usize].inputs[pin as usize],
+        FaultSite::DffD(ff) => nl.dffs()[ff as usize].d,
+    }
+}
+
+/// Where a fault's effect first lands past its site: for a stem fault,
+/// the output of every gate reading the net and the Q of every
+/// flip-flop latching it; for a pin fault, its gate's output; for a
+/// D-pin fault, its flip-flop's Q.
+fn origin_nets(nl: &Netlist, site: FaultSite) -> Vec<Net> {
+    match site {
+        FaultSite::Stem(n) => {
+            let gates = nl.gates().iter().filter(|g| g.used_inputs().any(|i| i == n));
+            let flops = nl.dffs().iter().filter(|d| d.d == n);
+            gates.map(|g| g.output).chain(flops.map(|d| d.q)).collect()
+        }
+        FaultSite::Pin { gate, .. } => vec![nl.gates()[gate as usize].output],
+        FaultSite::DffD(ff) => vec![nl.dffs()[ff as usize].q],
+    }
+}
+
+/// `fault`'s activation evidence, with the fault-free and the faulty
+/// machine run side by side and both sampled after the clock edge: the
+/// first cycle the fault-free site holds the exciting value, and the
+/// first cycle an origin net differs between the machines.
+fn first_evidence(
+    nl: &Netlist,
+    fault: Fault,
+    vectors: &[Vec<(&str, u64)>],
+) -> (Option<u64>, Option<u64>) {
+    let site = site_net(nl, fault.site);
+    let excite = fault.polarity == Polarity::StuckAt0;
+    let origin = origin_nets(nl, fault.site);
+    let mut good = Machine::new(nl, None);
+    let mut bad = Machine::new(nl, Some(fault));
+    let (mut excited, mut propagated) = (None, None);
+    for (cycle, vector) in vectors.iter().enumerate() {
+        for m in [&mut good, &mut bad] {
+            m.eval(vector);
+            m.clock();
+        }
+        let cycle = Some(cycle as u64);
+        if excited.is_none() && good.vals[site.index()] == excite {
+            excited = cycle;
+        }
+        if propagated.is_none() && good.read(&origin) != bad.read(&origin) {
+            propagated = cycle;
+        }
+    }
+    (excited, propagated)
+}
+
 /// xorshift64* stream.
 fn rng(seed: u64) -> impl FnMut() -> u64 {
     let mut s = seed | 1;
@@ -258,6 +321,59 @@ proptest! {
             let sim = EngineConfig::compiled(lanes).sim(&nl, &segments);
             let wide = campaign::run(&sim, &faults, bench, 1, &hooks);
             prop_assert_eq!(&wide.detections, &oracle, "WideSim at {} lanes vs the oracle", lanes);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every collapsed fault of a random circuit, graded as an escape
+    /// under a few hundred vectors: `forensics::analyze` on
+    /// `ParallelSim` and on the 64-lane `WideSim` gives each testable
+    /// escape the oracle's first-excited and first-propagated cycles, and
+    /// each untestable one neither.
+    #[test]
+    fn forensics_evidence_matches_the_scalar_oracle(seed in any::<u64>()) {
+        let nl = random_circuit(seed);
+        let faults = FaultList::extract(&nl).collapsed(&nl);
+        let vectors = random_vectors(seed ^ 0xE71D, 300);
+        let escaped = CampaignResult {
+            faults: faults.clone(),
+            detections: vec![Detection::Undetected; faults.len()],
+            stats: CampaignStats::default(),
+        };
+        let observed: Vec<Net> = nl
+            .ports()
+            .filter(|(_, dir, _)| *dir == PortDir::Output)
+            .flat_map(|(_, _, nets)| nets.iter().copied())
+            .collect();
+        let reports = [
+            ("ParallelSim", forensics::analyze(
+                &nl, &escaped, &observed, &mut ParallelSim::new(&nl),
+                &mut VectorBench::new(&nl, &vectors),
+            )),
+            ("WideSim at 64 lanes", forensics::analyze(
+                &nl, &escaped, &observed,
+                &mut EngineConfig::compiled(64).sim(&nl, &[nl.topo_order().to_vec()]),
+                &mut VectorBench::new(&nl, &vectors),
+            )),
+        ];
+        for (engine, report) in reports {
+            prop_assert_eq!(report.escapes.len(), faults.len());
+            for e in &report.escapes {
+                let oracle = match e.bucket {
+                    Bucket::Untestable => (None, None),
+                    _ => first_evidence(&nl, e.fault, &vectors),
+                };
+                prop_assert_eq!(
+                    (e.first_excited, e.first_propagated),
+                    oracle,
+                    "{} on {}",
+                    e.fault.describe(),
+                    engine
+                );
+            }
         }
     }
 }
