@@ -8,7 +8,6 @@
 //! ledger --max-cov-drop 0.5      # tolerate a 0.5pp coverage drop
 //! ledger --ledger FILE           # alternate ledger file
 //! ledger --json FILE             # trend JSON output (default results/BENCH_trend.json)
-//! ledger --serve PORT            # keep serving the latest ledger as gauges
 //! ledger --append-degraded 0.5   # clone the last record at half throughput
 //!                                #   (CI negative test for --check)
 //! ```
@@ -25,7 +24,6 @@ use std::process::ExitCode;
 
 use bench::value;
 use obs::ledger::{self, Baseline, GateConfig};
-use obs::MetricRegistry;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,7 +32,6 @@ fn main() -> ExitCode {
     let mut check = false;
     let mut cfg = GateConfig::default();
     let mut degrade: Option<f64> = None;
-    let mut serve_port: Option<u16> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -54,13 +51,12 @@ fn main() -> ExitCode {
             "--max-drop" => cfg.max_throughput_drop_pct = value(&mut it, a, "a percentage"),
             "--max-cov-drop" => cfg.max_coverage_drop_pct = value(&mut it, a, "percentage points"),
             "--append-degraded" => degrade = Some(value(&mut it, a, "a factor")),
-            "--serve" => serve_port = Some(value(&mut it, a, "a port")),
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: ledger [--ledger file] [--check] [--baseline best|last] \
                      [--max-drop PCT] [--max-cov-drop PP] [--json file] \
-                     [--append-degraded FACTOR] [--serve port]"
+                     [--append-degraded FACTOR]"
                 );
                 return ExitCode::from(2);
             }
@@ -127,61 +123,13 @@ fn main() -> ExitCode {
     if let Some(dir) = json_out.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).expect("create trend dir");
     }
-    let mut trend = ledger::trend_json(&records, Some(&gate));
-    // The engines microbench (`cargo bench -p bench`) owns the
-    // `microbench` key of the trend file; carry it across rewrites.
-    if let Ok(prev) = std::fs::read_to_string(&json_out) {
-        if let (Ok(serde_json::Value::Object(prev)), serde_json::Value::Object(root)) =
-            (serde_json::from_str(&prev), &mut trend)
-        {
-            if let Some(micro) = prev.get("microbench") {
-                root.insert("microbench".into(), micro.clone());
-            }
-        }
-    }
+    let trend = ledger::trend_json(&records, Some(&gate));
     std::fs::write(
         &json_out,
         serde_json::to_string_pretty(&trend).expect("serialize"),
     )
     .expect("write trend json");
     eprintln!("[trend written to {}]", json_out.display());
-
-    if let Some(port) = serve_port {
-        // Re-publish the latest record per kind as gauges so a scraper
-        // can watch the ledger without parsing JSONL.
-        let reg = MetricRegistry::new();
-        let mut seen: Vec<&str> = Vec::new();
-        for r in records.iter().rev() {
-            if seen.contains(&r.kind.as_str()) {
-                continue;
-            }
-            seen.push(&r.kind);
-            let labels = [("kind", r.kind.as_str())];
-            reg.gauge(
-                "sbst_ledger_mlane_cycles_per_sec",
-                "latest ledger throughput",
-                &labels,
-            )
-            .set(r.mlane_cps);
-            if let Some(cov) = r.coverage_pct {
-                reg.gauge("sbst_ledger_coverage_pct", "latest ledger coverage", &labels)
-                    .set(cov);
-            }
-            reg.gauge("sbst_ledger_ts", "latest ledger record unix time", &labels)
-                .set(r.ts as f64);
-        }
-        let timeline =
-            obs::Timeline::start(reg.clone(), std::time::Duration::from_millis(1000), 2400);
-        let observatory = obs::Observatory::new(reg).with_timeline(timeline);
-        let srv = obs::serve::serve_observatory(observatory, port).expect("bind metric server");
-        eprintln!(
-            "[serving http://{}/ — /metrics /json /timeline — ctrl-C to exit]",
-            srv.addr()
-        );
-        loop {
-            std::thread::park();
-        }
-    }
 
     if check && !gate.pass {
         eprintln!("regression gate FAILED");

@@ -12,13 +12,12 @@
 //!                              #   coverage timeline, latency histogram)
 //!                              #   -> results/REPORT.md + REPORT.json
 //!                              #      + results/TRACE_report.jsonl
-//! tables --escapes             # undetected faults + SCOAP testability
-//!                              #   -> results/ESCAPES.txt
 //! tables --forensics           # escape triage: detectability buckets,
 //!                              #   testable coverage, routine attribution
 //!                              #   -> results/FORENSICS.md + FORENSICS.json
 //! tables --forensics-fault "n42 sa1"  # one-fault structural drill-down
-//!                              #   (SCOAP, cones, wave-probe suggestion)
+//!                              #   (SCOAP, cones, class members,
+//!                              #   wave-probe suggestion)
 //! tables --wave-fault "n42 sa1"  # differential VCD for one fault
 //!                              #   -> results/WAVE_fault_*.vcd
 //! tables --wave-escapes 2      # campaign, then VCDs of the first two
@@ -30,7 +29,8 @@
 //! elsewhere a single width pins it. `--verify-interp` makes `--stats`
 //! also grade serially on the interpreted reference (`ParallelSim`),
 //! report that run as its own row, and cross-check every width's
-//! detections against it.
+//! detections against it. Only `--stats` reads a width list or
+//! `--verify-interp`; either one without it is a usage error (exit 2).
 //!
 //! `--progress` adds a live ticker on stderr over every campaign of the
 //! invocation; `--trace FILE` writes the structured events of every
@@ -38,13 +38,14 @@
 //! stride of `--report` (default 500 cycles).
 //!
 //! Waveform dumps: `--wave-fault <id>` (a `Fault::describe` string such
-//! as `"n42 sa1"` / `"g17/pin0 sa0"` from ESCAPES.txt, or a decimal
-//! index) replays that fault with a wave probe attached; `--wave-escapes
-//! <k>` captures the first k escapes of the campaign. `--wave-pre` /
-//! `--wave-post` size the window around the detection trigger,
-//! `--wave-depth` the horizon window for escapes, and `--wave-probe`
-//! (comma-separated component names or port globs, repeatable) selects
-//! what is sampled — default is every port plus all component state.
+//! as `"n42 sa1"` / `"g17/pin0 sa0"`, as the escapes of `FORENSICS.md`
+//! and `FORENSICS.json` name them, or a decimal index) replays that
+//! fault with a wave probe attached; `--wave-escapes <k>` captures the
+//! first k escapes of the campaign. `--wave-pre` / `--wave-post` size
+//! the window around the detection trigger, `--wave-depth` the horizon
+//! window for escapes, and `--wave-probe` (comma-separated component
+//! names or port globs, repeatable) selects what is sampled — default
+//! is every port plus all component state.
 //!
 //! Every invocation appends one schema-versioned run record to the run
 //! ledger (`results/LEDGER.jsonl`; `--ledger FILE` overrides, and
@@ -213,7 +214,6 @@ fn main() {
     let mut json_out: Option<String> = None;
     let mut stats = false;
     let mut report = false;
-    let mut escapes = false;
     let mut forensics = false;
     let mut forensics_fault: Option<String> = None;
     let mut stride = 500u64;
@@ -253,7 +253,6 @@ fn main() {
             }
             "--verify-interp" => opts.verify_interp = true,
             "--report" => report = true,
-            "--escapes" => escapes = true,
             "--forensics" => forensics = true,
             "--forensics-fault" => forensics_fault = Some(value(&mut it, a, "a fault id")),
             "--profile" => obs.profile = true,
@@ -279,7 +278,7 @@ fn main() {
                 eprintln!(
                     "usage: tables [--all | --table <id>] [--full | --sample N] [--seed N] \
                      [--threads N] [--lanes N[,N..]] \
-                     [--verify-interp] [--stats | --report | --escapes | --forensics | \
+                     [--verify-interp] [--stats | --report | --forensics | \
                      --forensics-fault id] [--progress] \
                      [--profile] [--trace file] [--stride N] [--json file] [--ledger file] \
                      [--no-ledger] [--metrics-out file] [--serve port] [--trace-viz] \
@@ -290,6 +289,16 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    // Only `--stats` sweeps widths or runs the interpreted reference.
+    if !stats && (opts.verify_interp || opts.lanes_sweep.len() > 1) {
+        let flag = if opts.verify_interp {
+            "--verify-interp"
+        } else {
+            "a --lanes width list"
+        };
+        eprintln!("{flag} needs --stats (a single --lanes N pins the width anywhere)");
+        std::process::exit(2);
     }
     if let Some(base) = submit {
         std::process::exit(submit_campaign(
@@ -306,8 +315,6 @@ fn main() {
         "stats"
     } else if report {
         "report"
-    } else if escapes {
-        "escapes"
     } else if forensics || forensics_fault.is_some() {
         "forensics"
     } else {
@@ -376,18 +383,6 @@ fn main() {
         let s = serde_json::to_string_pretty(&e.data).expect("serialize");
         std::fs::write("results/REPORT.json", s).expect("write REPORT.json");
         eprintln!("[report written to results/REPORT.md + REPORT.json; trace in {trace}]");
-        finish(run, e.ledger);
-        return;
-    }
-
-    if escapes {
-        let e = bench::escapes_report(&opts);
-        run.end_progress();
-        println!("==== {} — {} ====", e.id, e.title);
-        println!("{}", e.text);
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/ESCAPES.txt", &e.text).expect("write ESCAPES.txt");
-        eprintln!("[escape dump written to results/ESCAPES.txt]");
         finish(run, e.ledger);
         return;
     }

@@ -1454,135 +1454,6 @@ pub fn observability_report(opts: &RunOptions, stride: u64) -> Experiment {
     exp
 }
 
-fn fault_net(nl: &netlist::Netlist, site: fault::model::FaultSite) -> netlist::Net {
-    use fault::model::FaultSite;
-    match site {
-        FaultSite::Stem(n) => n,
-        FaultSite::Pin { gate, pin } => nl.gates()[gate as usize].inputs[pin as usize],
-        FaultSite::DffD(ff) => nl.dffs()[ff as usize].d,
-    }
-}
-
-/// The escape dump behind `tables --escapes`: every undetected fault of
-/// a Phase A+B campaign, grouped by component, with its site description
-/// and the SCOAP testability (CC0/CC1/CO) of the faulted net — the
-/// worklist for the next round of routine development.
-pub fn escapes_report(opts: &RunOptions) -> Experiment {
-    let core = PlasmaCore::build(PlasmaConfig::default());
-    let fo = opts.flow_options();
-    let r = flow::run_flow(&core, Phase::B, &fo);
-    let nl = core.netlist();
-    let scoap = fault::scoap::analyze(nl);
-    let names = nl.component_names();
-
-    // Collapsed-class membership: representative -> the faults collapsed
-    // into it, so triage sees what else fixing a class would catch (the
-    // class size is the `w` column).
-    let uncollapsed = FaultList::extract(nl);
-    let reps = fault::collapse::class_representatives(nl, &uncollapsed);
-    let mut members: std::collections::HashMap<fault::Fault, Vec<String>> =
-        std::collections::HashMap::new();
-    for (i, &rep) in reps.iter().enumerate() {
-        if i != rep {
-            members
-                .entry(uncollapsed.faults[rep])
-                .or_default()
-                .push(uncollapsed.faults[i].describe());
-        }
-    }
-
-    // Escapes per component, in netlist component order.
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-    for (i, d) in r.campaign.detections.iter().enumerate() {
-        if !d.is_detected() {
-            groups[r.campaign.faults.component[i].index()].push(i);
-        }
-    }
-    let total_w: u64 = r.campaign.faults.weight.iter().map(|&w| w as u64).sum();
-    let esc_w: u64 = groups
-        .iter()
-        .flatten()
-        .map(|&i| r.campaign.faults.weight[i] as u64)
-        .sum();
-    let mut text = format!(
-        "escapes after {}: {} classes, {} weighted ({:.2}% of {} weighted faults)\n",
-        r.selftest.phase.name(),
-        groups.iter().map(Vec::len).sum::<usize>(),
-        esc_w,
-        100.0 * esc_w as f64 / total_w.max(1) as f64,
-        total_w,
-    );
-    let mut rows = Vec::new();
-    for (c, group) in groups.iter().enumerate() {
-        if group.is_empty() {
-            continue;
-        }
-        let gw: u64 = group.iter().map(|&i| r.campaign.faults.weight[i] as u64).sum();
-        text.push_str(&format!(
-            "\n{} — {} classes, {} weighted\n",
-            names[c],
-            group.len(),
-            gw
-        ));
-        text.push_str(&format!(
-            "  {:<16} {:>3} {:>6} {:>6} {:>6}  {}\n",
-            "fault", "w", "CC0", "CC1", "CO", "class members"
-        ));
-        // Hardest-to-observe first: those need new observation points,
-        // not just new stimulus.
-        let mut sorted = group.clone();
-        sorted.sort_by_key(|&i| {
-            let n = fault_net(nl, r.campaign.faults.faults[i].site).index();
-            std::cmp::Reverse(scoap.co[n])
-        });
-        for &i in &sorted {
-            let f = &r.campaign.faults.faults[i];
-            let n = fault_net(nl, f.site).index();
-            let mems: &[String] = members.get(f).map(|v| v.as_slice()).unwrap_or(&[]);
-            let shown = if mems.is_empty() {
-                "-".to_string()
-            } else if mems.len() <= 3 {
-                mems.join(", ")
-            } else {
-                format!("{}, +{} more", mems[..3].join(", "), mems.len() - 3)
-            };
-            text.push_str(&format!(
-                "  {:<16} {:>3} {:>6} {:>6} {:>6}  {}\n",
-                f.describe(),
-                r.campaign.faults.weight[i],
-                scoap.cc0[n],
-                scoap.cc1[n],
-                scoap.co[n],
-                shown,
-            ));
-            rows.push(serde_json::json!({
-                "component": names[c].as_str(),
-                "fault": f.describe(),
-                "weight": r.campaign.faults.weight[i],
-                "class_size": r.campaign.faults.weight[i],
-                "members": mems.iter().map(|m| serde_json::Value::String(m.clone())).collect::<Vec<_>>(),
-                "cc0": scoap.cc0[n],
-                "cc1": scoap.cc1[n],
-                "co": scoap.co[n],
-            }));
-        }
-    }
-    profile_section(&mut text, &r.campaign.stats);
-    let mut exp = experiment(
-        "escapes",
-        "Undetected faults by component with SCOAP testability",
-        text,
-        serde_json::Value::Array(rows),
-    );
-    exp.ledger = Some(campaign_ledger_record(
-        "tables-escapes",
-        &core,
-        &r.campaign,
-        Some(r.coverage.overall_pct),
-    ));
-    exp
-}
-
 /// The fault-forensics report behind `tables --forensics`: run the
 /// Phase A+B campaign with escape triage enabled and render
 /// `results/FORENSICS.{md,json}` — every escape in exactly one
@@ -1632,19 +1503,33 @@ pub fn forensics_report(opts: &RunOptions) -> Experiment {
 }
 
 /// Single-fault structural drill-down behind `tables --forensics-fault`.
-/// No campaign runs: the report is the fault's SCOAP testability, its
-/// stimulus fan-in and effect fan-out cones, whether the effect can
-/// structurally reach an observed output, and a ready-made wave-capture
-/// command for interactive debugging of that one class.
+/// No campaign runs: the report is the fault's class members, its SCOAP
+/// testability, its stimulus fan-in and effect fan-out cones, whether
+/// the effect can structurally reach an observed output, and a
+/// ready-made wave-capture command for interactive debugging of that
+/// one class.
 pub fn forensics_fault_report(id: &str) -> Result<Experiment, String> {
     use fault::model::Polarity;
 
     let core = PlasmaCore::build(PlasmaConfig::default());
     let nl = core.netlist();
-    let faults = FaultList::extract(nl).collapsed(nl);
+    let uncollapsed = FaultList::extract(nl);
+    let reps = fault::collapse::class_representatives(nl, &uncollapsed);
+    let faults = uncollapsed.clone().collapsed(nl);
     let i = fault::wave::find_fault(&faults, id)
         .ok_or_else(|| format!("fault `{id}` not found in the collapsed fault list"))?;
     let f = faults.faults[i];
+    // The faults collapsed into this class: what else a test for it
+    // would catch.
+    let rep = uncollapsed
+        .faults
+        .iter()
+        .position(|&g| g == f)
+        .expect("a representative belongs to the uncollapsed list");
+    let members: Vec<String> = (0..reps.len())
+        .filter(|&j| j != rep && reps[j] == rep)
+        .map(|j| uncollapsed.faults[j].describe())
+        .collect();
     let names = nl.component_names();
     let component = names[faults.component[i].index()].clone();
     let scoap = fault::scoap::analyze(nl);
@@ -1676,11 +1561,20 @@ pub fn forensics_fault_report(id: &str) -> Result<Experiment, String> {
     let probe = fanout.components(nl).join(",");
 
     let mut text = format!(
-        "fault {} — component {}, class size {}\n\n",
+        "fault {} — component {}, class size {}\n",
         f.describe(),
         component,
         faults.weight[i]
     );
+    if members.is_empty() {
+        text.push_str("class members: none\n\n");
+    } else {
+        text.push_str(&format!(
+            "class members ({}): {}\n\n",
+            members.len(),
+            members.join(", ")
+        ));
+    }
     text.push_str(&format!(
         "SCOAP at site net n{}: CC0 {}  CC1 {}  CO {}  (excitation cost {})\n",
         site.index(),
@@ -1727,35 +1621,11 @@ pub fn forensics_fault_report(id: &str) -> Result<Experiment, String> {
         ));
     }
 
-    let data = serde_json::json!({
-        "fault": f.describe(),
-        "component": component.as_str(),
-        "class_size": faults.weight[i],
-        "site_net": site.index(),
-        "cc0": scoap.cc0[site.index()],
-        "cc1": scoap.cc1[site.index()],
-        "co": scoap.co[site.index()],
-        "fanin": {
-            "nets": fanin.nets.len(),
-            "gates": fanin.gates.len(),
-            "dffs": fanin.dffs.len(),
-            "components": fanin.components(nl).iter().map(|c| serde_json::Value::String(c.clone())).collect::<Vec<_>>(),
-        },
-        "fanout": {
-            "nets": fanout.nets.len(),
-            "gates": fanout.gates.len(),
-            "dffs": fanout.dffs.len(),
-            "components": fanout.components(nl).iter().map(|c| serde_json::Value::String(c.clone())).collect::<Vec<_>>(),
-        },
-        "reaches_observed": !reached.is_empty(),
-        "observed_reachable": reached.len(),
-        "wave_probe": probe.as_str(),
-    });
     Ok(experiment(
         "forensics-fault",
         "Single-fault detectability drill-down",
         text,
-        data,
+        serde_json::Value::Null,
     ))
 }
 
@@ -1795,8 +1665,9 @@ pub fn wave_report(opts: &RunOptions, wave: &fault::wave::WaveOptions) -> Result
         let selftest =
             sbst::phases::build_program(Phase::B).expect("phase program must assemble");
         let golden = flow::golden_cycles(&selftest);
-        // Resolve against the complete collapsed list, so any fault id
-        // from ESCAPES.txt (sampled or not) can be replayed.
+        // Resolve against the complete collapsed list, so any escape id
+        // of `FORENSICS.md`'s escapes table or `FORENSICS.json`'s
+        // `escapes[].fault` (sampled or not) can be replayed.
         let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
         let i = fault::wave::find_fault(&faults, id)
             .ok_or_else(|| format!("fault `{id}` not found in the collapsed fault list"))?;
@@ -1812,19 +1683,12 @@ pub fn wave_report(opts: &RunOptions, wave: &fault::wave::WaveOptions) -> Result
     };
 
     let mut text = String::new();
-    let mut rows = Vec::new();
     for a in &artifacts {
         let verdict = match a.detected_at {
             Some(t) => format!("detected at cycle {t}"),
             None => "escaped (horizon window)".to_string(),
         };
         text.push_str(&format!("{:<16} {} -> {}\n", a.fault, verdict, a.path.display()));
-        rows.push(serde_json::json!({
-            "fault": a.fault.as_str(),
-            // -1 encodes "escaped": the shim's json! lacks Option support.
-            "detected_at": a.detected_at.map_or(-1i64, |t| t as i64),
-            "path": a.path.display().to_string(),
-        }));
         eprintln!("[wave written to {}]", a.path.display());
     }
     text.push_str("\nopen in GTKWave; the `diff` scope XORs good vs faulty per net.\n");
@@ -1832,7 +1696,7 @@ pub fn wave_report(opts: &RunOptions, wave: &fault::wave::WaveOptions) -> Result
         "wave",
         "Differential good/faulty waveform dumps",
         text,
-        serde_json::Value::Array(rows),
+        serde_json::Value::Null,
     );
     exp.ledger = ledger;
     Ok(exp)

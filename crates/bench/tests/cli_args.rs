@@ -1,8 +1,10 @@
 //! Malformed value flags of every binary: a missing or unparsable value
 //! must print `<flag> needs …` and exit 2, never panic. Parsing fails
 //! before any experiment runs or any port is bound, so these are
-//! instant. Also here: `--trace` collects every campaign an invocation
-//! grades into one file (two small runs, about two seconds).
+//! instant; so are the flags only `tables --stats` reads, which are
+//! rejected elsewhere. Also here: `--trace` collects every campaign an
+//! invocation grades into one file (two small runs, about two seconds),
+//! and the `--forensics-fault` drill-down lists its class's members.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -20,6 +22,7 @@ fn assert_usage_error(out: &Output, message: &str) {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains(message), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "ran before failing: {stderr}");
 }
 
 #[test]
@@ -32,6 +35,22 @@ fn trailing_seed_without_value_exits_2() {
     assert_usage_error(
         &tables(&["--table", "4", "--seed"]),
         "--seed needs a number",
+    );
+}
+
+#[test]
+fn verify_interp_without_stats_exits_2() {
+    assert_usage_error(
+        &tables(&["--table", "4", "--verify-interp", "--no-ledger"]),
+        "--verify-interp needs --stats",
+    );
+}
+
+#[test]
+fn lanes_list_without_stats_exits_2() {
+    assert_usage_error(
+        &tables(&["--table", "4", "--lanes", "64,128", "--no-ledger"]),
+        "a --lanes width list needs --stats",
     );
 }
 
@@ -86,4 +105,43 @@ fn table5_trace_holds_phases_a_b_and_c() {
 #[test]
 fn parwan_trace_holds_both_programs() {
     assert_eq!(traced_campaigns("parwan", &["--table", "parwan"]), (2, 2));
+}
+
+/// The `class members` line of `tables --forensics-fault <id>`: the
+/// representative and the faults its class collapsed away.
+fn class_members(id: &str) -> (String, Vec<String>) {
+    let out = tables(&["--forensics-fault", id, "--no-ledger"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout: {stdout}");
+    let rep = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("fault "))
+        .and_then(|l| l.split(" — ").next())
+        .expect("fault header")
+        .to_string();
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("class members"))
+        .expect("class members line");
+    let (_, list) = line.split_once(": ").expect("class members: list");
+    let members = match list {
+        "none" => Vec::new(),
+        list => list.split(", ").map(String::from).collect(),
+    };
+    (rep, members)
+}
+
+#[test]
+fn forensics_fault_lists_class_members() {
+    // A 19-fault CTRL class: the representative plus 18 members.
+    let (rep, members) = class_members("n5652 sa0");
+    assert_eq!(rep, "n5652 sa0");
+    assert_eq!(members.len(), 18, "{members:?}");
+    let distinct: std::collections::HashSet<&String> = members.iter().collect();
+    assert_eq!(distinct.len(), members.len(), "{members:?}");
+    assert!(!members.contains(&rep), "{members:?}");
+    // A class of one has no members.
+    let (rep, members) = class_members("g2175/pin1 sa0");
+    assert_eq!(rep, "g2175/pin1 sa0");
+    assert!(members.is_empty(), "{members:?}");
 }

@@ -11,8 +11,8 @@
 //!   the netlist lowered once into a dense straight-line instruction
 //!   stream evaluated over 1–8 u64 words per net (64–512 lanes), with a
 //!   fingerprint-keyed kernel cache — the one production engine, built
-//!   only by [`engine`] (campaigns, forensics replay, wave capture and
-//!   the lockstep oracles all get their simulator there),
+//!   only by [`engine`] (campaigns, the forensics evidence pass, wave
+//!   capture and the lockstep oracles all get their simulator there),
 //! * a **64-lane interpreted reference** ([`sim::ParallelSim`]): each
 //!   bit of a machine word carries an independent faulty machine, lane
 //!   0 is the fault-free reference — what tests and
@@ -60,7 +60,6 @@
 pub mod campaign;
 pub mod collapse;
 pub mod coverage;
-pub mod dictionary;
 pub mod engine;
 pub mod forensics;
 pub mod kernel;

@@ -228,7 +228,8 @@ pub fn capture_fault<S: LaneSim, T: Testbench<S> + ?Sized>(
 }
 
 /// Resolve a CLI fault id against a fault list: either a decimal index
-/// or a [`Fault::describe`] string (as printed in `ESCAPES.txt`).
+/// or a [`Fault::describe`] string (as `FORENSICS.md`'s escapes table
+/// and `FORENSICS.json`'s `escapes[].fault` print it).
 pub fn find_fault(faults: &FaultList, id: &str) -> Option<usize> {
     if let Ok(i) = id.trim().parse::<usize>() {
         return (i < faults.len()).then_some(i);

@@ -48,12 +48,10 @@ mod gate;
 mod netlist;
 
 pub mod cone;
-pub mod dot;
 pub mod opt;
 pub mod sim;
 pub mod stats;
 pub mod synth;
-pub mod verilog;
 pub mod wave;
 
 pub use builder::{NetlistBuilder, Word};

@@ -1,6 +1,6 @@
 //! Structured tracing, metrics, and self-profiling for the
 //! fault-simulation stack — std-only and offline, like the workspace's
-//! `proptest`/`criterion`/`serde_json` shims: no subscriber registries,
+//! `proptest`/`serde_json` shims: no subscriber registries,
 //! no async, no global state.
 //!
 //! A run reports through one clonable handle, [`Telemetry`], with three

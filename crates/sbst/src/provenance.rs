@@ -399,7 +399,7 @@ pub struct EscapeAttributionRow {
 }
 
 /// The dual of [`ProvenanceReport`] for *escapes*: joins each escape's
-/// first-excitation cycle (forensics replay evidence) against the
+/// first-excitation cycle (forensics evidence pass) against the
 /// golden trace and routine map, answering "which routine activated
 /// this fault and still failed to detect it?" per routine × component.
 /// Untestable and never-excited escapes land in pseudo-rows so every
