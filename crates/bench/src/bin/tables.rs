@@ -62,6 +62,11 @@
 //! also writes `results/TRACE_<mode>.trace.json` at exit. Campaign
 //! results are bit-identical with the observatory on or off.
 //!
+//! The modes — `--stats`, `--report`, `--forensics`,
+//! `--forensics-fault` and the wave dumps — run instead of the
+//! experiments, so at most one may be given, and never with `--table`
+//! or `--all`; either is a usage error (exit 2).
+//!
 //! Campaign thread count defaults to the `SBST_THREADS` environment
 //! variable, else the machine's available parallelism; coverage numbers
 //! are bit-identical at every thread count — with or without
@@ -211,6 +216,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = RunOptions::default();
     let mut which: Option<String> = None;
+    let mut selector: Option<&str> = None;
     let mut json_out: Option<String> = None;
     let mut stats = false;
     let mut report = false;
@@ -226,8 +232,14 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--all" => which = None,
-            "--table" => which = Some(value(&mut it, a, "an id")),
+            "--all" => {
+                which = None;
+                selector = Some("--all");
+            }
+            "--table" => {
+                which = Some(value(&mut it, a, "an id"));
+                selector = Some("--table");
+            }
             "--full" => opts.sample = None,
             "--sample" => opts.sample = Some(value(&mut it, a, "a number")),
             "--seed" => opts.seed = value(&mut it, a, "a number"),
@@ -289,6 +301,29 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    // A mode runs instead of the experiments: one at a time, and none
+    // with an experiment selector.
+    let modes: Vec<&str> = [
+        (wave.fault.is_some() || wave.escapes > 0, "a wave dump"),
+        (stats, "--stats"),
+        (report, "--report"),
+        (forensics_fault.is_some(), "--forensics-fault"),
+        (forensics, "--forensics"),
+    ]
+    .into_iter()
+    .filter_map(|(on, mode)| on.then_some(mode))
+    .collect();
+    match (modes.as_slice(), selector) {
+        ([a, b, ..], _) => {
+            eprintln!("{a} and {b} are exclusive modes; give one");
+            std::process::exit(2);
+        }
+        ([mode], Some(flag)) => {
+            eprintln!("{flag} selects experiments, which {mode} does not run");
+            std::process::exit(2);
+        }
+        _ => {}
     }
     // Only `--stats` sweeps widths or runs the interpreted reference.
     if !stats && (opts.verify_interp || opts.lanes_sweep.len() > 1) {

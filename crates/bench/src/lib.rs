@@ -1153,6 +1153,7 @@ fn workers_json(s: &fault::campaign::CampaignStats) -> serde_json::Value {
                     "batches": w.batches,
                     "cycles": w.cycles,
                     "lanes": w.lanes,
+                    "lane_cycles": w.lane_cycles,
                     "wall_seconds": w.wall_seconds,
                     "mlane_cycles_per_sec": w.mlane_cycles_per_sec(),
                 })
@@ -1171,6 +1172,7 @@ fn stats_json(r: &CampaignResult) -> serde_json::Value {
         "faults": r.faults.len(),
         "faults_dropped": s.faults_dropped,
         "cycles_simulated": s.cycles_simulated,
+        "lane_cycles_spent": s.lane_cycles_spent,
         "budget_cycles": s.budget_cycles,
         "wall_seconds": s.wall_seconds,
         "mlane_cycles_per_sec": s.mlane_cycles_per_sec(),

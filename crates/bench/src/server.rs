@@ -979,9 +979,16 @@ impl JobServer {
             }
         }
         // Counts come from the worker; the engine and width are the
-        // job's own, so a worker cannot skew the merged lane figures.
+        // job's own, so a worker cannot skew the merged lane figures:
+        // its lane-cycles are taken only up to its cycles × the job's
+        // lanes, and never below the useful ones.
         let stats = &doc["stats"];
         let num = |k: &str| stats[k].as_u64().unwrap_or(0);
+        let lanes = job.spec.engine.lanes() as u64;
+        let useful = fault::campaign::useful_lane_cycles(&detections, job.prepared.budget);
+        let spent = num("lane_cycles_spent")
+            .min(num("cycles_simulated").saturating_mul(lanes))
+            .max(useful);
         let result = CampaignResult {
             faults: job.prepared.faults.slice(lo, hi),
             stats: CampaignStats {
@@ -990,14 +997,12 @@ impl JobServer {
                 budget_cycles: num("budget_cycles"),
                 faults: detections.len() as u64,
                 faults_dropped: detections.iter().filter(|d| d.is_detected()).count() as u64,
-                lane_cycles_useful: fault::campaign::useful_lane_cycles(
-                    &detections,
-                    job.prepared.budget,
-                ),
+                lane_cycles_useful: useful,
+                lane_cycles_spent: spent,
                 wall_seconds: stats["wall_seconds"].as_f64().unwrap_or(0.0),
                 threads: num("threads").max(1) as usize,
                 engine: "compiled",
-                lanes: job.spec.engine.lanes() as u64,
+                lanes,
                 ..CampaignStats::default()
             },
             detections,
@@ -1275,6 +1280,7 @@ pub fn completion_json(job_id: &str, shard: usize, worker: &str, result: &Campai
         "stats": {
             "batches": result.stats.batches,
             "cycles_simulated": result.stats.cycles_simulated,
+            "lane_cycles_spent": result.stats.lane_cycles_spent,
             "budget_cycles": result.stats.budget_cycles,
             "wall_seconds": result.stats.wall_seconds,
             "threads": result.stats.threads as u64,

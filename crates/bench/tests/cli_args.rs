@@ -145,3 +145,33 @@ fn forensics_fault_lists_class_members() {
     assert_eq!(rep, "g2175/pin1 sa0");
     assert!(members.is_empty(), "{members:?}");
 }
+
+#[test]
+fn two_modes_exit_2() {
+    assert_usage_error(
+        &tables(&["--forensics-fault", "n5652 sa0", "--stats", "--no-ledger"]),
+        "--stats and --forensics-fault are exclusive modes",
+    );
+    assert_usage_error(
+        &tables(&["--report", "--wave-fault", "0", "--no-ledger"]),
+        "a wave dump and --report are exclusive modes",
+    );
+}
+
+#[test]
+fn experiment_selector_with_a_mode_exits_2() {
+    assert_usage_error(
+        &tables(&[
+            "--forensics-fault",
+            "n5652 sa0",
+            "--table",
+            "4",
+            "--no-ledger",
+        ]),
+        "--table selects experiments, which --forensics-fault does not run",
+    );
+    assert_usage_error(
+        &tables(&["--all", "--forensics", "--no-ledger"]),
+        "--all selects experiments, which --forensics does not run",
+    );
+}

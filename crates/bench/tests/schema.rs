@@ -59,6 +59,12 @@ fn check_run(run: &Value, budget_per_batch: u64) {
     let budget = assert_uint(field(run, "budget_cycles"), "budget_cycles");
     assert_eq!(budget, first * budget_per_batch, "drop-free budget");
     assert!(cycles <= budget, "fault dropping can only shorten runs");
+    // Batches narrower than the configured width spend fewer lanes.
+    let spent = assert_uint(field(run, "lane_cycles_spent"), "lane_cycles_spent");
+    assert!(
+        spent > 0 && spent <= cycles * lanes,
+        "{spent} lane-cycles spent outside (0, {cycles} cycles × {lanes} lanes]"
+    );
     assert!(assert_num(field(run, "wall_seconds"), "wall_seconds") > 0.0);
     assert!(assert_num(field(run, "mlane_cycles_per_sec"), "mlane_cycles_per_sec") > 0.0);
     assert!(assert_num(field(run, "faults_per_sec"), "faults_per_sec") > 0.0);
@@ -89,16 +95,19 @@ fn check_run(run: &Value, budget_per_batch: u64) {
     assert_eq!(workers.len() as u64, threads);
     let mut wb = 0u64;
     let mut wc = 0u64;
+    let mut wl = 0u64;
     for w in workers {
         assert_uint(field(w, "worker"), "worker id");
         wb += assert_uint(field(w, "batches"), "worker batches");
         wc += assert_uint(field(w, "cycles"), "worker cycles");
+        wl += assert_uint(field(w, "lane_cycles"), "worker lane_cycles");
         assert_eq!(assert_uint(field(w, "lanes"), "worker lanes"), lanes);
         assert_num(field(w, "wall_seconds"), "worker wall_seconds");
         assert_num(field(w, "mlane_cycles_per_sec"), "worker rate");
     }
     assert_eq!(wb, batches, "worker batches must sum to the total");
     assert_eq!(wc, cycles, "worker cycles must sum to the total");
+    assert_eq!(wl, spent, "worker lane-cycles must sum to the total");
 }
 
 fn check_benchmark(doc: &Value) {

@@ -290,3 +290,68 @@ fn result_document_is_complete() {
     assert_eq!(result["id"].as_str(), Some("doc"));
     assert_eq!(result["spec"]["shards"].as_u64(), Some(2));
 }
+
+/// A worker's lane-cycles count only up to its cycles × the job's lanes:
+/// a forged, oversized figure is capped there, while an honest one from
+/// narrower batches stands.
+#[test]
+fn oversized_lane_cycles_are_capped_at_cycles_times_job_lanes() {
+    let srv = spawn_server(&["--workers", "0"]);
+    let doc = serde_json::json!({
+        "id": "forged",
+        "netlist": srv.fingerprint.clone(),
+        "sample": 60u64,
+        "shards": 2u64,
+        "lanes": 128u64,
+    });
+    let (status, body) =
+        bench::client::post(&srv.base, "/jobs", &serde_json::to_string(&doc).unwrap())
+            .expect("submit");
+    assert_eq!(status, 202, "{body}");
+    // Every fault detected at cycle 0: one useful lane-cycle each. Both
+    // shards claim 10 cycles; shard 0 forges its lane-cycles, shard 1
+    // reports 10 cycles at 64 lanes.
+    let mut useful = 0u64;
+    for _ in 0..2 {
+        let body = serde_json::json!({ "worker": "forger" });
+        let (status, resp) =
+            bench::client::post(&srv.base, "/claim", &serde_json::to_string(&body).unwrap())
+                .expect("claim");
+        assert_eq!(status, 200);
+        let claim: Value = serde_json::from_str(&resp).expect("claim doc");
+        let (lo, hi) = (claim["lo"].as_u64().unwrap(), claim["hi"].as_u64().unwrap());
+        useful += hi - lo;
+        let shard = claim["shard"].as_u64().unwrap();
+        let spent = if shard == 0 { u64::MAX / 2 } else { 640 };
+        let completion = serde_json::json!({
+            "job": "forged",
+            "shard": shard,
+            "worker": "forger",
+            "detections": Value::Array(vec![Value::U64(0); (hi - lo) as usize]),
+            "stats": {
+                "batches": 1u64,
+                "cycles_simulated": 10u64,
+                "lane_cycles_spent": spent,
+                "threads": 1u64,
+            },
+        });
+        let (status, body) = bench::client::post(
+            &srv.base,
+            "/complete",
+            &serde_json::to_string(&completion).unwrap(),
+        )
+        .expect("complete");
+        assert_eq!((status, body.as_str()), (200, "{\"accepted\": true}"));
+    }
+    let status = bench::client::wait_job(&srv.base, "forged", Duration::from_secs(60))
+        .expect("forged job finishes");
+    assert_eq!(status["state"].as_str(), Some("done"));
+    let result = bench::client::fetch_result(&srv.base, "forged").expect("result");
+    assert_eq!(result["stats"]["lanes"].as_u64(), Some(128));
+    let utilization = result["stats"]["lane_utilization"].as_f64().unwrap();
+    let want = useful as f64 / (10.0 * 128.0 + 640.0);
+    assert!(
+        (utilization - want).abs() < 1e-12,
+        "{utilization} != {want}"
+    );
+}

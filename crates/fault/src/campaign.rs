@@ -9,7 +9,10 @@
 //! (fault dropping), and at every doubling cycle boundary (128, 256,
 //! 512, …) the undetected faults of all batches are regrouped into
 //! fewer, full batches, each carrying its lane state along (survivor
-//! compaction) — so no lane keeps simulating a dropped fault.
+//! compaction). Each batch runs at the smallest of 64/128/256/512 lanes
+//! that holds its faults plus lane 0, capped at the simulator's width,
+//! and only a 64-lane lone batch runs straight to the budget — so few
+//! lanes keep simulating a dropped fault or no fault at all.
 //!
 //! One runner, [`run`], drives either engine through the lane-block
 //! [`LaneSim`] interface — the interpreted 64-lane
@@ -30,13 +33,14 @@
 //!
 //! A run reports through one [`obs::Telemetry`] handle: its tracer
 //! receives `campaign_begin`, one `batch` event per batch run (with the
-//! worker's thread id and wall time) and `campaign_end`, and passes each
-//! to its JSONL file and/or live bus; its registry counts batches,
-//! cycles and faults taken on and resolved (the `--progress` ticker
-//! renders the last two); its profiler times patch and reset. Every run
-//! also folds execution metrics into [`CampaignStats`]: cycles vs
-//! budget, a detection-latency histogram, and per-worker
-//! batch/cycle/wall throughput. With telemetry disabled (the default)
+//! worker's thread id, the batch's lanes and its wall time) and
+//! `campaign_end`, and passes each to its JSONL file and/or live bus;
+//! its registry counts batches, cycles and faults taken on and resolved
+//! (the `--progress` ticker renders the last two); its profiler times
+//! patch and reset. Every run also folds execution metrics into
+//! [`CampaignStats`]: cycles and lane-cycles vs budget, a
+//! detection-latency histogram, and per-worker batch/cycle/wall
+//! throughput. With telemetry disabled (the default)
 //! the instrumentation reduces to one branch per *batch*, so the
 //! simulation hot loop is untouched.
 
@@ -132,8 +136,11 @@ pub struct WorkerStats {
     /// Wall-clock seconds this worker spent running batches (waits at
     /// epoch boundaries excluded).
     pub wall_seconds: f64,
-    /// Lanes per simulated cycle on this worker's engine.
+    /// The configured lane width: the widest batch this worker may run.
     pub lanes: u64,
+    /// Lane-cycles this worker simulated: per batch run, its cycles
+    /// times its lanes.
+    pub lane_cycles: u64,
 }
 
 impl WorkerStats {
@@ -142,7 +149,7 @@ impl WorkerStats {
         if self.wall_seconds <= 0.0 {
             return 0.0;
         }
-        (self.cycles as f64 * self.lanes as f64) / self.wall_seconds / 1e6
+        self.lane_cycles as f64 / self.wall_seconds / 1e6
     }
 }
 
@@ -166,6 +173,9 @@ pub struct CampaignStats {
     /// Lane-cycles no scheduler could avoid: per fault its detection
     /// cycle + 1, or the whole budget for an escape.
     pub lane_cycles_useful: u64,
+    /// Lane-cycles simulated: per batch run, its cycles times its lanes
+    /// (batches narrower than `lanes` count their own width).
+    pub lane_cycles_spent: u64,
     /// Wall-clock time of the campaign.
     pub wall_seconds: f64,
     /// Worker threads used (1 = serial).
@@ -181,8 +191,8 @@ pub struct CampaignStats {
     /// Simulation engine that produced this run (`"interp"` or
     /// `"compiled"`).
     pub engine: &'static str,
-    /// Lanes per simulated cycle (64 for the interpreted engine, up to
-    /// 512 for the compiled one).
+    /// The configured lane width, the widest any batch runs at (64 for
+    /// the interpreted engine, up to 512 for the compiled one).
     pub lanes: u64,
 }
 
@@ -195,6 +205,7 @@ impl Default for CampaignStats {
             faults: 0,
             faults_dropped: 0,
             lane_cycles_useful: 0,
+            lane_cycles_spent: 0,
             wall_seconds: 0.0,
             threads: 1,
             latency: LatencyHistogram::new(),
@@ -207,23 +218,21 @@ impl Default for CampaignStats {
 }
 
 impl CampaignStats {
-    /// Simulation throughput in millions of lane-cycles per second
-    /// (`lanes` faulty machines per simulated cycle).
+    /// Simulation throughput in millions of lane-cycles per second.
     pub fn mlane_cycles_per_sec(&self) -> f64 {
         if self.wall_seconds <= 0.0 {
             return 0.0;
         }
-        (self.cycles_simulated as f64 * self.lanes as f64) / self.wall_seconds / 1e6
+        self.lane_cycles_spent as f64 / self.wall_seconds / 1e6
     }
 
-    /// Useful ÷ spent lane-cycles (`cycles_simulated × lanes`): the
-    /// share of simulated lane-cycles that carried a live fault.
+    /// Useful ÷ spent lane-cycles: the share of simulated lane-cycles
+    /// that carried a live fault.
     pub fn lane_utilization(&self) -> f64 {
-        let spent = self.cycles_simulated * self.lanes;
-        if spent == 0 {
+        if self.lane_cycles_spent == 0 {
             return 0.0;
         }
-        self.lane_cycles_useful as f64 / spent as f64
+        self.lane_cycles_useful as f64 / self.lane_cycles_spent as f64
     }
 
     /// Faults graded per wall-clock second — the end-to-end throughput.
@@ -423,6 +432,7 @@ impl CampaignResult {
                 faults: self.stats.faults + other.stats.faults,
                 faults_dropped: self.stats.faults_dropped + other.stats.faults_dropped,
                 lane_cycles_useful: self.stats.lane_cycles_useful + other.stats.lane_cycles_useful,
+                lane_cycles_spent: self.stats.lane_cycles_spent + other.stats.lane_cycles_spent,
                 wall_seconds: self.stats.wall_seconds + other.stats.wall_seconds,
                 threads: self.stats.threads.max(other.stats.threads),
                 latency,
@@ -510,11 +520,23 @@ impl LaneState {
     }
 }
 
+/// Lane words for a batch of `faults` faults: the smallest of 1, 2, 4
+/// and 8 whose lanes hold them plus lane 0, never more than `max_words`.
+fn fitted_words(faults: usize, max_words: usize) -> usize {
+    let mut words = 1;
+    while words < max_words && 64 * words < faults + 1 {
+        words *= 2;
+    }
+    words
+}
+
 /// One batch of an epoch: fault indices in lane order (lane `k + 1`
-/// carries `faults[k]`) and, after the first epoch, their parked lanes.
+/// carries `faults[k]`), after the first epoch their parked lanes, and
+/// the lane words it runs at.
 struct Batch {
     faults: Vec<usize>,
     parked: Vec<LaneState>,
+    words: usize,
 }
 
 /// What one batch run leaves behind.
@@ -547,30 +569,32 @@ struct Epoch {
 
 impl Epoch {
     /// Group `faults` (fault indices in increasing order, with their
-    /// parked lanes after cycle 0) into `chunk`-fault batches starting
-    /// at cycle `start`. A single batch runs straight to the budget;
-    /// several run to the next boundary.
+    /// parked lanes after cycle 0) into batches of at most
+    /// `64 * max_words - 1` faults starting at cycle `start`, each
+    /// fitted to its faults ([`fitted_words`]). A lone 64-lane batch
+    /// runs straight to the budget; otherwise the epoch ends at the next
+    /// boundary, where the survivors regroup — narrower when they fit.
     fn new(
         start: u64,
         lane0: Option<LaneState>,
         faults: Vec<usize>,
         parked: Vec<LaneState>,
-        chunk: usize,
+        max_words: usize,
         budget: u64,
         first_id: usize,
     ) -> Epoch {
         let mut parked = parked.into_iter();
         let batches: Vec<Batch> = faults
-            .chunks(chunk)
+            .chunks(64 * max_words - 1)
             .map(|f| Batch {
                 faults: f.to_vec(),
                 parked: parked.by_ref().take(f.len()).collect(),
+                words: fitted_words(f.len(), max_words),
             })
             .collect();
-        let end = if batches.len() > 1 {
-            epoch_end(start, budget)
-        } else {
-            budget
+        let end = match batches.as_slice() {
+            [lone] if lone.words == 1 => budget,
+            _ => epoch_end(start, budget),
         };
         Epoch {
             start,
@@ -586,7 +610,7 @@ impl Epoch {
     /// Record this epoch's outcomes into `detections` and regroup its
     /// survivors, in fault-index order, into the next epoch — `None`
     /// once nothing survives or the budget is spent.
-    fn next(&self, detections: &mut [Detection], chunk: usize, budget: u64) -> Option<Epoch> {
+    fn next(&self, detections: &mut [Detection], max_words: usize, budget: u64) -> Option<Epoch> {
         let mut lane0: Option<LaneState> = None;
         let (mut survivors, mut parked) = (Vec::new(), Vec::new());
         for (batch, out) in self.batches.iter().zip(&self.outs) {
@@ -616,15 +640,16 @@ impl Epoch {
         debug_assert_eq!(survivors.len(), parked.len(), "every survivor parked");
         let first_id = self.first_id + self.batches.len();
         Some(Epoch::new(
-            self.end, lane0, survivors, parked, chunk, budget, first_id,
+            self.end, lane0, survivors, parked, max_words, budget, first_id,
         ))
     }
 }
 
-/// Run batch `b` of `epoch`: inject its faults, reset, restore its
-/// parked lanes (lane 0 included), and simulate until the epoch ends or
-/// every fault is dropped. When another epoch follows, park lane 0 and
-/// every undetected lane. Returns the outcome and the cycles simulated.
+/// Run batch `b` of `epoch`: set its width, inject its faults, reset,
+/// restore its parked lanes (lane 0 included), and simulate until the
+/// epoch ends or every fault is dropped. When another epoch follows,
+/// park lane 0 and every undetected lane. Returns the outcome and the
+/// cycles simulated.
 ///
 /// The simulator is fully rebuilt ([`LaneSim::reset_state`]) before
 /// the parked flip-flops are loaded, so the outcome depends only on the
@@ -644,6 +669,7 @@ fn run_batch<S: LaneSim, T: Testbench<S>>(
     {
         let _patch = profiler.scope(ProfilePhase::Patch);
         sim.clear_faults();
+        sim.set_lane_words(batch.words);
         for (k, &f) in batch.faults.iter().enumerate() {
             sim.inject(faults[f], k + 1);
         }
@@ -743,6 +769,7 @@ fn trace_batch(
     batch: usize,
     worker: usize,
     out: &[Detection],
+    lanes: usize,
     cycles: u64,
     dur_us: Option<u64>,
 ) {
@@ -754,6 +781,7 @@ fn trace_batch(
         ("batch", Value::U64(batch as u64)),
         ("worker", Value::U64(worker as u64)),
         ("faults", Value::U64(out.len() as u64)),
+        ("lanes", Value::U64(lanes as u64)),
         ("cycles", Value::U64(cycles)),
         ("detected", Value::U64(detected as u64)),
     ];
@@ -795,8 +823,8 @@ pub fn default_threads() -> usize {
 }
 
 /// Run a campaign: simulate every fault in `faults` against the stimulus
-/// of the testbenches `factory` makes, `proto.lanes() - 1` faults per
-/// batch plus the lane-0 reference.
+/// of the testbenches `factory` makes, at most `proto.lanes() - 1`
+/// faults per batch plus the lane-0 reference.
 ///
 /// Batches advance in lockstep *epochs* that end at fixed cycle
 /// boundaries — 128, 256, 512, … doubling, capped at the budget. At each
@@ -805,9 +833,13 @@ pub fn default_threads() -> usize {
 /// and each survivor's lane state — its flip-flops from the simulator
 /// and its memory overlay from the bench — moves to its new lane, so
 /// no batch keeps simulating lanes whose faults were dropped and no
-/// cycle is simulated twice. Once the live faults fit in one batch, that
-/// batch runs straight to the budget: a list of at most `lanes - 1`
-/// faults runs as one batch with no save or restore at all.
+/// cycle is simulated twice. Each batch runs at the smallest of
+/// 64/128/256/512 lanes that holds its faults plus lane 0, never wider
+/// than `proto` ([`LaneSim::set_lane_words`]), so the configured width
+/// is a cap, not a fixed cost. A lone batch wider than 64 lanes still
+/// stops at the next boundary, so its survivors go on narrower; only a
+/// lone 64-lane batch runs straight to the budget, and a list of at
+/// most 63 faults runs as one batch with no save or restore at all.
 ///
 /// Runs on `threads` worker threads (0 = use [`default_threads`]); one
 /// worker runs on the calling thread (mode `serial` in the trace). Each
@@ -842,7 +874,7 @@ where
         threads
     };
     let lanes = proto.lanes();
-    let chunk = lanes - 1;
+    let max_words = proto.lane_words();
     let first_batches = batch_count_lanes(faults, lanes);
     let workers = threads.min(first_batches as usize).max(1);
 
@@ -861,7 +893,7 @@ where
         None,
         (0..faults.len()).collect(),
         Vec::new(),
-        chunk,
+        max_words,
         budget,
         0,
     );
@@ -882,6 +914,7 @@ where
         let mut sim = proto.clone();
         let mut tb = factory();
         let mut cycles = 0u64;
+        let mut lane_cycles = 0u64;
         let mut done = 0u64;
         let mut busy = Duration::ZERO;
         loop {
@@ -904,11 +937,14 @@ where
                     &telemetry.profiler,
                 );
                 let dur = tb0.elapsed();
+                let batch_lanes = 64 * epoch.batches[b].words;
                 busy += dur;
                 cycles += c;
+                lane_cycles += c * batch_lanes as u64;
                 done += 1;
                 let dur_us = tracer.enabled().then_some(dur.as_micros() as u64);
-                trace_batch(tracer, epoch.first_id + b, w, &out.detections, c, dur_us);
+                let id = epoch.first_id + b;
+                trace_batch(tracer, id, w, &out.detections, batch_lanes, c, dur_us);
                 if let Some(ctr) = &counters {
                     ctr.batches.inc(1);
                     ctr.cycles.inc(c);
@@ -931,7 +967,7 @@ where
                 {
                     guarded(&mut || {
                         let mut det = detections.lock().expect("detections poisoned");
-                        next = epoch.next(&mut det, chunk, budget).map(Arc::new);
+                        next = epoch.next(&mut det, max_words, budget).map(Arc::new);
                     });
                 }
                 *plan.lock().expect("plan poisoned") = next;
@@ -944,6 +980,7 @@ where
             cycles,
             wall_seconds: busy.as_secs_f64(),
             lanes: lanes as u64,
+            lane_cycles,
         }
     };
     let worker_stats = if workers == 1 {
@@ -970,6 +1007,7 @@ where
         faults: faults.len() as u64,
         faults_dropped: dropped,
         lane_cycles_useful: useful_lane_cycles(&detections, budget),
+        lane_cycles_spent: worker_stats.iter().map(|w| w.lane_cycles).sum(),
         wall_seconds: t0.elapsed().as_secs_f64(),
         threads: workers,
         latency: latency_of(&detections),
@@ -1072,6 +1110,20 @@ mod tests {
     use crate::model::FaultList;
     use crate::wide::WideSim;
     use netlist::{synth, NetlistBuilder};
+    use obs::Tracer;
+
+    /// `z = dff(a ^ b) & a` over 24-bit words: more faults than two
+    /// 64-lane batches hold, and `a = 0` hides the whole register.
+    fn registered_xor() -> Netlist {
+        let mut b = NetlistBuilder::new("wide");
+        let a = b.inputs("a", 24);
+        let c = b.inputs("b", 24);
+        let y = b.xor_word(&a, &c);
+        let q = b.dff_word(&y, 0);
+        let z = b.and_word(&q, &a);
+        b.outputs("z", &z);
+        b.finish().unwrap()
+    }
 
     /// Exhaustive patterns on a 4-bit adder must detect all detectable
     /// faults (the structure is fully testable).
@@ -1174,14 +1226,7 @@ mod tests {
     /// to catch everything).
     #[test]
     fn parallel_matches_serial_exactly() {
-        let mut b = NetlistBuilder::new("wide");
-        let a = b.inputs("a", 24);
-        let c = b.inputs("b", 24);
-        let y = b.xor_word(&a, &c);
-        let q = b.dff_word(&y, 0);
-        let z = b.and_word(&q, &a);
-        b.outputs("z", &z);
-        let nl = b.finish().unwrap();
+        let nl = registered_xor();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         assert!(faults.len() > 126, "need 3+ batches");
         let vectors: Vec<Vec<(&str, u64)>> = vec![
@@ -1211,12 +1256,14 @@ mod tests {
     fn zero_duration_throughput_is_zero_not_inf() {
         let stats = CampaignStats {
             cycles_simulated: 1_000_000,
+            lane_cycles_spent: 64_000_000,
             wall_seconds: 0.0,
             ..CampaignStats::default()
         };
         assert_eq!(stats.mlane_cycles_per_sec(), 0.0);
         let stats = CampaignStats {
             cycles_simulated: 1_000_000,
+            lane_cycles_spent: 64_000_000,
             wall_seconds: -1.0,
             ..CampaignStats::default()
         };
@@ -1227,11 +1274,102 @@ mod tests {
             cycles: 1_000_000,
             wall_seconds: 0.0,
             lanes: 64,
+            lane_cycles: 64_000_000,
         };
         assert_eq!(w.mlane_cycles_per_sec(), 0.0);
         assert!(w.mlane_cycles_per_sec().is_finite());
         assert_eq!(stats.faults_per_sec(), 0.0);
         assert_eq!(CampaignStats::default().lane_utilization(), 0.0);
+    }
+
+    /// Each batch runs at the smallest width that holds its faults plus
+    /// lane 0, capped at the configured one, and only a lone 64-lane
+    /// batch runs straight to the budget — read off the `batch` events'
+    /// `lanes`. Detections match the interpreted reference, and the
+    /// lane-cycles spent are the events' lanes × cycles.
+    #[test]
+    fn batches_run_at_the_smallest_width_that_holds_them() {
+        let nl = registered_xor();
+        let base = FaultList::extract(&nl).collapsed(&nl);
+        let all = FaultList {
+            faults: base.faults.repeat(4),
+            component: base.component.repeat(4),
+            weight: base.weight.repeat(4),
+            total_uncollapsed: base.total_uncollapsed * 4,
+        };
+        // `a` stays 0, so most faults escape and batches run on.
+        let vectors: Vec<Vec<(&str, u64)>> = (0..300u64)
+            .map(|v| vec![("a", 0), ("b", v * 0x9E37)])
+            .collect();
+        let kernel = crate::kernel::compile_cached(&nl, &[nl.topo_order().to_vec()]);
+        // (lanes, cycles) of every batch run over the first `n` faults,
+        // in batch order.
+        let batches = |lane_words: usize, n: usize| -> Vec<(u64, u64)> {
+            let (tracer, buf) = Tracer::to_shared_buffer();
+            let telemetry = Telemetry {
+                tracer,
+                ..Telemetry::none()
+            };
+            let list = all.slice(0, n);
+            let proto = WideSim::new(kernel.clone(), lane_words);
+            let res = run(
+                &proto,
+                &list,
+                || VectorBench::new(&nl, &vectors),
+                2,
+                &telemetry,
+            );
+            assert_eq!(res.detections, run_vectors(&nl, &list, &vectors).detections);
+            let mut runs: Vec<(u64, u64, u64)> = buf
+                .contents()
+                .lines()
+                .map(|l| serde_json::from_str(l).unwrap())
+                .filter(|e| e["ev"].as_str() == Some("batch"))
+                .map(|e| {
+                    let field = |k: &str| e[k].as_u64().unwrap();
+                    (field("batch"), field("lanes"), field("cycles"))
+                })
+                .collect();
+            runs.sort_unstable();
+            let runs: Vec<(u64, u64)> = runs.into_iter().map(|(_, l, c)| (l, c)).collect();
+            let s = &res.stats;
+            assert_eq!(
+                s.lane_cycles_spent,
+                runs.iter().map(|(l, c)| l * c).sum::<u64>()
+            );
+            assert!(s.lane_cycles_useful <= s.lane_cycles_spent);
+            assert!(s.lane_cycles_spent <= s.cycles_simulated * s.lanes);
+            runs
+        };
+        assert!(
+            run_vectors(&nl, &all.slice(0, 63), &vectors)
+                .detections
+                .contains(&Detection::Undetected),
+            "the 63-fault batch must run to the budget"
+        );
+        assert_eq!(batches(4, 63), [(64, 300)], "one batch, never parked");
+        for (n, lanes) in [(64, 128), (127, 128), (128, 256)] {
+            let runs = batches(4, n);
+            assert_eq!(
+                runs[0],
+                (lanes, 128),
+                "{n} faults stop at the first boundary"
+            );
+            assert!(
+                runs.windows(2).all(|w| w[1].0 <= w[0].0),
+                "{n} faults: {runs:?}"
+            );
+        }
+        // 600 faults: two full batches, and 90 faults in 128 lanes.
+        let capped = batches(4, 600);
+        let first: Vec<u64> = capped[..3].iter().map(|r| r.0).collect();
+        assert_eq!(first, [256, 256, 128]);
+        assert!(
+            capped.iter().all(|r| r.0 <= 256),
+            "capped at the configured width"
+        );
+        assert_eq!(batches(8, 300)[0].0, 512);
+        assert!(batches(1, 300).iter().all(|r| r.0 == 64));
     }
 
     /// Epochs end at 128, 256, 512, … and never past the budget.
@@ -1251,14 +1389,7 @@ mod tests {
     /// bit-identical acceptance criterion at the vector-bench level.
     #[test]
     fn compiled_engine_matches_interpreted_detections() {
-        let mut b = NetlistBuilder::new("wide");
-        let a = b.inputs("a", 24);
-        let c = b.inputs("b", 24);
-        let y = b.xor_word(&a, &c);
-        let q = b.dff_word(&y, 0);
-        let z = b.and_word(&q, &a);
-        b.outputs("z", &z);
-        let nl = b.finish().unwrap();
+        let nl = registered_xor();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         assert!(faults.len() > 126, "need multiple batches at 64 lanes");
         let vectors: Vec<Vec<(&str, u64)>> = vec![
@@ -1295,14 +1426,7 @@ mod tests {
     /// criterion that instrumentation is observation-only.
     #[test]
     fn hooks_do_not_change_results() {
-        let mut b = NetlistBuilder::new("wide");
-        let a = b.inputs("a", 24);
-        let c = b.inputs("b", 24);
-        let y = b.xor_word(&a, &c);
-        let q = b.dff_word(&y, 0);
-        let z = b.and_word(&q, &a);
-        b.outputs("z", &z);
-        let nl = b.finish().unwrap();
+        let nl = registered_xor();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         let vectors: Vec<Vec<(&str, u64)>> = vec![
             vec![("a", 0xAAAAAA), ("b", 0x555555)],
@@ -1363,14 +1487,7 @@ mod tests {
     /// the other workers waiting at an epoch boundary.
     #[test]
     fn worker_panic_propagates_instead_of_hanging() {
-        let mut b = NetlistBuilder::new("wide");
-        let a = b.inputs("a", 24);
-        let c = b.inputs("b", 24);
-        let y = b.xor_word(&a, &c);
-        let q = b.dff_word(&y, 0);
-        let z = b.and_word(&q, &a);
-        b.outputs("z", &z);
-        let nl = b.finish().unwrap();
+        let nl = registered_xor();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         assert!(faults.len() > 126, "need 3+ batches");
         let vectors: Vec<Vec<(&str, u64)>> = (0..300u64)

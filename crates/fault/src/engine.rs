@@ -52,22 +52,10 @@ impl EngineConfig {
         }
     }
 
-    /// Effective lanes per batch.
+    /// The widest batch this configuration runs: each batch narrows to
+    /// the smallest width that holds its faults (see [`campaign::run`]).
     pub fn lanes(&self) -> usize {
         64 * self.lane_words
-    }
-
-    /// This configuration fitted to a list of `faults` faults: the
-    /// smallest of 64/128/256/512 lanes that holds them plus the lane-0
-    /// reference, never wider than configured. A short list then runs as
-    /// one batch without simulating lanes that never carry a fault.
-    /// Detections do not depend on the width.
-    pub fn fit(self, faults: usize) -> EngineConfig {
-        let mut lane_words = 1;
-        while lane_words < self.lane_words && 64 * lane_words < faults + 1 {
-            lane_words *= 2;
-        }
-        EngineConfig { lane_words }
     }
 
     /// Map a lane count to words, if supported.
@@ -172,20 +160,6 @@ mod tests {
         assert!(EngineConfig::parse_lanes("zero").is_err());
         assert_eq!(EngineConfig::words_for_lanes(512), Some(8));
         assert_eq!(EngineConfig::words_for_lanes(96), None);
-    }
-
-    #[test]
-    fn fit_picks_the_smallest_width_that_holds_the_list() {
-        let c = EngineConfig::compiled(256);
-        assert_eq!(c.fit(0).lanes(), 64);
-        assert_eq!(c.fit(63).lanes(), 64);
-        assert_eq!(c.fit(64).lanes(), 128);
-        assert_eq!(c.fit(126).lanes(), 128);
-        assert_eq!(c.fit(127).lanes(), 128);
-        assert_eq!(c.fit(128).lanes(), 256);
-        assert_eq!(c.fit(10_000).lanes(), 256, "capped at the configured width");
-        assert_eq!(EngineConfig::compiled(512).fit(300).lanes(), 512);
-        assert_eq!(EngineConfig::compiled(64).fit(1000).lanes(), 64);
     }
 
     #[test]

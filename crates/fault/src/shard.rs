@@ -282,6 +282,7 @@ pub fn merge_results(
         stats.faults += res.stats.faults;
         stats.faults_dropped += res.stats.faults_dropped;
         stats.lane_cycles_useful += res.stats.lane_cycles_useful;
+        stats.lane_cycles_spent += res.stats.lane_cycles_spent;
         stats.wall_seconds = stats.wall_seconds.max(res.stats.wall_seconds);
         stats.threads = stats.threads.max(res.stats.threads);
         stats.lanes = stats.lanes.max(res.stats.lanes);

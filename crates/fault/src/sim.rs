@@ -66,6 +66,17 @@ pub trait LaneSim: Clone + Send + Sync {
     /// u64 words per net.
     fn lane_words(&self) -> usize;
 
+    /// Re-stride to `words` u64 words per net, keeping every buffer's
+    /// allocation. Valid only with no fault injected (right after
+    /// [`LaneSim::clear_faults`]); net values are undefined until the
+    /// next [`LaneSim::reset_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine does not run at `words`, or if a fault is
+    /// injected.
+    fn set_lane_words(&mut self, words: usize);
+
     /// Lanes per pass (64 × lane words).
     fn lanes(&self) -> usize {
         64 * self.lane_words()
@@ -349,6 +360,10 @@ impl LaneSim for ParallelSim {
 
     fn lane_words(&self) -> usize {
         1
+    }
+
+    fn set_lane_words(&mut self, words: usize) {
+        assert_eq!(words, 1, "the interpreted engine runs one lane word");
     }
 
     fn stats(&self) -> SimStats {

@@ -99,24 +99,20 @@ impl WideSim {
     ///
     /// Panics unless `lane_words` is 1, 2, 4 or 8.
     pub fn new(kernel: Arc<CompiledKernel>, lane_words: usize) -> WideSim {
-        assert!(
-            matches!(lane_words, 1 | 2 | 4 | 8),
-            "lane_words must be 1, 2, 4 or 8 (got {lane_words})"
-        );
-        let n = kernel.n_slots * lane_words;
-        let ndff = kernel.dff_d.len();
-        WideSim {
-            w: lane_words,
-            vals: vec![0; n],
-            set1: vec![0; n],
-            keep0: vec![!0; n],
+        let mut sim = WideSim {
+            w: 0,
+            vals: Vec::new(),
+            set1: Vec::new(),
+            keep0: Vec::new(),
             pin_patches: Vec::new(),
             dff_patches: Vec::new(),
             q_stem_patches: Vec::new(),
             touched_nets: Vec::new(),
-            next: vec![0; ndff * lane_words],
+            next: Vec::new(),
             kernel,
-        }
+        };
+        sim.set_lane_words(lane_words);
+        sim
     }
 
     /// The value slot of `net` (the kernel's cache-conscious
@@ -246,6 +242,30 @@ impl LaneSim for WideSim {
     #[inline]
     fn lane_words(&self) -> usize {
         self.w
+    }
+
+    /// With no fault injected every `set1` word is 0 and every `keep0`
+    /// word all ones, so re-striding is a resize of each buffer;
+    /// shrinking keeps the capacity, so a worker that alternates widths
+    /// allocates only for the widest.
+    fn set_lane_words(&mut self, words: usize) {
+        assert!(
+            matches!(words, 1 | 2 | 4 | 8),
+            "lane_words must be 1, 2, 4 or 8 (got {words})"
+        );
+        assert!(
+            self.touched_nets.is_empty()
+                && self.pin_patches.is_empty()
+                && self.dff_patches.is_empty()
+                && self.q_stem_patches.is_empty(),
+            "set_lane_words with faults injected"
+        );
+        let n = self.kernel.n_slots * words;
+        self.w = words;
+        self.vals.resize(n, 0);
+        self.set1.resize(n, 0);
+        self.keep0.resize(n, !0);
+        self.next.resize(self.kernel.dff_d.len() * words, 0);
     }
 
     fn stats(&self) -> SimStats {
@@ -519,10 +539,10 @@ mod tests {
 
     /// Drive both engines with the same stimulus + faults (lanes < 64)
     /// and compare every observable the testbenches use.
-    fn assert_matches_interp(nl: &Netlist, lane_words: usize, faults: &[Fault]) {
+    fn assert_matches_interp(nl: &Netlist, ws: &mut WideSim, faults: &[Fault]) {
         let segs = vec![nl.topo_order().to_vec()];
         let mut ps = ParallelSim::with_segments(nl, &segs);
-        let mut ws = WideSim::new(compile_cached(nl, &segs), lane_words);
+        let lane_words = ws.lane_words();
         for (k, &f) in faults.iter().enumerate() {
             ps.inject(f, k + 1);
             ws.inject(f, k + 1);
@@ -565,9 +585,38 @@ mod tests {
         let nl = sample_netlist();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         let head: Vec<Fault> = faults.faults.iter().copied().take(20).collect();
+        let segs = vec![nl.topo_order().to_vec()];
         for lane_words in [1usize, 2, 4, 8] {
-            assert_matches_interp(&nl, lane_words, &head);
+            let mut ws = WideSim::new(compile_cached(&nl, &segs), lane_words);
+            assert_matches_interp(&nl, &mut ws, &head);
         }
+    }
+
+    /// One simulator re-strided between batches, narrower and wider in
+    /// turn, behaves as a fresh one at each width.
+    #[test]
+    fn set_lane_words_restrides_between_batches() {
+        let nl = sample_netlist();
+        let faults = FaultList::extract(&nl).collapsed(&nl);
+        let head: Vec<Fault> = faults.faults.iter().copied().take(20).collect();
+        let segs = vec![nl.topo_order().to_vec()];
+        let mut ws = WideSim::new(compile_cached(&nl, &segs), 8);
+        for lane_words in [8usize, 1, 4, 2, 8, 1] {
+            ws.clear_faults();
+            ws.set_lane_words(lane_words);
+            assert_eq!(ws.lanes(), 64 * lane_words);
+            assert_matches_interp(&nl, &mut ws, &head);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "faults injected")]
+    fn set_lane_words_refuses_injected_faults() {
+        let nl = sample_netlist();
+        let f = FaultList::extract(&nl).collapsed(&nl).faults[0];
+        let mut ws = WideSim::new(compile_cached(&nl, &[nl.topo_order().to_vec()]), 4);
+        ws.inject(f, 1);
+        ws.set_lane_words(1);
     }
 
     #[test]

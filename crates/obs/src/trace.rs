@@ -3,7 +3,7 @@
 //! One event is one JSON object on one line:
 //!
 //! ```json
-//! {"us":1234,"tid":3,"ev":"batch","batch":17,"faults":63,"cycles":812,"detected":63}
+//! {"us":1234,"tid":3,"ev":"batch","batch":17,"faults":63,"lanes":64,"cycles":812,"detected":63}
 //! ```
 //!
 //! `us` is microseconds since the tracer was created, `tid` a small

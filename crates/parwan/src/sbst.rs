@@ -264,11 +264,11 @@ pub fn golden_cycles(test: &ParwanSelfTest) -> u64 {
 }
 
 /// Fault-simulate a self-test over `faults` — the Parwan grading entry
-/// ([`EngineConfig::grade`]) at `engine`'s width fitted to the list
-/// ([`EngineConfig::fit`]), on `threads` workers (0 = auto). Each
-/// bench shares the telemetry's profiler, so per-cycle phases land in
-/// the campaign profile. Detections are bit-identical across widths,
-/// thread counts and telemetry.
+/// ([`EngineConfig::grade`]) with batches at most `engine`'s width, on
+/// `threads` workers (0 = auto). Each bench shares the telemetry's
+/// profiler, so per-cycle phases land in the campaign profile.
+/// Detections are bit-identical across widths, thread counts and
+/// telemetry.
 pub fn grade(
     core: &ParwanCore,
     test: &ParwanSelfTest,
@@ -282,7 +282,7 @@ pub fn grade(
         ParwanSelfTestBench::new(core, &test.image, budget)
             .with_profiler(telemetry.profiler.clone())
     };
-    engine.fit(faults.len()).grade(
+    engine.grade(
         core.netlist(),
         &core.segments().map(<[u32]>::to_vec),
         faults,

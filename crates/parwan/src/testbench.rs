@@ -74,8 +74,9 @@ impl<'a> GateParwan<'a> {
 
 /// Lane-parallel self-test bench: shared base image plus per-lane
 /// overlays, divergence from lane 0 on the observed bus is the
-/// detection. Drives any [`LaneSim`] engine; the overlays are sized from
-/// the simulator's lane count at [`Testbench::begin`].
+/// detection. Drives any [`LaneSim`] engine; the overlays are strided by
+/// the simulator's lane count at [`Testbench::begin`] and only grow, so
+/// batches of alternating widths reuse one allocation.
 pub struct ParwanSelfTestBench<'a> {
     core: &'a ParwanCore,
     base: Vec<u8>,
@@ -217,13 +218,14 @@ impl<'a> ParwanSelfTestBench<'a> {
 
 impl<S: LaneSim> Testbench<S> for ParwanSelfTestBench<'_> {
     fn begin(&mut self, sim: &mut S) {
-        let lanes = sim.lanes();
-        if lanes != self.lanes {
-            self.lanes = lanes;
-            self.ovl_vals = vec![0; lanes * 4096];
-            self.ovl_gens = vec![0; lanes * 4096];
-            self.scratch = vec![0; lanes];
+        // Entries of earlier batches carry older tags, so a new stride
+        // needs no clearing.
+        self.lanes = sim.lanes();
+        if self.lanes * 4096 > self.ovl_vals.len() {
+            self.ovl_vals.resize(self.lanes * 4096, 0);
+            self.ovl_gens.resize(self.lanes * 4096, 0);
         }
+        self.scratch.resize(self.lanes, 0);
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Tag wrap-around: stale tags could alias the new epoch, so

@@ -302,11 +302,8 @@ impl<'a> SelfTestBench<'a> {
 
 impl<S: LaneSim> Testbench<S> for SelfTestBench<'_> {
     fn begin(&mut self, sim: &mut S) {
-        let lanes = sim.lanes();
-        if lanes != self.lanes {
-            self.lanes = lanes;
-            self.rdata_scratch = vec![0; lanes];
-        }
+        self.lanes = sim.lanes();
+        self.rdata_scratch.resize(self.lanes, 0);
         for &i in &self.rows {
             self.blocks[i as usize] = NO_BLOCK;
         }

@@ -210,13 +210,9 @@ fn segments(core: &PlasmaCore) -> [Vec<u32>; 2] {
 }
 
 /// Grade `program` over `faults` on `core` — the Plasma campaign entry
-/// ([`EngineConfig::grade`]) on `threads` workers (0 = auto). The width
-/// is not [`EngineConfig::fit`]ted: a ~126-fault job shard grades
-/// faster in 128 lanes than in a half-empty 256, but its speed varies
-/// about twice as much with the load on a shared host, which made job
-/// server throughput unsteady (EXPERIMENTS.md, "Engine benchmarks").
-/// Detections are bit-identical across widths, thread counts and
-/// telemetry.
+/// ([`EngineConfig::grade`]) on `threads` workers (0 = auto), with
+/// batches at most `engine`'s width. Detections are bit-identical
+/// across widths, thread counts and telemetry.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_of_engine(
     core: &PlasmaCore,

@@ -151,8 +151,9 @@ fn alive_after(detections: &[Detection], cycle: u64) -> usize {
 }
 
 /// The stats invariants that hold for any schedule: the drop-free
-/// budget keeps the first epoch's geometry, and every batch run is
-/// counted.
+/// budget keeps the first epoch's geometry, every batch run is counted,
+/// and the lane-cycles spent lie between the useful ones and what every
+/// batch at the configured width would have spent.
 fn assert_schedule_invariants(res: &CampaignResult, budget: u64) {
     let s = &res.stats;
     let first = campaign::batch_count_lanes(&res.faults, s.lanes as usize);
@@ -165,6 +166,12 @@ fn assert_schedule_invariants(res: &CampaignResult, budget: u64) {
     assert_eq!(s.batches, s.workers.iter().map(|w| w.batches).sum::<u64>());
     assert!(s.cycles_simulated <= s.budget_cycles);
     assert_eq!(s.faults, res.faults.len() as u64);
+    assert!(s.lane_cycles_useful <= s.lane_cycles_spent);
+    assert!(s.lane_cycles_spent <= s.cycles_simulated * s.lanes);
+    assert_eq!(
+        s.lane_cycles_spent,
+        s.workers.iter().map(|w| w.lane_cycles).sum::<u64>()
+    );
 }
 
 /// Grade `faults` on `proto` at 1, 2 and 4 threads: every run must
@@ -212,6 +219,8 @@ fn assert_compacts_exactly<S: LaneSim>(
         );
         assert_eq!(par.stats.batches, serial.stats.batches);
         assert_eq!(par.stats.cycles_simulated, serial.stats.cycles_simulated);
+        assert_eq!(par.stats.lane_cycles_spent, serial.stats.lane_cycles_spent);
+        assert_schedule_invariants(&par, vectors.len() as u64);
     }
 }
 
@@ -588,7 +597,8 @@ fn parwan_readback() -> parwan::sbst::ParwanSelfTest {
 
 /// The full Parwan list at 64 lanes: survivors regroup across every
 /// boundary and carry their overlays under the other store-cycle read
-/// order.
+/// order. At 512 lanes the same bench runs batches of every width in
+/// turn as the survivors narrow.
 #[test]
 fn parwan_regroups_without_changing_detections() {
     let core = parwan::ParwanCore::build();
@@ -598,17 +608,18 @@ fn parwan_regroups_without_changing_detections() {
         parwan::sbst::golden_cycles(&test) > 1024,
         "reads back past 1,024"
     );
-    let grade = |list: &FaultList, threads| {
+    let grade_at = |lanes, list: &FaultList, threads| {
         let hooks = Telemetry::none();
         parwan::sbst::grade(
             &core,
             &test,
             list,
             threads,
-            EngineConfig::compiled(64),
+            EngineConfig::compiled(lanes),
             &hooks,
         )
     };
+    let grade = |list: &FaultList, threads| grade_at(64, list, threads);
     let reference = per_slice(&faults, 63, |s| grade(s, 1));
     assert!(
         alive_after(&reference, 512) > 63,
@@ -621,4 +632,7 @@ fn parwan_regroups_without_changing_detections() {
     assert_eq!(par.detections, reference);
     assert_eq!(par.stats.batches, serial.stats.batches);
     assert_eq!(par.stats.cycles_simulated, serial.stats.cycles_simulated);
+    let wide = grade_at(512, &faults, 2);
+    assert_eq!(wide.detections, reference);
+    assert!(wide.stats.lane_cycles_spent < wide.stats.cycles_simulated * 512);
 }
