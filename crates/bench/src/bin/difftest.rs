@@ -44,7 +44,6 @@ use difftest::oracle::{OracleConfig, PlasmaOracle};
 use difftest::parwan_oracle::{random_parwan_image, ParwanOracle};
 use difftest::{fuzz_plasma, shrink, FuzzConfig};
 use fault::model::{Fault, FaultList};
-use fault::LaneSim;
 use mips::gen::{random_parts, GenConfig};
 use obs::{LedgerRecord, MetricRegistry};
 use plasma::{PlasmaConfig, PlasmaCore};
@@ -116,7 +115,7 @@ fn main() -> ExitCode {
         let (code, cases, failed) = replay_corpus(&core, &mut oracle, &corpus_dir);
         let mut rec = LedgerRecord::now("difftest-replay", "");
         rec.netlist = fingerprint;
-        (rec.engine, rec.lanes) = (oracle.sim().engine().to_string(), oracle.sim().lanes() as u64);
+        rec.lanes = oracle.sim().lanes() as u64;
         rec.extra.insert("cases".to_string(), Value::U64(cases));
         rec.extra.insert("failed".to_string(), Value::U64(failed));
         run.finish(rec);
@@ -235,7 +234,7 @@ fn main() -> ExitCode {
     let divergences = report.divergent_seeds().len() as u64;
     let mut rec = LedgerRecord::now("difftest", "");
     rec.netlist = fingerprint;
-    (rec.engine, rec.lanes) = (report.engine.0.to_string(), report.engine.1 as u64);
+    rec.lanes = report.lanes as u64;
     rec.threads = if cfg.threads == 0 {
         fault::campaign::default_threads() as u64
     } else {

@@ -24,13 +24,11 @@
 //!                              #   escapes -> results/WAVE_escape_*.vcd
 //! ```
 //!
-//! Every campaign runs on the compiled engine. `--lanes N[,N..]` sets
-//! its lane width(s): under `--stats` a comma list sweeps every width,
-//! elsewhere a single width pins it. `--verify-interp` makes `--stats`
-//! also grade serially on the interpreted reference (`ParallelSim`),
-//! report that run as its own row, and cross-check every width's
-//! detections against it. Only `--stats` reads a width list or
-//! `--verify-interp`; either one without it is a usage error (exit 2).
+//! Every campaign runs on the one fault simulator. `--lanes N[,N..]`
+//! sets its lane width(s): under `--stats` a comma list sweeps every
+//! width and cross-checks each width's detections against the first's,
+//! elsewhere a single width pins it. Only `--stats` reads a width list;
+//! a list without it is a usage error (exit 2).
 //!
 //! `--progress` adds a live ticker on stderr over every campaign of the
 //! invocation; `--trace FILE` writes the structured events of every
@@ -263,7 +261,6 @@ fn main() {
                     opts.engine = fault::EngineConfig::compiled(lanes);
                 }
             }
-            "--verify-interp" => opts.verify_interp = true,
             "--report" => report = true,
             "--forensics" => forensics = true,
             "--forensics-fault" => forensics_fault = Some(value(&mut it, a, "a fault id")),
@@ -290,7 +287,7 @@ fn main() {
                 eprintln!(
                     "usage: tables [--all | --table <id>] [--full | --sample N] [--seed N] \
                      [--threads N] [--lanes N[,N..]] \
-                     [--verify-interp] [--stats | --report | --forensics | \
+                     [--stats | --report | --forensics | \
                      --forensics-fault id] [--progress] \
                      [--profile] [--trace file] [--stride N] [--json file] [--ledger file] \
                      [--no-ledger] [--metrics-out file] [--serve port] [--trace-viz] \
@@ -325,14 +322,11 @@ fn main() {
         }
         _ => {}
     }
-    // Only `--stats` sweeps widths or runs the interpreted reference.
-    if !stats && (opts.verify_interp || opts.lanes_sweep.len() > 1) {
-        let flag = if opts.verify_interp {
-            "--verify-interp"
-        } else {
-            "a --lanes width list"
-        };
-        eprintln!("{flag} needs --stats (a single --lanes N pins the width anywhere)");
+    // Only `--stats` sweeps widths.
+    if !stats && opts.lanes_sweep.len() > 1 {
+        eprintln!(
+            "a --lanes width list needs --stats (a single --lanes N pins the width anywhere)"
+        );
         std::process::exit(2);
     }
     if let Some(base) = submit {

@@ -23,11 +23,9 @@ use std::time::Duration;
 use fault::campaign::{self, CampaignResult};
 use fault::coverage::CoverageReport;
 use fault::model::FaultList;
-use fault::sim::ParallelSim;
 use fault::EngineConfig;
 use netlist::synth::TechStyle;
 use obs::{LedgerRecord, MetricRegistry, Observatory, Profiler, Progress, Telemetry, Tracer};
-use plasma::testbench::SelfTestBench;
 use plasma::{PlasmaConfig, PlasmaCore, COMPONENT_NAMES};
 use sbst::classify::{self, ComponentClass};
 use sbst::cost::CostModel;
@@ -322,7 +320,6 @@ pub fn campaign_ledger_record(
     rec.wall_seconds = s.wall_seconds;
     rec.mlane_cps = s.mlane_cycles_per_sec();
     rec.lane_utilization = Some(s.lane_utilization());
-    rec.engine = s.engine.to_string();
     rec.lanes = s.lanes;
     rec.coverage_pct = coverage_pct;
     rec.latency = s.latency.to_json();
@@ -585,10 +582,6 @@ pub struct RunOptions {
     /// Lane widths swept by `--stats` (`--lanes 64,256`); empty sweeps
     /// only the configured width.
     pub lanes_sweep: Vec<usize>,
-    /// Cross-check the compiled engine's detections against a serial
-    /// run of the interpreted reference (`ParallelSim`) during `--stats`,
-    /// reported as its own row (`--verify-interp`).
-    pub verify_interp: bool,
 }
 
 impl Default for RunOptions {
@@ -600,7 +593,6 @@ impl Default for RunOptions {
             telemetry: Telemetry::none(),
             engine: EngineConfig::from_env(),
             lanes_sweep: Vec::new(),
-            verify_interp: false,
         }
     }
 }
@@ -1166,7 +1158,7 @@ fn stats_json(r: &CampaignResult) -> serde_json::Value {
     let s = &r.stats;
     serde_json::json!({
         "threads": s.threads,
-        "engine": s.engine,
+        "engine": "compiled",
         "lanes": s.lanes,
         "batches": s.batches,
         "faults": r.faults.len(),
@@ -1186,9 +1178,8 @@ fn stats_json(r: &CampaignResult) -> serde_json::Value {
 fn stats_line(label: &str, r: &CampaignResult) -> String {
     let s = &r.stats;
     format!(
-        "{:<10} {:>9} {:>6} {:>7} {:>8} {:>12} {:>10.3} {:>10.1} {:>6.3} {:>14.2}\n",
+        "{:<10} {:>6} {:>7} {:>8} {:>12} {:>10.3} {:>10.1} {:>6.3} {:>14.2}\n",
         label,
-        s.engine,
         s.lanes,
         s.threads,
         s.batches,
@@ -1203,9 +1194,9 @@ fn stats_line(label: &str, r: &CampaignResult) -> String {
 /// The campaign throughput benchmark behind `tables --stats`: grade the
 /// Phase A+B self-test over the sampled fault list serially and at the
 /// requested (or auto) thread count for every lane width in the sweep,
-/// verify the detections are bit-identical across threads, lane widths
-/// and (under `--verify-interp`, whose serial interpreted run is the
-/// first row) engines, and report wall time / Mlane-cycles/s / speedup.
+/// verify the detections are bit-identical across threads and lane
+/// widths (every width's serial run against the first width's), and
+/// report wall time / Mlane-cycles/s / speedup.
 /// The `tables` binary writes the payload to `results/BENCH_campaign.json`.
 pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     let core = PlasmaCore::build(PlasmaConfig::default());
@@ -1223,27 +1214,14 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     let telemetry = &opts.telemetry;
     let combos = opts.engine_sweep();
 
-    // The interpreted reference, run once serially on `ParallelSim`
-    // when cross-engine verification is requested.
-    let interp_ref = opts.verify_interp.then(|| {
-        let segments = core.segments().map(<[u32]>::to_vec);
-        let sim = ParallelSim::with_segments(core.netlist(), &segments);
-        let factory = || {
-            SelfTestBench::new(&core, &selftest.program, flow::MEM_BYTES, budget)
-                .with_profiler(telemetry.profiler.clone())
-        };
-        campaign::run(&sim, &faults, factory, 1, telemetry)
-    });
-
     let mut text = format!(
         "Phase A+B campaign: {} faults, budget {} cycles/batch\n\n",
         faults.len(),
         budget
     );
     text.push_str(&format!(
-        "{:<10} {:>9} {:>6} {:>7} {:>8} {:>12} {:>10} {:>10} {:>6} {:>14}\n",
+        "{:<10} {:>6} {:>7} {:>8} {:>12} {:>10} {:>10} {:>6} {:>14}\n",
         "run",
-        "engine",
         "lanes",
         "threads",
         "batches",
@@ -1256,14 +1234,11 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     let mut runs = Vec::new();
     let mut speedup = 1.0;
     let mut ledger = None;
-    // The per-combo asserts panic on divergence, so reaching the payload
-    // with a reference run means every combo matched it.
-    let cross_engine_match = interp_ref.is_some();
+    // The per-width asserts panic on divergence, so reaching the payload
+    // with two or more widths means every width matched the first.
+    let cross_width_match = combos.len() >= 2;
+    let mut first_detections: Option<Vec<campaign::Detection>> = None;
     let mut last_profiled: Option<campaign::CampaignStats> = None;
-    if let Some(reference) = &interp_ref {
-        text.push_str(&stats_line("reference", reference));
-        runs.push(stats_json(reference));
-    }
     for engine in &combos {
         let serial = flow::run_campaign_of_engine(
             &core,
@@ -1275,13 +1250,14 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
             *engine,
         );
         let coverage_pct = 100.0 * serial.coverage();
-        if let Some(reference) = &interp_ref {
-            assert_eq!(
-                serial.detections, reference.detections,
-                "compiled engine at {} lanes diverged from the interpreted reference",
-                engine.lanes()
-            );
-        }
+        let first = first_detections.get_or_insert_with(|| serial.detections.clone());
+        assert_eq!(
+            &serial.detections,
+            first,
+            "{} lanes diverged from {} lanes",
+            engine.lanes(),
+            combos[0].lanes()
+        );
         text.push_str(&stats_line("serial", &serial));
         runs.push(stats_json(&serial));
         // The ledger record tracks the sweep's last combo at the
@@ -1318,11 +1294,10 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
         }
         ledger = Some(rec);
     }
-    if let Some(reference) = &interp_ref {
+    if cross_width_match {
         text.push_str(&format!(
-            "\ncross-engine check: compiled detections match the interpreted \
-             reference ({} faults)\n",
-            reference.faults.len()
+            "\ncross-width check: detections match at every width ({} faults)\n",
+            faults.len()
         ));
     }
     if let Some(stats) = &last_profiled {
@@ -1337,8 +1312,7 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
             "budget_cycles_per_batch": budget,
             "runs": runs,
             "speedup": speedup,
-            "cross_engine_match": cross_engine_match,
-            "verified_vs_interp": interp_ref.is_some(),
+            "cross_width_match": cross_width_match,
         }),
     );
     exp.ledger = ledger;

@@ -573,7 +573,7 @@ impl JobServer {
                 "lane_utilization": merged.stats.lane_utilization(),
                 "wall_seconds": job.submitted.elapsed().as_secs_f64(),
                 "threads": merged.stats.threads as u64,
-                "engine": merged.stats.engine,
+                "engine": "compiled",
                 "lanes": merged.stats.lanes,
                 "shards": job.prepared.bounds.len() as u64,
             }),
@@ -1001,7 +1001,6 @@ impl JobServer {
                 lane_cycles_spent: spent,
                 wall_seconds: stats["wall_seconds"].as_f64().unwrap_or(0.0),
                 threads: num("threads").max(1) as usize,
-                engine: "compiled",
                 lanes,
                 ..CampaignStats::default()
             },
@@ -1284,7 +1283,7 @@ pub fn completion_json(job_id: &str, shard: usize, worker: &str, result: &Campai
             "budget_cycles": result.stats.budget_cycles,
             "wall_seconds": result.stats.wall_seconds,
             "threads": result.stats.threads as u64,
-            "engine": result.stats.engine,
+            "engine": "compiled",
             "lanes": result.stats.lanes,
         },
     })
@@ -1500,7 +1499,7 @@ mod tests {
     fn spec_round_trips_through_claim_encoding() {
         let (_, _, spec) = parse_spec(&serde_json::json!({
             "id": "x", "netlist": "n1/g1/d1", "phase": "B", "sample": 500u64,
-            "seed": 7u64, "engine": "compiled", "lanes": 128u64, "threads": 2u64, "shards": 5u64,
+            "seed": 7u64, "lanes": 128u64, "threads": 2u64, "shards": 5u64,
         }))
         .unwrap();
         let (netlist, back) = spec_from_claim(&spec_json("n1/g1/d1", &spec)).unwrap();

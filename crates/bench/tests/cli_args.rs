@@ -39,10 +39,10 @@ fn trailing_seed_without_value_exits_2() {
 }
 
 #[test]
-fn verify_interp_without_stats_exits_2() {
+fn verify_interp_is_an_unknown_argument() {
     assert_usage_error(
-        &tables(&["--table", "4", "--verify-interp", "--no-ledger"]),
-        "--verify-interp needs --stats",
+        &tables(&["--stats", "--verify-interp", "--no-ledger"]),
+        "unknown argument `--verify-interp`",
     );
 }
 

@@ -32,18 +32,12 @@ fn check_run(run: &Value, budget_per_batch: u64) {
     let engine = field(run, "engine")
         .as_str()
         .expect("engine is a string");
-    assert!(
-        engine == "interp" || engine == "compiled",
-        "unknown engine `{engine}`"
-    );
+    assert_eq!(engine, "compiled", "unknown engine `{engine}`");
     let lanes = assert_uint(field(run, "lanes"), "lanes");
     assert!(
         matches!(lanes, 64 | 128 | 256 | 512),
         "unsupported lane width {lanes}"
     );
-    if engine == "interp" {
-        assert_eq!(lanes, 64, "interpreted engine is pinned at 64 lanes");
-    }
     // Batch runs: the first epoch covers the faults in full batches,
     // and every later epoch adds the runs of its regrouped survivors.
     let batches = assert_uint(field(run, "batches"), "batches");
@@ -122,14 +116,26 @@ fn check_benchmark(doc: &Value) {
     for run in runs {
         check_run(run, budget);
     }
-    // The schedule depends only on the detections: runs of one engine
-    // and width count the same batches and cycles at every thread count.
+    // A sweep of two or more widths cross-checks their detections.
+    let mut widths: Vec<u64> = runs
+        .iter()
+        .map(|r| assert_uint(field(r, "lanes"), "lanes"))
+        .collect();
+    widths.sort_unstable();
+    widths.dedup();
+    let checked = field(doc, "cross_width_match")
+        .as_bool()
+        .expect("cross_width_match is a bool");
+    assert_eq!(
+        checked,
+        widths.len() >= 2,
+        "cross_width_match vs widths {widths:?}"
+    );
+    // The schedule depends only on the detections: runs of one width
+    // count the same batches and cycles at every thread count.
     let same = |a: &Value, b: &Value, key: &str| field(a, key) == field(b, key);
     for a in runs {
-        for b in runs
-            .iter()
-            .filter(|b| same(a, b, "engine") && same(a, b, "lanes"))
-        {
+        for b in runs.iter().filter(|b| same(a, b, "lanes")) {
             for key in ["batches", "cycles_simulated"] {
                 assert!(same(a, b, key), "{key} differs across thread counts");
             }

@@ -2,9 +2,8 @@
 //! real `server` daemon via `CARGO_BIN_EXE`, submit campaign jobs over
 //! real sockets, and hold the daemon to the merge guarantee — the
 //! coverage/detection payload of every sharded run is **byte-identical**
-//! to an in-process single-shot run of the same spec on the interpreted
-//! reference engine, across shard counts × per-shard thread counts ×
-//! lane widths.
+//! to an in-process single-shot serial run of the same spec at 512
+//! lanes, across shard counts × per-shard thread counts × lane widths.
 //!
 //! Also covered here: per-job progress streamed over the existing SSE
 //! `/events` bus, compiled-kernel reuse across jobs (a second job on the
@@ -21,7 +20,7 @@ use std::time::Duration;
 use common::{metric_value, metrics, run_job, spawn_server, ServerProc};
 use fault::campaign;
 use fault::coverage::CoverageReport;
-use fault::sim::ParallelSim;
+use fault::EngineConfig;
 use obs::Telemetry;
 use plasma::testbench::SelfTestBench;
 use plasma::{PlasmaConfig, PlasmaCore};
@@ -32,14 +31,15 @@ use serde_json::Value;
 const SAMPLE: u64 = 300;
 
 /// The in-process single-shot reference: prepare the spec in this test
-/// process, grade it serially on the interpreted engine (`ParallelSim`),
-/// and render the canonical conformance payload the daemon must
-/// reproduce byte-for-byte.
+/// process, grade it serially at 512 lanes (wider than any job of the
+/// matrix), and render the canonical conformance payload the daemon
+/// must reproduce byte-for-byte.
 fn reference_conformance(doc: &Value) -> String {
     let core = PlasmaCore::build(PlasmaConfig::default());
     let (_, netlist, spec) = bench::server::parse_spec(doc).expect("reference spec parses");
     let job = sbst::jobs::prepare(&core, &spec);
-    let sim = ParallelSim::with_segments(core.netlist(), &core.segments().map(<[u32]>::to_vec));
+    let segments = core.segments().map(<[u32]>::to_vec);
+    let sim = EngineConfig::compiled(512).sim(core.netlist(), &segments);
     let program = &job.selftest.program;
     let result = campaign::run(
         &sim,
@@ -71,9 +71,9 @@ fn matrix_spec(srv: &ServerProc, id: &str, lanes: u64, shards: u64, threads: u64
 }
 
 /// The tentpole: every point of the shards × threads × lanes matrix,
-/// graded by the daemon's work-stealing workers on the compiled engine,
-/// serializes the same conformance bytes as the single-shot in-process
-/// reference graded on the interpreted engine.
+/// graded by the daemon's work-stealing workers, serializes the same
+/// conformance bytes as the single-shot in-process reference graded
+/// serially at 512 lanes.
 #[test]
 fn daemon_sharded_matrix_is_byte_identical_to_single_shot() {
     let srv = spawn_server(&["--workers", "2"]);

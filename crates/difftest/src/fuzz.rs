@@ -11,7 +11,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fault::LaneSim;
 use mips::gen::{random_parts, GenConfig};
 use obs::{MetricRegistry, Progress, Telemetry};
 use plasma::PlasmaCore;
@@ -85,8 +84,8 @@ pub struct FuzzReport {
     pub outcomes: Vec<SeedOutcome>,
     /// Accumulated component-exercise counts across all seeds.
     pub exercise: ComponentExercise,
-    /// Engine and lanes of the oracles' simulators ([`LaneSim::engine`]).
-    pub engine: (&'static str, usize),
+    /// Lanes of the oracles' simulators.
+    pub lanes: usize,
 }
 
 impl FuzzReport {
@@ -268,6 +267,6 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, telemetry: &Telemetry) -
     FuzzReport {
         outcomes,
         exercise,
-        engine: (oracles[0].sim().engine(), oracles[0].sim().lanes()),
+        lanes: oracles[0].sim().lanes(),
     }
 }

@@ -12,7 +12,6 @@
 
 use fault::engine::EngineConfig;
 use fault::model::Fault;
-use fault::sim::LaneSim;
 use fault::wave::WaveCapture;
 use fault::wide::{transpose_lanes_wide, WideSim};
 use mips::disasm::disassemble;
@@ -254,8 +253,8 @@ impl<'a> PlasmaOracle<'a> {
         &self.cfg
     }
 
-    /// The gate-level simulator the oracle runs (its engine and width
-    /// are what run records name).
+    /// The gate-level simulator the oracle runs (its width is what run
+    /// records name).
     pub fn sim(&self) -> &WideSim {
         &self.sim
     }

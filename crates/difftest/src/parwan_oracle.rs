@@ -9,7 +9,6 @@
 
 use fault::engine::EngineConfig;
 use fault::model::Fault;
-use fault::sim::LaneSim;
 use fault::wide::{transpose_lanes_wide, WideSim};
 use mips::gen::Rng;
 use parwan::isa::{Cond, ProgramBuilder};

@@ -14,13 +14,9 @@
 //! and only a 64-lane lone batch runs straight to the budget — so few
 //! lanes keep simulating a dropped fault or no fault at all.
 //!
-//! One runner, [`run`], drives either engine through the lane-block
-//! [`LaneSim`] interface — the interpreted 64-lane
-//! [`crate::sim::ParallelSim`] (the differential reference) or the
-//! compiled 64–512-lane [`crate::wide::WideSim`] (the production engine,
-//! built by [`crate::engine::EngineConfig`]) — against one [`Testbench`] per
-//! stimulus. Both are generic over the engine, so every engine call is
-//! statically dispatched.
+//! One runner, [`run`], drives the one fault simulator — the compiled
+//! 64–512-lane [`WideSim`], built by [`crate::engine::EngineConfig`] —
+//! against one [`Testbench`] per stimulus.
 //!
 //! The runner shards each epoch's batches over worker threads pulling
 //! batches off a cache-line-padded atomic cursor; a serial run is the
@@ -29,7 +25,7 @@
 //! `Arc`) and testbench. Batches are independent — the simulator state
 //! is rebuilt from reset per batch run, plus the lanes it resumes — so
 //! the merged result is bit-identical at every thread count, and a
-//! fault's detection is independent of engine and lane width.
+//! fault's detection is independent of lane width.
 //!
 //! A run reports through one [`obs::Telemetry`] handle: its tracer
 //! receives `campaign_begin`, one `batch` event per batch run (with the
@@ -56,9 +52,10 @@ use obs::{
 };
 use serde_json::Value;
 
+use crate::engine::flat_sim;
+use crate::kernel::SimStats;
 use crate::model::{Fault, FaultList};
-use crate::sim::{LaneSim, ParallelSim, SimStats};
-use crate::wide::MAX_LANE_WORDS;
+use crate::wide::{WideSim, MAX_LANE_WORDS};
 
 /// Wraps the shared batch cursor so it owns a full cache line: workers
 /// on different cores hammer `fetch_add` on it, and without padding the
@@ -68,25 +65,25 @@ use crate::wide::MAX_LANE_WORDS;
 struct CachePadded<T>(T);
 
 /// Stimulus source driven by the campaign runner, one clock cycle at a
-/// time, on any [`LaneSim`] engine.
+/// time.
 ///
 /// Implementations drive primary inputs, call
-/// [`LaneSim::eval_segment`]/[`LaneSim::eval_all`] and
-/// [`LaneSim::clock`], and report which lanes diverged from lane 0 at
+/// [`WideSim::eval_segment`]/[`WideSim::eval_all`] and
+/// [`WideSim::clock`], and report which lanes diverged from lane 0 at
 /// the observation points this cycle. The processor testbenches in the
 /// `plasma` and `parwan` crates implement this with per-lane memory
 /// overlays; simple vector application is provided here by
 /// [`VectorBench`]. The forensics evidence pass and wave capture run
 /// the same benches.
-pub trait Testbench<S: LaneSim> {
+pub trait Testbench {
     /// Prepare for a fresh batch. Called after faults are injected and the
     /// simulator's flip-flops are reset.
-    fn begin(&mut self, sim: &mut S);
+    fn begin(&mut self, sim: &mut WideSim);
 
     /// Execute one clock cycle, OR-ing the lanes whose observed outputs
     /// diverged from lane 0 during this cycle into `diff` (length
     /// `sim.lane_words()`, zeroed by the caller).
-    fn step(&mut self, sim: &mut S, cycle: u64, diff: &mut [u64]);
+    fn step(&mut self, sim: &mut WideSim, cycle: u64, diff: &mut [u64]);
 
     /// Total number of cycles to run per batch.
     fn cycles(&self) -> u64;
@@ -188,11 +185,8 @@ pub struct CampaignStats {
     /// Hot-loop phase profile accumulated by this run (empty unless the
     /// telemetry carried an enabled [`Profiler`]).
     pub profile: PhaseProfile,
-    /// Simulation engine that produced this run (`"interp"` or
-    /// `"compiled"`).
-    pub engine: &'static str,
-    /// The configured lane width, the widest any batch runs at (64 for
-    /// the interpreted engine, up to 512 for the compiled one).
+    /// The configured lane width, the widest any batch runs at (64 to
+    /// 512).
     pub lanes: u64,
 }
 
@@ -211,7 +205,6 @@ impl Default for CampaignStats {
             latency: LatencyHistogram::new(),
             workers: Vec::new(),
             profile: PhaseProfile::default(),
-            engine: "interp",
             lanes: 64,
         }
     }
@@ -438,11 +431,6 @@ impl CampaignResult {
                 latency,
                 workers,
                 profile,
-                engine: if self.stats.engine == other.stats.engine {
-                    self.stats.engine
-                } else {
-                    "mixed"
-                },
                 lanes: self.stats.lanes.max(other.stats.lanes),
             },
         }
@@ -466,7 +454,7 @@ fn epoch_end(start: u64, budget: u64) -> u64 {
 }
 
 /// One lane parked at an epoch boundary: its packed flip-flops
-/// ([`LaneSim::save_lane`]) and its bench state
+/// ([`WideSim::save_lane`]) and its bench state
 /// ([`Testbench::save_lane`]).
 #[derive(Debug)]
 struct LaneState {
@@ -479,8 +467,8 @@ struct LaneState {
 
 impl LaneState {
     /// Park lane `lane`, sharing `lane0`'s bench state when equal.
-    fn save<S: LaneSim, T: Testbench<S> + ?Sized>(
-        sim: &S,
+    fn save<T: Testbench + ?Sized>(
+        sim: &WideSim,
         tb: &T,
         lane: usize,
         lane0: Option<&LaneState>,
@@ -498,12 +486,7 @@ impl LaneState {
 
     /// Restore this parked state into lane `lane` (after
     /// [`Testbench::begin`]).
-    fn load<S: LaneSim, T: Testbench<S> + ?Sized>(
-        &self,
-        sim: &mut S,
-        tb: &mut T,
-        lane: usize,
-    ) {
+    fn load<T: Testbench + ?Sized>(&self, sim: &mut WideSim, tb: &mut T, lane: usize) {
         sim.load_lane(lane, &self.flops);
         tb.load_lane(lane, &self.bench);
     }
@@ -651,13 +634,13 @@ impl Epoch {
 /// park lane 0 and every undetected lane. Returns the outcome and the
 /// cycles simulated.
 ///
-/// The simulator is fully rebuilt ([`LaneSim::reset_state`]) before
+/// The simulator is fully rebuilt ([`WideSim::reset_state`]) before
 /// the parked flip-flops are loaded, so the outcome depends only on the
 /// batch's faults, their parked lanes and the stimulus — never on what
 /// the worker ran before. This is what lets the runner schedule batches
 /// on any worker in any order and still produce one result.
-fn run_batch<S: LaneSim, T: Testbench<S>>(
-    sim: &mut S,
+fn run_batch<T: Testbench>(
+    sim: &mut WideSim,
     tb: &mut T,
     faults: &[Fault],
     epoch: &Epoch,
@@ -835,7 +818,7 @@ pub fn default_threads() -> usize {
 /// no batch keeps simulating lanes whose faults were dropped and no
 /// cycle is simulated twice. Each batch runs at the smallest of
 /// 64/128/256/512 lanes that holds its faults plus lane 0, never wider
-/// than `proto` ([`LaneSim::set_lane_words`]), so the configured width
+/// than `proto` ([`WideSim::set_lane_words`]), so the configured width
 /// is a cap, not a fixed cost. A lone batch wider than 64 lanes still
 /// stops at the next boundary, so its survivors go on narrower; only a
 /// lone 64-lane batch runs straight to the budget, and a list of at
@@ -856,16 +839,15 @@ pub fn default_threads() -> usize {
 /// on and resolved in the registry, and feeds the profiler (parking and
 /// restoring lanes counts as the `reset` phase). It never touches
 /// simulation state, so detections are identical with it on or off.
-pub fn run<S, T, F>(
-    proto: &S,
+pub fn run<T, F>(
+    proto: &WideSim,
     faults: &FaultList,
     factory: F,
     threads: usize,
     telemetry: &Telemetry,
 ) -> CampaignResult
 where
-    S: LaneSim,
-    T: Testbench<S>,
+    T: Testbench,
     F: Fn() -> T + Sync,
 {
     let threads = if threads == 0 {
@@ -1013,7 +995,6 @@ where
         latency: latency_of(&detections),
         workers: worker_stats,
         profile: telemetry.profiler.snapshot().since(&profile_start),
-        engine: proto.engine(),
         lanes: lanes as u64,
     };
     trace_campaign_end(tracer, &stats);
@@ -1030,7 +1011,7 @@ where
 /// A [`Testbench`] that applies a fixed sequence of input vectors
 /// (broadcast to all lanes) and observes every primary output each cycle.
 /// Suitable for grading component-level test sets, combinational or
-/// sequential, on either engine.
+/// sequential.
 pub struct VectorBench<'a> {
     netlist: &'a Netlist,
     /// Each vector is a list of `(port, value)` pairs applied before the
@@ -1058,12 +1039,12 @@ impl<'a> VectorBench<'a> {
     }
 }
 
-impl<S: LaneSim> Testbench<S> for VectorBench<'_> {
-    fn begin(&mut self, _sim: &mut S) {
+impl Testbench for VectorBench<'_> {
+    fn begin(&mut self, _sim: &mut WideSim) {
         self.next = 0;
     }
 
-    fn step(&mut self, sim: &mut S, cycle: u64, diff: &mut [u64]) {
+    fn step(&mut self, sim: &mut WideSim, cycle: u64, diff: &mut [u64]) {
         if cycle != self.next {
             // Resumed mid-run from parked flip-flops: the ports hold
             // what the earlier vectors last drove, so drive that again.
@@ -1087,16 +1068,15 @@ impl<S: LaneSim> Testbench<S> for VectorBench<'_> {
     }
 }
 
-/// Convenience wrapper: grade `vectors` serially on a fresh interpreted
-/// simulator — the differential reference the compiled engine is
-/// checked against.
+/// Convenience wrapper: grade `vectors` serially at 64 lanes, the
+/// netlist evaluated as one segment.
 pub fn run_vectors(
     netlist: &Netlist,
     faults: &FaultList,
     vectors: &[Vec<(&str, u64)>],
 ) -> CampaignResult {
     run(
-        &ParallelSim::new(netlist),
+        &flat_sim(netlist, 64),
         faults,
         || VectorBench::new(netlist, vectors),
         1,
@@ -1108,7 +1088,6 @@ pub fn run_vectors(
 mod tests {
     use super::*;
     use crate::model::FaultList;
-    use crate::wide::WideSim;
     use netlist::{synth, NetlistBuilder};
     use obs::Tracer;
 
@@ -1238,9 +1217,8 @@ mod tests {
         assert_eq!(serial.stats.batches, faults.len().div_ceil(63) as u64);
         assert!(serial.stats.cycles_simulated > 0);
         for threads in [1usize, 2, 4] {
-            let proto = ParallelSim::new(&nl);
             let factory = || VectorBench::new(&nl, &vectors);
-            let par = run(&proto, &faults, factory, threads, &Telemetry::none());
+            let par = run(&flat_sim(&nl, 64), &faults, factory, threads, &Telemetry::none());
             assert_eq!(
                 par.detections, serial.detections,
                 "thread count {threads} changed the result"
@@ -1285,7 +1263,7 @@ mod tests {
     /// Each batch runs at the smallest width that holds its faults plus
     /// lane 0, capped at the configured one, and only a lone 64-lane
     /// batch runs straight to the budget — read off the `batch` events'
-    /// `lanes`. Detections match the interpreted reference, and the
+    /// `lanes`. Detections match the serial 64-lane run, and the
     /// lane-cycles spent are the events' lanes × cycles.
     #[test]
     fn batches_run_at_the_smallest_width_that_holds_them() {
@@ -1384,11 +1362,11 @@ mod tests {
         assert_eq!(epoch_end(300, 10_000), 512);
     }
 
-    /// The compiled engine must agree with the interpreted reference
-    /// fault for fault at every lane width, serial or parallel — the
-    /// bit-identical acceptance criterion at the vector-bench level.
+    /// Every lane width, serial or parallel, must agree fault for fault
+    /// with the serial 64-lane run — the bit-identical acceptance
+    /// criterion at the vector-bench level.
     #[test]
-    fn compiled_engine_matches_interpreted_detections() {
+    fn detections_match_across_widths_and_threads() {
         let nl = registered_xor();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         assert!(faults.len() > 126, "need multiple batches at 64 lanes");
@@ -1398,7 +1376,7 @@ mod tests {
             vec![("a", 0x123456), ("b", 0x654321)],
         ];
         let reference = run_vectors(&nl, &faults, &vectors);
-        assert_eq!(reference.stats.engine, "interp");
+        assert_eq!(reference.stats.lanes, 64);
         let kernel = crate::kernel::compile_cached(&nl, &[nl.topo_order().to_vec()]);
         for lane_words in [1usize, 2, 4, 8] {
             let proto = WideSim::new(kernel.clone(), lane_words);
@@ -1408,10 +1386,9 @@ mod tests {
                 assert_eq!(
                     wide.detections,
                     reference.detections,
-                    "compiled({} lanes) at {threads} threads diverged from interp",
+                    "{} lanes at {threads} threads diverged from 64 lanes serial",
                     64 * lane_words
                 );
-                assert_eq!(wide.stats.engine, "compiled");
                 assert_eq!(wide.stats.lanes, 64 * lane_words as u64);
                 assert_eq!(
                     wide.stats.batches,
@@ -1439,9 +1416,8 @@ mod tests {
             ..Telemetry::default()
         };
         for threads in [1usize, 2, 4] {
-            let proto = ParallelSim::new(&nl);
             let factory = || VectorBench::new(&nl, &vectors);
-            let par = run(&proto, &faults, factory, threads, &hooks);
+            let par = run(&flat_sim(&nl, 64), &faults, factory, threads, &hooks);
             assert_eq!(
                 par.detections, plain.detections,
                 "hooks changed detections at {threads} threads"
@@ -1466,12 +1442,12 @@ mod tests {
         armed: &'a std::sync::atomic::AtomicBool,
     }
 
-    impl<S: LaneSim> Testbench<S> for PanicOnce<'_> {
-        fn begin(&mut self, sim: &mut S) {
+    impl Testbench for PanicOnce<'_> {
+        fn begin(&mut self, sim: &mut WideSim) {
             self.inner.begin(sim);
         }
 
-        fn step(&mut self, sim: &mut S, cycle: u64, diff: &mut [u64]) {
+        fn step(&mut self, sim: &mut WideSim, cycle: u64, diff: &mut [u64]) {
             if cycle == 5 && self.armed.swap(false, Ordering::Relaxed) {
                 panic!("bench failure");
             }
@@ -1479,7 +1455,7 @@ mod tests {
         }
 
         fn cycles(&self) -> u64 {
-            Testbench::<S>::cycles(&self.inner)
+            self.inner.cycles()
         }
     }
 
@@ -1504,7 +1480,7 @@ mod tests {
                 inner: VectorBench::new(&nl, &vectors),
                 armed: &armed,
             };
-            let proto = ParallelSim::new(&nl);
+            let proto = flat_sim(&nl, 64);
             let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 run(&proto, &faults, factory, threads, &Telemetry::none())
             }));

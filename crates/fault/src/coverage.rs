@@ -367,12 +367,12 @@ mod tests {
     }
 
     /// `CampaignResult::merge` must commute with per-component coverage
-    /// reporting, whether the merged results came from serial or
-    /// multi-threaded runs.
+    /// reporting, whether the merged results came from serial 64-lane
+    /// or multi-threaded 128-lane runs.
     #[test]
     fn merge_report_round_trip_serial_vs_parallel() {
         use crate::campaign::{run, VectorBench};
-        use crate::sim::ParallelSim;
+        use crate::engine::flat_sim;
         use obs::Telemetry;
         let nl = staged_netlist();
         let faults = FaultList::extract(&nl).collapsed(&nl);
@@ -386,7 +386,7 @@ mod tests {
         let serial_1 = run_vectors(&nl, &faults, &v1);
         let serial_2 = run_vectors(&nl, &faults, &v2);
         let serial_merged = serial_1.merge(&serial_2);
-        let proto = ParallelSim::new(&nl);
+        let proto = flat_sim(&nl, 128);
         let hooks = Telemetry::none();
         let par_1 = run(&proto, &faults, || VectorBench::new(&nl, &v1), 3, &hooks);
         let par_2 = run(&proto, &faults, || VectorBench::new(&nl, &v2), 2, &hooks);

@@ -11,11 +11,10 @@
 //! [`ProfilePhase::Compile`] phase, exports the kernel metrics, and runs
 //! [`campaign::run`].
 //!
-//! The interpreted [`crate::sim::ParallelSim`] is not selectable: it
-//! stays the differential reference that tests,
-//! [`campaign::run_vectors`] and `tables --verify-interp` build
-//! directly. The width resolves from `SBST_LANES` or from CLI parse
-//! helpers used by `bench --bin tables`.
+//! There is no other engine to select: widths are checked against each
+//! other and against the serial scalar oracle in `tests/`. The width
+//! resolves from `SBST_LANES` or from CLI parse helpers used by
+//! `bench --bin tables`.
 
 use std::time::Instant;
 
@@ -115,7 +114,7 @@ impl EngineConfig {
         telemetry: &Telemetry,
     ) -> CampaignResult
     where
-        T: Testbench<WideSim>,
+        T: Testbench,
         F: Fn() -> T + Sync,
     {
         let before_compile = telemetry.profiler.snapshot();
@@ -142,11 +141,16 @@ impl EngineConfig {
     }
 }
 
+/// `netlist` evaluated as one segment at `lanes` lanes — the simulator
+/// of vector benches, which drive no port mid-cycle.
+pub(crate) fn flat_sim(netlist: &Netlist, lanes: usize) -> WideSim {
+    EngineConfig::compiled(lanes).sim(netlist, &[netlist.topo_order().to_vec()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::VectorBench;
-    use crate::sim::LaneSim;
 
     #[test]
     fn default_is_256_lanes() {
@@ -175,7 +179,7 @@ mod tests {
             (0..4).map(|v| vec![("a", v & 1), ("c", v >> 1)]).collect();
         let segments = [nl.topo_order().to_vec()];
         let sim = EngineConfig::compiled(128).sim(&nl, &segments);
-        assert_eq!((sim.engine(), sim.lanes()), ("compiled", 128));
+        assert_eq!(sim.lanes(), 128);
 
         let registry = obs::MetricRegistry::new();
         let hooks = Telemetry {
@@ -192,7 +196,7 @@ mod tests {
             &hooks,
         );
         assert_eq!(res.detections, campaign::run_vectors(&nl, &faults, &vectors).detections);
-        assert_eq!((res.stats.engine, res.stats.lanes), ("compiled", 128));
+        assert_eq!(res.stats.lanes, 128);
         assert!(res.stats.profile.count(ProfilePhase::Compile) > 0);
         assert!(registry.to_prometheus().contains("sbst_kernel_compile_ns_total"));
     }

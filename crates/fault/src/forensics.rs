@@ -30,14 +30,14 @@
 //! contract it needs). It costs one fault-free run of the budget, at
 //! most, however many escapes there are; it never alters campaign
 //! detection results, and the report deliberately contains no
-//! wall-clock, engine, or lane-count fields, so its JSON is
-//! byte-identical on every engine, width and thread count (pinned by
-//! the determinism tests in `sbst`).
+//! wall-clock or lane-count fields, so its JSON is byte-identical at
+//! every width and thread count (pinned by the determinism tests in
+//! `sbst`).
 
 use crate::campaign::{latency_of, CampaignResult, Testbench};
 use crate::model::{Fault, FaultSite, Polarity};
 use crate::scoap::{self, INF};
-use crate::sim::LaneSim;
+use crate::wide::WideSim;
 use netlist::cone::Fanout;
 use netlist::{Gate, Net, Netlist};
 use obs::LatencyHistogram;
@@ -266,12 +266,12 @@ pub struct ForensicsReport {
 /// [`crate::campaign::VectorBench`], meets it for any fault list.
 ///
 /// The report is pure post-processing — campaign results are never
-/// modified, and it does not depend on the engine or its width.
-pub fn analyze<S: LaneSim, T: Testbench<S> + ?Sized>(
+/// modified, and it does not depend on the simulator's width.
+pub fn analyze<T: Testbench + ?Sized>(
     nl: &Netlist,
     result: &CampaignResult,
     observed: &[Net],
-    sim: &mut S,
+    sim: &mut WideSim,
     tb: &mut T,
 ) -> ForensicsReport {
     let sc = scoap::analyze(nl);
@@ -462,7 +462,7 @@ impl Open {
     /// The self-check of what a reader sees: each reader's fault-free
     /// output, recomputed from `seen`, must be the simulator's lane 0
     /// after the step.
-    fn check_readers<S: LaneSim>(&self, nl: &Netlist, seen: &[bool], sim: &S, cycle: u64) {
+    fn check_readers(&self, nl: &Netlist, seen: &[bool], sim: &WideSim, cycle: u64) {
         for &(g, _) in &self.gates {
             let gate = &nl.gates()[g as usize];
             assert_eq!(
@@ -497,7 +497,7 @@ fn output(gate: &Gate, seen: &[bool], forced: u8, stuck: bool) -> bool {
 }
 
 /// Lane 0's value of `net`.
-fn lane0<S: LaneSim>(sim: &S, net: Net) -> bool {
+fn lane0(sim: &WideSim, net: Net) -> bool {
     sim.net_lanes_word(net, 0) & 1 == 1
 }
 
@@ -525,9 +525,9 @@ fn watched(nl: &Netlist, open: &[Open], is_flop: &[bool]) -> (Vec<Net>, Vec<Net>
 /// `sim` and record each open escape's first-excited and
 /// first-propagated cycles in `escapes`, reading only the nets the
 /// escapes still open need.
-fn gather_evidence<S: LaneSim, T: Testbench<S> + ?Sized>(
+fn gather_evidence<T: Testbench + ?Sized>(
     nl: &Netlist,
-    sim: &mut S,
+    sim: &mut WideSim,
     tb: &mut T,
     mut open: Vec<Open>,
     escapes: &mut [EscapeForensics],
@@ -821,9 +821,8 @@ impl ForensicsReport {
 mod tests {
     use super::*;
     use crate::campaign::{self, VectorBench};
-    use crate::engine::EngineConfig;
+    use crate::engine::flat_sim;
     use crate::model::FaultList;
-    use crate::sim::ParallelSim;
     use netlist::{NetlistBuilder, PortDir};
 
     /// A circuit engineered so one fault lands in each bucket:
@@ -905,7 +904,7 @@ mod tests {
             result.detections
         );
 
-        let mut sim = ParallelSim::new(&nl);
+        let mut sim = flat_sim(&nl, 64);
         let mut tb = VectorBench::new(&nl, &vecs);
         let obs_nets = observed(&nl);
         let report = analyze(&nl, &result, &obs_nets, &mut sim, &mut tb);
@@ -947,19 +946,15 @@ mod tests {
         let vecs = vectors();
         let result = campaign::run_vectors(&nl, &faults, &vecs);
         let obs_nets = observed(&nl);
-        let render = |sim: &mut ParallelSim| {
+        let render = |lanes: usize| {
             let mut tb = VectorBench::new(&nl, &vecs);
-            let report = analyze(&nl, &result, &obs_nets, sim, &mut tb);
+            let report = analyze(&nl, &result, &obs_nets, &mut flat_sim(&nl, lanes), &mut tb);
             serde_json::to_string_pretty(&report.to_json()).unwrap()
         };
-        let j1 = render(&mut ParallelSim::new(&nl));
-        let j2 = render(&mut ParallelSim::new(&nl));
-        assert_eq!(j1, j2, "forensics JSON must be reproducible");
-        // The compiled engine replays to the same bytes at any width.
-        let mut wide = EngineConfig::compiled(128).sim(&nl, &[nl.topo_order().to_vec()]);
-        let mut tb = VectorBench::new(&nl, &vecs);
-        let report = analyze(&nl, &result, &obs_nets, &mut wide, &mut tb);
-        assert_eq!(serde_json::to_string_pretty(&report.to_json()).unwrap(), j1);
+        let j1 = render(64);
+        assert_eq!(render(64), j1, "forensics JSON must be reproducible");
+        // The evidence pass reads the same bytes at any width.
+        assert_eq!(render(128), j1);
         let v = serde_json::from_str(&j1).unwrap();
         let o = v.as_object().unwrap();
         assert_eq!(o.get("schema").unwrap().as_u64(), Some(1));

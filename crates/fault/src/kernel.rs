@@ -3,8 +3,8 @@
 //! cache-friendly straight-line instruction stream that the multi-word
 //! engine in [`crate::wide`] evaluates.
 //!
-//! Lowering does everything the interpreted walk re-derives on every
-//! pass, once:
+//! Lowering does everything a gate-by-gate netlist walk re-derives on
+//! every pass, once:
 //!
 //! * **Operand resolution** — every gate input becomes a flat slot
 //!   offset; `NO_NET` is resolved to a trailing dummy slot that is
@@ -31,7 +31,21 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use netlist::{GateKind, Net, Netlist, NO_NET};
 
-use crate::sim::SimStats;
+/// Geometry of a compiled simulator — the per-cycle work a campaign
+/// sweeps: every gate is evaluated for every lane on each simulated
+/// cycle. Reported by [`crate::wide::WideSim::stats`] and recorded in
+/// campaign trace headers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimStats {
+    /// Nets in the compiled model (excluding the dummy slot).
+    pub nets: usize,
+    /// Compiled gates.
+    pub gates: usize,
+    /// Flip-flops.
+    pub dffs: usize,
+    /// Evaluation segments.
+    pub segments: usize,
+}
 
 /// An immutable compiled evaluation kernel. Build with
 /// [`CompiledKernel::compile`] or (preferably) [`compile_cached`].
@@ -92,10 +106,13 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Lower `netlist` with an explicit segment decomposition — the
-    /// same contract as `ParallelSim::with_segments`: the concatenation
-    /// of `segments` must contain every gate exactly once, each segment
-    /// in valid topological order.
+    /// Lower `netlist` with an explicit segment decomposition: the
+    /// concatenation of `segments` must contain every gate exactly once,
+    /// each segment in valid topological order (e.g. the two halves of
+    /// [`Netlist::split_on_inputs`]). Segments let a CPU testbench
+    /// evaluate the logic that produces the memory address first, fetch
+    /// per-lane read data from its memory model, then evaluate the
+    /// read-data cone, all within one cycle.
     pub fn compile(netlist: &Netlist, segments: &[Vec<u32>]) -> CompiledKernel {
         let n_gates = netlist.gates().len();
         let total: usize = segments.iter().map(|s| s.len()).sum();
@@ -267,8 +284,7 @@ impl CompiledKernel {
         self.segments.len()
     }
 
-    /// Geometry of the compiled model, in the same form the interpreted
-    /// simulator reports.
+    /// Geometry of the compiled model.
     pub fn stats(&self) -> SimStats {
         SimStats {
             nets: self.n_slots - 1,

@@ -7,18 +7,14 @@
 //!   sites on net stems, gate input pins (fanout branches) and flip-flop
 //!   data pins ([`model`]),
 //! * structural **equivalence collapsing** ([`collapse`]),
-//! * the **compiled multi-word engine** ([`kernel`], [`wide::WideSim`]):
+//! * one **bit-parallel fault simulator** ([`kernel`], [`wide::WideSim`]):
 //!   the netlist lowered once into a dense straight-line instruction
-//!   stream evaluated over 1–8 u64 words per net (64–512 lanes), with a
-//!   fingerprint-keyed kernel cache — the one production engine, built
-//!   only by [`engine`] (campaigns, the forensics evidence pass, wave
-//!   capture and the lockstep oracles all get their simulator there),
-//! * a **64-lane interpreted reference** ([`sim::ParallelSim`]): each
-//!   bit of a machine word carries an independent faulty machine, lane
-//!   0 is the fault-free reference — what tests and
-//!   [`campaign::run_vectors`] check the compiled engine against,
-//! * one lane-block interface over both engines ([`sim::LaneSim`]) and
-//!   one **campaign runner** with fault dropping and survivor
+//!   stream evaluated over 1–8 u64 words per net (64–512 lanes), each
+//!   bit an independent faulty machine and lane 0 the fault-free
+//!   reference, with a fingerprint-keyed kernel cache — built by
+//!   [`engine`] (campaigns, the forensics evidence pass, wave capture
+//!   and the lockstep oracles all get their simulator there),
+//! * one **campaign runner** with fault dropping and survivor
 //!   compaction ([`campaign::run`], serial or multi-threaded) driving
 //!   any [`campaign::Testbench`] —
 //!   plain vector tests ([`campaign::run_vectors`]) or full-processor
@@ -72,4 +68,4 @@ pub mod wide;
 
 pub use engine::EngineConfig;
 pub use model::{Fault, FaultList, FaultSite, Polarity};
-pub use sim::LaneSim;
+pub use wide::WideSim;

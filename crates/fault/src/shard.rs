@@ -274,7 +274,6 @@ pub fn merge_results(
         .collect();
     let detections = merge_detections(faults.len(), &det_parts)?;
     let mut stats = CampaignStats::default();
-    let mut engines: Vec<&'static str> = Vec::new();
     for (_, _, res) in parts {
         stats.batches += res.stats.batches;
         stats.cycles_simulated += res.stats.cycles_simulated;
@@ -288,15 +287,7 @@ pub fn merge_results(
         stats.lanes = stats.lanes.max(res.stats.lanes);
         stats.workers.extend(res.stats.workers.iter().cloned());
         stats.profile.absorb(&res.stats.profile);
-        if !engines.contains(&res.stats.engine) {
-            engines.push(res.stats.engine);
-        }
     }
-    stats.engine = match engines.as_slice() {
-        [] => "interp",
-        [one] => one,
-        _ => "mixed",
-    };
     stats.latency = latency_of(&detections);
     Ok(CampaignResult {
         faults: faults.clone(),

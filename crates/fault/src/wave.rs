@@ -3,10 +3,10 @@
 //! The campaign runners only record *that* a fault was detected (and
 //! when); this module records *what the machine did*. It reuses the
 //! deterministic replay machinery from [`crate::campaign`]: a replay
-//! rebuilds the exact batch state ([`LaneSim::reset_state`] plus
+//! rebuilds the exact batch state ([`WideSim::reset_state`] plus
 //! re-injection), so re-running one fault alone in lane 1 — with lane 0
 //! as the fault-free reference — reproduces the campaign's detection
-//! verdict bit for bit, at any thread count and on either engine, while
+//! verdict bit for bit, at any thread count and lane width, while
 //! a [`WaveCapture`] samples both lanes through a [`Probe`] every cycle.
 //! The cores' capture helpers replay on the compiled engine at 64 lanes
 //! (one fault needs no more).
@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 use crate::campaign::Testbench;
 use crate::model::{Fault, FaultList};
-use crate::sim::LaneSim;
+use crate::wide::WideSim;
 use netlist::wave::{write_diff_vcd, DiffRow, Probe};
 
 /// Knobs for triggered waveform capture, shared by the flow layer and
@@ -103,7 +103,7 @@ impl WaveCapture {
     /// Sample lanes `0` (good) and `faulty_lane` of `sim` at `cycle`.
     /// Before a trigger the ring retains `max(pre + 1, depth)` rows;
     /// after it, rows accumulate freely until [`WaveCapture::done`].
-    pub fn record<S: LaneSim>(&mut self, sim: &S, cycle: u64, faulty_lane: usize) {
+    pub fn record(&mut self, sim: &WideSim, cycle: u64, faulty_lane: usize) {
         if self.trigger.is_none() {
             let cap = (self.pre as usize + 1).max(self.depth as usize);
             if self.rows.len() >= cap {
@@ -199,9 +199,9 @@ impl CapturedWave {
 /// that fault, since the state rebuild is a campaign batch's; an escape
 /// keeps the final horizon window. Fully deterministic — a serial
 /// replay independent of any campaign threading, with the same bytes
-/// on either engine.
-pub fn capture_fault<S: LaneSim, T: Testbench<S> + ?Sized>(
-    sim: &mut S,
+/// at every lane width.
+pub fn capture_fault<T: Testbench + ?Sized>(
+    sim: &mut WideSim,
     tb: &mut T,
     probe: Probe,
     fault: Fault,
@@ -253,9 +253,8 @@ pub fn wave_file_name(tag: &str, desc: &str) -> String {
 mod tests {
     use super::*;
     use crate::campaign::{self, Detection, VectorBench};
-    use crate::engine::EngineConfig;
+    use crate::engine::flat_sim;
     use crate::model::{FaultSite, Polarity};
-    use crate::sim::ParallelSim;
     use netlist::{Netlist, NetlistBuilder};
     use obs::Telemetry;
 
@@ -288,7 +287,7 @@ mod tests {
         let nl = build();
         let vecs = vectors();
         let fault = sa1_on_input(&nl);
-        let mut sim = ParallelSim::new(&nl);
+        let mut sim = flat_sim(&nl, 64);
 
         let one = FaultList::extract(&nl).filter(|f, _| f == fault);
         let res = campaign::run(
@@ -324,7 +323,7 @@ mod tests {
             site: FaultSite::Stem(nl.port("a")[0]),
             polarity: Polarity::StuckAt0,
         };
-        let mut sim = ParallelSim::new(&nl);
+        let mut sim = flat_sim(&nl, 64);
         let mut tb = VectorBench::new(&nl, &vecs);
         let opts = WaveOptions { depth: 8, ..WaveOptions::default() };
         let wave = capture_fault(&mut sim, &mut tb, Probe::full(&nl), fault, &opts);
@@ -339,7 +338,7 @@ mod tests {
         let nl = build();
         let vecs = vectors();
         let fault = sa1_on_input(&nl);
-        let mut sim = ParallelSim::new(&nl);
+        let mut sim = flat_sim(&nl, 64);
         let mut tb = VectorBench::new(&nl, &vecs);
         let opts = WaveOptions { pre: 2, post: 3, ..WaveOptions::default() };
         let wave = capture_fault(&mut sim, &mut tb, Probe::full(&nl), fault, &opts);
@@ -351,11 +350,11 @@ mod tests {
     }
 
     #[test]
-    fn capture_is_byte_deterministic_on_both_engines() {
+    fn capture_is_byte_deterministic_across_widths() {
         let nl = build();
         let vecs = vectors();
         let fault = sa1_on_input(&nl);
-        fn render<S: LaneSim>(sim: &mut S, nl: &Netlist, vecs: &[Vec<(&str, u64)>]) -> Vec<u8> {
+        fn render(sim: &mut WideSim, nl: &Netlist, vecs: &[Vec<(&str, u64)>]) -> Vec<u8> {
             let fault = sa1_on_input(nl);
             let mut tb = VectorBench::new(nl, vecs);
             let wave =
@@ -364,17 +363,16 @@ mod tests {
             wave.write_vcd(&mut buf, &fault.describe()).unwrap();
             buf
         }
-        let reference = render(&mut ParallelSim::new(&nl), &nl, &vecs);
+        let reference = render(&mut flat_sim(&nl, 64), &nl, &vecs);
         assert_eq!(
-            render(&mut ParallelSim::new(&nl), &nl, &vecs),
+            render(&mut flat_sim(&nl, 64), &nl, &vecs),
             reference,
             "two captures of the same fault differ"
         );
-        let segments = [nl.topo_order().to_vec()];
         assert_eq!(
-            render(&mut EngineConfig::compiled(64).sim(&nl, &segments), &nl, &vecs),
+            render(&mut flat_sim(&nl, 512), &nl, &vecs),
             reference,
-            "compiled capture of {} differs from the interpreted one",
+            "the 512-lane capture of {} differs from the 64-lane one",
             fault.describe()
         );
     }

@@ -1,32 +1,32 @@
-//! The multi-word bit-parallel simulation engine: evaluation of a
+//! The bit-parallel fault simulator: evaluation of a
 //! [`CompiledKernel`] over lane *blocks* of W×u64 (W = 1, 2, 4 or 8,
-//! i.e. 64–512 independent faulty machines per pass), behind the same
-//! [`LaneSim`] interface as the interpreted [`crate::sim::ParallelSim`].
+//! i.e. 64–512 independent faulty machines per pass). Bit *L* of word
+//! *t* of a net is its value in lane `64 * t + L`; lane 0 (bit 0 of
+//! word 0) is the fault-free reference machine, and every other lane
+//! can carry its own injected faults.
 //!
-//! The semantics are exactly those of the interpreted engine — stem
-//! masks applied on every store, a sorted pin-patch side table, D-pin
-//! patches at the clock edge, order-independent
-//! [`LaneSim::reset_state`] — widened from one lane word per net to W.
-//! Unlike the interpreted engine, stem masks on gate-driven and
-//! state nets live in the *patch side tables* (at the driving gate's
-//! compiled position, or folded into the flip-flop's clock transfer),
-//! not in full-size per-net arrays: the hot loop stores bare values
-//! and pays for faults only at the patched positions, which is most
-//! of the compiled engine's throughput win. The per-net `set1`/`keep0`
-//! arrays remain the source of truth for cold-path stores (ports,
-//! reset) and for [`LaneSim::reset_state`] seeding.
-//! Lane 0 (bit 0 of word 0) is the fault-free reference machine; a
-//! fault's detection depends only on its own lane versus lane 0 under
-//! shared stimulus, so per-fault results are bit-identical to the
-//! interpreted 64-lane engine at every width (enforced by tests).
+//! Faults are injected through per-net stem masks (OR-ed/AND-ed into a
+//! stored value), a sorted side table of gate-pin patches (fanout
+//! branches) and D-pin patches applied at the clock edge. Stem masks on
+//! gate-driven and state nets also live in the *patch side tables* (at
+//! the driving gate's compiled position, or folded into the flip-flop's
+//! clock transfer): the hot loop stores bare values and pays for faults
+//! only at the patched positions. The per-net `set1`/`keep0` arrays
+//! remain the source of truth for cold-path stores (ports, reset) and
+//! for [`WideSim::reset_state`] seeding, and injection records which
+//! nets carry them, so [`WideSim::clear_faults`] touches only those.
+//!
+//! A fault's detection depends only on its own lane versus lane 0 under
+//! shared stimulus, so per-fault results are bit-identical at every
+//! width (enforced by the cross-width tests) and equal those of a
+//! serial scalar simulator (`tests/scalar_oracle.rs`).
 
 use std::sync::Arc;
 
 use netlist::{Net, Netlist};
 
-use crate::kernel::CompiledKernel;
+use crate::kernel::{CompiledKernel, SimStats};
 use crate::model::{Fault, FaultSite, Polarity};
-use crate::sim::{LaneSim, SimStats};
 
 /// Maximum supported lane words per net (512 lanes).
 pub const MAX_LANE_WORDS: usize = 8;
@@ -155,16 +155,6 @@ impl WideSim {
         &mut self.q_stem_patches[k].1
     }
 
-    /// Apply reset values to every flip-flop output (all lanes).
-    pub fn reset(&mut self) {
-        let mut rv = [0u64; MAX_LANE_WORDS];
-        for i in 0..self.kernel.dff_q.len() {
-            let q = self.kernel.dff_q[i] as usize;
-            rv[..self.w].fill(self.kernel.dff_reset[i]);
-            self.store_slot(q, &rv[..self.w]);
-        }
-    }
-
     fn eval_seg<const W: usize>(&mut self, k: &CompiledKernel, seg: usize) {
         debug_assert_eq!(W, self.w);
         let (start, end) = k.segments[seg];
@@ -232,23 +222,32 @@ impl WideSim {
             self.vals[ob + t] = (v | p.set1[3 * W + t]) & p.keep0[3 * W + t];
         }
     }
-}
 
-impl LaneSim for WideSim {
-    fn engine(&self) -> &'static str {
-        "compiled"
-    }
-
+    /// u64 words per net.
     #[inline]
-    fn lane_words(&self) -> usize {
+    pub fn lane_words(&self) -> usize {
         self.w
     }
 
+    /// Lanes per pass (64 × lane words).
+    pub fn lanes(&self) -> usize {
+        64 * self.w
+    }
+
+    /// Re-stride to `words` u64 words per net, keeping every buffer's
+    /// allocation. Valid only with no fault injected (right after
+    /// [`WideSim::clear_faults`]); net values are undefined until the
+    /// next [`WideSim::reset_state`].
+    ///
     /// With no fault injected every `set1` word is 0 and every `keep0`
     /// word all ones, so re-striding is a resize of each buffer;
     /// shrinking keeps the capacity, so a worker that alternates widths
     /// allocates only for the widest.
-    fn set_lane_words(&mut self, words: usize) {
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` is 1, 2, 4 or 8, or if a fault is injected.
+    pub fn set_lane_words(&mut self, words: usize) {
         assert!(
             matches!(words, 1 | 2 | 4 | 8),
             "lane_words must be 1, 2, 4 or 8 (got {words})"
@@ -268,11 +267,13 @@ impl LaneSim for WideSim {
         self.next.resize(self.kernel.dff_d.len() * words, 0);
     }
 
-    fn stats(&self) -> SimStats {
+    /// Geometry of the simulated model.
+    pub fn stats(&self) -> SimStats {
         self.kernel.stats()
     }
 
-    fn clear_faults(&mut self) {
+    /// Remove all injected faults, in O(faults).
+    pub fn clear_faults(&mut self) {
         let w = self.w;
         for &n in &self.touched_nets {
             let base = n as usize * w;
@@ -287,7 +288,9 @@ impl LaneSim for WideSim {
         self.q_stem_patches.clear();
     }
 
-    fn inject(&mut self, fault: Fault, lane: usize) {
+    /// Inject `fault` into lane `lane` (`0..lanes()`). Injecting into
+    /// lane 0 is allowed but forfeits the fault-free reference.
+    pub fn inject(&mut self, fault: Fault, lane: usize) {
         assert!(lane < self.lanes(), "lane out of range");
         let t = lane >> 6;
         let bit = 1u64 << (lane & 63);
@@ -357,7 +360,11 @@ impl LaneSim for WideSim {
         }
     }
 
-    fn reset_state(&mut self) {
+    /// Zero every net value (through the injected stem masks), then
+    /// apply flip-flop resets. Afterwards the state depends only on the
+    /// injected faults — never on what a previous batch left behind —
+    /// which is what makes campaign batches order-independent.
+    pub fn reset_state(&mut self) {
         for v in &mut self.vals {
             *v = 0;
         }
@@ -368,10 +375,28 @@ impl LaneSim for WideSim {
                 self.vals[base + t] = self.set1[base + t] & self.keep0[base + t];
             }
         }
-        self.reset();
+        let mut rv = [0u64; MAX_LANE_WORDS];
+        for i in 0..self.kernel.dff_q.len() {
+            let q = self.kernel.dff_q[i] as usize;
+            rv[..w].fill(self.kernel.dff_reset[i]);
+            self.store_slot(q, &rv[..w]);
+        }
     }
 
-    fn save_lane(&self, lane: usize, out: &mut [u64]) {
+    /// Words one lane's flip-flop state packs into (one bit per
+    /// flip-flop) — the length [`WideSim::save_lane`] fills.
+    pub fn state_words(&self) -> usize {
+        self.kernel.dff_q.len().div_ceil(64)
+    }
+
+    /// Pack lane `lane`'s flip-flop state into `out` (length
+    /// [`WideSim::state_words`]): bit `i % 64` of word `i / 64` is the
+    /// value of flip-flop `i`, in the kernel's flip-flop order.
+    /// Flip-flops are all the state a lane carries from one cycle into
+    /// the next — every gate output is recomputed each cycle — so a lane
+    /// saved here and restored with [`WideSim::load_lane`] into a lane
+    /// carrying the same fault continues exactly where it stopped.
+    pub fn save_lane(&self, lane: usize, out: &mut [u64]) {
         let (t, b) = (lane >> 6, lane & 63);
         out.fill(0);
         for (i, &q) in self.kernel.dff_q.iter().enumerate() {
@@ -379,7 +404,9 @@ impl LaneSim for WideSim {
         }
     }
 
-    fn load_lane(&mut self, lane: usize, state: &[u64]) {
+    /// Overwrite lane `lane`'s flip-flop state with `state`, as packed
+    /// by [`WideSim::save_lane`].
+    pub fn load_lane(&mut self, lane: usize, state: &[u64]) {
         let (t, b) = (lane >> 6, lane & 63);
         for (i, &q) in self.kernel.dff_q.iter().enumerate() {
             let v = &mut self.vals[q as usize * self.w + t];
@@ -387,8 +414,9 @@ impl LaneSim for WideSim {
         }
     }
 
-    /// Dispatches once per segment to the width-monomorphized kernel.
-    fn eval_segment(&mut self, segment: usize) {
+    /// Evaluate one segment (in construction order). Dispatches once
+    /// per segment to the width-monomorphized kernel.
+    pub fn eval_segment(&mut self, segment: usize) {
         let kernel = Arc::clone(&self.kernel);
         match self.w {
             1 => self.eval_seg::<1>(&kernel, segment),
@@ -399,7 +427,16 @@ impl LaneSim for WideSim {
         }
     }
 
-    fn clock(&mut self) {
+    /// Evaluate all segments in order.
+    pub fn eval_all(&mut self) {
+        for s in 0..self.kernel.segments.len() {
+            self.eval_segment(s);
+        }
+    }
+
+    /// Clock every flip-flop (`q <= d`), honouring D-pin patches and Q
+    /// stem injection.
+    pub fn clock(&mut self) {
         let w = self.w;
         let kernel = Arc::clone(&self.kernel);
         for i in 0..kernel.dff_d.len() {
@@ -431,7 +468,9 @@ impl LaneSim for WideSim {
         }
     }
 
-    fn set_port(&mut self, netlist: &Netlist, port: &str, value: u64) {
+    /// Drive a named input port with the same integer value on all
+    /// lanes.
+    pub fn set_port(&mut self, netlist: &Netlist, port: &str, value: u64) {
         let mut word = [0u64; MAX_LANE_WORDS];
         for (i, &net) in netlist.port(port).iter().enumerate() {
             let m = 0u64.wrapping_sub((value >> i) & 1);
@@ -441,7 +480,10 @@ impl LaneSim for WideSim {
         }
     }
 
-    fn set_port_bits(&mut self, netlist: &Netlist, port: &str, bits: &[u64]) {
+    /// Drive a named input port with per-bit lane blocks: entry
+    /// `i * lane_words + t` holds word `t` of bit `i` (the layout
+    /// [`transpose_lanes_wide`] produces).
+    pub fn set_port_bits(&mut self, netlist: &Netlist, port: &str, bits: &[u64]) {
         let nets = netlist.port(port);
         let w = self.w;
         assert_eq!(nets.len() * w, bits.len(), "port width mismatch");
@@ -451,12 +493,18 @@ impl LaneSim for WideSim {
         }
     }
 
+    /// Raw lane word `word` of a single net.
     #[inline]
-    fn net_lanes_word(&self, net: Net, word: usize) -> u64 {
+    pub fn net_lanes_word(&self, net: Net, word: usize) -> u64 {
         self.vals[self.slot(net) * self.w + word]
     }
 
-    fn lane_block(&self, nets: &[Net], word: usize, out: &mut [u64; 64]) {
+    /// Gather a whole lane word of a bus at once: `out[b]` becomes the
+    /// bus value (LSB-first) in lane `64 * word + b`. One load per net
+    /// plus a 64×64 bit-matrix transpose instead of `nets.len() × 64`
+    /// single-bit probes — the read path memory-overlay testbenches are
+    /// built on.
+    pub fn lane_block(&self, nets: &[Net], word: usize, out: &mut [u64; 64]) {
         assert!(nets.len() <= 64, "bus wider than 64 bits");
         out.fill(0);
         for (i, &n) in nets.iter().enumerate() {
@@ -465,7 +513,9 @@ impl LaneSim for WideSim {
         transpose64(out);
     }
 
-    fn diff_vs_lane0(&self, nets: &[Net], acc: &mut [u64]) {
+    /// OR into `acc` (length `lane_words`) the lanes whose value on any
+    /// of `nets` differs from lane 0.
+    pub fn diff_vs_lane0(&self, nets: &[Net], acc: &mut [u64]) {
         let w = self.w;
         debug_assert_eq!(acc.len(), w);
         for &n in nets {
@@ -475,6 +525,19 @@ impl LaneSim for WideSim {
                 *a |= self.vals[base + t] ^ r;
             }
         }
+    }
+
+    /// The value of a bus in one lane as an integer (LSB first).
+    pub fn lane_word(&self, nets: &[Net], lane: usize) -> u64 {
+        let (t, b) = (lane >> 6, lane & 63);
+        nets.iter().enumerate().fold(0, |v, (i, &n)| {
+            v | ((self.net_lanes_word(n, t) >> b) & 1) << i
+        })
+    }
+
+    /// Value of a named port in one lane, as an integer.
+    pub fn port_lane_word(&self, netlist: &Netlist, port: &str, lane: usize) -> u64 {
+        self.lane_word(netlist.port(port), lane)
     }
 }
 
@@ -522,8 +585,8 @@ mod tests {
     use super::*;
     use crate::kernel::compile_cached;
     use crate::model::FaultList;
-    use crate::sim::ParallelSim;
-    use netlist::{Netlist, NetlistBuilder};
+    use netlist::sim::Simulator;
+    use netlist::{GateKind, Netlist, NetlistBuilder};
 
     fn sample_netlist() -> Netlist {
         let mut b = NetlistBuilder::new("s");
@@ -537,58 +600,263 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Drive both engines with the same stimulus + faults (lanes < 64)
-    /// and compare every observable the testbenches use.
-    fn assert_matches_interp(nl: &Netlist, ws: &mut WideSim, faults: &[Fault]) {
-        let segs = vec![nl.topo_order().to_vec()];
-        let mut ps = ParallelSim::with_segments(nl, &segs);
-        let lane_words = ws.lane_words();
-        for (k, &f) in faults.iter().enumerate() {
-            ps.inject(f, k + 1);
-            ws.inject(f, k + 1);
+    fn sim_at(nl: &Netlist, lane_words: usize) -> WideSim {
+        WideSim::new(compile_cached(nl, &[nl.topo_order().to_vec()]), lane_words)
+    }
+
+    /// The placements every injection test runs at, as (lane words,
+    /// the word its faulty lanes sit in): 64 lanes, and the last word of
+    /// 512 lanes.
+    const PLACEMENTS: [(usize, usize); 2] = [(1, 0), (8, 7)];
+
+    /// Every lane word of `net`.
+    fn words_of(sim: &WideSim, net: Net) -> Vec<u64> {
+        (0..sim.lane_words())
+            .map(|t| sim.net_lanes_word(net, t))
+            .collect()
+    }
+
+    /// `home_word` in word `home`, `rest` in every other word.
+    fn expect(words: usize, home: usize, home_word: u64, rest: u64) -> Vec<u64> {
+        (0..words)
+            .map(|t| if t == home { home_word } else { rest })
+            .collect()
+    }
+
+    #[test]
+    fn lane0_matches_scalar_simulator() {
+        let nl = sample_netlist();
+        for (words, _) in PLACEMENTS {
+            let mut ws = sim_at(&nl, words);
+            let mut ss = Simulator::new(&nl);
+            ws.reset_state();
+            ss.reset(&nl);
+            let last = ws.lanes() - 1;
+            let mut st = 0x1234_5678_9ABC_DEFu64;
+            for _ in 0..50 {
+                st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let av = (st >> 16) & 0xFF;
+                let bv = (st >> 32) & 0xFF;
+                ws.set_port(&nl, "a", av);
+                ws.set_port(&nl, "b", bv);
+                ss.set_input_word(&nl, "a", av);
+                ss.set_input_word(&nl, "b", bv);
+                ws.eval_all();
+                ss.eval(&nl);
+                for lane in [0, last] {
+                    assert_eq!(
+                        ws.port_lane_word(&nl, "z", lane),
+                        ss.output_word(&nl, "z"),
+                        "combinational mismatch in lane {lane} of {}",
+                        ws.lanes()
+                    );
+                }
+                ws.clock();
+                ss.clock(&nl);
+            }
         }
-        ps.reset_state();
+    }
+
+    #[test]
+    fn injected_fault_only_affects_its_lane() {
+        let nl = sample_netlist();
+        let faults = FaultList::extract(&nl);
+        for (words, home) in PLACEMENTS {
+            let mut ws = sim_at(&nl, words);
+            // Inject a handful of distinct faults into distinct lanes.
+            for (lane, i) in (1..8).zip((0..faults.len()).step_by(7)) {
+                ws.inject(faults.faults[i], 64 * home + lane);
+            }
+            ws.reset_state();
+            let mut seen = vec![0u64; words];
+            let mut st = 7u64;
+            for _ in 0..100 {
+                st = st.wrapping_mul(6364136223846793005).wrapping_add(13);
+                ws.set_port(&nl, "a", (st >> 8) & 0xFF);
+                ws.set_port(&nl, "b", (st >> 24) & 0xFF);
+                ws.eval_all();
+                ws.diff_vs_lane0(nl.port("z"), &mut seen);
+                ws.clock();
+            }
+            // Only the lanes with injected faults may diverge; every
+            // other lane must track lane 0 exactly.
+            let clean = expect(words, home, seen[home] & 0xFE, 0);
+            assert_eq!(seen, clean, "clean lanes diverged at {} lanes", ws.lanes());
+            assert_ne!(seen[home], 0, "no injected fault was seen");
+        }
+    }
+
+    #[test]
+    fn stem_sa1_forces_value() {
+        let mut b = NetlistBuilder::new("f");
+        let a = b.input("a");
+        let y = b.buf(a);
+        b.output("y", y);
+        let nl = b.finish().unwrap();
+        let ynet = nl.port("y")[0];
+        for (words, home) in PLACEMENTS {
+            let mut ws = sim_at(&nl, words);
+            let sa1 = Fault {
+                site: FaultSite::Stem(ynet),
+                polarity: Polarity::StuckAt1,
+            };
+            ws.inject(sa1, 64 * home + 3);
+            ws.set_port(&nl, "a", 0);
+            ws.eval_all();
+            assert_eq!(words_of(&ws, ynet), expect(words, home, 1 << 3, 0));
+            ws.set_port(&nl, "a", 1);
+            ws.eval_all();
+            assert_eq!(words_of(&ws, ynet), vec![!0; words]);
+        }
+    }
+
+    #[test]
+    fn pin_fault_affects_only_that_branch() {
+        // a fans out to two ANDs; a pin fault on one branch must leave the
+        // other branch healthy.
+        let mut b = NetlistBuilder::new("p");
+        let a = b.input("a");
+        let one = b.one();
+        let y1 = b.and2(a, one);
+        let y2 = b.and2(a, one);
+        b.output("y1", y1);
+        b.output("y2", y2);
+        let nl = b.finish().unwrap();
+        // Find the gate index of the first AND.
+        let g1 = nl
+            .gates()
+            .iter()
+            .position(|g| g.kind == GateKind::And2)
+            .unwrap() as u32;
+        for (words, home) in PLACEMENTS {
+            let mut ws = sim_at(&nl, words);
+            let sa0 = Fault {
+                site: FaultSite::Pin { gate: g1, pin: 0 },
+                polarity: Polarity::StuckAt0,
+            };
+            ws.inject(sa0, 64 * home + 5);
+            ws.set_port(&nl, "a", 1);
+            ws.eval_all();
+            let faulty = expect(words, home, !(1 << 5), !0);
+            assert_eq!(words_of(&ws, nl.port("y1")[0]), faulty, "faulty branch");
+            assert_eq!(
+                words_of(&ws, nl.port("y2")[0]),
+                vec![!0; words],
+                "healthy branch"
+            );
+        }
+    }
+
+    #[test]
+    fn dff_d_pin_fault_sticks_state() {
+        let mut b = NetlistBuilder::new("d");
+        let a = b.input("a");
+        let q = b.dff(a, false);
+        b.output("q", q);
+        let nl = b.finish().unwrap();
+        for (words, home) in PLACEMENTS {
+            let mut ws = sim_at(&nl, words);
+            let sa1 = Fault {
+                site: FaultSite::DffD(0),
+                polarity: Polarity::StuckAt1,
+            };
+            ws.inject(sa1, 64 * home + 2);
+            ws.reset_state();
+            ws.set_port(&nl, "a", 0);
+            ws.eval_all();
+            ws.clock();
+            // q: the faulty lane stuck at 1 after the clock, others 0.
+            assert_eq!(
+                words_of(&ws, nl.port("q")[0]),
+                expect(words, home, 1 << 2, 0)
+            );
+        }
+    }
+
+    #[test]
+    fn clear_faults_restores_health() {
+        let nl = sample_netlist();
+        let faults = FaultList::extract(&nl);
+        for (words, home) in PLACEMENTS {
+            let mut ws = sim_at(&nl, words);
+            for (lane, f) in faults.faults.iter().take(60).enumerate() {
+                ws.inject(*f, 64 * home + lane % 64);
+            }
+            ws.clear_faults();
+            ws.reset_state();
+            for step in 0..20u64 {
+                ws.set_port(&nl, "a", step * 11 % 256);
+                ws.set_port(&nl, "b", step * 29 % 256);
+                ws.eval_all();
+                let mut diff = vec![0u64; words];
+                ws.diff_vs_lane0(nl.port("z"), &mut diff);
+                assert_eq!(diff, vec![0; words], "step {step} at {} lanes", ws.lanes());
+                ws.clock();
+            }
+        }
+    }
+
+    /// Drive `ws` and a fresh 64-lane simulator with the same stimulus,
+    /// each fault in lane `k + 1` of both — and, in a wider `ws`, also in
+    /// the same lane of its last word — and compare every observable the
+    /// testbenches use.
+    fn assert_matches_64_lanes(nl: &Netlist, ws: &mut WideSim, faults: &[Fault]) {
+        let mut narrow = sim_at(nl, 1);
+        let words = ws.lane_words();
+        let last = 64 * (words - 1);
+        for (k, &f) in faults.iter().enumerate() {
+            narrow.inject(f, k + 1);
+            ws.inject(f, k + 1);
+            if words > 1 {
+                ws.inject(f, last + k + 1);
+            }
+        }
+        narrow.reset_state();
         ws.reset_state();
         let z = nl.port("z");
         let mut st = 0x9E37_79B9_7F4A_7C15u64;
-        let mut diff = vec![0u64; lane_words];
+        let (mut want, mut diff) = ([0u64], vec![0u64; words]);
         for cycle in 0..40 {
             st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
             let av = (st >> 16) & 0xFF;
             let bv = (st >> 32) & 0xFF;
-            ps.set_port(nl, "a", av);
-            ps.set_port(nl, "b", bv);
-            ws.set_port(nl, "a", av);
-            ws.set_port(nl, "b", bv);
-            ps.eval_all();
-            ws.eval_all();
+            for sim in [&mut narrow, &mut *ws] {
+                sim.set_port(nl, "a", av);
+                sim.set_port(nl, "b", bv);
+                sim.eval_all();
+            }
+            want[0] = 0;
+            narrow.diff_vs_lane0(z, &mut want);
             diff.fill(0);
             ws.diff_vs_lane0(z, &mut diff);
-            assert_eq!(diff[0], ps.diff_vs_lane0(z), "diff mismatch @{cycle}");
-            for t in 1..lane_words {
-                assert_eq!(diff[t], 0, "phantom divergence in empty word {t}");
-            }
+            let mut expected = vec![0u64; words];
+            expected[0] = want[0];
+            expected[words - 1] |= want[0] & !1;
+            assert_eq!(diff, expected, "diff mismatch @{cycle}");
             for lane in 0..8 {
-                assert_eq!(
-                    ws.lane_word(z, lane),
-                    ps.lane_word(z, lane),
-                    "lane {lane} mismatch @{cycle}"
-                );
+                let v = narrow.lane_word(z, lane);
+                assert_eq!(ws.lane_word(z, lane), v, "lane {lane} mismatch @{cycle}");
+                if lane > 0 {
+                    assert_eq!(
+                        ws.lane_word(z, last + lane),
+                        v,
+                        "lane {} @{cycle}",
+                        last + lane
+                    );
+                }
             }
-            ps.clock();
+            narrow.clock();
             ws.clock();
         }
     }
 
     #[test]
-    fn matches_interpreted_engine_across_widths() {
+    fn widths_match_64_lanes() {
         let nl = sample_netlist();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         let head: Vec<Fault> = faults.faults.iter().copied().take(20).collect();
-        let segs = vec![nl.topo_order().to_vec()];
         for lane_words in [1usize, 2, 4, 8] {
-            let mut ws = WideSim::new(compile_cached(&nl, &segs), lane_words);
-            assert_matches_interp(&nl, &mut ws, &head);
+            assert_matches_64_lanes(&nl, &mut sim_at(&nl, lane_words), &head);
         }
     }
 
@@ -599,13 +867,12 @@ mod tests {
         let nl = sample_netlist();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         let head: Vec<Fault> = faults.faults.iter().copied().take(20).collect();
-        let segs = vec![nl.topo_order().to_vec()];
-        let mut ws = WideSim::new(compile_cached(&nl, &segs), 8);
+        let mut ws = sim_at(&nl, 8);
         for lane_words in [8usize, 1, 4, 2, 8, 1] {
             ws.clear_faults();
             ws.set_lane_words(lane_words);
             assert_eq!(ws.lanes(), 64 * lane_words);
-            assert_matches_interp(&nl, &mut ws, &head);
+            assert_matches_64_lanes(&nl, &mut ws, &head);
         }
     }
 

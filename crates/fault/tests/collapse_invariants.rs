@@ -9,7 +9,7 @@
 
 use fault::collapse::class_representatives;
 use fault::model::{Fault, FaultList};
-use fault::sim::{LaneSim, ParallelSim};
+use fault::EngineConfig;
 use netlist::{Netlist, NetlistBuilder};
 use proptest::prelude::*;
 
@@ -65,15 +65,15 @@ fn random_netlist(seed: u64) -> Netlist {
 /// not credit detections in that window.
 fn detected_set(nl: &Netlist, faults: &[Fault], seed: u64, cycles: usize) -> Vec<bool> {
     let mut det = vec![false; faults.len()];
-    let mut ps = ParallelSim::new(nl);
+    let mut ps = EngineConfig::compiled(64).sim(nl, &[nl.topo_order().to_vec()]);
     for (chunk_i, chunk) in faults.chunks(63).enumerate() {
         ps.clear_faults();
         for (k, &f) in chunk.iter().enumerate() {
             ps.inject(f, k + 1);
         }
-        ps.reset();
+        ps.reset_state();
         let mut s = seed | 1;
-        let mut diff = 0u64;
+        let mut diff = [0u64];
         for cycle in 0..cycles {
             s ^= s << 9;
             s ^= s >> 11;
@@ -82,16 +82,12 @@ fn detected_set(nl: &Netlist, faults: &[Fault], seed: u64, cycles: usize) -> Vec
             ps.set_port(nl, "b", (s >> 16) & 0xFFFF);
             ps.eval_all();
             if cycle > 0 {
-                for &n in nl.port("out") {
-                    let v = ps.net_lanes(n);
-                    let lane0 = 0u64.wrapping_sub(v & 1);
-                    diff |= v ^ lane0;
-                }
+                ps.diff_vs_lane0(nl.port("out"), &mut diff);
             }
             ps.clock();
         }
         for k in 0..chunk.len() {
-            if diff >> (k + 1) & 1 == 1 {
+            if diff[0] >> (k + 1) & 1 == 1 {
                 det[chunk_i * 63 + k] = true;
             }
         }

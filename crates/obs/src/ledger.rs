@@ -65,9 +65,10 @@ pub struct LedgerRecord {
     pub netlist: String,
     /// Worker threads the run used.
     pub threads: u64,
-    /// Simulation engine (`"interp"` or `"compiled"`). Part of the
-    /// throughput comparability key; records written before the field
-    /// existed parse as `"interp"`, which is what they ran.
+    /// Simulation engine: `"compiled"` for every record written now,
+    /// `"interp"` in older history. Part of the throughput
+    /// comparability key; records written before the field existed
+    /// parse as `"interp"`, which is what they ran.
     pub engine: String,
     /// Bit-parallel lanes per pass (64 for the interpreted engine,
     /// 64×W for the compiled one). Part of the throughput
@@ -121,7 +122,7 @@ impl LedgerRecord {
             cmd: cmd.to_string(),
             netlist: String::new(),
             threads: 0,
-            engine: "interp".to_string(),
+            engine: "compiled".to_string(),
             lanes: 64,
             shards: 1,
             faults: 0,

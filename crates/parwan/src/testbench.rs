@@ -4,8 +4,7 @@
 use std::time::Instant;
 
 use fault::campaign::Testbench;
-use fault::sim::LaneSim;
-use fault::wide::transpose_lanes_wide;
+use fault::wide::{transpose_lanes_wide, WideSim};
 use netlist::sim::{CompiledOrder, Simulator};
 use obs::{ProfilePhase, Profiler};
 
@@ -74,8 +73,7 @@ impl<'a> GateParwan<'a> {
 
 /// Lane-parallel self-test bench: shared base image plus per-lane
 /// overlays, divergence from lane 0 on the observed bus is the
-/// detection. Drives any [`LaneSim`] engine; the overlays are strided by
-/// the simulator's lane count at [`Testbench::begin`] and only grow, so
+/// detection. The overlays are strided by the simulator's lane count at [`Testbench::begin`] and only grow, so
 /// batches of alternating widths reuse one allocation.
 pub struct ParwanSelfTestBench<'a> {
     core: &'a ParwanCore,
@@ -154,7 +152,7 @@ impl<'a> ParwanSelfTestBench<'a> {
     /// The per-lane memory transaction, one lane word at a time: read
     /// each lane's byte, then apply its store, and feed the transposed
     /// read data back in.
-    fn mem_phase<S: LaneSim>(&mut self, sim: &mut S) {
+    fn mem_phase(&mut self, sim: &mut WideSim) {
         let nl = self.core.netlist();
         let addr_nets = nl.port("mem_addr");
         let wdata_nets = nl.port("mem_wdata");
@@ -185,7 +183,7 @@ impl<'a> ParwanSelfTestBench<'a> {
 
     /// One cycle, untimed — the hot path when profiling is off.
     #[inline]
-    fn step_plain<S: LaneSim>(&mut self, sim: &mut S, diff: &mut [u64]) {
+    fn step_plain(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
         sim.eval_segment(0);
         self.mem_phase(sim);
         sim.diff_vs_lane0(self.core.observed_outputs(), diff);
@@ -195,7 +193,7 @@ impl<'a> ParwanSelfTestBench<'a> {
 
     /// One cycle with manual `Instant` checkpoints between phases (one
     /// clock read per phase boundary, not a guard per phase).
-    fn step_timed<S: LaneSim>(&mut self, sim: &mut S, diff: &mut [u64]) {
+    fn step_timed(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
         let t0 = Instant::now();
         sim.eval_segment(0);
         let t1 = Instant::now();
@@ -216,8 +214,8 @@ impl<'a> ParwanSelfTestBench<'a> {
     }
 }
 
-impl<S: LaneSim> Testbench<S> for ParwanSelfTestBench<'_> {
-    fn begin(&mut self, sim: &mut S) {
+impl Testbench for ParwanSelfTestBench<'_> {
+    fn begin(&mut self, sim: &mut WideSim) {
         // Entries of earlier batches carry older tags, so a new stride
         // needs no clearing.
         self.lanes = sim.lanes();
@@ -237,7 +235,7 @@ impl<S: LaneSim> Testbench<S> for ParwanSelfTestBench<'_> {
         self.rows.clear();
     }
 
-    fn step(&mut self, sim: &mut S, _cycle: u64, diff: &mut [u64]) {
+    fn step(&mut self, sim: &mut WideSim, _cycle: u64, diff: &mut [u64]) {
         // One branch per cycle: the timed variant differs only in the
         // Instant checkpoints between phases, never in what it computes.
         if self.profiler.enabled() {

@@ -1,13 +1,12 @@
 //! Testbenches around the gate-level core: a scalar one for functional
 //! runs and co-simulation, and one lane-parallel self-test bench that
-//! drives either fault-simulation engine.
+//! drives the fault simulator.
 
 use std::time::Instant;
 
 use fault::campaign::Testbench;
 use fault::engine::EngineConfig;
-use fault::sim::LaneSim;
-use fault::wide::transpose_lanes_wide;
+use fault::wide::{transpose_lanes_wide, WideSim};
 use mips::iss::{Bus, BusCycle, Memory};
 use mips::Program;
 use netlist::sim::{CompiledOrder, Simulator};
@@ -118,8 +117,8 @@ const WRITTEN: u64 = 1 << 32;
 /// processor with its own memory image (shared base + per-lane write
 /// overlay). Divergence of the observed bus outputs from lane 0 is the
 /// detection criterion — exactly what an external tester on the CPU bus
-/// sees (paper, Figure 1). Drives any [`LaneSim`] engine; the overlay
-/// blocks are sized from the simulator's lane count at
+/// sees (paper, Figure 1). The overlay blocks are sized from the
+/// simulator's lane count at
 /// [`Testbench::begin`].
 pub struct SelfTestBench<'a> {
     core: &'a PlasmaCore,
@@ -229,11 +228,11 @@ impl<'a> SelfTestBench<'a> {
     /// The memory phase of one cycle: per-lane overlay access for the
     /// address each lane drove, then transpose the read words back into
     /// bit-sliced form on the `mem_rdata` port. Bus values are gathered
-    /// one lane word at a time through [`LaneSim::lane_block`] (a
+    /// one lane word at a time through [`WideSim::lane_block`] (a
     /// bit-matrix transpose), not one lane at a time; the write-data
     /// buses are only gathered for words with at least one store.
     #[inline]
-    fn overlay_phase<S: LaneSim>(&mut self, sim: &mut S) {
+    fn overlay_phase(&mut self, sim: &mut WideSim) {
         let nl = self.core.netlist();
         let addr_nets = nl.port("mem_addr");
         let wdata_nets = nl.port("mem_wdata");
@@ -259,7 +258,9 @@ impl<'a> SelfTestBench<'a> {
                 // The read follows the write, so a store cycle returns
                 // the updated word on the bus. Detections depend on this
                 // order (`GateCpu` and the difftest oracle return the
-                // old word instead).
+                // old word instead): `plasma_campaign_matches_the_scalar_oracle`
+                // in `tests/scalar_oracle.rs` pins it with the faults
+                // whose detection it changes.
                 self.rdata_scratch[lane] = self.read(lane, a) as u64;
             }
         }
@@ -269,7 +270,7 @@ impl<'a> SelfTestBench<'a> {
 
     /// One cycle, untimed — the hot path when profiling is off.
     #[inline]
-    fn step_plain<S: LaneSim>(&mut self, sim: &mut S, diff: &mut [u64]) {
+    fn step_plain(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
         sim.eval_segment(0);
         self.overlay_phase(sim);
         sim.eval_segment(1);
@@ -279,7 +280,7 @@ impl<'a> SelfTestBench<'a> {
 
     /// One cycle with manual `Instant` checkpoints between phases (one
     /// clock read per phase boundary, not a guard per phase).
-    fn step_timed<S: LaneSim>(&mut self, sim: &mut S, diff: &mut [u64]) {
+    fn step_timed(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
         let t0 = Instant::now();
         sim.eval_segment(0);
         let t1 = Instant::now();
@@ -300,8 +301,8 @@ impl<'a> SelfTestBench<'a> {
     }
 }
 
-impl<S: LaneSim> Testbench<S> for SelfTestBench<'_> {
-    fn begin(&mut self, sim: &mut S) {
+impl Testbench for SelfTestBench<'_> {
+    fn begin(&mut self, sim: &mut WideSim) {
         self.lanes = sim.lanes();
         self.rdata_scratch.resize(self.lanes, 0);
         for &i in &self.rows {
@@ -311,7 +312,7 @@ impl<S: LaneSim> Testbench<S> for SelfTestBench<'_> {
         self.ovl.clear();
     }
 
-    fn step(&mut self, sim: &mut S, _cycle: u64, diff: &mut [u64]) {
+    fn step(&mut self, sim: &mut WideSim, _cycle: u64, diff: &mut [u64]) {
         // One branch per cycle: the timed variant differs only in the
         // Instant checkpoints between phases, never in what it computes.
         if self.profiler.enabled() {

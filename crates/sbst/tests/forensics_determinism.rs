@@ -1,15 +1,14 @@
-//! Forensics determinism across lane widths, thread counts and engines.
+//! Forensics determinism across lane widths and thread counts.
 //!
-//! The forensics report is pure post-processing: the flow replays
-//! activation evidence on the compiled engine, fitted to the escape
-//! count, and the report's JSON carries no timing/engine/width/thread
-//! fields. So `FORENSICS.json` must be **byte-identical** to a replay of
-//! the same campaign result on the interpreted reference (`ParallelSim`)
-//! at 64 and 256 configured lanes × {1, 4} threads — and turning
-//! forensics on must leave the campaign's detection vector untouched.
+//! The forensics report is pure post-processing: the flow reads
+//! activation evidence off one fault-free run at 64 lanes, and the
+//! report's JSON carries no timing/width/thread fields. So
+//! `FORENSICS.json` must be **byte-identical** to a replay of the same
+//! campaign result on a 512-lane simulator, at 64 and 256 configured
+//! campaign lanes × {1, 4} threads — and turning forensics on must
+//! leave the campaign's detection vector untouched.
 
 use fault::campaign::Detection;
-use fault::sim::ParallelSim;
 use fault::EngineConfig;
 use plasma::testbench::SelfTestBench;
 use plasma::{PlasmaConfig, PlasmaCore};
@@ -32,9 +31,10 @@ fn to_json(report: &fault::forensics::ForensicsReport) -> String {
 }
 
 /// The reference: `forensics::analyze` replaying `report`'s campaign
-/// result on the interpreted engine.
-fn interp_forensics_json(core: &PlasmaCore, report: &FlowReport) -> String {
-    let mut sim = ParallelSim::with_segments(core.netlist(), &core.segments().map(<[u32]>::to_vec));
+/// result on a 512-lane simulator.
+fn wide_forensics_json(core: &PlasmaCore, report: &FlowReport) -> String {
+    let segments = core.segments().map(<[u32]>::to_vec);
+    let mut sim = EngineConfig::compiled(512).sim(core.netlist(), &segments);
     let budget = report.golden_cycles + FlowOptions::default().cycle_margin;
     let mut tb = SelfTestBench::new(core, &report.selftest.program, MEM_BYTES, budget);
     to_json(&fault::forensics::analyze(
@@ -47,7 +47,7 @@ fn interp_forensics_json(core: &PlasmaCore, report: &FlowReport) -> String {
 }
 
 #[test]
-fn forensics_json_matches_the_interpreted_replay_at_every_width_and_thread_count() {
+fn forensics_json_matches_a_512_lane_replay_at_every_width_and_thread_count() {
     let core = PlasmaCore::build(PlasmaConfig::default());
     let mut reference: Option<(Vec<Detection>, String)> = None;
     for (lanes, threads) in [(64usize, 1usize), (64, 4), (256, 1), (256, 4)] {
@@ -57,7 +57,7 @@ fn forensics_json_matches_the_interpreted_replay_at_every_width_and_thread_count
         assert!(!f.escapes.is_empty(), "sampled campaign should have escapes");
         assert!(f.testable_coverage() >= f.raw_coverage());
         let (ref_det, ref_json) = reference.get_or_insert_with(|| {
-            (report.campaign.detections.clone(), interp_forensics_json(&core, &report))
+            (report.campaign.detections.clone(), wide_forensics_json(&core, &report))
         });
         assert_eq!(
             ref_det, &report.campaign.detections,
@@ -66,7 +66,7 @@ fn forensics_json_matches_the_interpreted_replay_at_every_width_and_thread_count
         assert_eq!(
             *ref_json,
             to_json(f),
-            "FORENSICS.json differs from the interpreted replay at {lanes} lanes, {threads} threads"
+            "FORENSICS.json differs from the 512-lane replay at {lanes} lanes, {threads} threads"
         );
     }
 }

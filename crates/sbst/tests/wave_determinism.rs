@@ -1,14 +1,12 @@
 //! Differential-dump determinism across campaign thread counts and
-//! engines.
+//! lane widths.
 //!
 //! Wave capture replays the chosen fault serially in a fresh 64-lane
-//! compiled simulator, so the VCD for a given fault must be
-//! byte-identical whether the campaign that surfaced it ran on 1 thread
-//! or 4 — and to a capture of the same fault on the interpreted
-//! reference (`ParallelSim`).
+//! simulator, so the VCD for a given fault must be byte-identical
+//! whether the campaign that surfaced it ran on 1 thread or 4 — and to
+//! a capture of the same fault on a 512-lane simulator.
 
 use fault::campaign::Detection;
-use fault::sim::ParallelSim;
 use fault::wave::{capture_fault, CapturedWave, WaveOptions};
 use fault::EngineConfig;
 use netlist::wave::Probe;
@@ -77,12 +75,12 @@ fn vcd_bytes(wave: &CapturedWave, comment: &str) -> Vec<u8> {
     buf
 }
 
-/// One detected fault and one escape, each captured on the compiled
-/// engine (the production helper) and on `ParallelSim` through the same
-/// generic `fault::wave::capture_fault`: the VCD bytes must match, and
-/// the trigger must be the campaign's detection cycle.
+/// One detected fault and one escape, each captured by the production
+/// helper (64 lanes) and on a 512-lane simulator through
+/// `fault::wave::capture_fault`: the VCD bytes must match, and the
+/// trigger must be the campaign's detection cycle.
 #[test]
-fn compiled_captures_match_the_interpreted_engine() {
+fn captures_match_across_widths() {
     let core = PlasmaCore::build(PlasmaConfig::default());
     let selftest = build_program(Phase::A).expect("phase program assembles");
     let budget = flow::golden_cycles(&selftest) + 64;
@@ -105,26 +103,26 @@ fn compiled_captures_match_the_interpreted_engine() {
     let wave = WaveOptions::default();
     for i in [detected, escape].map(|i| i.expect("the sample has detections and escapes")) {
         let f = faults.faults[i];
-        let compiled = capture_fault_wave(&core, &selftest.program, MEM_BYTES, budget, f, &wave)
+        let helper = capture_fault_wave(&core, &selftest.program, MEM_BYTES, budget, f, &wave)
             .expect("full probe");
-        let mut sim =
-            ParallelSim::with_segments(core.netlist(), &core.segments().map(<[u32]>::to_vec));
+        let segments = core.segments().map(<[u32]>::to_vec);
+        let mut sim = EngineConfig::compiled(512).sim(core.netlist(), &segments);
         let mut tb = SelfTestBench::new(&core, &selftest.program, MEM_BYTES, budget);
-        let interp = capture_fault(&mut sim, &mut tb, Probe::full(core.netlist()), f, &wave);
+        let wide = capture_fault(&mut sim, &mut tb, Probe::full(core.netlist()), f, &wave);
         let expect = match result.detections[i] {
             Detection::DetectedAt(c) => Some(c),
             Detection::Undetected => None,
         };
         assert_eq!(
-            compiled.trigger,
+            helper.trigger,
             expect,
             "{}: trigger != campaign verdict",
             f.describe()
         );
         assert_eq!(
-            vcd_bytes(&compiled, &f.describe()),
-            vcd_bytes(&interp, &f.describe()),
-            "{}: compiled VCD differs from the interpreted capture",
+            vcd_bytes(&helper, &f.describe()),
+            vcd_bytes(&wide, &f.describe()),
+            "{}: the 64-lane VCD differs from the 512-lane capture",
             f.describe()
         );
     }

@@ -6,25 +6,22 @@
 //! memory overlay to its new lane. The reference here shares none of
 //! that: each 63-fault slice of the list is graded as a list of its own
 //! at 64 lanes, which is one batch that runs straight to the budget and
-//! never regroups. Detections must match the merged slices exactly, on
-//! both engines, at every width and thread count, and the schedule
-//! (batch runs, simulated cycles) must not depend on the thread count.
+//! never regroups. Detections must match the merged slices exactly, at
+//! every width and thread count, and the schedule (batch runs,
+//! simulated cycles) must not depend on the thread count.
 //!
 //! The forensics evidence pass simulates no faulty machine: it reads
 //! both evidence cycles off one fault-free run. Its reference here does
-//! simulate them, through the public `LaneSim` and `Testbench` calls
+//! simulate them, through the public `WideSim` and `Testbench` calls
 //! alone: each slice of at most 63 testable escapes runs in lanes 1..63
 //! of one batch to the budget, never regrouped, and every escape's
 //! first-excited and first-propagated cycles must match.
-
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use fault::campaign::{self, CampaignResult, CampaignStats, Detection, Testbench, VectorBench};
 use fault::forensics::{self, Bucket, ForensicsReport};
 use fault::model::{Fault, FaultList, FaultSite, Polarity};
-use fault::sim::{LaneSim, ParallelSim};
 use fault::wide::WideSim;
 use fault::EngineConfig;
 use netlist::{Net, Netlist, NetlistBuilder};
@@ -32,6 +29,11 @@ use obs::Telemetry;
 use plasma::testbench::SelfTestBench;
 use plasma::PlasmaCore;
 use sbst::flow::{self, FlowOptions, MEM_BYTES};
+
+/// `nl` at `lanes`, evaluated as one segment.
+fn sim_at(nl: &Netlist, lanes: usize) -> WideSim {
+    EngineConfig::compiled(lanes).sim(nl, &[nl.topo_order().to_vec()])
+}
 
 /// A random sequential netlist with registered feedback: a state
 /// register rotates through XORs with random logic of itself and the
@@ -177,8 +179,8 @@ fn assert_schedule_invariants(res: &CampaignResult, budget: u64) {
 /// Grade `faults` on `proto` at 1, 2 and 4 threads: every run must
 /// reproduce `reference`, regroup survivors at least three times, and
 /// follow one schedule.
-fn assert_compacts_exactly<S: LaneSim>(
-    proto: &S,
+fn assert_compacts_exactly(
+    proto: &WideSim,
     nl: &Netlist,
     vectors: &[Vec<(&str, u64)>],
     faults: &FaultList,
@@ -199,12 +201,7 @@ fn assert_compacts_exactly<S: LaneSim>(
     assert_eq!(count("sbst_faults_resolved_total"), total);
     assert_eq!(count("sbst_faults_total"), total);
     let hooks = Telemetry::none();
-    assert_eq!(
-        serial.detections,
-        reference,
-        "{} at {lanes} lanes",
-        proto.engine()
-    );
+    assert_eq!(serial.detections, reference, "{lanes} lanes");
     assert_eq!(serial.stats.lanes, lanes as u64);
     assert!(
         serial.stats.batches >= campaign::batch_count_lanes(faults, lanes) + 3,
@@ -230,9 +227,8 @@ proptest! {
     /// On random feedback circuits under 640 random vectors, with faults
     /// detected after the first regroup and at least three batches of
     /// survivors past cycle 512 at every width, the compacting runner
-    /// reproduces the merged per-slice detections on both engines at
-    /// 64–512 lanes and 1, 2 and 4 threads, with one schedule per engine
-    /// and width.
+    /// reproduces the merged per-slice detections at 64–512 lanes and
+    /// 1, 2 and 4 threads, with one schedule per width.
     #[test]
     fn compaction_matches_per_slice_runs(seed in any::<u64>()) {
         let nl = feedback_netlist(seed);
@@ -240,10 +236,9 @@ proptest! {
         let base = FaultList::extract(&nl).collapsed(&nl);
         let bench = || VectorBench::new(&nl, &vectors);
         let hooks = Telemetry::none();
-        let interp = |list: &FaultList| {
-            campaign::run(&ParallelSim::new(&nl), list, bench, 1, &hooks)
-        };
-        let probe = per_slice(&base, 63, interp);
+        let narrow = sim_at(&nl, 64);
+        let slice = |list: &FaultList| campaign::run(&narrow, list, bench, 1, &hooks);
+        let probe = per_slice(&base, 63, slice);
         let late = alive_after(&probe, 512);
         let regrouped_detections = alive_after(&probe, 128) - alive_after(&probe, 640);
         if late == 0 || regrouped_detections == 0 {
@@ -252,14 +247,11 @@ proptest! {
             return Ok(());
         }
         let faults = repeated(&base, (3 * 511usize).div_ceil(late));
-        let reference = per_slice(&faults, 63, interp);
+        let reference = per_slice(&faults, 63, slice);
         prop_assert!(alive_after(&reference, 512) > 2 * 511);
 
-        assert_compacts_exactly(&ParallelSim::new(&nl), &nl, &vectors, &faults, &reference);
-        let kernel = fault::kernel::compile_cached(&nl, &[nl.topo_order().to_vec()]);
-        for lane_words in [1usize, 2, 4, 8] {
-            let proto = WideSim::new(Arc::clone(&kernel), lane_words);
-            assert_compacts_exactly(&proto, &nl, &vectors, &faults, &reference);
+        for lanes in [64usize, 128, 256, 512] {
+            assert_compacts_exactly(&sim_at(&nl, lanes), &nl, &vectors, &faults, &reference);
         }
     }
 }
@@ -283,9 +275,9 @@ type Evidence = (Option<u64>, Option<u64>);
 /// lane 0 holds its site at the exciting value, its first-propagated
 /// cycle the first at which its lane differs from lane 0 on an
 /// effect-origin net, both sampled after the step.
-fn faulty_lane_evidence<S: LaneSim, T: Testbench<S>>(
+fn faulty_lane_evidence<T: Testbench>(
     nl: &Netlist,
-    sim: &mut S,
+    sim: &mut WideSim,
     tb: &mut T,
     faults: &[Fault],
 ) -> Vec<Evidence> {
@@ -358,25 +350,23 @@ proptest! {
     /// On random feedback circuits under 640 random vectors, with every
     /// collapsed fault graded as an escape, the evidence pass gives each
     /// testable escape the first-excited and first-propagated cycles of
-    /// the faulty-lane reference, on both engines at 64 lanes; a state
-    /// bit a fault corrupts can circulate for hundreds of cycles before
-    /// its effect shows.
+    /// the faulty-lane reference, at 64 and 512 lanes; a state bit a
+    /// fault corrupts can circulate for hundreds of cycles before its
+    /// effect shows.
     #[test]
     fn evidence_matches_faulty_lanes_on_feedback_circuits(seed in any::<u64>()) {
         let nl = feedback_netlist(seed);
         let vectors = random_vectors(seed ^ 0x5EED, 640);
         let escaped = all_escaped(&FaultList::extract(&nl).collapsed(&nl));
         let observed = output_nets(&nl);
-        let kernel = fault::kernel::compile_cached(&nl, &[nl.topo_order().to_vec()]);
         let mut tb = VectorBench::new(&nl, &vectors);
-        let interp = forensics::analyze(&nl, &escaped, &observed, &mut ParallelSim::new(&nl), &mut tb);
-        let (faults, evidence) = testable_evidence(&interp);
-        let reference =
-            faulty_lane_evidence(&nl, &mut WideSim::new(Arc::clone(&kernel), 1), &mut tb, &faults);
-        prop_assert_eq!(&evidence, &reference, "interp, 64 lanes");
-        prop_assert!(untestable_carry_none(&interp));
-        let wide = forensics::analyze(&nl, &escaped, &observed, &mut WideSim::new(kernel, 1), &mut tb);
-        prop_assert_eq!(testable_evidence(&wide), (faults, reference), "compiled, 64 lanes");
+        let narrow = forensics::analyze(&nl, &escaped, &observed, &mut sim_at(&nl, 64), &mut tb);
+        let (faults, evidence) = testable_evidence(&narrow);
+        let reference = faulty_lane_evidence(&nl, &mut sim_at(&nl, 64), &mut tb, &faults);
+        prop_assert_eq!(&evidence, &reference, "64 lanes");
+        prop_assert!(untestable_carry_none(&narrow));
+        let wide = forensics::analyze(&nl, &escaped, &observed, &mut sim_at(&nl, 512), &mut tb);
+        prop_assert_eq!(testable_evidence(&wide), (faults, reference), "512 lanes");
     }
 }
 
@@ -409,13 +399,13 @@ fn propagation_before_excitation_matches_faulty_lanes() {
         &nl,
         &escaped,
         &output_nets(&nl),
-        &mut ParallelSim::new(&nl),
+        &mut sim_at(&nl, 64),
         &mut tb,
     );
     let (faults, evidence) = testable_evidence(&report);
     assert_eq!(faults, vec![stuck]);
     assert_eq!(evidence, vec![(Some(300), Some(0))]);
-    let reference = faulty_lane_evidence(&nl, &mut ParallelSim::new(&nl), &mut tb, &faults);
+    let reference = faulty_lane_evidence(&nl, &mut sim_at(&nl, 512), &mut tb, &faults);
     assert_eq!(evidence, reference);
 }
 
@@ -431,10 +421,9 @@ fn resumed_vector_bench_keeps_undriven_ports() {
     let faults = repeated(&FaultList::extract(&nl).collapsed(&nl), 4);
     let bench = || VectorBench::new(&nl, &vectors);
     let hooks = Telemetry::none();
-    let reference = per_slice(&faults, 63, |s| {
-        campaign::run(&ParallelSim::new(&nl), s, bench, 1, &hooks)
-    });
-    let res = campaign::run(&ParallelSim::new(&nl), &faults, bench, 2, &hooks);
+    let narrow = sim_at(&nl, 64);
+    let reference = per_slice(&faults, 63, |s| campaign::run(&narrow, s, bench, 1, &hooks));
+    let res = campaign::run(&narrow, &faults, bench, 2, &hooks);
     assert!(res.stats.batches > campaign::batch_count_lanes(&faults, 64));
     assert_eq!(res.detections, reference);
 }
@@ -505,7 +494,7 @@ fn plasma_sample_regroups_without_changing_detections() {
 /// The evidence pass on a sampled Plasma campaign of
 /// [`PLASMA_READBACK`], whose bench carries memory, gives every testable
 /// escape the faulty-lane reference's cycles, and writes the same report
-/// on the interpreted engine at 64 lanes and the compiled one at 512.
+/// at 64 lanes and at 512.
 #[test]
 fn plasma_evidence_matches_faulty_lanes() {
     let core = PlasmaCore::build(plasma::PlasmaConfig::default());
@@ -532,7 +521,7 @@ fn plasma_evidence_matches_faulty_lanes() {
         nl,
         &result,
         core.observed_outputs(),
-        &mut ParallelSim::with_segments(nl, &segments),
+        &mut EngineConfig::compiled(64).sim(nl, &segments),
         &mut tb,
     );
     let wide = forensics::analyze(

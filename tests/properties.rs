@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use fault::model::FaultList;
-use fault::sim::{LaneSim, ParallelSim};
+use fault::{EngineConfig, WideSim};
 use mips::isa::{Instr, Op, Reg};
 use netlist::sim::Simulator;
 use netlist::synth::{self, TechStyle};
@@ -88,6 +88,11 @@ proptest! {
 
 // ---- random structural netlists --------------------------------------------
 
+/// `nl` on the fault simulator at `lanes`, evaluated as one segment.
+fn sim_at(nl: &Netlist, lanes: usize) -> WideSim {
+    EngineConfig::compiled(lanes).sim(nl, &[nl.topo_order().to_vec()])
+}
+
 /// Build a small random sequential netlist from a seed: a couple of
 /// registers, an adder, assorted gates — enough structure for fault-model
 /// properties.
@@ -160,38 +165,41 @@ proptest! {
         prop_assert_eq!(col.total_uncollapsed, total);
     }
 
-    /// Lane 0 of the 64-lane simulator matches the scalar simulator on
-    /// random netlists and stimuli, with faults injected in other lanes.
+    /// Lane 0 of the fault simulator matches the scalar simulator on
+    /// random netlists and stimuli, with faults injected in other lanes:
+    /// lanes 1..64 at 64 lanes, and the last word at 512 lanes.
     #[test]
     fn parallel_lane0_equals_scalar(seed in any::<u64>()) {
         let nl = random_netlist(seed);
         let faults = FaultList::extract(&nl).collapsed(&nl);
-        let mut ps = ParallelSim::new(&nl);
-        // Pollute lanes 1..64 with faults; lane 0 stays healthy.
-        for (k, &f) in faults.faults.iter().take(63).enumerate() {
-            ps.inject(f, k + 1);
-        }
-        let mut ss = Simulator::new(&nl);
-        ps.reset();
-        ss.reset(&nl);
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        for _ in 0..20 {
-            s ^= s >> 13;
-            s ^= s << 7;
-            let av = s & 0xFF;
-            let bv = (s >> 8) & 0xFF;
-            ps.set_port(&nl, "a", av);
-            ps.set_port(&nl, "b", bv);
-            ss.set_input_word(&nl, "a", av);
-            ss.set_input_word(&nl, "b", bv);
-            ps.eval_all();
-            ss.eval(&nl);
-            prop_assert_eq!(
-                ps.port_lane_word(&nl, "out", 0),
-                ss.output_word(&nl, "out")
-            );
-            ps.clock();
-            ss.clock(&nl);
+        for (lanes, first) in [(64usize, 1usize), (512, 449)] {
+            let mut ps = sim_at(&nl, lanes);
+            // Pollute 63 lanes with faults; lane 0 stays healthy.
+            for (k, &f) in faults.faults.iter().take(63).enumerate() {
+                ps.inject(f, first + k);
+            }
+            let mut ss = Simulator::new(&nl);
+            ps.reset_state();
+            ss.reset(&nl);
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for _ in 0..20 {
+                s ^= s >> 13;
+                s ^= s << 7;
+                let av = s & 0xFF;
+                let bv = (s >> 8) & 0xFF;
+                ps.set_port(&nl, "a", av);
+                ps.set_port(&nl, "b", bv);
+                ss.set_input_word(&nl, "a", av);
+                ss.set_input_word(&nl, "b", bv);
+                ps.eval_all();
+                ss.eval(&nl);
+                prop_assert_eq!(
+                    ps.port_lane_word(&nl, "out", 0),
+                    ss.output_word(&nl, "out")
+                );
+                ps.clock();
+                ss.clock(&nl);
+            }
         }
     }
 
@@ -210,31 +218,34 @@ proptest! {
             return Ok(()); // no multi-member class in this netlist
         };
         let rep = col.faults[rep_idx];
-        let mut ps = ParallelSim::new(&nl);
-        ps.inject(rep, 1);
-        // Candidate members: every raw fault (cheap: ≤ few hundred).
-        let candidates: Vec<_> = raw.faults.iter().copied().take(62).collect();
-        for (k, &f) in candidates.iter().enumerate() {
-            ps.inject(f, k + 2);
-        }
-        ps.reset();
-        let mut mirror_mask = !0u64; // lanes that matched lane 1 so far
-        let mut s = seed | 3;
-        for _ in 0..24 {
-            s ^= s << 9;
-            s ^= s >> 11;
-            ps.set_port(&nl, "a", s & 0xFF);
-            ps.set_port(&nl, "b", (s >> 16) & 0xFF);
-            ps.eval_all();
-            for &n in nl.port("out") {
-                let v = ps.net_lanes(n);
-                let lane1 = 0u64.wrapping_sub((v >> 1) & 1);
-                mirror_mask &= !(v ^ lane1);
+        // At 64 lanes, and in the last word of 512 lanes.
+        for (lanes, word) in [(64usize, 0usize), (512, 7)] {
+            let mut ps = sim_at(&nl, lanes);
+            ps.inject(rep, 64 * word + 1);
+            // Candidate members: every raw fault (cheap: ≤ few hundred).
+            let candidates: Vec<_> = raw.faults.iter().copied().take(62).collect();
+            for (k, &f) in candidates.iter().enumerate() {
+                ps.inject(f, 64 * word + k + 2);
             }
-            ps.clock();
+            ps.reset_state();
+            let mut mirror_mask = !0u64; // lanes that matched lane 1 so far
+            let mut s = seed | 3;
+            for _ in 0..24 {
+                s ^= s << 9;
+                s ^= s >> 11;
+                ps.set_port(&nl, "a", s & 0xFF);
+                ps.set_port(&nl, "b", (s >> 16) & 0xFF);
+                ps.eval_all();
+                for &n in nl.port("out") {
+                    let v = ps.net_lanes_word(n, word);
+                    let lane1 = 0u64.wrapping_sub((v >> 1) & 1);
+                    mirror_mask &= !(v ^ lane1);
+                }
+                ps.clock();
+            }
+            // The representative trivially mirrors itself.
+            prop_assert!(mirror_mask & 2 != 0);
         }
-        // The representative trivially mirrors itself.
-        prop_assert!(mirror_mask & 2 != 0);
     }
 }
 
