@@ -22,7 +22,7 @@ use fault::campaign;
 use fault::coverage::CoverageReport;
 use fault::EngineConfig;
 use obs::Telemetry;
-use plasma::testbench::SelfTestBench;
+use plasma::testbench::self_test_bench;
 use plasma::{PlasmaConfig, PlasmaCore};
 use serde_json::Value;
 
@@ -44,7 +44,7 @@ fn reference_conformance(doc: &Value) -> String {
     let result = campaign::run(
         &sim,
         &job.faults,
-        || SelfTestBench::new(&core, program, sbst::flow::MEM_BYTES, job.budget),
+        || self_test_bench(&core, program, sbst::flow::MEM_BYTES, job.budget),
         1,
         &Telemetry::none(),
     );

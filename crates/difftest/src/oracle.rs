@@ -4,16 +4,20 @@
 //! Every clock cycle the ISS's bus transaction (address, write data,
 //! write enable, byte enables) is compared against lane 0 of the
 //! bit-parallel netlist simulator — the compiled engine the campaigns
-//! grade on, at 64 lanes; lanes 1–63 may carry injected stuck-at
-//! faults and are compared against lane 0 the same way a fault-simulation
-//! campaign does, so one run yields both a functional verdict (does the
-//! netlist implement the ISA?) and per-fault detection localization
-//! (first divergent cycle per lane).
+//! grade on, at 64 lanes, its bus served by the same
+//! [`fault::membench::MemBench`] the campaigns run, here returning the
+//! old word on a store cycle as the ISS does. Lanes 1–63 may carry
+//! injected stuck-at faults and are compared against lane 0 the same
+//! way a fault-simulation campaign does, so one run yields both a
+//! functional verdict (does the netlist implement the ISA?) and
+//! per-fault detection localization (first divergent cycle per lane).
 
+use fault::campaign::Testbench;
 use fault::engine::EngineConfig;
+use fault::membench::{MemBench, StoreRead};
 use fault::model::Fault;
 use fault::wave::WaveCapture;
-use fault::wide::{transpose_lanes_wide, WideSim};
+use fault::wide::WideSim;
 use mips::disasm::disassemble;
 use mips::gen::{END_MAILBOX, END_MARKER};
 use mips::isa::Reg;
@@ -207,43 +211,29 @@ impl LockstepReport {
 }
 
 /// The reusable lockstep engine. Owns one 64-lane compiled simulator of
-/// the core (the expensive part) plus 64 per-lane memory overlays, so a
-/// fuzz or shrink loop pays the compile cost once.
+/// the core (the expensive part) and the memory bench that serves its
+/// bus, so a fuzz or shrink loop pays the compile cost once.
 pub struct PlasmaOracle<'a> {
-    core: &'a PlasmaCore,
     sim: WideSim,
+    tb: MemBench<'a>,
     cfg: OracleConfig,
-    mask: usize,
-    base: Vec<u32>,
-    // Per-lane write overlays with generation tags, exactly as in
-    // `plasma::SelfTestBench`: entry `lane * words + i` is live iff its
-    // tag equals the current epoch, so starting a run is an O(1) bump.
-    ovl_vals: Vec<u32>,
-    ovl_gens: Vec<u32>,
-    gen: u32,
-    scratch: [u64; 64],
-    bits: Vec<u64>,
     /// Oracle invocations since construction (shrink-loop bookkeeping).
     pub runs: u64,
 }
 
 impl<'a> PlasmaOracle<'a> {
-    /// Compile the oracle for a core.
+    /// Compile the oracle for a core. Like `Memory::access`, its bus
+    /// returns the old word on a store cycle.
     pub fn new(core: &'a PlasmaCore, cfg: OracleConfig) -> PlasmaOracle<'a> {
         let segments = core.segments().map(<[u32]>::to_vec);
-        let sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
-        let words = (cfg.mem_bytes.max(16) / 4).next_power_of_two();
+        let nl = core.netlist();
+        let sim = EngineConfig::compiled(64).sim(nl, &segments);
+        let observed = core.observed_outputs();
+        let tb = MemBench::new(nl, observed, cfg.mem_bytes, cfg.max_cycles, StoreRead::Old);
         PlasmaOracle {
-            core,
             sim,
+            tb,
             cfg,
-            mask: words - 1,
-            base: vec![0; words],
-            ovl_vals: vec![0; 64 * words],
-            ovl_gens: vec![0; 64 * words],
-            gen: 0,
-            scratch: [0; 64],
-            bits: Vec::new(),
             runs: 0,
         }
     }
@@ -257,34 +247,6 @@ impl<'a> PlasmaOracle<'a> {
     /// records name).
     pub fn sim(&self) -> &WideSim {
         &self.sim
-    }
-
-    fn read(&self, lane: usize, addr: u32) -> u32 {
-        let i = (addr as usize >> 2) & self.mask;
-        let idx = lane * (self.mask + 1) + i;
-        if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[i]
-        }
-    }
-
-    fn write(&mut self, lane: usize, addr: u32, wdata: u32, be: u8) {
-        let i = (addr as usize >> 2) & self.mask;
-        let idx = lane * (self.mask + 1) + i;
-        let old = if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[i]
-        };
-        let mut m = 0u32;
-        for b in 0..4 {
-            if be & (1 << b) != 0 {
-                m |= 0xFF << (8 * b);
-            }
-        }
-        self.ovl_vals[idx] = (old & !m) | (wdata & m);
-        self.ovl_gens[idx] = self.gen;
     }
 
     /// Run `program` in lockstep, with `faults` injected into their lanes
@@ -321,33 +283,17 @@ impl<'a> PlasmaOracle<'a> {
         mut wave: Option<(&mut WaveCapture, usize)>,
     ) -> LockstepReport {
         self.runs += 1;
-        self.base.fill(0);
-        for (k, &w) in program.words.iter().enumerate() {
-            self.base[((program.base as usize >> 2) + k) & self.mask] = w;
-        }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Tag wrap-around: stale tags could alias the new epoch.
-            self.ovl_gens.fill(0);
-            self.gen = 1;
-        }
+        self.tb.load_image(program.base, program.words.iter().copied());
         self.sim.clear_faults();
         for &(f, lane) in faults {
             self.sim.inject(f, lane);
         }
         self.sim.reset_state();
+        self.tb.begin(&mut self.sim);
 
         let mut iss = Iss::new();
         let mut iss_mem = Memory::new(self.cfg.mem_bytes);
         iss_mem.load_program(program);
-
-        let core = self.core;
-        let nl = core.netlist();
-        let addr_nets = nl.port("mem_addr");
-        let wdata_nets = nl.port("mem_wdata");
-        let we_net = nl.port("mem_we")[0];
-        let be_nets = nl.port("mem_be");
-        let observed = core.observed_outputs();
 
         let mut trace = GoldenTrace {
             pcs: Vec::new(),
@@ -360,40 +306,16 @@ impl<'a> PlasmaOracle<'a> {
         let mut cycle = 0u64;
 
         while cycle < stop_at {
-            self.sim.eval_segment(0);
-            let we_lanes = self.sim.net_lanes_word(we_net, 0);
-            let mut gate = GateBus {
-                addr: 0,
-                wdata: 0,
-                we: false,
-                be: 0,
-            };
-            for lane in 0..64 {
-                let addr = self.sim.lane_word(addr_nets, lane) as u32;
-                let wdata = self.sim.lane_word(wdata_nets, lane) as u32;
-                let be = self.sim.lane_word(be_nets, lane) as u8;
-                let we = (we_lanes >> lane) & 1 == 1;
-                // Like `Memory::access`, a store cycle returns the old word.
-                self.scratch[lane] = self.read(lane, addr) as u64;
-                if we {
-                    self.write(lane, addr, wdata, be);
-                }
-                if lane == 0 {
-                    gate = GateBus {
-                        addr,
-                        wdata,
-                        we,
-                        be,
-                    };
-                }
-            }
-            transpose_lanes_wide(&self.scratch, 32, 1, &mut self.bits);
-            self.sim.set_port_bits(nl, "mem_rdata", &self.bits);
-            self.sim.eval_segment(1);
             let mut diff = [0u64];
-            self.sim.diff_vs_lane0(observed, &mut diff);
+            self.tb.step(&mut self.sim, cycle, &mut diff);
             let diff = diff[0];
-            self.sim.clock();
+            let tx = self.tb.lane0();
+            let gate = GateBus {
+                addr: tx.addr,
+                wdata: tx.wdata,
+                we: tx.we,
+                be: tx.be,
+            };
 
             let mut d = diff & !1;
             while d != 0 {
@@ -473,7 +395,7 @@ impl<'a> PlasmaOracle<'a> {
         let mut window = Vec::new();
         for k in -w..=w {
             let addr = pc.wrapping_add((k * 4) as u32);
-            if (addr as usize >> 2) > self.mask {
+            if (addr as usize >> 2) >= self.tb.rows() {
                 continue;
             }
             let word = iss_mem.read_word(addr);
@@ -490,9 +412,9 @@ impl<'a> PlasmaOracle<'a> {
         }
         let (hi, lo) = iss.hi_lo();
         let mut mem_delta = Vec::new();
-        for i in 0..=self.mask {
+        for i in 0..self.tb.rows() {
             let addr = (i * 4) as u32;
-            let gv = self.read(0, addr);
+            let gv = self.tb.read(0, addr);
             let iv = iss_mem.read_word(addr);
             if gv != iv {
                 mem_delta.push(MemDelta {

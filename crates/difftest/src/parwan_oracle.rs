@@ -3,13 +3,16 @@
 //! compiled engine at 64 lanes.
 //!
 //! Smaller sibling of [`crate::oracle`]: the same per-cycle bus
-//! comparison and per-lane fault grading, minus shrinking and corpus
-//! persistence (Parwan programs are a few dozen bytes — reproducers are
-//! already minimal).
+//! comparison and per-lane fault grading on the same
+//! [`fault::membench::MemBench`], minus shrinking and corpus persistence
+//! (Parwan programs are a few dozen bytes — reproducers are already
+//! minimal).
 
+use fault::campaign::Testbench;
 use fault::engine::EngineConfig;
+use fault::membench::{MemBench, StoreRead};
 use fault::model::Fault;
-use fault::wide::{transpose_lanes_wide, WideSim};
+use fault::wide::WideSim;
 use mips::gen::Rng;
 use parwan::isa::{Cond, ProgramBuilder};
 use parwan::model::{BusCycle, ParwanModel};
@@ -44,113 +47,53 @@ impl ParwanReport {
     }
 }
 
-/// The reusable Parwan lockstep engine (4 KB address space).
+/// The reusable Parwan lockstep engine (4 KB address space): one
+/// 64-lane simulator of the core and the memory bench that serves its
+/// bus, returning the old byte on a store cycle as the model does.
 pub struct ParwanOracle<'a> {
-    core: &'a ParwanCore,
     sim: WideSim,
-    base: Vec<u8>,
-    ovl_vals: Vec<u8>,
-    ovl_gens: Vec<u32>,
-    gen: u32,
-    scratch: [u64; 64],
-    bits: Vec<u64>,
+    tb: MemBench<'a>,
 }
 
 impl<'a> ParwanOracle<'a> {
     /// Compile the oracle for a core.
     pub fn new(core: &'a ParwanCore) -> ParwanOracle<'a> {
         let segments = core.segments().map(<[u32]>::to_vec);
-        let sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
-        ParwanOracle {
-            core,
-            sim,
-            base: vec![0; 4096],
-            ovl_vals: vec![0; 64 * 4096],
-            ovl_gens: vec![0; 64 * 4096],
-            gen: 0,
-            scratch: [0; 64],
-            bits: Vec::new(),
-        }
-    }
-
-    fn read(&self, lane: usize, addr: u16) -> u8 {
-        let idx = lane * 4096 + (addr & 0xFFF) as usize;
-        if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[(addr & 0xFFF) as usize]
-        }
-    }
-
-    fn write(&mut self, lane: usize, addr: u16, wdata: u8) {
-        let idx = lane * 4096 + (addr & 0xFFF) as usize;
-        self.ovl_vals[idx] = wdata;
-        self.ovl_gens[idx] = self.gen;
+        let nl = core.netlist();
+        let sim = EngineConfig::compiled(64).sim(nl, &segments);
+        // `run` counts its own cycles, so the bench's budget goes unused.
+        let tb = MemBench::new(nl, core.observed_outputs(), 4096, 0, StoreRead::Old);
+        ParwanOracle { sim, tb }
     }
 
     /// Run `image` for `max_cycles` in lockstep with `faults` injected.
     pub fn run(&mut self, image: &[u8], faults: &[(Fault, usize)], max_cycles: u64) -> ParwanReport {
-        self.base.fill(0);
-        self.base[..image.len()].copy_from_slice(image);
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.ovl_gens.fill(0);
-            self.gen = 1;
-        }
+        self.tb.load_image(0, image.iter().map(|&b| u32::from(b)));
         self.sim.clear_faults();
         for &(f, lane) in faults {
             self.sim.inject(f, lane);
         }
         self.sim.reset_state();
+        self.tb.begin(&mut self.sim);
 
         let mut model = ParwanModel::new();
         let mut model_mem = vec![0u8; 4096];
         model_mem[..image.len()].copy_from_slice(image);
 
-        let core = self.core;
-        let nl = core.netlist();
-        let addr_nets = nl.port("mem_addr");
-        let wdata_nets = nl.port("mem_wdata");
-        let we_net = nl.port("mem_we")[0];
-        let observed = core.observed_outputs();
-
         let mut lane_first_div = [None; 64];
         let mut divergence = None;
         let mut cycle = 0u64;
         while cycle < max_cycles {
-            self.sim.eval_segment(0);
-            let we_lanes = self.sim.net_lanes_word(we_net, 0);
-            let mut gate = BusCycle {
-                addr: 0,
-                wdata: 0,
-                we: false,
-                rdata: 0,
-            };
-            for lane in 0..64 {
-                let addr = (self.sim.lane_word(addr_nets, lane) & 0xFFF) as u16;
-                let wdata = self.sim.lane_word(wdata_nets, lane) as u8;
-                let we = (we_lanes >> lane) & 1 == 1;
-                let rdata = self.read(lane, addr);
-                self.scratch[lane] = rdata as u64;
-                if we {
-                    self.write(lane, addr, wdata);
-                }
-                if lane == 0 {
-                    gate = BusCycle {
-                        addr,
-                        wdata,
-                        we,
-                        rdata,
-                    };
-                }
-            }
-            transpose_lanes_wide(&self.scratch, 8, 1, &mut self.bits);
-            self.sim.set_port_bits(nl, "mem_rdata", &self.bits);
             let mut diff = [0u64];
-            self.sim.diff_vs_lane0(observed, &mut diff);
+            self.tb.step(&mut self.sim, cycle, &mut diff);
             let diff = diff[0];
-            self.sim.eval_segment(1);
-            self.sim.clock();
+            let tx = self.tb.lane0();
+            let gate = BusCycle {
+                addr: tx.addr as u16,
+                wdata: tx.wdata as u8,
+                we: tx.we,
+                rdata: tx.rdata as u8,
+            };
 
             let mut d = diff & !1;
             while d != 0 {

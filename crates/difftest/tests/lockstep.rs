@@ -13,6 +13,8 @@ use fault::model::{Fault, FaultList};
 use mips::gen::{random_parts, GenConfig};
 use obs::Telemetry;
 use plasma::{PlasmaConfig, PlasmaCore};
+use sbst::flow::MEM_BYTES;
+use sbst::phases::{build_program, Phase};
 
 fn core() -> &'static PlasmaCore {
     static CORE: OnceLock<PlasmaCore> = OnceLock::new();
@@ -259,4 +261,52 @@ fn oracle_wave_capture_matches_divergence_localization() {
     for scope in ["good", "faulty", "diff"] {
         assert!(text.contains(&format!("$scope module {scope} $end")), "missing {scope} scope");
     }
+}
+
+/// The faults whose detection depends on the store-cycle read order
+/// (`PLASMA_READ_ORDER` in `tests/scalar_oracle.rs`, where the campaign
+/// bench returns the updated word), and where the oracle detects them
+/// within 1,024 cycles of the Phase A+B self-test when its bus returns
+/// the old word, as `Memory::access` does: four escape and the other
+/// three move.
+const OLD_WORD_READ_ORDER: [(&str, Option<u64>); 7] = [
+    ("g168/pin0 sa1", Some(533)),
+    ("g318/pin0 sa1", None),
+    ("g1002/pin0 sa1", None),
+    ("g1026/pin0 sa1", None),
+    ("g1110/pin0 sa1", None),
+    ("g6056/pin0 sa1", Some(313)),
+    ("g6070/pin0 sa1", Some(188)),
+];
+
+/// The oracle's bus returns the old word on a store cycle: the
+/// read-order faults in lanes 1–7 diverge where the old-word order
+/// detects them, while lane 0 still matches the ISS.
+#[test]
+fn oracle_returns_the_old_word_on_a_store_cycle() {
+    let nl = core().netlist();
+    let list = FaultList::extract(nl).collapsed(nl);
+    let injections: Vec<(Fault, usize)> = OLD_WORD_READ_ORDER
+        .iter()
+        .enumerate()
+        .map(|(i, &(id, _))| {
+            let f = list.faults.iter().find(|f| f.describe() == id);
+            (*f.expect("read-order fault in the list"), i + 1)
+        })
+        .collect();
+    let program = build_program(Phase::B)
+        .expect("Phase A+B assembles")
+        .program;
+    let cfg = OracleConfig {
+        mem_bytes: MEM_BYTES,
+        max_cycles: 1024,
+        ..OracleConfig::default()
+    };
+    let report = PlasmaOracle::new(core(), cfg).run(&program, &injections);
+    assert!(report.divergence.is_none(), "lane 0 must match the ISS");
+    assert_eq!(report.cycles, 1024);
+    for (i, &(id, cycle)) in OLD_WORD_READ_ORDER.iter().enumerate() {
+        assert_eq!(report.lane_first_div[i + 1], cycle, "{id}");
+    }
+    assert!(report.lane_first_div[8..].iter().all(Option::is_none));
 }

@@ -70,11 +70,11 @@ struct CachePadded<T>(T);
 /// Implementations drive primary inputs, call
 /// [`WideSim::eval_segment`]/[`WideSim::eval_all`] and
 /// [`WideSim::clock`], and report which lanes diverged from lane 0 at
-/// the observation points this cycle. The processor testbenches in the
-/// `plasma` and `parwan` crates implement this with per-lane memory
-/// overlays; simple vector application is provided here by
-/// [`VectorBench`]. The forensics evidence pass and wave capture run
-/// the same benches.
+/// the observation points this cycle. A core on a memory bus runs on
+/// [`crate::membench::MemBench`] (per-lane memory overlays); simple
+/// vector application is provided here by [`VectorBench`]. Campaigns,
+/// the forensics evidence pass, wave capture and the lockstep oracles
+/// run these two benches.
 pub trait Testbench {
     /// Prepare for a fresh batch. Called after faults are injected and the
     /// simulator's flip-flops are reset.

@@ -14,11 +14,16 @@
 //!   reference, with a fingerprint-keyed kernel cache — built by
 //!   [`engine`] (campaigns, the forensics evidence pass, wave capture
 //!   and the lockstep oracles all get their simulator there),
+//! * one **memory-bus bench** ([`membench::MemBench`]) that serves a
+//!   core's bus for every lane, each lane with its own memory — the
+//!   Plasma and Parwan campaigns, the forensics evidence pass, wave
+//!   capture and the lockstep oracles all run on it, and differ only in
+//!   the word a store cycle reads back ([`membench::StoreRead`]),
 //! * one **campaign runner** with fault dropping and survivor
 //!   compaction ([`campaign::run`], serial or multi-threaded) driving
 //!   any [`campaign::Testbench`] —
 //!   plain vector tests ([`campaign::run_vectors`]) or full-processor
-//!   self-test execution,
+//!   self-test execution on [`membench::MemBench`],
 //! * per-component **coverage reporting** ([`coverage`]) used to regenerate
 //!   the paper's Table 5.
 //!
@@ -59,6 +64,7 @@ pub mod coverage;
 pub mod engine;
 pub mod forensics;
 pub mod kernel;
+pub mod membench;
 pub mod model;
 pub mod scoap;
 pub mod shard;

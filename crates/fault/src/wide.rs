@@ -480,11 +480,10 @@ impl WideSim {
         }
     }
 
-    /// Drive a named input port with per-bit lane blocks: entry
+    /// Drive an input bus with per-bit lane blocks: entry
     /// `i * lane_words + t` holds word `t` of bit `i` (the layout
     /// [`transpose_lanes_wide`] produces).
-    pub fn set_port_bits(&mut self, netlist: &Netlist, port: &str, bits: &[u64]) {
-        let nets = netlist.port(port);
+    pub fn set_bus_bits(&mut self, nets: &[Net], bits: &[u64]) {
         let w = self.w;
         assert_eq!(nets.len() * w, bits.len(), "port width mismatch");
         for (i, &net) in nets.iter().enumerate() {

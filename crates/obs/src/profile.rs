@@ -8,7 +8,7 @@
 //! |-------------|----------------------------------------------------|
 //! | `compile`   | lowering the netlist into a compiled kernel        |
 //! | `patch`     | clearing the previous batch's faults + injecting   |
-//! | `reset`     | flip-flop reset + testbench begin (overlay epoch)  |
+//! | `reset`     | flip-flop reset + testbench begin (drops overlays) |
 //! | `eval_early`| netlist evaluation up to the memory-address cut    |
 //! | `overlay`   | per-lane memory overlay reads/writes + transpose   |
 //! | `eval_late` | netlist evaluation after memory data returns       |
@@ -37,7 +37,7 @@ pub enum ProfilePhase {
     Compile,
     /// Fault clear + injection at batch start.
     Patch,
-    /// Simulator state reset + testbench begin (overlay epoch bump).
+    /// Simulator state reset + testbench begin (drops the overlay rows).
     Reset,
     /// Netlist evaluation of the early segment (through address out).
     EvalEarly,

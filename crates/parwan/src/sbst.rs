@@ -10,7 +10,7 @@ use obs::Telemetry;
 use crate::core::ParwanCore;
 use crate::isa::{Cond, ProgramBuilder};
 use crate::model::ParwanModel;
-use crate::testbench::ParwanSelfTestBench;
+use crate::testbench::self_test_bench;
 
 /// Response region base.
 pub const RESP: u16 = 0x200;
@@ -279,8 +279,7 @@ pub fn grade(
 ) -> CampaignResult {
     let budget = golden_cycles(test) + 32;
     let factory = || {
-        ParwanSelfTestBench::new(core, &test.image, budget)
-            .with_profiler(telemetry.profiler.clone())
+        self_test_bench(core, &test.image, budget).with_profiler(telemetry.profiler.clone())
     };
     engine.grade(
         core.netlist(),
@@ -294,7 +293,7 @@ pub fn grade(
 
 /// Replay one fault of a Parwan self-test with waveform capture: lane 0
 /// is the fault-free core, lane 1 the faulty one, on the compiled engine
-/// at 64 lanes through the same [`ParwanSelfTestBench`] [`grade`] uses,
+/// at 64 lanes through the same [`self_test_bench`] [`grade`] uses,
 /// so the verdict (and detection cycle) matches the campaign bit for
 /// bit. Probe specs follow
 /// [`netlist::wave::Probe::from_spec`] (component names or port globs;
@@ -309,7 +308,7 @@ pub fn capture_fault_wave(
     let budget = golden_cycles(test) + 32;
     let segments = core.segments().map(<[u32]>::to_vec);
     let mut sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
-    let mut tb = ParwanSelfTestBench::new(core, &test.image, budget);
+    let mut tb = self_test_bench(core, &test.image, budget);
     Ok(fault::wave::capture_fault(&mut sim, &mut tb, probe, f, opts))
 }
 

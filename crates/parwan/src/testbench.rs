@@ -1,12 +1,10 @@
-//! Scalar and lane-parallel self-test testbenches for the Parwan-class
-//! core.
+//! Testbenches for the Parwan-class core: a scalar one for
+//! co-simulation, and the lane-parallel self-test bench — a
+//! [`fault::membench::MemBench`] over the core's bus — that drives the
+//! fault simulator.
 
-use std::time::Instant;
-
-use fault::campaign::Testbench;
-use fault::wide::{transpose_lanes_wide, WideSim};
+use fault::membench::{MemBench, StoreRead};
 use netlist::sim::{CompiledOrder, Simulator};
-use obs::{ProfilePhase, Profiler};
 
 use crate::core::ParwanCore;
 use crate::model::BusCycle;
@@ -71,201 +69,19 @@ impl<'a> GateParwan<'a> {
     }
 }
 
-/// Lane-parallel self-test bench: shared base image plus per-lane
-/// overlays, divergence from lane 0 on the observed bus is the
-/// detection. The overlays are strided by the simulator's lane count at [`Testbench::begin`] and only grow, so
-/// batches of alternating widths reuse one allocation.
-pub struct ParwanSelfTestBench<'a> {
-    core: &'a ParwanCore,
-    base: Vec<u8>,
-    lanes: usize,
-    // Flat per-lane overlays with generation tags (see
-    // `plasma::SelfTestBench`): entry `addr * lanes + lane` is live iff
-    // its tag equals the current epoch, making `begin` O(1). Word-major,
-    // so one cycle's clustered accesses share cache lines.
-    ovl_vals: Vec<u8>,
-    ovl_gens: Vec<u32>,
-    gen: u32,
-    // Addresses any lane wrote since `begin`, each listed once (see
-    // `plasma::SelfTestBench`).
-    rows: Vec<u16>,
-    row_gens: Vec<u32>,
-    budget: u64,
-    scratch: Vec<u64>,
-    bits: Vec<u64>,
-    // Optional hot-loop self-profiler (see `with_profiler`).
-    profiler: Profiler,
-}
-
-impl<'a> ParwanSelfTestBench<'a> {
-    /// Create the bench with the program preloaded and a cycle budget.
-    pub fn new(core: &'a ParwanCore, image: &[u8], budget: u64) -> ParwanSelfTestBench<'a> {
-        let mut base = vec![0u8; 4096];
-        base[..image.len()].copy_from_slice(image);
-        ParwanSelfTestBench {
-            core,
-            base,
-            lanes: 0,
-            ovl_vals: Vec::new(),
-            ovl_gens: Vec::new(),
-            gen: 0,
-            rows: Vec::new(),
-            row_gens: vec![0; 4096],
-            budget,
-            scratch: Vec::new(),
-            bits: Vec::new(),
-            profiler: Profiler::disabled(),
-        }
-    }
-
-    /// Attach a hot-loop self-profiler: each cycle's wall-time is split
-    /// across the eval/overlay/detect/clock phases (see
-    /// [`obs::ProfilePhase`]), matching the plasma bench's attribution.
-    /// A disabled profiler (the default) keeps the untimed step path;
-    /// detections are identical either way.
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
-    fn read(&self, lane: usize, addr: u16) -> u8 {
-        let i = (addr & 0xFFF) as usize;
-        let idx = i * self.lanes + lane;
-        if self.ovl_gens[idx] == self.gen {
-            self.ovl_vals[idx]
-        } else {
-            self.base[i]
-        }
-    }
-
-    fn write(&mut self, lane: usize, addr: u16, wdata: u8) {
-        let i = (addr & 0xFFF) as usize;
-        let idx = i * self.lanes + lane;
-        self.ovl_vals[idx] = wdata;
-        self.ovl_gens[idx] = self.gen;
-        if self.row_gens[i] != self.gen {
-            self.row_gens[i] = self.gen;
-            self.rows.push(i as u16);
-        }
-    }
-
-    /// The per-lane memory transaction, one lane word at a time: read
-    /// each lane's byte, then apply its store, and feed the transposed
-    /// read data back in.
-    fn mem_phase(&mut self, sim: &mut WideSim) {
-        let nl = self.core.netlist();
-        let addr_nets = nl.port("mem_addr");
-        let wdata_nets = nl.port("mem_wdata");
-        let we_net = nl.port("mem_we")[0];
-        let w = sim.lane_words();
-        let mut addr = [0u64; 64];
-        let mut wdata = [0u64; 64];
-        for t in 0..w {
-            let we_lanes = sim.net_lanes_word(we_net, t);
-            sim.lane_block(addr_nets, t, &mut addr);
-            if we_lanes != 0 {
-                sim.lane_block(wdata_nets, t, &mut wdata);
-            }
-            for b in 0..64 {
-                let lane = (t << 6) + b;
-                let a = (addr[b] & 0xFFF) as u16;
-                // The read precedes the write, so a store cycle returns
-                // the old byte on the bus (detections depend on this).
-                self.scratch[lane] = self.read(lane, a) as u64;
-                if (we_lanes >> b) & 1 == 1 {
-                    self.write(lane, a, wdata[b] as u8);
-                }
-            }
-        }
-        transpose_lanes_wide(&self.scratch, 8, w, &mut self.bits);
-        sim.set_port_bits(nl, "mem_rdata", &self.bits);
-    }
-
-    /// One cycle, untimed — the hot path when profiling is off.
-    #[inline]
-    fn step_plain(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
-        sim.eval_segment(0);
-        self.mem_phase(sim);
-        sim.diff_vs_lane0(self.core.observed_outputs(), diff);
-        sim.eval_segment(1);
-        sim.clock();
-    }
-
-    /// One cycle with manual `Instant` checkpoints between phases (one
-    /// clock read per phase boundary, not a guard per phase).
-    fn step_timed(&mut self, sim: &mut WideSim, diff: &mut [u64]) {
-        let t0 = Instant::now();
-        sim.eval_segment(0);
-        let t1 = Instant::now();
-        self.mem_phase(sim);
-        let t2 = Instant::now();
-        sim.diff_vs_lane0(self.core.observed_outputs(), diff);
-        let t3 = Instant::now();
-        sim.eval_segment(1);
-        let t4 = Instant::now();
-        sim.clock();
-        let t5 = Instant::now();
-        let p = &self.profiler;
-        p.add_ns(ProfilePhase::EvalEarly, (t1 - t0).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Overlay, (t2 - t1).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Detect, (t3 - t2).as_nanos() as u64);
-        p.add_ns(ProfilePhase::EvalLate, (t4 - t3).as_nanos() as u64);
-        p.add_ns(ProfilePhase::Clock, (t5 - t4).as_nanos() as u64);
-    }
-}
-
-impl Testbench for ParwanSelfTestBench<'_> {
-    fn begin(&mut self, sim: &mut WideSim) {
-        // Entries of earlier batches carry older tags, so a new stride
-        // needs no clearing.
-        self.lanes = sim.lanes();
-        if self.lanes * 4096 > self.ovl_vals.len() {
-            self.ovl_vals.resize(self.lanes * 4096, 0);
-            self.ovl_gens.resize(self.lanes * 4096, 0);
-        }
-        self.scratch.resize(self.lanes, 0);
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Tag wrap-around: stale tags could alias the new epoch, so
-            // reset them all and restart at 1.
-            self.ovl_gens.fill(0);
-            self.row_gens.fill(0);
-            self.gen = 1;
-        }
-        self.rows.clear();
-    }
-
-    fn step(&mut self, sim: &mut WideSim, _cycle: u64, diff: &mut [u64]) {
-        // One branch per cycle: the timed variant differs only in the
-        // Instant checkpoints between phases, never in what it computes.
-        if self.profiler.enabled() {
-            self.step_timed(sim, diff);
-        } else {
-            self.step_plain(sim, diff);
-        }
-    }
-
-    fn cycles(&self) -> u64 {
-        self.budget
-    }
-
-    /// The lane's written bytes, each packed as `addr << 8 | value`, in
-    /// the order addresses were first written since `begin` (see
-    /// `plasma::SelfTestBench`).
-    fn save_lane(&self, lane: usize, out: &mut Vec<u64>) {
-        for &i in &self.rows {
-            let idx = i as usize * self.lanes + lane;
-            if self.ovl_gens[idx] == self.gen {
-                out.push((i as u64) << 8 | self.ovl_vals[idx] as u64);
-            }
-        }
-    }
-
-    fn load_lane(&mut self, lane: usize, state: &[u64]) {
-        for &p in state {
-            self.write(lane, (p >> 8) as u16, p as u8);
-        }
-    }
+/// The Parwan self-test bench the campaigns grade on: every lane is a
+/// core with its own 4 KB, preloaded with `image` at address 0, and
+/// divergence of the observed bus outputs from lane 0 is the detection.
+/// A store cycle returns the old byte on `mem_rdata`
+/// ([`StoreRead::Old`]), as the behavioural model does; detections
+/// depend on this order (`PARWAN_READ_ORDER` in
+/// `tests/scalar_oracle.rs` pins the faults whose detection it
+/// changes).
+pub fn self_test_bench<'a>(core: &'a ParwanCore, image: &[u8], budget: u64) -> MemBench<'a> {
+    let nl = core.netlist();
+    let mut tb = MemBench::new(nl, core.observed_outputs(), 4096, budget, StoreRead::Old);
+    tb.load_image(0, image.iter().map(|&b| u32::from(b)));
+    tb
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@
 //! The bus interface is four output ports (`mem_addr`, `mem_wdata`,
 //! `mem_we`, `mem_be`) and one input port (`mem_rdata`). By construction
 //! there is no combinational path from `mem_rdata` to any output, so a
-//! testbench evaluates the netlist in two topological segments per cycle:
+//! testbench — the scalar [`testbench::GateCpu`], or the lane-parallel
+//! `fault::membench::MemBench` that [`testbench::self_test_bench`]
+//! builds — evaluates the netlist in two topological segments per cycle:
 //! address-producing logic first, then — after the memory lookup — the
 //! read-data cone ([`PlasmaCore::segments`]).
 //!

@@ -10,7 +10,7 @@ use fault::engine::EngineConfig;
 use fault::model::FaultList;
 use mips::iss::{Iss, Memory};
 use obs::{MetricRegistry, Telemetry};
-use plasma::testbench::SelfTestBench;
+use plasma::testbench::self_test_bench;
 use plasma::PlasmaCore;
 
 use crate::cost::{CostModel, TestCost};
@@ -227,8 +227,7 @@ pub fn run_campaign_of_engine(
     // per-cycle phases land in the same profile as the runner's
     // patch/reset (a disabled handle keeps the plain step path).
     let factory = || {
-        SelfTestBench::new(core, program, MEM_BYTES, budget)
-            .with_profiler(telemetry.profiler.clone())
+        self_test_bench(core, program, MEM_BYTES, budget).with_profiler(telemetry.profiler.clone())
     };
     engine.grade(
         core.netlist(),
@@ -353,7 +352,7 @@ pub fn run_flow(core: &PlasmaCore, phase: Phase, opts: &FlowOptions) -> FlowRepo
     // reads only lane 0, so the narrowest width serves.
     let forensics = opts.forensics.then(|| {
         let mut sim = EngineConfig::compiled(64).sim(core.netlist(), &segments(core));
-        let mut tb = SelfTestBench::new(core, &selftest.program, MEM_BYTES, golden + opts.cycle_margin);
+        let mut tb = self_test_bench(core, &selftest.program, MEM_BYTES, golden + opts.cycle_margin);
         fault::forensics::analyze(
             core.netlist(),
             &campaign,

@@ -10,7 +10,7 @@
 
 use fault::campaign::Detection;
 use fault::EngineConfig;
-use plasma::testbench::SelfTestBench;
+use plasma::testbench::self_test_bench;
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::flow::{run_flow, FlowOptions, FlowReport, MEM_BYTES};
 use sbst::phases::Phase;
@@ -36,7 +36,7 @@ fn wide_forensics_json(core: &PlasmaCore, report: &FlowReport) -> String {
     let segments = core.segments().map(<[u32]>::to_vec);
     let mut sim = EngineConfig::compiled(512).sim(core.netlist(), &segments);
     let budget = report.golden_cycles + FlowOptions::default().cycle_margin;
-    let mut tb = SelfTestBench::new(core, &report.selftest.program, MEM_BYTES, budget);
+    let mut tb = self_test_bench(core, &report.selftest.program, MEM_BYTES, budget);
     to_json(&fault::forensics::analyze(
         core.netlist(),
         &report.campaign,

@@ -11,7 +11,7 @@ use fault::wave::{capture_fault, CapturedWave, WaveOptions};
 use fault::EngineConfig;
 use netlist::wave::Probe;
 use obs::Telemetry;
-use plasma::testbench::{capture_fault_wave, SelfTestBench};
+use plasma::testbench::{capture_fault_wave, self_test_bench};
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::flow::{self, run_flow, FlowOptions, MEM_BYTES};
 use sbst::phases::{build_program, Phase};
@@ -107,7 +107,7 @@ fn captures_match_across_widths() {
             .expect("full probe");
         let segments = core.segments().map(<[u32]>::to_vec);
         let mut sim = EngineConfig::compiled(512).sim(core.netlist(), &segments);
-        let mut tb = SelfTestBench::new(&core, &selftest.program, MEM_BYTES, budget);
+        let mut tb = self_test_bench(&core, &selftest.program, MEM_BYTES, budget);
         let wide = capture_fault(&mut sim, &mut tb, Probe::full(core.netlist()), f, &wave);
         let expect = match result.detections[i] {
             Detection::DetectedAt(c) => Some(c),

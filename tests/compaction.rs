@@ -26,7 +26,7 @@ use fault::wide::WideSim;
 use fault::EngineConfig;
 use netlist::{Net, Netlist, NetlistBuilder};
 use obs::Telemetry;
-use plasma::testbench::SelfTestBench;
+use plasma::testbench::self_test_bench;
 use plasma::PlasmaCore;
 use sbst::flow::{self, FlowOptions, MEM_BYTES};
 
@@ -516,7 +516,7 @@ fn plasma_evidence_matches_faulty_lanes() {
     );
     let nl = core.netlist();
     let segments = core.segments().map(<[u32]>::to_vec);
-    let mut tb = SelfTestBench::new(&core, &program, MEM_BYTES, budget);
+    let mut tb = self_test_bench(&core, &program, MEM_BYTES, budget);
     let narrow = forensics::analyze(
         nl,
         &result,

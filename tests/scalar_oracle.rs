@@ -16,7 +16,8 @@
 //!   and a fixed sample of faults must be detected at the cycles the
 //!   Plasma campaign detects them at — the faults whose detection
 //!   depends on the store-cycle read order among them;
-//! * likewise on the Parwan core with its 4 KB byte memory.
+//! * likewise on the Parwan core with its 4 KB byte memory, under the
+//!   deterministic and an LFSR self-test.
 //!
 //! The same side-by-side machines are the reference for the forensics
 //! evidence, which `forensics::analyze` reads off one fault-free run:
@@ -356,27 +357,37 @@ const PARWAN_READ_ORDER: [(&str, u64); 4] = [
     ("g12/pin0 sa1", 21),
 ];
 
-/// Every 16th fault of the collapsed Parwan list, plus the read-order
-/// faults, graded over the deterministic self-test's full budget:
+/// Likewise under `lfsr_selftest(40)`: reading after the write moves
+/// `n371 sa1` to cycle 19.
+const PARWAN_LFSR_READ_ORDER: [(&str, u64); 1] = [("n371 sa1", 148)];
+
+/// Spread samples of the collapsed Parwan list plus the read-order
+/// faults, graded over each self-test's full budget — every 16th fault
+/// under the deterministic test, every 64th under `lfsr_selftest(40)`:
 /// `parwan::sbst::grade` and the bus oracle agree fault for fault.
 #[test]
 fn parwan_campaign_matches_the_scalar_oracle() {
     let core = ParwanCore::build();
     let nl = core.netlist();
-    let test = parwan::sbst::deterministic_selftest();
     let full = FaultList::extract(nl).collapsed(nl);
-    let faults = spread_sample(&full, 16, &PARWAN_READ_ORDER);
-    let hooks = Telemetry::none();
-    let graded = parwan::sbst::grade(&core, &test, &faults, 2, EngineConfig::compiled(64), &hooks);
-    // The budget `grade` runs.
-    let cycles = parwan::sbst::golden_cycles(&test) + 32;
-    let mut image = vec![0u8; 4096];
-    image[..test.image.len()].copy_from_slice(&test.image);
-    let oracle = bus_detections(nl, &faults.faults, || ParwanBus(image.clone()), cycles);
-    let escapes = oracle.iter().filter(|d| !d.is_detected()).count();
-    assert!(escapes > 0 && escapes < faults.len(), "{escapes} escapes");
-    assert_graded_as_oracle(&faults, &graded.detections, &oracle);
-    assert_pinned(&faults, &oracle, &PARWAN_READ_ORDER);
+    let tests = [
+        (parwan::sbst::deterministic_selftest(), 16, &PARWAN_READ_ORDER[..]),
+        (parwan::sbst::lfsr_selftest(40), 64, &PARWAN_LFSR_READ_ORDER[..]),
+    ];
+    for (test, stride, pinned) in tests {
+        let faults = spread_sample(&full, stride, pinned);
+        let engine = EngineConfig::compiled(64);
+        let graded = parwan::sbst::grade(&core, &test, &faults, 2, engine, &Telemetry::none());
+        // The budget `grade` runs.
+        let cycles = parwan::sbst::golden_cycles(&test) + 32;
+        let mut image = vec![0u8; 4096];
+        image[..test.image.len()].copy_from_slice(&test.image);
+        let oracle = bus_detections(nl, &faults.faults, || ParwanBus(image.clone()), cycles);
+        let escapes = oracle.iter().filter(|d| !d.is_detected()).count();
+        assert!(escapes > 0 && escapes < faults.len(), "{escapes} escapes");
+        assert_graded_as_oracle(&faults, &graded.detections, &oracle);
+        assert_pinned(&faults, &oracle, pinned);
+    }
 }
 
 /// The first cycle at which `fault` makes any primary output differ
