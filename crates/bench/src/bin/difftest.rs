@@ -5,7 +5,6 @@
 //! difftest --seeds 8 --instrs 200     # longer random bodies
 //! difftest --threads 4                # worker threads (default: SBST_THREADS/cores)
 //! difftest --seed-start 1000          # shift the seed window
-//! difftest --no-feedback              # disable coverage-feedback scheduling
 //! difftest --inject                   # demo: inject a netlist fault, localize,
 //!                                     #   shrink, persist into the corpus
 //! difftest --inject --wave            # also dump a differential VCD of the
@@ -40,7 +39,7 @@ use std::process::ExitCode;
 
 use bench::{value, ObsArgs};
 use difftest::corpus::{self, CorpusCase, CorpusFault, NetlistSig, ReplayOutcome};
-use difftest::oracle::{OracleConfig, PlasmaOracle};
+use difftest::oracle::{PlasmaOracle, MAX_CYCLES};
 use difftest::parwan_oracle::{random_parwan_image, ParwanOracle};
 use difftest::{fuzz_plasma, shrink, FuzzConfig};
 use fault::model::{Fault, FaultList};
@@ -89,8 +88,7 @@ fn main() -> ExitCode {
                 let spec: String = value(&mut it, a, "component/port specs");
                 wave.probe.extend(spec.split(',').map(|s| s.trim().to_string()));
             }
-            "--max-cycles" => cfg.oracle.max_cycles = value(&mut it, a, "a number"),
-            "--no-feedback" => cfg.feedback = false,
+            "--max-cycles" => cfg.max_cycles = value(&mut it, a, "a number"),
             "--inject" => inject = true,
             "--replay" => replay = true,
             "--parwan" => parwan_too = true,
@@ -111,7 +109,7 @@ fn main() -> ExitCode {
     let fingerprint = format!("n{}/g{}/d{}", sig.nets, sig.gates, sig.dffs);
 
     if replay {
-        let mut oracle = PlasmaOracle::new(&core, OracleConfig::default());
+        let mut oracle = PlasmaOracle::new(&core, MAX_CYCLES);
         let (code, cases, failed) = replay_corpus(&core, &mut oracle, &corpus_dir);
         let mut rec = LedgerRecord::now("difftest-replay", "");
         rec.netlist = fingerprint;
@@ -123,10 +121,7 @@ fn main() -> ExitCode {
     }
 
     let mut status = ExitCode::SUCCESS;
-    println!(
-        "fuzzing {} seeds (body {} instrs, feedback {})...",
-        cfg.seeds, cfg.body_len, if cfg.feedback { "on" } else { "off" }
-    );
+    println!("fuzzing {} seeds (body {} instrs)...", cfg.seeds, cfg.body_len);
     let t0 = std::time::Instant::now();
     let report = fuzz_plasma(&core, &cfg, &run.telemetry);
     let wall = t0.elapsed().as_secs_f64();
@@ -160,7 +155,7 @@ fn main() -> ExitCode {
             body_len: cfg.body_len,
             ..GenConfig::default()
         };
-        let mut oracle = PlasmaOracle::new(&core, cfg.oracle.clone());
+        let mut oracle = PlasmaOracle::new(&core, cfg.max_cycles);
         let parts = random_parts(seed, &gcfg);
         let shrunk = shrink(&mut oracle, &parts, &[]);
         count_shrink_steps(metrics.as_ref(), shrunk.runs);
@@ -304,7 +299,7 @@ fn run_injection_demo(
     metrics: Option<&MetricRegistry>,
     wave: Option<&fault::wave::WaveOptions>,
 ) -> bool {
-    let mut oracle = PlasmaOracle::new(core, cfg.oracle.clone());
+    let mut oracle = PlasmaOracle::new(core, cfg.max_cycles);
     let gcfg = GenConfig {
         body_len: cfg.body_len.min(60),
         ..GenConfig::default()

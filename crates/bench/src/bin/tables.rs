@@ -447,11 +447,6 @@ fn main() {
         return;
     }
 
-    match opts.sample {
-        Some(n) => eprintln!("[fault lists sampled to ~{n}; use --full for exact numbers]"),
-        None => eprintln!("[complete fault lists — this takes a few minutes]"),
-    }
-
     let t0 = std::time::Instant::now();
     let matches = |id: &str| -> bool {
         match &which {
@@ -462,6 +457,12 @@ fn main() {
             }
         }
     };
+    if bench::SAMPLED_IDS.iter().any(|id| matches(id)) {
+        match opts.sample {
+            Some(n) => eprintln!("[fault lists sampled to ~{n}; use --full for exact numbers]"),
+            None => eprintln!("[complete fault lists — this takes a few minutes]"),
+        }
+    }
     let mut selected = bench::run_selected(&opts, matches);
     run.end_progress();
     if selected.is_empty() {

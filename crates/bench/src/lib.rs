@@ -29,8 +29,8 @@ use obs::{LedgerRecord, MetricRegistry, Observatory, Profiler, Progress, Telemet
 use plasma::{PlasmaConfig, PlasmaCore, COMPONENT_NAMES};
 use sbst::classify::{self, ComponentClass};
 use sbst::cost::CostModel;
-use sbst::flow::{self, FlowOptions};
-use sbst::phases::Phase;
+use sbst::flow::{self, FlowOptions, CYCLE_MARGIN};
+use sbst::phases::{build_program, Phase};
 
 /// A rendered experiment: the text the paper-table corresponds to plus
 /// serializable rows.
@@ -534,7 +534,7 @@ pub fn table_4() -> Experiment {
         (Phase::B, Some(PAPER_TABLE4[1])),
         (Phase::C, None),
     ] {
-        let st = sbst::phases::build_program(phase).expect("assembles");
+        let st = build_program(phase).expect("assembles");
         let cycles = flow::golden_cycles(&st);
         let words = st.size_words();
         let (pw, pc) = paper.map(|(_, w, c)| (w.to_string(), c.to_string())).unwrap_or((
@@ -577,7 +577,7 @@ pub struct RunOptions {
     /// appends phase wall-times to the experiment text.
     pub telemetry: Telemetry,
     /// Lane width of the compiled engine for campaign-bearing
-    /// experiments (`--lanes N`, `SBST_LANES`).
+    /// experiments (`--lanes N`; 256 by default).
     pub engine: EngineConfig,
     /// Lane widths swept by `--stats` (`--lanes 64,256`); empty sweeps
     /// only the configured width.
@@ -591,7 +591,7 @@ impl Default for RunOptions {
             seed: 0xC0FFEE,
             threads: 0,
             telemetry: Telemetry::none(),
-            engine: EngineConfig::from_env(),
+            engine: EngineConfig::default(),
             lanes_sweep: Vec::new(),
         }
     }
@@ -806,7 +806,7 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
         };
         let pr = baselines::lfsr::build_program(&cfg).expect("assembles");
         let cycles = flow::golden_cycles_of(&pr.program);
-        let res = grade_program(core, &pr.program, &faults, cycles + 64, &fo);
+        let res = grade_program(core, &pr.program, &faults, cycles + CYCLE_MARGIN, &fo);
         let report = CoverageReport::from_campaign(core.netlist(), &res);
         push(
             &mut text,
@@ -832,7 +832,7 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
             2_000_000,
         );
         let cycles = trace.len() as u64;
-        let res = grade_program(core, &p, &faults, cycles + 64, &fo);
+        let res = grade_program(core, &p, &faults, cycles + CYCLE_MARGIN, &fo);
         let report = CoverageReport::from_campaign(core.netlist(), &res);
         push(
             &mut text,
@@ -1038,17 +1038,18 @@ pub fn table_misr(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
     let bsh = nl.component_by_name("BSH").unwrap();
     let faults = all.filter(|_, c| c == alu || c == bsh);
 
-    let store_all = flow::run_flow(core, Phase::A, &fo);
+    let store_all = build_program(Phase::A).expect("assembles");
+    let store_cycles = flow::golden_cycles(&store_all);
     let store_res = grade_program(
         core,
-        &store_all.selftest.program,
+        &store_all.program,
         &faults,
-        store_all.golden_cycles + 64,
+        store_cycles + CYCLE_MARGIN,
         &fo,
     );
     let misr = sbst::signature::misr_program().expect("assembles");
     let misr_cycles = flow::golden_cycles(&misr);
-    let misr_res = grade_program(core, &misr.program, &faults, misr_cycles + 64, &fo);
+    let misr_res = grade_program(core, &misr.program, &faults, misr_cycles + CYCLE_MARGIN, &fo);
 
     let mut text = format!(
         "{:<30} {:>8} {:>9} {:>14}
@@ -1059,8 +1060,8 @@ pub fn table_misr(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
         "{:<30} {:>8} {:>9} {:>14.2}
 ",
         "store every response",
-        store_all.selftest.size_words(),
-        store_all.golden_cycles,
+        store_all.size_words(),
+        store_cycles,
         100.0 * store_res.coverage()
     ));
     text.push_str(&format!(
@@ -1094,6 +1095,10 @@ pub const EXPERIMENT_IDS: [&str; 14] = [
     "fig2", "fig3", "fig4", "table1", "table1q", "table2", "table3", "table4", "table5",
     "retech", "prcomp", "parwan", "optnet", "misr",
 ];
+
+/// The experiments that grade a sampled Plasma fault list (`--sample`,
+/// `--full`); every other one grades a complete list or none.
+pub const SAMPLED_IDS: [&str; 5] = ["table5", "retech", "prcomp", "optnet", "misr"];
 
 /// Run the experiments whose id passes `filter`, lazily (cheap tables
 /// don't trigger fault simulation and vice versa). `opts.sample = None`
@@ -1201,10 +1206,10 @@ fn stats_line(label: &str, r: &CampaignResult) -> String {
 pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     let core = PlasmaCore::build(PlasmaConfig::default());
     let fo = opts.flow_options();
-    let selftest = sbst::phases::build_program(Phase::B).expect("assembles");
+    let selftest = build_program(Phase::B).expect("assembles");
     let golden = flow::golden_cycles(&selftest);
     let faults = flow::fault_list(&core, &fo);
-    let budget = golden + fo.cycle_margin;
+    let budget = golden + CYCLE_MARGIN;
     let threads = if opts.threads == 0 {
         campaign::default_threads()
     } else {
@@ -1368,7 +1373,7 @@ pub fn observability_report(opts: &RunOptions, stride: u64) -> Experiment {
             Some(n) => format!(" (stratified sample, target {n})"),
             None => String::new(),
         },
-        r.golden_cycles + fo.cycle_margin,
+        r.golden_cycles + CYCLE_MARGIN,
         s.batches,
         s.threads,
         s.wall_seconds,
@@ -1638,8 +1643,7 @@ pub fn wave_report(opts: &RunOptions, wave: &fault::wave::WaveOptions) -> Result
             .fault
             .as_deref()
             .ok_or("wave mode needs --wave-fault <id> or --wave-escapes <k>")?;
-        let selftest =
-            sbst::phases::build_program(Phase::B).expect("phase program must assemble");
+        let selftest = build_program(Phase::B).expect("phase program must assemble");
         let golden = flow::golden_cycles(&selftest);
         // Resolve against the complete collapsed list, so any escape id
         // of `FORENSICS.md`'s escapes table or `FORENSICS.json`'s
@@ -1650,7 +1654,7 @@ pub fn wave_report(opts: &RunOptions, wave: &fault::wave::WaveOptions) -> Result
         let a = flow::write_fault_wave(
             &core,
             &selftest.program,
-            golden + 64,
+            golden + CYCLE_MARGIN,
             faults.faults[i],
             wave,
             "fault",

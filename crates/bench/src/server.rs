@@ -67,6 +67,9 @@ use crate::netlist_fingerprint;
 pub const MAX_SHARDS: usize = 4096;
 /// Hard cap on per-shard worker threads a spec may request.
 pub const MAX_THREADS: usize = 64;
+/// Hard cap on a spec's `cycle_margin` (1,024× the default), so a
+/// hostile spec can neither wrap the budget nor hold a worker for ages.
+pub const MAX_CYCLE_MARGIN: u64 = 65_536;
 /// Default claim lease: a shard claimed this long ago without a result
 /// is re-issued to the next claimer.
 pub const DEFAULT_LEASE: Duration = Duration::from_secs(60);
@@ -1149,9 +1152,14 @@ pub fn parse_spec(doc: &Value) -> Result<(String, String, CampaignJobSpec), Stri
         Some(v) => v.as_u64().ok_or("`seed` must be a non-negative integer")?,
     };
     let cycle_margin = match o.get("cycle_margin") {
-        None => 64,
+        None => sbst::flow::CYCLE_MARGIN,
         Some(v) => v.as_u64().ok_or("`cycle_margin` must be a non-negative integer")?,
     };
+    if cycle_margin > MAX_CYCLE_MARGIN {
+        return Err(format!(
+            "cycle_margin {cycle_margin} exceeds the cap of {MAX_CYCLE_MARGIN}"
+        ));
+    }
     let lanes = match o.get("lanes") {
         None => 256,
         Some(v) => v.as_u64().ok_or("`lanes` must be an integer")? as usize,
@@ -1354,6 +1362,25 @@ mod tests {
             o.insert("phase".into(), Value::String("Z".into()));
         }
         assert_eq!(srv.submit(&bad).map(|_| ()).unwrap_err().0, "400 Bad Request");
+        // A cycle margin past the cap → 400; the cap itself is accepted.
+        let margin = |m: u64| {
+            let mut doc = spec_doc(&srv, "jm", 1);
+            if let Value::Object(o) = &mut doc {
+                o.insert("cycle_margin".into(), Value::U64(m));
+            }
+            doc
+        };
+        for m in [u64::MAX, MAX_CYCLE_MARGIN + 1] {
+            assert_eq!(
+                srv.submit(&margin(m)).map(|_| ()).unwrap_err().0,
+                "400 Bad Request"
+            );
+        }
+        let job = srv.submit(&margin(MAX_CYCLE_MARGIN)).unwrap();
+        assert_eq!(
+            job.prepared.budget,
+            job.prepared.golden_cycles + MAX_CYCLE_MARGIN
+        );
         // Duplicate id → 409.
         srv.submit(&spec_doc(&srv, "j1", 1)).unwrap();
         assert_eq!(

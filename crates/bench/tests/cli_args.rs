@@ -4,7 +4,8 @@
 //! instant; so are the flags only `tables --stats` reads, which are
 //! rejected elsewhere. Also here: `--trace` collects every campaign an
 //! invocation grades into one file (two small runs, about two seconds),
-//! and the `--forensics-fault` drill-down lists its class's members.
+//! the `--forensics-fault` drill-down lists its class's members, and
+//! only the experiments that sample a fault list announce the sample.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -174,4 +175,21 @@ fn experiment_selector_with_a_mode_exits_2() {
         &tables(&["--all", "--forensics", "--no-ledger"]),
         "--all selects experiments, which --forensics does not run",
     );
+}
+
+/// Whether `tables` announced its fault-list sampling on stderr.
+fn notes_sampling(args: &[&str]) -> bool {
+    let out = tables(&[args, &["--no-ledger"]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    stderr.contains("[fault lists sampled to ~") || stderr.contains("[complete fault lists")
+}
+
+#[test]
+fn sampling_notice_only_for_sampling_experiments() {
+    // Parwan grades its complete list; Table 3 grades nothing.
+    assert!(!notes_sampling(&["--table", "parwan"]));
+    assert!(!notes_sampling(&["--table", "3", "--full"]));
+    let misr = ["--table", "misr", "--sample", "40", "--threads", "2"];
+    assert!(notes_sampling(&misr));
 }

@@ -16,7 +16,7 @@ use obs::{MetricRegistry, Progress, Telemetry};
 use plasma::PlasmaCore;
 use serde_json::Value;
 
-use crate::oracle::{Divergence, OracleConfig, PlasmaOracle};
+use crate::oracle::{Divergence, PlasmaOracle, MAX_CYCLES};
 use crate::sched::ComponentExercise;
 
 /// Fuzzing-run parameters.
@@ -30,12 +30,11 @@ pub struct FuzzConfig {
     pub body_len: usize,
     /// Worker threads; `0` uses [`fault::campaign::default_threads`].
     pub threads: usize,
-    /// Seeds per scheduling wave.
+    /// Seeds per scheduling wave; the generator is re-weighted between
+    /// waves.
     pub wave: usize,
-    /// Enable coverage-feedback re-weighting between waves.
-    pub feedback: bool,
-    /// Oracle knobs.
-    pub oracle: OracleConfig,
+    /// Cycle cap of each lockstep run.
+    pub max_cycles: u64,
 }
 
 impl Default for FuzzConfig {
@@ -46,8 +45,7 @@ impl Default for FuzzConfig {
             body_len: 120,
             threads: 0,
             wave: 8,
-            feedback: true,
-            oracle: OracleConfig::default(),
+            max_cycles: MAX_CYCLES,
         }
     }
 }
@@ -143,13 +141,12 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, telemetry: &Telemetry) -
             ("body_len", Value::U64(cfg.body_len as u64)),
             ("threads", Value::U64(threads as u64)),
             ("wave", Value::U64(wave_len as u64)),
-            ("feedback", Value::Bool(cfg.feedback)),
         ],
     );
 
     // One compiled oracle per worker, reused across all waves.
     let mut oracles: Vec<PlasmaOracle> = (0..threads)
-        .map(|_| PlasmaOracle::new(core, cfg.oracle.clone()))
+        .map(|_| PlasmaOracle::new(core, cfg.max_cycles))
         .collect();
 
     let mut outcomes = Vec::with_capacity(cfg.seeds as usize);
@@ -223,18 +220,16 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, telemetry: &Telemetry) -
         }
 
         wave_idx += 1;
-        if cfg.feedback {
-            gen_cfg = exercise.reweight(&gen_cfg);
-            tracer.event(
-                "difftest_wave",
-                &[
-                    ("wave", Value::U64(wave_idx)),
-                    ("branch_weight", Value::U64(gen_cfg.branch_weight)),
-                    ("mem_weight", Value::U64(gen_cfg.mem_weight)),
-                    ("muldiv_weight", Value::U64(gen_cfg.muldiv_weight)),
-                ],
-            );
-        }
+        gen_cfg = exercise.reweight(&gen_cfg);
+        tracer.event(
+            "difftest_wave",
+            &[
+                ("wave", Value::U64(wave_idx)),
+                ("branch_weight", Value::U64(gen_cfg.branch_weight)),
+                ("mem_weight", Value::U64(gen_cfg.mem_weight)),
+                ("muldiv_weight", Value::U64(gen_cfg.muldiv_weight)),
+            ],
+        );
     }
 
     tracer.event(

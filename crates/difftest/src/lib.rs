@@ -36,5 +36,5 @@ pub mod shrink;
 
 pub use corpus::{CorpusCase, ReplayOutcome};
 pub use fuzz::{fuzz_plasma, FuzzConfig, FuzzReport, SeedOutcome};
-pub use oracle::{Divergence, LockstepReport, OracleConfig, PlasmaOracle};
+pub use oracle::{Divergence, LockstepReport, PlasmaOracle};
 pub use shrink::{shrink, ShrinkOutcome};

@@ -24,35 +24,13 @@ use mips::isa::Reg;
 use mips::iss::{BusCycle, Iss, Memory};
 use mips::Program;
 use plasma::PlasmaCore;
+use sbst::flow::MEM_BYTES;
 use sbst::provenance::GoldenTrace;
 
-/// Knobs for one oracle run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OracleConfig {
-    /// Bytes of memory behind both models (rounded up to a power of two).
-    pub mem_bytes: usize,
-    /// Hard cycle cap — a program that neither diverges nor reaches the
-    /// end marker within this budget reports `golden_cycles: None`.
-    pub max_cycles: u64,
-    /// Extra cycles simulated after the golden end-marker store, so a
-    /// faulty lane that falls behind (e.g. a corrupted branch) still gets
-    /// a chance to diverge observably.
-    pub drain_cycles: u64,
-    /// Disassembly window radius (instructions either side of the
-    /// divergent PC) in the report.
-    pub window: usize,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            mem_bytes: 64 * 1024,
-            max_cycles: 40_000,
-            drain_cycles: 64,
-            window: 4,
-        }
-    }
-}
+/// Default cycle cap of a lockstep run (`difftest --max-cycles`): a
+/// program that neither diverges nor reaches the end marker within the
+/// cap reports `golden_cycles: None`.
+pub const MAX_CYCLES: u64 = 40_000;
 
 /// Lane-0 bus values captured from the netlist on the divergent cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +96,13 @@ pub struct Divergence {
 impl Divergence {
     /// Maximum number of differing memory words included in a report.
     pub const MEM_DELTA_CAP: usize = 32;
+    /// Disassembly window radius (instructions either side of the
+    /// divergent PC) in the report.
+    pub const WINDOW: usize = 4;
+    /// Extra cycles simulated after the golden end-marker store, so a
+    /// faulty lane that falls behind (e.g. a corrupted branch) still gets
+    /// a chance to diverge observably.
+    pub const DRAIN_CYCLES: u64 = 64;
 
     /// Render the report as human-readable text.
     pub fn to_report(&self) -> String {
@@ -216,31 +201,28 @@ impl LockstepReport {
 pub struct PlasmaOracle<'a> {
     sim: WideSim,
     tb: MemBench<'a>,
-    cfg: OracleConfig,
+    max_cycles: u64,
     /// Oracle invocations since construction (shrink-loop bookkeeping).
     pub runs: u64,
 }
 
 impl<'a> PlasmaOracle<'a> {
-    /// Compile the oracle for a core. Like `Memory::access`, its bus
-    /// returns the old word on a store cycle.
-    pub fn new(core: &'a PlasmaCore, cfg: OracleConfig) -> PlasmaOracle<'a> {
+    /// Compile the oracle for a core, with [`MEM_BYTES`] of memory behind
+    /// both models and runs capped at `max_cycles` (see [`MAX_CYCLES`]).
+    /// Like `Memory::access`, its bus returns the old word on a store
+    /// cycle.
+    pub fn new(core: &'a PlasmaCore, max_cycles: u64) -> PlasmaOracle<'a> {
         let segments = core.segments().map(<[u32]>::to_vec);
         let nl = core.netlist();
         let sim = EngineConfig::compiled(64).sim(nl, &segments);
         let observed = core.observed_outputs();
-        let tb = MemBench::new(nl, observed, cfg.mem_bytes, cfg.max_cycles, StoreRead::Old);
+        let tb = MemBench::new(nl, observed, MEM_BYTES, max_cycles, StoreRead::Old);
         PlasmaOracle {
             sim,
             tb,
-            cfg,
+            max_cycles,
             runs: 0,
         }
-    }
-
-    /// The oracle's configuration.
-    pub fn config(&self) -> &OracleConfig {
-        &self.cfg
     }
 
     /// The gate-level simulator the oracle runs (its width is what run
@@ -292,7 +274,7 @@ impl<'a> PlasmaOracle<'a> {
         self.tb.begin(&mut self.sim);
 
         let mut iss = Iss::new();
-        let mut iss_mem = Memory::new(self.cfg.mem_bytes);
+        let mut iss_mem = Memory::new(MEM_BYTES);
         iss_mem.load_program(program);
 
         let mut trace = GoldenTrace {
@@ -302,7 +284,7 @@ impl<'a> PlasmaOracle<'a> {
         let mut lane_first_div = [None; 64];
         let mut golden_cycles = None;
         let mut divergence = None;
-        let mut stop_at = self.cfg.max_cycles;
+        let mut stop_at = self.max_cycles;
         let mut cycle = 0u64;
 
         while cycle < stop_at {
@@ -348,7 +330,7 @@ impl<'a> PlasmaOracle<'a> {
                     && want.wdata == END_MARKER
                 {
                     golden_cycles = Some(cycle + 1);
-                    stop_at = (cycle + 1 + self.cfg.drain_cycles).min(self.cfg.max_cycles);
+                    stop_at = (cycle + 1 + Divergence::DRAIN_CYCLES).min(self.max_cycles);
                 }
             }
 
@@ -391,7 +373,7 @@ impl<'a> PlasmaOracle<'a> {
         want: BusCycle,
         gate: GateBus,
     ) -> Divergence {
-        let w = self.cfg.window as i64;
+        let w = Divergence::WINDOW as i64;
         let mut window = Vec::new();
         for k in -w..=w {
             let addr = pc.wrapping_add((k * 4) as u32);

@@ -6,14 +6,13 @@
 use std::sync::OnceLock;
 
 use difftest::corpus::{self, CorpusCase, CorpusFault, NetlistSig, ReplayOutcome};
-use difftest::oracle::{OracleConfig, PlasmaOracle};
+use difftest::oracle::{Divergence, PlasmaOracle, MAX_CYCLES};
 use difftest::parwan_oracle::{random_parwan_image, ParwanOracle};
 use difftest::{fuzz_plasma, shrink, FuzzConfig};
 use fault::model::{Fault, FaultList};
 use mips::gen::{random_parts, GenConfig};
 use obs::Telemetry;
 use plasma::{PlasmaConfig, PlasmaCore};
-use sbst::flow::MEM_BYTES;
 use sbst::phases::{build_program, Phase};
 
 fn core() -> &'static PlasmaCore {
@@ -56,8 +55,7 @@ fn fuzz_runs_clean_with_coverage_feedback() {
         body_len: 60,
         threads: 2,
         wave: 3,
-        feedback: true,
-        oracle: OracleConfig::default(),
+        max_cycles: MAX_CYCLES,
     };
     let report = fuzz_plasma(core(), &cfg, &Telemetry::none());
     assert_eq!(report.outcomes.len(), 6);
@@ -84,8 +82,7 @@ fn fuzz_is_bit_identical_across_thread_counts() {
         body_len: 40,
         threads,
         wave: 2,
-        feedback: true,
-        oracle: OracleConfig::default(),
+        max_cycles: MAX_CYCLES,
     };
     let one = fuzz_plasma(core(), &mk(1), &Telemetry::none());
     let many = fuzz_plasma(core(), &mk(3), &Telemetry::none());
@@ -94,7 +91,7 @@ fn fuzz_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn injected_fault_is_caught_localized_shrunk_and_replayable() {
-    let mut oracle = PlasmaOracle::new(core(), OracleConfig::default());
+    let mut oracle = PlasmaOracle::new(core(), MAX_CYCLES);
     let parts = random_parts(11, &small_gen());
     let fault = find_detected_fault(&mut oracle, &parts);
 
@@ -107,7 +104,7 @@ fn injected_fault_is_caught_localized_shrunk_and_replayable() {
     assert_eq!(report.lane_first_div[1], Some(cycle));
     let golden = report.golden_cycles.expect("program terminates");
     assert!(
-        cycle < golden + oracle.config().drain_cycles,
+        cycle < golden + Divergence::DRAIN_CYCLES,
         "detection cycle {cycle} beyond budget (golden {golden})"
     );
 
@@ -156,7 +153,7 @@ fn injected_fault_is_caught_localized_shrunk_and_replayable() {
 
 #[test]
 fn lane0_fault_yields_structured_divergence_report() {
-    let mut oracle = PlasmaOracle::new(core(), OracleConfig::default());
+    let mut oracle = PlasmaOracle::new(core(), MAX_CYCLES);
     let parts = random_parts(23, &small_gen());
     let fault = find_detected_fault(&mut oracle, &parts);
 
@@ -220,7 +217,7 @@ fn parwan_pair_runs_lockstep_and_detects_faults() {
 /// all byte-deterministically.
 #[test]
 fn oracle_wave_capture_matches_divergence_localization() {
-    let mut oracle = PlasmaOracle::new(core(), OracleConfig::default());
+    let mut oracle = PlasmaOracle::new(core(), MAX_CYCLES);
     let parts = random_parts(4242, &small_gen());
     let program = parts.to_program();
 
@@ -297,12 +294,7 @@ fn oracle_returns_the_old_word_on_a_store_cycle() {
     let program = build_program(Phase::B)
         .expect("Phase A+B assembles")
         .program;
-    let cfg = OracleConfig {
-        mem_bytes: MEM_BYTES,
-        max_cycles: 1024,
-        ..OracleConfig::default()
-    };
-    let report = PlasmaOracle::new(core(), cfg).run(&program, &injections);
+    let report = PlasmaOracle::new(core(), 1024).run(&program, &injections);
     assert!(report.divergence.is_none(), "lane 0 must match the ISS");
     assert_eq!(report.cycles, 1024);
     for (i, &(id, cycle)) in OLD_WORD_READ_ORDER.iter().enumerate() {

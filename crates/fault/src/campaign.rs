@@ -364,77 +364,6 @@ impl CampaignResult {
             .sum();
         detected as f64 / total as f64
     }
-
-    /// Unweighted coverage over equivalence classes.
-    pub fn coverage_classes(&self) -> f64 {
-        if self.detections.is_empty() {
-            return 1.0;
-        }
-        self.detections.iter().filter(|d| d.is_detected()).count() as f64
-            / self.detections.len() as f64
-    }
-
-    /// Latest detection cycle over all detected faults (test length
-    /// actually needed), if any fault was detected.
-    pub fn last_detection_cycle(&self) -> Option<u64> {
-        self.detections
-            .iter()
-            .filter_map(|d| match d {
-                Detection::DetectedAt(c) => Some(*c),
-                Detection::Undetected => None,
-            })
-            .max()
-    }
-
-    /// Merge another campaign over the *same fault list* (e.g. a second
-    /// test program): a fault is detected if either campaign detects it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault lists differ.
-    pub fn merge(&self, other: &CampaignResult) -> CampaignResult {
-        assert_eq!(
-            self.faults.faults, other.faults.faults,
-            "merging campaigns over different fault lists"
-        );
-        let detections = self
-            .detections
-            .iter()
-            .zip(&other.detections)
-            .map(|(a, b)| match (a, b) {
-                (Detection::DetectedAt(x), Detection::DetectedAt(y)) => {
-                    Detection::DetectedAt(*x.min(y))
-                }
-                (Detection::DetectedAt(x), _) => Detection::DetectedAt(*x),
-                (_, Detection::DetectedAt(y)) => Detection::DetectedAt(*y),
-                _ => Detection::Undetected,
-            })
-            .collect::<Vec<_>>();
-        let mut workers = self.stats.workers.clone();
-        workers.extend(other.stats.workers.iter().cloned());
-        let latency = latency_of(&detections);
-        let mut profile = self.stats.profile;
-        profile.absorb(&other.stats.profile);
-        CampaignResult {
-            faults: self.faults.clone(),
-            detections,
-            stats: CampaignStats {
-                batches: self.stats.batches + other.stats.batches,
-                cycles_simulated: self.stats.cycles_simulated + other.stats.cycles_simulated,
-                budget_cycles: self.stats.budget_cycles + other.stats.budget_cycles,
-                faults: self.stats.faults + other.stats.faults,
-                faults_dropped: self.stats.faults_dropped + other.stats.faults_dropped,
-                lane_cycles_useful: self.stats.lane_cycles_useful + other.stats.lane_cycles_useful,
-                lane_cycles_spent: self.stats.lane_cycles_spent + other.stats.lane_cycles_spent,
-                wall_seconds: self.stats.wall_seconds + other.stats.wall_seconds,
-                threads: self.stats.threads.max(other.stats.threads),
-                latency,
-                workers,
-                profile,
-                lanes: self.stats.lanes.max(other.stats.lanes),
-            },
-        }
-    }
 }
 
 /// Cycle of the first epoch boundary; each later boundary doubles it.
@@ -1177,27 +1106,8 @@ mod tests {
         // detectable share here.
         assert!(res.coverage() > 0.75, "coverage {}", res.coverage());
         // The MSB-affecting faults can only be seen after several cycles.
-        assert!(res.last_detection_cycle().unwrap() >= 3);
-    }
-
-    #[test]
-    fn merge_unions_detections() {
-        let mut b = NetlistBuilder::new("xor1");
-        let a = b.input("a");
-        let c = b.input("b");
-        let y = b.xor2(a, c);
-        b.output("y", y);
-        let nl = b.finish().unwrap();
-        let faults = FaultList::extract(&nl).collapsed(&nl);
-        let v1 = vec![vec![("a", 0u64), ("b", 0u64)]];
-        let v2 = vec![vec![("a", 1u64), ("b", 0u64)], vec![("a", 0), ("b", 1)]];
-        let r1 = run_vectors(&nl, &faults, &v1);
-        let r2 = run_vectors(&nl, &faults, &v2);
-        let merged = r1.merge(&r2);
-        assert!(merged.coverage() >= r1.coverage().max(r2.coverage()));
-        // XOR with 3 of 4 input combinations detects everything
-        // observable.
-        assert!(merged.coverage() > 0.99, "cov {}", merged.coverage());
+        let late = |d: &Detection| matches!(d, Detection::DetectedAt(c) if *c >= 3);
+        assert!(res.detections.iter().any(late));
     }
 
     /// The parallel runner must match the serial runner bit for bit at

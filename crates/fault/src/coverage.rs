@@ -365,43 +365,4 @@ mod tests {
             );
         }
     }
-
-    /// `CampaignResult::merge` must commute with per-component coverage
-    /// reporting, whether the merged results came from serial 64-lane
-    /// or multi-threaded 128-lane runs.
-    #[test]
-    fn merge_report_round_trip_serial_vs_parallel() {
-        use crate::campaign::{run, VectorBench};
-        use crate::engine::flat_sim;
-        use obs::Telemetry;
-        let nl = staged_netlist();
-        let faults = FaultList::extract(&nl).collapsed(&nl);
-        let v1 = staged_vectors();
-        let v2: Vec<Vec<(&str, u64)>> = vec![
-            vec![("a", 0xFF), ("b", 0x00)],
-            vec![("a", 0x0F), ("b", 0xF0)],
-            vec![("a", 0x55), ("b", 0xAA)],
-            vec![("a", 0x00), ("b", 0x00)],
-        ];
-        let serial_1 = run_vectors(&nl, &faults, &v1);
-        let serial_2 = run_vectors(&nl, &faults, &v2);
-        let serial_merged = serial_1.merge(&serial_2);
-        let proto = flat_sim(&nl, 128);
-        let hooks = Telemetry::none();
-        let par_1 = run(&proto, &faults, || VectorBench::new(&nl, &v1), 3, &hooks);
-        let par_2 = run(&proto, &faults, || VectorBench::new(&nl, &v2), 2, &hooks);
-        let par_merged = par_1.merge(&par_2);
-        assert_eq!(par_merged.detections, serial_merged.detections);
-        assert_eq!(par_merged.stats.latency, serial_merged.stats.latency);
-        let rs = CoverageReport::from_campaign(&nl, &serial_merged);
-        let rp = CoverageReport::from_campaign(&nl, &par_merged);
-        assert_eq!(rs.total_faults, rp.total_faults);
-        assert_eq!(rs.total_detected, rp.total_detected);
-        for (a, b) in rs.components.iter().zip(&rp.components) {
-            assert_eq!(a, b, "merged component rows differ");
-        }
-        // Merge must never lose detections relative to either input.
-        assert!(rs.total_detected >= CoverageReport::from_campaign(&nl, &serial_1).total_detected);
-        assert!(rs.total_detected >= CoverageReport::from_campaign(&nl, &serial_2).total_detected);
-    }
 }

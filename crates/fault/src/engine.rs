@@ -12,9 +12,9 @@
 //! [`campaign::run`].
 //!
 //! There is no other engine to select: widths are checked against each
-//! other and against the serial scalar oracle in `tests/`. The width
-//! resolves from `SBST_LANES` or from CLI parse helpers used by
-//! `bench --bin tables`.
+//! other and against the serial scalar oracle in `tests/`. The width is
+//! [`EngineConfig::default`] unless a caller sets it (`tables --lanes`
+//! through [`EngineConfig::parse_lanes`], a job spec's `lanes`).
 
 use std::time::Instant;
 
@@ -68,7 +68,7 @@ impl EngineConfig {
         }
     }
 
-    /// Parse a lane count from a CLI/env spelling.
+    /// Parse a lane count from a CLI spelling.
     pub fn parse_lanes(s: &str) -> Result<usize, String> {
         let n: usize = s
             .trim()
@@ -77,15 +77,6 @@ impl EngineConfig {
         Self::words_for_lanes(n)
             .map(|_| n)
             .ok_or_else(|| format!("unsupported lane count {n} (expected 64|128|256|512)"))
-    }
-
-    /// Resolve from the environment: `SBST_LANES=64|128|256|512`. An
-    /// unset or malformed variable falls back to the default.
-    pub fn from_env() -> EngineConfig {
-        std::env::var("SBST_LANES")
-            .ok()
-            .and_then(|v| Self::parse_lanes(&v).ok())
-            .map_or_else(EngineConfig::default, EngineConfig::compiled)
     }
 
     /// The production simulator of `netlist`, evaluated in `segments`

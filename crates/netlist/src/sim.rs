@@ -2,8 +2,10 @@
 //!
 //! Used for functional verification of generated structures and for
 //! lock-step co-simulation of the gate-level CPU against the behavioural
-//! instruction-set simulator. Fault simulation lives in the `fault` crate
-//! and uses 64-lane bit-parallel evaluation instead.
+//! instruction-set simulator. It has one evaluation path:
+//! [`Simulator::eval_segment`] walks a topologically ordered gate list
+//! (`eval` walks the whole order). Fault simulation lives in the `fault`
+//! crate and uses 64-lane bit-parallel evaluation instead.
 
 use crate::netlist::{Net, Netlist};
 use crate::NO_NET;
@@ -57,12 +59,6 @@ impl Simulator {
         }
     }
 
-    /// Set a single net value (normally a primary input bit).
-    #[inline]
-    pub fn set_net(&mut self, net: Net, value: bool) {
-        self.values[net.index()] = value;
-    }
-
     /// Read a single net value.
     #[inline]
     pub fn net(&self, net: Net) -> bool {
@@ -91,23 +87,6 @@ impl Simulator {
         let mut v = 0u64;
         for (i, &net) in nets.iter().enumerate() {
             v |= (self.values[net.index()] as u64) << i;
-        }
-        v
-    }
-
-    /// Read an arbitrary bus of nets as an integer (LSB first).
-    ///
-    /// At most 64 nets fit in the return value. Wider buses are a caller
-    /// bug: bits past the 64th would be shifted out silently in release
-    /// builds, so this is a `debug_assert` (matching the checked
-    /// [`Simulator::output_word`] path) rather than a hot-loop branch —
-    /// `word` sits inside the per-cycle bus-read path of both CPU
-    /// testbenches.
-    pub fn word(&self, nets: &[Net]) -> u64 {
-        debug_assert!(nets.len() <= 64, "bus of {} nets wider than 64 bits", nets.len());
-        let mut v = 0u64;
-        for (i, &net) in nets.iter().enumerate() {
-            v |= (self.values[net.index()] as u64) << (i & 63);
         }
         v
     }
@@ -145,22 +124,6 @@ impl Simulator {
         }
     }
 
-    /// Settle combinational logic through a pre-lowered
-    /// [`CompiledOrder`] — same results as [`Simulator::eval_segment`]
-    /// on the order the program was compiled from, without re-walking
-    /// `Gate` structures or re-branching on `NO_NET` every cycle.
-    pub fn eval_compiled(&mut self, program: &CompiledOrder) {
-        for i in 0..program.kinds.len() {
-            let a = program.in0[i];
-            let b = program.in1[i];
-            let c = program.in2[i];
-            let av = a != u32::MAX && self.values[a as usize];
-            let bv = b != u32::MAX && self.values[b as usize];
-            let cv = c != u32::MAX && self.values[c as usize];
-            self.values[program.outs[i] as usize] = program.kinds[i].eval(av, bv, cv);
-        }
-    }
-
     /// Advance all flip-flops: `q <= d` using the currently settled values.
     pub fn clock(&mut self, netlist: &Netlist) {
         for (i, ff) in netlist.dffs().iter().enumerate() {
@@ -176,57 +139,6 @@ impl Simulator {
     pub fn step(&mut self, netlist: &Netlist) {
         self.eval(netlist);
         self.clock(netlist);
-    }
-}
-
-/// A gate order lowered to a dense straight-line instruction stream for
-/// [`Simulator::eval_compiled`]: one parallel array slot per gate with
-/// the operand net indices pre-resolved (absent inputs become
-/// `u32::MAX`, folded to constant-0 by a flag test instead of a `Net`
-/// comparison). The scalar sibling of the fault crate's compiled
-/// kernel; the CPU testbenches lower each evaluation segment once at
-/// construction.
-#[derive(Debug, Clone)]
-pub struct CompiledOrder {
-    kinds: Vec<crate::GateKind>,
-    in0: Vec<u32>,
-    in1: Vec<u32>,
-    in2: Vec<u32>,
-    outs: Vec<u32>,
-}
-
-impl CompiledOrder {
-    /// Lower `order` (a topologically ordered gate subset, e.g. from
-    /// [`Netlist::split_on_inputs`] or [`Netlist::topo_order`]).
-    pub fn compile(netlist: &Netlist, order: &[u32]) -> CompiledOrder {
-        let gates = netlist.gates();
-        let mut p = CompiledOrder {
-            kinds: Vec::with_capacity(order.len()),
-            in0: Vec::with_capacity(order.len()),
-            in1: Vec::with_capacity(order.len()),
-            in2: Vec::with_capacity(order.len()),
-            outs: Vec::with_capacity(order.len()),
-        };
-        let slot = |n: Net| if n == NO_NET { u32::MAX } else { n.index() as u32 };
-        for &gi in order {
-            let g = &gates[gi as usize];
-            p.kinds.push(g.kind);
-            p.in0.push(slot(g.inputs[0]));
-            p.in1.push(slot(g.inputs[1]));
-            p.in2.push(slot(g.inputs[2]));
-            p.outs.push(g.output.index() as u32);
-        }
-        p
-    }
-
-    /// Number of lowered gate evaluations.
-    pub fn len(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// Whether the program is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
     }
 }
 
@@ -277,23 +189,6 @@ mod tests {
         assert!(sim.net(nl.port("q1")[0]));
     }
 
-    /// Regression for the silent >64-bit truncation: `word` and
-    /// `output_word` must reject buses wider than a u64 instead of
-    /// dropping the high bits.
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "wider than 64 bits"))]
-    fn word_rejects_buses_wider_than_64_bits() {
-        let mut b = NetlistBuilder::new("wide");
-        let a = b.inputs("a", 65);
-        b.outputs("y", &a);
-        let nl = b.finish().unwrap();
-        let sim = Simulator::new(&nl);
-        let v = sim.word(nl.port("y"));
-        // Release builds skip the debug_assert; the masked shift keeps the
-        // result well-defined (bit 64 folds onto bit 0) rather than UB.
-        assert_eq!(v, 0);
-    }
-
     #[test]
     #[should_panic(expected = "wider than 64 bits")]
     fn output_word_rejects_ports_wider_than_64_bits() {
@@ -338,50 +233,6 @@ mod tests {
             assert_eq!(
                 s1.output_word(&nl, "qq"),
                 s2.output_word(&nl, "qq"),
-                "divergence at step {step}"
-            );
-        }
-    }
-
-    /// The compiled straight-line program must be cycle-exact with the
-    /// interpreted walk, including gates with absent (`NO_NET`) inputs.
-    #[test]
-    fn compiled_order_matches_interpreted_eval() {
-        let mut b = NetlistBuilder::new("cmp");
-        let a = b.inputs("a", 8);
-        let late = b.inputs("late", 8);
-        let na = b.not_word(&a); // NOT uses only input 0
-        let q = b.dff_word(&late, 0);
-        let mix = b.xor_word(&na, &q);
-        let qq = b.dff_word(&mix, 0);
-        b.outputs("na", &na);
-        b.outputs("qq", &qq);
-        let nl = b.finish().unwrap();
-        let (early, late_seg) = nl.split_on_inputs(nl.port("late"));
-        let pe = CompiledOrder::compile(&nl, &early);
-        let pl = CompiledOrder::compile(&nl, &late_seg);
-        assert_eq!(pe.len() + pl.len(), nl.gates().len());
-
-        let mut s1 = Simulator::new(&nl);
-        let mut s2 = Simulator::new(&nl);
-        for step in 0..20u64 {
-            let av = step.wrapping_mul(37) & 0xFF;
-            let lv = step.wrapping_mul(91) & 0xFF;
-            s1.set_input_word(&nl, "a", av);
-            s1.eval_segment(&nl, &early);
-            s1.set_input_word(&nl, "late", lv);
-            s1.eval_segment(&nl, &late_seg);
-            s1.clock(&nl);
-
-            s2.set_input_word(&nl, "a", av);
-            s2.eval_compiled(&pe);
-            s2.set_input_word(&nl, "late", lv);
-            s2.eval_compiled(&pl);
-            s2.clock(&nl);
-
-            assert_eq!(
-                (s1.output_word(&nl, "na"), s1.output_word(&nl, "qq")),
-                (s2.output_word(&nl, "na"), s2.output_word(&nl, "qq")),
                 "divergence at step {step}"
             );
         }

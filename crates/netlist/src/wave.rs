@@ -1,18 +1,15 @@
-//! Waveform probes and ring-buffer recording over netlist simulations.
+//! Waveform probes over netlist simulations.
 //!
 //! This is the netlist-aware middle layer of the waveform stack: it maps
 //! netlist structure (ports, per-component flip-flop state) onto the
-//! dependency-free VCD writer in [`obs::wave`], and provides a bounded
-//! ring-buffer [`WaveRecorder`] that simulation loops feed one sample per
-//! cycle. The layering mirrors the rest of the workspace: `obs` knows
-//! bytes, this module knows [`Net`]s, and the `fault` crate layers
-//! 64-lane capture and trigger semantics on top.
+//! dependency-free VCD writer in [`obs::wave`]. The layering mirrors the
+//! rest of the workspace: `obs` knows bytes, this module knows [`Net`]s,
+//! and the `fault` crate's `wave::WaveCapture` — the one ring buffer —
+//! samples a [`Probe`] from two lanes of the fault simulator with
+//! trigger semantics on top. There is no scalar recorder.
 //!
-//! A [`Probe`] is an ordered list of named net groups. Sampling is
-//! simulator-agnostic: [`WaveRecorder::record_with`] takes a closure from
-//! `&[Net]` to `u64`, so the scalar [`crate::sim::Simulator`] (via
-//! [`WaveRecorder::record`]) and the fault crate's 64-lane simulator
-//! (via per-lane reads) use the same probe and the same recorder.
+//! A [`Probe`] is an ordered list of named net groups; [`write_diff_vcd`]
+//! turns paired good/faulty samples of it into a differential VCD.
 //!
 //! Sampling convention: record **after** the full cycle (post-clock).
 //! Combinational nets then hold the cycle's settled values (the bus
@@ -20,11 +17,9 @@
 //! *next* state the cycle computed. The skew is uniform across machines,
 //! so differential (XOR) scopes built from two lanes stay cycle-accurate.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use crate::netlist::{Net, Netlist};
-use crate::sim::Simulator;
 use obs::wave::VcdSpec;
 
 /// One probed variable: a named, scoped group of nets (LSB first).
@@ -179,127 +174,6 @@ impl Probe {
     pub fn is_empty(&self) -> bool {
         self.vars.is_empty()
     }
-
-    /// Total net count across all vars (the per-sample work).
-    pub fn net_count(&self) -> usize {
-        self.vars.iter().map(|v| v.nets.len()).sum()
-    }
-
-    /// Build the VCD declaration block for this probe with every var
-    /// nested under an extra top scope `top` (e.g. `"dut"`, `"good"`).
-    pub fn vcd_spec(&self, top: &str) -> VcdSpec {
-        let mut spec = VcdSpec::new();
-        for v in &self.vars {
-            let mut scope = Vec::with_capacity(v.scope.len() + 1);
-            scope.push(top.to_string());
-            scope.extend(v.scope.iter().cloned());
-            spec.var_owned(scope, v.name.clone(), v.nets.len() as u32);
-        }
-        spec
-    }
-}
-
-/// One recorded cycle: the cycle number plus one `u64` per probe var.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaveRow {
-    /// Simulation cycle the sample was taken at (post-clock).
-    pub cycle: u64,
-    /// Sampled values, parallel to [`Probe::vars`].
-    pub values: Vec<u64>,
-}
-
-/// A bounded ring buffer of [`WaveRow`]s.
-///
-/// The recorder is *detached* by design: simulation loops hold an
-/// `Option<&mut WaveRecorder>` (or equivalent) and pay a single branch
-/// per cycle when no recorder is attached — the same gating discipline
-/// as the `obs` profiler. Recording never touches simulator state.
-#[derive(Debug, Clone)]
-pub struct WaveRecorder {
-    capacity: usize,
-    rows: VecDeque<WaveRow>,
-}
-
-impl WaveRecorder {
-    /// A recorder retaining at most `capacity` most-recent rows.
-    ///
-    /// # Panics
-    /// If `capacity` is 0.
-    pub fn new(capacity: usize) -> WaveRecorder {
-        assert!(capacity > 0, "wave ring buffer capacity must be positive");
-        WaveRecorder {
-            capacity,
-            rows: VecDeque::with_capacity(capacity.min(4096)),
-        }
-    }
-
-    /// Record one row by reading each var's nets through `read` (e.g. a
-    /// closure over a 64-lane simulator selecting one lane). Evicts the
-    /// oldest row when full.
-    pub fn record_with(&mut self, probe: &Probe, cycle: u64, mut read: impl FnMut(&[Net]) -> u64) {
-        if self.rows.len() == self.capacity {
-            self.rows.pop_front();
-        }
-        let values = probe.vars.iter().map(|v| read(&v.nets)).collect();
-        self.rows.push_back(WaveRow { cycle, values });
-    }
-
-    /// Record one row from a scalar [`Simulator`].
-    pub fn record(&mut self, probe: &Probe, cycle: u64, sim: &Simulator) {
-        self.record_with(probe, cycle, |nets| sim.word(nets));
-    }
-
-    /// Drop rows older than `cycle` (exclusive); used to trim a ring to
-    /// the pre-trigger window once a trigger fires.
-    pub fn trim_before(&mut self, cycle: u64) {
-        while self.rows.front().is_some_and(|r| r.cycle < cycle) {
-            self.rows.pop_front();
-        }
-    }
-
-    /// Keep only the newest `n` rows.
-    pub fn keep_last(&mut self, n: usize) {
-        while self.rows.len() > n {
-            self.rows.pop_front();
-        }
-    }
-
-    /// The retained rows, oldest first.
-    pub fn rows(&self) -> impl Iterator<Item = &WaveRow> {
-        self.rows.iter()
-    }
-
-    /// Number of retained rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether nothing has been recorded (or everything was trimmed).
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Maximum number of retained rows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Consume the recorder, yielding rows oldest-first.
-    pub fn into_rows(self) -> Vec<WaveRow> {
-        self.rows.into()
-    }
-
-    /// Write the retained rows as a single-machine VCD under top scope
-    /// `dut`.
-    pub fn write_vcd<W: Write>(&self, out: W, probe: &Probe, comment: &str) -> io::Result<()> {
-        let spec = probe.vcd_spec("dut");
-        let mut w = obs::wave::VcdWriter::new(out, &spec, comment)?;
-        for row in &self.rows {
-            w.sample(row.cycle, &row.values)?;
-        }
-        w.finish()?;
-        Ok(())
-    }
 }
 
 /// One cycle of a paired good/faulty capture.
@@ -388,28 +262,6 @@ mod tests {
         let all = Probe::from_spec(&nl, &[]).unwrap();
         assert!(all.len() >= 2, "full probe should cover en and q");
         assert!(Probe::from_spec(&nl, &["nope*".into()]).is_err());
-    }
-
-    #[test]
-    fn recorder_ring_evicts_oldest_and_records_scalar_sim() {
-        let nl = toggler();
-        let probe = Probe::all_ports(&nl);
-        let mut sim = Simulator::new(&nl);
-        sim.set_input_word(&nl, "en", 1);
-        let mut rec = WaveRecorder::new(4);
-        for cycle in 0..10 {
-            sim.eval(&nl);
-            sim.clock(&nl);
-            rec.record(&probe, cycle, &sim);
-        }
-        assert_eq!(rec.len(), 4);
-        let cycles: Vec<u64> = rec.rows().map(|r| r.cycle).collect();
-        assert_eq!(cycles, vec![6, 7, 8, 9]);
-        // q toggles every cycle; post-clock sample at cycle 0 reads 1.
-        let qi = probe.vars().iter().position(|v| v.name == "q").unwrap();
-        for r in rec.rows() {
-            assert_eq!(r.values[qi], (r.cycle + 1) & 1, "q at cycle {}", r.cycle);
-        }
     }
 
     #[test]

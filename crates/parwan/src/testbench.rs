@@ -4,7 +4,7 @@
 //! fault simulator.
 
 use fault::membench::{MemBench, StoreRead};
-use netlist::sim::{CompiledOrder, Simulator};
+use netlist::sim::Simulator;
 
 use crate::core::ParwanCore;
 use crate::model::BusCycle;
@@ -15,24 +15,19 @@ pub struct GateParwan<'a> {
     sim: Simulator,
     /// Memory image (public for checking results).
     pub mem: Vec<u8>,
-    early_prog: CompiledOrder,
-    late_prog: CompiledOrder,
 }
 
 impl<'a> GateParwan<'a> {
-    /// Core in reset with zeroed memory. Both evaluation segments are
-    /// lowered to straight-line compiled programs once, here.
+    /// Core in reset with zeroed memory. Each cycle walks the core's two
+    /// evaluation segments, before and after `mem_rdata` is driven.
     pub fn new(core: &'a ParwanCore) -> GateParwan<'a> {
         let nl = core.netlist();
         let mut sim = Simulator::new(nl);
         sim.reset(nl);
-        let [early, late] = core.segments();
         GateParwan {
             core,
             sim,
             mem: vec![0; 4096],
-            early_prog: CompiledOrder::compile(nl, early),
-            late_prog: CompiledOrder::compile(nl, late),
         }
     }
 
@@ -44,7 +39,8 @@ impl<'a> GateParwan<'a> {
     /// One clock cycle.
     pub fn cycle(&mut self) -> BusCycle {
         let nl = self.core.netlist();
-        self.sim.eval_compiled(&self.early_prog);
+        let [early, late] = self.core.segments();
+        self.sim.eval_segment(nl, early);
         let addr = (self.sim.output_word(nl, "mem_addr") & 0xFFF) as u16;
         let we = self.sim.output_word(nl, "mem_we") == 1;
         let wdata = self.sim.output_word(nl, "mem_wdata") as u8;
@@ -53,7 +49,7 @@ impl<'a> GateParwan<'a> {
             self.mem[addr as usize] = wdata;
         }
         self.sim.set_input_word(nl, "mem_rdata", rdata as u64);
-        self.sim.eval_compiled(&self.late_prog);
+        self.sim.eval_segment(nl, late);
         self.sim.clock(nl);
         BusCycle {
             addr,

@@ -7,7 +7,7 @@ use fault::engine::EngineConfig;
 use fault::membench::{MemBench, StoreRead};
 use mips::iss::{Bus, BusCycle, Memory};
 use mips::Program;
-use netlist::sim::{CompiledOrder, Simulator};
+use netlist::sim::Simulator;
 
 use crate::PlasmaCore;
 
@@ -18,26 +18,21 @@ pub struct GateCpu<'a> {
     sim: Simulator,
     mem: Memory,
     cycles: u64,
-    early_prog: CompiledOrder,
-    late_prog: CompiledOrder,
 }
 
 impl<'a> GateCpu<'a> {
-    /// Create the testbench with `mem_bytes` of RAM, CPU in reset.
-    /// Both evaluation segments are lowered to straight-line compiled
-    /// programs once, here.
+    /// Create the testbench with `mem_bytes` of RAM, CPU in reset. Each
+    /// cycle walks the core's two evaluation segments: the early one
+    /// before the bus is served, the late one after `mem_rdata` is driven.
     pub fn new(core: &'a PlasmaCore, mem_bytes: usize) -> GateCpu<'a> {
         let nl = core.netlist();
         let mut sim = Simulator::new(nl);
         sim.reset(nl);
-        let [early, late] = core.segments();
         GateCpu {
             core,
             sim,
             mem: Memory::new(mem_bytes),
             cycles: 0,
-            early_prog: CompiledOrder::compile(nl, early),
-            late_prog: CompiledOrder::compile(nl, late),
         }
     }
 
@@ -64,14 +59,15 @@ impl<'a> GateCpu<'a> {
     /// Execute one clock cycle and return the bus transaction.
     pub fn cycle(&mut self) -> BusCycle {
         let nl = self.core.netlist();
-        self.sim.eval_compiled(&self.early_prog);
+        let [early, late] = self.core.segments();
+        self.sim.eval_segment(nl, early);
         let addr = self.sim.output_word(nl, "mem_addr") as u32;
         let we = self.sim.output_word(nl, "mem_we") == 1;
         let be = self.sim.output_word(nl, "mem_be") as u8;
         let wdata = self.sim.output_word(nl, "mem_wdata") as u32;
         let rdata = self.mem.access(addr, wdata, we, be);
         self.sim.set_input_word(nl, "mem_rdata", rdata as u64);
-        self.sim.eval_compiled(&self.late_prog);
+        self.sim.eval_segment(nl, late);
         self.sim.clock(nl);
         self.cycles += 1;
         BusCycle {

@@ -21,6 +21,11 @@ use crate::routines::{END_MARKER, MAILBOX};
 /// Size of the self-test memory image.
 pub const MEM_BYTES: usize = 64 * 1024;
 
+/// Extra cycles granted to faulty machines beyond the golden run length
+/// (divergence almost always appears long before the end): every
+/// campaign's budget is the golden run plus this.
+pub const CYCLE_MARGIN: u64 = 64;
+
 /// Options controlling a flow run.
 #[derive(Debug, Clone)]
 pub struct FlowOptions {
@@ -29,11 +34,6 @@ pub struct FlowOptions {
     pub fault_sample: Option<usize>,
     /// Deterministic seed for sampling.
     pub seed: u64,
-    /// Extra cycles granted to faulty machines beyond the golden run
-    /// length (divergence almost always appears long before the end).
-    pub cycle_margin: u64,
-    /// Tester/CPU clock assumptions.
-    pub cost_model: CostModel,
     /// Campaign worker threads; 0 resolves via
     /// [`fault::campaign::default_threads`] (the `SBST_THREADS` environment
     /// variable, else available parallelism). Results are bit-identical
@@ -55,8 +55,8 @@ pub struct FlowOptions {
     /// [`fault::wave::WaveOptions::out_dir`]. `None` (the default) adds
     /// zero work — campaigns never record.
     pub wave: Option<fault::wave::WaveOptions>,
-    /// Lane width of the compiled engine (`SBST_LANES`, else 256).
-    /// Detections are bit-identical at every width.
+    /// Lane width of the compiled engine (256 by default). Detections
+    /// are bit-identical at every width.
     pub engine: EngineConfig,
     /// Run fault forensics after the campaign (`--forensics`): triage
     /// every escape into a detectability bucket via structural cones +
@@ -75,13 +75,11 @@ impl Default for FlowOptions {
         FlowOptions {
             fault_sample: Some(6000),
             seed: 0xC0FFEE,
-            cycle_margin: 64,
-            cost_model: CostModel::default(),
             threads: 0,
             telemetry: Telemetry::none(),
             timeline_stride: 0,
             wave: None,
-            engine: EngineConfig::from_env(),
+            engine: EngineConfig::default(),
             forensics: false,
         }
     }
@@ -132,7 +130,8 @@ pub struct FlowReport {
     pub selftest: SelfTestProgram,
     /// Golden execution length in clock cycles (Table 4).
     pub golden_cycles: u64,
-    /// Tester-time cost (download + execution).
+    /// Tester-time cost (download + execution) at the
+    /// [`CostModel::default`] clocks.
     pub cost: TestCost,
     /// Raw campaign result.
     pub campaign: CampaignResult,
@@ -317,12 +316,13 @@ fn capture_flow_waves(
 pub fn run_flow(core: &PlasmaCore, phase: Phase, opts: &FlowOptions) -> FlowReport {
     let selftest = build_program(phase).expect("phase program must assemble");
     let golden = golden_cycles(&selftest);
+    let budget = golden + CYCLE_MARGIN;
     let faults = fault_list(core, opts);
     let campaign = run_campaign_of_engine(
         core,
         &selftest.program,
         &faults,
-        golden + opts.cycle_margin,
+        budget,
         opts.threads,
         &opts.telemetry,
         opts.engine,
@@ -331,28 +331,21 @@ pub fn run_flow(core: &PlasmaCore, phase: Phase, opts: &FlowOptions) -> FlowRepo
     if let Some(reg) = &opts.telemetry.metrics {
         publish_flow_metrics(reg, core, &campaign, &coverage);
     }
-    let cost = opts.cost_model.cost(selftest.size_words(), golden);
+    let cost = CostModel::default().cost(selftest.size_words(), golden);
     let trace = GoldenTrace::record(&selftest.program, MEM_BYTES, golden);
     let map = RoutineMap::of_selftest(&selftest);
     let provenance = ProvenanceReport::from_campaign(core.netlist(), &campaign, &trace, &map);
     let timeline = (opts.timeline_stride > 0)
         .then(|| CoverageTimeline::from_campaign(core.netlist(), &campaign, opts.timeline_stride));
     let waves = match &opts.wave {
-        Some(w) => capture_flow_waves(
-            core,
-            &selftest.program,
-            golden + opts.cycle_margin,
-            &faults,
-            &campaign,
-            w,
-        ),
+        Some(w) => capture_flow_waves(core, &selftest.program, budget, &faults, &campaign, w),
         None => Vec::new(),
     };
     // The evidence run reads the campaign result, never writes it, and
     // reads only lane 0, so the narrowest width serves.
     let forensics = opts.forensics.then(|| {
         let mut sim = EngineConfig::compiled(64).sim(core.netlist(), &segments(core));
-        let mut tb = self_test_bench(core, &selftest.program, MEM_BYTES, golden + opts.cycle_margin);
+        let mut tb = self_test_bench(core, &selftest.program, MEM_BYTES, budget);
         fault::forensics::analyze(
             core.netlist(),
             &campaign,
@@ -398,9 +391,6 @@ mod tests {
                 metrics: Some(MetricRegistry::new()),
                 ..Telemetry::none()
             },
-            // Pin the width so the lanes assertion below holds
-            // regardless of SBST_LANES in the environment.
-            engine: EngineConfig::compiled(256),
             ..Default::default()
         };
         let report = run_flow(&core, Phase::A, &opts);

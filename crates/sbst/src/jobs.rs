@@ -37,7 +37,8 @@ pub struct CampaignJobSpec {
     pub fault_sample: Option<usize>,
     /// Sampling seed.
     pub seed: u64,
-    /// Extra cycles granted to faulty machines beyond the golden run.
+    /// Extra cycles granted to faulty machines beyond the golden run
+    /// ([`flow::CYCLE_MARGIN`] by default).
     pub cycle_margin: u64,
     /// Lane width of the compiled engine.
     pub engine: EngineConfig,
@@ -54,7 +55,7 @@ impl Default for CampaignJobSpec {
             phase: Phase::A,
             fault_sample: d.fault_sample,
             seed: d.seed,
-            cycle_margin: d.cycle_margin,
+            cycle_margin: flow::CYCLE_MARGIN,
             engine: d.engine,
             threads: 1,
             shards: 1,

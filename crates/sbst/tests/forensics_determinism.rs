@@ -12,7 +12,7 @@ use fault::campaign::Detection;
 use fault::EngineConfig;
 use plasma::testbench::self_test_bench;
 use plasma::{PlasmaConfig, PlasmaCore};
-use sbst::flow::{run_flow, FlowOptions, FlowReport, MEM_BYTES};
+use sbst::flow::{run_flow, FlowOptions, FlowReport, CYCLE_MARGIN, MEM_BYTES};
 use sbst::phases::Phase;
 
 fn run(core: &PlasmaCore, engine: EngineConfig, threads: usize, forensics: bool) -> FlowReport {
@@ -35,7 +35,7 @@ fn to_json(report: &fault::forensics::ForensicsReport) -> String {
 fn wide_forensics_json(core: &PlasmaCore, report: &FlowReport) -> String {
     let segments = core.segments().map(<[u32]>::to_vec);
     let mut sim = EngineConfig::compiled(512).sim(core.netlist(), &segments);
-    let budget = report.golden_cycles + FlowOptions::default().cycle_margin;
+    let budget = report.golden_cycles + CYCLE_MARGIN;
     let mut tb = self_test_bench(core, &report.selftest.program, MEM_BYTES, budget);
     to_json(&fault::forensics::analyze(
         core.netlist(),

@@ -9,6 +9,7 @@
 
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::classify;
+use sbst::cost::CostModel;
 use sbst::flow::{run_flow, FlowOptions};
 use sbst::phases::Phase;
 
@@ -44,8 +45,8 @@ fn main() {
             report.golden_cycles,
             report.cost.download_us,
             report.cost.execute_us,
-            opts.cost_model.tester_mhz,
-            opts.cost_model.cpu_mhz,
+            CostModel::default().tester_mhz,
+            CostModel::default().cpu_mhz,
         );
         println!("{}", report.coverage.to_table());
     }

@@ -8,7 +8,7 @@
 //! degrades them gracefully instead of failing the build.
 
 use difftest::corpus::{self, ReplayOutcome};
-use difftest::oracle::{OracleConfig, PlasmaOracle};
+use difftest::oracle::{PlasmaOracle, MAX_CYCLES};
 use plasma::{PlasmaConfig, PlasmaCore};
 
 #[test]
@@ -18,7 +18,7 @@ fn corpus_replays_clean() {
     assert!(!cases.is_empty(), "corpus must contain at least one case");
 
     let core = PlasmaCore::build(PlasmaConfig::default());
-    let mut oracle = PlasmaOracle::new(&core, OracleConfig::default());
+    let mut oracle = PlasmaOracle::new(&core, MAX_CYCLES);
     let mut replayed = 0;
     for (path, case) in &cases {
         match corpus::replay(case, &core, &mut oracle) {

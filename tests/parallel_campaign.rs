@@ -20,14 +20,14 @@ fn parwan_campaign_identical_across_thread_counts() {
     let core = parwan::ParwanCore::build();
     let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
     let test = parwan::sbst::deterministic_selftest();
-    let (engine, hooks) = (EngineConfig::from_env(), Telemetry::none());
+    let (engine, hooks) = (EngineConfig::default(), Telemetry::none());
     let grade = |threads| parwan::sbst::grade(&core, &test, &faults, threads, engine, &hooks);
     let serial = grade(1);
     assert_eq!(serial.stats.threads, 1);
-    // The first epoch's batch count follows the engine's lane width (the
-    // width is resolved from `SBST_LANES`, so derive, don't assume);
+    // The first epoch's batch count follows the engine's 256-lane width;
     // regrouped survivors add batch runs.
-    let first = campaign::batch_count_lanes(&faults, serial.stats.lanes as usize);
+    assert_eq!(serial.stats.lanes, 256);
+    let first = campaign::batch_count_lanes(&faults, 256);
     let budget = parwan::sbst::golden_cycles(&test) + 32;
     assert_eq!(serial.stats.budget_cycles, first * budget);
     assert!(serial.stats.batches >= first);
@@ -61,7 +61,7 @@ fn plasma_campaign_identical_serial_vs_parallel() {
         faults.len() > 2 * (opts.engine.lanes() - 1),
         "need 3+ batches"
     );
-    let budget = golden + opts.cycle_margin;
+    let budget = golden + flow::CYCLE_MARGIN;
     let grade = |threads, hooks: &Telemetry| {
         let program = &selftest.program;
         flow::run_campaign_of_engine(&core, program, &faults, budget, threads, hooks, opts.engine)
