@@ -22,7 +22,10 @@ pub fn authority(base: &str) -> String {
 }
 
 /// Perform one HTTP request against `base`. Returns `(status code,
-/// body)`. `body` is sent as `application/json` when present.
+/// body)`. `body` is sent as `application/json` when present. A reply
+/// that does not open with `HTTP/1.0` or `HTTP/1.1` is an
+/// `InvalidData` error; one whose status code does not parse reads as
+/// status 0.
 pub fn request(
     base: &str,
     method: &str,
@@ -47,9 +50,15 @@ pub fn request(
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
     let text = String::from_utf8_lossy(&raw).into_owned();
-    let status = text
-        .split_whitespace()
-        .nth(1)
+    let mut status_line = text.split_whitespace();
+    if !matches!(status_line.next(), Some("HTTP/1.0" | "HTTP/1.1")) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{addr} did not answer with an HTTP/1.x status line"),
+        ));
+    }
+    let status = status_line
+        .next()
         .and_then(|c| c.parse::<u16>().ok())
         .unwrap_or(0);
     let body = match text.find("\r\n\r\n") {
@@ -132,4 +141,42 @@ pub fn fetch_trace(base: &str) -> Result<Value, String> {
         return Err(format!("GET /trace → {status}: {body}"));
     }
     serde_json::from_str(&body).map_err(|e| format!("bad trace doc: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+
+    /// A loopback listener that answers one request with `reply`.
+    fn answer_once(reply: &'static [u8]) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let base = listener.local_addr().expect("bound address").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut head = Vec::new();
+            let mut chunk = [0u8; 1024];
+            while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+                match stream.read(&mut chunk) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => head.extend_from_slice(&chunk[..n]),
+                }
+            }
+            stream.write_all(reply).expect("write the reply");
+        });
+        (base, server)
+    }
+
+    #[test]
+    fn a_reply_without_an_http_status_line_is_an_error() {
+        let (base, server) = answer_once(b"garbage 200 ok\r\n\r\n{\"netlist\": \"n1/g1/d1\"}");
+        let err = super::get(&base, "/jobs").expect_err("not an HTTP reply");
+        server.join().expect("listener thread");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+
+        let (base, server) = answer_once(b"HTTP/1.1 200 OK\r\n\r\n{}");
+        let got = super::get(&base, "/jobs").expect("an HTTP/1.1 reply");
+        server.join().expect("listener thread");
+        assert_eq!(got, (200, "{}".to_string()));
+    }
 }

@@ -108,6 +108,7 @@ pub struct Job {
     /// Deterministically prepared program/budget/faults/tiling.
     pub prepared: PreparedJob,
     board: ShardBoard,
+    /// Each shard's result, from its completion until `finalize` merges it.
     parts: Mutex<Vec<Option<CampaignResult>>>,
     state: Mutex<JobState>,
     submitted: Instant,
@@ -518,13 +519,16 @@ impl JobServer {
         let finalize_t0 = Instant::now();
         let finalize_span =
             traced.span("finalize", &[("job", Value::String(job.id.clone()))]);
+        // Move the shard results out: `record_shard` refuses a late
+        // duplicate at the board, so nothing writes `parts` again, and a
+        // finished job keeps only its rendered documents.
         let parts: Vec<(usize, CampaignResult)> = job
             .parts
             .lock()
             .unwrap()
-            .iter()
+            .iter_mut()
             .enumerate()
-            .filter_map(|(s, r)| r.clone().map(|r| (s, r)))
+            .filter_map(|(s, r)| r.take().map(|r| (s, r)))
             .collect();
         let merge_t0 = Instant::now();
         let merge_span = traced.span(

@@ -72,6 +72,23 @@ fn rejections_carry_the_right_status_codes() {
         assert!(resp.starts_with("HTTP/1.0 413"), "oversized body: {resp}");
     }
 
+    // HEAD /jobs → GET's 200 and Content-Length, no body.
+    {
+        use std::io::{Read, Write};
+        let addr = bench::client::authority(&srv.base);
+        let mut s = std::net::TcpStream::connect(&addr).expect("connect");
+        write!(s, "HEAD /jobs HTTP/1.0\r\nHost: {addr}\r\n\r\n").expect("send HEAD");
+        let mut resp = String::new();
+        s.read_to_string(&mut resp).expect("read HEAD reply");
+        let (_, body) = bench::client::get(&srv.base, "/jobs").expect("get jobs");
+        assert!(resp.starts_with("HTTP/1.0 200"), "HEAD /jobs: {resp}");
+        assert!(
+            resp.contains(&format!("Content-Length: {}\r\n", body.len())),
+            "{resp}"
+        );
+        assert!(resp.ends_with("\r\n\r\n"), "HEAD /jobs sent a body: {resp}");
+    }
+
     // Duplicate job id → 409 (the first submission wins and still runs).
     let doc = spec(&srv, "dup");
     let encoded = serde_json::to_string(&doc).unwrap();

@@ -20,11 +20,9 @@
 //! applied, matching the conservative behaviour of commercial tools'
 //! default equivalence-only mode.
 
-use std::collections::HashMap;
-
 use netlist::{GateKind, Netlist};
 
-use crate::model::{Fault, FaultList, FaultSite, Polarity};
+use crate::model::{FaultList, FaultSite, Polarity};
 
 struct UnionFind {
     parent: Vec<u32>,
@@ -58,18 +56,57 @@ impl UnionFind {
     }
 }
 
+/// Index of every fault in a list by site: a dense table with two
+/// entries (one per polarity) per net stem, then six per gate (three
+/// input pins), then two per flip-flop D pin.
+struct SiteIndex {
+    pin_base: usize,
+    dff_base: usize,
+    table: Vec<u32>,
+}
+
+/// Table entry of a site no fault in the list occupies.
+const ABSENT: u32 = u32::MAX;
+
+impl SiteIndex {
+    fn new(netlist: &Netlist, list: &FaultList) -> SiteIndex {
+        let pin_base = 2 * netlist.num_nets();
+        let dff_base = pin_base + 6 * netlist.gates().len();
+        let mut index = SiteIndex {
+            pin_base,
+            dff_base,
+            table: vec![ABSENT; dff_base + 2 * netlist.dffs().len()],
+        };
+        for (i, &f) in list.faults.iter().enumerate() {
+            let e = index.entry(f.site, f.polarity);
+            index.table[e] = i as u32;
+        }
+        index
+    }
+
+    fn entry(&self, site: FaultSite, polarity: Polarity) -> usize {
+        let p = polarity as usize;
+        match site {
+            FaultSite::Stem(n) => 2 * n.index() + p,
+            FaultSite::Pin { gate, pin } => {
+                debug_assert!(pin < 3, "gates have three input pins");
+                self.pin_base + 6 * gate as usize + 2 * pin as usize + p
+            }
+            FaultSite::DffD(ff) => self.dff_base + 2 * ff as usize + p,
+        }
+    }
+
+    /// List index of the fault at `site` with `polarity`, if listed.
+    fn get(&self, site: FaultSite, polarity: Polarity) -> Option<u32> {
+        Some(self.table[self.entry(site, polarity)]).filter(|&i| i != ABSENT)
+    }
+}
+
 /// Build the structural-equivalence union-find over `list` (rules 1–4
 /// from the module docs).
 fn build_equivalence(netlist: &Netlist, list: &FaultList) -> UnionFind {
-    let index: HashMap<Fault, u32> = list
-        .faults
-        .iter()
-        .enumerate()
-        .map(|(i, &f)| (f, i as u32))
-        .collect();
-    let id = |site: FaultSite, polarity: Polarity| -> Option<u32> {
-        index.get(&Fault { site, polarity }).copied()
-    };
+    let index = SiteIndex::new(netlist, list);
+    let id = |site: FaultSite, polarity: Polarity| index.get(site, polarity);
     let mut uf = UnionFind::new(list.faults.len());
     let join = |uf: &mut UnionFind, a: Option<u32>, b: Option<u32>| {
         if let (Some(x), Some(y)) = (a, b) {
@@ -189,22 +226,24 @@ pub fn collapse(netlist: &Netlist, list: FaultList) -> FaultList {
 
     // Gather classes.
     let n = list.faults.len();
-    let mut class_weight: HashMap<u32, u32> = HashMap::new();
-    for i in 0..n as u32 {
-        let r = uf.find(i);
-        *class_weight.entry(r).or_insert(0) += list.weight[i as usize];
+    let mut class_weight = vec![0u32; n];
+    let mut classes = 0;
+    for i in 0..n {
+        let r = uf.find(i as u32) as usize;
+        classes += usize::from(r == i);
+        class_weight[r] += list.weight[i];
     }
     let mut out = FaultList {
-        faults: Vec::with_capacity(class_weight.len()),
-        component: Vec::with_capacity(class_weight.len()),
-        weight: Vec::with_capacity(class_weight.len()),
+        faults: Vec::with_capacity(classes),
+        component: Vec::with_capacity(classes),
+        weight: Vec::with_capacity(classes),
         total_uncollapsed: list.total_uncollapsed,
     };
-    for i in 0..n as u32 {
-        if uf.find(i) == i {
-            out.faults.push(list.faults[i as usize]);
-            out.component.push(list.component[i as usize]);
-            out.weight.push(class_weight[&i]);
+    for (i, &weight) in class_weight.iter().enumerate() {
+        if uf.find(i as u32) as usize == i {
+            out.faults.push(list.faults[i]);
+            out.component.push(list.component[i]);
+            out.weight.push(weight);
         }
     }
     out

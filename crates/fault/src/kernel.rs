@@ -9,14 +9,20 @@
 //! * **Operand resolution** — every gate input becomes a flat slot
 //!   offset; `NO_NET` is resolved to a trailing dummy slot that is
 //!   always 0, so the hot loop has no sentinel branches.
-//! * **Levelization** — gates are stably re-sorted by logic level
-//!   within each segment (a level-sorted order is still topological;
-//!   levels past 62 share one clamped tail). The order is part of the
-//!   kernel's identity: slots follow it, so evaluation stores walk
-//!   memory sequentially.
+//! * **Levelization into kind runs** — gates are stably re-sorted by
+//!   `(logic level, gate kind)` within each segment. Levels strictly
+//!   increase along in-segment edges, so the order is still
+//!   topological, and each level's gates of one kind sit side by side:
+//!   the segment is a short list of `(kind, start, end)` runs (Plasma:
+//!   339 runs over 6,561 gates), and evaluation dispatches once per run,
+//!   not once per gate. The order is part of the kernel's identity:
+//!   gate-output slots follow it, so a gate's output slot is
+//!   `gate_out_base + position` and evaluation stores walk memory
+//!   sequentially.
 //! * **Fault-patch pre-indexing** — the compiled position of every
-//!   gate, the driving position or flip-flop of every slot, so fault
-//!   injection finds its patch site in O(1).
+//!   gate, and the driving position or flip-flop of every slot by
+//!   arithmetic on the slot layout, so fault injection finds its patch
+//!   site in O(1).
 //!
 //! Kernels are immutable and shared: [`compile_cached`] keys a global
 //! cache by a structural fingerprint of (netlist, segments), so
@@ -54,10 +60,11 @@ pub struct SimStats {
 /// renumbering of the netlist's nets: slots `[0, dffs)` are the
 /// flip-flop Q nets in flip-flop order (the clock edge writes one
 /// contiguous block), followed by the other externally-driven nets
-/// (ports, constants), followed by every gate-driven net *in compiled
-/// evaluation order* — so the hot loop's stores walk memory strictly
-/// sequentially — with the always-zero dummy slot last.
-/// [`CompiledKernel::slot_of_net`] maps net indices into this space.
+/// (ports, constants), followed from `gate_out_base` on by every
+/// gate-driven net *in compiled evaluation order* — so the hot loop's
+/// stores walk memory strictly sequentially — with the always-zero
+/// dummy slot last. [`CompiledKernel::slot_of_net`] maps net indices
+/// into this space.
 #[derive(Debug)]
 pub struct CompiledKernel {
     /// Value slots: `num_nets + 1`, the last being the always-zero
@@ -65,7 +72,7 @@ pub struct CompiledKernel {
     pub n_slots: usize,
     /// Net index → value slot (the dummy maps to itself at `num_nets`).
     pub slot_of_net: Vec<u32>,
-    /// Fused opcode per compiled position.
+    /// Gate kind per compiled position.
     pub kinds: Vec<GateKind>,
     /// Operand slot offsets per compiled position (dummy-resolved).
     pub in0: Vec<u32>,
@@ -73,29 +80,25 @@ pub struct CompiledKernel {
     pub in1: Vec<u32>,
     /// Third operand slot.
     pub in2: Vec<u32>,
-    /// Output slot per compiled position.
-    pub outs: Vec<u32>,
+    /// Output slot of compiled position 0; position `p` stores to slot
+    /// `gate_out_base + p`.
+    pub gate_out_base: usize,
     /// `[start, end)` of each segment in the compiled arrays, in
     /// evaluation order.
     pub segments: Vec<(usize, usize)>,
+    /// Per segment, its maximal runs of one gate kind as `(kind, start,
+    /// end)`: they tile the segment in order.
+    pub runs: Vec<Vec<(GateKind, usize, usize)>>,
     /// Compiled position of each original gate index.
     pub pos_of_gate: Vec<u32>,
-    /// Compiled position of the gate driving each slot (`u32::MAX` for
-    /// ports, flip-flop outputs, constants and the dummy) — where a
-    /// stem fault on a gate-driven net patches in.
-    pub driver_pos: Vec<u32>,
-    /// Flip-flop index whose Q drives each slot (`u32::MAX` otherwise)
-    /// — where a stem fault on a state net patches in.
-    pub dff_of_q: Vec<u32>,
     /// Kernel flip-flop index of each netlist flip-flop index. The
     /// kernel reorders flip-flops so the clock-edge D gather walks the
     /// gate-output slots sequentially; netlist-indexed fault sites
-    /// (`FaultSite::DffD`) translate through this table.
+    /// (`FaultSite::DffD`) translate through this table. Flip-flop `i`
+    /// (kernel order) drives Q slot `i`.
     pub kdff_of_dff: Vec<u32>,
     /// D-input slot of each flip-flop (kernel order).
     pub dff_d: Vec<u32>,
-    /// Q-output slot of each flip-flop.
-    pub dff_q: Vec<u32>,
     /// All-lanes reset mask of each flip-flop (`!0` or `0`).
     pub dff_reset: Vec<u64>,
     /// Structural fingerprint this kernel was compiled from (cache key).
@@ -123,11 +126,12 @@ impl CompiledKernel {
         let mut compiled_gates: Vec<u32> = Vec::with_capacity(n_gates);
         let mut pos_of_gate = vec![u32::MAX; n_gates];
         let mut bounds = Vec::with_capacity(segments.len());
+        let mut runs = Vec::with_capacity(segments.len());
         for seg in segments {
             // Levelize within this segment: nets produced outside it
             // (ports, flip-flops, earlier segments) are level 0 inputs.
             let mut net_level = vec![0u32; n_nets + 1];
-            let mut gate_level: Vec<u8> = Vec::with_capacity(seg.len());
+            let mut keys: Vec<usize> = Vec::with_capacity(seg.len());
             for &gi in seg {
                 let g = &netlist.gates()[gi as usize];
                 let mut lvl = 0u32;
@@ -137,16 +141,27 @@ impl CompiledKernel {
                     }
                 }
                 net_level[g.output.index()] = lvl + 1;
-                gate_level.push(lvl.min(63) as u8);
+                keys.push(lvl as usize * GateKind::ALL.len() + g.kind as usize);
             }
-            // Stable sort by level: levels strictly increase along
-            // in-segment edges, so the sorted order is still
-            // topological; ties (including the clamped ≥63 tail) keep
-            // the original — topological — relative order.
-            let mut order: Vec<usize> = (0..seg.len()).collect();
-            order.sort_by_key(|&k| gate_level[k]);
+            // Stable counting sort by the (level, kind) key: levels
+            // strictly increase along in-segment edges, so the sorted
+            // order is still topological, and each level's gates of one
+            // kind form a run.
+            let mut next = vec![0usize; keys.iter().max().map_or(0, |&m| m + 2)];
+            for &key in &keys {
+                next[key + 1] += 1;
+            }
+            for b in 1..next.len() {
+                next[b] += next[b - 1];
+            }
+            let mut order = vec![0usize; seg.len()];
+            for (k, &key) in keys.iter().enumerate() {
+                order[next[key]] = k;
+                next[key] += 1;
+            }
 
             let start = compiled_gates.len();
+            let mut seg_runs: Vec<(GateKind, usize, usize)> = Vec::new();
             for &k in &order {
                 let gi = seg[k];
                 assert_eq!(
@@ -154,10 +169,17 @@ impl CompiledKernel {
                     u32::MAX,
                     "gate {gi} appears in two segments"
                 );
-                pos_of_gate[gi as usize] = compiled_gates.len() as u32;
+                let pos = compiled_gates.len();
+                pos_of_gate[gi as usize] = pos as u32;
                 compiled_gates.push(gi);
+                let kind = netlist.gates()[gi as usize].kind;
+                match seg_runs.last_mut() {
+                    Some((run_kind, _, end)) if *run_kind == kind => *end = pos + 1,
+                    _ => seg_runs.push((kind, pos, pos + 1)),
+                }
             }
             bounds.push((start, compiled_gates.len()));
+            runs.push(seg_runs);
         }
 
         // Kernel flip-flop order: sort by the compiled position of the
@@ -206,7 +228,7 @@ impl CompiledKernel {
                 next_slot += 1;
             }
         }
-        let gate_out_base = next_slot;
+        let gate_out_base = next_slot as usize;
         for &gi in &compiled_gates {
             let out = netlist.gates()[gi as usize].output.index();
             slot_of_net[out] = next_slot;
@@ -226,24 +248,14 @@ impl CompiledKernel {
         let mut in0 = Vec::with_capacity(n_gates);
         let mut in1 = Vec::with_capacity(n_gates);
         let mut in2 = Vec::with_capacity(n_gates);
-        let mut outs = Vec::with_capacity(n_gates);
-        for (pos, &gi) in compiled_gates.iter().enumerate() {
+        for &gi in &compiled_gates {
             let g = &netlist.gates()[gi as usize];
             kinds.push(g.kind);
             in0.push(remap(g.inputs[0]));
             in1.push(remap(g.inputs[1]));
             in2.push(remap(g.inputs[2]));
-            outs.push(gate_out_base + pos as u32);
         }
 
-        let mut driver_pos = vec![u32::MAX; n_nets + 1];
-        for (i, &o) in outs.iter().enumerate() {
-            driver_pos[o as usize] = i as u32;
-        }
-        let mut dff_of_q = vec![u32::MAX; n_nets + 1];
-        for i in 0..dffs.len() {
-            dff_of_q[i] = i as u32;
-        }
         let dff_d: Vec<u32> = dff_order
             .iter()
             .map(|&ni| remap(dffs[ni as usize].d))
@@ -252,22 +264,19 @@ impl CompiledKernel {
             .iter()
             .map(|&ni| if dffs[ni as usize].reset_value { !0u64 } else { 0 })
             .collect();
-        CompiledKernel {
+        let kernel = CompiledKernel {
             n_slots: n_nets + 1,
             slot_of_net,
             kinds,
             in0,
             in1,
             in2,
-            outs,
+            gate_out_base,
             segments: bounds,
+            runs,
             pos_of_gate,
-            driver_pos,
-            dff_of_q,
             kdff_of_dff,
             dff_d,
-            // Q slots are `0..dffs` (kernel order) by construction.
-            dff_q: (0..dffs.len() as u32).collect(),
             dff_reset,
             fingerprint: structural_fingerprint(netlist, segments),
             geometry: format!(
@@ -276,7 +285,63 @@ impl CompiledKernel {
                 netlist.gates().len(),
                 dffs.len()
             ),
+        };
+        if cfg!(debug_assertions) {
+            kernel.assert_order();
         }
+        kernel
+    }
+
+    /// Panics unless the compiled order is one the evaluator can run:
+    /// every operand is external (a port, a flip-flop output, the dummy)
+    /// or produced at an earlier position, and each segment's runs tile
+    /// it in order with one gate kind per run.
+    fn assert_order(&self) {
+        let n_gates = self.kinds.len();
+        for pos in 0..n_gates {
+            for slot in [self.in0[pos], self.in1[pos], self.in2[pos]] {
+                let producer = self.driver_pos(slot as usize);
+                assert!(
+                    producer.is_none_or(|p| p < pos),
+                    "operand slot {slot} of position {pos} is produced at {producer:?}"
+                );
+            }
+        }
+        assert_eq!(
+            self.runs.len(),
+            self.segments.len(),
+            "one run list per segment"
+        );
+        for (&(start, end), runs) in self.segments.iter().zip(&self.runs) {
+            let mut cur = start;
+            for &(kind, lo, hi) in runs {
+                assert!(
+                    lo == cur && lo < hi,
+                    "runs must tile segment [{start}, {end})"
+                );
+                assert!(
+                    self.kinds[lo..hi].iter().all(|&k| k == kind),
+                    "run [{lo}, {hi}) mixes gate kinds"
+                );
+                cur = hi;
+            }
+            assert_eq!(cur, end, "runs must cover segment [{start}, {end})");
+        }
+    }
+
+    /// Compiled position of the gate driving `slot`, if a gate drives it
+    /// — where a stem fault on a gate-driven net patches in.
+    #[inline]
+    pub(crate) fn driver_pos(&self, slot: usize) -> Option<usize> {
+        slot.checked_sub(self.gate_out_base)
+            .filter(|&p| p < self.kinds.len())
+    }
+
+    /// Kernel flip-flop whose Q drives `slot`, if one does — where a
+    /// stem fault on a state net patches in.
+    #[inline]
+    pub(crate) fn dff_of_q(&self, slot: usize) -> Option<usize> {
+        (slot < self.dff_d.len()).then_some(slot)
     }
 
     /// Number of evaluation segments.
@@ -433,20 +498,10 @@ mod tests {
             assert!(!seen[p as usize]);
             seen[p as usize] = true;
         }
-        // The compiled order is topological: every (non-dummy) operand
-        // is either produced at an earlier position or external.
-        let mut produced_at = vec![usize::MAX; k.n_slots];
-        for i in 0..k.kinds.len() {
-            produced_at[k.outs[i] as usize] = i;
-        }
-        for i in 0..k.kinds.len() {
-            for &inp in [k.in0[i], k.in1[i], k.in2[i]].iter() {
-                let p = produced_at[inp as usize];
-                assert!(p == usize::MAX || p < i, "operand after use at {i}");
-            }
-        }
-        // The dummy slot is never an output.
-        assert!(k.outs.iter().all(|&o| (o as usize) < k.n_slots - 1));
+        // The compiled order is topological and its runs tile the
+        // segment; the dummy slot is never an output.
+        k.assert_order();
+        assert!(k.gate_out_base + k.kinds.len() < k.n_slots);
     }
 
     #[test]

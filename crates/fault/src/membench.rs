@@ -16,7 +16,8 @@
 //! `addr`. Without `mem_be` a store writes the whole row.
 //!
 //! Every lane reads a shared base image through a row-block overlay: a
-//! row gets a block of `lanes` entries on the first write to it by any
+//! row gets a block of `lanes` `u32` words, plus a mask of the lanes
+//! that wrote it (one bit per lane), on the first write to it by any
 //! lane since [`Testbench::begin`]. Lanes mostly follow the golden
 //! instruction stream, so a cycle's accesses cluster on a few rows whose
 //! entries share cache lines, and memory grows with the rows written,
@@ -58,9 +59,6 @@ pub struct Transaction {
 
 /// Row-block marker: no lane has written the row since `begin`.
 const NO_BLOCK: u32 = u32::MAX;
-/// Overlay entry flag: the lane wrote the row (the low 32 bits hold the
-/// word).
-const WRITTEN: u64 = 1 << 32;
 
 /// The memory-bus testbench: every lane is a core with its own memory
 /// (shared base image plus per-lane row overlay), and divergence of the
@@ -79,12 +77,14 @@ pub struct MemBench<'a> {
     base: Vec<u32>,
     lanes: usize,
     // `blocks[i]` is row i's block (or NO_BLOCK), `written[b]` is block
-    // b's row, in first-write order, and entry `b * lanes + lane` of
-    // `ovl` is `WRITTEN | word` once that lane wrote the row. `begin`
-    // and saving a lane cost O(rows written).
+    // b's row, in first-write order. Entry `b * lanes + lane` of `ovl`
+    // is that lane's word of the row, valid once bit `lane % 64` of
+    // `wrote[b * lanes / 64 + lane / 64]` is set. `begin` and saving a
+    // lane cost O(rows written).
     blocks: Vec<u32>,
     written: Vec<u32>,
-    ovl: Vec<u64>,
+    ovl: Vec<u32>,
+    wrote: Vec<u64>,
     budget: u64,
     rdata_lanes: Vec<u64>,
     rdata_bits: Vec<u64>,
@@ -131,6 +131,7 @@ impl<'a> MemBench<'a> {
             blocks: vec![NO_BLOCK; rows],
             written: Vec::new(),
             ovl: Vec::new(),
+            wrote: Vec::new(),
             budget,
             rdata_lanes: Vec::new(),
             rdata_bits: Vec::new(),
@@ -179,13 +180,16 @@ impl<'a> MemBench<'a> {
 
     fn word(&self, row: usize, lane: usize) -> u32 {
         let b = self.blocks[row];
-        if b != NO_BLOCK {
-            let e = self.ovl[b as usize * self.lanes + lane];
-            if e & WRITTEN != 0 {
-                return e as u32;
-            }
+        if b != NO_BLOCK && self.wrote_by(b as usize, lane) {
+            return self.ovl[b as usize * self.lanes + lane];
         }
         self.base[row]
+    }
+
+    /// Whether lane `lane` wrote block `b`'s row since `begin`.
+    #[inline]
+    fn wrote_by(&self, b: usize, lane: usize) -> bool {
+        (self.wrote[(b * self.lanes + lane) >> 6] >> (lane & 63)) & 1 == 1
     }
 
     /// Store `value` into row `row` of lane `lane`'s overlay, giving the
@@ -197,8 +201,11 @@ impl<'a> MemBench<'a> {
             self.blocks[row] = b;
             self.written.push(row as u32);
             self.ovl.resize(self.ovl.len() + self.lanes, 0);
+            self.wrote.resize(self.wrote.len() + self.lanes / 64, 0);
         }
-        self.ovl[b as usize * self.lanes + lane] = WRITTEN | value as u64;
+        let e = b as usize * self.lanes + lane;
+        self.ovl[e] = value;
+        self.wrote[e >> 6] |= 1 << (lane & 63);
     }
 
     /// The memory phase of one cycle: each lane reads the row its
@@ -300,6 +307,7 @@ impl Testbench for MemBench<'_> {
         }
         self.written.clear();
         self.ovl.clear();
+        self.wrote.clear();
     }
 
     fn step(&mut self, sim: &mut WideSim, _cycle: u64, diff: &mut [u64]) {
@@ -321,9 +329,8 @@ impl Testbench for MemBench<'_> {
     /// every lane, so lanes with equal overlays save equal states.
     fn save_lane(&self, lane: usize, out: &mut Vec<u64>) {
         for (b, &row) in self.written.iter().enumerate() {
-            let e = self.ovl[b * self.lanes + lane];
-            if e & WRITTEN != 0 {
-                out.push((row as u64) << 32 | (e as u32) as u64);
+            if self.wrote_by(b, lane) {
+                out.push((row as u64) << 32 | self.ovl[b * self.lanes + lane] as u64);
             }
         }
     }

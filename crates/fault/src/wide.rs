@@ -5,16 +5,25 @@
 //! word 0) is the fault-free reference machine, and every other lane
 //! can carry its own injected faults.
 //!
+//! Evaluation walks each segment's `(kind, start, end)` runs (see
+//! [`crate::kernel`]) and dispatches once per run, to a loop
+//! monomorphized on width and gate kind that loads only the operands
+//! the kind reads and stores to sequential slots. The clock edge
+//! gathers every D block into a buffer in kernel flip-flop order and
+//! writes it back over the Q slots, which are `0..dffs` in that same
+//! order, with one copy.
+//!
 //! Faults are injected through per-net stem masks (OR-ed/AND-ed into a
 //! stored value), a sorted side table of gate-pin patches (fanout
 //! branches) and D-pin patches applied at the clock edge. Stem masks on
 //! gate-driven and state nets also live in the *patch side tables* (at
 //! the driving gate's compiled position, or folded into the flip-flop's
 //! clock transfer): the hot loop stores bare values and pays for faults
-//! only at the patched positions. The per-net `set1`/`keep0` arrays
-//! remain the source of truth for cold-path stores (ports, reset) and
-//! for [`WideSim::reset_state`] seeding, and injection records which
-//! nets carry them, so [`WideSim::clear_faults`] touches only those.
+//! only at the patched positions, where it splits a run. The per-net
+//! `set1`/`keep0` arrays remain the source of truth for cold-path stores
+//! (ports, reset) and for [`WideSim::reset_state`] seeding, and
+//! injection records which nets carry them, so
+//! [`WideSim::clear_faults`] touches only those.
 //!
 //! A fault's detection depends only on its own lane versus lane 0 under
 //! shared stimulus, so per-fault results are bit-identical at every
@@ -23,7 +32,7 @@
 
 use std::sync::Arc;
 
-use netlist::{Net, Netlist};
+use netlist::{GateKind, Net, Netlist};
 
 use crate::kernel::{CompiledKernel, SimStats};
 use crate::model::{Fault, FaultSite, Polarity};
@@ -155,74 +164,6 @@ impl WideSim {
         &mut self.q_stem_patches[k].1
     }
 
-    fn eval_seg<const W: usize>(&mut self, k: &CompiledKernel, seg: usize) {
-        debug_assert_eq!(W, self.w);
-        let (start, end) = k.segments[seg];
-        let lo = self.pin_patches.partition_point(|e| (e.0 as usize) < start);
-        let hi = self.pin_patches.partition_point(|e| (e.0 as usize) < end);
-        let mut cur = start;
-        for pi in lo..hi {
-            let pos = self.pin_patches[pi].0 as usize;
-            self.eval_run::<W>(k, cur, pos);
-            self.eval_patched::<W>(k, pi);
-            cur = pos + 1;
-        }
-        self.eval_run::<W>(k, cur, end);
-    }
-
-    /// The hot loop: a straight-line run of compiled instructions with
-    /// no patches — bare loads, opcode, bare store. Monomorphized per
-    /// lane width so the per-word loops unroll; operand blocks are
-    /// copied through fixed-size arrays so each block costs one bounds
-    /// check instead of one per word.
-    #[inline]
-    fn eval_run<const W: usize>(&mut self, k: &CompiledKernel, start: usize, end: usize) {
-        let kinds = &k.kinds[start..end];
-        let in0 = &k.in0[start..end];
-        let in1 = &k.in1[start..end];
-        let in2 = &k.in2[start..end];
-        let outs = &k.outs[start..end];
-        let it = kinds
-            .iter()
-            .zip(in0)
-            .zip(in1)
-            .zip(in2)
-            .zip(outs);
-        for ((((&kind, &i0), &i1), &i2), &o) in it {
-            let ia = i0 as usize * W;
-            let ib = i1 as usize * W;
-            let ic = i2 as usize * W;
-            let ob = o as usize * W;
-            let va: [u64; W] = self.vals[ia..ia + W].try_into().expect("stride");
-            let vb: [u64; W] = self.vals[ib..ib + W].try_into().expect("stride");
-            let vc: [u64; W] = self.vals[ic..ic + W].try_into().expect("stride");
-            let out: &mut [u64; W] =
-                (&mut self.vals[ob..ob + W]).try_into().expect("stride");
-            for t in 0..W {
-                out[t] = kind.eval_u64(va[t], vb[t], vc[t]);
-            }
-        }
-    }
-
-    /// Evaluate one gate with its pins patched: stuck-at masks on the
-    /// three inputs (slots 0–2) and on the output stem (slot 3).
-    fn eval_patched<const W: usize>(&mut self, k: &CompiledKernel, pi: usize) {
-        let (pos, p) = self.pin_patches[pi];
-        let i = pos as usize;
-        let ia = k.in0[i] as usize * W;
-        let ib = k.in1[i] as usize * W;
-        let ic = k.in2[i] as usize * W;
-        let kind = k.kinds[i];
-        let ob = k.outs[i] as usize * W;
-        for t in 0..W {
-            let a = (self.vals[ia + t] | p.set1[t]) & p.keep0[t];
-            let b = (self.vals[ib + t] | p.set1[W + t]) & p.keep0[W + t];
-            let c = (self.vals[ic + t] | p.set1[2 * W + t]) & p.keep0[2 * W + t];
-            let v = kind.eval_u64(a, b, c);
-            self.vals[ob + t] = (v | p.set1[3 * W + t]) & p.keep0[3 * W + t];
-        }
-    }
-
     /// u64 words per net.
     #[inline]
     pub fn lane_words(&self) -> usize {
@@ -311,17 +252,15 @@ impl WideSim {
                 // evaluation), the flip-flop's clock transfer, or —
                 // for ports and constants — the per-net arrays alone,
                 // which `store_slot` and `reset_state` consult.
-                let driver = self.kernel.driver_pos[i];
-                let dff = self.kernel.dff_of_q[i];
-                if driver != u32::MAX {
-                    let p = self.pin_patch_at(driver);
+                if let Some(driver) = self.kernel.driver_pos(i) {
+                    let p = self.pin_patch_at(driver as u32);
                     let idx = 3 * w + t;
                     match fault.polarity {
                         Polarity::StuckAt1 => p.set1[idx] |= bit,
                         Polarity::StuckAt0 => p.keep0[idx] &= !bit,
                     }
-                } else if dff != u32::MAX {
-                    let p = self.q_stem_patch_at(dff);
+                } else if let Some(dff) = self.kernel.dff_of_q(i) {
+                    let p = self.q_stem_patch_at(dff as u32);
                     match fault.polarity {
                         Polarity::StuckAt1 => p.set1[t] |= bit,
                         Polarity::StuckAt0 => p.keep0[t] &= !bit,
@@ -375,10 +314,10 @@ impl WideSim {
                 self.vals[base + t] = self.set1[base + t] & self.keep0[base + t];
             }
         }
+        // Flip-flop `i` (kernel order) drives Q slot `i`.
         let mut rv = [0u64; MAX_LANE_WORDS];
-        for i in 0..self.kernel.dff_q.len() {
-            let q = self.kernel.dff_q[i] as usize;
-            rv[..w].fill(self.kernel.dff_reset[i]);
+        for q in 0..self.kernel.dff_reset.len() {
+            rv[..w].fill(self.kernel.dff_reset[q]);
             self.store_slot(q, &rv[..w]);
         }
     }
@@ -386,7 +325,7 @@ impl WideSim {
     /// Words one lane's flip-flop state packs into (one bit per
     /// flip-flop) — the length [`WideSim::save_lane`] fills.
     pub fn state_words(&self) -> usize {
-        self.kernel.dff_q.len().div_ceil(64)
+        self.kernel.dff_d.len().div_ceil(64)
     }
 
     /// Pack lane `lane`'s flip-flop state into `out` (length
@@ -399,8 +338,8 @@ impl WideSim {
     pub fn save_lane(&self, lane: usize, out: &mut [u64]) {
         let (t, b) = (lane >> 6, lane & 63);
         out.fill(0);
-        for (i, &q) in self.kernel.dff_q.iter().enumerate() {
-            out[i >> 6] |= ((self.vals[q as usize * self.w + t] >> b) & 1) << (i & 63);
+        for i in 0..self.kernel.dff_d.len() {
+            out[i >> 6] |= ((self.vals[i * self.w + t] >> b) & 1) << (i & 63);
         }
     }
 
@@ -408,21 +347,21 @@ impl WideSim {
     /// by [`WideSim::save_lane`].
     pub fn load_lane(&mut self, lane: usize, state: &[u64]) {
         let (t, b) = (lane >> 6, lane & 63);
-        for (i, &q) in self.kernel.dff_q.iter().enumerate() {
-            let v = &mut self.vals[q as usize * self.w + t];
+        for i in 0..self.kernel.dff_d.len() {
+            let v = &mut self.vals[i * self.w + t];
             *v = (*v & !(1u64 << b)) | (((state[i >> 6] >> (i & 63)) & 1) << b);
         }
     }
 
     /// Evaluate one segment (in construction order). Dispatches once
-    /// per segment to the width-monomorphized kernel.
+    /// per segment to the width-monomorphized evaluator.
     pub fn eval_segment(&mut self, segment: usize) {
-        let kernel = Arc::clone(&self.kernel);
+        let (vals, patches, k) = (&mut self.vals, &self.pin_patches, &*self.kernel);
         match self.w {
-            1 => self.eval_seg::<1>(&kernel, segment),
-            2 => self.eval_seg::<2>(&kernel, segment),
-            4 => self.eval_seg::<4>(&kernel, segment),
-            8 => self.eval_seg::<8>(&kernel, segment),
+            1 => eval_seg::<1>(vals, patches, k, segment),
+            2 => eval_seg::<2>(vals, patches, k, segment),
+            4 => eval_seg::<4>(vals, patches, k, segment),
+            8 => eval_seg::<8>(vals, patches, k, segment),
             _ => unreachable!("lane_words validated at construction"),
         }
     }
@@ -437,35 +376,35 @@ impl WideSim {
     /// Clock every flip-flop (`q <= d`), honouring D-pin patches and Q
     /// stem injection.
     pub fn clock(&mut self) {
-        let w = self.w;
-        let kernel = Arc::clone(&self.kernel);
-        for i in 0..kernel.dff_d.len() {
-            let d = kernel.dff_d[i] as usize * w;
-            for t in 0..w {
-                self.next[i * w + t] = self.vals[d + t];
-            }
+        match self.w {
+            1 => self.clock_w::<1>(),
+            2 => self.clock_w::<2>(),
+            4 => self.clock_w::<4>(),
+            8 => self.clock_w::<8>(),
+            _ => unreachable!("lane_words validated at construction"),
         }
-        for &(ff, p) in &self.dff_patches {
-            let base = ff as usize * w;
-            for t in 0..w {
-                let v = &mut self.next[base + t];
+    }
+
+    /// The clock edge at `W` lane words: gather each D block into
+    /// `next` (kernel flip-flop order), fold in the D-pin and Q-stem
+    /// patches, then write every Q slot with one copy — the Q slots are
+    /// `0..dffs` in that same order.
+    fn clock_w<const W: usize>(&mut self) {
+        let dffs = self.kernel.dff_d.len();
+        let next = &mut self.next[..dffs * W];
+        for (dst, &d) in next.chunks_exact_mut(W).zip(&self.kernel.dff_d) {
+            dst.copy_from_slice(&block::<W>(&self.vals, d));
+        }
+        // Q stem masks fold into `next` after the D patches, matching
+        // store order, so the transfer needs no per-net mask reads.
+        for &(ff, p) in self.dff_patches.iter().chain(&self.q_stem_patches) {
+            let base = ff as usize * W;
+            for t in 0..W {
+                let v = &mut next[base + t];
                 *v = (*v | p.set1[t]) & p.keep0[t];
             }
         }
-        // Q stem masks fold into `next` the same way (after D patches,
-        // matching store order), so the transfer loop below needs no
-        // per-net mask reads.
-        for &(ff, p) in &self.q_stem_patches {
-            let base = ff as usize * w;
-            for t in 0..w {
-                let v = &mut self.next[base + t];
-                *v = (*v | p.set1[t]) & p.keep0[t];
-            }
-        }
-        for i in 0..kernel.dff_q.len() {
-            let base = kernel.dff_q[i] as usize * w;
-            self.vals[base..base + w].copy_from_slice(&self.next[i * w..i * w + w]);
-        }
+        self.vals[..dffs * W].copy_from_slice(next);
     }
 
     /// Drive a named input port with the same integer value on all
@@ -538,6 +477,122 @@ impl WideSim {
     pub fn port_lane_word(&self, netlist: &Netlist, port: &str, lane: usize) -> u64 {
         self.lane_word(netlist.port(port), lane)
     }
+}
+
+/// Evaluate segment `seg` at `W` lane words: each kind run goes to its
+/// own loop, split only at patched positions, which
+/// [`eval_patched`] evaluates through their masks.
+fn eval_seg<const W: usize>(
+    vals: &mut [u64],
+    patches: &[(u32, WidePatch)],
+    k: &CompiledKernel,
+    seg: usize,
+) {
+    let (start, _) = k.segments[seg];
+    let mut pi = patches.partition_point(|e| (e.0 as usize) < start);
+    for &(kind, lo, hi) in &k.runs[seg] {
+        let mut cur = lo;
+        while let Some(&(pos, ref p)) = patches.get(pi).filter(|e| (e.0 as usize) < hi) {
+            let pos = pos as usize;
+            eval_run::<W>(vals, k, kind, cur, pos);
+            eval_patched::<W>(vals, k, pos, p);
+            cur = pos + 1;
+            pi += 1;
+        }
+        eval_run::<W>(vals, k, kind, cur, hi);
+    }
+}
+
+/// The hot loop: compiled positions `[lo, hi)`, all of gate kind
+/// `kind`, with no patches. One dispatch per run, to a [`run`] loop
+/// inlined with its kind a constant.
+#[inline]
+fn eval_run<const W: usize>(
+    vals: &mut [u64],
+    k: &CompiledKernel,
+    kind: GateKind,
+    lo: usize,
+    hi: usize,
+) {
+    use GateKind::*;
+    match kind {
+        Const0 => run::<W>(vals, k, lo, hi, Const0),
+        Const1 => run::<W>(vals, k, lo, hi, Const1),
+        Buf => run::<W>(vals, k, lo, hi, Buf),
+        Not => run::<W>(vals, k, lo, hi, Not),
+        And2 => run::<W>(vals, k, lo, hi, And2),
+        Or2 => run::<W>(vals, k, lo, hi, Or2),
+        Nand2 => run::<W>(vals, k, lo, hi, Nand2),
+        Nor2 => run::<W>(vals, k, lo, hi, Nor2),
+        Xor2 => run::<W>(vals, k, lo, hi, Xor2),
+        Xnor2 => run::<W>(vals, k, lo, hi, Xnor2),
+        Mux2 => run::<W>(vals, k, lo, hi, Mux2),
+        Aoi21 => run::<W>(vals, k, lo, hi, Aoi21),
+        Oai21 => run::<W>(vals, k, lo, hi, Oai21),
+    }
+}
+
+/// Positions `[lo, hi)` of gate kind `kind`. Inlined with `kind` a
+/// constant, `kind.arity()` and `kind.eval_u64` fold away: the loop
+/// loads only the operands the kind reads (the rest read as 0, which
+/// the kind never looks at), evaluates the gate's bit expression and
+/// stores to sequential slots.
+#[inline(always)]
+fn run<const W: usize>(vals: &mut [u64], k: &CompiledKernel, lo: usize, hi: usize, kind: GateKind) {
+    let arity = kind.arity();
+    let ops = k.in0[lo..hi].iter().zip(&k.in1[lo..hi]).zip(&k.in2[lo..hi]);
+    for (slot, ((&ia, &ib), &ic)) in (k.gate_out_base + lo..).zip(ops) {
+        let operand = |pin: usize, slot: u32| {
+            if pin < arity {
+                block::<W>(vals, slot)
+            } else {
+                [0; W]
+            }
+        };
+        let (va, vb, vc) = (operand(0, ia), operand(1, ib), operand(2, ic));
+        store::<W>(
+            vals,
+            slot,
+            std::array::from_fn(|t| kind.eval_u64(va[t], vb[t], vc[t])),
+        );
+    }
+}
+
+/// The `W` lane words of `slot`, copied out through a fixed-size array
+/// (one bounds check per block, not one per word).
+#[inline(always)]
+fn block<const W: usize>(vals: &[u64], slot: u32) -> [u64; W] {
+    let i = slot as usize * W;
+    vals[i..i + W].try_into().expect("stride")
+}
+
+/// Store `v` into the `W` lane words of `slot`.
+#[inline(always)]
+fn store<const W: usize>(vals: &mut [u64], slot: usize, v: [u64; W]) {
+    let dst: &mut [u64; W] = (&mut vals[slot * W..slot * W + W])
+        .try_into()
+        .expect("stride");
+    *dst = v;
+}
+
+/// Evaluate the gate at compiled position `pos` with its pins patched:
+/// stuck-at masks on the three inputs (slots 0–2) and on the output
+/// stem (slot 3).
+fn eval_patched<const W: usize>(vals: &mut [u64], k: &CompiledKernel, pos: usize, p: &WidePatch) {
+    let va = block::<W>(vals, k.in0[pos]);
+    let vb = block::<W>(vals, k.in1[pos]);
+    let vc = block::<W>(vals, k.in2[pos]);
+    let kind = k.kinds[pos];
+    store::<W>(
+        vals,
+        k.gate_out_base + pos,
+        std::array::from_fn(|t| {
+            let a = (va[t] | p.set1[t]) & p.keep0[t];
+            let b = (vb[t] | p.set1[W + t]) & p.keep0[W + t];
+            let c = (vc[t] | p.set1[2 * W + t]) & p.keep0[2 * W + t];
+            (kind.eval_u64(a, b, c) | p.set1[3 * W + t]) & p.keep0[3 * W + t]
+        }),
+    );
 }
 
 /// In-place 64×64 bit-matrix transpose (Hacker's Delight butterfly,
@@ -653,6 +708,82 @@ mod tests {
                 ws.clock();
                 ss.clock(&nl);
             }
+        }
+    }
+
+    /// Four interleaved chains 100 levels deep (past the 63 levels a
+    /// clamped level key would merge): at each level every chain takes
+    /// one of `And2`, `Xor2`, `Not`, `Mux2` in rotation, so each level
+    /// mixes all four kinds and the chains read each other. Chain heads
+    /// are inputs XOR flip-flop state; the tails feed the flip-flops and
+    /// the output `z`.
+    fn deep_chain() -> Netlist {
+        let mut b = NetlistBuilder::new("deep");
+        let a = b.inputs("a", 8);
+        let c = b.inputs("b", 8);
+        let (q, slots) = b.dff_word_later(4, 0b0101);
+        let mut x: Vec<Net> = (0..4).map(|i| b.xor2(a[i], q[i])).collect();
+        for level in 0..100 {
+            let prev = x.clone();
+            for ch in 0..4 {
+                let other = prev[(ch + 1) % 4];
+                x[ch] = match (level + ch) % 4 {
+                    0 => b.and2(prev[ch], other),
+                    1 => b.xor2(prev[ch], c[level % 8]),
+                    2 => b.not(prev[ch]),
+                    _ => b.mux2(a[level % 8], prev[ch], other),
+                };
+            }
+        }
+        b.dff_word_set(slots, &x);
+        b.outputs("z", &x);
+        b.finish().unwrap()
+    }
+
+    /// The (level, kind) order on a chain deeper than 63 levels is still
+    /// topological: lane 0 and the last lane track the scalar simulator
+    /// at every width, with faults in the lanes between splitting the
+    /// kind runs at their patched positions.
+    #[test]
+    fn deep_mixed_chain_matches_scalar_simulator() {
+        let nl = deep_chain();
+        let faults = FaultList::extract(&nl).collapsed(&nl);
+        for words in [1usize, 2, 4, 8] {
+            let mut ws = sim_at(&nl, words);
+            let last = ws.lanes() - 1;
+            for (lane, &f) in (1..last).zip(faults.faults.iter().step_by(3)) {
+                ws.inject(f, lane);
+            }
+            let mut ss = Simulator::new(&nl);
+            ws.reset_state();
+            ss.reset(&nl);
+            let mut outputs = std::collections::HashSet::new();
+            let mut st = 0x2545_F491_4F6C_DD1Du64;
+            for cycle in 0..60 {
+                st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
+                for (port, v) in [("a", (st >> 16) & 0xFF), ("b", (st >> 32) & 0xFF)] {
+                    ws.set_port(&nl, port, v);
+                    ss.set_input_word(&nl, port, v);
+                }
+                ws.eval_all();
+                ss.eval(&nl);
+                let want = ss.output_word(&nl, "z");
+                outputs.insert(want);
+                for lane in [0, last] {
+                    assert_eq!(
+                        ws.port_lane_word(&nl, "z", lane),
+                        want,
+                        "lane {lane} of {} @{cycle}",
+                        ws.lanes()
+                    );
+                }
+                ws.clock();
+                ss.clock(&nl);
+            }
+            assert!(
+                outputs.len() > 4,
+                "the chain output barely moves: {outputs:?}"
+            );
         }
     }
 

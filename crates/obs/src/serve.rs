@@ -15,6 +15,9 @@
 //! * `GET /forensics` — escape-triage report JSON (`--forensics` runs)
 //! * anything else   — 404 with a route listing
 //!
+//! `HEAD` is answered as `GET` with the body left out (its
+//! `Content-Length` kept) and, on `/events`, no stream started.
+//!
 //! An attached [`ApiHandler`] extends the plane with application routes
 //! (the campaign job server lives behind one): it sees every request —
 //! including `POST`s with a bounded body — before the built-in routes,
@@ -255,6 +258,7 @@ fn handle_connection(mut stream: TcpStream, obs: &Observatory) {
             "413 Payload Too Large",
             "text/plain; charset=utf-8",
             "request head exceeds 8192 bytes\n",
+            false,
         );
         return;
     }
@@ -274,10 +278,15 @@ fn handle_connection(mut stream: TcpStream, obs: &Observatory) {
                 "400 Bad Request",
                 "text/plain; charset=utf-8",
                 "malformed request line\n",
+                false,
             );
             return;
         }
     };
+    // HEAD is GET without the body: the API and the built-in routes see
+    // a GET, and the response leaves the body out.
+    let head_only = method == "HEAD";
+    let method = if head_only { "GET".to_string() } else { method };
     let path = target.split('?').next().unwrap_or(&target).to_string();
     let query = target
         .split_once('?')
@@ -300,6 +309,7 @@ fn handle_connection(mut stream: TcpStream, obs: &Observatory) {
                 "413 Payload Too Large",
                 "text/plain; charset=utf-8",
                 &format!("request body exceeds {MAX_BODY_BYTES} bytes\n"),
+                head_only,
             );
             return;
         }
@@ -326,17 +336,24 @@ fn handle_connection(mut stream: TcpStream, obs: &Observatory) {
                 .unwrap_or_default(),
         };
         if let Some(resp) = api.handle(&req) {
-            respond(&mut stream, &resp.status, &resp.ctype, &resp.body);
+            respond(
+                &mut stream,
+                &resp.status,
+                &resp.ctype,
+                &resp.body,
+                head_only,
+            );
             return;
         }
     }
 
-    if method != "GET" && method != "HEAD" {
+    if method != "GET" {
         respond(
             &mut stream,
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
-            "only GET is supported\n",
+            "only GET and HEAD are supported\n",
+            false,
         );
         return;
     }
@@ -344,12 +361,16 @@ fn handle_connection(mut stream: TcpStream, obs: &Observatory) {
 
     if path == "/events" {
         match &obs.events {
+            Some(_) if head_only => {
+                let _ = stream.write_all(SSE_HEAD.as_bytes());
+            }
             Some(bus) => serve_sse(stream, bus, obs.sse_keepalive),
             None => respond(
                 &mut stream,
                 "404 Not Found",
                 "text/plain; charset=utf-8",
                 "no event bus attached to this run\n",
+                head_only,
             ),
         }
         return;
@@ -410,16 +431,23 @@ fn handle_connection(mut stream: TcpStream, obs: &Observatory) {
                 .to_string(),
         ),
     };
-    respond(&mut stream, status, ctype, &body);
+    respond(&mut stream, status, ctype, &body, head_only);
 }
 
-fn respond(stream: &mut TcpStream, status: &str, ctype: &str, body: &str) {
+/// Write one whole response; `head_only` (a `HEAD` request) keeps the
+/// body's `Content-Length` but sends no body.
+fn respond(stream: &mut TcpStream, status: &str, ctype: &str, body: &str, head_only: bool) {
+    let body_sent = if head_only { "" } else { body };
     let _ = write!(
         stream,
-        "HTTP/1.0 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "HTTP/1.0 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body_sent}",
         body.len()
     );
 }
+
+/// Response head of `/events`. No Content-Length: the stream ends when
+/// the connection closes.
+const SSE_HEAD: &str = "HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
 
 /// Stream the event bus over Server-Sent Events until the client goes
 /// away. The first frame is the bus's replay header (`ev:"replay"` with
@@ -429,13 +457,7 @@ fn respond(stream: &mut TcpStream, status: &str, ctype: &str, body: &str) {
 /// as the disconnect probe. The campaign side never waits on this
 /// socket.
 fn serve_sse(mut stream: TcpStream, bus: &EventBus, keepalive: Duration) {
-    // No Content-Length: the stream ends when the connection closes.
-    if write!(
-        stream,
-        "HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n"
-    )
-    .is_err()
-    {
+    if stream.write_all(SSE_HEAD.as_bytes()).is_err() {
         return;
     }
     if stream
@@ -618,6 +640,47 @@ mod tests {
         );
         let too_big = raw(srv.addr(), huge.as_bytes());
         assert!(too_big.starts_with("HTTP/1.0 413"), "{too_big}");
+    }
+
+    /// `HEAD` gets `GET`'s status and headers, `Content-Length`
+    /// included, and no body; the API sees it as `GET`, and `/events`
+    /// answers its head and closes instead of streaming.
+    #[test]
+    fn head_answers_with_get_headers_and_no_body() {
+        struct Jobs;
+        impl ApiHandler for Jobs {
+            fn handle(&self, req: &ApiRequest) -> Option<ApiResponse> {
+                (req.method == "GET" && req.path == "/jobs")
+                    .then(|| ApiResponse::ok_json("{\"jobs\":[]}"))
+            }
+        }
+        let reg = MetricRegistry::new();
+        reg.counter("requests_total", "requests seen", &[]).inc(1);
+        let obs = Observatory::new(reg)
+            .with_events(EventBus::new(16))
+            .with_api(Arc::new(Jobs));
+        let srv = serve_observatory(obs, 0).unwrap();
+        for path in ["/metrics", "/jobs", "/nope"] {
+            let full = get(srv.addr(), path);
+            let (head, body) = full.split_once("\r\n\r\n").expect("a response head");
+            assert!(!body.is_empty(), "GET {path} has a body");
+            assert!(
+                head.contains(&format!("Content-Length: {}", body.len())),
+                "{head}"
+            );
+            let got = raw(
+                srv.addr(),
+                format!("HEAD {path} HTTP/1.0\r\n\r\n").as_bytes(),
+            );
+            assert_eq!(got, format!("{head}\r\n\r\n"), "HEAD {path}");
+        }
+        let mut s = TcpStream::connect(srv.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(b"HEAD /events HTTP/1.0\r\n\r\n").unwrap();
+        let mut events = String::new();
+        s.read_to_string(&mut events)
+            .expect("the stream closes after its head");
+        assert_eq!(events, SSE_HEAD);
     }
 
     #[test]
