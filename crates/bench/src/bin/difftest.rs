@@ -86,7 +86,8 @@ fn main() -> ExitCode {
             "--wave-post" => wave.post = value(&mut it, a, "a cycle count"),
             "--wave-probe" => {
                 let spec: String = value(&mut it, a, "component/port specs");
-                wave.probe.extend(spec.split(',').map(|s| s.trim().to_string()));
+                wave.probe
+                    .extend(spec.split(',').map(|s| s.trim().to_string()));
             }
             "--max-cycles" => cfg.max_cycles = value(&mut it, a, "a number"),
             "--inject" => inject = true,
@@ -121,7 +122,10 @@ fn main() -> ExitCode {
     }
 
     let mut status = ExitCode::SUCCESS;
-    println!("fuzzing {} seeds (body {} instrs)...", cfg.seeds, cfg.body_len);
+    println!(
+        "fuzzing {} seeds (body {} instrs)...",
+        cfg.seeds, cfg.body_len
+    );
     let t0 = std::time::Instant::now();
     let report = fuzz_plasma(&core, &cfg, &run.telemetry);
     let wall = t0.elapsed().as_secs_f64();
@@ -215,7 +219,10 @@ fn main() -> ExitCode {
         for seed in cfg.seed_start..cfg.seed_start + cfg.seeds {
             let report = oracle.run(&random_parwan_image(seed), &[], 600);
             if let Some(d) = report.divergence {
-                eprintln!("  seed {seed}: model/netlist divergence at cycle {}", d.cycle);
+                eprintln!(
+                    "  seed {seed}: model/netlist divergence at cycle {}",
+                    d.cycle
+                );
                 bad += 1;
             }
         }
@@ -242,8 +249,10 @@ fn main() -> ExitCode {
     } else {
         0.0
     };
-    rec.extra
-        .insert("seeds".to_string(), Value::U64(report.outcomes.len() as u64));
+    rec.extra.insert(
+        "seeds".to_string(),
+        Value::U64(report.outcomes.len() as u64),
+    );
     rec.extra
         .insert("divergences".to_string(), Value::U64(divergences));
     rec.extra.insert(
@@ -282,8 +291,7 @@ fn dump_oracle_wave(
     let mut cap = fault::wave::WaveCapture::new(probe, wave);
     oracle.run_wave(program, injections, &mut cap, faulty_lane);
     let captured = cap.finish();
-    let path = std::path::Path::new("results")
-        .join(fault::wave::wave_file_name("difftest", desc));
+    let path = std::path::Path::new("results").join(fault::wave::wave_file_name("difftest", desc));
     match captured.write_file(&path, comment) {
         Ok(()) => println!("  wave written to {}", path.display()),
         Err(e) => eprintln!("  could not write wave: {e}"),
@@ -309,11 +317,8 @@ fn run_injection_demo(
     let list = FaultList::extract(core.netlist()).collapsed(core.netlist());
     let mut chosen = None;
     for batch in list.faults.chunks(63) {
-        let injections: Vec<(Fault, usize)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, i + 1))
-            .collect();
+        let injections: Vec<(Fault, usize)> =
+            batch.iter().enumerate().map(|(i, &f)| (f, i + 1)).collect();
         let report = oracle.run(&program, &injections);
         if let Some((lane, cycle)) = report.first_faulty_divergence() {
             chosen = Some((batch[lane - 1], cycle));
@@ -400,7 +405,11 @@ fn replay_corpus(
             return (ExitCode::from(2), 0, 0);
         }
     };
-    println!("replaying {} corpus case(s) from {}...", cases.len(), dir.display());
+    println!(
+        "replaying {} corpus case(s) from {}...",
+        cases.len(),
+        dir.display()
+    );
     let mut failed = 0u64;
     for (path, case) in &cases {
         match corpus::replay(case, core, oracle) {

@@ -66,7 +66,10 @@ fn main() -> ExitCode {
     if let Some(factor) = degrade {
         let (records, _) = ledger::load(&ledger_path).expect("read ledger");
         let Some(last) = records.last() else {
-            eprintln!("--append-degraded: ledger at {} is empty", ledger_path.display());
+            eprintln!(
+                "--append-degraded: ledger at {} is empty",
+                ledger_path.display()
+            );
             return ExitCode::from(2);
         };
         // The same run `factor` times as fast, whichever rate it gates.
@@ -91,7 +94,11 @@ fn main() -> ExitCode {
             ledger_path.display()
         );
     }
-    println!("run ledger: {} ({} records)\n", ledger_path.display(), records.len());
+    println!(
+        "run ledger: {} ({} records)\n",
+        ledger_path.display(),
+        records.len()
+    );
     print!("{}", ledger::trend_table(&records));
 
     let gate = ledger::check(&records, &cfg);

@@ -273,7 +273,8 @@ fn main() {
             "--wave-depth" => wave.depth = value(&mut it, a, "a cycle count"),
             "--wave-probe" => {
                 let spec: String = value(&mut it, a, "component/port specs");
-                wave.probe.extend(spec.split(',').map(|s| s.trim().to_string()));
+                wave.probe
+                    .extend(spec.split(',').map(|s| s.trim().to_string()));
             }
             "--json" => json_out = Some(value(&mut it, a, "a path")),
             "--trace-viz" => obs.trace_viz = true,

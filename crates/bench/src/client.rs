@@ -99,8 +99,7 @@ pub fn wait_job(base: &str, id: &str, timeout: Duration) -> Result<Value, String
         if status != 200 {
             return Err(format!("GET /jobs/{id} → {status}: {body}"));
         }
-        let doc: Value =
-            serde_json::from_str(&body).map_err(|e| format!("bad status doc: {e}"))?;
+        let doc: Value = serde_json::from_str(&body).map_err(|e| format!("bad status doc: {e}"))?;
         match doc["state"].as_str() {
             Some("running") => {}
             Some(_) => return Ok(doc),

@@ -537,10 +537,9 @@ pub fn table_4() -> Experiment {
         let st = build_program(phase).expect("assembles");
         let cycles = flow::golden_cycles(&st);
         let words = st.size_words();
-        let (pw, pc) = paper.map(|(_, w, c)| (w.to_string(), c.to_string())).unwrap_or((
-            "-".to_string(),
-            "-".to_string(),
-        ));
+        let (pw, pc) = paper
+            .map(|(_, w, c)| (w.to_string(), c.to_string()))
+            .unwrap_or(("-".to_string(), "-".to_string()));
         text.push_str(&format!(
             "{:<14} {:>14} {:>14} {:>13} {:>13}\n",
             phase.name(),
@@ -615,7 +614,10 @@ impl RunOptions {
         if self.lanes_sweep.is_empty() {
             return vec![self.engine];
         }
-        self.lanes_sweep.iter().map(|&n| EngineConfig::compiled(n)).collect()
+        self.lanes_sweep
+            .iter()
+            .map(|&n| EngineConfig::compiled(n))
+            .collect()
     }
 }
 
@@ -768,11 +770,11 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
     );
     let mut rows = Vec::new();
     let push = |text: &mut String,
-                    rows: &mut Vec<serde_json::Value>,
-                    name: &str,
-                    words: usize,
-                    cycles: u64,
-                    fc: f64| {
+                rows: &mut Vec<serde_json::Value>,
+                name: &str,
+                words: usize,
+                cycles: u64,
+                fc: f64| {
         let cost = cost_model.cost(words, cycles);
         text.push_str(&format!(
             "{:<34} {:>7} {:>8} {:>8.2} {:>10.1}\n",
@@ -858,7 +860,14 @@ pub fn table_parwan(opts: &RunOptions) -> Experiment {
     let core = parwan::ParwanCore::build();
     let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
     let grade = |test| {
-        parwan::sbst::grade(&core, test, &faults, opts.threads, opts.engine, &opts.telemetry)
+        parwan::sbst::grade(
+            &core,
+            test,
+            &faults,
+            opts.threads,
+            opts.engine,
+            &opts.telemetry,
+        )
     };
     let det = parwan::sbst::deterministic_selftest();
     let det_cycles = parwan::sbst::golden_cycles(&det);
@@ -897,7 +906,9 @@ pub fn table_parwan(opts: &RunOptions) -> Experiment {
         pr.code_bytes as f64 / det.code_bytes as f64,
         pr_cycles as f64 / det_cycles as f64,
     ));
-    text.push_str("paper quotes (for [7][8] vs [6]): ~20x program, ~75x data, ~90x cycles, both ~91% FC\n");
+    text.push_str(
+        "paper quotes (for [7][8] vs [6]): ~20x program, ~75x data, ~90x cycles, both ~91% FC\n",
+    );
     let data = serde_json::json!({
         "deterministic": {
             "code_bytes": det.code_bytes, "data_bytes": det.data_bytes,
@@ -1049,7 +1060,13 @@ pub fn table_misr(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
     );
     let misr = sbst::signature::misr_program().expect("assembles");
     let misr_cycles = flow::golden_cycles(&misr);
-    let misr_res = grade_program(core, &misr.program, &faults, misr_cycles + CYCLE_MARGIN, &fo);
+    let misr_res = grade_program(
+        core,
+        &misr.program,
+        &faults,
+        misr_cycles + CYCLE_MARGIN,
+        &fo,
+    );
 
     let mut text = format!(
         "{:<30} {:>8} {:>9} {:>14}
@@ -1092,8 +1109,8 @@ pub fn table_misr(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
 
 /// All experiment ids, in paper order.
 pub const EXPERIMENT_IDS: [&str; 14] = [
-    "fig2", "fig3", "fig4", "table1", "table1q", "table2", "table3", "table4", "table5",
-    "retech", "prcomp", "parwan", "optnet", "misr",
+    "fig2", "fig3", "fig4", "table1", "table1q", "table2", "table3", "table4", "table5", "retech",
+    "prcomp", "parwan", "optnet", "misr",
 ];
 
 /// The experiments that grade a sampled Plasma fault list (`--sample`,
@@ -1287,10 +1304,8 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
             text.push_str(&stats_line("parallel", &par));
             text.push_str(&format!("\nspeedup at {threads} threads: {speedup:.2}x\n"));
             rec = campaign_ledger_record("tables-stats", &core, &par, Some(coverage_pct));
-            rec.extra.insert(
-                "speedup".to_string(),
-                serde_json::Value::F64(speedup),
-            );
+            rec.extra
+                .insert("speedup".to_string(), serde_json::Value::F64(speedup));
             runs.push(stats_json(&par));
             last_profiled = Some(par.stats);
         } else {
@@ -1620,7 +1635,10 @@ pub fn forensics_fault_report(id: &str) -> Result<Experiment, String> {
 /// faults escaped (and then also captures the named fault, if any,
 /// through the same flow). Errors (unknown fault id, bad probe spec)
 /// come back as `Err` for the CLI to report.
-pub fn wave_report(opts: &RunOptions, wave: &fault::wave::WaveOptions) -> Result<Experiment, String> {
+pub fn wave_report(
+    opts: &RunOptions,
+    wave: &fault::wave::WaveOptions,
+) -> Result<Experiment, String> {
     let core = PlasmaCore::build(PlasmaConfig::default());
     let mut ledger = None;
 
@@ -1629,7 +1647,9 @@ pub fn wave_report(opts: &RunOptions, wave: &fault::wave::WaveOptions) -> Result
         fo.wave = Some(wave.clone());
         let r = flow::run_flow(&core, Phase::B, &fo);
         if r.waves.is_empty() {
-            return Err("campaign produced no wave dumps (no escapes and no matching fault?)".into());
+            return Err(
+                "campaign produced no wave dumps (no escapes and no matching fault?)".into(),
+            );
         }
         ledger = Some(campaign_ledger_record(
             "tables-wave",
@@ -1668,7 +1688,12 @@ pub fn wave_report(opts: &RunOptions, wave: &fault::wave::WaveOptions) -> Result
             Some(t) => format!("detected at cycle {t}"),
             None => "escaped (horizon window)".to_string(),
         };
-        text.push_str(&format!("{:<16} {} -> {}\n", a.fault, verdict, a.path.display()));
+        text.push_str(&format!(
+            "{:<16} {} -> {}\n",
+            a.fault,
+            verdict,
+            a.path.display()
+        ));
         eprintln!("[wave written to {}]", a.path.display());
     }
     text.push_str("\nopen in GTKWave; the `diff` scope XORs good vs faulty per net.\n");

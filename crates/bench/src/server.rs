@@ -311,14 +311,18 @@ impl JobServer {
 
     /// Look up a job by id.
     pub fn job(&self, id: &str) -> Option<Arc<Job>> {
-        self.jobs.lock().unwrap().iter().find(|j| j.id == id).cloned()
+        self.jobs
+            .lock()
+            .unwrap()
+            .iter()
+            .find(|j| j.id == id)
+            .cloned()
     }
 
     /// Submit a parsed spec document. Returns the job or an HTTP-ish
     /// `(status, message)` rejection.
     pub fn submit(&self, doc: &Value) -> Result<Arc<Job>, (&'static str, String)> {
-        let (id, netlist, spec) =
-            parse_spec(doc).map_err(|e| ("400 Bad Request", e))?;
+        let (id, netlist, spec) = parse_spec(doc).map_err(|e| ("400 Bad Request", e))?;
         if netlist != self.fingerprint {
             return Err((
                 "404 Not Found",
@@ -479,7 +483,8 @@ impl JobServer {
         let graded = job.graded.fetch_add(g, Ordering::Relaxed) + g;
         let detected = job.detected.fetch_add(d, Ordering::Relaxed) + d;
         if let Some(at) = job.claimed_at.lock().unwrap()[shard] {
-            self.phase_latency("grade").observe(at.elapsed().as_micros() as u64);
+            self.phase_latency("grade")
+                .observe(at.elapsed().as_micros() as u64);
         }
         job.parts.lock().unwrap()[shard] = Some(result);
         self.counter("sbst_server_shards_completed_total").inc(1);
@@ -517,8 +522,7 @@ impl JobServer {
         }
         let traced = self.tracer.with_context(&job.trace_root());
         let finalize_t0 = Instant::now();
-        let finalize_span =
-            traced.span("finalize", &[("job", Value::String(job.id.clone()))]);
+        let finalize_span = traced.span("finalize", &[("job", Value::String(job.id.clone()))]);
         // Move the shard results out: `record_shard` refuses a late
         // duplicate at the board, so nothing writes `parts` again, and a
         // finished job keeps only its rendered documents.
@@ -556,7 +560,8 @@ impl JobServer {
             }
         };
         drop(merge_span);
-        self.phase_latency("merge").observe(merge_t0.elapsed().as_micros() as u64);
+        self.phase_latency("merge")
+            .observe(merge_t0.elapsed().as_micros() as u64);
         let coverage = CoverageReport::from_campaign(self.core.netlist(), &merged);
         let conformance = conformance_json(
             &self.fingerprint,
@@ -598,12 +603,20 @@ impl JobServer {
             .set(serde_json::to_string_pretty(&Value::Object(doc)).unwrap_or_default());
         fault::kernel::export_cache_metrics(&self.registry);
         self.registry
-            .gauge("sbst_server_last_job_coverage_pct", "coverage of the last finished job", &[])
+            .gauge(
+                "sbst_server_last_job_coverage_pct",
+                "coverage of the last finished job",
+                &[],
+            )
             .set(coverage.overall_pct);
         self.counter("sbst_server_jobs_completed_total").inc(1);
         if let Some(path) = &self.ledger {
-            let mut rec =
-                crate::campaign_ledger_record("server-job", &self.core, &merged, Some(coverage.overall_pct));
+            let mut rec = crate::campaign_ledger_record(
+                "server-job",
+                &self.core,
+                &merged,
+                Some(coverage.overall_pct),
+            );
             rec.cmd = format!("POST /jobs {}", job.id);
             rec.shards = job.prepared.bounds.len() as u64;
             rec.threads = job.spec.threads.max(1) as u64;
@@ -630,7 +643,8 @@ impl JobServer {
     }
 
     fn counter(&self, name: &'static str) -> obs::Counter {
-        self.registry.counter(name, "campaign job server counter", &[])
+        self.registry
+            .counter(name, "campaign job server counter", &[])
     }
 
     /// The per-job latency-decomposition histogram for one phase
@@ -686,7 +700,11 @@ impl JobServer {
         }
         drop(workers);
         self.registry
-            .gauge("sbst_server_workers_known", "workers ever seen by the fleet registry", &[])
+            .gauge(
+                "sbst_server_workers_known",
+                "workers ever seen by the fleet registry",
+                &[],
+            )
             .set(self.workers.lock().unwrap().len() as f64);
     }
 
@@ -730,7 +748,8 @@ impl JobServer {
         }
         self.counter("sbst_server_span_events_total").inc(ingested);
         if dropped > 0 {
-            self.counter("sbst_server_span_events_dropped_total").inc(dropped);
+            self.counter("sbst_server_span_events_dropped_total")
+                .inc(dropped);
         }
         if ingested > 0 {
             // A span shipper is a live fleet member even if it has not
@@ -846,7 +865,10 @@ impl JobServer {
         if let JobState::Failed(e) = &state {
             m.insert("error".into(), Value::String(e.clone()));
         }
-        m.insert("faults".into(), Value::U64(job.prepared.faults.len() as u64));
+        m.insert(
+            "faults".into(),
+            Value::U64(job.prepared.faults.len() as u64),
+        );
         m.insert("budget".into(), Value::U64(job.prepared.budget));
         m.insert(
             "shards".into(),
@@ -974,7 +996,11 @@ impl JobServer {
         if dets.len() != hi - lo {
             return err_json(
                 "400 Bad Request",
-                &format!("shard [{lo}, {hi}) needs {} detections, got {}", hi - lo, dets.len()),
+                &format!(
+                    "shard [{lo}, {hi}) needs {} detections, got {}",
+                    hi - lo,
+                    dets.len()
+                ),
             );
         }
         let mut detections = Vec::with_capacity(dets.len());
@@ -1093,12 +1119,17 @@ impl ApiHandler for JobServer {
                 }
                 match (job.state(), job.result_json()) {
                     (JobState::Done, Some(doc)) => Some(ApiResponse::ok_json(doc.to_string())),
-                    (JobState::Failed(e), _) => {
-                        Some(err_json("500 Internal Server Error", &format!("job failed: {e}")))
-                    }
+                    (JobState::Failed(e), _) => Some(err_json(
+                        "500 Internal Server Error",
+                        &format!("job failed: {e}"),
+                    )),
                     _ => Some(err_json(
                         "404 Not Found",
-                        &format!("job `{id}` not finished ({}/{} shards)", job.board.done(), job.board.total()),
+                        &format!(
+                            "job `{id}` not finished ({}/{} shards)",
+                            job.board.done(),
+                            job.board.total()
+                        ),
                     )),
                 }
             }
@@ -1130,7 +1161,11 @@ pub fn parse_spec(doc: &Value) -> Result<(String, String, CampaignJobSpec), Stri
         .filter(|s| !s.is_empty())
         .ok_or("job spec needs a nonempty string `id`")?
         .to_string();
-    if id.len() > 128 || !id.chars().all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c)) {
+    if id.len() > 128
+        || !id
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c))
+    {
         return Err("job `id` must be ≤128 chars of [A-Za-z0-9._-]".into());
     }
     let netlist = o
@@ -1157,7 +1192,9 @@ pub fn parse_spec(doc: &Value) -> Result<(String, String, CampaignJobSpec), Stri
     };
     let cycle_margin = match o.get("cycle_margin") {
         None => sbst::flow::CYCLE_MARGIN,
-        Some(v) => v.as_u64().ok_or("`cycle_margin` must be a non-negative integer")?,
+        Some(v) => v
+            .as_u64()
+            .ok_or("`cycle_margin` must be a non-negative integer")?,
     };
     if cycle_margin > MAX_CYCLE_MARGIN {
         return Err(format!(
@@ -1170,14 +1207,22 @@ pub fn parse_spec(doc: &Value) -> Result<(String, String, CampaignJobSpec), Stri
     };
     let engine = match EngineConfig::words_for_lanes(lanes) {
         Some(_) => EngineConfig::compiled(lanes),
-        None => return Err(format!("unsupported lane count {lanes} (want 64/128/256/512)")),
+        None => {
+            return Err(format!(
+                "unsupported lane count {lanes} (want 64/128/256/512)"
+            ))
+        }
     };
     let threads = match o.get("threads") {
         None => 1,
-        Some(v) => v.as_u64().ok_or("`threads` must be a non-negative integer")? as usize,
+        Some(v) => v
+            .as_u64()
+            .ok_or("`threads` must be a non-negative integer")? as usize,
     };
     if threads > MAX_THREADS {
-        return Err(format!("threads {threads} exceeds the cap of {MAX_THREADS}"));
+        return Err(format!(
+            "threads {threads} exceeds the cap of {MAX_THREADS}"
+        ));
     }
     let shards = match o.get("shards") {
         None => 1,
@@ -1342,7 +1387,13 @@ mod tests {
         assert_eq!(job.state(), JobState::Running);
         // Grade both shards through the claim path, like a worker would.
         while let Some((job, shard)) = srv.claim_shard("t") {
-            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &Telemetry::none());
+            let res = jobs::run_shard(
+                &srv.core,
+                &job.prepared,
+                &job.spec,
+                shard,
+                &Telemetry::none(),
+            );
             assert!(srv.record_shard(&job, shard, res, "t"));
         }
         assert_eq!(job.state(), JobState::Done);
@@ -1365,7 +1416,10 @@ mod tests {
         if let Value::Object(o) = &mut bad {
             o.insert("phase".into(), Value::String("Z".into()));
         }
-        assert_eq!(srv.submit(&bad).map(|_| ()).unwrap_err().0, "400 Bad Request");
+        assert_eq!(
+            srv.submit(&bad).map(|_| ()).unwrap_err().0,
+            "400 Bad Request"
+        );
         // A cycle margin past the cap → 400; the cap itself is accepted.
         let margin = |m: u64| {
             let mut doc = spec_doc(&srv, "jm", 1);
@@ -1388,7 +1442,10 @@ mod tests {
         // Duplicate id → 409.
         srv.submit(&spec_doc(&srv, "j1", 1)).unwrap();
         assert_eq!(
-            srv.submit(&spec_doc(&srv, "j1", 2)).map(|_| ()).unwrap_err().0,
+            srv.submit(&spec_doc(&srv, "j1", 2))
+                .map(|_| ())
+                .unwrap_err()
+                .0,
             "409 Conflict"
         );
     }
@@ -1403,7 +1460,13 @@ mod tests {
         );
         let job = srv.submit(&spec_doc(&srv, "jt", 2)).unwrap();
         while let Some((job, shard)) = srv.claim_shard("t0") {
-            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &Telemetry::none());
+            let res = jobs::run_shard(
+                &srv.core,
+                &job.prepared,
+                &job.spec,
+                shard,
+                &Telemetry::none(),
+            );
             assert!(srv.record_shard(&job, shard, res, "t0"));
         }
         assert_eq!(job.state(), JobState::Done);
@@ -1433,20 +1496,26 @@ mod tests {
 
         let trace: Value = serde_json::from_str(&srv.fleet_trace_json()).unwrap();
         let events = trace["traceEvents"].as_array().unwrap();
-        let pids: std::collections::BTreeSet<u64> = events
-            .iter()
-            .filter_map(|e| e["pid"].as_u64())
-            .collect();
-        assert!(pids.contains(&traceviz::PID_TRACE), "coordinator track missing");
-        assert!(pids.contains(&traceviz::PID_FLEET_BASE), "worker track missing");
+        let pids: std::collections::BTreeSet<u64> =
+            events.iter().filter_map(|e| e["pid"].as_u64()).collect();
+        assert!(
+            pids.contains(&traceviz::PID_TRACE),
+            "coordinator track missing"
+        );
+        assert!(
+            pids.contains(&traceviz::PID_FLEET_BASE),
+            "worker track missing"
+        );
         // Coordinator lifecycle spans made it into the merged trace.
         let names: Vec<&str> = events.iter().filter_map(|e| e["name"].as_str()).collect();
         for want in ["merge", "finalize", "shard_grade"] {
             assert!(names.contains(&want), "missing `{want}` in {names:?}");
         }
         assert!(
-            events.iter().any(|e| e["name"].as_str() == Some("process_name")
-                && e["args"]["name"].as_str() == Some("worker proc-0")),
+            events
+                .iter()
+                .any(|e| e["name"].as_str() == Some("process_name")
+                    && e["args"]["name"].as_str() == Some("worker proc-0")),
             "worker process track label missing"
         );
 
@@ -1479,7 +1548,13 @@ mod tests {
         let local = srv.submit(&spec_doc(&srv, "local", 2)).unwrap();
         let remote = srv.submit(&spec_doc(&srv, "remote", 2)).unwrap();
         while let Some((job, shard)) = srv.claim_shard("t") {
-            let res = jobs::run_shard(&srv.core, &job.prepared, &job.spec, shard, &Telemetry::none());
+            let res = jobs::run_shard(
+                &srv.core,
+                &job.prepared,
+                &job.spec,
+                shard,
+                &Telemetry::none(),
+            );
             if job.id == "local" {
                 assert!(srv.record_shard(&job, shard, res, "t"));
             } else {
@@ -1509,7 +1584,13 @@ mod tests {
         };
         let (a, b) = (stats(&local), stats(&remote));
         assert!(a["lane_utilization"].as_f64().unwrap() > 0.0);
-        for key in ["lane_utilization", "lanes", "engine", "batches", "cycles_simulated"] {
+        for key in [
+            "lane_utilization",
+            "lanes",
+            "engine",
+            "batches",
+            "cycles_simulated",
+        ] {
             assert_eq!(a[key], b[key], "merged `{key}` differs");
         }
     }

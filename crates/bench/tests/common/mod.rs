@@ -94,7 +94,11 @@ pub fn metric_value(snapshot: &Value, name: &str) -> Option<u64> {
         .as_array()?
         .iter()
         .find(|m| m["name"].as_str() == Some(name))
-        .and_then(|m| m["value"].as_u64().or_else(|| m["value"].as_f64().map(|f| f as u64)))
+        .and_then(|m| {
+            m["value"]
+                .as_u64()
+                .or_else(|| m["value"].as_f64().map(|f| f as u64))
+        })
 }
 
 /// Submit, wait for completion, and fetch the merged result document.
@@ -102,8 +106,12 @@ pub fn run_job(server: &ServerProc, doc: &Value) -> Value {
     let ack = bench::client::submit_job(&server.base, doc)
         .unwrap_or_else(|(s, e)| panic!("submit rejected ({s}): {e}"));
     let id = ack["id"].as_str().expect("ack id").to_string();
-    let status = bench::client::wait_job(&server.base, &id, Duration::from_secs(120))
-        .expect("job finishes");
-    assert_eq!(status["state"].as_str(), Some("done"), "job status: {status:?}");
+    let status =
+        bench::client::wait_job(&server.base, &id, Duration::from_secs(120)).expect("job finishes");
+    assert_eq!(
+        status["state"].as_str(),
+        Some("done"),
+        "job status: {status:?}"
+    );
     bench::client::fetch_result(&server.base, &id).expect("fetch result")
 }

@@ -13,10 +13,7 @@ fn bin() -> &'static str {
 
 /// A scratch directory unique to this test (std-only; no tempfile dep).
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "sbst-ledger-gate-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("sbst-ledger-gate-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -81,7 +78,11 @@ fn gate_fails_on_throughput_regression() {
         .output()
         .expect("run ledger bin");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "expected gate failure:\n{stdout}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "expected gate failure:\n{stdout}"
+    );
     assert!(stdout.contains("REGRESSED"), "{stdout}");
 
     // The same ledger passes when the tolerance is widened.
@@ -143,7 +144,11 @@ fn append_degraded_forces_a_gate_failure() {
         .output()
         .expect("run ledger bin");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "degraded clone must fail:\n{stdout}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "degraded clone must fail:\n{stdout}"
+    );
 
     let (records, skipped) = ledger::load(&ledger_path).unwrap();
     assert_eq!(records.len(), 2, "degraded clone was appended");

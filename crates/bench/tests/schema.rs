@@ -11,17 +11,21 @@ use serde_json::Value;
 
 /// Assert `v` is an object containing `key` and return the value.
 fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    let obj = v.as_object().unwrap_or_else(|| panic!("not an object: {v:?}"));
+    let obj = v
+        .as_object()
+        .unwrap_or_else(|| panic!("not an object: {v:?}"));
     obj.get(key)
         .unwrap_or_else(|| panic!("missing key `{key}` in {v:?}"))
 }
 
 fn assert_uint(v: &Value, what: &str) -> u64 {
-    v.as_u64().unwrap_or_else(|| panic!("{what} not a u64: {v:?}"))
+    v.as_u64()
+        .unwrap_or_else(|| panic!("{what} not a u64: {v:?}"))
 }
 
 fn assert_num(v: &Value, what: &str) -> f64 {
-    v.as_f64().unwrap_or_else(|| panic!("{what} not a number: {v:?}"))
+    v.as_f64()
+        .unwrap_or_else(|| panic!("{what} not a number: {v:?}"))
 }
 
 /// The schema of one entry in `runs`, graded under a per-fault cycle
@@ -29,9 +33,7 @@ fn assert_num(v: &Value, what: &str) -> f64 {
 fn check_run(run: &Value, budget_per_batch: u64) {
     let threads = assert_uint(field(run, "threads"), "threads");
     assert!(threads >= 1);
-    let engine = field(run, "engine")
-        .as_str()
-        .expect("engine is a string");
+    let engine = field(run, "engine").as_str().expect("engine is a string");
     assert_eq!(engine, "compiled", "unknown engine `{engine}`");
     let lanes = assert_uint(field(run, "lanes"), "lanes");
     assert!(
@@ -80,7 +82,10 @@ fn check_run(run: &Value, budget_per_batch: u64) {
         assert!(lo <= hi, "bucket range inverted");
         total += assert_uint(field(b, "count"), "bucket count");
     }
-    assert_eq!(total, dropped, "latency histogram must count every detection");
+    assert_eq!(
+        total, dropped,
+        "latency histogram must count every detection"
+    );
 
     // Worker stats: per-thread batches/cycles summing to the run totals.
     let workers = field(run, "workers")

@@ -23,13 +23,11 @@ fn rejections_carry_the_right_status_codes() {
     assert_eq!(status, 400, "malformed JSON: {body}");
 
     // Valid JSON, invalid spec → 400.
-    let bad = serde_json::json!({"id": "bad-phase", "netlist": srv.fingerprint.clone(), "phase": "Z"});
-    let (status, body) = bench::client::post(
-        &srv.base,
-        "/jobs",
-        &serde_json::to_string(&bad).unwrap(),
-    )
-    .expect("post bad phase");
+    let bad =
+        serde_json::json!({"id": "bad-phase", "netlist": srv.fingerprint.clone(), "phase": "Z"});
+    let (status, body) =
+        bench::client::post(&srv.base, "/jobs", &serde_json::to_string(&bad).unwrap())
+            .expect("post bad phase");
     assert_eq!(status, 400, "bad phase: {body}");
 
     // Unknown netlist fingerprint → 404.
@@ -37,12 +35,9 @@ fn rejections_carry_the_right_status_codes() {
     if let Value::Object(o) = &mut doc {
         o.insert("netlist".into(), Value::String("n1/g1/d1".into()));
     }
-    let (status, body) = bench::client::post(
-        &srv.base,
-        "/jobs",
-        &serde_json::to_string(&doc).unwrap(),
-    )
-    .expect("post unknown netlist");
+    let (status, body) =
+        bench::client::post(&srv.base, "/jobs", &serde_json::to_string(&doc).unwrap())
+            .expect("post unknown netlist");
     assert_eq!(status, 404, "unknown fingerprint: {body}");
 
     // Unknown job id → 404 on both status and result routes.
@@ -110,8 +105,8 @@ fn rejections_carry_the_right_status_codes() {
     assert_eq!(status, 400, "wrong-geometry completion: {body}");
 
     // The first `dup` submission still runs to a clean finish.
-    let status = bench::client::wait_job(&srv.base, "dup", Duration::from_secs(120))
-        .expect("dup finishes");
+    let status =
+        bench::client::wait_job(&srv.base, "dup", Duration::from_secs(120)).expect("dup finishes");
     assert_eq!(status["state"].as_str(), Some("done"));
 }
 
@@ -129,14 +124,25 @@ fn concurrent_duplicate_submit_runs_the_job_exactly_once() {
             .map(|_| {
                 let base = srv.base.clone();
                 let body = encoded.clone();
-                s.spawn(move || bench::client::post(&base, "/jobs", &body).expect("race post").0)
+                s.spawn(move || {
+                    bench::client::post(&base, "/jobs", &body)
+                        .expect("race post")
+                        .0
+                })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("race client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("race client"))
+            .collect()
     });
     let mut sorted = statuses.clone();
     sorted.sort_unstable();
-    assert_eq!(sorted, vec![202, 409], "exactly one submission wins: {statuses:?}");
+    assert_eq!(
+        sorted,
+        vec![202, 409],
+        "exactly one submission wins: {statuses:?}"
+    );
 
     // Exactly one job exists, it finishes, and every shard is done.
     let result = {
@@ -157,12 +163,18 @@ fn concurrent_duplicate_submit_runs_the_job_exactly_once() {
 
     // Shard accounting: 2 claimed, 2 completed, 0 duplicates.
     let snap = metrics(&srv);
-    assert_eq!(metric_value(&snap, "sbst_server_shards_completed_total"), Some(2));
+    assert_eq!(
+        metric_value(&snap, "sbst_server_shards_completed_total"),
+        Some(2)
+    );
     assert_eq!(
         metric_value(&snap, "sbst_server_shards_duplicate_total").unwrap_or(0),
         0
     );
-    assert_eq!(metric_value(&snap, "sbst_server_jobs_completed_total"), Some(1));
+    assert_eq!(
+        metric_value(&snap, "sbst_server_jobs_completed_total"),
+        Some(1)
+    );
 }
 
 /// Read SSE frames from `/events` until `want` appears in a data frame
@@ -171,9 +183,13 @@ fn sse_frames_until(base: &str, want: &str) -> Vec<String> {
     use std::io::{Read, Write};
     let addr = bench::client::authority(base);
     let mut s = std::net::TcpStream::connect(&addr).expect("connect SSE");
-    s.set_read_timeout(Some(Duration::from_millis(250))).unwrap();
-    write!(s, "GET /events HTTP/1.0\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .expect("send SSE request");
+    s.set_read_timeout(Some(Duration::from_millis(250)))
+        .unwrap();
+    write!(
+        s,
+        "GET /events HTTP/1.0\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send SSE request");
     let mut raw = String::new();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let mut buf = [0u8; 4096];
@@ -209,22 +225,16 @@ fn expired_lease_emits_steal_events_on_the_bus() {
         "sample": 60u64,
         "shards": 1u64,
     });
-    let (status, _) = bench::client::post(
-        &srv.base,
-        "/jobs",
-        &serde_json::to_string(&doc).unwrap(),
-    )
-    .expect("submit");
+    let (status, _) =
+        bench::client::post(&srv.base, "/jobs", &serde_json::to_string(&doc).unwrap())
+            .expect("submit");
     assert_eq!(status, 202);
 
     let claim = |worker: &str| -> Value {
         let body = serde_json::json!({ "worker": worker.to_string() });
-        let (status, resp) = bench::client::post(
-            &srv.base,
-            "/claim",
-            &serde_json::to_string(&body).unwrap(),
-        )
-        .expect("claim");
+        let (status, resp) =
+            bench::client::post(&srv.base, "/claim", &serde_json::to_string(&body).unwrap())
+                .expect("claim");
         assert_eq!(status, 200);
         serde_json::from_str(&resp).expect("claim doc")
     };
@@ -233,7 +243,10 @@ fn expired_lease_emits_steal_events_on_the_bus() {
     let first = claim("dying-worker");
     assert_eq!(first["assigned"].as_bool(), Some(true));
     assert_eq!(first["trace"]["trace_id"].as_str(), Some("steal"));
-    assert!(first["now_us"].as_u64().is_some(), "claim carries the trace clock");
+    assert!(
+        first["now_us"].as_u64().is_some(),
+        "claim carries the trace clock"
+    );
     std::thread::sleep(Duration::from_millis(10));
 
     // The lease has expired: `thief` steals the same shard.
@@ -266,8 +279,14 @@ fn expired_lease_emits_steal_events_on_the_bus() {
 
     // Counters and the job's own steal tally agree.
     let snap = metrics(&srv);
-    assert_eq!(metric_value(&snap, "sbst_server_leases_expired_total"), Some(1));
-    assert_eq!(metric_value(&snap, "sbst_server_shards_stolen_total"), Some(1));
+    assert_eq!(
+        metric_value(&snap, "sbst_server_leases_expired_total"),
+        Some(1)
+    );
+    assert_eq!(
+        metric_value(&snap, "sbst_server_shards_stolen_total"),
+        Some(1)
+    );
     let (status, body) = bench::client::get(&srv.base, "/jobs/steal").expect("status");
     assert_eq!(status, 200);
     let job: Value = serde_json::from_str(&body).unwrap();
@@ -303,7 +322,10 @@ fn result_document_is_complete() {
         Some(faults)
     );
     assert!(conf["coverage_pct"].as_f64().expect("coverage") > 0.0);
-    assert!(conf["components"].as_array().map(|a| !a.is_empty()).unwrap_or(false));
+    assert!(conf["components"]
+        .as_array()
+        .map(|a| !a.is_empty())
+        .unwrap_or(false));
     assert_eq!(result["id"].as_str(), Some("doc"));
     assert_eq!(result["spec"]["shards"].as_u64(), Some(2));
 }

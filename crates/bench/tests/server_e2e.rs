@@ -50,11 +50,7 @@ fn reference_conformance(doc: &Value) -> String {
     );
     let coverage = CoverageReport::from_campaign(core.netlist(), &result);
     serde_json::to_string(&bench::server::conformance_json(
-        &netlist,
-        spec.phase,
-        job.budget,
-        &result,
-        &coverage,
+        &netlist, spec.phase, job.budget, &result, &coverage,
     ))
     .expect("serialize reference conformance")
 }
@@ -106,7 +102,8 @@ fn job_progress_streams_over_sse() {
     // Attach to /events first so every event of the job is observed.
     let addr = bench::client::authority(&srv.base);
     let mut sse = TcpStream::connect(&addr).expect("connect SSE");
-    sse.set_read_timeout(Some(Duration::from_secs(120))).expect("timeout");
+    sse.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
     write!(sse, "GET /events HTTP/1.0\r\nHost: {addr}\r\n\r\n").expect("send SSE request");
     let mut reader = BufReader::new(sse.try_clone().expect("clone SSE socket"));
     let mut line = String::new();
@@ -126,7 +123,9 @@ fn job_progress_streams_over_sse() {
     loop {
         line.clear();
         reader.read_line(&mut line).expect("read SSE event");
-        let Some(data) = line.strip_prefix("data: ") else { continue };
+        let Some(data) = line.strip_prefix("data: ") else {
+            continue;
+        };
         let ev: Value = serde_json::from_str(data.trim_end()).expect("parse SSE event");
         if ev["job"].as_str() != Some("sse-job") {
             continue;
@@ -144,8 +143,14 @@ fn job_progress_streams_over_sse() {
             break;
         }
     }
-    assert!(kinds.contains(&"job_submitted".to_string()), "events: {kinds:?}");
-    assert!(kinds.contains(&"shard_claimed".to_string()), "events: {kinds:?}");
+    assert!(
+        kinds.contains(&"job_submitted".to_string()),
+        "events: {kinds:?}"
+    );
+    assert!(
+        kinds.contains(&"shard_claimed".to_string()),
+        "events: {kinds:?}"
+    );
     assert_eq!(shard_done, 2, "one shard_done per shard: {kinds:?}");
 }
 
@@ -159,8 +164,7 @@ fn second_job_on_same_fingerprint_reuses_the_compiled_kernel() {
     let srv = spawn_server(&["--workers", "1"]);
     let first = run_job(&srv, &matrix_spec(&srv, "warm", 128, 2, 1));
     let snap1 = metrics(&srv);
-    let lowering1 =
-        metric_value(&snap1, "sbst_kernel_lowering_ns_total").expect("lowering metric");
+    let lowering1 = metric_value(&snap1, "sbst_kernel_lowering_ns_total").expect("lowering metric");
     let misses1 = metric_value(&snap1, "sbst_kernel_cache_misses_total").expect("miss metric");
     let hits1 = metric_value(&snap1, "sbst_kernel_cache_hits_total").unwrap_or(0);
     assert!(misses1 >= 1, "first compiled job must compile");
@@ -190,8 +194,16 @@ fn second_job_on_same_fingerprint_reuses_the_compiled_kernel() {
 
     // Per-job deltas in the result document say the same thing.
     assert_eq!(second["kernel_cache"]["misses_delta"].as_u64(), Some(0));
-    assert_eq!(second["kernel_cache"]["lowering_ns_delta"].as_u64(), Some(0));
-    assert!(second["kernel_cache"]["hits_delta"].as_u64().expect("hits delta") >= 1);
+    assert_eq!(
+        second["kernel_cache"]["lowering_ns_delta"].as_u64(),
+        Some(0)
+    );
+    assert!(
+        second["kernel_cache"]["hits_delta"]
+            .as_u64()
+            .expect("hits delta")
+            >= 1
+    );
 
     let a = serde_json::to_string(&first["conformance"]).unwrap();
     let b = serde_json::to_string(&second["conformance"]).unwrap();
@@ -259,7 +271,11 @@ fn external_worker_processes_grade_shards_over_http() {
             .and_then(|e| e["args"]["name"].as_str())
     };
     assert_eq!(track_label(1), Some("coordinator"));
-    assert_eq!(track_label(3), Some("worker proc-0"), "fleet pids are name-sorted");
+    assert_eq!(
+        track_label(3),
+        Some("worker proc-0"),
+        "fleet pids are name-sorted"
+    );
     assert_eq!(track_label(4), Some("worker proc-1"));
     let grades_of = |pid: u64| -> Vec<&Value> {
         events
@@ -310,7 +326,10 @@ fn external_worker_processes_grade_shards_over_http() {
         assert_eq!(w["jobs"][0].as_str(), Some("ext"));
         completions += w["completions"].as_u64().unwrap_or(0);
     }
-    assert_eq!(completions, 4, "every shard completion attributed to a worker");
+    assert_eq!(
+        completions, 4,
+        "every shard completion attributed to a worker"
+    );
 
     // Latency decomposition: every phase histogram is populated.
     let (status, prom) = bench::client::get(&srv.base, "/metrics").expect("GET /metrics");

@@ -292,10 +292,15 @@ pub fn load_dir(dir: &Path) -> io::Result<Vec<(PathBuf, CorpusCase)>> {
     let mut out = Vec::new();
     for p in paths {
         let text = fs::read_to_string(&p)?;
-        let v = serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e:?}", p.display())))?;
-        let case = CorpusCase::from_json(&v)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", p.display())))?;
+        let v = serde_json::from_str(&text).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {e:?}", p.display()),
+            )
+        })?;
+        let case = CorpusCase::from_json(&v).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", p.display()))
+        })?;
         out.push((p, case));
     }
     Ok(out)

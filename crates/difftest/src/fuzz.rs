@@ -156,8 +156,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, telemetry: &Telemetry) -
 
     let mut wave_idx = 0u64;
     while next_seed < seed_end {
-        let wave_seeds: Vec<u64> =
-            (next_seed..seed_end.min(next_seed + wave_len as u64)).collect();
+        let wave_seeds: Vec<u64> = (next_seed..seed_end.min(next_seed + wave_len as u64)).collect();
         next_seed += wave_seeds.len() as u64;
 
         type Slot = Mutex<Option<(SeedOutcome, ComponentExercise)>>;

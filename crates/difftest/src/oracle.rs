@@ -132,7 +132,11 @@ impl Divergence {
             s.push_str("   ");
             for col in 0..4 {
                 let r = Reg((row * 4 + col) as u8);
-                s.push_str(&format!(" {:>5}={:08x}", r.abi_name(), self.regs[r.0 as usize]));
+                s.push_str(&format!(
+                    " {:>5}={:08x}",
+                    r.abi_name(),
+                    self.regs[r.0 as usize]
+                ));
             }
             s.push('\n');
         }
@@ -265,7 +269,8 @@ impl<'a> PlasmaOracle<'a> {
         mut wave: Option<(&mut WaveCapture, usize)>,
     ) -> LockstepReport {
         self.runs += 1;
-        self.tb.load_image(program.base, program.words.iter().copied());
+        self.tb
+            .load_image(program.base, program.words.iter().copied());
         self.sim.clear_faults();
         for &(f, lane) in faults {
             self.sim.inject(f, lane);

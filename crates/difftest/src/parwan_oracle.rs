@@ -67,7 +67,12 @@ impl<'a> ParwanOracle<'a> {
     }
 
     /// Run `image` for `max_cycles` in lockstep with `faults` injected.
-    pub fn run(&mut self, image: &[u8], faults: &[(Fault, usize)], max_cycles: u64) -> ParwanReport {
+    pub fn run(
+        &mut self,
+        image: &[u8],
+        faults: &[(Fault, usize)],
+        max_cycles: u64,
+    ) -> ParwanReport {
         self.tb.load_image(0, image.iter().map(|&b| u32::from(b)));
         self.sim.clear_faults();
         for &(f, lane) in faults {

@@ -31,7 +31,11 @@ pub fn component_of(word: u32) -> &'static str {
         Format::RShift | Format::RShiftV => "BSH",
         Format::RMulDiv | Format::RMfHiLo | Format::RMtHiLo => "MulD",
         Format::IMem => "MCTRL",
-        Format::IBranch2 | Format::IBranch1 | Format::IRegimm | Format::JAbs | Format::RJr
+        Format::IBranch2
+        | Format::IBranch1
+        | Format::IRegimm
+        | Format::JAbs
+        | Format::RJr
         | Format::RJalr => "PCL",
         Format::R3 | Format::ISigned | Format::IUnsigned | Format::ILui => "ALU",
     }
@@ -109,9 +113,18 @@ mod tests {
 
     #[test]
     fn attribution_covers_the_classes() {
-        assert_eq!(component_of(Instr::r3(Op::Addu, Reg(1), Reg(2), Reg(3)).encode()), "ALU");
-        assert_eq!(component_of(Instr::shift(Op::Sll, Reg(1), Reg(2), 3).encode()), "BSH");
-        assert_eq!(component_of(Instr::mem(Op::Lw, Reg(1), Reg(2), 4).encode()), "MCTRL");
+        assert_eq!(
+            component_of(Instr::r3(Op::Addu, Reg(1), Reg(2), Reg(3)).encode()),
+            "ALU"
+        );
+        assert_eq!(
+            component_of(Instr::shift(Op::Sll, Reg(1), Reg(2), 3).encode()),
+            "BSH"
+        );
+        assert_eq!(
+            component_of(Instr::mem(Op::Lw, Reg(1), Reg(2), 4).encode()),
+            "MCTRL"
+        );
         let b = Instr {
             op: Some(Op::Beq),
             rs: Reg(1),

@@ -33,11 +33,8 @@ fn find_detected_fault(oracle: &mut PlasmaOracle, parts: &mips::gen::ProgramPart
     let list = FaultList::extract(core().netlist()).collapsed(core().netlist());
     let program = parts.to_program();
     for batch in list.faults.chunks(63) {
-        let injections: Vec<(Fault, usize)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, i + 1))
-            .collect();
+        let injections: Vec<(Fault, usize)> =
+            batch.iter().enumerate().map(|(i, &f)| (f, i + 1)).collect();
         let report = oracle.run(&program, &injections);
         assert!(report.divergence.is_none(), "healthy lane 0 must match ISS");
         if let Some((lane, _)) = report.first_faulty_divergence() {
@@ -160,7 +157,9 @@ fn lane0_fault_yields_structured_divergence_report() {
     // The same fault injected into the *reference* lane makes the netlist
     // itself diverge from the ISS — the functional-bug reporting path.
     let report = oracle.run(&parts.to_program(), &[(fault, 0)]);
-    let d = report.divergence.expect("lane-0 fault must diverge from ISS");
+    let d = report
+        .divergence
+        .expect("lane-0 fault must diverge from ISS");
     assert_eq!(report.cycles, d.cycle + 1, "run stops at first divergence");
     assert!(!d.window.is_empty());
     assert!(d.window.iter().any(|l| l.current && l.addr == d.pc));
@@ -185,22 +184,15 @@ fn parwan_pair_runs_lockstep_and_detects_faults() {
     let img = random_parwan_image(1);
     let mut found = None;
     for batch in list.faults.chunks(63) {
-        let injections: Vec<(Fault, usize)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, i + 1))
-            .collect();
+        let injections: Vec<(Fault, usize)> =
+            batch.iter().enumerate().map(|(i, &f)| (f, i + 1)).collect();
         let report = oracle.run(&img, &injections, 600);
         assert!(report.divergence.is_none());
-        if let Some(&cycle) = report.lane_first_div[1..]
-            .iter()
-            .flatten()
-            .min()
-        {
+        if let Some(&cycle) = report.lane_first_div[1..].iter().flatten().min() {
             let lane = report
                 .lane_first_div
                 .iter()
-                .position(|d| *d == Some(cycle) )
+                .position(|d| *d == Some(cycle))
                 .unwrap();
             found = Some((batch[lane - 1], cycle));
             break;
@@ -208,7 +200,10 @@ fn parwan_pair_runs_lockstep_and_detects_faults() {
     }
     let (fault, _) = found.expect("some parwan fault is detectable");
     let report = oracle.run(&img, &[(fault, 5)], 600);
-    assert!(report.lane_first_div[5].is_some(), "fault must be detected in lane 5");
+    assert!(
+        report.lane_first_div[5].is_some(),
+        "fault must be detected in lane 5"
+    );
 }
 
 /// The oracle's wave path: a fault-free `run_wave` must agree with
@@ -232,21 +227,33 @@ fn oracle_wave_capture_matches_divergence_localization() {
     assert!(recorded.clean());
     let wave = cap.finish();
     assert_eq!(wave.trigger, None, "clean run must not trigger");
-    assert!(wave.corrupt_cycles().is_empty(), "faulty_lane 0 diffs against itself");
+    assert!(
+        wave.corrupt_cycles().is_empty(),
+        "faulty_lane 0 diffs against itself"
+    );
 
     // Injected fault: trigger == first faulty divergence, corruption visible.
     let fault = find_detected_fault(&mut oracle, &parts);
     let faulty = oracle.run(&program, &[(fault, 1)]);
-    let (lane, cycle) = faulty.first_faulty_divergence().expect("fault must be detected");
+    let (lane, cycle) = faulty
+        .first_faulty_divergence()
+        .expect("fault must be detected");
     assert_eq!(lane, 1);
 
     let render = |oracle: &mut PlasmaOracle| {
         let mut cap = fault::wave::WaveCapture::new(probe.clone(), &wopts);
         let rep = oracle.run_wave(&program, &[(fault, 1)], &mut cap, 1);
-        assert_eq!(rep.lane_first_div[1], Some(cycle), "wave run relocated the detection");
+        assert_eq!(
+            rep.lane_first_div[1],
+            Some(cycle),
+            "wave run relocated the detection"
+        );
         let wave = cap.finish();
         assert_eq!(wave.trigger, Some(cycle));
-        assert!(!wave.corrupt_cycles().is_empty(), "no corruption in diff rows");
+        assert!(
+            !wave.corrupt_cycles().is_empty(),
+            "no corruption in diff rows"
+        );
         let mut buf = Vec::new();
         wave.write_vcd(&mut buf, &fault.describe()).unwrap();
         buf
@@ -256,7 +263,10 @@ fn oracle_wave_capture_matches_divergence_localization() {
     assert_eq!(a, b, "oracle wave capture is not byte-deterministic");
     let text = String::from_utf8(a).unwrap();
     for scope in ["good", "faulty", "diff"] {
-        assert!(text.contains(&format!("$scope module {scope} $end")), "missing {scope} scope");
+        assert!(
+            text.contains(&format!("$scope module {scope} $end")),
+            "missing {scope} scope"
+        );
     }
 }
 

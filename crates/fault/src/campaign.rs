@@ -1047,13 +1047,7 @@ mod tests {
         let nl = b.finish().unwrap();
         let faults = FaultList::extract(&nl).collapsed(&nl);
         let vectors: Vec<Vec<(&str, u64)>> = (0..512u64)
-            .map(|v| {
-                vec![
-                    ("a", v & 0xF),
-                    ("b", (v >> 4) & 0xF),
-                    ("cin", (v >> 8) & 1),
-                ]
-            })
+            .map(|v| vec![("a", v & 0xF), ("b", (v >> 4) & 0xF), ("cin", (v >> 8) & 1)])
             .collect();
         let res = run_vectors(&nl, &faults, &vectors);
         // carry_into_msb is an internal-only output here (unconnected), so
@@ -1128,7 +1122,13 @@ mod tests {
         assert!(serial.stats.cycles_simulated > 0);
         for threads in [1usize, 2, 4] {
             let factory = || VectorBench::new(&nl, &vectors);
-            let par = run(&flat_sim(&nl, 64), &faults, factory, threads, &Telemetry::none());
+            let par = run(
+                &flat_sim(&nl, 64),
+                &faults,
+                factory,
+                threads,
+                &Telemetry::none(),
+            );
             assert_eq!(
                 par.detections, serial.detections,
                 "thread count {threads} changed the result"

@@ -317,8 +317,7 @@ mod tests {
             .faults
             .iter()
             .filter(|f| {
-                matches!(f.site, FaultSite::Pin { pin: 0, .. })
-                    && f.polarity == Polarity::StuckAt1
+                matches!(f.site, FaultSite::Pin { pin: 0, .. }) && f.polarity == Polarity::StuckAt1
             })
             .count();
         assert_eq!(sa1_branches, 2);

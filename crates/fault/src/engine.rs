@@ -84,7 +84,10 @@ impl EngineConfig {
     /// The kernel comes from the fingerprint-keyed cache, so only the
     /// first simulator of a netlist pays the lowering.
     pub fn sim(self, netlist: &Netlist, segments: &[Vec<u32>]) -> WideSim {
-        WideSim::new(crate::kernel::compile_cached(netlist, segments), self.lane_words)
+        WideSim::new(
+            crate::kernel::compile_cached(netlist, segments),
+            self.lane_words,
+        )
     }
 
     /// Grade `faults` on the production engine at this width: build the
@@ -186,9 +189,14 @@ mod tests {
             2,
             &hooks,
         );
-        assert_eq!(res.detections, campaign::run_vectors(&nl, &faults, &vectors).detections);
+        assert_eq!(
+            res.detections,
+            campaign::run_vectors(&nl, &faults, &vectors).detections
+        );
         assert_eq!(res.stats.lanes, 128);
         assert!(res.stats.profile.count(ProfilePhase::Compile) > 0);
-        assert!(registry.to_prometheus().contains("sbst_kernel_compile_ns_total"));
+        assert!(registry
+            .to_prometheus()
+            .contains("sbst_kernel_compile_ns_total"));
     }
 }

@@ -340,8 +340,11 @@ pub fn analyze<T: Testbench + ?Sized>(
         };
     }
     escapes.sort_by(|a, b| {
-        (a.bucket, std::cmp::Reverse(a.weight), a.fault)
-            .cmp(&(b.bucket, std::cmp::Reverse(b.weight), b.fault))
+        (a.bucket, std::cmp::Reverse(a.weight), a.fault).cmp(&(
+            b.bucket,
+            std::cmp::Reverse(b.weight),
+            b.fault,
+        ))
     });
 
     // Totals + per-component split.
@@ -507,7 +510,10 @@ fn watched(nl: &Netlist, open: &[Open], is_flop: &[bool]) -> (Vec<Net>, Vec<Net>
     let mut marked = vec![false; nl.num_nets()];
     let (mut flops, mut rest) = (Vec::new(), Vec::new());
     for o in open {
-        let inputs = o.gates.iter().flat_map(|&(g, _)| nl.gates()[g as usize].used_inputs());
+        let inputs = o
+            .gates
+            .iter()
+            .flat_map(|&(g, _)| nl.gates()[g as usize].used_inputs());
         for n in std::iter::once(o.site).chain(inputs) {
             if !std::mem::replace(&mut marked[n.index()], true) {
                 if is_flop[n.index()] {
@@ -626,13 +632,19 @@ impl ForensicsReport {
         let mut m = Map::new();
         m.insert("schema".into(), Value::U64(1));
         m.insert("netlist".into(), Value::String(self.netlist.clone()));
-        m.insert("fault_classes".into(), Value::U64(self.total_classes as u64));
+        m.insert(
+            "fault_classes".into(),
+            Value::U64(self.total_classes as u64),
+        );
         m.insert("weighted_faults".into(), Value::U64(self.total_weighted));
         m.insert(
             "detected_classes".into(),
             Value::U64(self.detected_classes as u64),
         );
-        m.insert("detected_weighted".into(), Value::U64(self.detected_weighted));
+        m.insert(
+            "detected_weighted".into(),
+            Value::U64(self.detected_weighted),
+        );
         m.insert(
             "untestable_classes".into(),
             Value::U64(self.untestable_classes as u64),
@@ -715,10 +727,7 @@ impl ForensicsReport {
                                     .collect(),
                             ),
                         );
-                        cm.insert(
-                            "reaches_observed".into(),
-                            Value::Bool(e.reaches_observed),
-                        );
+                        cm.insert("reaches_observed".into(), Value::Bool(e.reaches_observed));
                         em.insert("cone".into(), Value::Object(cm));
                         em.insert("first_excited".into(), opt_cycle(e.first_excited));
                         em.insert("first_propagated".into(), opt_cycle(e.first_propagated));
@@ -862,11 +871,26 @@ mod tests {
         let nl = b.finish().unwrap();
 
         let sites = [
-            Fault { site: FaultSite::Stem(g), polarity: Polarity::StuckAt0 },
-            Fault { site: FaultSite::Stem(x), polarity: Polarity::StuckAt0 },
-            Fault { site: FaultSite::Stem(c), polarity: Polarity::StuckAt0 },
-            Fault { site: FaultSite::Stem(h), polarity: Polarity::StuckAt0 },
-            Fault { site: FaultSite::Stem(_dang), polarity: Polarity::StuckAt0 },
+            Fault {
+                site: FaultSite::Stem(g),
+                polarity: Polarity::StuckAt0,
+            },
+            Fault {
+                site: FaultSite::Stem(x),
+                polarity: Polarity::StuckAt0,
+            },
+            Fault {
+                site: FaultSite::Stem(c),
+                polarity: Polarity::StuckAt0,
+            },
+            Fault {
+                site: FaultSite::Stem(h),
+                polarity: Polarity::StuckAt0,
+            },
+            Fault {
+                site: FaultSite::Stem(_dang),
+                polarity: Polarity::StuckAt0,
+            },
         ];
         let all = FaultList::extract(&nl);
         let faults = all.filter(|f, _| sites.contains(&f));
@@ -925,13 +949,24 @@ mod tests {
             .collect::<Vec<_>>();
         // Bucket per engineered fault (see `rig`).
         assert_eq!(bucket_of("n10 sa0"), Bucket::Unexercised, "{x_desc:?}");
-        assert_eq!(bucket_of("n2 sa0"), Bucket::ActivatedUnpropagated, "{x_desc:?}");
-        assert_eq!(bucket_of("n4 sa0"), Bucket::PropagatedUnobserved, "{x_desc:?}");
+        assert_eq!(
+            bucket_of("n2 sa0"),
+            Bucket::ActivatedUnpropagated,
+            "{x_desc:?}"
+        );
+        assert_eq!(
+            bucket_of("n4 sa0"),
+            Bucket::PropagatedUnobserved,
+            "{x_desc:?}"
+        );
         assert_eq!(bucket_of("n14 sa0"), Bucket::Untestable, "{x_desc:?}");
 
         // Partition: every escape in exactly one bucket.
         let totals = report.bucket_totals();
-        assert_eq!(totals.iter().map(|t| t.1).sum::<usize>(), report.escapes.len());
+        assert_eq!(
+            totals.iter().map(|t| t.1).sum::<usize>(),
+            report.escapes.len()
+        );
 
         // Coverage split: 1 of 5 detected raw, 1 of 4 testable.
         assert!((report.raw_coverage() - 0.2).abs() < 1e-9);
@@ -961,7 +996,13 @@ mod tests {
         let escapes = o.get("escapes").unwrap().as_array().unwrap();
         assert_eq!(escapes.len(), 4);
         for e in escapes {
-            let b = e.as_object().unwrap().get("bucket").unwrap().as_str().unwrap();
+            let b = e
+                .as_object()
+                .unwrap()
+                .get("bucket")
+                .unwrap()
+                .as_str()
+                .unwrap();
             assert!(Bucket::ALL.iter().any(|k| k.label() == b));
         }
     }

@@ -234,7 +234,10 @@ impl CompiledKernel {
             slot_of_net[out] = next_slot;
             next_slot += 1;
         }
-        assert_eq!(next_slot as usize, n_nets, "every net gets exactly one slot");
+        assert_eq!(
+            next_slot as usize, n_nets,
+            "every net gets exactly one slot"
+        );
         let remap = |n: Net| -> u32 {
             if n == NO_NET {
                 dummy_slot
@@ -262,7 +265,13 @@ impl CompiledKernel {
             .collect();
         let dff_reset: Vec<u64> = dff_order
             .iter()
-            .map(|&ni| if dffs[ni as usize].reset_value { !0u64 } else { 0 })
+            .map(|&ni| {
+                if dffs[ni as usize].reset_value {
+                    !0u64
+                } else {
+                    0
+                }
+            })
             .collect();
         let kernel = CompiledKernel {
             n_slots: n_nets + 1,
@@ -279,12 +288,7 @@ impl CompiledKernel {
             dff_d,
             dff_reset,
             fingerprint: structural_fingerprint(netlist, segments),
-            geometry: format!(
-                "n{}/g{}/d{}",
-                n_nets,
-                netlist.gates().len(),
-                dffs.len()
-            ),
+            geometry: format!("n{}/g{}/d{}", n_nets, netlist.gates().len(), dffs.len()),
         };
         if cfg!(debug_assertions) {
             kernel.assert_order();
@@ -376,7 +380,11 @@ pub fn structural_fingerprint(netlist: &Netlist, segments: &[Vec<u32>]) -> u64 {
     for g in netlist.gates() {
         eat(g.kind as u64);
         for &inp in &g.inputs {
-            eat(if inp == NO_NET { u64::MAX } else { inp.index() as u64 });
+            eat(if inp == NO_NET {
+                u64::MAX
+            } else {
+                inp.index() as u64
+            });
         }
         eat(g.output.index() as u64);
     }

@@ -229,12 +229,7 @@ impl FaultList {
             return self.clone();
         }
         // Group fault indices by component.
-        let max_comp = self
-            .component
-            .iter()
-            .map(|c| c.index())
-            .max()
-            .unwrap_or(0);
+        let max_comp = self.component.iter().map(|c| c.index()).max().unwrap_or(0);
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); max_comp + 1];
         for (i, c) in self.component.iter().enumerate() {
             buckets[c.index()].push(i);

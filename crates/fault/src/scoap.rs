@@ -78,22 +78,10 @@ pub fn analyze(netlist: &Netlist) -> Scoap {
                 GateKind::Const1 => (INF, 0),
                 GateKind::Buf => (sat(cc0[a], 1), sat(cc1[a], 1)),
                 GateKind::Not => (sat(cc1[a], 1), sat(cc0[a], 1)),
-                GateKind::And2 => (
-                    sat(cc0[a].min(cc0[b]), 1),
-                    sat(sat(cc1[a], cc1[b]), 1),
-                ),
-                GateKind::Nand2 => (
-                    sat(sat(cc1[a], cc1[b]), 1),
-                    sat(cc0[a].min(cc0[b]), 1),
-                ),
-                GateKind::Or2 => (
-                    sat(sat(cc0[a], cc0[b]), 1),
-                    sat(cc1[a].min(cc1[b]), 1),
-                ),
-                GateKind::Nor2 => (
-                    sat(cc1[a].min(cc1[b]), 1),
-                    sat(sat(cc0[a], cc0[b]), 1),
-                ),
+                GateKind::And2 => (sat(cc0[a].min(cc0[b]), 1), sat(sat(cc1[a], cc1[b]), 1)),
+                GateKind::Nand2 => (sat(sat(cc1[a], cc1[b]), 1), sat(cc0[a].min(cc0[b]), 1)),
+                GateKind::Or2 => (sat(sat(cc0[a], cc0[b]), 1), sat(cc1[a].min(cc1[b]), 1)),
+                GateKind::Nor2 => (sat(cc1[a].min(cc1[b]), 1), sat(sat(cc0[a], cc0[b]), 1)),
                 GateKind::Xor2 => (
                     sat(sat(cc0[a], cc0[b]).min(sat(cc1[a], cc1[b])), 1),
                     sat(sat(cc0[a], cc1[b]).min(sat(cc1[a], cc0[b])), 1),
@@ -182,13 +170,7 @@ pub fn analyze(netlist: &Netlist) -> Scoap {
                     // the cheaper differentiating assignment.
                     (
                         a,
-                        sat(
-                            co[o],
-                            sat(
-                                sat(cc0[b], cc1[c]).min(sat(cc1[b], cc0[c])),
-                                1,
-                            ),
-                        ),
+                        sat(co[o], sat(sat(cc0[b], cc1[c]).min(sat(cc1[b], cc0[c])), 1)),
                     ),
                     (b, sat(co[o], sat(cc0[a], 1))),
                     (c, sat(co[o], sat(cc1[a], 1))),

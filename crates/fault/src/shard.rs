@@ -221,7 +221,9 @@ pub fn merge_detections(
     let mut out = vec![None; total];
     for (lo, hi, dets) in parts {
         if lo > hi || *hi > total {
-            return Err(format!("shard [{lo}, {hi}) out of bounds for {total} faults"));
+            return Err(format!(
+                "shard [{lo}, {hi}) out of bounds for {total} faults"
+            ));
         }
         if dets.len() != hi - lo {
             return Err(format!(
@@ -374,8 +376,16 @@ mod tests {
     #[test]
     fn merge_scatters_detections_positionally() {
         let parts = vec![
-            (2usize, 4usize, vec![Detection::DetectedAt(7), Detection::Undetected]),
-            (0usize, 2usize, vec![Detection::Undetected, Detection::DetectedAt(3)]),
+            (
+                2usize,
+                4usize,
+                vec![Detection::DetectedAt(7), Detection::Undetected],
+            ),
+            (
+                0usize,
+                2usize,
+                vec![Detection::Undetected, Detection::DetectedAt(3)],
+            ),
         ];
         let merged = merge_detections(4, &parts).unwrap();
         assert_eq!(

@@ -110,10 +110,23 @@ impl WaveCapture {
                 self.rows.pop_front();
             }
         }
-        let good = self.probe.vars().iter().map(|v| sim.lane_word(&v.nets, 0)).collect();
-        let faulty =
-            self.probe.vars().iter().map(|v| sim.lane_word(&v.nets, faulty_lane)).collect();
-        self.rows.push_back(DiffRow { cycle, good, faulty });
+        let good = self
+            .probe
+            .vars()
+            .iter()
+            .map(|v| sim.lane_word(&v.nets, 0))
+            .collect();
+        let faulty = self
+            .probe
+            .vars()
+            .iter()
+            .map(|v| sim.lane_word(&v.nets, faulty_lane))
+            .collect();
+        self.rows.push_back(DiffRow {
+            cycle,
+            good,
+            faulty,
+        });
     }
 
     /// Mark the trigger cycle: trims the ring to the `pre` window and
@@ -136,7 +149,8 @@ impl WaveCapture {
 
     /// Whether the post-trigger window is complete at `cycle`.
     pub fn done(&self, cycle: u64) -> bool {
-        self.trigger.is_some_and(|t| cycle >= t.saturating_add(self.post))
+        self.trigger
+            .is_some_and(|t| cycle >= t.saturating_add(self.post))
     }
 
     /// Finalize: without a trigger, keep only the last `depth` rows (the
@@ -304,13 +318,20 @@ mod tests {
         let probe = Probe::full(&nl);
         let mut tb = VectorBench::new(&nl, &vecs);
         let wave = capture_fault(&mut sim, &mut tb, probe, fault, &WaveOptions::default());
-        assert_eq!(wave.trigger, Some(t), "capture trigger != campaign detection");
+        assert_eq!(
+            wave.trigger,
+            Some(t),
+            "capture trigger != campaign detection"
+        );
         let corrupt = wave.corrupt_cycles();
         assert!(!corrupt.is_empty(), "no corruption recorded");
         // Corruption must start at or before the detection cycle (the
         // fault effect lives in state before it reaches an output).
         assert!(*corrupt.first().unwrap() <= t);
-        assert!(wave.rows.iter().any(|r| r.cycle == t), "trigger cycle not captured");
+        assert!(
+            wave.rows.iter().any(|r| r.cycle == t),
+            "trigger cycle not captured"
+        );
     }
 
     #[test]
@@ -325,12 +346,18 @@ mod tests {
         };
         let mut sim = flat_sim(&nl, 64);
         let mut tb = VectorBench::new(&nl, &vecs);
-        let opts = WaveOptions { depth: 8, ..WaveOptions::default() };
+        let opts = WaveOptions {
+            depth: 8,
+            ..WaveOptions::default()
+        };
         let wave = capture_fault(&mut sim, &mut tb, Probe::full(&nl), fault, &opts);
         assert_eq!(wave.trigger, None);
         assert_eq!(wave.rows.len(), 8, "horizon window should be `depth` rows");
         assert_eq!(wave.rows.last().unwrap().cycle, 39);
-        assert!(wave.corrupt_cycles().is_empty(), "sa0 at a=0 corrupts nothing");
+        assert!(
+            wave.corrupt_cycles().is_empty(),
+            "sa0 at a=0 corrupts nothing"
+        );
     }
 
     #[test]
@@ -340,13 +367,24 @@ mod tests {
         let fault = sa1_on_input(&nl);
         let mut sim = flat_sim(&nl, 64);
         let mut tb = VectorBench::new(&nl, &vecs);
-        let opts = WaveOptions { pre: 2, post: 3, ..WaveOptions::default() };
+        let opts = WaveOptions {
+            pre: 2,
+            post: 3,
+            ..WaveOptions::default()
+        };
         let wave = capture_fault(&mut sim, &mut tb, Probe::full(&nl), fault, &opts);
         let t = wave.trigger.expect("detected");
         let first = wave.rows.first().unwrap().cycle;
         let last = wave.rows.last().unwrap().cycle;
-        assert!(first >= t.saturating_sub(2), "kept too much pre-trigger: {first} vs {t}");
-        assert_eq!(last, (t + 3).min(11), "post window wrong: {last} vs trigger {t}");
+        assert!(
+            first >= t.saturating_sub(2),
+            "kept too much pre-trigger: {first} vs {t}"
+        );
+        assert_eq!(
+            last,
+            (t + 3).min(11),
+            "post window wrong: {last} vs trigger {t}"
+        );
     }
 
     #[test]
@@ -357,8 +395,13 @@ mod tests {
         fn render(sim: &mut WideSim, nl: &Netlist, vecs: &[Vec<(&str, u64)>]) -> Vec<u8> {
             let fault = sa1_on_input(nl);
             let mut tb = VectorBench::new(nl, vecs);
-            let wave =
-                capture_fault(sim, &mut tb, Probe::full(nl), fault, &WaveOptions::default());
+            let wave = capture_fault(
+                sim,
+                &mut tb,
+                Probe::full(nl),
+                fault,
+                &WaveOptions::default(),
+            );
             let mut buf = Vec::new();
             wave.write_vcd(&mut buf, &fault.describe()).unwrap();
             buf
@@ -390,7 +433,10 @@ mod tests {
 
     #[test]
     fn wave_file_names_are_path_safe() {
-        assert_eq!(wave_file_name("escape", "g17/pin0 sa0"), "WAVE_escape_g17-pin0-sa0.vcd");
+        assert_eq!(
+            wave_file_name("escape", "g17/pin0 sa0"),
+            "WAVE_escape_g17-pin0-sa0.vcd"
+        );
         assert_eq!(wave_file_name("fault", "n42 sa1"), "WAVE_fault_n42-sa1.vcd");
     }
 }

@@ -90,7 +90,9 @@ fn synth_detections(rng: &mut Rng, n: usize, density: u64) -> Vec<Detection> {
 /// points, duplicates allowed — so shards may be wildly uneven or
 /// empty. Nothing like the scheduler's near-equal tiling.
 fn random_cuts(rng: &mut Rng, n: usize, k: usize) -> Vec<(usize, usize)> {
-    let mut cuts: Vec<usize> = (0..k).map(|_| (rng.next() % (n as u64 + 1)) as usize).collect();
+    let mut cuts: Vec<usize> = (0..k)
+        .map(|_| (rng.next() % (n as u64 + 1)) as usize)
+        .collect();
     cuts.push(0);
     cuts.push(n);
     cuts.sort_unstable();

@@ -171,11 +171,10 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
                 mnemonic,
                 args,
             } => {
-                let encoded =
-                    encode_instr(mnemonic, args, pc, &symbols).map_err(|m| AsmError {
-                        line: *line,
-                        message: m,
-                    })?;
+                let encoded = encode_instr(mnemonic, args, pc, &symbols).map_err(|m| AsmError {
+                    line: *line,
+                    message: m,
+                })?;
                 for w in encoded {
                     emit(&mut words, &mut pc, w);
                     download_words += 1;
@@ -345,11 +344,9 @@ fn instr_size_words(mnemonic: &str, args: &[Arg]) -> Result<usize, String> {
         },
         "la" => Ok(2),
         "nop" | "move" | "not" | "neg" | "b" | "beqz" | "bnez" => Ok(1),
-        _ => {
-            Op::from_mnemonic(mnemonic)
-                .map(|_| 1)
-                .ok_or_else(|| format!("unknown instruction `{mnemonic}`"))
-        }
+        _ => Op::from_mnemonic(mnemonic)
+            .map(|_| 1)
+            .ok_or_else(|| format!("unknown instruction `{mnemonic}`")),
     }
 }
 
@@ -470,7 +467,8 @@ fn encode_instr(
         _ => {}
     }
 
-    let op = Op::from_mnemonic(mnemonic).ok_or_else(|| format!("unknown instruction `{mnemonic}`"))?;
+    let op =
+        Op::from_mnemonic(mnemonic).ok_or_else(|| format!("unknown instruction `{mnemonic}`"))?;
     let i = match (op.format(), args) {
         (Format::R3, [d, s, t]) => Instr::r3(op, want_reg(d)?, want_reg(s)?, want_reg(t)?),
         (Format::RShift, [d, t, Arg::Imm(sh)]) => {

@@ -83,9 +83,12 @@ mod tests {
         let listing = disassemble_program(&p.words, 0);
         // Re-assemble each disassembled line and compare words.
         for (k, line) in listing.lines().enumerate() {
-            let text = line.split_whitespace().skip(2).collect::<Vec<_>>().join(" ");
-            let reasm = assemble(&text)
-                .unwrap_or_else(|e| panic!("line {k} `{text}`: {e}"));
+            let text = line
+                .split_whitespace()
+                .skip(2)
+                .collect::<Vec<_>>()
+                .join(" ");
+            let reasm = assemble(&text).unwrap_or_else(|e| panic!("line {k} `{text}`: {e}"));
             // Branches/jumps to absolute addresses only match when
             // assembled at the same pc; emulate with .org.
             let with_org = format!(".org {}\n{}", 4 * k, text);

@@ -220,14 +220,7 @@ pub fn random_parts(seed: u64, cfg: &GenConfig) -> ProgramParts {
             // Forward branch over 0..3 instructions, delay slot filled
             // with a random ALU instruction.
             let skip = rng.below(3) as u16; // words skipped after delay slot
-            let op = *rng.pick(&[
-                Op::Beq,
-                Op::Bne,
-                Op::Blez,
-                Op::Bgtz,
-                Op::Bltz,
-                Op::Bgez,
-            ]);
+            let op = *rng.pick(&[Op::Beq, Op::Bne, Op::Blez, Op::Bgtz, Op::Bltz, Op::Bgez]);
             let (rs, rt) = (any_reg(&mut rng), any_reg(&mut rng));
             let instr = Instr {
                 op: Some(op),
@@ -258,9 +251,9 @@ pub fn random_parts(seed: u64, cfg: &GenConfig) -> ProgramParts {
             };
             emit(instr.encode(), &mut words);
             emit(random_alu(&mut rng), &mut words); // delay slot
-            // The "skipped" instructions are still generated (they might
-            // be skipped or executed depending on the branch) — they must
-            // be safe either way; ALU ops are.
+                                                    // The "skipped" instructions are still generated (they might
+                                                    // be skipped or executed depending on the branch) — they must
+                                                    // be safe either way; ALU ops are.
             for _ in 0..skip {
                 emit(random_alu(&mut rng), &mut words);
                 i += 1;
@@ -288,7 +281,10 @@ pub fn random_parts(seed: u64, cfg: &GenConfig) -> ProgramParts {
                     Op::Lh | Op::Lhu | Op::Sh => (rng.below(2) * 2) as i16,
                     _ => rng.below(4) as i16,
                 };
-            emit(Instr::mem(op, rt, DATA_BASE_REG, offset).encode(), &mut words);
+            emit(
+                Instr::mem(op, rt, DATA_BASE_REG, offset).encode(),
+                &mut words,
+            );
             i += 1;
         } else if cfg.with_muldiv && class < t_muldiv {
             if muldiv_cooldown > 2 {

@@ -33,9 +33,7 @@ impl Reg {
         if let Ok(n) = body.parse::<u8>() {
             return if n < 32 { Some(Reg(n)) } else { None };
         }
-        (0u8..32)
-            .map(Reg)
-            .find(|r| &r.abi_name()[1..] == body)
+        (0u8..32).map(Reg).find(|r| &r.abi_name()[1..] == body)
     }
 }
 
@@ -50,23 +48,66 @@ impl fmt::Display for Reg {
 #[allow(missing_docs)]
 pub enum Op {
     // shifts
-    Sll, Srl, Sra, Sllv, Srlv, Srav,
+    Sll,
+    Srl,
+    Sra,
+    Sllv,
+    Srlv,
+    Srav,
     // jumps through registers
-    Jr, Jalr,
+    Jr,
+    Jalr,
     // HI/LO traffic
-    Mfhi, Mthi, Mflo, Mtlo,
+    Mfhi,
+    Mthi,
+    Mflo,
+    Mtlo,
     // multiply / divide
-    Mult, Multu, Div, Divu,
+    Mult,
+    Multu,
+    Div,
+    Divu,
     // 3-register ALU
-    Add, Addu, Sub, Subu, And, Or, Xor, Nor, Slt, Sltu,
+    Add,
+    Addu,
+    Sub,
+    Subu,
+    And,
+    Or,
+    Xor,
+    Nor,
+    Slt,
+    Sltu,
     // immediate ALU
-    Addi, Addiu, Slti, Sltiu, Andi, Ori, Xori, Lui,
+    Addi,
+    Addiu,
+    Slti,
+    Sltiu,
+    Andi,
+    Ori,
+    Xori,
+    Lui,
     // branches
-    Beq, Bne, Blez, Bgtz, Bltz, Bgez, Bltzal, Bgezal,
+    Beq,
+    Bne,
+    Blez,
+    Bgtz,
+    Bltz,
+    Bgez,
+    Bltzal,
+    Bgezal,
     // jumps
-    J, Jal,
+    J,
+    Jal,
     // loads / stores
-    Lb, Lh, Lw, Lbu, Lhu, Sb, Sh, Sw,
+    Lb,
+    Lh,
+    Lw,
+    Lbu,
+    Lhu,
+    Sb,
+    Sh,
+    Sw,
 }
 
 /// Encoding format classes.

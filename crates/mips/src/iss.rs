@@ -323,7 +323,13 @@ impl Iss {
                 Op::Ori => self.set_reg(i.rt, rs | i.imm as u32),
                 Op::Xori => self.set_reg(i.rt, rs ^ i.imm as u32),
                 Op::Lui => self.set_reg(i.rt, (i.imm as u32) << 16),
-                Op::Beq | Op::Bne | Op::Blez | Op::Bgtz | Op::Bltz | Op::Bgez | Op::Bltzal
+                Op::Beq
+                | Op::Bne
+                | Op::Blez
+                | Op::Bgtz
+                | Op::Bltz
+                | Op::Bgez
+                | Op::Bltzal
                 | Op::Bgezal => {
                     let taken = match op {
                         Op::Beq => rs == rt,
@@ -572,8 +578,8 @@ mod tests {
         let trace = cpu.run_until_store(&mut mem, 0x104, 0xFFFF_FFFF, 300);
         assert_eq!(mem.read_word(0x100), (-42i32) as u32);
         assert_eq!(mem.read_word(0x104), 0xFFFF_FFFF); // sign bits of hi
-        // The mflo must have stalled: total cycles well beyond the
-        // instruction count.
+                                                       // The mflo must have stalled: total cycles well beyond the
+                                                       // instruction count.
         assert!(
             trace.len() as u64 > MULDIV_CYCLES as u64,
             "no stall observed ({} cycles)",
@@ -607,7 +613,10 @@ mod tests {
 
     #[test]
     fn mult_corner_cases() {
-        assert_eq!(muldiv_mult(0xFFFF_FFFF, 0xFFFF_FFFF, false), (0xFFFF_FFFE, 1));
+        assert_eq!(
+            muldiv_mult(0xFFFF_FFFF, 0xFFFF_FFFF, false),
+            (0xFFFF_FFFE, 1)
+        );
         assert_eq!(muldiv_mult(0xFFFF_FFFF, 0xFFFF_FFFF, true), (0, 1)); // -1 * -1
         assert_eq!(muldiv_mult(0x8000_0000, 2, true), (0xFFFF_FFFF, 0)); // INT_MIN * 2
         assert_eq!(muldiv_mult(0, 12345, true), (0, 0));
@@ -661,8 +670,10 @@ mod tests {
     #[test]
     fn loads_take_an_extra_cycle() {
         // N back-to-back ALU ops: ~1 cycle each. Loads: 2 cycles each.
-        let p1 = assemble("addu $1,$2,$3\naddu $4,$5,$6\naddu $7,$8,$9\nstop: b stop\nnop").unwrap();
-        let p2 = assemble("lw $1,0($zero)\nlw $4,0($zero)\nlw $7,0($zero)\nstop: b stop\nnop").unwrap();
+        let p1 =
+            assemble("addu $1,$2,$3\naddu $4,$5,$6\naddu $7,$8,$9\nstop: b stop\nnop").unwrap();
+        let p2 =
+            assemble("lw $1,0($zero)\nlw $4,0($zero)\nlw $7,0($zero)\nstop: b stop\nnop").unwrap();
         let count = |p: &crate::Program| {
             let mut mem = Memory::new(4096);
             mem.load_program(p);

@@ -31,7 +31,12 @@ fn construct(op: Op, rd: Reg, rs: Reg, rt: Reg, shamt: u8, imm: u16, target: u32
         Format::RMulDiv => Instr { rs, rt, ..base },
         Format::ISigned | Format::IUnsigned => Instr::imm(op, rt, rs, imm),
         Format::ILui => Instr::imm(op, rt, Reg(0), imm),
-        Format::IBranch2 => Instr { rs, rt, imm, ..base },
+        Format::IBranch2 => Instr {
+            rs,
+            rt,
+            imm,
+            ..base
+        },
         Format::IBranch1 | Format::IRegimm => Instr { rs, imm, ..base },
         Format::JAbs => Instr { target, ..base },
         Format::IMem => Instr::mem(op, rt, rs, imm as i16),

@@ -103,8 +103,7 @@ impl NetlistBuilder {
     /// Declare a 1-bit primary input.
     pub fn input(&mut self, name: &str) -> Net {
         let n = self.fresh_net();
-        self.ports
-            .push((name.to_string(), PortDir::Input, vec![n]));
+        self.ports.push((name.to_string(), PortDir::Input, vec![n]));
         n
     }
 
@@ -555,10 +554,7 @@ mod tests {
             sim.eval(&nl);
             assert_eq!(sim.output_word(&nl, "and") == 1, v == 0x7F);
             assert_eq!(sim.output_word(&nl, "or") == 1, v != 0);
-            assert_eq!(
-                sim.output_word(&nl, "xor") == 1,
-                (v.count_ones() & 1) == 1
-            );
+            assert_eq!(sim.output_word(&nl, "xor") == 1, (v.count_ones() & 1) == 1);
         }
     }
 }

@@ -45,7 +45,9 @@ impl Cone {
     /// Whether `net` is inside the cone (binary search — the net vector
     /// is sorted).
     pub fn contains_net(&self, net: Net) -> bool {
-        self.nets.binary_search_by_key(&net.index(), |n| n.index()).is_ok()
+        self.nets
+            .binary_search_by_key(&net.index(), |n| n.index())
+            .is_ok()
     }
 
     /// Sorted, duplicate-free names of the components the cone's gates
@@ -190,7 +192,10 @@ impl Fanout {
     /// it) and the flip-flops clocking it in (indices into
     /// [`Netlist::dffs`], ascending).
     pub fn readers(&self, net: Net) -> (&[u32], &[u32]) {
-        (&self.gate_readers[net.index()], &self.dff_readers[net.index()])
+        (
+            &self.gate_readers[net.index()],
+            &self.dff_readers[net.index()],
+        )
     }
 
     /// The transitive fanout cone of `seeds` in `nl`, the netlist this

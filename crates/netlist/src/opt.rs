@@ -80,13 +80,21 @@ pub fn optimize(netlist: &Netlist) -> (Netlist, OptStats) {
                 Value::Unknown => None,
             }
         };
-        let (a, b, c) = (val(&value, ins[0]), val(&value, ins[1]), val(&value, ins[2]));
+        let (a, b, c) = (
+            val(&value, ins[0]),
+            val(&value, ins[1]),
+            val(&value, ins[2]),
+        );
         let simplified = simplify(g.kind, ins, a, b, c);
         match simplified {
             Simplified::Const(cv) => {
                 value[g.output.index()] = Value::Const(cv);
                 new_gates[gi as usize] = Some(Gate {
-                    kind: if cv { GateKind::Const1 } else { GateKind::Const0 },
+                    kind: if cv {
+                        GateKind::Const1
+                    } else {
+                        GateKind::Const0
+                    },
                     inputs: [NO_NET, NO_NET, NO_NET],
                     output: g.output,
                 });
@@ -230,11 +238,7 @@ fn simplify(
     // Fully constant? (Unused input slots read as known-false.)
     let known = [a, b, c];
     if known.iter().take(kind.arity()).all(|k| k.is_some()) {
-        return Const(kind.eval(
-            a.unwrap_or(false),
-            b.unwrap_or(false),
-            c.unwrap_or(false),
-        ));
+        return Const(kind.eval(a.unwrap_or(false), b.unwrap_or(false), c.unwrap_or(false)));
     }
     match kind {
         Const0 => Const(false),
@@ -355,10 +359,7 @@ mod tests {
         let nl = b.finish().unwrap();
         let (opt, stats) = optimize(&nl);
         assert!(stats.swept >= 5, "{stats:?}");
-        assert_eq!(
-            opt.gates().len(),
-            nl.gates().len() - stats.swept,
-        );
+        assert_eq!(opt.gates().len(), nl.gates().len() - stats.swept,);
     }
 
     #[test]

@@ -31,11 +31,7 @@ impl NetlistStats {
         let mut depth = 0usize;
         for &gi in netlist.topo_order() {
             let g = &netlist.gates()[gi as usize];
-            let in_level = g
-                .used_inputs()
-                .map(|n| level[n.index()])
-                .max()
-                .unwrap_or(0);
+            let in_level = g.used_inputs().map(|n| level[n.index()]).max().unwrap_or(0);
             let l = in_level + 1;
             level[g.output.index()] = l;
             depth = depth.max(l);

@@ -126,7 +126,13 @@ pub fn add(b: &mut NetlistBuilder, style: TechStyle, a: &[Net], c: &[Net], cin: 
 
 /// Adder/subtractor: computes `a + c` when `sub = 0`, `a - c` when
 /// `sub = 1` (two's complement via XOR pre-inversion and carry-in).
-pub fn addsub(b: &mut NetlistBuilder, style: TechStyle, a: &[Net], c: &[Net], sub: Net) -> AddResult {
+pub fn addsub(
+    b: &mut NetlistBuilder,
+    style: TechStyle,
+    a: &[Net],
+    c: &[Net],
+    sub: Net,
+) -> AddResult {
     let c_inv: Word = c.iter().map(|&y| b.xor2(y, sub)).collect();
     add(b, style, a, &c_inv, sub)
 }

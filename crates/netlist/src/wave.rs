@@ -270,14 +270,25 @@ mod tests {
         let probe = Probe::all_ports(&nl);
         let n = probe.len();
         let rows = vec![
-            DiffRow { cycle: 0, good: vec![1; n], faulty: vec![1; n] },
-            DiffRow { cycle: 1, good: vec![1; n], faulty: vec![0; n] },
+            DiffRow {
+                cycle: 0,
+                good: vec![1; n],
+                faulty: vec![1; n],
+            },
+            DiffRow {
+                cycle: 1,
+                good: vec![1; n],
+                faulty: vec![0; n],
+            },
         ];
         let mut buf = Vec::new();
         write_diff_vcd(&mut buf, &probe, "test", &rows).unwrap();
         let text = String::from_utf8(buf).unwrap();
         for scope in ["good", "faulty", "diff"] {
-            assert!(text.contains(&format!("$scope module {scope} $end")), "missing {scope}");
+            assert!(
+                text.contains(&format!("$scope module {scope} $end")),
+                "missing {scope}"
+            );
         }
         // At cycle 1 the diff vars flip 0 -> 1.
         assert!(text.contains("#1"), "no #1 timestamp: {text}");

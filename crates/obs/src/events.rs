@@ -126,10 +126,7 @@ impl EventBus {
         map.insert("ms".to_string(), Value::U64(ms));
         map.insert("ev".to_string(), Value::String("replay".to_string()));
         map.insert("dropped".to_string(), Value::U64(state.dropped));
-        map.insert(
-            "buffered".to_string(),
-            Value::U64(state.queue.len() as u64),
-        );
+        map.insert("buffered".to_string(), Value::U64(state.queue.len() as u64));
         serde_json::to_string(&Value::Object(map)).expect("json")
     }
 

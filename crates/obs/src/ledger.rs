@@ -587,7 +587,18 @@ pub fn trend_table(records: &[LedgerRecord]) -> String {
         out.push_str(&format!("== {kind} ({} run(s)) ==\n", rows.len()));
         out.push_str(&format!(
             "{:<20} {:<18} {:>3} {:>8} {:>5} {:>3} {:>8} {:>10} {:>12} {:>9} {:>8} {:>8}\n",
-            "when (UTC)", "git", "thr", "engine", "lanes", "sh", "faults", "faults/s", "Mlane-cyc/s", "Δbest%", "cov%", "Δcov"
+            "when (UTC)",
+            "git",
+            "thr",
+            "engine",
+            "lanes",
+            "sh",
+            "faults",
+            "faults/s",
+            "Mlane-cyc/s",
+            "Δbest%",
+            "cov%",
+            "Δcov"
         ));
         for (i, r) in rows.iter().enumerate() {
             // Gated rate against the best comparable earlier row.
@@ -799,7 +810,9 @@ mod tests {
         ];
         let rep = check(&records, &cfg);
         assert!(
-            rep.findings.iter().any(|f| f.metric == "throughput" && f.regressed),
+            rep.findings
+                .iter()
+                .any(|f| f.metric == "throughput" && f.regressed),
             "single-shot lineage still gates itself: {rep:?}"
         );
         // Sharded runs gate against their own lineage.
@@ -911,7 +924,11 @@ mod tests {
         compacted.mlane_cps = 60.0;
         let rep = check(&[base.clone(), compacted.clone()], &cfg);
         assert!(rep.pass, "{rep:?}");
-        let tp = rep.findings.iter().find(|f| f.metric == "throughput").unwrap();
+        let tp = rep
+            .findings
+            .iter()
+            .find(|f| f.metric == "throughput")
+            .unwrap();
         assert_eq!((tp.current, tp.baseline), (200.0, 100.0));
         // The reverse — more lane-cycles per second, fewer faults per
         // second — is a regression.
@@ -932,7 +949,10 @@ mod tests {
         slower.mlane_cps = 80.0;
         let rep = check(&[base.clone(), slower], &cfg);
         assert!(!rep.pass, "{rep:?}");
-        assert!(rep.notes.iter().any(|n| n.contains("Mlane-cyc/s")), "{rep:?}");
+        assert!(
+            rep.notes.iter().any(|n| n.contains("Mlane-cyc/s")),
+            "{rep:?}"
+        );
         // Wall time alone does not move it.
         let mut longer = base.clone();
         longer.wall_seconds *= 2.0;

@@ -697,8 +697,14 @@ mod tests {
         // server must keep reading past the head segment.
         let body = vec![b'x'; 10_000];
         let mut s = TcpStream::connect(srv.addr()).unwrap();
-        s.write_all(format!("POST /len HTTP/1.0\r\nContent-Length: {}\r\n\r\n", body.len()).as_bytes())
-            .unwrap();
+        s.write_all(
+            format!(
+                "POST /len HTTP/1.0\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
         s.flush().unwrap();
         std::thread::sleep(Duration::from_millis(20));
         s.write_all(&body[..1000]).unwrap();

@@ -219,7 +219,13 @@ mod tests {
             let points = s["points"].as_array().unwrap();
             assert_eq!(points.len(), 3, "ring stays bounded");
         }
-        assert_eq!(tl.last_value("tl_fam_total", "{\"phase\":\"x\"}"), Some(10.0));
-        assert_eq!(tl.last_value("tl_fam_total", "{\"phase\":\"y\"}"), Some(20.0));
+        assert_eq!(
+            tl.last_value("tl_fam_total", "{\"phase\":\"x\"}"),
+            Some(10.0)
+        );
+        assert_eq!(
+            tl.last_value("tl_fam_total", "{\"phase\":\"y\"}"),
+            Some(20.0)
+        );
     }
 }

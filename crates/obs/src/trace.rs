@@ -139,7 +139,11 @@ struct BufferWriter(TraceBuffer);
 
 impl Write for BufferWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0 .0.lock().expect("trace buffer poisoned").extend_from_slice(buf);
+        self.0
+             .0
+            .lock()
+            .expect("trace buffer poisoned")
+            .extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> io::Result<()> {
@@ -235,7 +239,9 @@ impl Tracer {
     /// disabled. Claim responses carry this so worker processes can
     /// rebase their own timestamps onto the coordinator's clock.
     pub fn elapsed_us(&self) -> Option<u64> {
-        self.inner.as_ref().map(|i| i.t0.elapsed().as_micros() as u64)
+        self.inner
+            .as_ref()
+            .map(|i| i.t0.elapsed().as_micros() as u64)
     }
 
     /// A handle to the same sink that stamps `fields` on every event it

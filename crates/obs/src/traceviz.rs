@@ -258,10 +258,7 @@ fn render_stream(pid: u64, jsonl: &str) -> StreamRender {
             continue;
         }
         if let Some(kind) = ev.strip_suffix("_end") {
-            if let Some(pos) = open
-                .iter()
-                .rposition(|(t, k, _, _)| *t == tid && k == kind)
-            {
+            if let Some(pos) = open.iter().rposition(|(t, k, _, _)| *t == tid && k == kind) {
                 let (_, _, begin_us, begin) = open.remove(pos);
                 let dur = v["dur_us"].as_u64().unwrap_or(us.saturating_sub(begin_us));
                 let mut args = Map::new();
@@ -411,17 +408,22 @@ mod tests {
     #[test]
     fn pairs_spans_and_builds_counters() {
         let mut jsonl = String::new();
-        jsonl += &line(r#"{"us":0,"tid":1,"ev":"campaign_begin","mode":"parallel","faults":100,"batches":2,"lanes":64,"budget":500,"threads":2,"nets":9,"gates":5,"dffs":2,"segments":2}"#);
-        jsonl += &line(r#"{"us":1000,"tid":2,"ev":"batch","batch":0,"faults":63,"cycles":500,"detected":40,"dur_us":900}"#);
-        jsonl += &line(r#"{"us":2000,"tid":3,"ev":"batch","batch":1,"faults":37,"cycles":400,"detected":30,"dur_us":800}"#);
-        jsonl += &line(r#"{"us":2500,"tid":1,"ev":"campaign_end","cycles":900,"budget_cycles":1000,"dropped":0,"wall_us":2500}"#);
+        jsonl += &line(
+            r#"{"us":0,"tid":1,"ev":"campaign_begin","mode":"parallel","faults":100,"batches":2,"lanes":64,"budget":500,"threads":2,"nets":9,"gates":5,"dffs":2,"segments":2}"#,
+        );
+        jsonl += &line(
+            r#"{"us":1000,"tid":2,"ev":"batch","batch":0,"faults":63,"cycles":500,"detected":40,"dur_us":900}"#,
+        );
+        jsonl += &line(
+            r#"{"us":2000,"tid":3,"ev":"batch","batch":1,"faults":37,"cycles":400,"detected":30,"dur_us":800}"#,
+        );
+        jsonl += &line(
+            r#"{"us":2500,"tid":1,"ev":"campaign_end","cycles":900,"budget_cycles":1000,"dropped":0,"wall_us":2500}"#,
+        );
         let trace = render(&jsonl, None);
         let events = trace["traceEvents"].as_array().unwrap();
         // 3 thread_name + 2 batch slices + 1 campaign slice + 4 counters.
-        let phases: Vec<&str> = events
-            .iter()
-            .map(|e| e["ph"].as_str().unwrap())
-            .collect();
+        let phases: Vec<&str> = events.iter().map(|e| e["ph"].as_str().unwrap()).collect();
         assert_eq!(phases.iter().filter(|p| **p == "M").count(), 3);
         assert_eq!(phases.iter().filter(|p| **p == "X").count(), 3);
         assert_eq!(phases.iter().filter(|p| **p == "C").count(), 4);
@@ -526,18 +528,22 @@ mod tests {
         let worker = ProcessStream {
             pid: 3,
             name: "worker proc-0".into(),
-            jsonl: line(
-                r#"{"us":1000,"tid":1,"ev":"shard_grade_begin","trace_id":"j","shard":0}"#,
-            ) + &line(
-                r#"{"us":2000,"tid":1,"ev":"shard_grade_end","trace_id":"j","dur_us":1000}"#,
-            ),
+            jsonl: line(r#"{"us":1000,"tid":1,"ev":"shard_grade_begin","trace_id":"j","shard":0}"#)
+                + &line(
+                    r#"{"us":2000,"tid":1,"ev":"shard_grade_end","trace_id":"j","dur_us":1000}"#,
+                ),
         };
         let trace = render_fleet(&[coord, worker], None);
         let events = trace["traceEvents"].as_array().unwrap();
         let procs: Vec<(u64, &str)> = events
             .iter()
             .filter(|e| e["name"].as_str() == Some("process_name"))
-            .map(|e| (e["pid"].as_u64().unwrap(), e["args"]["name"].as_str().unwrap()))
+            .map(|e| {
+                (
+                    e["pid"].as_u64().unwrap(),
+                    e["args"]["name"].as_str().unwrap(),
+                )
+            })
             .collect();
         assert_eq!(procs, vec![(1, "coordinator"), (3, "worker proc-0")]);
         // queue_wait carries dur_us → a slice back-dated to the submit.

@@ -172,7 +172,13 @@ impl<W: Write> VcdWriter<W> {
             if v.width == 1 {
                 writeln!(out, "$var wire 1 {code} {} $end", v.name)?;
             } else {
-                writeln!(out, "$var wire {} {code} {} [{}:0] $end", v.width, v.name, v.width - 1)?;
+                writeln!(
+                    out,
+                    "$var wire {} {code} {} [{}:0] $end",
+                    v.width,
+                    v.name,
+                    v.width - 1
+                )?;
             }
             codes.push(code);
         }
@@ -306,10 +312,16 @@ mod tests {
             (3, vec![1, 0b0011]),
         ];
         let text = String::from_utf8(render_vcd(&spec, "", &rows)).unwrap();
-        assert!(text.contains("#0\n$dumpvars\n0!\nb1010 \"\n$end\n"), "bad dumpvars: {text}");
+        assert!(
+            text.contains("#0\n$dumpvars\n0!\nb1010 \"\n$end\n"),
+            "bad dumpvars: {text}"
+        );
         assert!(!text.contains("#1"), "idle timestamp emitted: {text}");
         assert!(text.contains("#2\n1!\n"), "scalar change missing: {text}");
-        assert!(text.contains("#3\nb0011 \"\n"), "vector change missing: {text}");
+        assert!(
+            text.contains("#3\nb0011 \"\n"),
+            "vector change missing: {text}"
+        );
     }
 
     #[test]
@@ -320,7 +332,10 @@ mod tests {
         let text = String::from_utf8(render_vcd(&spec, "", &rows)).unwrap();
         assert!(text.contains("b1111 !"), "mask failed: {text}");
         // 0x1F masked to 4 bits is still 0xF: no change at #1.
-        assert!(!text.contains("#1"), "masked-equal value re-emitted: {text}");
+        assert!(
+            !text.contains("#1"),
+            "masked-equal value re-emitted: {text}"
+        );
     }
 
     #[test]

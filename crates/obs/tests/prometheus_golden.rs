@@ -15,14 +15,26 @@ fn build_registry() -> MetricRegistry {
         &[],
     )
     .inc(7);
-    reg.counter("sbst_worker_batches_total", "batches per worker", &[("worker", "0")])
-        .inc(3);
-    reg.counter("sbst_worker_batches_total", "batches per worker", &[("worker", "1")])
-        .inc(4);
+    reg.counter(
+        "sbst_worker_batches_total",
+        "batches per worker",
+        &[("worker", "0")],
+    )
+    .inc(3);
+    reg.counter(
+        "sbst_worker_batches_total",
+        "batches per worker",
+        &[("worker", "1")],
+    )
+    .inc(4);
     reg.gauge("sbst_mlane_cycles_per_sec", "campaign throughput", &[])
         .set(2.5);
-    reg.counter("weird-name", "help with \\ and\nnewline", &[("p", "a\"b\\c\nd")])
-        .inc(1);
+    reg.counter(
+        "weird-name",
+        "help with \\ and\nnewline",
+        &[("p", "a\"b\\c\nd")],
+    )
+    .inc(1);
     let h = reg.histogram(
         "sbst_detection_latency_cycles",
         "cycle of first divergence",
@@ -62,9 +74,7 @@ fn json_snapshot_round_trips_through_the_parser() {
     assert_eq!(gauge["value"], serde_json::Value::F64(2.5));
     let hist = metrics
         .iter()
-        .find(|m| {
-            m["name"] == serde_json::Value::String("sbst_detection_latency_cycles".into())
-        })
+        .find(|m| m["name"] == serde_json::Value::String("sbst_detection_latency_cycles".into()))
         .unwrap();
     assert_eq!(hist["count"], serde_json::Value::U64(5));
     assert_eq!(hist["sum"], serde_json::Value::U64(311));

@@ -50,11 +50,17 @@ impl ParwanCore {
         let s_ex = st[1];
 
         let opc = synth::match_lines(b_ref(&mut b), &ir[4..8], &[0, 1, 2, 3, 4, 5, 7, 8]);
-        let (op_lda, op_and, op_add, op_sub, op_jmp, op_sta, op_bra, op_sgl) =
-            (opc[0], opc[1], opc[2], opc[3], opc[4], opc[5], opc[6], opc[7]);
+        let (op_lda, op_and, op_add, op_sub, op_jmp, op_sta, op_bra, op_sgl) = (
+            opc[0], opc[1], opc[2], opc[3], opc[4], opc[5], opc[6], opc[7],
+        );
         let sub_lines = synth::match_lines(b_ref(&mut b), &ir[0..4], &[1, 2, 3, 4, 5]);
-        let (f_cla, f_cma, f_cmc, f_asl, f_asr) =
-            (sub_lines[0], sub_lines[1], sub_lines[2], sub_lines[3], sub_lines[4]);
+        let (f_cla, f_cma, f_cmc, f_asl, f_asr) = (
+            sub_lines[0],
+            sub_lines[1],
+            sub_lines[2],
+            sub_lines[3],
+            sub_lines[4],
+        );
         let single_alu = {
             let a = b.or2(f_cla, f_cma);
             let c = b.or2(f_asl, f_asr);
@@ -255,10 +261,7 @@ mod tests {
         }
         let total = nl.nand2_equiv();
         // Parwan-class: under a thousand-odd NAND2 (literature: ~888).
-        assert!(
-            (300.0..2500.0).contains(&total),
-            "unexpected size {total}"
-        );
+        assert!((300.0..2500.0).contains(&total), "unexpected size {total}");
         let [early, late] = core.segments();
         assert_eq!(early.len() + late.len(), nl.gates().len());
     }

@@ -213,7 +213,10 @@ mod tests {
     use super::*;
     use crate::isa::{Cond, ProgramBuilder};
 
-    fn run_program(build: impl FnOnce(&mut ProgramBuilder), cycles: usize) -> (ParwanModel, Vec<u8>) {
+    fn run_program(
+        build: impl FnOnce(&mut ProgramBuilder),
+        cycles: usize,
+    ) -> (ParwanModel, Vec<u8>) {
         let mut p = ProgramBuilder::new();
         build(&mut p);
         let mut mem = vec![0u8; 4096];

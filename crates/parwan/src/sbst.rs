@@ -89,7 +89,14 @@ pub fn deterministic_selftest() -> ParwanSelfTest {
     }
 
     // Logic: per-bit exhaustive AND pairs.
-    for (a, b) in [(0x00u8, 0x00u8), (0x00, 0xFF), (0xFF, 0x00), (0xFF, 0xFF), (0xAA, 0x55), (0xCC, 0xAA)] {
+    for (a, b) in [
+        (0x00u8, 0x00u8),
+        (0x00, 0xFF),
+        (0xFF, 0x00),
+        (0xFF, 0xFF),
+        (0xAA, 0x55),
+        (0xCC, 0xAA),
+    ] {
         let aa = tab_at(&mut tab, a);
         let bb = tab_at(&mut tab, b);
         p.lda(aa).and(bb).sta(resp);
@@ -210,7 +217,11 @@ pub fn lfsr_selftest(count: usize) -> ParwanSelfTest {
         // xor block: x = x ^ taps = (x + taps) - 2*(x & taps)
         assert_eq!(p.here(), xor_block);
         p.lda(x_cell).and(taps_cell).sta(t_cell); // t = x & taps
-        p.lda(x_cell).add(taps_cell).sub(t_cell).sub(t_cell).sta(x_cell);
+        p.lda(x_cell)
+            .add(taps_cell)
+            .sub(t_cell)
+            .sub(t_cell)
+            .sta(x_cell);
         assert_eq!(p.here(), skip, "xor block size changed");
         // Store the pattern into the buffer (unrolled address).
         p.lda(x_cell).sta(buf + k as u16);
@@ -232,7 +243,10 @@ pub fn lfsr_selftest(count: usize) -> ParwanSelfTest {
 
     end_test(&mut p, marker_cell);
     let code_bytes = p.here() as usize;
-    assert!(code_bytes <= resp_base as usize, "code overruns the data map");
+    assert!(
+        code_bytes <= resp_base as usize,
+        "code overruns the data map"
+    );
     p.pad_to(tab);
     p.byte(0xB7) // seed
         .byte(0xB8) // taps (x^8 + x^6 + x^5 + x^4 + 1 -> 0xB8)
@@ -278,9 +292,8 @@ pub fn grade(
     telemetry: &Telemetry,
 ) -> CampaignResult {
     let budget = golden_cycles(test) + 32;
-    let factory = || {
-        self_test_bench(core, &test.image, budget).with_profiler(telemetry.profiler.clone())
-    };
+    let factory =
+        || self_test_bench(core, &test.image, budget).with_profiler(telemetry.profiler.clone());
     engine.grade(
         core.netlist(),
         &core.segments().map(<[u32]>::to_vec),
@@ -309,7 +322,9 @@ pub fn capture_fault_wave(
     let segments = core.segments().map(<[u32]>::to_vec);
     let mut sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
     let mut tb = self_test_bench(core, &test.image, budget);
-    Ok(fault::wave::capture_fault(&mut sim, &mut tb, probe, f, opts))
+    Ok(fault::wave::capture_fault(
+        &mut sim, &mut tb, probe, f, opts,
+    ))
 }
 
 #[cfg(test)]
@@ -352,7 +367,14 @@ mod tests {
             weight: faults.weight[..63].to_vec(),
             total_uncollapsed: 63,
         };
-        let res = grade(&core, &test, &head, 0, EngineConfig::default(), &Telemetry::none());
+        let res = grade(
+            &core,
+            &test,
+            &head,
+            0,
+            EngineConfig::default(),
+            &Telemetry::none(),
+        );
         let (idx, det_cycle) = res
             .detections
             .iter()
@@ -366,7 +388,11 @@ mod tests {
 
         let opts = fault::wave::WaveOptions::default();
         let wave = capture_fault_wave(&core, &test, f, &opts).unwrap();
-        assert_eq!(wave.trigger, Some(det_cycle), "wave trigger != campaign detection");
+        assert_eq!(
+            wave.trigger,
+            Some(det_cycle),
+            "wave trigger != campaign detection"
+        );
         let corrupt = wave.corrupt_cycles();
         assert!(!corrupt.is_empty(), "no corruption in diff scope");
         assert!(*corrupt.first().unwrap() <= det_cycle);
@@ -377,7 +403,11 @@ mod tests {
             buf
         };
         let again = capture_fault_wave(&core, &test, f, &opts).unwrap();
-        assert_eq!(render(&wave), render(&again), "capture is not deterministic");
+        assert_eq!(
+            render(&wave),
+            render(&again),
+            "capture is not deterministic"
+        );
 
         // Probe selection by port glob narrows the var set.
         let narrow = fault::wave::WaveOptions {
@@ -390,7 +420,10 @@ mod tests {
             &core,
             &test,
             f,
-            &fault::wave::WaveOptions { probe: vec!["nope".into()], ..Default::default() }
+            &fault::wave::WaveOptions {
+                probe: vec!["nope".into()],
+                ..Default::default()
+            }
         )
         .is_err());
     }

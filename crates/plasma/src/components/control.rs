@@ -84,22 +84,19 @@ pub fn control(
     // Match lines exist only for the implemented opcodes/functs, exactly
     // as a synthesized decoder would — no dead one-hot lines.
     const OPCODES: [u64; 24] = [
-        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-        0x0e, 0x0f, 0x20, 0x21, 0x23, 0x24, 0x25, 0x28, 0x29, 0x2b,
+        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e,
+        0x0f, 0x20, 0x21, 0x23, 0x24, 0x25, 0x28, 0x29, 0x2b,
     ];
     const FUNCTS: [u64; 26] = [
-        0x00, 0x02, 0x03, 0x04, 0x06, 0x07, 0x08, 0x09, 0x10, 0x11, 0x12, 0x13, 0x18, 0x19,
-        0x1a, 0x1b, 0x20, 0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x2a, 0x2b,
+        0x00, 0x02, 0x03, 0x04, 0x06, 0x07, 0x08, 0x09, 0x10, 0x11, 0x12, 0x13, 0x18, 0x19, 0x1a,
+        0x1b, 0x20, 0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x2a, 0x2b,
     ];
     let opc_lines = synth::match_lines(b, opcode, &OPCODES);
     let opc = |v: u64| opc_lines[OPCODES.iter().position(|&x| x == v).unwrap()];
     let is_special = opc(0x00);
     let fun_lines = synth::match_lines(b, funct, &FUNCTS);
     // Qualify funct lines by SPECIAL.
-    let fun_lines: Vec<Net> = fun_lines
-        .iter()
-        .map(|&f| b.and2(f, is_special))
-        .collect();
+    let fun_lines: Vec<Net> = fun_lines.iter().map(|&f| b.and2(f, is_special)).collect();
     let fun = |v: u64| fun_lines[FUNCTS.iter().position(|&x| x == v).unwrap()];
 
     let is_regimm = opc(0x01);

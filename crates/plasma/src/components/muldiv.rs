@@ -337,7 +337,7 @@ mod tests {
         sim.reset(&nl);
         // Leave sign flags set by a signed negative multiply...
         let _ = run_op(&nl, &mut sim, 0xFFFF_FFFB, 3, false, true); // -5 * 3
-        // ...then overwrite LO via mtlo; the read must be the raw value.
+                                                                    // ...then overwrite LO via mtlo; the read must be the raw value.
         sim.set_input_word(&nl, "a", 0x1234_5678);
         sim.set_input_word(&nl, "mtlo", 1);
         sim.eval(&nl);

@@ -5,13 +5,7 @@ use netlist::{Net, NetlistBuilder, Word};
 
 /// Build the 32-bit barrel shifter: `left`/`arith` select the operation,
 /// `shamt` the distance.
-pub fn shifter(
-    b: &mut NetlistBuilder,
-    data: &Word,
-    shamt: &Word,
-    left: Net,
-    arith: Net,
-) -> Word {
+pub fn shifter(b: &mut NetlistBuilder, data: &Word, shamt: &Word, left: Net, arith: Net) -> Word {
     b.begin_component("BSH");
     let out = synth::barrel_shifter(b, data, shamt, left, arith);
     b.end_component();

@@ -74,13 +74,7 @@ impl PlasmaCore {
         let wdata_fwd = b.fresh_word(32);
         let wen_fwd = b.fresh_net();
         let (rs_val, rt_val) = regfile::regfile(
-            &mut b,
-            style,
-            &waddr_fwd,
-            &wdata_fwd,
-            wen_fwd,
-            &rs_field,
-            &rt_field,
+            &mut b, style, &waddr_fwd, &wdata_fwd, wen_fwd, &rs_field, &rt_field,
         );
 
         // ---- multiply/divide with forward-declared (gated) controls -------
@@ -126,7 +120,8 @@ impl PlasmaCore {
         let op_b = busmux::operand_b(&mut b, &rt_val, &imm, ctrl.use_imm, ctrl.imm_zext);
         let alu_out = alu::alu(&mut b, style, &ctrl.alu_op, &rs_val, &op_b);
         let shamt = busmux::shamt_mux(&mut b, &shamt_field, &rs_val, ctrl.shift_var);
-        let shift_out = shifter::shifter(&mut b, &rt_val, &shamt, ctrl.shift_left, ctrl.shift_arith);
+        let shift_out =
+            shifter::shifter(&mut b, &rt_val, &shamt, ctrl.shift_left, ctrl.shift_arith);
 
         // ---- PC logic -----------------------------------------------------------
         let taken_g = b.and2(ctrl.taken, can_ex);

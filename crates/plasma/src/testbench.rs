@@ -116,7 +116,13 @@ pub fn self_test_bench<'a>(
     budget: u64,
 ) -> MemBench<'a> {
     let nl = core.netlist();
-    let mut tb = MemBench::new(nl, core.observed_outputs(), mem_bytes, budget, StoreRead::New);
+    let mut tb = MemBench::new(
+        nl,
+        core.observed_outputs(),
+        mem_bytes,
+        budget,
+        StoreRead::New,
+    );
     tb.load_image(program.base, program.words.iter().copied());
     tb
 }
@@ -160,7 +166,9 @@ pub fn capture_fault_wave(
     let segments = core.segments().map(<[u32]>::to_vec);
     let mut sim = EngineConfig::compiled(64).sim(core.netlist(), &segments);
     let mut tb = self_test_bench(core, program, mem_bytes, budget);
-    Ok(fault::wave::capture_fault(&mut sim, &mut tb, probe, f, opts))
+    Ok(fault::wave::capture_fault(
+        &mut sim, &mut tb, probe, f, opts,
+    ))
 }
 
 #[cfg(test)]
@@ -285,7 +293,11 @@ mod tests {
         assert_eq!(cpu.read_word(0x300), 0xCDEF_AB44);
         for addr in [0x300, 0x304, 0x308] {
             for lane in [0, 63] {
-                assert_eq!(tb.read(lane, addr), cpu.read_word(addr), "{addr:#x} lane {lane}");
+                assert_eq!(
+                    tb.read(lane, addr),
+                    cpu.read_word(addr),
+                    "{addr:#x} lane {lane}"
+                );
             }
         }
     }

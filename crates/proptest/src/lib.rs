@@ -154,7 +154,10 @@ pub struct ProptestConfig {
 impl ProptestConfig {
     /// A config running `cases` samples per property.
     pub fn with_cases(cases: u32) -> ProptestConfig {
-        ProptestConfig { cases, persist: true }
+        ProptestConfig {
+            cases,
+            persist: true,
+        }
     }
 
     /// Disable regression-file persistence (used by self-tests that
@@ -167,7 +170,10 @@ impl ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 64, persist: true }
+        ProptestConfig {
+            cases: 64,
+            persist: true,
+        }
     }
 }
 
@@ -558,13 +564,22 @@ mod tests {
 
     #[test]
     fn shrink_candidates_halve_toward_minimum() {
-        assert_eq!(Strategy::shrink(&crate::any::<u32>(), &100), vec![0, 50, 99]);
-        assert_eq!(Strategy::shrink(&crate::any::<u32>(), &0), Vec::<u32>::new());
+        assert_eq!(
+            Strategy::shrink(&crate::any::<u32>(), &100),
+            vec![0, 50, 99]
+        );
+        assert_eq!(
+            Strategy::shrink(&crate::any::<u32>(), &0),
+            Vec::<u32>::new()
+        );
         assert_eq!(Strategy::shrink(&crate::any::<i32>(), &-9), vec![0, -4, -8]);
         assert_eq!(Strategy::shrink(&(3u8..17), &11), vec![3, 7, 10]);
         assert_eq!(Strategy::shrink(&(3u8..17), &3), Vec::<u8>::new());
         assert_eq!(Strategy::shrink(&crate::any::<bool>(), &true), vec![false]);
-        assert_eq!(Strategy::shrink(&crate::any::<bool>(), &false), Vec::<bool>::new());
+        assert_eq!(
+            Strategy::shrink(&crate::any::<bool>(), &false),
+            Vec::<bool>::new()
+        );
     }
 
     // A deliberately failing property (NOT a #[test]; invoked below under
@@ -579,8 +594,8 @@ mod tests {
 
     #[test]
     fn failures_shrink_to_the_minimal_case() {
-        let payload = std::panic::catch_unwind(probe_fails_from_ten_up)
-            .expect_err("property must fail");
+        let payload =
+            std::panic::catch_unwind(probe_fails_from_ten_up).expect_err("property must fail");
         let msg = crate::panic_text(payload);
         assert!(
             msg.contains("minimal failing case: x = 10"),

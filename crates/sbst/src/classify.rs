@@ -93,14 +93,11 @@ pub fn with_sizes(mut infos: Vec<ComponentInfo>, netlist: &Netlist) -> Vec<Compo
 /// sizes sort last within their class).
 pub fn priority_order(mut infos: Vec<ComponentInfo>) -> Vec<ComponentInfo> {
     infos.sort_by(|a, b| {
-        a.class
-            .priority()
-            .cmp(&b.class.priority())
-            .then_with(|| {
-                b.nand2_equiv
-                    .unwrap_or(f64::NEG_INFINITY)
-                    .total_cmp(&a.nand2_equiv.unwrap_or(f64::NEG_INFINITY))
-            })
+        a.class.priority().cmp(&b.class.priority()).then_with(|| {
+            b.nand2_equiv
+                .unwrap_or(f64::NEG_INFINITY)
+                .total_cmp(&a.nand2_equiv.unwrap_or(f64::NEG_INFINITY))
+        })
     });
     infos
 }
@@ -172,7 +169,7 @@ mod tests {
             names,
             [
                 "RegF", "MulD", "BSH", "ALU", // functional
-                "MCTRL", "BMUX", "PCL", "CTRL", "GL", // control
+                "MCTRL", "BMUX", "PCL", "CTRL", "GL",  // control
                 "PLN"  // hidden
             ]
         );

@@ -260,7 +260,10 @@ pub fn write_fault_wave(
             "fault {desc} detected at cycle {t}; window pre={} post={}",
             wave.pre, wave.post
         ),
-        None => format!("fault {desc} escaped; horizon window of {} cycles", wave.depth),
+        None => format!(
+            "fault {desc} escaped; horizon window of {} cycles",
+            wave.depth
+        ),
     };
     captured
         .write_file(&path, &comment)
@@ -287,10 +290,12 @@ fn capture_flow_waves(
     let mut waves = Vec::new();
     if let Some(id) = &w.fault {
         match fault::wave::find_fault(faults, id) {
-            Some(i) => match write_fault_wave(core, program, budget, faults.faults[i], w, "fault") {
-                Ok(a) => waves.push(a),
-                Err(e) => eprintln!("warning: wave capture for `{id}` failed: {e}"),
-            },
+            Some(i) => {
+                match write_fault_wave(core, program, budget, faults.faults[i], w, "fault") {
+                    Ok(a) => waves.push(a),
+                    Err(e) => eprintln!("warning: wave capture for `{id}` failed: {e}"),
+                }
+            }
             None => eprintln!("warning: wave fault `{id}` not in the (sampled) fault list"),
         }
     }

@@ -131,11 +131,7 @@ pub fn run_shard(
 /// coverage-convergence series (detected faults vs. shards done).
 pub fn shard_progress(result: &CampaignResult) -> (u64, u64) {
     let graded = result.detections.len() as u64;
-    let detected = result
-        .detections
-        .iter()
-        .filter(|d| d.is_detected())
-        .count() as u64;
+    let detected = result.detections.iter().filter(|d| d.is_detected()).count() as u64;
     (graded, detected)
 }
 
@@ -198,11 +194,17 @@ mod tests {
 
         assert_eq!(merged.detections, single.detections);
         assert_eq!(merged.coverage(), single.coverage());
-        assert!(merged.detections.iter().any(|d| matches!(d, Detection::DetectedAt(_))));
+        assert!(merged
+            .detections
+            .iter()
+            .any(|d| matches!(d, Detection::DetectedAt(_))));
         // Faults graded and useful lane-cycles depend only on the
         // detections, so the merge sums them to the single-shot values.
         assert_eq!(merged.stats.faults, single.stats.faults);
-        assert_eq!(merged.stats.lane_cycles_useful, single.stats.lane_cycles_useful);
+        assert_eq!(
+            merged.stats.lane_cycles_useful,
+            single.stats.lane_cycles_useful
+        );
 
         // Shard progress tallies sum to the merged totals.
         let (graded, detected): (u64, u64) = parts

@@ -152,7 +152,11 @@ mod tests {
                 trace.len()
             );
             // Table 4 ballpark: around 1K words, a few thousand cycles.
-            assert!(st.size_words() < 2500, "{}: program too large", phase.name());
+            assert!(
+                st.size_words() < 2500,
+                "{}: program too large",
+                phase.name()
+            );
             assert!(trace.len() < 40_000, "{}: too slow", phase.name());
         }
     }

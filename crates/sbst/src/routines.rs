@@ -97,8 +97,16 @@ pub fn regfile_routine() -> Routine {
     // the spurious write data is the store address). The first `sw` reads
     // the healthy value, the second reads the corruption.
     for r in 1..32u8 {
-        let _ = writeln!(code, "        sw  ${r}, 0x{:x}($zero)", RESP_BASE + 0x180 + 4 * r as u32);
-        let _ = writeln!(code, "        sw  ${r}, 0x{:x}($zero)", RESP_BASE + 0x200 + 4 * r as u32);
+        let _ = writeln!(
+            code,
+            "        sw  ${r}, 0x{:x}($zero)",
+            RESP_BASE + 0x180 + 4 * r as u32
+        );
+        let _ = writeln!(
+            code,
+            "        sw  ${r}, 0x{:x}($zero)",
+            RESP_BASE + 0x200 + 4 * r as u32
+        );
     }
     // 6: disturb passes. A stuck-at-1 hold-mux select makes a cell load
     // on *every* write; whether the march sees it depends on what the
@@ -463,12 +471,12 @@ pub fn control_routine() -> Routine {
     let _ = writeln!(code, "        li   $k0, 0x{MCTRL_SCRATCH:x}");
     let _ = writeln!(code, "        li   $t0, 0x0F1E2D3C");
     let used_opc: [u32; 24] = [
-        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-        0x0e, 0x0f, 0x20, 0x21, 0x23, 0x24, 0x25, 0x28, 0x29, 0x2b,
+        0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e,
+        0x0f, 0x20, 0x21, 0x23, 0x24, 0x25, 0x28, 0x29, 0x2b,
     ];
     let used_fun: [u32; 26] = [
-        0x00, 0x02, 0x03, 0x04, 0x06, 0x07, 0x08, 0x09, 0x10, 0x11, 0x12, 0x13, 0x18, 0x19,
-        0x1a, 0x1b, 0x20, 0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x2a, 0x2b,
+        0x00, 0x02, 0x03, 0x04, 0x06, 0x07, 0x08, 0x09, 0x10, 0x11, 0x12, 0x13, 0x18, 0x19, 0x1a,
+        0x1b, 0x20, 0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x2a, 0x2b,
     ];
     let mut near_opc = std::collections::BTreeSet::new();
     for o in used_opc {
@@ -510,7 +518,6 @@ pub fn control_routine() -> Routine {
     }
 }
 
-
 /// The PC-ladder routine (Phase C extension): a chain of taken control
 /// transfers hopping across the whole 64 KB code space with offsets of
 /// every magnitude, mixing `b`, `j` and `jr` hops.
@@ -535,9 +542,9 @@ pub fn pcl_ladder_routine() -> Routine {
     // ORDER is a permutation chosen so displacements span +-2^k for all
     // reachable k and so jump/jr targets carry varied bit patterns.
     let nodes: [u32; 23] = [
-        0x8000, 0x8008, 0x8018, 0x8038, 0x8078, 0x80F8, 0x81F8, 0x83F8, 0x87F8, 0x8FF8,
-        0x9FF8, 0xBFF0, 0xC000, 0xE000, 0xF000, 0xF800, 0xFC00, 0xFE00, 0xFF00, 0xFF80,
-        0xFFC0, 0xFFE0, 0xFFF0,
+        0x8000, 0x8008, 0x8018, 0x8038, 0x8078, 0x80F8, 0x81F8, 0x83F8, 0x87F8, 0x8FF8, 0x9FF8,
+        0xBFF0, 0xC000, 0xE000, 0xF000, 0xF800, 0xFC00, 0xFE00, 0xFF00, 0xFF80, 0xFFC0, 0xFFE0,
+        0xFFF0,
     ];
     // Flow: entry -> 22 -> 0 -> 1 -> 2 ... -> 10 -> 21 -> 3? No: each
     // node appears exactly once; the permutation below visits all nodes.

@@ -54,10 +54,16 @@ fn forensics_json_matches_a_512_lane_replay_at_every_width_and_thread_count() {
         let report = run(&core, EngineConfig::compiled(lanes), threads, true);
         let f = report.forensics.as_ref().expect("forensics requested");
         // Sanity: the report triaged real escapes and split coverage.
-        assert!(!f.escapes.is_empty(), "sampled campaign should have escapes");
+        assert!(
+            !f.escapes.is_empty(),
+            "sampled campaign should have escapes"
+        );
         assert!(f.testable_coverage() >= f.raw_coverage());
         let (ref_det, ref_json) = reference.get_or_insert_with(|| {
-            (report.campaign.detections.clone(), wide_forensics_json(&core, &report))
+            (
+                report.campaign.detections.clone(),
+                wide_forensics_json(&core, &report),
+            )
         });
         assert_eq!(
             ref_det, &report.campaign.detections,

@@ -374,7 +374,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -755,7 +759,10 @@ mod tests {
             s,
             "{\n  \"a\": 1,\n  \"s\": \"x\\\"y\\n\",\n  \"l\": [\n    1,\n    2\n  ]\n}"
         );
-        assert_eq!(to_string(&v).unwrap(), "{\"a\":1,\"s\":\"x\\\"y\\n\",\"l\":[1,2]}");
+        assert_eq!(
+            to_string(&v).unwrap(),
+            "{\"a\":1,\"s\":\"x\\\"y\\n\",\"l\":[1,2]}"
+        );
     }
 
     #[test]
@@ -803,7 +810,15 @@ mod tests {
     #[test]
     fn parser_rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "1 2", "{'a':1}", "[1,]",
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "{'a':1}",
+            "[1,]",
         ] {
             assert!(from_str(bad).is_err(), "accepted malformed `{bad}`");
         }

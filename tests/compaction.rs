@@ -290,7 +290,10 @@ fn faulty_lane_evidence<T: Testbench>(
         }
         sim.reset_state();
         tb.begin(sim);
-        let sites: Vec<Net> = slice.iter().map(|f| forensics::site_net(nl, f.site)).collect();
+        let sites: Vec<Net> = slice
+            .iter()
+            .map(|f| forensics::site_net(nl, f.site))
+            .collect();
         let origins: Vec<Vec<Net>> = slice
             .iter()
             .map(|f| forensics::effect_origin(nl, f.site))
@@ -532,9 +535,15 @@ fn plasma_evidence_matches_faulty_lanes() {
         &mut tb,
     );
     let (escapes, evidence) = testable_evidence(&narrow);
-    assert!(escapes.len() > 63, "{} testable escapes: need 2+ slices", escapes.len());
     assert!(
-        evidence.iter().any(|&(e, p)| e.is_some() && p.is_some_and(|p| p >= 128)),
+        escapes.len() > 63,
+        "{} testable escapes: need 2+ slices",
+        escapes.len()
+    );
+    assert!(
+        evidence
+            .iter()
+            .any(|&(e, p)| e.is_some() && p.is_some_and(|p| p >= 128)),
         "no escape propagates late"
     );
     let reference = faulty_lane_evidence(

@@ -124,8 +124,8 @@ fn broken_load_aligner_is_caught_by_phase_b_only() {
     assert!(muxes.len() > 10, "MCTRL must contain mux faults");
     let ra = grade(&core, &st_a, &muxes);
     let rb = grade(&core, &st_b, &muxes);
-    let found = (0..muxes.len())
-        .any(|i| !ra.detections[i].is_detected() && rb.detections[i].is_detected());
+    let found =
+        (0..muxes.len()).any(|i| !ra.detections[i].is_detected() && rb.detections[i].is_detected());
     assert!(
         found,
         "expected at least one aligner fault that only Phase B catches"

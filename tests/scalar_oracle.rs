@@ -371,8 +371,16 @@ fn parwan_campaign_matches_the_scalar_oracle() {
     let nl = core.netlist();
     let full = FaultList::extract(nl).collapsed(nl);
     let tests = [
-        (parwan::sbst::deterministic_selftest(), 16, &PARWAN_READ_ORDER[..]),
-        (parwan::sbst::lfsr_selftest(40), 64, &PARWAN_LFSR_READ_ORDER[..]),
+        (
+            parwan::sbst::deterministic_selftest(),
+            16,
+            &PARWAN_READ_ORDER[..],
+        ),
+        (
+            parwan::sbst::lfsr_selftest(40),
+            64,
+            &PARWAN_LFSR_READ_ORDER[..],
+        ),
     ];
     for (test, stride, pinned) in tests {
         let faults = spread_sample(&full, stride, pinned);
@@ -430,7 +438,10 @@ fn site_net(nl: &Netlist, site: FaultSite) -> Net {
 fn origin_nets(nl: &Netlist, site: FaultSite) -> Vec<Net> {
     match site {
         FaultSite::Stem(n) => {
-            let gates = nl.gates().iter().filter(|g| g.used_inputs().any(|i| i == n));
+            let gates = nl
+                .gates()
+                .iter()
+                .filter(|g| g.used_inputs().any(|i| i == n));
             let flops = nl.dffs().iter().filter(|d| d.d == n);
             gates.map(|g| g.output).chain(flops.map(|d| d.q)).collect()
         }
