@@ -7,12 +7,14 @@
 //! fingerprint; the server prepares the job deterministically
 //! ([`sbst::jobs::prepare`]), tiles its fault list into contiguous
 //! shards, and lets workers — in-process threads and/or external
-//! `server --worker` processes speaking the same HTTP API — steal
-//! shards from a lease-based scoreboard ([`fault::shard::ShardBoard`]).
-//! Completed shards merge through [`sbst::jobs::merge`] into a result
-//! bit-identical to a single-shot run of the same spec; every finished
-//! job is appended to the run ledger with its shard count (its own
-//! comparability lineage — never gated against single-shot history).
+//! `server --worker` processes speaking the same HTTP API — claim
+//! shards under a lease. Each job keeps its shards, their results and
+//! its state in one table under one lock ([`Job`]), so a claim, a
+//! completion, finalization and a status read each see one consistent
+//! state. Completed shards merge through [`sbst::jobs::merge`] into a
+//! result bit-identical to a single-shot run of the same spec; every
+//! finished job is appended to the run ledger with its shard count (its
+//! own comparability lineage — never gated against single-shot history).
 //!
 //! Routes (all under the observatory, which keeps `/metrics`, `/json`,
 //! `/timeline`, `/events`, `/trace`):
@@ -40,18 +42,18 @@
 //! Request hardening: malformed JSON → 400, unknown fingerprint → 404,
 //! duplicate job id → 409 (atomic under the job-table lock, so two
 //! racing submitters get exactly one 202), oversized body → 413 (in the
-//! HTTP plane), wrong shard geometry on `/complete` → 400, and the span
-//! store is bounded per worker (overflow is counted, never buffered).
+//! HTTP plane), wrong shard geometry on `/complete` → 400, and each
+//! worker's span stream is bounded (overflow is counted, never
+//! buffered).
 
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use fault::campaign::{CampaignResult, CampaignStats, Detection};
 use fault::coverage::CoverageReport;
 use fault::engine::EngineConfig;
-use fault::shard::{ShardBoard, ShardState};
 use obs::serve::{ApiHandler, ApiRequest, ApiResponse};
 use obs::traceviz::{self, ProcessStream};
 use obs::{EventBus, MetricRegistry, Telemetry, TraceBuffer, TraceContext, Tracer};
@@ -81,11 +83,12 @@ pub const MAX_SPAN_BYTES_PER_WORKER: usize = 4 * 1024 * 1024;
 /// Lifecycle of one job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobState {
-    /// Shards are being claimed and graded.
+    /// Shards are being claimed and graded, or the last one is being
+    /// merged.
     Running,
     /// All shards merged; the result document is available.
     Done,
-    /// The merge (or a shard) failed; the message says why.
+    /// The merge failed; the message says why.
     Failed(String),
 }
 
@@ -99,7 +102,60 @@ impl JobState {
     }
 }
 
+/// One shard's entry in its job's [`Table`].
+enum Shard {
+    /// Not yet claimed by any worker.
+    Pending,
+    /// Held by `worker` since `at`; claimable again from `deadline` on.
+    Claimed {
+        worker: String,
+        deadline: Instant,
+        at: Instant,
+    },
+    /// Graded; the result waits here until finalization takes it out.
+    Done(Option<Box<CampaignResult>>),
+}
+
+impl Shard {
+    fn token(&self) -> &'static str {
+        match self {
+            Shard::Pending => "pending",
+            Shard::Claimed { .. } => "claimed",
+            Shard::Done(_) => "done",
+        }
+    }
+}
+
+/// Everything about a job that changes while it runs, under its one lock.
+struct Table {
+    shards: Vec<Shard>,
+    state: JobState,
+    /// Claims that re-issued an expired lease (work steals).
+    steals: u64,
+    /// When the job's first shard was claimed: the end of its queue wait.
+    first_claim: Option<Instant>,
+    /// Faults graded across completed shards (convergence series).
+    graded: u64,
+    /// Faults detected across completed shards (convergence series).
+    detected: u64,
+}
+
+impl Table {
+    fn done(&self) -> usize {
+        self.shards
+            .iter()
+            .filter(|s| matches!(s, Shard::Done(_)))
+            .count()
+    }
+}
+
 /// One submitted campaign job.
+///
+/// A completion stores its shard's result in the same critical section
+/// that marks the shard done. Any later completion of that shard is a
+/// duplicate, so exactly one completion marks the last shard done: that
+/// one takes the results out and finalizes the job, and the job leaves
+/// `Running` only once its result document exists.
 pub struct Job {
     /// Client-chosen unique id.
     pub id: String,
@@ -107,28 +163,18 @@ pub struct Job {
     pub spec: CampaignJobSpec,
     /// Deterministically prepared program/budget/faults/tiling.
     pub prepared: PreparedJob,
-    board: ShardBoard,
-    /// Each shard's result, from its completion until `finalize` merges it.
-    parts: Mutex<Vec<Option<CampaignResult>>>,
-    state: Mutex<JobState>,
     submitted: Instant,
     submitted_ts: u64,
     cache_at_submit: (u64, u64, u64),
+    table: Mutex<Table>,
+    /// The merged result document, written once at finalization.
     result_json: OnceLock<String>,
-    /// When the job's first shard was claimed (queue latency endpoint).
-    first_claim: OnceLock<Instant>,
-    /// Per-shard claim instants, for grade-latency decomposition.
-    claimed_at: Mutex<Vec<Option<Instant>>>,
-    /// Faults graded across completed shards (convergence series).
-    graded: AtomicU64,
-    /// Faults detected across completed shards (convergence series).
-    detected: AtomicU64,
 }
 
 impl Job {
     /// Current state.
     pub fn state(&self) -> JobState {
-        self.state.lock().unwrap().clone()
+        self.table.lock().unwrap().state.clone()
     }
 
     /// The merged result document, once done.
@@ -150,7 +196,7 @@ impl Job {
 }
 
 /// One known worker in the fleet registry: identity, transport, liveness
-/// and work tallies for `GET /workers`.
+/// and work tallies for `GET /workers`, and the span stream it shipped.
 struct WorkerEntry {
     name: String,
     /// `"local"` for in-process threads, `"http"` for worker processes.
@@ -165,12 +211,10 @@ struct WorkerEntry {
     jobs: Vec<String>,
     /// Span events ingested from this worker via `POST /spans`.
     span_events: u64,
-}
-
-/// Buffered span stream shipped by one worker process.
-struct SpanStore {
-    worker: String,
-    jsonl: String,
+    /// The JSONL span stream shipped to `POST /spans`; `None` until the
+    /// worker's first batch (only shippers get a track in the fleet
+    /// trace).
+    spans: Option<String>,
 }
 
 /// The job daemon: core registry, job table, shard scheduler, and the
@@ -192,7 +236,6 @@ pub struct JobServer {
     /// always carry `now_us` so workers can rebase).
     t0: Instant,
     workers: Mutex<Vec<WorkerEntry>>,
-    spans: Mutex<Vec<SpanStore>>,
 }
 
 impl JobServer {
@@ -213,7 +256,6 @@ impl JobServer {
             trace_buffer: None,
             t0: Instant::now(),
             workers: Mutex::new(Vec::new()),
-            spans: Mutex::new(Vec::new()),
         }
     }
 
@@ -261,7 +303,7 @@ impl JobServer {
             let _ = std::thread::Builder::new()
                 .name(format!("shard-worker-{i}"))
                 .spawn(move || loop {
-                    match srv.claim_shard(&name) {
+                    match srv.claim_shard(&name, "local", "-") {
                         Some((job, shard)) => {
                             // In-process grading runs under the shard's
                             // trace context on the coordinator's own
@@ -343,17 +385,18 @@ impl JobServer {
         let job = Arc::new(Job {
             id: id.clone(),
             spec,
-            board: ShardBoard::new(shards, self.lease),
-            parts: Mutex::new(vec![None; shards]),
-            state: Mutex::new(JobState::Running),
             submitted: Instant::now(),
             submitted_ts: obs::ledger::unix_now(),
             cache_at_submit: cache_totals(),
+            table: Mutex::new(Table {
+                shards: (0..shards).map(|_| Shard::Pending).collect(),
+                state: JobState::Running,
+                steals: 0,
+                first_claim: None,
+                graded: 0,
+                detected: 0,
+            }),
             result_json: OnceLock::new(),
-            first_claim: OnceLock::new(),
-            claimed_at: Mutex::new(vec![None; shards]),
-            graded: AtomicU64::new(0),
-            detected: AtomicU64::new(0),
             prepared,
         });
         {
@@ -384,17 +427,12 @@ impl JobServer {
         Ok(job)
     }
 
-    /// Claim the next available shard for `worker` (work stealing:
-    /// oldest running job first, lowest shard first, expired leases
-    /// re-issued). Used by in-process workers; `POST /claim` goes
-    /// through [`JobServer::claim_shard_from`] to record the peer.
-    pub fn claim_shard(&self, worker: &str) -> Option<(Arc<Job>, usize)> {
-        self.claim_shard_from(worker, "local", "-")
-    }
-
-    /// [`JobServer::claim_shard`] with fleet-registry provenance: the
-    /// worker's transport `kind` (`local`/`http`) and client address.
-    pub fn claim_shard_from(
+    /// Claim the next shard for `worker`: the lowest claimable shard of
+    /// the oldest running job, where a shard is claimable while pending
+    /// or once its lease has expired (re-issuing an expired lease counts
+    /// as a steal). `kind` (`local`/`http`) and `addr` are the worker's
+    /// transport and client address, for the fleet registry.
+    pub fn claim_shard(
         &self,
         worker: &str,
         kind: &'static str,
@@ -402,70 +440,96 @@ impl JobServer {
     ) -> Option<(Arc<Job>, usize)> {
         let jobs: Vec<Arc<Job>> = self.jobs.lock().unwrap().clone();
         for job in jobs {
-            if job.state() != JobState::Running {
+            let now = Instant::now();
+            let mut table = job.table.lock().unwrap();
+            if table.state != JobState::Running {
                 continue;
             }
-            if let Some(claim) = job.board.claim_detailed(worker) {
-                let shard = claim.shard;
-                self.counter("sbst_server_shards_claimed_total").inc(1);
-                if let Some(lost) = claim.stolen_from {
-                    // The previous holder's lease expired and the shard
-                    // is being re-issued: count it and put both sides of
-                    // the steal on the live bus.
-                    self.counter("sbst_server_leases_expired_total").inc(1);
-                    self.counter("sbst_server_shards_stolen_total").inc(1);
-                    self.bus.publish(
-                        "shard_lease_expired",
-                        &[
-                            ("job", Value::String(job.id.clone())),
-                            ("shard", Value::U64(shard as u64)),
-                            ("worker", Value::String(lost.clone())),
-                        ],
-                    );
-                    self.bus.publish(
-                        "shard_stolen",
-                        &[
-                            ("job", Value::String(job.id.clone())),
-                            ("shard", Value::U64(shard as u64)),
-                            ("from", Value::String(lost)),
-                            ("to", Value::String(worker.to_string())),
-                        ],
-                    );
-                }
-                self.phase_latency("claim")
-                    .observe(job.submitted.elapsed().as_micros() as u64);
-                if job.first_claim.set(Instant::now()).is_ok() {
-                    // First shard leaving the queue: the job's queue-wait
-                    // phase ends here.
-                    let wait_us = job.submitted.elapsed().as_micros() as u64;
-                    self.phase_latency("queue").observe(wait_us);
-                    self.tracer.with_context(&job.trace_root()).event(
-                        "queue_wait",
-                        &[
-                            ("job", Value::String(job.id.clone())),
-                            ("dur_us", Value::U64(wait_us)),
-                        ],
-                    );
-                }
-                job.claimed_at.lock().unwrap()[shard] = Some(Instant::now());
-                self.touch_worker(worker, kind, addr, &job.id, true);
+            let claimable = table.shards.iter().enumerate().find_map(|(i, s)| match s {
+                Shard::Pending => Some((i, None)),
+                Shard::Claimed {
+                    worker, deadline, ..
+                } if *deadline <= now => Some((i, Some(worker.clone()))),
+                _ => None,
+            });
+            let Some((shard, stolen_from)) = claimable else {
+                continue;
+            };
+            table.steals += u64::from(stolen_from.is_some());
+            table.shards[shard] = Shard::Claimed {
+                worker: worker.to_string(),
+                deadline: now + self.lease,
+                at: now,
+            };
+            let first_claim = table.first_claim.is_none();
+            table.first_claim.get_or_insert(now);
+            drop(table);
+
+            self.counter("sbst_server_shards_claimed_total").inc(1);
+            if let Some(lost) = stolen_from {
+                // The previous holder's lease expired and the shard is
+                // being re-issued: count it and put both sides of the
+                // steal on the live bus.
+                self.counter("sbst_server_leases_expired_total").inc(1);
+                self.counter("sbst_server_shards_stolen_total").inc(1);
                 self.bus.publish(
-                    "shard_claimed",
+                    "shard_lease_expired",
                     &[
                         ("job", Value::String(job.id.clone())),
                         ("shard", Value::U64(shard as u64)),
-                        ("worker", Value::String(worker.to_string())),
+                        ("worker", Value::String(lost.clone())),
                     ],
                 );
-                return Some((job, shard));
+                self.bus.publish(
+                    "shard_stolen",
+                    &[
+                        ("job", Value::String(job.id.clone())),
+                        ("shard", Value::U64(shard as u64)),
+                        ("from", Value::String(lost)),
+                        ("to", Value::String(worker.to_string())),
+                    ],
+                );
             }
+            self.phase_latency("claim")
+                .observe(job.submitted.elapsed().as_micros() as u64);
+            if first_claim {
+                // First shard leaving the queue: the job's queue-wait
+                // phase ends here.
+                let wait_us = job.submitted.elapsed().as_micros() as u64;
+                self.phase_latency("queue").observe(wait_us);
+                self.tracer.with_context(&job.trace_root()).event(
+                    "queue_wait",
+                    &[
+                        ("job", Value::String(job.id.clone())),
+                        ("dur_us", Value::U64(wait_us)),
+                    ],
+                );
+            }
+            self.touch_worker(worker, kind, addr, |w| {
+                w.claims += 1;
+                if !w.jobs.contains(&job.id) {
+                    w.jobs.push(job.id.clone());
+                }
+            });
+            self.bus.publish(
+                "shard_claimed",
+                &[
+                    ("job", Value::String(job.id.clone())),
+                    ("shard", Value::U64(shard as u64)),
+                    ("worker", Value::String(worker.to_string())),
+                ],
+            );
+            return Some((job, shard));
         }
         None
     }
 
-    /// Record a completed shard graded by `worker`. Returns `false` for
-    /// a late duplicate (the shard was already completed, e.g. after a
-    /// lease re-issue) — the result is dropped, never merged twice.
+    /// Record a completed shard graded by `worker`: its result lands in
+    /// the same critical section that marks the shard done, and the
+    /// completion that marks a running job's last shard done takes every
+    /// result out and finalizes the job. Returns `false` for a late
+    /// duplicate (the shard was already done, e.g. after a lease
+    /// re-issue): the result is dropped, never merged twice.
     pub fn record_shard(
         &self,
         job: &Arc<Job>,
@@ -473,20 +537,42 @@ impl JobServer {
         result: CampaignResult,
         worker: &str,
     ) -> bool {
-        if !job.board.complete(shard) {
-            self.counter("sbst_server_shards_duplicate_total").inc(1);
-            return false;
-        }
         let (g, d) = jobs::shard_progress(&result);
+        let mut table = job.table.lock().unwrap();
+        let claimed_at = match table.shards[shard] {
+            Shard::Pending => None,
+            Shard::Claimed { at, .. } => Some(at),
+            Shard::Done(_) => {
+                drop(table);
+                self.counter("sbst_server_shards_duplicate_total").inc(1);
+                return false;
+            }
+        };
+        table.shards[shard] = Shard::Done(Some(Box::new(result)));
         // Cumulative convergence tallies (detected vs shards done) for
         // the SSE series and the dashboard panel.
-        let graded = job.graded.fetch_add(g, Ordering::Relaxed) + g;
-        let detected = job.detected.fetch_add(d, Ordering::Relaxed) + d;
-        if let Some(at) = job.claimed_at.lock().unwrap()[shard] {
+        table.graded += g;
+        table.detected += d;
+        let (graded, detected) = (table.graded, table.detected);
+        let (done, total) = (table.done(), table.shards.len());
+        let parts: Option<Vec<(usize, CampaignResult)>> =
+            (done == total && table.state == JobState::Running).then(|| {
+                table
+                    .shards
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(s, shard)| match shard {
+                        Shard::Done(r) => r.take().map(|r| (s, *r)),
+                        _ => None,
+                    })
+                    .collect()
+            });
+        drop(table);
+
+        if let Some(at) = claimed_at {
             self.phase_latency("grade")
                 .observe(at.elapsed().as_micros() as u64);
         }
-        job.parts.lock().unwrap()[shard] = Some(result);
         self.counter("sbst_server_shards_completed_total").inc(1);
         self.touch_worker_done(worker);
         self.bus.publish(
@@ -494,46 +580,28 @@ impl JobServer {
             &[
                 ("job", Value::String(job.id.clone())),
                 ("shard", Value::U64(shard as u64)),
-                ("done", Value::U64(job.board.done() as u64)),
-                ("total", Value::U64(job.board.total() as u64)),
+                ("done", Value::U64(done as u64)),
+                ("total", Value::U64(total as u64)),
                 ("worker", Value::String(worker.to_string())),
                 ("graded", Value::U64(graded)),
                 ("detected", Value::U64(detected)),
             ],
         );
-        if job.board.all_done() {
-            self.finalize(job);
+        if let Some(parts) = parts {
+            self.finalize(job, &parts);
         }
         true
     }
 
-    /// Merge a fully-graded job, render its result documents, append the
-    /// ledger record, and publish `job_done`. Idempotent under the state
-    /// lock — two workers finishing the last two shards concurrently
-    /// finalize once.
-    fn finalize(&self, job: &Arc<Job>) {
-        {
-            let mut state = job.state.lock().unwrap();
-            if *state != JobState::Running {
-                return;
-            }
-            // Claim finalization before releasing the lock.
-            *state = JobState::Done;
-        }
+    /// Merge a fully-graded job's shard results, render its result
+    /// document, append the ledger record, and publish `job_done` (or
+    /// `job_failed`). Runs without the job's lock, once per job: only
+    /// the completion that marked the last shard done calls it. The job
+    /// leaves `Running` after its result document is written.
+    fn finalize(&self, job: &Arc<Job>, parts: &[(usize, CampaignResult)]) {
         let traced = self.tracer.with_context(&job.trace_root());
         let finalize_t0 = Instant::now();
         let finalize_span = traced.span("finalize", &[("job", Value::String(job.id.clone()))]);
-        // Move the shard results out: `record_shard` refuses a late
-        // duplicate at the board, so nothing writes `parts` again, and a
-        // finished job keeps only its rendered documents.
-        let parts: Vec<(usize, CampaignResult)> = job
-            .parts
-            .lock()
-            .unwrap()
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(s, r)| r.take().map(|r| (s, r)))
-            .collect();
         let merge_t0 = Instant::now();
         let merge_span = traced.span(
             "merge",
@@ -542,12 +610,12 @@ impl JobServer {
                 ("shards", Value::U64(parts.len() as u64)),
             ],
         );
-        let merged = match jobs::merge(&job.prepared, &parts) {
+        let merged = match jobs::merge(&job.prepared, parts) {
             Ok(m) => m,
             Err(e) => {
                 drop(merge_span);
                 drop(finalize_span);
-                *job.state.lock().unwrap() = JobState::Failed(e.clone());
+                job.table.lock().unwrap().state = JobState::Failed(e.clone());
                 self.counter("sbst_server_jobs_failed_total").inc(1);
                 self.bus.publish(
                     "job_failed",
@@ -629,6 +697,7 @@ impl JobServer {
                 eprintln!("warning: ledger append for job `{}` failed: {e}", job.id);
             }
         }
+        job.table.lock().unwrap().state = JobState::Done;
         self.bus.publish(
             "job_done",
             &[
@@ -667,12 +736,18 @@ impl JobServer {
     }
 
     /// Heartbeat `worker` in the fleet registry, creating its entry on
-    /// first contact. `claimed` marks a successful shard claim against
-    /// `job`.
-    fn touch_worker(&self, worker: &str, kind: &'static str, addr: &str, job: &str, claimed: bool) {
+    /// first contact, and apply `update` to the entry under the
+    /// registry lock.
+    fn touch_worker<R>(
+        &self,
+        worker: &str,
+        kind: &'static str,
+        addr: &str,
+        update: impl FnOnce(&mut WorkerEntry) -> R,
+    ) -> R {
         let mut workers = self.workers.lock().unwrap();
-        let entry = match workers.iter_mut().find(|w| w.name == worker) {
-            Some(e) => e,
+        let i = match workers.iter().position(|w| w.name == worker) {
+            Some(i) => i,
             None => {
                 workers.push(WorkerEntry {
                     name: worker.to_string(),
@@ -684,20 +759,18 @@ impl JobServer {
                     completions: 0,
                     jobs: Vec::new(),
                     span_events: 0,
+                    spans: None,
                 });
-                workers.last_mut().unwrap()
+                workers.len() - 1
             }
         };
+        let known = workers.len();
+        let entry = &mut workers[i];
         entry.last_seen = Instant::now();
         if !addr.is_empty() {
             entry.addr = addr.to_string();
         }
-        if claimed {
-            entry.claims += 1;
-            if !job.is_empty() && !entry.jobs.iter().any(|j| j == job) {
-                entry.jobs.push(job.to_string());
-            }
-        }
+        let out = update(entry);
         drop(workers);
         self.registry
             .gauge(
@@ -705,7 +778,8 @@ impl JobServer {
                 "workers ever seen by the fleet registry",
                 &[],
             )
-            .set(self.workers.lock().unwrap().len() as f64);
+            .set(known as f64);
+        out
     }
 
     /// Heartbeat + completion tally for `worker`.
@@ -717,48 +791,34 @@ impl JobServer {
         }
     }
 
-    /// Ingest a span batch shipped by `worker`: JSONL-append `events`
-    /// to its stream, bounded by [`MAX_SPAN_BYTES_PER_WORKER`]. Returns
-    /// `(ingested, dropped)`.
-    pub fn ingest_spans(&self, worker: &str, events: &[Value]) -> (u64, u64) {
-        let mut ingested = 0u64;
-        let mut dropped = 0u64;
-        {
-            let mut spans = self.spans.lock().unwrap();
-            let store = match spans.iter_mut().find(|s| s.worker == worker) {
-                Some(s) => s,
-                None => {
-                    spans.push(SpanStore {
-                        worker: worker.to_string(),
-                        jsonl: String::new(),
-                    });
-                    spans.last_mut().unwrap()
-                }
-            };
-            for ev in events {
-                let line = serde_json::to_string(ev).unwrap_or_default();
-                if store.jsonl.len() + line.len() + 1 > MAX_SPAN_BYTES_PER_WORKER {
-                    dropped += 1;
+    /// Ingest a span batch shipped by `worker` from `addr`: JSONL-append
+    /// `events` to the worker's stream in the fleet registry, bounded by
+    /// [`MAX_SPAN_BYTES_PER_WORKER`]. A span shipper is a live fleet
+    /// member even if it has not claimed here yet (e.g. it ships after
+    /// its last completion). Returns `(ingested, dropped)`.
+    pub fn ingest_spans(&self, worker: &str, addr: &str, events: &[Value]) -> (u64, u64) {
+        let lines: Vec<String> = events
+            .iter()
+            .map(|ev| serde_json::to_string(ev).unwrap_or_default())
+            .collect();
+        let (ingested, dropped) = self.touch_worker(worker, "http", addr, |w| {
+            let jsonl = w.spans.get_or_insert_with(String::new);
+            let mut ingested = 0u64;
+            for line in &lines {
+                if jsonl.len() + line.len() + 1 > MAX_SPAN_BYTES_PER_WORKER {
                     continue;
                 }
-                store.jsonl.push_str(&line);
-                store.jsonl.push('\n');
+                jsonl.push_str(line);
+                jsonl.push('\n');
                 ingested += 1;
             }
-        }
+            w.span_events += ingested;
+            (ingested, lines.len() as u64 - ingested)
+        });
         self.counter("sbst_server_span_events_total").inc(ingested);
         if dropped > 0 {
             self.counter("sbst_server_span_events_dropped_total")
                 .inc(dropped);
-        }
-        if ingested > 0 {
-            // A span shipper is a live fleet member even if it has not
-            // claimed here yet (e.g. ships after its last completion).
-            self.touch_worker(worker, "http", "", "", false);
-            let mut workers = self.workers.lock().unwrap();
-            if let Some(e) = workers.iter_mut().find(|w| w.name == worker) {
-                e.span_events += ingested;
-            }
         }
         (ingested, dropped)
     }
@@ -767,24 +827,24 @@ impl JobServer {
     /// worker with liveness, work tallies, and its in-flight lease (the
     /// shard it currently holds a claim on, if any).
     pub fn workers_json(&self) -> Value {
-        // In-flight leases come from the job boards, not the registry:
-        // scan running jobs for shards this worker currently holds.
+        // In-flight leases come from the job tables, read one table at
+        // a time before the registry is locked: each worker's first
+        // claimed shard, oldest job first.
         let jobs: Vec<Arc<Job>> = self.jobs.lock().unwrap().clone();
-        let in_flight_of = |name: &str| -> Value {
-            for job in &jobs {
-                for (shard, s) in job.board.snapshot().iter().enumerate() {
-                    if let ShardState::Claimed { worker, .. } = s {
-                        if worker == name {
-                            return serde_json::json!({
-                                "job": job.id.clone(),
-                                "shard": shard as u64,
-                            });
-                        }
-                    }
+        let mut in_flight: HashMap<String, Value> = HashMap::new();
+        for job in &jobs {
+            let table = job.table.lock().unwrap();
+            for (shard, s) in table.shards.iter().enumerate() {
+                if let Shard::Claimed { worker, .. } = s {
+                    in_flight.entry(worker.clone()).or_insert_with(|| {
+                        serde_json::json!({
+                            "job": job.id.clone(),
+                            "shard": shard as u64,
+                        })
+                    });
                 }
             }
-            Value::Null
-        };
+        }
         let workers = self.workers.lock().unwrap();
         let mut sorted: Vec<&WorkerEntry> = workers.iter().collect();
         sorted.sort_by(|a, b| a.name.cmp(&b.name));
@@ -803,7 +863,7 @@ impl JobServer {
                         w.jobs.iter().map(|j| Value::String(j.clone())).collect()
                     ),
                     "span_events": w.span_events,
-                    "in_flight": in_flight_of(&w.name),
+                    "in_flight": in_flight.get(&w.name).cloned().unwrap_or(Value::Null),
                 })
             })
             .collect();
@@ -824,41 +884,44 @@ impl JobServer {
             .as_ref()
             .map(|b| b.contents())
             .unwrap_or_default();
-        let spans = self.spans.lock().unwrap();
-        let mut sorted: Vec<&SpanStore> = spans.iter().collect();
-        sorted.sort_by(|a, b| a.worker.cmp(&b.worker));
         let mut streams = vec![ProcessStream {
             pid: traceviz::PID_TRACE,
             name: "coordinator".to_string(),
             jsonl: coordinator,
         }];
-        for (i, s) in sorted.iter().enumerate() {
+        let workers = self.workers.lock().unwrap();
+        let mut shippers: Vec<(&str, &str)> = workers
+            .iter()
+            .filter_map(|w| Some((w.name.as_str(), w.spans.as_deref()?)))
+            .collect();
+        shippers.sort_by_key(|&(name, _)| name);
+        for (i, (name, jsonl)) in shippers.into_iter().enumerate() {
             streams.push(ProcessStream {
                 pid: traceviz::PID_FLEET_BASE + i as u64,
-                name: format!("worker {}", s.worker),
-                jsonl: s.jsonl.clone(),
+                name: format!("worker {name}"),
+                jsonl: jsonl.to_string(),
             });
         }
+        drop(workers);
         serde_json::to_string(&traceviz::render_fleet(&streams, None)).unwrap_or_default()
     }
 
     fn status_json(&self, job: &Job) -> Value {
-        let states: Vec<Value> = job
-            .board
-            .snapshot()
-            .iter()
-            .map(|s| {
-                Value::String(
-                    match s {
-                        ShardState::Pending => "pending",
-                        ShardState::Claimed { .. } => "claimed",
-                        ShardState::Done => "done",
-                    }
-                    .to_string(),
-                )
-            })
-            .collect();
-        let state = job.state();
+        let table = job.table.lock().unwrap();
+        let shards = serde_json::json!({
+            "total": table.shards.len() as u64,
+            "done": table.done() as u64,
+            "steals": table.steals,
+            "states": Value::Array(
+                table.shards.iter().map(|s| Value::String(s.token().to_string())).collect()
+            ),
+        });
+        let progress = serde_json::json!({
+            "graded": table.graded,
+            "detected": table.detected,
+        });
+        let state = table.state.clone();
+        drop(table);
         let mut m = Map::new();
         m.insert("id".into(), Value::String(job.id.clone()));
         m.insert("state".into(), Value::String(state.token().to_string()));
@@ -870,22 +933,8 @@ impl JobServer {
             Value::U64(job.prepared.faults.len() as u64),
         );
         m.insert("budget".into(), Value::U64(job.prepared.budget));
-        m.insert(
-            "shards".into(),
-            serde_json::json!({
-                "total": job.board.total() as u64,
-                "done": job.board.done() as u64,
-                "steals": job.board.steals(),
-                "states": Value::Array(states),
-            }),
-        );
-        m.insert(
-            "progress".into(),
-            serde_json::json!({
-                "graded": job.graded.load(Ordering::Relaxed),
-                "detected": job.detected.load(Ordering::Relaxed),
-            }),
-        );
+        m.insert("shards".into(), shards);
+        m.insert("progress".into(), progress);
         m.insert("spec".into(), spec_json(&self.fingerprint, &job.spec));
         m.insert("submitted_ts".into(), Value::U64(job.submitted_ts));
         Value::Object(m)
@@ -941,7 +990,7 @@ impl JobServer {
             .and_then(|s| serde_json::from_str(s).ok())
             .and_then(|v: Value| v["worker"].as_str().map(String::from))
             .unwrap_or_else(|| "anonymous".to_string());
-        match self.claim_shard_from(&worker, "http", &req.peer) {
+        match self.claim_shard(&worker, "http", &req.peer) {
             Some((job, shard)) => {
                 let (lo, hi) = job.prepared.bounds[shard];
                 ApiResponse::ok_json(
@@ -963,7 +1012,7 @@ impl JobServer {
             }
             None => {
                 // An empty-handed poll is still a heartbeat.
-                self.touch_worker(&worker, "http", &req.peer, "", false);
+                self.touch_worker(&worker, "http", &req.peer, |_| ());
                 ApiResponse::ok_json("{\"assigned\": false}")
             }
         }
@@ -1064,8 +1113,7 @@ impl JobServer {
         if events.iter().any(|e| e.as_object().is_none()) {
             return err_json("400 Bad Request", "span events must be JSON objects");
         }
-        self.touch_worker(worker, "http", &req.peer, "", false);
-        let (ingested, dropped) = self.ingest_spans(worker, events);
+        let (ingested, dropped) = self.ingest_spans(worker, &req.peer, events);
         ApiResponse::ok_json(
             serde_json::to_string(&serde_json::json!({
                 "ingested": ingested,
@@ -1117,7 +1165,11 @@ impl ApiHandler for JobServer {
                         serde_json::to_string_pretty(&self.status_json(&job)).unwrap_or_default(),
                     ));
                 }
-                match (job.state(), job.result_json()) {
+                let (state, done, total) = {
+                    let table = job.table.lock().unwrap();
+                    (table.state.clone(), table.done(), table.shards.len())
+                };
+                match (state, job.result_json()) {
                     (JobState::Done, Some(doc)) => Some(ApiResponse::ok_json(doc.to_string())),
                     (JobState::Failed(e), _) => Some(err_json(
                         "500 Internal Server Error",
@@ -1125,11 +1177,7 @@ impl ApiHandler for JobServer {
                     )),
                     _ => Some(err_json(
                         "404 Not Found",
-                        &format!(
-                            "job `{id}` not finished ({}/{} shards)",
-                            job.board.done(),
-                            job.board.total()
-                        ),
+                        &format!("job `{id}` not finished ({done}/{total} shards)"),
                     )),
                 }
             }
@@ -1380,13 +1428,133 @@ mod tests {
         })
     }
 
+    /// A spec of about 60 faults: quick to grade shard by shard.
+    fn small_spec(srv: &JobServer, id: &str, shards: u64) -> Value {
+        let mut doc = spec_doc(srv, id, shards);
+        if let Value::Object(o) = &mut doc {
+            o.insert("sample".into(), Value::U64(60));
+        }
+        doc
+    }
+
+    /// Every shard of `job` graded once, outside the server: what a
+    /// worker delivers for each.
+    fn graded_shards(srv: &JobServer, job: &Job) -> Vec<CampaignResult> {
+        (0..job.prepared.bounds.len())
+            .map(|s| jobs::run_shard(&srv.core, &job.prepared, &job.spec, s, &Telemetry::none()))
+            .collect()
+    }
+
+    fn duplicates(srv: &JobServer) -> u64 {
+        srv.counter("sbst_server_shards_duplicate_total").get()
+    }
+
+    /// Each claim takes the lowest free shard once; while every lease is
+    /// live nothing is left to claim, and once the last result lands the
+    /// job is done and nothing is claimable.
+    #[test]
+    fn claims_take_each_shard_once_then_run_dry() {
+        let srv = server();
+        let job = srv.submit(&small_spec(&srv, "dry", 3)).unwrap();
+        let results = graded_shards(&srv, &job);
+        let claimed: Vec<usize> = ["w1", "w2", "w1"]
+            .iter()
+            .map(|w| srv.claim_shard(w, "local", "-").unwrap().1)
+            .collect();
+        assert_eq!(claimed, vec![0, 1, 2]);
+        // All leased: nothing to steal yet.
+        assert!(srv.claim_shard("w3", "local", "-").is_none());
+        for (shard, result) in results.into_iter().enumerate() {
+            assert!(srv.record_shard(&job, shard, result, "w1"));
+        }
+        assert_eq!(job.state(), JobState::Done);
+        assert_eq!(srv.status_json(&job)["shards"]["done"].as_u64(), Some(3));
+        assert!(srv.claim_shard("w3", "local", "-").is_none());
+    }
+
+    /// An expired lease is re-issued to the next claimer as a steal that
+    /// names the worker that lost it; the first completion wins and the
+    /// late one is refused and counted.
+    #[test]
+    fn expired_lease_is_reissued_and_a_late_duplicate_refused() {
+        let core = Arc::new(PlasmaCore::build(PlasmaConfig::default()));
+        let bus = EventBus::new(64);
+        let srv = JobServer::new(core, MetricRegistry::new(), bus.clone())
+            .with_lease(Duration::from_millis(1));
+        let job = srv.submit(&small_spec(&srv, "lease", 1)).unwrap();
+        let result = graded_shards(&srv, &job).remove(0);
+        let steals = |srv: &JobServer| srv.status_json(&job)["shards"]["steals"].as_u64();
+        assert_eq!(srv.claim_shard("dying-worker", "local", "-").unwrap().1, 0);
+        assert_eq!(steals(&srv), Some(0), "a first claim steals nothing");
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(srv.claim_shard("live-worker", "local", "-").unwrap().1, 0);
+        assert_eq!(steals(&srv), Some(1));
+        let stolen: Value = bus
+            .poll_after(0, Duration::ZERO)
+            .iter()
+            .map(|(_, ev)| serde_json::from_str(ev).unwrap())
+            .find(|ev| ev["ev"].as_str() == Some("shard_stolen"))
+            .expect("shard_stolen on the bus");
+        assert_eq!(stolen["from"].as_str(), Some("dying-worker"));
+        assert_eq!(stolen["to"].as_str(), Some("live-worker"));
+        assert!(srv.record_shard(&job, 0, result.clone(), "live-worker"));
+        assert!(
+            !srv.record_shard(&job, 0, result, "dying-worker"),
+            "late duplicate refused"
+        );
+        assert_eq!(duplicates(&srv), 1);
+        assert_eq!(job.state(), JobState::Done);
+    }
+
+    /// The two completions of a job's two shards race each other: the
+    /// job finalizes once, after both results have landed, with the
+    /// single-shot detections.
+    #[test]
+    fn racing_last_shard_completions_finalize_with_both_results() {
+        let srv = server();
+        let jobs: Vec<Arc<Job>> = (0..100)
+            .map(|i| {
+                srv.submit(&small_spec(&srv, &format!("race-{i}"), 2))
+                    .unwrap()
+            })
+            .collect();
+        let (spec, prepared) = (&jobs[0].spec, &jobs[0].prepared);
+        let results = graded_shards(&srv, &jobs[0]);
+        let single = sbst::flow::run_campaign_of_engine(
+            &srv.core,
+            &prepared.selftest.program,
+            &prepared.faults,
+            prepared.budget,
+            1,
+            &Telemetry::none(),
+            spec.engine,
+        );
+        let want = detections_json(&single.detections);
+        for job in &jobs {
+            let start = std::sync::Barrier::new(results.len());
+            std::thread::scope(|s| {
+                for (shard, result) in results.iter().enumerate() {
+                    let (srv, start, result) = (&srv, &start, result.clone());
+                    s.spawn(move || {
+                        start.wait();
+                        assert!(srv.record_shard(job, shard, result, "w"));
+                    });
+                }
+            });
+            assert_eq!(job.state(), JobState::Done, "job {}", job.id);
+            let doc: Value = serde_json::from_str(job.result_json().unwrap()).unwrap();
+            assert_eq!(doc["conformance"]["detections"], want, "job {}", job.id);
+        }
+        assert_eq!(duplicates(&srv), 0);
+    }
+
     #[test]
     fn submit_claim_complete_lifecycle_in_process() {
         let srv = server();
         let job = srv.submit(&spec_doc(&srv, "j1", 2)).unwrap();
         assert_eq!(job.state(), JobState::Running);
         // Grade both shards through the claim path, like a worker would.
-        while let Some((job, shard)) = srv.claim_shard("t") {
+        while let Some((job, shard)) = srv.claim_shard("t", "local", "-") {
             let res = jobs::run_shard(
                 &srv.core,
                 &job.prepared,
@@ -1459,7 +1627,7 @@ mod tests {
                 .with_tracer(tracer, buffer),
         );
         let job = srv.submit(&spec_doc(&srv, "jt", 2)).unwrap();
-        while let Some((job, shard)) = srv.claim_shard("t0") {
+        while let Some((job, shard)) = srv.claim_shard("t0", "local", "-") {
             let res = jobs::run_shard(
                 &srv.core,
                 &job.prepared,
@@ -1487,6 +1655,7 @@ mod tests {
         };
         let (ingested, dropped) = srv.ingest_spans(
             "proc-0",
+            "",
             &[
                 span_ev(10, "shard_grade_begin", None),
                 span_ev(15, "shard_grade_end", Some(5)),
@@ -1547,7 +1716,7 @@ mod tests {
         let srv = server();
         let local = srv.submit(&spec_doc(&srv, "local", 2)).unwrap();
         let remote = srv.submit(&spec_doc(&srv, "remote", 2)).unwrap();
-        while let Some((job, shard)) = srv.claim_shard("t") {
+        while let Some((job, shard)) = srv.claim_shard("t", "local", "-") {
             let res = jobs::run_shard(
                 &srv.core,
                 &job.prepared,
@@ -1601,9 +1770,9 @@ mod tests {
         let big = "x".repeat(MAX_SPAN_BYTES_PER_WORKER);
         let mut ev = Map::new();
         ev.insert("pad".into(), Value::String(big));
-        let (ingested, dropped) = srv.ingest_spans("chatty", &[Value::Object(ev.clone())]);
+        let (ingested, dropped) = srv.ingest_spans("chatty", "", &[Value::Object(ev.clone())]);
         assert_eq!((ingested, dropped), (0, 1));
-        let (ingested, _) = srv.ingest_spans("chatty", &[Value::Object(Map::new())]);
+        let (ingested, _) = srv.ingest_spans("chatty", "", &[Value::Object(Map::new())]);
         assert_eq!(ingested, 1);
     }
 

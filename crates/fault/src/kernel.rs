@@ -411,11 +411,16 @@ static LOWERING_NS: AtomicU64 = AtomicU64::new(0);
 /// Compile `netlist` with `segments`, reusing a cached kernel when the
 /// same structure was lowered before (keyed by
 /// [`structural_fingerprint`]). The returned `Arc` is what parallel
-/// campaign workers clone — one lowering per structure per process.
+/// campaign workers clone — one lowering per structure per process:
+/// the lookup and the lowering run under one lock, so threads that
+/// miss together lower once and the rest hit.
 pub fn compile_cached(netlist: &Netlist, segments: &[Vec<u32>]) -> Arc<CompiledKernel> {
     let key = structural_fingerprint(netlist, segments);
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(k) = cache.lock().unwrap().get(&key) {
+    let mut cache = CACHE
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap();
+    if let Some(k) = cache.get(&key) {
         // Guard against (astronomically unlikely) fingerprint
         // collisions with a cheap geometry cross-check.
         if k.kinds.len() == netlist.gates().len()
@@ -433,7 +438,7 @@ pub fn compile_cached(netlist: &Netlist, segments: &[Vec<u32>]) -> Arc<CompiledK
     // exactly zero, which is what lets a metrics snapshot prove that a
     // job reused a kernel instead of re-lowering it.
     LOWERING_NS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    cache.lock().unwrap().insert(key, Arc::clone(&kernel));
+    cache.insert(key, Arc::clone(&kernel));
     kernel
 }
 
@@ -531,6 +536,40 @@ mod tests {
         let other = bld.finish().unwrap();
         let c = compile_cached(&other, &[other.topo_order().to_vec()]);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    /// Threads that miss together lower the structure once: every
+    /// caller gets the same kernel.
+    #[test]
+    fn concurrent_misses_share_one_lowering() {
+        // A structure no other test builds (the cache is process-wide),
+        // deep enough that lowering outlasts the threads' start skew.
+        let mut b = NetlistBuilder::new("race");
+        let a = b.inputs("a", 13);
+        let mut x = b.inputs("b", 13);
+        for _ in 0..2000 {
+            let y = b.xor_word(&x, &a);
+            x = b.nor_word(&y, &x);
+        }
+        let q = b.dff_word(&x, 0);
+        b.outputs("q", &q);
+        let nl = b.finish().unwrap();
+        let segs = vec![nl.topo_order().to_vec()];
+        let start = std::sync::Barrier::new(8);
+        let kernels: Vec<Arc<CompiledKernel>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        compile_cached(&nl, &segs)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for k in &kernels[1..] {
+            assert!(Arc::ptr_eq(&kernels[0], k), "a second lowering");
+        }
     }
 
     #[test]

@@ -130,6 +130,11 @@ fn cut_parts(
         .collect()
 }
 
+/// Borrow owned parts the way [`merge_results`] reads them.
+fn by_ref(parts: &[(usize, usize, CampaignResult)]) -> Vec<(usize, usize, &CampaignResult)> {
+    parts.iter().map(|(lo, hi, res)| (*lo, *hi, res)).collect()
+}
+
 /// Fisher–Yates shuffle driven by the test's RNG.
 fn shuffle<T>(rng: &mut Rng, items: &mut [T]) {
     for i in (1..items.len()).rev() {
@@ -160,7 +165,7 @@ proptest! {
             let bounds = random_cuts(&mut rng, n, k);
             let mut parts = cut_parts(&faults, &detections, &bounds);
             shuffle(&mut rng, &mut parts);
-            let merged = merge_results(&faults, &parts).expect("partition merges");
+            let merged = merge_results(&faults, &by_ref(&parts)).expect("partition merges");
             prop_assert_eq!(&merged.detections, &reference.detections);
             let report = CoverageReport::from_campaign(&nl, &merged);
             prop_assert_eq!(report.total_faults, ref_report.total_faults);
@@ -232,7 +237,7 @@ proptest! {
 
         let mut parts = cut_parts(&faults, &detections, &bounds);
         parts.reverse();
-        let merged = merge_results(&faults, &parts).expect("tiling merges");
+        let merged = merge_results(&faults, &by_ref(&parts)).expect("tiling merges");
         prop_assert_eq!(merged.detections, detections);
     }
 }

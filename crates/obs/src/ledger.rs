@@ -434,6 +434,26 @@ fn comparable_coverage(a: &LedgerRecord, b: &LedgerRecord) -> bool {
     a.kind == b.kind && a.netlist == b.netlist && a.faults == b.faults && a.shards == b.shards
 }
 
+/// The baseline for one gated metric: among `prior` records that are
+/// `comparable` to `latest` and carry the metric (`value` is `Some`),
+/// the best or the last one as `baseline` says, with its value.
+fn baseline_of<'a>(
+    prior: &'a [LedgerRecord],
+    latest: &LedgerRecord,
+    comparable: fn(&LedgerRecord, &LedgerRecord) -> bool,
+    value: impl Fn(&LedgerRecord) -> Option<f64>,
+    baseline: Baseline,
+) -> Option<(&'a LedgerRecord, f64)> {
+    let candidates = prior
+        .iter()
+        .filter(|r| comparable(r, latest))
+        .filter_map(|r| Some((r, value(r)?)));
+    match baseline {
+        Baseline::Best => candidates.max_by(|a, b| a.1.total_cmp(&b.1)),
+        Baseline::Last => candidates.last(),
+    }
+}
+
 /// Gate the last record of `records` against earlier comparable ones.
 ///
 /// Returns a passing report with a note when the ledger holds fewer
@@ -450,20 +470,16 @@ pub fn check(records: &[LedgerRecord], cfg: &GateConfig) -> GateReport {
     let mut findings = Vec::new();
 
     // Throughput.
-    let tp_candidates: Vec<&LedgerRecord> = prior
-        .iter()
-        .filter(|r| comparable_throughput(r, latest) && r.gated_rate() > 0.0)
-        .collect();
-    let tp_base = match cfg.baseline {
-        Baseline::Best => tp_candidates
-            .iter()
-            .copied()
-            .max_by(|a, b| a.gated_rate().total_cmp(&b.gated_rate())),
-        Baseline::Last => tp_candidates.last().copied(),
-    };
+    let tp_base = baseline_of(
+        prior,
+        latest,
+        comparable_throughput,
+        |r| Some(r.gated_rate()).filter(|&v| v > 0.0),
+        cfg.baseline,
+    );
     match tp_base {
-        Some(base) if latest.gated_rate() > 0.0 => {
-            let (now, then) = (latest.gated_rate(), base.gated_rate());
+        Some((base, then)) if latest.gated_rate() > 0.0 => {
+            let now = latest.gated_rate();
             let drop = 100.0 * (then - now) / then;
             findings.push(GateFinding {
                 metric: "throughput".into(),
@@ -489,21 +505,15 @@ pub fn check(records: &[LedgerRecord], cfg: &GateConfig) -> GateReport {
 
     // Coverage.
     if let Some(cov) = latest.coverage_pct {
-        let cov_candidates: Vec<&LedgerRecord> = prior
-            .iter()
-            .filter(|r| comparable_coverage(r, latest) && r.coverage_pct.is_some())
-            .collect();
-        let cov_base = match cfg.baseline {
-            Baseline::Best => cov_candidates.iter().copied().max_by(|a, b| {
-                a.coverage_pct
-                    .unwrap_or(0.0)
-                    .total_cmp(&b.coverage_pct.unwrap_or(0.0))
-            }),
-            Baseline::Last => cov_candidates.last().copied(),
-        };
+        let cov_base = baseline_of(
+            prior,
+            latest,
+            comparable_coverage,
+            |r| r.coverage_pct,
+            cfg.baseline,
+        );
         match cov_base {
-            Some(base) => {
-                let base_cov = base.coverage_pct.unwrap_or(0.0);
+            Some((_, base_cov)) => {
                 let drop = base_cov - cov;
                 findings.push(GateFinding {
                     metric: "coverage".into(),
@@ -526,21 +536,15 @@ pub fn check(records: &[LedgerRecord], cfg: &GateConfig) -> GateReport {
     // threshold as raw coverage, gated only when both sides ran
     // forensics — version-1 baselines never block a schema-2 run.
     if let Some(tcov) = latest.testable_coverage {
-        let candidates: Vec<&LedgerRecord> = prior
-            .iter()
-            .filter(|r| comparable_coverage(r, latest) && r.testable_coverage.is_some())
-            .collect();
-        let base = match cfg.baseline {
-            Baseline::Best => candidates.iter().copied().max_by(|a, b| {
-                a.testable_coverage
-                    .unwrap_or(0.0)
-                    .total_cmp(&b.testable_coverage.unwrap_or(0.0))
-            }),
-            Baseline::Last => candidates.last().copied(),
-        };
+        let base = baseline_of(
+            prior,
+            latest,
+            comparable_coverage,
+            |r| r.testable_coverage,
+            cfg.baseline,
+        );
         match base {
-            Some(base) => {
-                let base_cov = base.testable_coverage.unwrap_or(0.0);
+            Some((_, base_cov)) => {
                 let drop = base_cov - tcov;
                 findings.push(GateFinding {
                     metric: "testable_coverage".into(),

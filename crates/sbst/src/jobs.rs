@@ -14,7 +14,9 @@
 //! [`run_shard`] grades one shard with the ordinary campaign runner
 //! (lanes × threads inside the shard), and [`merge`] reassembles the
 //! full-list [`CampaignResult`] through [`fault::shard::merge_results`],
-//! bit-identical to a single-shot run of the same spec.
+//! which reads each shard's result in place, bit-identical to a
+//! single-shot run of the same spec. Claims, leases, completions and
+//! finalization belong to the job server (`bench::server`).
 
 use fault::campaign::CampaignResult;
 use fault::engine::EngineConfig;
@@ -136,20 +138,21 @@ pub fn shard_progress(result: &CampaignResult) -> (u64, u64) {
 }
 
 /// Merge per-shard results (`(shard index, result)`, any order) back
-/// into the full-list campaign result. Errors on missing, duplicate, or
-/// mismatched shards — see [`fault::shard::merge_results`].
+/// into the full-list campaign result, borrowing each part. Errors on
+/// missing, duplicate, or mismatched shards — see
+/// [`fault::shard::merge_results`].
 pub fn merge(
     job: &PreparedJob,
     parts: &[(usize, CampaignResult)],
 ) -> Result<CampaignResult, String> {
-    let ranged: Vec<(usize, usize, CampaignResult)> = parts
+    let ranged: Vec<(usize, usize, &CampaignResult)> = parts
         .iter()
         .map(|(s, res)| {
             let (lo, hi) = *job
                 .bounds
                 .get(*s)
                 .ok_or_else(|| format!("shard {s} out of range ({} shards)", job.bounds.len()))?;
-            Ok((lo, hi, res.clone()))
+            Ok((lo, hi, res))
         })
         .collect::<Result<_, String>>()?;
     merge_results(&job.faults, &ranged)
